@@ -3,7 +3,9 @@
 
 Runs each lane in a subprocess (the lane is chosen at import time via
 UAVISAC_DISABLE_NUMBA) and reports per-call times for the transmit-design
-solver and the planner route-fitness kernel.
+solver and the planner route-fitness kernel. Each worker reports the lane it
+actually ran (``uavisac.accel.NUMBA_DISABLED`` in its own process); when numba
+is not importable both lanes run numpy, and only the numpy times are printed.
 
 Usage: python benchmarks/bench_sdr.py [--solves N] [--fitness N]
 """
@@ -15,8 +17,9 @@ import subprocess
 import sys
 
 WORKER = r"""
-import json, os, sys, time
+import json, sys, time
 import numpy as np
+from uavisac import accel
 from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
 from uavisac.channel import effective_channel, sample_rician_channel
 from uavisac.isac_sdr import SdrOptions, solve_feasibility
@@ -55,7 +58,7 @@ for _ in range(n_fitness):
 fit_s = time.perf_counter() - t0
 
 print(json.dumps({
-    "numba_disabled": os.environ.get("UAVISAC_DISABLE_NUMBA", "0"),
+    "numba_disabled": accel.NUMBA_DISABLED,
     "solves": n_solves, "feasible": feasible,
     "solve_ms_per_call": 1e3 * solve_s / n_solves,
     "fitness": n_fitness,
@@ -80,11 +83,20 @@ def main():
 
     jit = run_lane(False, args.solves, args.fitness)
     plain = run_lane(True, args.solves, args.fitness)
+    assert plain["numba_disabled"], "the numpy lane ran numba"
     assert jit["feasible"] == plain["feasible"], "lanes disagree on decisions"
+    kernels = (("transmit design solve", "solve_ms_per_call"),
+               ("route fitness eval", "fitness_ms_per_call"))
+
+    if jit["numba_disabled"]:
+        print("numba is not importable: both lanes ran numpy, no speedup to report")
+        print(f"{'kernel':<28}{'numpy':>12}")
+        for label, key in kernels:
+            print(f"{label:<28}{plain[key]:>10.3f}ms")
+        return
 
     print(f"{'kernel':<28}{'numba':>12}{'numpy':>12}{'speedup':>10}")
-    for label, key in (("transmit design solve", "solve_ms_per_call"),
-                       ("route fitness eval", "fitness_ms_per_call")):
+    for label, key in kernels:
         ratio = plain[key] / jit[key] if jit[key] > 0 else float("inf")
         print(f"{label:<28}{jit[key]:>10.3f}ms{plain[key]:>10.3f}ms"
               f"{ratio:>9.1f}x")

@@ -3,7 +3,7 @@
 The rank-relaxed design problem is solved in phase-I margin form: maximize the
 worst constraint slack t over the transmit covariance subject to beampattern
 floors at the sensing angles, the receiver SINR floor, and the power budget.
-Two structural facts keep this small and exact:
+Three structural facts keep this small and exact:
 
 * any feasible (comm, sensing) covariance pair can be merged into a single
   total covariance with the same margin, and conversely an optimal total
@@ -12,13 +12,21 @@ Two structural facts keep this small and exact:
   relaxation is tight whenever the effective channel has rank one;
 * the beampattern/power subproblem does not depend on the link at all, so its
   optimum is solved once and reused; a per-link solve is only needed when the
-  SINR constraint actually binds.
+  SINR constraint actually binds;
+* every constraint matrix is rank one, u u^H with u in S = span{a(phi_1..K), g},
+  so the solve runs in an orthonormal basis Q of S (dimension K + 1, not L).
+  Compressing R to P_S R P_S keeps every constraint value and does not raise
+  the trace or leave the PSD cone, and the PDHG step maps S-supported iterates
+  to S-supported iterates, so the compressed and full-space iterations agree
+  in exact arithmetic. The dual bound needs no correction either: the nonzero
+  eigenvalues of sum_j mu_j u_j u_j^H are the same in both bases, so the
+  infeasibility certificate stays exact.
 
 The iterative solver is a primal-dual hybrid-gradient loop with row
 normalization and PSD-cone projection by Hermitian eigendecomposition. Every
-reported margin is recomputed from the returned matrices, and a Lagrangian
-dual bound certifies infeasibility, so "feasible" answers are sound by
-construction rather than by solver convergence flags.
+reported margin is recomputed from the returned (lifted, L x L) matrices, and
+a Lagrangian dual bound certifies infeasibility, so "feasible" answers are
+sound by construction rather than by solver convergence flags.
 """
 
 from dataclasses import dataclass, replace
@@ -31,7 +39,6 @@ from .channel import effective_channel, sample_rician_channel, steering_vector
 FEAS_TOL = 1e-7          # margin slack accepted as feasible
 VERIFY_TOL = 1e-6        # relative residual floor in verify_design
 PSD_TOL = 1e-8           # eigenvalue tolerance for the PSD checks
-RANK1_ACCEPT = 0.999     # principal-eigenvalue mass accepted without repair
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,6 @@ class TransmitDesign:
     solver_status: str       # feasible | infeasible | numerical_failure
     iterations: int = 0
     dual_bound: float = np.inf
-    rank1_ratio: float = 1.0
     problem: SdrProblem | None = None
 
     @property
@@ -84,18 +90,8 @@ class DesignReport:
     passed: bool
 
 
-class RepairFailedError(RuntimeError):
-    pass
-
-
 def _herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
-
-
-@njit(cache=True)
-def _herm_inner(a, b):
-    # Frobenius inner product of two Hermitian matrices (real by symmetry)
-    return np.sum(a.real * b.real + a.imag * b.imag)
 
 
 @njit(cache=True)
@@ -126,9 +122,14 @@ def _pdhg_margin(rows, dn, cn, p_max, t_lo, t_hi, r_init, mu_init,
     optimal margin, the iteration count and a convergence flag.
     """
     n_rows, dim, _ = rows.shape
+    dd = dim * dim
     step = 0.99 / np.sqrt(n_rows)
+    # rows flattened to interleaved (re, im) pairs: sum_j mu[j]*rows[j] and
+    # every Frobenius inner product <rows[j], R> is then one real matrix product
+    flat = np.ascontiguousarray(rows).reshape(n_rows, dd).view(np.float64)
 
-    r_cur = r_init.copy()
+    # the iterates stay exactly Hermitian, as eigh (lower triangle) assumes
+    r_cur = 0.5 * (r_init + r_init.conj().T)
     t_cur = 0.0
     mu = mu_init.copy()
 
@@ -140,55 +141,33 @@ def _pdhg_margin(rows, dn, cn, p_max, t_lo, t_hi, r_init, mu_init,
 
     for it in range(max_iter):
         # primal step with current multipliers
-        grad = np.zeros((dim, dim), dtype=np.complex128)
-        mu_d = 0.0
-        for j in range(n_rows):
-            grad += mu[j] * rows[j]
-            mu_d += mu[j] * dn[j]
-        r_new = r_cur + step * grad
-        r_new = 0.5 * (r_new + r_new.conj().T)
-        w, v = np.linalg.eigh(r_new)
+        grad = (mu @ flat).view(np.complex128).reshape(dim, dim)
+        w, v = np.linalg.eigh(r_cur + step * grad)
         w = _project_spectrum(w, p_max)
         r_new = (v * w.astype(np.complex128)) @ v.conj().T
         r_new = 0.5 * (r_new + r_new.conj().T)
-        t_new = t_cur + step * (1.0 - mu_d)
-        if t_new < t_lo:
-            t_new = t_lo
-        elif t_new > t_hi:
-            t_new = t_hi
+        t_new = min(max(t_cur + step * (1.0 - mu @ dn), t_lo), t_hi)
 
         # dual step with extrapolated primal
         r_bar = 2.0 * r_new - r_cur
         t_bar = 2.0 * t_new - t_cur
-        for j in range(n_rows):
-            viol = cn[j] - (_herm_inner(rows[j], r_bar) - dn[j] * t_bar)
-            m = mu[j] + step * viol
-            mu[j] = m if m > 0.0 else 0.0
+        viol = cn - (flat @ r_bar.reshape(dd).view(np.float64) - dn * t_bar)
+        mu = np.maximum(mu + step * viol, 0.0)
         r_cur = r_new
         t_cur = t_new
         it_done = it + 1
 
         if (it + 1) % check_every == 0 or it + 1 == max_iter:
-            margin = 1e300
-            for j in range(n_rows):
-                slack = (_herm_inner(rows[j], r_cur) - cn[j]) / dn[j]
-                if slack < margin:
-                    margin = slack
+            margin = np.min((flat @ r_cur.reshape(dd).view(np.float64) - cn) / dn)
             if margin > best_margin:
                 best_margin = margin
                 best_r = r_cur.copy()
             # Lagrangian dual bound from the post-update multipliers
-            wsum = np.zeros((dim, dim), dtype=np.complex128)
-            mu_d2 = 0.0
-            mu_c = 0.0
-            for j in range(n_rows):
-                wsum += mu[j] * rows[j]
-                mu_d2 += mu[j] * dn[j]
-                mu_c += mu[j] * cn[j]
+            wsum = (mu @ flat).view(np.complex128).reshape(dim, dim)
             lam = np.linalg.eigvalsh(wsum)
-            lin = 1.0 - mu_d2
-            tail = t_lo * lin if t_lo * lin > t_hi * lin else t_hi * lin
-            bound = p_max * max(lam[-1], 0.0) + tail - mu_c
+            lin = 1.0 - mu @ dn
+            tail = max(t_lo * lin, t_hi * lin)
+            bound = p_max * max(lam[-1], 0.0) + tail - mu @ cn
             if bound < best_bound:
                 best_bound = bound
             if certify_only and (best_bound < -feas_tol or best_margin >= 0.0):
@@ -200,11 +179,40 @@ def _pdhg_margin(rows, dn, cn, p_max, t_lo, t_hi, r_init, mu_init,
     return best_r, best_margin, best_bound, it_done, converged
 
 
-def _normalized_rows(mats, ds, cs):
-    rows = np.stack([np.asarray(m, dtype=complex) for m in mats])
-    scales = np.array([np.sqrt(np.linalg.norm(rows[j]) ** 2 + ds[j] ** 2)
-                       for j in range(len(mats))])
-    return rows / scales[:, None, None], np.asarray(ds) / scales, np.asarray(cs) / scales
+def _solve_margin(angles, tbp_threshold, p_max, t_hi, r_init, link,
+                  max_iter, check_every, gap_tol, certify_only):
+    """PDHG on the margin program written in the span S of its constraints.
+
+    The rows are a(phi) a(phi)^H >= tbp_threshold + t per sensing angle and,
+    for a link solve with ``link = (g, scale)``, g g^H >= scale * (1 + t).
+    They are compressed to Q^H u u^H Q in an orthonormal basis Q of S, the
+    start point to Q^H r_init Q (no loss when r_init lies in S), and the
+    solution X is lifted back to Q X Q^H. Returns the lifted covariance, the
+    margin, the dual bound and the iteration count.
+    """
+    dim = r_init.shape[0]
+    vecs = [steering_vector(phi, dim) for phi in angles]
+    ds = [1.0] * len(vecs)
+    cs = [tbp_threshold] * len(vecs)
+    if link is not None:
+        vecs.append(link[0])
+        ds.append(link[1])
+        cs.append(link[1])
+    u = np.stack(vecs, axis=1)
+    sq_norms = np.sum(np.abs(u) ** 2, axis=0)
+    # relative rank cut, so a g inside span{a(phi)} adds no direction
+    left, sv, _ = np.linalg.svd(u / np.sqrt(sq_norms), full_matrices=False)
+    q = left[:, sv > sv[0] * max(u.shape) * np.finfo(float).eps]
+    c = q.conj().T @ u
+    # ||u u^H||_F = ||u||^2, so rows keep the scaling of the full-space rows
+    scales = np.sqrt(sq_norms ** 2 + np.square(ds))
+    rows = np.einsum("in,jn->nij", c, c.conj()) / scales[:, None, None]
+    t_lo = min(-c_j / d_j for c_j, d_j in zip(cs, ds)) - 1.0
+    x, margin, bound, iterations, _ = _pdhg_margin(
+        rows, np.asarray(ds) / scales, np.asarray(cs) / scales, p_max, t_lo,
+        max(t_hi, t_lo + 1.0), q.conj().T @ r_init @ q, np.zeros(len(vecs)),
+        max_iter, check_every, gap_tol, FEAS_TOL, certify_only)
+    return _herm(q @ x @ q.conj().T), float(margin), float(bound), iterations
 
 
 _TBP_CACHE: dict = {}
@@ -216,19 +224,13 @@ def _tbp_only_design(angles, tbp_threshold, p_max, n_antennas, opts: SdrOptions)
     hit = _TBP_CACHE.get(key)
     if hit is not None:
         return hit
-    mats = [np.outer(steering_vector(phi, n_antennas),
-                     steering_vector(phi, n_antennas).conj()) for phi in angles]
-    ds = [1.0] * len(mats)
-    cs = [tbp_threshold] * len(mats)
-    rows, dn, cn = _normalized_rows(mats, ds, cs)
-    t_lo = min(-c / d for c, d in zip(cs, ds)) - 1.0
-    t_hi = p_max * n_antennas - tbp_threshold
+    # the isotropic start compresses to the isotropic start of S: only the
+    # transient differs from a full-space run, since the optimum lies in S
     r0 = np.eye(n_antennas, dtype=complex) * (p_max / n_antennas)
-    mu0 = np.zeros(len(mats))
-    r, margin, bound, iters, _ = _pdhg_margin(
-        rows, dn, cn, p_max, t_lo, t_hi, r0, mu0,
-        opts.max_iter, opts.check_every, min(opts.gap_tol, 1e-9), FEAS_TOL, False)
-    result = (_herm(r), float(margin), float(bound))
+    r, margin, bound, _ = _solve_margin(
+        angles, tbp_threshold, p_max, p_max * n_antennas - tbp_threshold, r0,
+        None, opts.max_iter, opts.check_every, min(opts.gap_tol, 1e-9), False)
+    result = (r, margin, bound)
     _TBP_CACHE[key] = result
     return result
 
@@ -256,9 +258,11 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
     """Solve the relaxed transmit feasibility check for one directed link.
 
     ``h_eff`` is the effective channel through the receive combiner (rank one
-    in this pipeline). Returns matrices, the extracted beam, the achieved
-    margin and a status; feasible iff the margin clears -1e-7 and the
-    matrices themselves re-verify.
+    in this pipeline); the SINR row is written with its top mode g g^H, which
+    is h_eff itself at rank one, and the returned matrices are re-verified
+    against h_eff. Returns matrices, the extracted beam, the achieved margin
+    and a status; feasible iff the margin clears -1e-7 and the matrices
+    themselves re-verify.
     """
     h_eff = _herm(np.asarray(h_eff, dtype=complex))
     angles = tuple(float(a) for a in angles)
@@ -270,21 +274,17 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
                          tbp_threshold=float(tbp_threshold),
                          angles=angles, p_max=float(p_max))
 
-    zero = np.zeros((dim, dim), dtype=complex)
-    if p_max <= 0.0:
-        # zero power forces R = 0, so the margin of the zero design is exact
-        margin = _pair_margin(zero, zero, problem)
-        design = TransmitDesign(zero, zero.copy(), np.zeros(dim, complex),
-                                margin=margin, solver_status="pending",
-                                dual_bound=margin, problem=problem)
-        return _finalize_status(design, problem)
-
-    r_tbp, tbp_margin, tbp_bound = _tbp_only_design(
-        angles, tbp_threshold, p_max, dim, opts)
-
     eigvals, eigvecs = np.linalg.eigh(h_eff)
     lead = float(eigvals[-1])
     g = eigvecs[:, -1] * np.sqrt(max(lead, 0.0))
+
+    if p_max <= 0.0:
+        # zero power forces R = 0, so the margin of the zero design is exact
+        zero = np.zeros((dim, dim), dtype=complex)
+        return _finish_design(zero, g, problem, 0, _pair_margin(zero, zero, problem))
+
+    r_tbp, tbp_margin, tbp_bound = _tbp_only_design(
+        angles, tbp_threshold, p_max, dim, opts)
 
     if gamma_th <= 0.0:
         # no SINR row: the link-independent design is optimal
@@ -315,40 +315,11 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
             r_total = r_tbp
             iterations, bound = 0, sinr_cap
         else:
-            mats = [np.outer(steering_vector(phi, dim),
-                             steering_vector(phi, dim).conj()) for phi in angles]
-            ds = [1.0] * len(mats)
-            cs = [tbp_threshold] * len(mats)
-            mats.append(h_eff)
-            ds.append(scale)
-            cs.append(scale)
-            rows, dn, cn = _normalized_rows(mats, ds, cs)
-            t_lo = min(-c / d for c, d in zip(cs, ds)) - 1.0
-            mu0 = np.zeros(len(mats))
-            r_total, _, bound, iterations, _ = _pdhg_margin(
-                rows, dn, cn, p_max, t_lo, max(t_hi, t_lo + 1.0), r_tbp, mu0,
-                opts.max_iter, opts.check_every, opts.gap_tol, FEAS_TOL,
-                opts.certify_only)
-            r_total = _herm(r_total)
-
-    # split the total covariance into an exactly rank-one communication beam
-    # plus a sensing residual that the receive combiner cannot see
-    gain = float(np.real(g.conj() @ (r_total @ g)))
-    if gamma_th > 0.0 and gain > 0.0:
-        w_c = (r_total @ g) / np.sqrt(gain)
-        r_comm = np.outer(w_c, w_c.conj())
-        r_sens = _psd_clip(r_total - r_comm)
-    else:
-        w_c = np.zeros(dim, dtype=complex)
-        r_comm = zero.copy()
-        r_sens = r_total
-
-    design = TransmitDesign(
-        r_comm=r_comm, r_sens=r_sens, w_c=w_c,
-        margin=_pair_margin(r_comm, r_sens, problem),
-        solver_status="pending", iterations=iterations,
-        dual_bound=float(bound), problem=problem)
-    return _finalize_status(design, problem, opts)
+            # r_tbp lies in span{a(phi)}, inside the link solve's span
+            r_total, _, bound, iterations = _solve_margin(
+                angles, tbp_threshold, p_max, t_hi, r_tbp, (g, scale),
+                opts.max_iter, opts.check_every, opts.gap_tol, opts.certify_only)
+    return _finish_design(r_total, g, problem, iterations, bound)
 
 
 def _psd_clip(r: np.ndarray) -> np.ndarray:
@@ -359,8 +330,35 @@ def _psd_clip(r: np.ndarray) -> np.ndarray:
     return _herm((v * np.maximum(w, 0.0)) @ v.conj().T)
 
 
-def _finalize_status(design: TransmitDesign, problem: SdrProblem,
-                     opts: SdrOptions = SdrOptions()) -> TransmitDesign:
+def extract_rank_one(r_total, g):
+    """Split a total covariance into an exactly rank-one communication beam
+    w = R g / sqrt(g^H R g) and a sensing residual the receiver cannot see.
+
+    Returns (w, w w^H, R - w w^H); the residual is PSD and g^H (R - w w^H) g
+    = 0, so the split keeps every beampattern value and the SINR numerator.
+    """
+    gain = float(np.real(g.conj() @ (r_total @ g)))
+    if gain <= 0.0:
+        return np.zeros(len(g), dtype=complex), np.zeros_like(r_total), r_total
+    w_c = (r_total @ g) / np.sqrt(gain)
+    r_comm = np.outer(w_c, w_c.conj())
+    return w_c, r_comm, _psd_clip(r_total - r_comm)
+
+
+def _finish_design(r_total, g, problem: SdrProblem, iterations, bound):
+    """Split the total covariance, re-measure its margin from the returned
+    matrices and classify it: "feasible" needs the matrices to re-verify,
+    "infeasible" needs the dual bound."""
+    if problem.gamma_th > 0.0:
+        w_c, r_comm, r_sens = extract_rank_one(r_total, g)
+    else:
+        w_c = np.zeros(len(g), dtype=complex)
+        r_comm, r_sens = np.zeros_like(r_total), r_total
+    design = TransmitDesign(
+        r_comm=r_comm, r_sens=r_sens, w_c=w_c,
+        margin=_pair_margin(r_comm, r_sens, problem),
+        solver_status="pending", iterations=iterations,
+        dual_bound=float(bound), problem=problem)
     report = verify_design(design, problem.h_eff, problem.noise_uav,
                            problem.gamma_th, problem.tbp_threshold,
                            problem.angles, problem.p_max)
@@ -374,43 +372,7 @@ def _finalize_status(design: TransmitDesign, problem: SdrProblem,
         design.solver_status = "infeasible"
     else:
         design.solver_status = "numerical_failure"
-    tr = float(np.real(np.trace(design.r_comm)))
-    design.rank1_ratio = 1.0 if tr <= 0.0 else float(
-        np.linalg.eigvalsh(design.r_comm)[-1] / tr)
     return design
-
-
-def extract_rank_one(r_comm, design: TransmitDesign):
-    """Principal-eigenpair beam extraction with spectral-residual repair.
-
-    If the communication covariance is not essentially rank one, the spectral
-    residual moves into the sensing covariance (keeping the total covariance,
-    hence every beampattern value, unchanged) and the repaired pair is
-    re-verified against the design's stored problem.
-    """
-    r_comm = _herm(np.asarray(r_comm, dtype=complex))
-    w, v = np.linalg.eigh(r_comm)
-    lead = max(float(w[-1]), 0.0)
-    beam = v[:, -1] * np.sqrt(lead)
-    trace = float(np.real(np.trace(r_comm)))
-    ratio = 1.0 if trace <= 0.0 else lead / trace
-    if ratio >= RANK1_ACCEPT:
-        return beam, design.r_sens
-    residual = _psd_clip(r_comm - np.outer(beam, beam.conj()))
-    repaired = _herm(design.r_sens + residual)
-    if design.problem is not None:
-        candidate = TransmitDesign(
-            r_comm=np.outer(beam, beam.conj()), r_sens=repaired, w_c=beam,
-            margin=0.0, solver_status="pending", problem=design.problem)
-        report = verify_design(candidate, design.problem.h_eff,
-                               design.problem.noise_uav, design.problem.gamma_th,
-                               design.problem.tbp_threshold,
-                               design.problem.angles, design.problem.p_max)
-        if not report.passed:
-            raise RepairFailedError(
-                "rank-one repair failed re-verification "
-                f"(worst residual {min(report.tbp_residuals.min(), report.sinr_residual):.3e})")
-    return beam, repaired
 
 
 def verify_design(design: TransmitDesign, h_eff, noise_uav, gamma_th,

@@ -71,6 +71,13 @@ class TestRunExperiment:
         assert (a_dir / "aggregates.csv").read_bytes() == \
             (b_dir / "aggregates.csv").read_bytes()
 
+    def test_worker_count_does_not_change_bytes(self, tmp_path):
+        one, two = tmp_path / "one", tmp_path / "two"
+        run_experiment(small_spec(one))
+        run_experiment(replace(small_spec(two), workers=2))
+        for name in ("results.csv", "aggregates.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+
     def test_missing_checkpoint_names_method(self, tmp_path):
         spec = replace(small_spec(tmp_path), methods=("drl_sdr",))
         with pytest.raises(FileNotFoundError, match="drl_sdr"):

@@ -3,8 +3,9 @@ import pytest
 
 from uavisac.channel import (effective_channel, sample_rician_channel,
                              steering_vector, tbp_gain)
-from uavisac.isac_sdr import (RepairFailedError, SdrOptions, SdrProblem,
-                              TransmitDesign, extract_rank_one,
+from uavisac.isac_sdr import (FEAS_TOL, SdrOptions, SdrProblem,
+                              TransmitDesign, _finish_design, _herm,
+                              _pdhg_margin, _tbp_only_design, extract_rank_one,
                               link_feasibility_sweep, solve_feasibility,
                               verify_design)
 from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
@@ -156,42 +157,17 @@ class TestIsotropicIdentity:
 
 
 class TestExtractRankOne:
-    def test_rank_one_input_recovered(self):
+    def test_split_keeps_total_and_hides_residual(self):
         rng = rng_stream(20, "rank1")
-        w0 = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        w0 *= np.sqrt(0.05) / np.linalg.norm(w0)
-        r_c = np.outer(w0, w0.conj())
-        des = TransmitDesign(r_comm=r_c, r_sens=np.zeros((L, L)), w_c=w0,
-                             margin=0.0, solver_status="feasible")
-        beam, r_s = extract_rank_one(r_c, des)
-        assert np.linalg.norm(np.outer(beam, beam.conj()) - r_c) <= 1e-8
-        assert r_s is des.r_sens
-
-    def test_isotropic_input_takes_repair_path(self):
-        r_c = (P_MAX / L) * np.eye(L)
-        h_eff = make_h_eff(100)
-        problem = SdrProblem(h_eff=h_eff, noise_uav=NOISE_U, gamma_th=0.0,
-                             tbp_threshold=0.05, angles=ANGLES, p_max=P_MAX)
-        des = TransmitDesign(r_comm=r_c, r_sens=np.zeros((L, L)),
-                             w_c=np.zeros(L), margin=0.0,
-                             solver_status="feasible", problem=problem)
-        beam, r_s = extract_rank_one(r_c, des)
-        # residual spectrum moved into the sensing covariance, which stays PSD
-        assert np.linalg.eigvalsh(0.5 * (r_s + r_s.conj().T))[0] >= -1e-12
-        total = np.outer(beam, beam.conj()) + r_s
-        assert np.allclose(total, r_c + des.r_sens, atol=1e-10)
-
-    def test_repair_failure_raises(self):
-        # impossibly strict SINR floor: no repair can rescue the spread beam
-        h_eff = make_h_eff(100)
-        problem = SdrProblem(h_eff=h_eff, noise_uav=NOISE_U, gamma_th=1e9,
-                             tbp_threshold=GAMMA_LIN, angles=ANGLES, p_max=P_MAX)
-        r_c = (P_MAX / L) * np.eye(L)
-        des = TransmitDesign(r_comm=r_c, r_sens=np.zeros((L, L)),
-                             w_c=np.zeros(L), margin=0.0,
-                             solver_status="feasible", problem=problem)
-        with pytest.raises(RepairFailedError):
-            extract_rank_one(r_c, des)
+        x = rng.standard_normal((L, 4)) + 1j * rng.standard_normal((L, 4))
+        r_total = 0.01 * x @ x.conj().T
+        g = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+        w_c, r_comm, r_sens = extract_rank_one(r_total, g)
+        assert np.allclose(r_comm, np.outer(w_c, w_c.conj()), atol=1e-15)
+        assert np.allclose(r_comm + r_sens, r_total, atol=1e-14)
+        assert np.linalg.eigvalsh(r_sens)[0] >= -1e-15
+        # the receiver sees the whole gain through the beam, none through r_sens
+        assert abs(g.conj() @ r_sens @ g) <= 1e-12 * abs(g.conj() @ r_total @ g)
 
     def test_solver_outputs_survive_extraction(self):
         for seed in range(100):
@@ -201,13 +177,91 @@ class TestExtractRankOne:
             des = solve(h_eff)
             if not des.feasible:
                 continue
-            beam, r_s = extract_rank_one(des.r_comm, des)
-            rebuilt = TransmitDesign(r_comm=np.outer(beam, beam.conj()),
-                                     r_sens=r_s, w_c=beam, margin=0.0,
-                                     solver_status="pending")
-            rep = verify_design(rebuilt, h_eff, NOISE_U, 10 ** 0.8, GAMMA_LIN,
+            w_outer = np.outer(des.w_c, des.w_c.conj())
+            assert np.linalg.norm(w_outer - des.r_comm) <= \
+                1e-12 * max(1.0, np.linalg.norm(des.r_comm)), f"seed {seed}"
+            rep = verify_design(des, h_eff, NOISE_U, 10 ** 0.8, GAMMA_LIN,
                                 ANGLES, P_MAX)
             assert rep.passed, f"extraction broke feasibility at seed {seed}"
+
+
+CERTIFY = SdrOptions(certify_only=True, gap_tol=1e-5)   # the env's options
+LADDER_M = (200.0, 1000.0, 1400.0, 1500.0, 1700.0, 2500.0, 5000.0)
+
+
+def span_projector(vectors):
+    u = np.stack(vectors, axis=1)
+    u = u / np.linalg.norm(u, axis=0)
+    left, sv, _ = np.linalg.svd(u, full_matrices=False)
+    q = left[:, sv > sv[0] * max(u.shape) * np.finfo(float).eps]
+    return q @ q.conj().T, q.shape[1]
+
+
+def full_space_design(h_eff, gam, opts):
+    """The link solve of solve_feasibility, run on the uncompressed L x L rows."""
+    h = _herm(np.asarray(h_eff, dtype=complex))
+    w, v = np.linalg.eigh(h)
+    lead = float(w[-1])
+    g = v[:, -1] * np.sqrt(lead)
+    scale = gam * NOISE_U
+    mats = [np.outer(steering_vector(phi, L), steering_vector(phi, L).conj())
+            for phi in ANGLES] + [h]
+    ds = np.array([1.0] * len(ANGLES) + [scale])
+    cs = np.array([GAMMA_LIN] * len(ANGLES) + [scale])
+    norms = np.sqrt(np.array([np.linalg.norm(m) ** 2 for m in mats]) + ds ** 2)
+    rows = np.stack(mats) / norms[:, None, None]
+    t_lo = float(np.min(-cs / ds)) - 1.0
+    t_hi = min(P_MAX * L - GAMMA_LIN, (P_MAX * lead - scale) / scale)
+    r_tbp = _tbp_only_design(ANGLES, GAMMA_LIN, P_MAX, L, opts)[0]
+    r, _, bound, iters, _ = _pdhg_margin(
+        rows, ds / norms, cs / norms, P_MAX, t_lo, max(t_hi, t_lo + 1.0), r_tbp,
+        np.zeros(len(mats)), opts.max_iter, opts.check_every, opts.gap_tol,
+        FEAS_TOL, opts.certify_only)
+    problem = SdrProblem(h_eff=h, noise_uav=NOISE_U, gamma_th=gam,
+                         tbp_threshold=GAMMA_LIN, angles=ANGLES, p_max=P_MAX)
+    return _finish_design(_herm(r), g, problem, iters, bound), g
+
+
+class TestSubspaceSolve:
+    """The (K+1)-dimensional solve reproduces PDHG on the full rows."""
+
+    def check_parity(self, h_eff, opts, gamma_db=8.0):
+        """Compare one solve with its full-space run; return the rank of S,
+        or None when a shortcut answered and no PDHG solve ran."""
+        gam = 10 ** (gamma_db / 10)
+        des = solve(h_eff, gamma_db=gamma_db, opts=opts)
+        if des.iterations == 0:
+            return None
+        ref, g = full_space_design(h_eff, gam, opts)
+        assert des.solver_status == ref.solver_status
+        assert des.iterations == ref.iterations
+        assert des.margin == pytest.approx(ref.margin, abs=1e-9)
+        assert des.dual_bound == pytest.approx(ref.dual_bound, abs=1e-9)
+        proj, rank = span_projector(
+            [steering_vector(phi, L) for phi in ANGLES] + [g])
+        total = des.r_comm + des.r_sens
+        assert np.linalg.norm(proj @ total @ proj - total) <= \
+            1e-12 * np.linalg.norm(total)
+        return rank
+
+    @pytest.mark.parametrize("mode,seed", [("full", 0), ("full", 2),
+                                           ("certify", 0), ("certify", 1),
+                                           ("certify", 2)])
+    def test_ladder_matches_full_space(self, mode, seed):
+        opts = SdrOptions() if mode == "full" else CERTIFY
+        ran = 0
+        for dist in LADDER_M:
+            rank = self.check_parity(
+                make_h_eff(dist, seed=seed, label="parity"), opts)
+            ran += rank is not None
+        assert ran >= 2     # the ladder crosses the band where PDHG runs
+
+    @pytest.mark.parametrize("opts", [SdrOptions(), CERTIFY])
+    def test_channel_inside_beampattern_span(self, opts):
+        # a pure line-of-sight channel along broadside: g is a multiple of
+        # a(0), so the basis of span{a(phi_k), g} has rank K, not K + 1
+        h_eff = make_h_eff(1500.0, seed=0, rician_k=1e40, label="parity")
+        assert self.check_parity(h_eff, opts) == len(ANGLES)
 
 
 class TestLinkSweep:
