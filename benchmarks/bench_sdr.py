@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the hot kernels with and without numba.
+"""Benchmark the transmit-design solver with and without numba.
 
 Runs each lane in a subprocess (the lane is chosen at import time via
-UAVISAC_DISABLE_NUMBA) and reports per-call times for the transmit-design
-solver and the planner route-fitness kernel. Each worker reports the lane it
-actually ran (``uavisac.accel.NUMBA_DISABLED`` in its own process); when numba
-is not importable both lanes run numpy, and only the numpy times are printed.
+UAVISAC_DISABLE_NUMBA) and reports the per-call time of the transmit-design
+solver, the only jitted code. Each worker reports the lane it actually ran
+(``uavisac.accel.NUMBA_DISABLED`` in its own process); when numba is not
+importable both lanes run numpy, and only the numpy time is printed.
 
-Usage: python benchmarks/bench_sdr.py [--solves N] [--fitness N]
+Usage: python benchmarks/bench_sdr.py [--solves N]
 """
 
 import argparse
@@ -23,9 +23,8 @@ from uavisac import accel
 from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
 from uavisac.channel import effective_channel, sample_rician_channel
 from uavisac.isac_sdr import SdrOptions, solve_feasibility
-from uavisac.planners import greedy_offline, plan_fitness
 
-n_solves, n_fitness = int(sys.argv[1]), int(sys.argv[2])
+n_solves = int(sys.argv[1])
 cfg = ScenarioConfig()
 sc = build_scenario(cfg)
 rng = rng_stream(0, "bench")
@@ -50,27 +49,18 @@ for h_eff in cases:
     feasible += des.feasible
 solve_s = time.perf_counter() - t0
 
-plan = greedy_offline(sc)
-plan_fitness(plan, sc)  # warm up
-t0 = time.perf_counter()
-for _ in range(n_fitness):
-    plan_fitness(plan, sc)
-fit_s = time.perf_counter() - t0
-
 print(json.dumps({
     "numba_disabled": accel.NUMBA_DISABLED,
     "solves": n_solves, "feasible": feasible,
     "solve_ms_per_call": 1e3 * solve_s / n_solves,
-    "fitness": n_fitness,
-    "fitness_ms_per_call": 1e3 * fit_s / n_fitness,
 }))
 """
 
 
-def run_lane(disabled: bool, n_solves: int, n_fitness: int) -> dict:
+def run_lane(disabled: bool, n_solves: int) -> dict:
     env = dict(os.environ, UAVISAC_DISABLE_NUMBA="1" if disabled else "0")
     out = subprocess.run(
-        [sys.executable, "-c", WORKER, str(n_solves), str(n_fitness)],
+        [sys.executable, "-c", WORKER, str(n_solves)],
         env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -78,28 +68,23 @@ def run_lane(disabled: bool, n_solves: int, n_fitness: int) -> dict:
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--solves", type=int, default=64)
-    parser.add_argument("--fitness", type=int, default=200)
     args = parser.parse_args()
 
-    jit = run_lane(False, args.solves, args.fitness)
-    plain = run_lane(True, args.solves, args.fitness)
+    jit = run_lane(False, args.solves)
+    plain = run_lane(True, args.solves)
     assert plain["numba_disabled"], "the numpy lane ran numba"
     assert jit["feasible"] == plain["feasible"], "lanes disagree on decisions"
-    kernels = (("transmit design solve", "solve_ms_per_call"),
-               ("route fitness eval", "fitness_ms_per_call"))
+    label, key = "transmit design solve", "solve_ms_per_call"
 
     if jit["numba_disabled"]:
         print("numba is not importable: both lanes ran numpy, no speedup to report")
         print(f"{'kernel':<28}{'numpy':>12}")
-        for label, key in kernels:
-            print(f"{label:<28}{plain[key]:>10.3f}ms")
+        print(f"{label:<28}{plain[key]:>10.3f}ms")
         return
 
+    ratio = plain[key] / jit[key] if jit[key] > 0 else float("inf")
     print(f"{'kernel':<28}{'numba':>12}{'numpy':>12}{'speedup':>10}")
-    for label, key in kernels:
-        ratio = plain[key] / jit[key] if jit[key] > 0 else float("inf")
-        print(f"{label:<28}{jit[key]:>10.3f}ms{plain[key]:>10.3f}ms"
-              f"{ratio:>9.1f}x")
+    print(f"{label:<28}{jit[key]:>10.3f}ms{plain[key]:>10.3f}ms{ratio:>9.1f}x")
 
 
 if __name__ == "__main__":

@@ -51,16 +51,36 @@ def expected_md_channel(q_uav, u_md, beta, kappa, c, d) -> float:
 
 
 def md_gain_matrix(uav_pos, md_pos, beta, kappa, c, d) -> np.ndarray:
-    """Vectorized expected amplitude gains, shape (M, I)."""
-    q = np.asarray(uav_pos, dtype=float)[:, None, :]
-    u = np.asarray(md_pos, dtype=float)[None, :, :]
-    diff = q - u
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    if np.any(dist == 0.0):
+    """Expected amplitude gains, shape (..., M, I) for UAV positions (..., M, 3)."""
+    q = np.asarray(uav_pos, dtype=float)[..., :, None, :]
+    diff = q - np.asarray(md_pos, dtype=float)
+    dist = np.sqrt((diff ** 2).sum(axis=-1))
+    if (dist == 0.0).any():
         raise ValueError("coincident UAV and MD positions")
-    theta = np.degrees(np.arcsin(diff[:, :, 2] / dist))
+    theta = np.degrees(np.arcsin(diff[..., 2] / dist))
     p_los = los_probability(theta, c, d)
     return (p_los + (1.0 - p_los) * kappa) * np.sqrt(beta) / dist
+
+
+def uplink_sinr(gain2, serving, p_md, noise_md) -> np.ndarray:
+    """SINR of each UAV's scheduled uplink, shape (B, M); 0 where idle.
+
+    ``gain2`` holds squared gains (B, M, I) and ``serving`` (B, M) the MD each
+    UAV schedules (-1 for none). The interference at UAV m is summed over the
+    other served MDs in UAV order, so every batch size gives the same bits.
+    """
+    n_fleets, m_count = serving.shape
+    active = serving >= 0
+    if not active.any():
+        return np.zeros(serving.shape)
+    # power[b, m, k]: received power at UAV m from the MD that UAV k serves
+    power = p_md * gain2[np.arange(n_fleets)[:, None, None],
+                         np.arange(m_count)[:, None],
+                         np.maximum(serving, 0)[:, None, :]]
+    others = active[:, None, :] & ~np.eye(m_count, dtype=bool)
+    interference = np.cumsum(np.where(others, power, 0.0), axis=-1)[..., -1]
+    own = np.diagonal(power, axis1=1, axis2=2)
+    return np.where(active, own / (interference + noise_md), 0.0)
 
 
 def md_uplink_sinr(uav_pos, md_pos, serving, p_md, noise_md,
@@ -71,24 +91,15 @@ def md_uplink_sinr(uav_pos, md_pos, serving, p_md, noise_md,
     serves at most one MD by construction and an MD may appear at most once.
     """
     serving = np.asarray(serving, dtype=int)
-    m_count = len(serving)
     active = serving[serving >= 0]
     if len(np.unique(active)) != len(active):
         raise ValueError("schedule assigns one MD to several UAVs")
 
     gain2 = md_gain_matrix(uav_pos, md_pos, beta, kappa, c, d) ** 2
     sinr = np.zeros_like(gain2)
-    for m in range(m_count):
-        i = serving[m]
-        if i < 0:
-            continue
-        interference = 0.0
-        for mo in range(m_count):
-            io = serving[mo]
-            if mo == m or io < 0:
-                continue
-            interference += p_md * gain2[m, io]
-        sinr[m, i] = p_md * gain2[m, i] / (interference + noise_md)
+    served = np.flatnonzero(serving >= 0)
+    sinr[served, serving[served]] = uplink_sinr(gain2[None], serving[None],
+                                                p_md, noise_md)[0, served]
     return UplinkSinrReport(sinr=sinr, serving=serving)
 
 

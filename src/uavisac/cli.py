@@ -6,6 +6,7 @@ Verbs: validate, train, run, table, sweep, curves. Results land under
 """
 
 import argparse
+import configparser
 import os
 import sys
 from dataclasses import replace
@@ -13,8 +14,8 @@ from pathlib import Path
 
 from .config import load_config
 from .drl_mappo import train
-from .harness import (AXES, METHODS, ExperimentSpec, checkpoint_path,
-                      emit_comparison_table, emit_sweep_data, run_experiment,
+from .harness import (AXES, METHODS, ExperimentSpec, emit_comparison_table,
+                      emit_sweep_data, run_experiment, scenario_config_for,
                       train_checkpoint, validate_spec)
 from .scenario import build_scenario, validate_config
 
@@ -29,35 +30,56 @@ def _out_root(args) -> str:
     return os.environ.get("UAVISAC_OUT", "results")
 
 
-def _values(raw: str):
-    vals = []
-    for tok in raw.replace(",", " ").split():
-        vals.append(float(tok) if "." in tok or "-" in tok else int(tok))
-    return tuple(vals)
+def _load_config(path):
+    """The run configuration; unreadable or malformed files are bad input."""
+    try:
+        return load_config(path)
+    except (OSError, ValueError, configparser.Error) as exc:
+        raise ValidationFailure(f"cannot load config: {exc}") from exc
+
+
+def _number(tok: str):
+    return float(tok) if "." in tok or "-" in tok else int(tok)
+
+
+def _parse_list(raw: str, convert, flag: str) -> tuple:
+    try:
+        return tuple(convert(tok) for tok in raw.replace(",", " ").split())
+    except ValueError as exc:
+        raise ValidationFailure(f"{flag}: {exc}") from exc
+
+
+def _require(problems):
+    for p in problems:
+        print(f"violation: {p}")
+    if problems:
+        raise ValidationFailure(f"{len(problems)} violation(s)")
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    run_config = load_config(args.config)
-    return ExperimentSpec(
-        run_config=run_config,
+    spec = ExperimentSpec(
+        run_config=_load_config(args.config),
         methods=tuple(args.methods.replace(",", " ").split()),
         axis=args.axis,
-        values=_values(args.values),
-        seeds=tuple(int(s) for s in args.seeds.replace(",", " ").split()),
+        values=_parse_list(args.values, _number, "--values"),
+        seeds=_parse_list(args.seeds, int, "--seeds"),
         out_dir=_out_root(args),
         train_first=args.train_first,
         train_episodes=args.episodes,
         workers=args.workers,
     )
+    problems = validate_spec(spec)
+    if not problems:
+        for value in spec.values:
+            problems += validate_config(
+                scenario_config_for(spec.run_config, spec.axis, value))
+    _require(problems)
+    return spec
 
 
 def cmd_validate(args) -> int:
-    run_config = load_config(args.config)
-    problems = validate_config(run_config.scenario)
-    for p in problems:
-        print(f"violation: {p}")
-    if problems:
-        raise ValidationFailure(f"{len(problems)} violation(s)")
+    run_config = _load_config(args.config)
+    _require(validate_config(run_config.scenario))
     build_scenario(run_config.scenario)
     print("configuration valid")
     return 0
@@ -73,11 +95,6 @@ def cmd_train(args) -> int:
 
 def cmd_run(args) -> int:
     spec = _spec_from_args(args)
-    problems = validate_spec(spec)
-    if problems:
-        for p in problems:
-            print(f"violation: {p}")
-        raise ValidationFailure(f"{len(problems)} violation(s)")
     rows = run_experiment(spec)
     print(f"{len(rows)} result rows written to {spec.out_dir}/results.csv")
     return 0
@@ -96,11 +113,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    run_config = load_config(args.config)
+    run_config = _load_config(args.config)
+    _require(validate_config(run_config.scenario))
+    seeds = _parse_list(args.seeds, int, "--seeds")
     out = Path(_out_root(args))
     out.mkdir(parents=True, exist_ok=True)
-    for seed in args.seeds.replace(",", " ").split():
-        mappo = replace(run_config.mappo, seed=int(seed))
+    for seed in seeds:
+        mappo = replace(run_config.mappo, seed=seed)
         if args.episodes is not None:
             mappo = replace(mappo, max_episodes=args.episodes)
         scenario = build_scenario(run_config.scenario)
@@ -173,9 +192,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValidationFailure as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

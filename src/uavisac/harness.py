@@ -120,18 +120,13 @@ def _policy_mission(policy, scenario, seed, run_config: RunConfig,
 def run_cell(method: str, spec: ExperimentSpec, value, seed) -> MissionResult:
     rc = spec.run_config
     scenario = build_scenario(scenario_config_for(rc, spec.axis, value))
-    if method == "greedy_offline":
-        plan = greedy_offline(scenario)
-        return evaluate_plan(plan, scenario, seed=seed, method=method,
-                             connected=False, propulsion=rc.propulsion,
-                             reward=rc.reward)
-    if method == "pso":
-        plan = pso_plan(scenario, replace(rc.pso, seed=seed))
-        return evaluate_plan(plan, scenario, seed=seed, method=method,
-                             connected=False, propulsion=rc.propulsion,
-                             reward=rc.reward)
-    if method == "ga":
-        plan = ga_plan(scenario, replace(rc.ga, seed=seed))
+    if method in ("greedy_offline", "pso", "ga"):
+        if method == "pso":
+            plan = pso_plan(scenario, replace(rc.pso, seed=seed))
+        elif method == "ga":
+            plan = ga_plan(scenario, replace(rc.ga, seed=seed))
+        else:
+            plan = greedy_offline(scenario)
         return evaluate_plan(plan, scenario, seed=seed, method=method,
                              connected=False, propulsion=rc.propulsion,
                              reward=rc.reward)

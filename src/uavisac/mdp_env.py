@@ -13,11 +13,12 @@ station are exempt, since the shared launch/landing pads make co-location
 unavoidable there.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .channel import md_gain_matrix, md_uplink_sinr
+from .channel import md_gain_matrix, uplink_sinr
 from .energy import PropulsionParams, REFERENCE_PROPULSION, slot_energy
 from .isac_sdr import (SdrOptions, link_feasibility_sweep,
                        separated_link_sweep, verify_design)
@@ -70,11 +71,6 @@ class FleetState:
     def cumulative_energy(self) -> float:
         return float(self.energy_per_uav.sum())
 
-    def copy(self) -> "FleetState":
-        return FleetState(self.slot, self.positions.copy(), self.headings.copy(),
-                          self.residual_energy.copy(), self.collected.copy(),
-                          self.energy_per_uav.copy(), self.flying.copy())
-
 
 @dataclass(frozen=True)
 class JointAction:
@@ -106,6 +102,178 @@ class SlotRecord:
     energy: float
 
 
+# -- mission rules ---------------------------------------------------------------
+# Each rule takes arrays with leading batch axes (B fleets of M UAVs). The env
+# steps a batch of one through them; the planners' population rollout steps
+# one fleet per candidate plan, so both follow the same rules bit for bit.
+
+
+@lru_cache(maxsize=None)
+def pairs_above(m_count: int) -> np.ndarray:
+    """(M, M) mask of the UAV pairs (a, b) with a < b; read-only."""
+    upper = np.triu(np.ones((m_count, m_count), dtype=bool), 1)
+    upper.flags.writeable = False
+    return upper
+
+
+def uplink_gain2(positions, scenario: Scenario) -> np.ndarray:
+    """Squared expected UAV-MD gains, (..., M, I) for positions (..., M, 3)."""
+    cfg = scenario.config
+    return md_gain_matrix(positions, scenario.md_positions, cfg.beta_ref,
+                          cfg.kappa_nlos, cfg.los_c, cfg.los_d) ** 2
+
+
+def interference_free_sinr(gain2, cfg) -> np.ndarray:
+    return cfg.p_md * gain2 / cfg.noise_md
+
+
+def schedulable(gain2, collected, cfg) -> np.ndarray:
+    """(..., M, I): uncollected MDs whose interference-free SINR clears the gate."""
+    return ((collected[..., None, :] == 0)
+            & (interference_free_sinr(gain2, cfg) >= cfg.gamma_th_md))
+
+
+def claim_targets(targets, allowed):
+    """Claims in UAV order: UAV m gets ``targets[b, m]`` (-1 for none) when
+    ``allowed[b, m]`` admits it and no lower-index UAV holds it, i.e. the
+    lowest-index admitted UAV holds each MD. Returns (granted, taken), both
+    (B, M): the granted MD (-1 otherwise) and where a lower UAV held it."""
+    n_fleets, m_count = targets.shape
+    admitted = (targets >= 0) & allowed[np.arange(n_fleets)[:, None],
+                                        np.arange(m_count),
+                                        np.maximum(targets, 0)]
+    held = ((targets[:, :, None] == targets[:, None, :]) & admitted[:, None, :]
+            & pairs_above(m_count).T)
+    taken = held.any(axis=-1)
+    return np.where(admitted & ~taken, targets, -1), taken
+
+
+def advance(positions, heading, speed, cfg) -> np.ndarray:
+    """Intended positions after one slot at v_fixed along ``heading``, clipped
+    to the area; altitude is kept."""
+    step = speed * cfg.v_fixed * cfg.slot_seconds
+    intended = positions.copy()
+    intended[..., 0] = np.minimum(np.maximum(
+        positions[..., 0] + step * np.cos(heading), 0.0), cfg.area_width)
+    intended[..., 1] = np.minimum(np.maximum(
+        positions[..., 1] + step * np.sin(heading), 0.0), cfg.area_height)
+    return intended
+
+
+def distances(a, b) -> np.ndarray:
+    return np.sqrt(((a - b) ** 2).sum(axis=-1))
+
+
+def pair_distances(positions) -> np.ndarray:
+    """(..., M, M) distances between the UAVs of each fleet."""
+    return distances(positions[..., :, None, :], positions[..., None, :, :])
+
+
+def station_exempt(positions, cfg) -> np.ndarray:
+    """(..., M, M): pairs inside the same station zone, where the shared
+    launch/landing pads make co-location unavoidable. The zone is the pad plus
+    one motion step, so the final approach cannot wedge against already-parked
+    UAVs just outside the arrival radius."""
+    radius = cfg.arrival_radius + cfg.v_fixed * cfg.slot_seconds
+    exempt = False
+    for station in (cfg.start, cfg.end):
+        inside = distances(positions, np.array([*station, cfg.altitude])) <= radius
+        exempt = exempt | (inside[..., :, None] & inside[..., None, :])
+    return exempt
+
+
+def resolve_collisions(pre, intended, cfg):
+    """Junior-first hover reverts until no non-exempt pair ends below d_min.
+
+    Arrays are (B, M, 3). In each fleet the first offending pair (a, b) with
+    a mover loses the junior mover's step: b's if b moved, else a's. Station
+    zones aside, the post-step fleet therefore always satisfies the pairwise
+    safe distance; a pair that was already too close before the step (only
+    reachable by direct state injection) simply cannot be separated by
+    reverting and is left to the distance penalty. Returns (final, overrides,
+    blocked): the reverted UAVs and the partner that blocked each (-1 if none).
+    """
+    cand = intended.copy()
+    n_fleets, m_count = cand.shape[:2]
+    overrides = np.zeros((n_fleets, m_count), dtype=bool)
+    blocked = np.full((n_fleets, m_count), -1)
+    for _ in range(m_count * m_count + 1):
+        moved = (cand != pre).any(axis=-1)
+        close = (pairs_above(m_count) & (moved[:, :, None] | moved[:, None, :])
+                 & (pair_distances(cand) < cfg.d_min - 1e-9))
+        if not close.any():
+            break
+        close &= ~station_exempt(cand, cfg)
+        close = close.reshape(n_fleets, -1)
+        fleets = np.flatnonzero(close.any(axis=1))
+        if not len(fleets):
+            break
+        a, b = np.divmod(np.argmax(close[fleets], axis=1), m_count)
+        junior = np.where(moved[fleets, b], b, a)
+        cand[fleets, junior] = pre[fleets, junior]
+        overrides[fleets, junior] = True
+        blocked[fleets, junior] = a + b - junior
+    return cand, overrides, blocked
+
+
+@dataclass
+class SlotOutcome:
+    """What one slot did to a batch of fleets; arrays lead with (B, M)."""
+
+    served_sinr: np.ndarray   # SINR of each scheduled uplink, 0 when idle
+    newly: np.ndarray         # the UAV's scheduled MD was collected this slot
+    heading: np.ndarray       # wrapped to [-pi, pi)
+    final: np.ndarray         # (B, M, 3) positions after the overrides
+    overrides: np.ndarray
+    blocked: np.ndarray
+    moved: np.ndarray         # uint8 effective motion
+    energy: np.ndarray        # J spent in the slot
+
+
+def slot_costs(cfg, propulsion: PropulsionParams) -> np.ndarray:
+    """Energy in J of one slot spent hovering (index 0) or flying (index 1)."""
+    return np.array([slot_energy(flying, cfg.slot_seconds, propulsion, cfg.v_fixed)
+                     for flying in (0, 1)])
+
+
+def fleet_transition(positions, collected, gain2, md_choice, heading, speed,
+                     cfg, costs) -> SlotOutcome:
+    """Serve, then move: one slot of the mission rules for (B, M) fleets.
+
+    A scheduled uplink that clears the SINR gate under the slot's interference
+    at the starting positions collects its MD (``collected`` (B, I) is updated
+    in place). Each UAV then takes its intended step under the safe-distance
+    reverts and pays the hover or flight cost (``costs``, from slot_costs) of
+    its effective motion."""
+    served_sinr = uplink_sinr(gain2, md_choice, cfg.p_md, cfg.noise_md)
+    newly = served_sinr >= cfg.gamma_th_md
+    if newly.any():
+        fleets, uavs = np.nonzero(newly)
+        mds = md_choice[fleets, uavs]
+        newly[fleets, uavs] = collected[fleets, mds] == 0
+        collected[fleets, mds] = 1
+
+    heading = np.mod(heading + np.pi, 2 * np.pi) - np.pi
+    intended = advance(positions, heading, speed, cfg)
+    final, overrides, blocked = resolve_collisions(positions, intended, cfg)
+    moved = (np.abs(final - positions) > 1e-12).any(axis=-1).astype(np.uint8)
+    return SlotOutcome(served_sinr, newly, heading, final, overrides, blocked,
+                       moved, costs[moved])
+
+
+def mission_status(positions, collected, residual_energy, slot, cfg):
+    """(success, done) per fleet: success is every MD collected with every UAV
+    within arrival_radius of the end station; the episode also ends at the
+    horizon or on an empty battery."""
+    success = collected.all(axis=-1)
+    if success.any():
+        end = np.array([*cfg.end, cfg.altitude])
+        success &= (distances(positions, end) <= cfg.arrival_radius).all(axis=-1)
+    done = (success | (slot >= cfg.horizon_slots)
+            | (residual_energy <= 0).any(axis=-1))
+    return success, done
+
+
 class CorridorEnv:
     """Single-owner, sequentially stepped; spawn one instance per worker."""
 
@@ -120,6 +288,7 @@ class CorridorEnv:
         self.cfg = scenario.config
         self.reward_cfg = reward
         self.propulsion = propulsion
+        self._slot_costs = slot_costs(self.cfg, propulsion)
         self.sdr_opts = sdr_opts
         self.sdr_cache = sdr_cache
         self.record = record
@@ -209,21 +378,17 @@ class CorridorEnv:
 
     def predicted_sinr(self) -> np.ndarray:
         """Interference-free uplink SINR of every (UAV, MD) pair this slot."""
-        cfg = self.cfg
-        gain2 = md_gain_matrix(self.state.positions, self.scenario.md_positions,
-                               cfg.beta_ref, cfg.kappa_nlos, cfg.los_c, cfg.los_d) ** 2
-        return cfg.p_md * gain2 / cfg.noise_md
+        return interference_free_sinr(
+            uplink_gain2(self.state.positions, self.scenario), self.cfg)
 
     def action_mask(self, m: int, claimed=()) -> np.ndarray:
         """Valid MD choices for agent m given earlier agents' claims; no-op always on."""
-        mask = np.zeros(self.n_actions, dtype=bool)
-        mask[-1] = True
-        ok = (self.state.collected == 0)
+        mask = np.ones(self.n_actions, dtype=bool)
+        mask[:-1] = schedulable(uplink_gain2(self.state.positions, self.scenario),
+                                self.state.collected, self.cfg)[m]
         for i in claimed:
             if i is not None and i >= 0:
-                ok[i] = False
-        ok &= self.predicted_sinr()[m] >= self.cfg.gamma_th_md
-        mask[:-1] = ok
+                mask[i] = False
         return mask
 
     # -- transition ----------------------------------------------------------
@@ -234,69 +399,45 @@ class CorridorEnv:
         if s is None:
             raise RuntimeError("reset() must be called before step()")
         md_choice = np.asarray(action.md_choice, dtype=int)
-        heading = np.mod(np.asarray(action.heading, float) + np.pi, 2 * np.pi) - np.pi
         speed = np.asarray(action.speed).astype(np.uint8)
-        if md_choice.shape != (self.n_agents,) or np.any(speed > 1):
+        if (md_choice.shape != (self.n_agents,) or np.any(speed > 1)
+                or np.any(md_choice >= self.n_mds)):
             raise ValueError("malformed joint action")
 
         # validate scheduling against the sequential masks
-        claimed = []
-        for m in range(self.n_agents):
-            mask = self.action_mask(m, claimed)
-            idx = md_choice[m] if md_choice[m] >= 0 else self.n_mds
-            if not mask[idx]:
-                raise ValueError(f"action mask violation: UAV {m} chose MD {md_choice[m]}")
-            claimed.append(md_choice[m])
+        gain2 = uplink_gain2(s.positions, self.scenario)
+        granted, _ = claim_targets(md_choice[None],
+                                   schedulable(gain2, s.collected, cfg)[None])
+        bad = np.flatnonzero((md_choice >= 0) & (granted[0] != md_choice))
+        if len(bad):
+            m = bad[0]
+            raise ValueError(f"action mask violation: UAV {m} chose MD {md_choice[m]}")
 
         reward = RewardBreakdown()
         potential_before = self._potential(s.positions, s.collected)
+        out = fleet_transition(s.positions[None], s.collected[None], gain2[None],
+                               md_choice[None],
+                               np.asarray(action.heading, float)[None],
+                               speed[None], cfg, self._slot_costs)
+        final, overrides, moved = out.final[0], out.overrides[0], out.moved[0]
+        reward.collection = self.reward_cfg.collect * int(out.newly.sum())
 
-        # collection at the slot's starting positions
-        report = md_uplink_sinr(s.positions, self.scenario.md_positions,
-                                md_choice, cfg.p_md, cfg.noise_md,
-                                cfg.beta_ref, cfg.kappa_nlos, cfg.los_c, cfg.los_d)
-        served_sinr = np.zeros(self.n_agents)
-        newly = 0
-        for m in range(self.n_agents):
-            i = md_choice[m]
-            if i < 0:
-                continue
-            served_sinr[m] = report.sinr[m, i]
-            if served_sinr[m] >= cfg.gamma_th_md and not s.collected[i]:
-                s.collected[i] = 1
-                newly += 1
-        reward.collection = self.reward_cfg.collect * newly
-
-        # movement with safe-distance overrides
-        delta = (speed[:, None] * cfg.v_fixed * cfg.slot_seconds
-                 * np.stack([np.cos(heading), np.sin(heading),
-                             np.zeros(self.n_agents)], axis=1))
-        intended = s.positions + delta
-        intended[:, 0] = np.clip(intended[:, 0], 0.0, cfg.area_width)
-        intended[:, 1] = np.clip(intended[:, 1], 0.0, cfg.area_height)
-        final, overrides, blocked = self._resolve_collisions(s.positions, intended)
-        moved = np.any(np.abs(final - s.positions) > 1e-12, axis=1).astype(np.uint8)
-
-        pair_pen = 0
-        for a in range(self.n_agents):
-            for b in range(a + 1, self.n_agents):
-                close = np.linalg.norm(final[a] - final[b]) < cfg.d_min
-                if (close or (overrides[a] and blocked[a] == b)
-                        or (overrides[b] and blocked[b] == a)) \
-                        and not self._station_exempt(final[a], final[b]):
-                    pair_pen += 1
-        reward.distance = self.reward_cfg.distance_penalty * pair_pen
+        # pairs that end close or blocked one another, outside the station zones
+        near = pair_distances(final) < cfg.d_min
+        near |= overrides[:, None] & (out.blocked[0][:, None] == np.arange(self.n_agents))
+        near = (near | near.T) & pairs_above(self.n_agents)
+        if near.any():
+            near &= ~station_exempt(final, cfg)
+        reward.distance = self.reward_cfg.distance_penalty * int(near.sum())
 
         # energy bookkeeping uses the effective motion after overrides
-        slot_e = np.array([slot_energy(int(moved[m]), cfg.slot_seconds,
-                                       self.propulsion, cfg.v_fixed)
-                           for m in range(self.n_agents)])
+        slot_e = out.energy[0]
         s.energy_per_uav += slot_e
         s.residual_energy -= slot_e
         reward.energy = -float(slot_e.sum()) / self.reward_cfg.energy_scale
 
         s.positions = final
-        s.headings = heading
+        s.headings = out.heading[0]
         s.flying = moved
         s.slot += 1
         reward.shaping = self._potential(final, s.collected) - potential_before
@@ -318,19 +459,17 @@ class CorridorEnv:
                                 for d in designs])
             reward.qos = qos
 
-        success = bool(s.collected.all()) and bool(
-            (np.linalg.norm(s.positions - self._end3, axis=1)
-             <= cfg.arrival_radius).all())
+        success, done = mission_status(s.positions, s.collected,
+                                       s.residual_energy, s.slot, cfg)
+        success, done = bool(success), bool(done)
         if success:
             reward.bonus = self.reward_cfg.arrival_bonus
-        done = success or s.slot >= cfg.horizon_slots \
-            or bool((s.residual_energy <= 0).any())
 
         if self.record:
             self.trace.append(SlotRecord(
-                slot=s.slot, positions=final.copy(), headings=heading.copy(),
+                slot=s.slot, positions=final.copy(), headings=s.headings.copy(),
                 speeds=moved.copy(), served=md_choice.copy(),
-                served_sinr=served_sinr, collected_after=s.collected.copy(),
+                served_sinr=out.served_sinr[0], collected_after=s.collected.copy(),
                 reward=reward, link_designs=designs, link_margins=margins,
                 overrides=overrides.copy(), energy=float(slot_e.sum())))
 
@@ -353,49 +492,6 @@ class CorridorEnv:
             d_end = np.linalg.norm(positions[:, :2] - self._end3[:2], axis=1)
             value -= r.shaping_end * float(d_end.sum())
         return value
-
-    def _station_exempt(self, pa, pb) -> bool:
-        # pad zone plus one motion step, so the final approach cannot wedge
-        # against already-parked UAVs just outside the arrival radius
-        r = self.cfg.arrival_radius + self.cfg.v_fixed * self.cfg.slot_seconds
-        for station in (self._start3, self._end3):
-            if (np.linalg.norm(pa - station) <= r
-                    and np.linalg.norm(pb - station) <= r):
-                return True
-        return False
-
-    def _resolve_collisions(self, pre, intended):
-        """Junior-first hover reverts until no non-exempt pair ends below d_min.
-
-        Station zones aside, the post-step fleet therefore always satisfies
-        the pairwise safe distance; a pair that was already too close before
-        the step (only reachable by direct state injection) simply cannot be
-        separated by reverting and is left to the distance penalty.
-        """
-        cand = intended.copy()
-        overrides = np.zeros(self.n_agents, dtype=bool)
-        blocked = np.full(self.n_agents, -1)
-        for _ in range(self.n_agents * self.n_agents + 1):
-            violation = None
-            for a in range(self.n_agents):
-                for b in range(a + 1, self.n_agents):
-                    if np.linalg.norm(cand[a] - cand[b]) < self.cfg.d_min - 1e-9 \
-                            and not self._station_exempt(cand[a], cand[b]):
-                        moved_a = not np.array_equal(cand[a], pre[a])
-                        moved_b = not np.array_equal(cand[b], pre[b])
-                        if moved_a or moved_b:
-                            violation = (a, b, moved_b)
-                            break
-                if violation:
-                    break
-            if violation is None:
-                break
-            a, b, junior_moved = violation
-            junior = b if junior_moved else a
-            cand[junior] = pre[junior]
-            overrides[junior] = True
-            blocked[junior] = a if junior == b else b
-        return cand, overrides, blocked
 
 
 # -- offline constraint audit ------------------------------------------------
@@ -429,18 +525,12 @@ def check_constraints(trace, scenario: Scenario,
     cfg = scenario.config
     rep = ConstraintReport(inter_uav_sinr=0 if connected else None)
     collected = np.zeros(cfg.num_mds, dtype=bool)
-    start3 = np.array([*cfg.start, cfg.altitude])
-    end3 = np.array([*cfg.end, cfg.altitude])
-
-    r_exempt = cfg.arrival_radius + cfg.v_fixed * cfg.slot_seconds
-
-    def exempt(pa, pb):
-        for st in (start3, end3):
-            if (np.linalg.norm(pa - st) <= r_exempt
-                    and np.linalg.norm(pb - st) <= r_exempt):
-                return True
-        return False
-
+    if trace:
+        positions = np.stack([rec.positions for rec in trace])
+        close = pairs_above(cfg.num_uavs) & (pair_distances(positions)
+                                             < cfg.d_min - 1e-9)
+        close &= ~station_exempt(positions, cfg)
+        rep.min_distance = int(close.sum())
     for rec in trace:
         active = rec.served[rec.served >= 0]
         rep.md_exclusivity += len(active) - len(np.unique(active))
@@ -449,12 +539,6 @@ def check_constraints(trace, scenario: Scenario,
                 collected[i] = True
                 if rec.served_sinr[m] < cfg.gamma_th_md:
                     rep.uplink_gating += 1
-        for a in range(cfg.num_uavs):
-            for b in range(a + 1, cfg.num_uavs):
-                d = np.linalg.norm(rec.positions[a] - rec.positions[b])
-                if d < cfg.d_min - 1e-9 and not exempt(rec.positions[a],
-                                                       rec.positions[b]):
-                    rep.min_distance += 1
         for design in rec.link_designs:
             if design is None:
                 continue

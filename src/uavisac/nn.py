@@ -36,47 +36,6 @@ class Linear:
         return [self.w, self.b]
 
 
-class TanhMlp:
-    """Stack of Linear+tanh blocks followed by one linear output layer."""
-
-    def __init__(self, rng, sizes, out_gain=0.01):
-        self.hidden = [Linear(rng, sizes[i], sizes[i + 1], gain=np.sqrt(2.0))
-                       for i in range(len(sizes) - 2)]
-        self.out = Linear(rng, sizes[-2], sizes[-1], gain=out_gain)
-
-    def forward(self, x, cache=None):
-        h = x
-        if cache is not None:
-            cache.append(h)
-        for layer in self.hidden:
-            h = np.tanh(layer.forward(h))
-            if cache is not None:
-                cache.append(h)
-        return self.out.forward(h)
-
-    def backward(self, cache, grad_out):
-        """Gradient lists aligned with ``params``; cache from forward()."""
-        grads = []
-        gh, gw, gb = self.out.backward(cache[-1], grad_out)
-        grads.append((gw, gb))
-        for i in reversed(range(len(self.hidden))):
-            gz = gh * (1.0 - cache[i + 1] ** 2)
-            gh, gw, gb = self.hidden[i].backward(cache[i], gz)
-            grads.append((gw, gb))
-        flat = []
-        for gw, gb in reversed(grads):
-            flat += [gw, gb]
-        return flat
-
-    @property
-    def params(self):
-        flat = []
-        for layer in self.hidden:
-            flat += layer.params
-        flat += self.out.params
-        return flat
-
-
 class Adam:
     """Adaptive moment estimation over a flat list of parameter arrays."""
 
@@ -99,14 +58,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-
-    def state_arrays(self):
-        return {"m": self.m, "v": self.v, "step": self.step_count}
-
-    def load_state(self, m, v, step):
-        self.m = [np.array(a) for a in m]
-        self.v = [np.array(a) for a in v]
-        self.step_count = int(step)
 
 
 def log_softmax_masked(logits, mask):

@@ -1,21 +1,23 @@
 """Classical mission planners: greedy (offline/online), particle swarm, genetic.
 
 Offline planners decide routes on expected channels only; their plans are then
-replayed through the real environment by evaluate_plan. The metaheuristics
-score candidate routes with a fast slot-stepped fitness kernel that mirrors
-the environment's movement/serving rules minus the inter-UAV transmit design
-(which disconnected baselines do not perform).
+replayed through the real environment by evaluate_plan. Every planner flies
+the same serve-or-fly controller under the env's own mission rules
+(``mdp_env``): evaluate_plan and greedy_online step a CorridorEnv, and the
+metaheuristics score a whole population per generation with
+population_fitness, which steps one fleet per plan through those rules and so
+matches the disconnected replay exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import njit
-from .channel import md_uplink_sinr
-from .energy import PropulsionParams, REFERENCE_PROPULSION, flight_power, hover_power
+from .channel import uplink_sinr
+from .energy import PropulsionParams, REFERENCE_PROPULSION
 from .mdp_env import (CorridorEnv, ConstraintReport, JointAction, RewardConfig,
-                      check_constraints)
+                      check_constraints, claim_targets, fleet_transition,
+                      mission_status, schedulable, slot_costs, uplink_gain2)
 from .scenario import Scenario, rng_stream
 
 
@@ -49,165 +51,157 @@ class InfeasiblePlanError(RuntimeError):
     pass
 
 
-# -- fitness kernel -------------------------------------------------------------
+# -- controller rules ------------------------------------------------------------
+# Batched like the env rules: arrays lead with (B fleets, M UAVs).
 
 
-@njit(cache=True)
-def _gain_sq(qx, qy, qz, ux, uy, uz, beta, kappa, c, d):
-    dx = qx - ux
-    dy = qy - uy
-    dz = qz - uz
-    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-    if dist <= 0.0:
-        return 0.0
-    theta = np.degrees(np.arcsin(dz / dist))
-    p_los = 1.0 / (1.0 + c * np.exp(-d * (theta - c)))
-    amp = (p_los + (1.0 - p_los) * kappa) * np.sqrt(beta) / dist
-    return amp * amp
+def serve_backoff(gain2, md, cfg) -> np.ndarray:
+    """Drop serve claims that fail under the slot's cross interference, junior
+    first, until every remaining claim clears the gate. This keeps two
+    hovering UAVs from jamming each other indefinitely."""
+    md = md.copy()
+    fleets = np.flatnonzero((md >= 0).any(axis=1))
+    while len(fleets):
+        failing = (md[fleets] >= 0) & (
+            uplink_sinr(gain2[fleets], md[fleets], cfg.p_md, cfg.noise_md)
+            < cfg.gamma_th_md)
+        hit = failing.any(axis=1)
+        if not hit.any():
+            break
+        fleets, failing = fleets[hit], failing[hit]
+        md[fleets, md.shape[1] - 1 - np.argmax(failing[:, ::-1], axis=1)] = -1
+    return md
 
 
-@njit(cache=True)
-def _route_fitness(wp_xy, wp_md, wp_len, md_pos, start, end, z0,
-                   v_fixed, tau, horizon, arrival_radius, d_min,
-                   p_md, noise_md, gamma_th, beta, kappa, c, d,
-                   p_fly, p_hover):
-    """Simulate a decoded plan; returns (energy, slots, collected, close_pairs).
+def steer(positions, targets, aims, md, cfg):
+    """(heading, speed): idle UAVs fly toward their aim point, serving ones
+    hover; a UAV without a target stops within arrival_radius of its aim."""
+    dx = aims[..., 0] - positions[..., 0]
+    dy = aims[..., 1] - positions[..., 1]
+    dist = np.sqrt(dx * dx + dy * dy)
+    go = (md < 0) & (dist > 1e-9)
+    heading = np.where(go, np.arctan2(dy, dx), 0.0)
+    stop = np.where(targets < 0, cfg.arrival_radius, 0.0)
+    return heading, (go & (dist > stop)).astype(np.uint8)
 
-    Mirrors the environment's per-slot rules: serve the current target when
-    its interference-free SINR clears the gate and the MD is unclaimed, hover
-    while serving, fly toward the aim point otherwise, head to the end point
-    when done. Inter-UAV transmit design is not part of offline planning.
+
+def controller_actions(positions, collected, gain2, targets, aims, cfg):
+    """Serve-or-fly decisions under the environment's own masks.
+
+    ``targets`` (B, M) is the MD each UAV wants next (or -1) and ``aims``
+    (B, M, 2) the point it flies toward. Returns (md, heading, speed, taken),
+    the last flagging wanted MDs that a lower-index UAV already holds.
     """
-    n_uav = wp_len.shape[0]
-    n_md = md_pos.shape[0]
-    px = np.full(n_uav, start[0])
-    py = np.full(n_uav, start[1])
-    cursor = np.zeros(n_uav, dtype=np.int64)
-    collected = np.zeros(n_md, dtype=np.uint8)
-    serve = np.empty(n_uav, dtype=np.int64)
-    energy = 0.0
-    close_pairs = 0
-    slots = 0
-    for t in range(horizon):
-        slots = t + 1
-        # advance cursors past already-collected targets
-        for m in range(n_uav):
-            while cursor[m] < wp_len[m] and collected[wp_md[m, cursor[m]]] == 1:
-                cursor[m] += 1
-        # claim service, lower index first
-        for m in range(n_uav):
-            serve[m] = -1
-        for m in range(n_uav):
-            if cursor[m] >= wp_len[m]:
-                continue
-            tgt = wp_md[m, cursor[m]]
-            taken = False
-            for mo in range(m):
-                if serve[mo] == tgt:
-                    taken = True
-            if taken:
-                continue
-            g2 = _gain_sq(px[m], py[m], z0, md_pos[tgt, 0], md_pos[tgt, 1],
-                          md_pos[tgt, 2], beta, kappa, c, d)
-            if p_md * g2 / noise_md >= gamma_th:
-                serve[m] = tgt
-        # realized SINR with cross interference
-        for m in range(n_uav):
-            if serve[m] < 0:
-                continue
-            tgt = serve[m]
-            interference = 0.0
-            for mo in range(n_uav):
-                if mo == m or serve[mo] < 0:
-                    continue
-                interference += p_md * _gain_sq(
-                    px[m], py[m], z0, md_pos[serve[mo], 0],
-                    md_pos[serve[mo], 1], md_pos[serve[mo], 2],
-                    beta, kappa, c, d)
-            g2 = _gain_sq(px[m], py[m], z0, md_pos[tgt, 0], md_pos[tgt, 1],
-                          md_pos[tgt, 2], beta, kappa, c, d)
-            if p_md * g2 / (interference + noise_md) >= gamma_th:
-                collected[tgt] = 1
-        # movement and energy
-        for m in range(n_uav):
-            if serve[m] >= 0:
-                energy += p_hover * tau
-                continue
-            if cursor[m] < wp_len[m]:
-                tx = wp_xy[m, cursor[m], 0]
-                ty = wp_xy[m, cursor[m], 1]
-                arrived = False
-            else:
-                tx = end[0]
-                ty = end[1]
-                arrived = (np.sqrt((px[m] - tx) ** 2 + (py[m] - ty) ** 2)
-                           <= arrival_radius)
-            if arrived:
-                energy += p_hover * tau
-                continue
-            dx = tx - px[m]
-            dy = ty - py[m]
-            norm = np.sqrt(dx * dx + dy * dy)
-            if norm < 1e-9:
-                energy += p_hover * tau
-                continue
-            px[m] += v_fixed * tau * dx / norm
-            py[m] += v_fixed * tau * dy / norm
-            energy += p_fly * tau
-        # pairwise proximity outside the shared pads
-        for a in range(n_uav):
-            for b in range(a + 1, n_uav):
-                dd = np.sqrt((px[a] - px[b]) ** 2 + (py[a] - py[b]) ** 2)
-                if dd < d_min:
-                    near_pad = False
-                    for sx, sy in ((start[0], start[1]), (end[0], end[1])):
-                        ra = np.sqrt((px[a] - sx) ** 2 + (py[a] - sy) ** 2)
-                        rb = np.sqrt((px[b] - sx) ** 2 + (py[b] - sy) ** 2)
-                        if ra <= arrival_radius and rb <= arrival_radius:
-                            near_pad = True
-                    if not near_pad:
-                        close_pairs += 1
-        # termination
-        if collected.sum() == n_md:
-            done = True
-            for m in range(n_uav):
-                if np.sqrt((px[m] - end[0]) ** 2 + (py[m] - end[1]) ** 2) \
-                        > arrival_radius:
-                    done = False
-            if done:
-                break
-    return energy, slots, int(collected.sum()), close_pairs
+    md, taken = claim_targets(targets, schedulable(gain2, collected, cfg))
+    md = serve_backoff(gain2, md, cfg)
+    heading, speed = steer(positions, targets, aims, md, cfg)
+    return md, heading, speed, taken
 
 
-def _pack_plan(plan: Plan, scenario: Scenario):
-    m_count = scenario.config.num_uavs
-    max_len = max((len(r) for r in plan.md_order), default=0)
-    max_len = max(max_len, 1)
-    wp_xy = np.zeros((m_count, max_len, 2))
-    wp_md = np.zeros((m_count, max_len), dtype=np.int64)
-    wp_len = np.array([len(r) for r in plan.md_order], dtype=np.int64)
-    for m, (route, points) in enumerate(zip(plan.md_order, plan.waypoints)):
-        for k, (i, xy) in enumerate(zip(route, points)):
-            wp_md[m, k] = i
-            wp_xy[m, k] = xy
-    return wp_xy, wp_md, wp_len
+def _pack_routes(plans, scenario: Scenario):
+    """Plans as arrays: MD order (P, M, L+1) padded with -1, aim points
+    (P, M, L+1, 2) and finish_at_end flags (P,)."""
+    cfg = scenario.config
+    m_count = cfg.num_uavs
+    for plan in plans:
+        if any(len(r) for r in plan.md_order) and not plan.covers_once(cfg.num_mds):
+            raise InfeasiblePlanError("plan does not assign every MD exactly once")
+    longest = max((len(r) for plan in plans for r in plan.md_order[:m_count]),
+                  default=0)
+    route = np.full((len(plans), m_count, longest + 1), -1)
+    waypoint = np.zeros((len(plans), m_count, longest + 1, 2))
+    for p, plan in enumerate(plans):
+        for m, (order, points) in enumerate(zip(plan.md_order[:m_count],
+                                                plan.waypoints)):
+            if len(order):
+                route[p, m, :len(order)] = order
+                waypoint[p, m, :len(order)] = points
+    finish = np.array([plan.finish_at_end for plan in plans], dtype=bool)
+    return route, waypoint, finish
+
+
+def _follow_routes(route, waypoint, finish, cursor, collected, positions, cfg):
+    """Each UAV's target (B, M) and aim point (B, M, 2) along its route.
+
+    Cursors (updated in place) skip MDs that are already collected; past its
+    route's end a UAV aims at the end station, or holds its position when
+    the plan does not finish there.
+    """
+    fleets = np.arange(len(route))[:, None]
+    uavs = np.arange(route.shape[1])
+    while True:
+        target = route[fleets, uavs, cursor]
+        skip = (target >= 0) & (collected[fleets, np.maximum(target, 0)] != 0)
+        if not skip.any():
+            break
+        cursor += skip
+    idle = np.where(finish[:, None, None], np.asarray(cfg.end, float),
+                    positions[..., :2])
+    aims = np.where((target >= 0)[..., None], waypoint[fleets, uavs, cursor], idle)
+    return target, aims
+
+
+def population_fitness(plans, scenario: Scenario,
+                       propulsion: PropulsionParams = REFERENCE_PROPULSION):
+    """Fly P plans at once through the controller and the env's rules.
+
+    Each plan is flown exactly as ``evaluate_plan(..., connected=False)``
+    flies it, so energy, slots and collected count equal the replay's.
+    Returns arrays (fitness, energy, slots, collected) with fitness equal to
+    energy plus 1e5 per missing MD.
+    """
+    cfg = scenario.config
+    costs = slot_costs(cfg, propulsion)
+    route, waypoint, finish = _pack_routes(plans, scenario)
+    n, m_count = route.shape[:2]
+    energy = np.zeros(n)
+    slots = np.zeros(n, dtype=int)
+    collected_count = np.zeros(n, dtype=int)
+    live = np.arange(n)
+    positions = np.tile(np.array([*cfg.start, cfg.altitude]), (n, m_count, 1))
+    collected = np.zeros((n, cfg.num_mds), dtype=np.uint8)
+    cursor = np.zeros((n, m_count), dtype=int)
+    spent = np.zeros((n, m_count))
+    residual = np.full((n, m_count), cfg.e_total)
+    slot = 0
+    follow = True
+    while len(live):
+        slot += 1
+        # targets move on only when an MD gets collected
+        if follow:
+            targets, aims = _follow_routes(route, waypoint, finish, cursor,
+                                           collected, positions, cfg)
+        gain2 = uplink_gain2(positions, scenario)
+        md, heading, speed, _ = controller_actions(positions, collected, gain2,
+                                                   targets, aims, cfg)
+        out = fleet_transition(positions, collected, gain2, md, heading, speed,
+                               cfg, costs)
+        follow = out.newly.any() or not finish.all()
+        spent += out.energy
+        residual -= out.energy
+        positions = out.final
+        _, done = mission_status(positions, collected, residual, slot, cfg)
+        if done.any():
+            ended = live[done]
+            energy[ended] = spent[done].sum(axis=1)
+            slots[ended] = slot
+            collected_count[ended] = collected[done].sum(axis=1)
+            keep = ~done
+            live, route, waypoint, finish, cursor, targets, aims = (
+                live[keep], route[keep], waypoint[keep], finish[keep],
+                cursor[keep], targets[keep], aims[keep])
+            positions, collected, spent, residual = (
+                positions[keep], collected[keep], spent[keep], residual[keep])
+    fitness = energy + 1e5 * (cfg.num_mds - collected_count)
+    return fitness, energy, slots, collected_count
 
 
 def plan_fitness(plan: Plan, scenario: Scenario,
                  propulsion: PropulsionParams = REFERENCE_PROPULSION):
-    """(fitness, energy, slots, collected): energy plus coverage/safety penalties."""
-    cfg = scenario.config
-    wp_xy, wp_md, wp_len = _pack_plan(plan, scenario)
-    energy, slots, collected, close = _route_fitness(
-        wp_xy, wp_md, wp_len, scenario.md_positions,
-        np.asarray(cfg.start, float), np.asarray(cfg.end, float), cfg.altitude,
-        cfg.v_fixed, cfg.slot_seconds, cfg.horizon_slots, cfg.arrival_radius,
-        cfg.d_min, cfg.p_md, cfg.noise_md, cfg.gamma_th_md, cfg.beta_ref,
-        cfg.kappa_nlos, cfg.los_c, cfg.los_d,
-        flight_power(cfg.v_fixed, propulsion), hover_power(propulsion))
-    missing = cfg.num_mds - collected
-    fitness = energy + 1e5 * missing + 1e3 * close
-    return fitness, energy, slots, collected
+    """(fitness, energy, slots, collected) of one plan: its population_fitness row."""
+    fitness, energy, slots, collected = population_fitness([plan], scenario,
+                                                           propulsion)
+    return float(fitness[0]), float(energy[0]), int(slots[0]), int(collected[0])
 
 
 # -- greedy planners ------------------------------------------------------------
@@ -264,52 +258,38 @@ def greedy_offline(scenario: Scenario) -> Plan:
 
 
 def _controller_step(env: CorridorEnv, targets, aim_points):
-    """Serve-or-fly action under the environment's own masks.
+    """The controller's action for the env's fleet, and its claim conflicts."""
+    s = env.state
+    md, heading, speed, taken = controller_actions(
+        s.positions[None], s.collected[None],
+        uplink_gain2(s.positions, env.scenario)[None],
+        np.asarray(targets)[None], np.asarray(aim_points, float)[None], env.cfg)
+    action = JointAction(md_choice=md[0], heading=heading[0], speed=speed[0])
+    return action, int(taken.sum())
 
-    ``targets[m]`` is the MD index the UAV wants next (or -1), ``aim_points[m]``
-    the (x, y) it flies toward. Serve claims that would fail under the slot's
-    actual cross interference are backed off junior-first (the UAV closes in
-    instead), which prevents two hovering UAVs from jamming each other
-    indefinitely. Returns the action and the count of claim conflicts.
-    """
-    cfg = env.cfg
-    m_agents = env.n_agents
-    md = np.full(m_agents, -1, dtype=int)
-    heading = np.zeros(m_agents)
-    speed = np.zeros(m_agents, dtype=np.uint8)
+
+def _fly_mission(scenario: Scenario, choose, seed: int, method: str,
+                 connected: bool, propulsion: PropulsionParams,
+                 reward: RewardConfig) -> MissionResult:
+    """One audited env episode of the controller; ``choose(state)`` gives
+    each UAV's (target, aim point) for the slot."""
+    env = CorridorEnv(scenario, reward=reward, propulsion=propulsion,
+                      record=True, connected=connected)
+    state = env.reset(seed)[0]
     conflicts = 0
-    claimed = []
-    for m in range(m_agents):
-        mask = env.action_mask(m, claimed)
-        tgt = targets[m]
-        if tgt >= 0 and mask[tgt]:
-            md[m] = tgt
-        elif tgt >= 0 and env.state.collected[tgt] == 0 and tgt in claimed:
-            conflicts += 1
-        claimed.append(int(md[m]))
-
-    # interference backoff: drop failing claims, junior first
-    while np.any(md >= 0):
-        rep = md_uplink_sinr(env.state.positions, env.scenario.md_positions,
-                             md, cfg.p_md, cfg.noise_md, cfg.beta_ref,
-                             cfg.kappa_nlos, cfg.los_c, cfg.los_d)
-        failing = [m for m in range(m_agents)
-                   if md[m] >= 0 and rep.sinr[m, md[m]] < cfg.gamma_th_md]
-        if not failing:
-            break
-        md[failing[-1]] = -1
-
-    for m in range(m_agents):
-        if md[m] < 0:
-            pos = env.state.positions[m]
-            delta = np.asarray(aim_points[m], float) - pos[:2]
-            dist = np.linalg.norm(delta)
-            if dist > 1e-9:
-                heading[m] = np.arctan2(delta[1], delta[0])
-                stop = cfg.arrival_radius if targets[m] < 0 else 0.0
-                if dist > stop:
-                    speed[m] = 1
-    return JointAction(md_choice=md, heading=heading, speed=speed), conflicts
+    done = False
+    info = {"success": False}
+    while not done:
+        action, c = _controller_step(env, *choose(state))
+        conflicts += c
+        state, _, _, done, info = env.step(action)
+    return MissionResult(
+        method=method, energy_j=state.cumulative_energy,
+        time_s=state.slot * scenario.config.slot_seconds,
+        collected=int(state.collected.sum()), success=bool(info["success"]),
+        violations=check_constraints(env.trace, scenario, connected=connected),
+        per_uav_energy=state.energy_per_uav.tolist(),
+        plan_conflicts=conflicts, seed=seed)
 
 
 def evaluate_plan(plan: Plan, scenario: Scenario, seed: int = 0,
@@ -317,45 +297,17 @@ def evaluate_plan(plan: Plan, scenario: Scenario, seed: int = 0,
                   propulsion: PropulsionParams = REFERENCE_PROPULSION,
                   reward: RewardConfig = RewardConfig()) -> MissionResult:
     """Replay a plan through the environment and audit the episode."""
-    cfg = scenario.config
-    assigns_any = any(len(r) > 0 for r in plan.md_order)
-    if assigns_any and not plan.covers_once(cfg.num_mds):
-        raise InfeasiblePlanError("plan does not assign every MD exactly once")
-    env = CorridorEnv(scenario, reward=reward, propulsion=propulsion,
-                      record=True, connected=connected)
-    env.reset(seed)
-    cursors = [0] * env.n_agents
-    conflicts = 0
-    done = False
-    info = {"success": False}
-    state = env.state
-    while not done:
-        targets = []
-        aims = []
-        for m in range(env.n_agents):
-            route = plan.md_order[m] if m < len(plan.md_order) else []
-            while cursors[m] < len(route) and env.state.collected[route[cursors[m]]]:
-                cursors[m] += 1
-            if cursors[m] < len(route):
-                tgt = route[cursors[m]]
-                targets.append(tgt)
-                aims.append(plan.waypoints[m][cursors[m]])
-            else:
-                targets.append(-1)
-                if plan.finish_at_end:
-                    aims.append(np.asarray(cfg.end, float))
-                else:
-                    aims.append(env.state.positions[m][:2])
-        action, c = _controller_step(env, targets, aims)
-        conflicts += c
-        state, _, _, done, info = env.step(action)
-    violations = check_constraints(env.trace, scenario, connected=connected)
-    return MissionResult(
-        method=method, energy_j=state.cumulative_energy,
-        time_s=state.slot * cfg.slot_seconds, collected=int(state.collected.sum()),
-        success=bool(info["success"]), violations=violations,
-        per_uav_energy=state.energy_per_uav.tolist(),
-        plan_conflicts=conflicts, seed=seed)
+    route, waypoint, finish = _pack_routes([plan], scenario)
+    cursor = np.zeros(route.shape[:2], dtype=int)
+
+    def choose(state):
+        targets, aims = _follow_routes(route, waypoint, finish, cursor,
+                                       state.collected[None],
+                                       state.positions[None], scenario.config)
+        return targets[0], aims[0]
+
+    return _fly_mission(scenario, choose, seed, method, connected, propulsion,
+                        reward)
 
 
 def greedy_online(scenario: Scenario, seed: int = 0,
@@ -367,38 +319,26 @@ def greedy_online(scenario: Scenario, seed: int = 0,
     and its outcome is logged, but movement decisions stay greedy.
     """
     cfg = scenario.config
-    env = CorridorEnv(scenario, reward=reward, propulsion=propulsion,
-                      record=True)
-    env.reset(seed)
     md = scenario.md_positions[:, :2]
-    done = False
-    info = {"success": False}
-    state = env.state
-    while not done:
+
+    def choose(state):
         targets = []
         aims = []
-        chosen = set()
-        for m in range(env.n_agents):
-            pos = env.state.positions[m][:2]
+        for m in range(cfg.num_uavs):
+            pos = state.positions[m][:2]
             candidates = [i for i in range(cfg.num_mds)
-                          if not env.state.collected[i] and i not in chosen]
+                          if not state.collected[i] and i not in targets]
             if candidates:
                 tgt = min(candidates, key=lambda i: np.linalg.norm(pos - md[i]))
-                chosen.add(tgt)
                 targets.append(tgt)
                 aims.append(md[tgt])
             else:
                 targets.append(-1)
                 aims.append(np.asarray(cfg.end, float))
-        action, _ = _controller_step(env, targets, aims)
-        state, _, _, done, info = env.step(action)
-    violations = check_constraints(env.trace, scenario, connected=True)
-    return MissionResult(
-        method="greedy_online", energy_j=state.cumulative_energy,
-        time_s=state.slot * cfg.slot_seconds,
-        collected=int(state.collected.sum()), success=bool(info["success"]),
-        violations=violations, per_uav_energy=state.energy_per_uav.tolist(),
-        seed=seed)
+        return targets, aims
+
+    return _fly_mission(scenario, choose, seed, "greedy_online", True,
+                        propulsion, reward)
 
 
 # -- metaheuristics -------------------------------------------------------------
@@ -460,10 +400,10 @@ def pso_plan(scenario: Scenario, hyper: PsoConfig = PsoConfig()) -> Plan:
     def decode(x) -> Plan:
         return _decode_keys(x[:n], x[n:2 * n], x[2 * n:].reshape(n, 2), scenario)
 
-    def score(x) -> float:
-        return plan_fitness(decode(x), scenario)[0]
+    def score(xs) -> np.ndarray:
+        return population_fitness([decode(x) for x in xs], scenario)[0]
 
-    fitness = np.array([score(x) for x in pos])
+    fitness = score(pos)
     pbest = pos.copy()
     pbest_fit = fitness.copy()
     g = int(np.argmin(fitness))
@@ -477,7 +417,7 @@ def pso_plan(scenario: Scenario, hyper: PsoConfig = PsoConfig()) -> Plan:
                + hyper.cognitive * r1 * (pbest - pos)
                + hyper.social * r2 * (gbest[None, :] - pos))
         pos = np.clip(pos + vel, lo, hi)
-        fitness = np.array([score(x) for x in pos])
+        fitness = score(pos)
         improved = fitness < pbest_fit
         pbest[improved] = pos[improved]
         pbest_fit[improved] = fitness[improved]
@@ -524,11 +464,12 @@ def ga_plan(scenario: Scenario, hyper: GaConfig = GaConfig()) -> Plan:
         return (rng.permutation(n),
                 rng.integers(0, n + 1, size=m_count - 1))
 
-    def score(ind) -> float:
-        return plan_fitness(_split_decode(*ind, scenario), scenario)[0]
+    def score(individuals) -> np.ndarray:
+        plans = [_split_decode(*ind, scenario) for ind in individuals]
+        return population_fitness(plans, scenario)[0]
 
     pop = [random_individual() for _ in range(hyper.population)]
-    fit = np.array([score(ind) for ind in pop])
+    fit = score(pop)
 
     for _ in range(hyper.generations):
         order = np.argsort(fit, kind="stable")
@@ -552,10 +493,7 @@ def ga_plan(scenario: Scenario, hyper: GaConfig = GaConfig()) -> Plan:
                 splits[rng.integers(0, m_count - 1)] = rng.integers(0, n + 1)
             next_pop.append((perm, splits))
         pop = next_pop
-        fit = np.array([score(ind) for ind in pop])
-        # elitism guarantee: the carried-over champion keeps its score
-        if float(fit[0]) > elite_fit + 1e-9:
-            pop[0] = elite
-            fit[0] = elite_fit
+        # the carried-over champion keeps its score: fitness is deterministic
+        fit = np.concatenate([[elite_fit], score(pop[1:])])
     best = int(np.argmin(fit))
     return _split_decode(*pop[best], scenario)

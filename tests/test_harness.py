@@ -187,6 +187,18 @@ horizon_slots = 120
         assert main(["run", "--methods", "nope", "--out",
                      str(tmp_path)]) == 1
 
+    def test_runtime_value_error_exits_2(self, tmp_path, monkeypatch):
+        def broken_cell(*args, **kwargs):
+            raise ValueError("action mask violation: UAV 0 chose MD 3")
+
+        monkeypatch.setattr("uavisac.harness.run_cell", broken_cell)
+        assert main(["run", "--methods", "greedy_offline", "--values", "1",
+                     "--seeds", "0", "--out", str(tmp_path)]) == 2
+
+    def test_bad_seed_list_exits_1(self, tmp_path):
+        assert main(["run", "--methods", "greedy_offline", "--seeds", "0,x",
+                     "--out", str(tmp_path)]) == 1
+
     def test_table_without_results_exits_2(self, tmp_path):
         assert main(["table", "--out", str(tmp_path / "empty")]) == 2
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uavisac.nn import Adam, Linear, TanhMlp, log_softmax_masked, orthogonal, softplus
+from uavisac.nn import Adam, Linear, log_softmax_masked, orthogonal, softplus
 from uavisac.scenario import rng_stream
 
 
@@ -40,35 +40,6 @@ def test_linear_backward_matches_fd():
     dn = loss()
     layer.b[1] += h
     assert (up - dn) / (2 * h) == pytest.approx(gb[1], rel=1e-6)
-
-
-def test_mlp_backward_matches_fd():
-    rng = rng_stream(2, "mlp")
-    net = TanhMlp(rng, [6, 8, 8, 2], out_gain=1.0)
-    x = rng.standard_normal((5, 6))
-    target = rng.standard_normal((5, 2))
-
-    def loss():
-        return 0.5 * np.sum((net.forward(x) - target) ** 2)
-
-    cache = []
-    out = net.forward(x, cache)
-    grads = net.backward(cache, out - target)
-    params = net.params
-    assert len(grads) == len(params)
-    h = 1e-6
-    probe_rng = rng_stream(3, "probe")
-    for _ in range(30):
-        k = int(probe_rng.integers(len(params)))
-        flat_idx = int(probe_rng.integers(params[k].size))
-        idx = np.unravel_index(flat_idx, params[k].shape)
-        params[k][idx] += h
-        up = loss()
-        params[k][idx] -= 2 * h
-        dn = loss()
-        params[k][idx] += h
-        numeric = (up - dn) / (2 * h)
-        assert numeric == pytest.approx(grads[k][idx], rel=1e-5, abs=1e-10)
 
 
 def test_adam_minimizes_quadratic():

@@ -1,13 +1,17 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from uavisac.config import load_config
 from uavisac.energy import hover_power
 from uavisac.planners import (GaConfig, InfeasiblePlanError, Plan, PsoConfig,
-                              evaluate_plan, ga_plan, greedy_offline,
-                              greedy_online, plan_fitness, pso_plan)
-from uavisac.scenario import Scenario, ScenarioConfig, build_scenario
+                              _decode_keys, _split_decode, evaluate_plan,
+                              ga_plan, greedy_offline, greedy_online,
+                              plan_fitness, population_fitness, pso_plan)
+from uavisac.scenario import (Scenario, ScenarioConfig, build_scenario,
+                              rng_stream)
 
 SMALL = dict(area_width=800.0, area_height=800.0, start=(0.0, 800.0),
              end=(800.0, 0.0), horizon_slots=200)
@@ -72,6 +76,16 @@ class TestEvaluatePlan:
         with pytest.raises(InfeasiblePlanError):
             evaluate_plan(bad, sc)
 
+    def test_fitness_rejects_the_same_partition_violation(self):
+        sc = corridor(3, 1)
+        bad = Plan(md_order=[[0, 0, 1]],
+                   waypoints=[[sc.md_positions[i, :2] for i in (0, 0, 1)]])
+        with pytest.raises(InfeasiblePlanError):
+            plan_fitness(bad, sc)
+        good = greedy_offline(sc)
+        with pytest.raises(InfeasiblePlanError):
+            population_fitness([good, bad], sc)
+
     def test_seed_repeat_deterministic(self):
         sc = line_scenario([0.2, 0.6], num_uavs=2)
         plan = greedy_offline(sc)
@@ -84,6 +98,51 @@ class TestEvaluatePlan:
         res = evaluate_plan(greedy_offline(sc), sc, connected=False)
         assert res.violations.inter_uav_sinr is None
         assert res.violations.min_distance == 0
+
+
+GRID_WORLD = dict(area_width=1000.0, area_height=1000.0, start=(0.0, 1000.0),
+                  end=(1000.0, 0.0), num_mds=10, horizon_slots=200)
+
+
+def parity_plans(sc, seed):
+    """A greedy_offline plan (when the horizon admits one), a random-key plan
+    as PSO decodes it and a permutation-with-split plan as GA decodes it."""
+    n, m = sc.config.num_mds, sc.config.num_uavs
+    rng = rng_stream(seed, f"parity-{m}")
+    plans = [
+        _decode_keys(rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, m, n),
+                     rng.uniform(-60.0, 60.0, (n, 2)), sc),
+        _split_decode(rng.permutation(n), rng.integers(0, n + 1, m - 1), sc),
+    ]
+    try:
+        plans.insert(0, greedy_offline(sc))
+    except InfeasiblePlanError:
+        pass
+    return plans
+
+
+class TestPopulationFitness:
+    """The batched rollout flies each plan exactly as the env replay does."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("world", ["1km", "default"])
+    def test_matches_disconnected_replay(self, world, seed, m):
+        base = load_config().scenario
+        if world == "1km":
+            base = replace(base, **GRID_WORLD)
+        sc = build_scenario(replace(base, seed=seed, num_uavs=m))
+        plans = parity_plans(sc, seed)
+        fitness, energy, slots, collected = population_fitness(plans, sc)
+        for k, plan in enumerate(plans):
+            replay = evaluate_plan(plan, sc, connected=False)
+            assert energy[k] == replay.energy_j
+            assert slots[k] * sc.config.slot_seconds == replay.time_s
+            assert collected[k] == replay.collected
+            missing = sc.config.num_mds - replay.collected
+            assert fitness[k] == replay.energy_j + 1e5 * missing
+            assert plan_fitness(plan, sc) == (fitness[k], energy[k], slots[k],
+                                              collected[k])
 
 
 class TestGreedyOnline:
