@@ -324,11 +324,9 @@ def act_in_env(policy: MappoPolicy, env: CorridorEnv, obs,
     heading = np.zeros(m_agents)
     speed = np.zeros(m_agents, dtype=np.uint8)
     logp = np.zeros(m_agents)
-    masks = np.zeros((m_agents, env.n_actions), dtype=bool)
-    claimed = []
+    masks = env.open_masks()
     for m in range(m_agents):
-        mask = env.action_mask(m, claimed)
-        masks[m] = mask
+        mask = masks[m]
         if rng is None:
             md_m, head_m, sp_m = greedy_actions(policy.actor, obs[m], mask[None])
             md[m], heading[m], speed[m] = md_m[0], head_m[0], sp_m[0]
@@ -338,8 +336,10 @@ def act_in_env(policy: MappoPolicy, env: CorridorEnv, obs,
                 policy.actor, obs[m], mask[None], rng)
             md[m], u[m], heading[m], speed[m], logp[m] = (
                 md_m[0], u_m[0], head_m[0], sp_m[0], lp[0])
-        md[m] = md[m] if md[m] < env.n_mds else -1
-        claimed.append(int(md[m]))
+        if md[m] < env.n_mds:
+            masks[m + 1:, md[m]] = False    # claimed for the later agents
+        else:
+            md[m] = -1
     action = JointAction(md_choice=md, heading=heading, speed=speed)
     return action, masks, u, logp
 
@@ -354,6 +354,10 @@ class LearningCurve:
     smoothed: list = field(default_factory=list)
     value_loss: list = field(default_factory=list)
     success: list = field(default_factory=list)
+    # per PPO update, the mean over its actor minibatches; not in the CSV
+    ratio_mean: list = field(default_factory=list)
+    clip_fraction: list = field(default_factory=list)
+    entropy: list = field(default_factory=list)
 
     def write_csv(self, path):
         lines = ["episode,reward,smoothed_reward,value_loss,success"]
@@ -400,8 +404,9 @@ class _Buffer:
 
 
 def _update(policy: MappoPolicy, opt_actor: Adam, opt_critic: Adam,
-            buf: _Buffer, config: MappoConfig, shuffle_rng) -> float:
-    """PPO epochs over one rollout; returns the mean critic loss."""
+            buf: _Buffer, config: MappoConfig, shuffle_rng):
+    """PPO epochs over one rollout; returns the mean critic loss and the
+    means of the actor diagnostics (ratio_mean, clip_fraction, entropy)."""
     adv_step = gae(buf.rewards, buf.values, buf.dones,
                    config.discount, config.gae_lambda)
     targets = adv_step + np.asarray(buf.values)
@@ -420,22 +425,24 @@ def _update(policy: MappoPolicy, opt_actor: Adam, opt_critic: Adam,
 
     n_actor = len(obs)
     n_critic = len(states)
-    losses = []
+    losses, diags = [], []
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(n_actor)
         for lo in range(0, n_actor, config.minibatch):
             sel = order[lo:lo + config.minibatch]
-            ppo_actor_update(policy.actor, opt_actor, {
+            diags.append(ppo_actor_update(policy.actor, opt_actor, {
                 "obs": obs[sel], "mask": mask[sel], "md": md[sel],
                 "u": u[sel], "speed": speed[sel],
                 "logp_old": logp_old[sel], "adv": adv[sel]},
-                config.clip_ratio, config.entropy_coef)
+                config.clip_ratio, config.entropy_coef))
         order_c = shuffle_rng.permutation(n_critic)
         for lo in range(0, n_critic, config.minibatch):
             sel = order_c[lo:lo + config.minibatch]
             losses.append(critic_update(policy.critic, opt_critic,
                                         states[sel], targets[sel]))
-    return float(np.mean(losses))
+    return float(np.mean(losses)), {
+        key: float(np.mean([d[key] for d in diags]))
+        for key in ("ratio_mean", "clip_fraction", "entropy")}
 
 
 def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
@@ -476,7 +483,7 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
             buf.store(obs, masks, md_head, u, action.speed, logp,
                       critic_state, value, rew.total, done)
             obs = next_obs
-            critic_state = env.critic_state()
+            critic_state = env.critic_state(obs)
             ep_reward += rew.total
 
         curve.episode.append(episode)
@@ -489,8 +496,11 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
             progress(episode, curve)
 
         if buf.agent_samples >= config.rollout:
-            last_value_loss = _update(policy, opt_actor, opt_critic, buf,
-                                      config, shuffle_rng)
+            last_value_loss, diag = _update(policy, opt_actor, opt_critic,
+                                            buf, config, shuffle_rng)
+            curve.ratio_mean.append(diag["ratio_mean"])
+            curve.clip_fraction.append(diag["clip_fraction"])
+            curve.entropy.append(diag["entropy"])
             buf.clear()
             curve.value_loss[-1] = last_value_loss
     return policy, curve

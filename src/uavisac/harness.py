@@ -9,12 +9,13 @@ idempotent, and single-worker runs are byte-deterministic.
 import csv
 import json
 import os
+import platform
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, accel
 from .config import RunConfig, load_config
 from .drl_mappo import MappoPolicy, run_policy_episode, train
 from .mdp_env import CorridorEnv, check_constraints
@@ -23,6 +24,11 @@ from .planners import (MissionResult, evaluate_plan, ga_plan, greedy_offline,
 from .scenario import (ScenarioConfig, build_scenario, db_to_linear,
                        scenario_fingerprint)
 
+SOURCE_ROOT = Path(__file__).resolve().parents[2]   # checkout root in a src layout
+SEED_MEANING = ("a cell seed varies the env's channel draws and the PSO and GA "
+                "search seeds, never the world: the MD layout comes from "
+                "scenario.seed, and the MAPPO checkpoint is trained once per "
+                "axis value with mappo.seed")
 METHODS = ("drl_sdr", "greedy_online", "greedy_offline", "pso", "ga", "drl_sc")
 AXES = ("uav_count", "md_count", "sinr_threshold")
 CIRCUIT_POWER_W = 2.0   # extra draw of the split-array variant, per UAV
@@ -233,14 +239,38 @@ def _jsonable(obj):
     return obj
 
 
+def git_revision(root: Path) -> str | None:
+    """HEAD commit of the checkout at ``root``, read from .git without running
+    git; None when there is no readable repository."""
+    git = Path(root) / ".git"
+    try:
+        ref = (git / "HEAD").read_text().strip()
+        if not ref.startswith("ref: "):
+            return ref
+        name = ref[5:]
+        if (git / name).is_file():
+            return (git / name).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + name):
+                return line.split()[0]
+    except (OSError, ValueError):
+        pass
+    return None
+
+
 def _write_manifest(spec: ExperimentSpec, path):
     base = build_scenario(spec.run_config.scenario)
     manifest = {
         "package_version": __version__,
+        "lane": "numpy" if accel.NUMBA_DISABLED else "numba",
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        "git_revision": git_revision(SOURCE_ROOT),
         "methods": list(spec.methods),
         "axis": spec.axis,
         "values": list(spec.values),
         "seeds": list(spec.seeds),
+        "seed_meaning": SEED_MEANING,
         "train_episodes": spec.train_episodes,
         "scenario_fingerprint": scenario_fingerprint(base),
         "config": _jsonable(spec.run_config),

@@ -30,6 +30,7 @@ sound by construction rather than by solver convergence flags.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -191,7 +192,7 @@ def _solve_margin(angles, tbp_threshold, p_max, t_hi, r_init, link,
     margin, the dual bound and the iteration count.
     """
     dim = r_init.shape[0]
-    vecs = [steering_vector(phi, dim) for phi in angles]
+    vecs = [_steering(phi, dim) for phi in angles]
     ds = [1.0] * len(vecs)
     cs = [tbp_threshold] * len(vecs)
     if link is not None:
@@ -235,21 +236,16 @@ def _tbp_only_design(angles, tbp_threshold, p_max, n_antennas, opts: SdrOptions)
     return result
 
 
-def _pair_margin(r_comm, r_sens, problem: SdrProblem):
-    """Worst slack of the returned pair in the margin program's own units."""
-    total = r_comm + r_sens
-    slacks = [tbp_quadratic(total, phi) - problem.tbp_threshold
-              for phi in problem.angles]
-    if problem.gamma_th > 0:
-        num = float(np.real(np.trace(r_comm @ problem.h_eff)))
-        den = float(np.real(np.trace(r_sens @ problem.h_eff))) + problem.noise_uav
-        scale = problem.gamma_th * problem.noise_uav
-        slacks.append((num - problem.gamma_th * den) / scale)
-    return float(min(slacks))
+@lru_cache(maxsize=256)
+def _steering(phi: float, n_antennas: int) -> np.ndarray:
+    """steering_vector, cached per (angle, array size); read-only."""
+    a = steering_vector(phi, n_antennas)
+    a.flags.writeable = False
+    return a
 
 
 def tbp_quadratic(r, phi) -> float:
-    a = steering_vector(phi, r.shape[0])
+    a = _steering(float(phi), r.shape[0])
     return float(np.real(a.conj() @ (r @ a)))
 
 
@@ -281,7 +277,8 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
     if p_max <= 0.0:
         # zero power forces R = 0, so the margin of the zero design is exact
         zero = np.zeros((dim, dim), dtype=complex)
-        return _finish_design(zero, g, problem, 0, _pair_margin(zero, zero, problem))
+        return _finish_design(zero, g, problem, 0,
+                              _measure_design(zero, zero, problem)[0])
 
     r_tbp, tbp_margin, tbp_bound = _tbp_only_design(
         angles, tbp_threshold, p_max, dim, opts)
@@ -346,22 +343,19 @@ def extract_rank_one(r_total, g):
 
 
 def _finish_design(r_total, g, problem: SdrProblem, iterations, bound):
-    """Split the total covariance, re-measure its margin from the returned
-    matrices and classify it: "feasible" needs the matrices to re-verify,
-    "infeasible" needs the dual bound."""
+    """Split the total covariance, measure the returned matrices once and
+    classify them: "feasible" needs the matrices to re-verify, "infeasible"
+    needs the dual bound."""
     if problem.gamma_th > 0.0:
         w_c, r_comm, r_sens = extract_rank_one(r_total, g)
     else:
         w_c = np.zeros(len(g), dtype=complex)
         r_comm, r_sens = np.zeros_like(r_total), r_total
+    margin, report = _measure_design(r_comm, r_sens, problem)
     design = TransmitDesign(
-        r_comm=r_comm, r_sens=r_sens, w_c=w_c,
-        margin=_pair_margin(r_comm, r_sens, problem),
+        r_comm=r_comm, r_sens=r_sens, w_c=w_c, margin=margin,
         solver_status="pending", iterations=iterations,
         dual_bound=float(bound), problem=problem)
-    report = verify_design(design, problem.h_eff, problem.noise_uav,
-                           problem.gamma_th, problem.tbp_threshold,
-                           problem.angles, problem.p_max)
     if design.margin >= -FEAS_TOL and report.passed:
         design.solver_status = "feasible"
     elif design.dual_bound < -FEAS_TOL:
@@ -375,6 +369,39 @@ def _finish_design(r_total, g, problem: SdrProblem, iterations, bound):
     return design
 
 
+def _measure_design(r_comm, r_sens, problem: SdrProblem):
+    """One pass over a design's matrices: the beampattern gains, the SINR
+    traces and the power, read once and turned into both the worst slack in
+    the margin program's own units and the signed relative residuals of
+    verify_design. Returns (margin, DesignReport)."""
+    total = r_comm + r_sens
+    slacks = [tbp_quadratic(total, phi) - problem.tbp_threshold
+              for phi in problem.angles]
+    tbp_scale = max(abs(problem.tbp_threshold), 1e-300)
+    tbp_res = np.array([slack / tbp_scale for slack in slacks])
+
+    gamma_th = problem.gamma_th
+    if gamma_th > 0:
+        num = float(np.real(np.trace(r_comm @ problem.h_eff)))
+        den = float(np.real(np.trace(r_sens @ problem.h_eff))) + problem.noise_uav
+        slacks.append((num - gamma_th * den) / (gamma_th * problem.noise_uav))
+        sinr_res = (num / den - gamma_th) / gamma_th
+    else:
+        sinr_res = 0.0
+
+    power = float(np.real(np.trace(total)))
+    power_res = (problem.p_max - power) / max(problem.p_max, 1e-300)
+
+    psd_res = float(min(np.linalg.eigvalsh(_herm(r_comm))[0],
+                        np.linalg.eigvalsh(_herm(r_sens))[0]) / max(power, 1.0e-30))
+
+    passed = bool(tbp_res.min() >= -VERIFY_TOL and sinr_res >= -VERIFY_TOL
+                  and power_res >= -VERIFY_TOL and psd_res >= -PSD_TOL)
+    return float(min(slacks)), DesignReport(
+        tbp_residuals=tbp_res, sinr_residual=float(sinr_res),
+        power_residual=float(power_res), psd_residual=psd_res, passed=passed)
+
+
 def verify_design(design: TransmitDesign, h_eff, noise_uav, gamma_th,
                   tbp_threshold, angles, p_max) -> DesignReport:
     """Independent constraint check straight from the matrices.
@@ -382,34 +409,11 @@ def verify_design(design: TransmitDesign, h_eff, noise_uav, gamma_th,
     Beampattern gains are evaluated per angle, the SINR through the trace
     identity, and the power sum directly; residuals are signed and relative.
     """
-    r_comm = np.asarray(design.r_comm)
-    r_sens = np.asarray(design.r_sens)
-    h_eff = np.asarray(h_eff)
-    total = r_comm + r_sens
-
-    tbp_scale = max(abs(tbp_threshold), 1e-300)
-    tbp_res = np.array([(tbp_quadratic(total, phi) - tbp_threshold) / tbp_scale
-                        for phi in angles])
-
-    if gamma_th > 0:
-        num = float(np.real(np.trace(r_comm @ h_eff)))
-        den = float(np.real(np.trace(r_sens @ h_eff))) + noise_uav
-        sinr_res = (num / den - gamma_th) / gamma_th
-    else:
-        sinr_res = 0.0
-
-    power = float(np.real(np.trace(total)))
-    power_res = (p_max - power) / max(p_max, 1e-300)
-
-    scale = max(float(np.real(np.trace(total))), 1.0e-30)
-    psd_res = float(min(np.linalg.eigvalsh(_herm(r_comm))[0],
-                        np.linalg.eigvalsh(_herm(r_sens))[0]) / scale)
-
-    passed = bool(tbp_res.min() >= -VERIFY_TOL and sinr_res >= -VERIFY_TOL
-                  and power_res >= -VERIFY_TOL and psd_res >= -PSD_TOL)
-    return DesignReport(tbp_residuals=tbp_res, sinr_residual=float(sinr_res),
-                        power_residual=float(power_res), psd_residual=psd_res,
-                        passed=passed)
+    problem = SdrProblem(h_eff=np.asarray(h_eff), noise_uav=noise_uav,
+                         gamma_th=gamma_th, tbp_threshold=tbp_threshold,
+                         angles=tuple(angles), p_max=p_max)
+    return _measure_design(np.asarray(design.r_comm), np.asarray(design.r_sens),
+                           problem)[1]
 
 
 def link_feasibility_sweep(uav_positions, chain_edges, scenario, rng,

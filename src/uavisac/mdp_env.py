@@ -305,6 +305,7 @@ class CorridorEnv:
         self.state: FleetState | None = None
         self.trace: list[SlotRecord] = []
         self._rng = None
+        self._scored = None     # (positions, collected, potential) last scored
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -322,57 +323,65 @@ class CorridorEnv:
         )
         self._rng = rng_stream(seed, "env-channel")
         self.trace = []
-        return self.state, self.observations(), self.critic_state()
+        obs = self.observations()
+        return self.state, obs, self.critic_state(obs)
 
     # -- observation/state construction -------------------------------------
 
-    def _bearings(self, origin, points) -> np.ndarray:
-        """Per point: unit direction (cos, sin) and bounded scaled distance."""
-        delta = np.atleast_2d(points)[:, :2] - origin[:2]
-        dist = np.hypot(delta[:, 0], delta[:, 1])
+    def _bearings(self, origins, points) -> np.ndarray:
+        """(M, N, 3): from each origin to each point, the unit direction
+        (cos, sin) and a bounded scaled distance."""
+        delta = points[None, :, :2] - origins[:, None, :2]
+        dist = np.hypot(delta[..., 0], delta[..., 1])
         safe = np.maximum(dist, 1e-9)
-        return np.column_stack([delta[:, 0] / safe, delta[:, 1] / safe,
-                                2.0 * np.minimum(dist / self._diag, 1.0) - 1.0])
+        return np.stack([delta[..., 0] / safe, delta[..., 1] / safe,
+                         2.0 * np.minimum(dist / self._diag, 1.0) - 1.0], axis=-1)
 
     def observations(self) -> np.ndarray:
         """(M, obs_dim) per-agent views, all features scaled to [-1, 1].
 
+        Row m holds: heading (cos, sin), position, residual energy, the
+        bearing of the landing pad, per MD its bearing and collection flag,
+        the bearings of the other UAVs in index order, and the agent one-hot.
         Directions are unit vectors with a separate bounded distance channel,
         which keeps nearby targets well conditioned for the policy net.
         """
         s = self.state
         cfg = self.cfg
-        w, hgt = cfg.area_width, cfg.area_height
-        out = np.empty((self.n_agents, self.obs_dim))
-        c01 = s.collected.astype(float)
-        md_xy = self.scenario.md_positions
-        for m in range(self.n_agents):
-            p = s.positions[m]
-            md_feat = np.column_stack([self._bearings(p, md_xy), c01])
-            others = np.delete(s.positions, m, axis=0)
-            parts = [
-                [np.cos(s.headings[m]), np.sin(s.headings[m])],
-                [2 * p[0] / w - 1, 2 * p[1] / hgt - 1],
-                [2 * s.residual_energy[m] / cfg.e_total - 1],
-                self._bearings(p, self._end3[None, :]).ravel(),
-                md_feat.ravel(),
-                self._bearings(p, others).ravel() if len(others) else [],
-                np.eye(self.n_agents)[m],
-            ]
-            out[m] = np.concatenate(
-                [np.atleast_1d(np.asarray(q, float)) for q in parts])
+        m_count, n_md = self.n_agents, self.n_mds
+        pos = s.positions
+        bearings = self._bearings(pos, np.concatenate(
+            [self._end3[None], self.scenario.md_positions, pos]))
+        out = np.empty((m_count, self.obs_dim))
+        out[:, 0] = np.cos(s.headings)
+        out[:, 1] = np.sin(s.headings)
+        out[:, 2] = 2 * pos[:, 0] / cfg.area_width - 1
+        out[:, 3] = 2 * pos[:, 1] / cfg.area_height - 1
+        out[:, 4] = 2 * s.residual_energy / cfg.e_total - 1
+        out[:, 5:8] = bearings[:, 0]
+        md_feat = out[:, 8:8 + 4 * n_md].reshape(m_count, n_md, 4)
+        md_feat[..., :3] = bearings[:, 1:1 + n_md]
+        md_feat[..., 3] = s.collected
+        others = bearings[:, 1 + n_md:][~np.eye(m_count, dtype=bool)]
+        out[:, 8 + 4 * n_md:-m_count] = others.reshape(m_count, -1)
+        out[:, -m_count:] = np.eye(m_count)
         return out
 
-    def critic_state(self) -> np.ndarray:
-        """Joint observations plus global MD locations and collection status."""
+    def critic_state(self, obs=None) -> np.ndarray:
+        """Joint observations plus global MD locations and collection status.
+
+        ``obs`` may pass this state's observations() when the caller already
+        holds them (step returns them)."""
         cfg = self.cfg
         md = self.scenario.md_positions
+        if obs is None:
+            obs = self.observations()
         glob = np.concatenate([
             (2 * md[:, 0] / cfg.area_width - 1),
             (2 * md[:, 1] / cfg.area_height - 1),
             self.state.collected.astype(float),
         ])
-        return np.concatenate([self.observations().ravel(), glob])
+        return np.concatenate([obs.ravel(), glob])
 
     # -- action masking ------------------------------------------------------
 
@@ -381,11 +390,17 @@ class CorridorEnv:
         return interference_free_sinr(
             uplink_gain2(self.state.positions, self.scenario), self.cfg)
 
+    def open_masks(self) -> np.ndarray:
+        """(M, n_actions) choices open to each agent before any claim this
+        slot: the schedulable MDs, plus the no-op, which is always on."""
+        mask = np.ones((self.n_agents, self.n_actions), dtype=bool)
+        mask[:, :-1] = schedulable(uplink_gain2(self.state.positions, self.scenario),
+                                   self.state.collected, self.cfg)
+        return mask
+
     def action_mask(self, m: int, claimed=()) -> np.ndarray:
         """Valid MD choices for agent m given earlier agents' claims; no-op always on."""
-        mask = np.ones(self.n_actions, dtype=bool)
-        mask[:-1] = schedulable(uplink_gain2(self.state.positions, self.scenario),
-                                self.state.collected, self.cfg)[m]
+        mask = self.open_masks()[m]
         for i in claimed:
             if i is not None and i >= 0:
                 mask[i] = False
@@ -477,10 +492,16 @@ class CorridorEnv:
         return s, reward, self.observations(), done, info
 
     def _potential(self, positions, collected) -> float:
-        """State potential: negative device-deficit and landing distances."""
+        """State potential: negative device-deficit and landing distances.
+
+        The last state scored is kept by value, so a slot's start state, which
+        the previous slot scored as its end state, is not scored again."""
         r = self.reward_cfg
         if r.shaping_md == 0.0 and r.shaping_end == 0.0:
             return 0.0
+        if (self._scored is not None and np.array_equal(self._scored[0], positions)
+                and np.array_equal(self._scored[1], collected)):
+            return self._scored[2]
         value = 0.0
         if r.shaping_md != 0.0:
             open_md = self.scenario.md_positions[collected == 0, :2]
@@ -491,6 +512,7 @@ class CorridorEnv:
         if r.shaping_end != 0.0:
             d_end = np.linalg.norm(positions[:, :2] - self._end3[:2], axis=1)
             value -= r.shaping_end * float(d_end.sum())
+        self._scored = (positions.copy(), collected.copy(), value)
         return value
 
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from uavisac import drl_mappo
 from uavisac.drl_mappo import (ActorNet, Adam, CriticNet, MappoConfig,
-                               MappoPolicy, actor_forward, actor_loss_and_grads,
+                               MappoPolicy, act_in_env, actor_forward,
+                               actor_loss_and_grads,
                                critic_forward, critic_loss_and_grads,
                                critic_update, gae, joint_log_prob,
                                ppo_actor_update, sample_actions, train)
-from uavisac.mdp_env import RewardConfig
+from uavisac.mdp_env import CorridorEnv, RewardConfig
 from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
 
 
@@ -238,6 +240,33 @@ class TestCheckpointRoundTrip:
             assert np.array_equal(x, y)
 
 
+class TestActInEnv:
+    def test_masks_follow_claim_order(self):
+        # three UAVs on one pad, MDs in reach of all: later agents lose the
+        # MDs that earlier agents claimed this slot
+        sc = build_scenario(ScenarioConfig(
+            num_uavs=3, num_mds=4, seed=0, area_width=300.0, area_height=300.0,
+            start=(0.0, 300.0), end=(300.0, 0.0)))
+        env = CorridorEnv(sc, connected=False)
+        rng = rng_stream(0, "act")
+        actor = ActorNet(rng, env.obs_dim, env.n_actions, hidden=8)
+        policy = MappoPolicy(actor, CriticNet(rng, env.state_dim, 8), MappoConfig())
+        withheld = 0
+        for episode in range(3):
+            _, obs, _ = env.reset(episode)
+            for _ in range(15):
+                open_masks = env.open_masks()
+                action, masks, _, _ = act_in_env(policy, env, obs, rng)
+                for m in range(3):
+                    claimed = action.md_choice[:m]
+                    assert np.array_equal(masks[m], env.action_mask(m, claimed))
+                    withheld += int((open_masks[m] & ~masks[m]).sum())
+                _, _, obs, done, _ = env.step(action)
+                if done:
+                    break
+        assert withheld > 0
+
+
 class TestTrainLoop:
     def scenario(self):
         return build_scenario(ScenarioConfig(
@@ -264,6 +293,25 @@ class TestTrainLoop:
         _, c2 = train(sc, cfg)
         assert c1.reward == c2.reward
         assert c1.value_loss == c2.value_loss
+
+    def test_ppo_diagnostics_recorded_per_update(self, monkeypatch):
+        updates = []
+        update = drl_mappo._update
+
+        def counted(*args, **kwargs):
+            updates.append(1)
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(drl_mappo, "_update", counted)
+        cfg = MappoConfig(max_episodes=3, hidden=16, rollout=64,
+                          minibatch=32, epochs=2, seed=4)
+        _, curve = train(self.scenario(), cfg)
+        assert len(updates) >= 2
+        for diag in (curve.ratio_mean, curve.clip_fraction, curve.entropy):
+            assert len(diag) == len(updates)
+            assert np.all(np.isfinite(diag))
+        assert all(0.0 <= f <= 1.0 for f in curve.clip_fraction)
+        assert all(r > 0.0 for r in curve.ratio_mean)
 
     @pytest.mark.slow
     def test_curve_csv(self, tmp_path):

@@ -1,16 +1,18 @@
 import csv
 import json
+import platform
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from uavisac import accel
 from uavisac.cli import main
 from uavisac.config import load_config
-from uavisac.harness import (ExperimentSpec, checkpoint_path,
+from uavisac.harness import (SEED_MEANING, ExperimentSpec, checkpoint_path,
                              emit_comparison_table, emit_sweep_data,
-                             run_experiment, validate_spec)
+                             git_revision, run_experiment, validate_spec)
 
 
 def small_run_config(num_mds=5, horizon=150):
@@ -60,6 +62,13 @@ class TestRunExperiment:
         assert manifest["methods"] == ["greedy_offline", "greedy_online"]
         assert "scenario_fingerprint" in manifest
         assert manifest["config"]["scenario"]["num_mds"] == 5
+        assert manifest["lane"] == ("numpy" if accel.NUMBA_DISABLED else "numba")
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["python_version"] == platform.python_version()
+        revision = manifest["git_revision"]
+        assert revision is None or (len(revision) == 40
+                                    and int(revision, 16) >= 0)
+        assert manifest["seed_meaning"] == SEED_MEANING
 
     def test_seed_repeat_byte_identical(self, tmp_path):
         a_dir = tmp_path / "a"
@@ -102,6 +111,35 @@ class TestRunExperiment:
         extra = 2.0 * 2 * float(sc["time_s"])
         assert float(sc["energy_j"]) == pytest.approx(
             float(sdr["energy_j"]) + extra, rel=1e-9)
+
+
+class TestGitRevision:
+    REV = "0123456789abcdef0123456789abcdef01234567"
+
+    def test_no_repository_gives_none(self, tmp_path):
+        assert git_revision(tmp_path) is None
+
+    def test_unreadable_head_gives_none(self, tmp_path):
+        (tmp_path / ".git").write_text("gitdir: elsewhere\n")
+        assert git_revision(tmp_path) is None
+
+    def test_branch_missing_from_refs_gives_none(self, tmp_path):
+        (tmp_path / ".git").mkdir()
+        (tmp_path / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+        assert git_revision(tmp_path) is None
+
+    def test_detached_loose_and_packed_heads(self, tmp_path):
+        git = tmp_path / ".git"
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "HEAD").write_text(self.REV + "\n")
+        assert git_revision(tmp_path) == self.REV
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        (git / "packed-refs").write_text(
+            f"# pack-refs with: peeled\n{self.REV} refs/heads/main\n")
+        assert git_revision(tmp_path) == self.REV
+        loose = self.REV[::-1]
+        (git / "refs" / "heads" / "main").write_text(loose + "\n")
+        assert git_revision(tmp_path) == loose
 
 
 class TestEmitters:

@@ -3,11 +3,12 @@ import pytest
 
 from uavisac.channel import (effective_channel, sample_rician_channel,
                              steering_vector, tbp_gain)
-from uavisac.isac_sdr import (FEAS_TOL, SdrOptions, SdrProblem,
-                              TransmitDesign, _finish_design, _herm,
-                              _pdhg_margin, _tbp_only_design, extract_rank_one,
+from uavisac.isac_sdr import (FEAS_TOL, PSD_TOL, VERIFY_TOL, SdrOptions,
+                              SdrProblem, TransmitDesign, _finish_design,
+                              _herm, _measure_design, _pdhg_margin,
+                              _tbp_only_design, extract_rank_one,
                               link_feasibility_sweep, solve_feasibility,
-                              verify_design)
+                              tbp_quadratic, verify_design)
 from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
 
 L = 12
@@ -262,6 +263,87 @@ class TestSubspaceSolve:
         # a(0), so the basis of span{a(phi_k), g} has rank K, not K + 1
         h_eff = make_h_eff(1500.0, seed=0, rician_k=1e40, label="parity")
         assert self.check_parity(h_eff, opts) == len(ANGLES)
+
+
+def pair_margin_oracle(r_comm, r_sens, problem):
+    """Worst slack of a design in the margin program's units, measured on
+    its own (the solver's margin before the shared measurement pass)."""
+    total = r_comm + r_sens
+    slacks = [tbp_quadratic(total, phi) - problem.tbp_threshold
+              for phi in problem.angles]
+    if problem.gamma_th > 0:
+        num = float(np.real(np.trace(r_comm @ problem.h_eff)))
+        den = float(np.real(np.trace(r_sens @ problem.h_eff))) + problem.noise_uav
+        scale = problem.gamma_th * problem.noise_uav
+        slacks.append((num - problem.gamma_th * den) / scale)
+    return float(min(slacks))
+
+
+def verify_oracle(design, h_eff, noise_uav, gamma_th, tbp_threshold, angles,
+                  p_max):
+    """verify_design written out on its own, residual by residual."""
+    r_comm, r_sens = np.asarray(design.r_comm), np.asarray(design.r_sens)
+    total = r_comm + r_sens
+    tbp_scale = max(abs(tbp_threshold), 1e-300)
+    tbp_res = np.array([(tbp_quadratic(total, phi) - tbp_threshold) / tbp_scale
+                        for phi in angles])
+    sinr_res = 0.0
+    if gamma_th > 0:
+        num = float(np.real(np.trace(r_comm @ h_eff)))
+        den = float(np.real(np.trace(r_sens @ h_eff))) + noise_uav
+        sinr_res = (num / den - gamma_th) / gamma_th
+    power = float(np.real(np.trace(total)))
+    power_res = (p_max - power) / max(p_max, 1e-300)
+    scale = max(float(np.real(np.trace(total))), 1.0e-30)
+    psd_res = float(min(np.linalg.eigvalsh(_herm(r_comm))[0],
+                        np.linalg.eigvalsh(_herm(r_sens))[0]) / scale)
+    passed = bool(tbp_res.min() >= -VERIFY_TOL and sinr_res >= -VERIFY_TOL
+                  and power_res >= -VERIFY_TOL and psd_res >= -PSD_TOL)
+    return tbp_res, float(sinr_res), float(power_res), psd_res, passed
+
+
+class TestDesignMeasurement:
+    """One measurement pass gives the solver's margin and its verify report."""
+
+    def check(self, des, h_eff, gam, tbp=GAMMA_LIN, p_max=P_MAX):
+        margin, report = _measure_design(des.r_comm, des.r_sens, des.problem)
+        assert des.margin == margin
+        assert des.margin == pair_margin_oracle(des.r_comm, des.r_sens,
+                                                des.problem)
+        expected = verify_oracle(des, h_eff, NOISE_U, gam, tbp, ANGLES, p_max)
+        for rep in (report, verify_design(des, h_eff, NOISE_U, gam, tbp,
+                                          ANGLES, p_max)):
+            assert np.array_equal(rep.tbp_residuals, expected[0])
+            assert (rep.sinr_residual, rep.power_residual, rep.psd_residual,
+                    rep.passed) == expected[1:]
+        return des.solver_status
+
+    def test_seeded_instances(self):
+        statuses = set()
+        for seed in range(100):
+            rng = rng_stream(seed, "extract")
+            dist = float(rng.uniform(50, 1500))
+            h_eff = make_h_eff(dist, seed=seed, label="extract-ch")
+            statuses.add(self.check(solve(h_eff), h_eff, 10 ** 0.8))
+        assert statuses == {"feasible", "infeasible"}
+
+    def test_ladder_branches(self):
+        # beampattern-bound, PDHG and deep-deficit rungs in certify-only mode
+        for dist in LADDER_M:
+            h_eff = make_h_eff(dist, seed=1, label="parity")
+            self.check(solve(h_eff, opts=CERTIFY), h_eff, 10 ** 0.8)
+
+    def test_no_sinr_floor_branch(self):
+        for seed in range(5):
+            h_eff = make_h_eff(200.0 + 300.0 * seed, seed=seed, label="branch")
+            assert self.check(solve(h_eff, gamma_lin=0.0), h_eff, 0.0) == "feasible"
+
+    def test_zero_power_branch(self):
+        for seed in range(5):
+            h_eff = make_h_eff(200.0 + 300.0 * seed, seed=seed, label="branch")
+            des = solve(h_eff, p_max=0.0)
+            assert self.check(des, h_eff, 10 ** 0.8, p_max=0.0) == "infeasible"
+            assert des.dual_bound == des.margin
 
 
 class TestLinkSweep:

@@ -18,6 +18,48 @@ def make_scenario(md_xyz, num_uavs=1, **overrides) -> Scenario:
                     chain_edges=base.chain_edges, rx_combiner=base.rx_combiner)
 
 
+def observations_oracle(env) -> np.ndarray:
+    """Per-agent loop over the observation layout, kept as the reference for
+    the env's array-form observations()."""
+    s, cfg = env.state, env.cfg
+    diag = float(np.hypot(cfg.area_width, cfg.area_height))
+    end3 = np.array([*cfg.end, cfg.altitude])
+
+    def bearings(origin, points):
+        delta = np.atleast_2d(points)[:, :2] - origin[:2]
+        dist = np.hypot(delta[:, 0], delta[:, 1])
+        safe = np.maximum(dist, 1e-9)
+        return np.column_stack([delta[:, 0] / safe, delta[:, 1] / safe,
+                                2.0 * np.minimum(dist / diag, 1.0) - 1.0])
+
+    out = np.empty((env.n_agents, env.obs_dim))
+    c01 = s.collected.astype(float)
+    for m in range(env.n_agents):
+        p = s.positions[m]
+        md_feat = np.column_stack([bearings(p, env.scenario.md_positions), c01])
+        others = np.delete(s.positions, m, axis=0)
+        parts = [
+            [np.cos(s.headings[m]), np.sin(s.headings[m])],
+            [2 * p[0] / cfg.area_width - 1, 2 * p[1] / cfg.area_height - 1],
+            [2 * s.residual_energy[m] / cfg.e_total - 1],
+            bearings(p, end3[None, :]).ravel(),
+            md_feat.ravel(),
+            bearings(p, others).ravel() if len(others) else [],
+            np.eye(env.n_agents)[m],
+        ]
+        out[m] = np.concatenate(
+            [np.atleast_1d(np.asarray(q, float)) for q in parts])
+    return out
+
+
+def critic_state_oracle(env) -> np.ndarray:
+    cfg, md = env.cfg, env.scenario.md_positions
+    return np.concatenate([observations_oracle(env).ravel(),
+                           2 * md[:, 0] / cfg.area_width - 1,
+                           2 * md[:, 1] / cfg.area_height - 1,
+                           env.state.collected.astype(float)])
+
+
 def hover_action(env, md=None):
     act = JointAction.hover(env.n_agents)
     if md is not None:
@@ -56,6 +98,108 @@ class TestReset:
         for (pa, ra), (pb, rb) in zip(a, b):
             assert np.array_equal(pa, pb)
             assert ra == rb
+
+
+class TestObservations:
+    @pytest.mark.parametrize("m_count", [1, 2, 3, 5])
+    def test_matches_per_agent_oracle(self, m_count):
+        sc = build_scenario(ScenarioConfig(num_uavs=m_count, num_mds=7,
+                                           seed=m_count))
+        cfg = sc.config
+        env = CorridorEnv(sc)
+        env.reset(0)
+        rng = np.random.default_rng(m_count)
+        for trial in range(20):
+            s = env.state
+            s.positions = np.column_stack([
+                rng.uniform(0.0, cfg.area_width, m_count),
+                rng.uniform(0.0, cfg.area_height, m_count),
+                np.full(m_count, cfg.altitude)])
+            if trial % 5 == 0:      # co-located UAVs and a UAV over an MD
+                s.positions[-1] = s.positions[0]
+                s.positions[0, :2] = sc.md_positions[trial % 7, :2]
+            s.headings = rng.uniform(-np.pi, np.pi, m_count)
+            s.residual_energy = rng.uniform(0.0, cfg.e_total, m_count)
+            s.collected = (rng.random(cfg.num_mds) < 0.4).astype(np.uint8)
+            obs = env.observations()
+            assert obs.shape == (m_count, env.obs_dim)
+            assert np.array_equal(obs, observations_oracle(env))
+            critic = critic_state_oracle(env)
+            assert np.array_equal(env.critic_state(), critic)
+            assert np.array_equal(env.critic_state(obs), critic)
+
+    def test_stepped_states_match_oracle(self):
+        sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=6, seed=4))
+        env = CorridorEnv(sc, connected=False)
+        _, obs, critic = env.reset(2)
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            assert np.array_equal(obs, observations_oracle(env))
+            assert np.array_equal(critic, critic_state_oracle(env))
+            act = JointAction(md_choice=np.full(3, -1),
+                              heading=rng.uniform(-np.pi, np.pi, 3),
+                              speed=rng.integers(0, 2, 3).astype(np.uint8))
+            _, _, obs, _, _ = env.step(act)
+            critic = env.critic_state(obs)
+
+    def test_injected_state_is_followed(self):
+        # one MD beside the start pad, one far away
+        sc = make_scenario([[30.0, 2470.0, 0.0], [2000.0, 500.0, 0.0]],
+                           num_uavs=2)
+        env = CorridorEnv(sc)
+        env.reset(0)
+        assert env.action_mask(0)[0] and not env.action_mask(0)[1]
+        env.state.collected[:] = 1
+        obs = env.observations()
+        assert np.array_equal(obs, observations_oracle(env))
+        assert np.all(obs[:, 8 + 3:8 + 4 * 2:4] == 1.0)
+        assert np.array_equal(env.critic_state(), critic_state_oracle(env))
+        for m in range(2):
+            mask = env.action_mask(m)
+            assert mask[-1] and not mask[:-1].any()
+        env.state.collected[:] = 0
+        env.state.positions = np.array([[2000.0, 500.0, 80.0],
+                                        [1990.0, 520.0, 80.0]])
+        obs = env.observations()
+        assert np.array_equal(obs, observations_oracle(env))
+        assert obs[0, 2] == 2 * 2000.0 / sc.config.area_width - 1
+        assert not env.action_mask(0)[0] and env.action_mask(0)[1]
+        assert env.action_mask(1, [1])[1] == False  # noqa: E712
+
+    def test_shaping_follows_injected_state(self):
+        # a slot's start potential is the previous slot's end potential,
+        # unless the state was changed in between
+        sc = make_scenario([[1200.0, 1200.0, 0.0], [600.0, 1800.0, 0.0]])
+        end = np.array(sc.config.end)
+
+        def potential(env):
+            r, s = env.reward_cfg, env.state
+            open_md = sc.md_positions[s.collected == 0, :2]
+            dist = np.sqrt(((open_md[None] - s.positions[:, None, :2]) ** 2).sum(axis=2))
+            d_end = np.linalg.norm(s.positions[:, :2] - end, axis=1)
+            return (-r.shaping_md * float(dist.min(axis=0).sum())
+                    - r.shaping_end * float(d_end.sum()))
+
+        def inject_collected(env):
+            env.state.collected[:] = [1, 0]
+
+        def inject_positions(env):
+            env.state.positions = np.array([[900.0, 1500.0, 80.0]])
+
+        act = JointAction(md_choice=np.array([-1]), heading=np.array([0.3]),
+                          speed=np.array([1], dtype=np.uint8))
+        for inject in (inject_collected, inject_positions):
+            fresh, stepped = CorridorEnv(sc), CorridorEnv(sc)
+            fresh.reset(0)
+            stepped.reset(0)
+            stepped.step(hover_action(stepped))
+            for env in (fresh, stepped):
+                inject(env)
+            for env in (fresh, stepped, fresh, stepped):
+                before = potential(env)
+                shaping = env.step(act)[1].shaping
+                assert shaping == potential(env) - before
+                assert shaping != 0.0
 
 
 class TestActionMask:
