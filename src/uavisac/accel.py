@@ -1,8 +1,8 @@
-"""Optional numba acceleration for hot kernels, with a pure-numpy fallback.
+"""Optional numba acceleration, with a pure-numpy fallback.
 
-Set ``UAVISAC_DISABLE_NUMBA=1`` to run every kernel as plain Python/numpy.
-The fallback path is the same source code without JIT, so both lanes share
-one implementation; ``benchmarks/bench_sdr.py`` compares them.
+No kernel is compiled any more: ``NUMBA_DISABLED`` is kept for the lane that
+the benchmark and the run manifest record. Set ``UAVISAC_DISABLE_NUMBA=1`` to
+report the numpy lane.
 """
 
 import os

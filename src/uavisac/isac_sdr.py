@@ -1,4 +1,4 @@
-"""Per-link ISAC transmit design via a first-order semidefinite feasibility solver.
+"""Per-link ISAC transmit design via a small log-barrier semidefinite solver.
 
 The rank-relaxed design problem is solved in phase-I margin form: maximize the
 worst constraint slack t over the transmit covariance subject to beampattern
@@ -16,17 +16,17 @@ Three structural facts keep this small and exact:
 * every constraint matrix is rank one, u u^H with u in S = span{a(phi_1..K), g},
   so the solve runs in an orthonormal basis Q of S (dimension K + 1, not L).
   Compressing R to P_S R P_S keeps every constraint value and does not raise
-  the trace or leave the PSD cone, and the PDHG step maps S-supported iterates
-  to S-supported iterates, so the compressed and full-space iterations agree
-  in exact arithmetic. The dual bound needs no correction either: the nonzero
-  eigenvalues of sum_j mu_j u_j u_j^H are the same in both bases, so the
-  infeasibility certificate stays exact.
+  the trace or leave the PSD cone, so the compressed and full-space programs
+  share their optimum and solves of either agree there (not per iterate).
+  The dual bound needs no correction either: the nonzero eigenvalues of
+  sum_j mu_j u_j u_j^H are the same in both bases, so the infeasibility
+  certificate stays exact.
 
-The iterative solver is a primal-dual hybrid-gradient loop with row
-normalization and PSD-cone projection by Hermitian eigendecomposition. Every
-reported margin is recomputed from the returned (lifted, L x L) matrices, and
-a Lagrangian dual bound certifies infeasibility, so "feasible" answers are
-sound by construction rather than by solver convergence flags.
+The solver is a log-barrier Newton method (Boyd & Vandenberghe 2004, ch. 11)
+on the real coordinates of the compressed covariance. Every reported margin
+is recomputed from the returned (lifted, L x L) matrices, and a Lagrangian
+dual bound certifies infeasibility, so "feasible" answers are sound by
+construction rather than by solver convergence flags.
 """
 
 from dataclasses import dataclass, replace
@@ -34,7 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .accel import njit
 from .channel import effective_channel, sample_rician_channel, steering_vector
 
 FEAS_TOL = 1e-7          # margin slack accepted as feasible
@@ -56,9 +55,8 @@ class SdrProblem:
 
 @dataclass(frozen=True)
 class SdrOptions:
-    max_iter: int = 20000
+    max_iter: int = 200      # Newton steps
     gap_tol: float = 1e-7
-    check_every: int = 50
     # stop as soon as the feasible/infeasible decision is certified, even if
     # the margin itself has not converged; used by the per-slot reward sweeps
     certify_only: bool = False
@@ -95,103 +93,116 @@ def _herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-@njit(cache=True)
-def _project_spectrum(w, budget):
-    # project eigenvalues onto {x >= 0, sum(x) <= budget}
-    n = w.shape[0]
-    clipped = np.maximum(w, 0.0)
-    if clipped.sum() <= budget:
-        return clipped
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u)
-    theta = 0.0
-    for k in range(n):
-        cand = (css[k] - budget) / (k + 1)
-        if u[k] - cand > 0.0:
-            theta = cand
-    return np.maximum(w - theta, 0.0)
+@lru_cache(maxsize=None)
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """Orthonormal real basis of the dim x dim Hermitian matrices: column a
+    is the row-major vec of basis matrix B_a, so a Hermitian Y has the real
+    coordinates Re(basis^H vec(Y)) and vec(Y) = basis @ coordinates."""
+    eye = np.eye(dim)
+    mats = [np.outer(eye[k], eye[k]) for k in range(dim)]
+    for k in range(dim):
+        for m in range(k + 1, dim):
+            pair = np.outer(eye[k], eye[m])
+            mats += [(pair + pair.T) / np.sqrt(2.0), 1j * (pair - pair.T) / np.sqrt(2.0)]
+    basis = np.stack([b.ravel() for b in mats], axis=1).astype(complex)
+    basis.flags.writeable = False
+    return basis
 
 
-@njit(cache=True)
-def _pdhg_margin(rows, dn, cn, p_max, t_lo, t_hi, r_init, mu_init,
-                 max_iter, check_every, gap_tol, feas_tol, certify_only):
-    """Maximize the worst slack t of <rows[j], R> - dn[j]*t >= cn[j].
+def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
+    """Maximize the worst slack t of <rows[j], X> - dn[j]*t >= cn[j].
 
-    R ranges over Hermitian PSD matrices with trace at most p_max; rows are
-    already normalized to unit size. Returns the best feasible-in-cone
-    iterate, its achieved margin, a Lagrangian dual upper bound on the
-    optimal margin, the iteration count and a convergence flag.
+    X ranges over Hermitian positive definite matrices with trace at most
+    p_max; rows are already normalized to unit size. Newton steps minimize
+    -tau*t - sum_j log s_j - log(1 - tr Y) - log det Y over t and the real
+    coordinates of Y = X / p_max, from Y = I/(2d) with t one unit below every
+    row; tau grows 30-fold at each point centred to a squared Newton
+    decrement of 1e-6 (a looser centring leaves the dual's weakly
+    complementary directions off by the residual). mu_j = 1/(tau*s_j), scaled
+    to sum_j mu_j*dn[j] = 1, gives the Lagrangian dual bound
+    p_max*max(lambda_max(sum_j mu_j*rows[j]), 0) - mu.cn, sound for any
+    mu >= 0. Returns the best iterate, its achieved margin, the best bound,
+    the Newton step count and a convergence flag.
     """
     n_rows, dim, _ = rows.shape
-    dd = dim * dim
-    step = 0.99 / np.sqrt(n_rows)
-    # rows flattened to interleaved (re, im) pairs: sum_j mu[j]*rows[j] and
-    # every Frobenius inner product <rows[j], R> is then one real matrix product
-    flat = np.ascontiguousarray(rows).reshape(n_rows, dd).view(np.float64)
+    basis = _hermitian_basis(dim)
+    basis_h = basis.conj().T
+    a = (basis_h @ rows.reshape(n_rows, dim * dim).T).real.T * p_max
+    e = (basis_h @ np.eye(dim).ravel()).real
+    # slacks s = G z - h of z = (y, t): the rows, then the trace bound
+    g_mat = np.vstack([np.column_stack([a, -dn]), np.append(-e, 0.0)])
+    h = np.append(cn, -1.0)
+    y = e / (2 * dim)
+    start = (a @ y - cn) / dn
+    z = np.append(y, start.min() - 1.0)
+    tau = float(np.sum(1.0 / (start - z[-1])))      # centred in t at the start
+    unit_t = np.eye(len(z))[-1]
 
-    # the iterates stay exactly Hermitian, as eigh (lower triangle) assumes
-    r_cur = 0.5 * (r_init + r_init.conj().T)
-    t_cur = 0.0
-    mu = mu_init.copy()
-
-    best_r = r_cur.copy()
-    best_margin = -1e300
-    best_bound = 1e300
-    converged = False
-    it_done = 0
-
-    for it in range(max_iter):
-        # primal step with current multipliers
-        grad = (mu @ flat).view(np.complex128).reshape(dim, dim)
-        w, v = np.linalg.eigh(r_cur + step * grad)
-        w = _project_spectrum(w, p_max)
-        r_new = (v * w.astype(np.complex128)) @ v.conj().T
-        r_new = 0.5 * (r_new + r_new.conj().T)
-        t_new = min(max(t_cur + step * (1.0 - mu @ dn), t_lo), t_hi)
-
-        # dual step with extrapolated primal
-        r_bar = 2.0 * r_new - r_cur
-        t_bar = 2.0 * t_new - t_cur
-        viol = cn - (flat @ r_bar.reshape(dd).view(np.float64) - dn * t_bar)
-        mu = np.maximum(mu + step * viol, 0.0)
-        r_cur = r_new
-        t_cur = t_new
-        it_done = it + 1
-
-        if (it + 1) % check_every == 0 or it + 1 == max_iter:
-            margin = np.min((flat @ r_cur.reshape(dd).view(np.float64) - cn) / dn)
+    best_y, best_margin, best_bound = np.eye(dim) / (2 * dim), -np.inf, np.inf
+    converged, steps = False, 0
+    try:
+        while steps < opts.max_iter:
+            s = g_mat @ z - h
+            y_mat = (basis @ z[:-1]).reshape(dim, dim)
+            w, v = np.linalg.eigh(y_mat)
+            if not (s.min() > 0.0 and w[0] > 0.0):
+                break           # the slacks have run out of precision
+            margin = np.min(s[:-1] / dn) + z[-1]
             if margin > best_margin:
-                best_margin = margin
-                best_r = r_cur.copy()
-            # Lagrangian dual bound from the post-update multipliers
-            wsum = (mu @ flat).view(np.complex128).reshape(dim, dim)
-            lam = np.linalg.eigvalsh(wsum)
-            lin = 1.0 - mu @ dn
-            tail = max(t_lo * lin, t_hi * lin)
-            bound = p_max * max(lam[-1], 0.0) + tail - mu @ cn
-            if bound < best_bound:
-                best_bound = bound
-            if certify_only and (best_bound < -feas_tol or best_margin >= 0.0):
+                best_margin, best_y = margin, y_mat
+            mu = 1.0 / s[:-1]
+            mu /= mu @ dn
+            lam = np.linalg.eigvalsh(np.tensordot(mu, rows, 1))[-1]
+            best_bound = min(best_bound, p_max * max(lam, 0.0) - mu @ cn)
+            if opts.certify_only and (best_bound < -FEAS_TOL or best_margin >= 0.0):
                 break
-            gap = best_bound - best_margin
-            if gap <= gap_tol * (1.0 + abs(best_margin)):
+            if best_bound - best_margin <= opts.gap_tol * (1.0 + abs(best_margin)):
                 converged = True
                 break
-    return best_r, best_margin, best_bound, it_done, converged
+
+            # the Hessian does not depend on tau: solve once for the barrier
+            # and the objective parts of the step, then pick tau
+            inv = (v / w) @ v.conj().T
+            hess = (g_mat.T / s ** 2) @ g_mat
+            hess[:-1, :-1] += (basis_h @ np.kron(inv, inv.T) @ basis).real
+            grad = -(g_mat.T @ (1.0 / s)) - np.append((basis_h @ inv.ravel()).real, 0.0)
+            dz_bar, dz_t = np.linalg.solve(hess, np.column_stack([-grad, unit_t])).T
+            if -(grad - tau * unit_t) @ (dz_bar + tau * dz_t) <= 1e-6:
+                tau *= 30.0
+                if len(s) + dim < 1e-12 * tau * (1.0 + abs(best_margin)):
+                    break       # the central path's gap is below the slacks' precision
+            dz = dz_bar + tau * dz_t
+            decrement = -(grad - tau * unit_t) @ dz
+            # the barrier along dz in closed form, with the eigenvalues of
+            # Y^-1/2 dY Y^-1/2: backtrack from the boundary to the first
+            # step that passes the Armijo test
+            dy = v.conj().T @ (basis @ dz[:-1]).reshape(dim, dim) @ v / np.sqrt(np.outer(w, w))
+            ratios = np.append((g_mat @ dz) / s, np.linalg.eigvalsh(dy))
+            alphas = min(1.0, 0.99 / max(-ratios.min(), 1e-300)) * 0.5 ** np.arange(40)
+            drop = -tau * dz[-1] * alphas - np.log1p(alphas[:, None] * ratios).sum(axis=1)
+            ok = drop <= -0.01 * alphas * decrement
+            if not (np.isfinite(dz).all() and ok.any()):
+                break
+            z = z + alphas[np.argmax(ok)] * dz
+            steps += 1
+    except np.linalg.LinAlgError:
+        pass                    # a singular Newton system: keep the best pair
+    return p_max * best_y, best_margin, best_bound, steps, converged
 
 
-def _solve_margin(angles, tbp_threshold, p_max, t_hi, r_init, link,
-                  max_iter, check_every, gap_tol, certify_only):
-    """PDHG on the margin program written in the span S of its constraints.
+# perfbench wraps and counts the kernel under its former name
+_pdhg_margin = _newton_margin
+
+
+def _solve_margin(angles, tbp_threshold, p_max, dim, link, opts: SdrOptions):
+    """The margin program written in the span S of its constraints.
 
     The rows are a(phi) a(phi)^H >= tbp_threshold + t per sensing angle and,
     for a link solve with ``link = (g, scale)``, g g^H >= scale * (1 + t).
-    They are compressed to Q^H u u^H Q in an orthonormal basis Q of S, the
-    start point to Q^H r_init Q (no loss when r_init lies in S), and the
-    solution X is lifted back to Q X Q^H. Returns the lifted covariance, the
-    margin, the dual bound and the iteration count.
+    They are compressed to Q^H u u^H Q in an orthonormal basis Q of S, solved
+    for X, and X is lifted back to Q X Q^H. Returns the lifted covariance,
+    the margin, the dual bound and the Newton step count.
     """
-    dim = r_init.shape[0]
     vecs = [_steering(phi, dim) for phi in angles]
     ds = [1.0] * len(vecs)
     cs = [tbp_threshold] * len(vecs)
@@ -208,12 +219,9 @@ def _solve_margin(angles, tbp_threshold, p_max, t_hi, r_init, link,
     # ||u u^H||_F = ||u||^2, so rows keep the scaling of the full-space rows
     scales = np.sqrt(sq_norms ** 2 + np.square(ds))
     rows = np.einsum("in,jn->nij", c, c.conj()) / scales[:, None, None]
-    t_lo = min(-c_j / d_j for c_j, d_j in zip(cs, ds)) - 1.0
-    x, margin, bound, iterations, _ = _pdhg_margin(
-        rows, np.asarray(ds) / scales, np.asarray(cs) / scales, p_max, t_lo,
-        max(t_hi, t_lo + 1.0), q.conj().T @ r_init @ q, np.zeros(len(vecs)),
-        max_iter, check_every, gap_tol, FEAS_TOL, certify_only)
-    return _herm(q @ x @ q.conj().T), float(margin), float(bound), iterations
+    x, margin, bound, steps, _ = _newton_margin(
+        rows, np.asarray(ds) / scales, np.asarray(cs) / scales, p_max, opts)
+    return _herm(q @ x @ q.conj().T), float(margin), float(bound), steps
 
 
 _TBP_CACHE: dict = {}
@@ -221,19 +229,15 @@ _TBP_CACHE: dict = {}
 
 def _tbp_only_design(angles, tbp_threshold, p_max, n_antennas, opts: SdrOptions):
     """Max-min beampattern covariance; link-independent, solved once and cached."""
-    key = (n_antennas, tuple(np.round(angles, 12)), float(tbp_threshold), float(p_max))
+    key = (n_antennas, angles, tbp_threshold, p_max)
     hit = _TBP_CACHE.get(key)
     if hit is not None:
         return hit
-    # the isotropic start compresses to the isotropic start of S: only the
-    # transient differs from a full-space run, since the optimum lies in S
-    r0 = np.eye(n_antennas, dtype=complex) * (p_max / n_antennas)
     r, margin, bound, _ = _solve_margin(
-        angles, tbp_threshold, p_max, p_max * n_antennas - tbp_threshold, r0,
-        None, opts.max_iter, opts.check_every, min(opts.gap_tol, 1e-9), False)
-    result = (r, margin, bound)
-    _TBP_CACHE[key] = result
-    return result
+        angles, tbp_threshold, p_max, n_antennas, None,
+        replace(opts, gap_tol=min(opts.gap_tol, 1e-9), certify_only=False))
+    _TBP_CACHE[key] = (r, margin, bound)
+    return _TBP_CACHE[key]
 
 
 @lru_cache(maxsize=256)
@@ -281,7 +285,7 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
                               _measure_design(zero, zero, problem)[0])
 
     r_tbp, tbp_margin, tbp_bound = _tbp_only_design(
-        angles, tbp_threshold, p_max, dim, opts)
+        angles, problem.tbp_threshold, problem.p_max, dim, opts)
 
     if gamma_th <= 0.0:
         # no SINR row: the link-independent design is optimal
@@ -294,8 +298,6 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
     else:
         scale = gamma_th * noise_uav
         sinr_slack = (float(np.real(g.conj() @ (r_tbp @ g))) - scale) / scale
-        t_hi = min(p_max * dim - tbp_threshold,
-                   (p_max * lead - scale) / scale)
         sinr_cap = (p_max * lead - scale) / scale
         if sinr_slack >= tbp_margin:
             # beampattern-bound instance: reuse the cached optimum, certified
@@ -312,10 +314,8 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
             r_total = r_tbp
             iterations, bound = 0, sinr_cap
         else:
-            # r_tbp lies in span{a(phi)}, inside the link solve's span
             r_total, _, bound, iterations = _solve_margin(
-                angles, tbp_threshold, p_max, t_hi, r_tbp, (g, scale),
-                opts.max_iter, opts.check_every, opts.gap_tol, opts.certify_only)
+                angles, tbp_threshold, p_max, dim, (g, scale), opts)
     return _finish_design(r_total, g, problem, iterations, bound)
 
 
