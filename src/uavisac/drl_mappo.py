@@ -453,8 +453,7 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
     Single-worker and bit-deterministic for a fixed config (seed included).
     ``progress`` is an optional callback(episode, curve).
     """
-    sdr_cache: dict = {}
-    env = CorridorEnv(scenario, reward=reward, sdr_cache=sdr_cache)
+    env = CorridorEnv(scenario, reward=reward)
     actor = ActorNet(rng_stream(config.seed, "init-actor"),
                      env.obs_dim, env.n_actions, config.hidden)
     critic = CriticNet(rng_stream(config.seed, "init-critic"),

@@ -37,7 +37,6 @@ RESULT_FIELDS = [
     "method", "axis", "value", "seed", "energy_j", "time_s", "collected",
     "success", "v_md_exclusivity", "v_coverage_missing", "v_power", "v_psd",
     "v_tbp", "v_min_distance", "v_uplink_gating", "v_inter_uav",
-    "plan_conflicts",
 ]
 
 
@@ -162,7 +161,6 @@ def _result_row(res: MissionResult, axis, value) -> dict:
         "v_power": v.power_budget, "v_psd": v.psd, "v_tbp": v.tbp,
         "v_min_distance": v.min_distance, "v_uplink_gating": v.uplink_gating,
         "v_inter_uav": "na" if v.inter_uav_sinr is None else v.inter_uav_sinr,
-        "plan_conflicts": res.plan_conflicts,
     }
 
 

@@ -29,7 +29,7 @@ dual bound certifies infeasibility, so "feasible" answers are sound by
 construction rather than by solver convergence flags.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,9 +56,10 @@ class SdrProblem:
 @dataclass(frozen=True)
 class SdrOptions:
     max_iter: int = 200      # Newton steps
-    gap_tol: float = 1e-7
+    gap_tol: float = FEAS_TOL
     # stop as soon as the feasible/infeasible decision is certified, even if
-    # the margin itself has not converged; used by the per-slot reward sweeps
+    # the margin itself has not converged (gap_tol is then unused); used by
+    # the per-slot reward sweeps
     certify_only: bool = False
 
 
@@ -121,8 +122,12 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
     complementary directions off by the residual). mu_j = 1/(tau*s_j), scaled
     to sum_j mu_j*dn[j] = 1, gives the Lagrangian dual bound
     p_max*max(lambda_max(sum_j mu_j*rows[j]), 0) - mu.cn, sound for any
-    mu >= 0. Returns the best iterate, its achieved margin, the best bound,
-    the Newton step count and a convergence flag.
+    mu >= 0. A full solve stops at opts.gap_tol. A certify-only solve stops
+    at a margin of at least -FEAS_TOL, a bound below -FEAS_TOL, or a gap of
+    FEAS_TOL, the default full solve's stop; it follows the same iterates, so
+    it reaches the default full solve's status. Returns the best iterate,
+    its achieved margin, the best bound, the Newton step count and a
+    convergence flag.
     """
     n_rows, dim, _ = rows.shape
     basis = _hermitian_basis(dim)
@@ -154,9 +159,15 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
             mu /= mu @ dn
             lam = np.linalg.eigvalsh(np.tensordot(mu, rows, 1))[-1]
             best_bound = min(best_bound, p_max * max(lam, 0.0) - mu @ cn)
-            if opts.certify_only and (best_bound < -FEAS_TOL or best_margin >= 0.0):
-                break
-            if best_bound - best_margin <= opts.gap_tol * (1.0 + abs(best_margin)):
+            gap = best_bound - best_margin
+            if opts.certify_only:
+                # stop once _finish_design can classify the pair: feasible,
+                # certified infeasible, or the optimum pinned below the slack
+                # as tightly as a default full solve pins it
+                if (best_margin >= -FEAS_TOL or best_bound < -FEAS_TOL
+                        or gap <= FEAS_TOL * (1.0 + abs(best_margin))):
+                    break
+            elif gap <= opts.gap_tol * (1.0 + abs(best_margin)):
                 converged = True
                 break
 
@@ -225,17 +236,18 @@ def _solve_margin(angles, tbp_threshold, p_max, dim, link, opts: SdrOptions):
 
 
 _TBP_CACHE: dict = {}
+# fixed, so no caller's options can decide what every later solve reuses
+_TBP_OPTS = SdrOptions(gap_tol=1e-9)
 
 
-def _tbp_only_design(angles, tbp_threshold, p_max, n_antennas, opts: SdrOptions):
+def _tbp_only_design(angles, tbp_threshold, p_max, n_antennas):
     """Max-min beampattern covariance; link-independent, solved once and cached."""
     key = (n_antennas, angles, tbp_threshold, p_max)
     hit = _TBP_CACHE.get(key)
     if hit is not None:
         return hit
-    r, margin, bound, _ = _solve_margin(
-        angles, tbp_threshold, p_max, n_antennas, None,
-        replace(opts, gap_tol=min(opts.gap_tol, 1e-9), certify_only=False))
+    r, margin, bound, _ = _solve_margin(angles, tbp_threshold, p_max,
+                                        n_antennas, None, _TBP_OPTS)
     _TBP_CACHE[key] = (r, margin, bound)
     return _TBP_CACHE[key]
 
@@ -285,7 +297,7 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
                               _measure_design(zero, zero, problem)[0])
 
     r_tbp, tbp_margin, tbp_bound = _tbp_only_design(
-        angles, problem.tbp_threshold, problem.p_max, dim, opts)
+        angles, problem.tbp_threshold, problem.p_max, dim)
 
     if gamma_th <= 0.0:
         # no SINR row: the link-independent design is optimal
@@ -416,46 +428,49 @@ def verify_design(design: TransmitDesign, h_eff, noise_uav, gamma_th,
                            problem)[1]
 
 
-def link_feasibility_sweep(uav_positions, chain_edges, scenario, rng,
-                           r_link_pass: float = 0.05, r_link_fail: float = -1.0,
-                           opts: SdrOptions = SdrOptions(),
-                           cache=None, slot_key: int = 0):
-    """Solve the transmit design for every chain link at the given positions.
-
-    Returns the per-link designs (in chain order) and the aggregated QoS
-    reward: +r_link_pass per feasible link, r_link_fail per infeasible or
-    failed link. During training a dict ``cache`` keyed by (edge index,
-    slot_key, 5 m distance bucket) skips repeat solves; cached entries yield
-    a None design. Evaluation runs pass cache=None and always solve.
-    """
+def _chain_sweep(uav_positions, chain_edges, scenario, rng, design_link,
+                 r_link_pass, r_link_fail):
+    """One Rician draw per chain link, in chain order, each handed to
+    ``design_link(h)``; co-located transceivers are clamped to the 1 m
+    reference distance. Returns the designs and the QoS reward: +r_link_pass
+    per feasible link, r_link_fail per infeasible or failed link."""
     cfg = scenario.config
     positions = np.asarray(uav_positions, dtype=float)
     designs = []
     quality = 0.0
-    for idx, (tx, rx) in enumerate(chain_edges):
+    for tx, rx in chain_edges:
         d = float(np.linalg.norm(positions[tx] - positions[rx]))
-        if cache is not None:
-            key = (idx, slot_key, int(d // 5.0))
-            hit = cache.get(key)
-            if hit is not None:
-                designs.append(None)
-                quality += r_link_pass if hit else r_link_fail
-                continue
-        ref = positions[rx]
-        if d < 1.0:
-            # co-located transceivers are clamped to the 1 m reference distance
-            ref = positions[tx] + np.array([1.0, 0.0, 0.0])
+        ref = positions[tx] + np.array([1.0, 0.0, 0.0]) if d < 1.0 else positions[rx]
         h = sample_rician_channel(positions[tx], ref, cfg.rician_k,
                                   cfg.beta_ref, cfg.n_antennas, rng)
-        h_eff = effective_channel(h, scenario.rx_combiner)
-        design = solve_feasibility(h_eff, cfg.noise_uav, cfg.gamma_th_uav,
-                                   cfg.tbp_threshold, cfg.sensing_angles,
-                                   cfg.p_max, opts)
-        if cache is not None:
-            cache[key] = design.feasible
+        design = design_link(h)
         designs.append(design)
         quality += r_link_pass if design.feasible else r_link_fail
     return designs, quality
+
+
+def link_feasibility_sweep(uav_positions, chain_edges, scenario, rng,
+                           r_link_pass: float = 0.05, r_link_fail: float = -1.0,
+                           opts: SdrOptions = SdrOptions()):
+    """Solve the shared-array transmit design for every chain link.
+
+    Every call draws each link's fading afresh from ``rng``, and
+    solve_feasibility decides the link on the draw's effective channel
+    through the receive combiner.
+    Returns the per-link designs (in chain order) and the aggregated QoS
+    reward: +r_link_pass per feasible link, r_link_fail per infeasible or
+    failed link.
+    """
+    cfg = scenario.config
+
+    def design(h):
+        return solve_feasibility(effective_channel(h, scenario.rx_combiner),
+                                 cfg.noise_uav, cfg.gamma_th_uav,
+                                 cfg.tbp_threshold, cfg.sensing_angles,
+                                 cfg.p_max, opts)
+
+    return _chain_sweep(uav_positions, chain_edges, scenario, rng, design,
+                        r_link_pass, r_link_fail)
 
 
 def separated_link_sweep(uav_positions, chain_edges, scenario, rng,
@@ -463,22 +478,17 @@ def separated_link_sweep(uav_positions, chain_edges, scenario, rng,
     """Link outcomes for the split-array variant: sensing on a dedicated
     radar aperture, communication as a full-budget matched-filter beam.
 
-    With no covariance sharing the beam w = sqrt(p_max) g/||g|| is optimal
-    and the link is feasible iff p_max ||g||^2 clears the SINR floor; the
-    sensing floor is met off-array by construction.
+    The links see the same chain draws as link_feasibility_sweep. With no
+    covariance sharing the beam w = sqrt(p_max) g/||g||, g = h^H f, is
+    optimal, so the margin is (p_max ||g||^2 - gamma sigma^2)/(gamma sigma^2)
+    and the link is feasible iff it clears -FEAS_TOL; the sensing floor is
+    met off-array by construction. Returns designs and QoS reward as
+    link_feasibility_sweep does.
     """
     cfg = scenario.config
-    positions = np.asarray(uav_positions, dtype=float)
     scale = cfg.gamma_th_uav * cfg.noise_uav
-    designs = []
-    quality = 0.0
-    for tx, rx in chain_edges:
-        d = float(np.linalg.norm(positions[tx] - positions[rx]))
-        ref = positions[rx]
-        if d < 1.0:
-            ref = positions[tx] + np.array([1.0, 0.0, 0.0])
-        h = sample_rician_channel(positions[tx], ref, cfg.rician_k,
-                                  cfg.beta_ref, cfg.n_antennas, rng)
+
+    def design(h):
         g = h.conj().T @ scenario.rx_combiner
         gain = float(np.real(g.conj() @ g))
         margin = (cfg.p_max * gain - scale) / scale
@@ -489,12 +499,12 @@ def separated_link_sweep(uav_positions, chain_edges, scenario, rng,
         problem = SdrProblem(h_eff=np.outer(g, g.conj()), noise_uav=cfg.noise_uav,
                              gamma_th=cfg.gamma_th_uav, tbp_threshold=0.0,
                              angles=cfg.sensing_angles, p_max=cfg.p_max)
-        design = TransmitDesign(
+        return TransmitDesign(
             r_comm=np.outer(w, w.conj()),
             r_sens=np.zeros((cfg.n_antennas, cfg.n_antennas), dtype=complex),
             w_c=w, margin=float(margin),
             solver_status="feasible" if margin >= -FEAS_TOL else "infeasible",
             dual_bound=float(margin), problem=problem)
-        designs.append(design)
-        quality += r_link_pass if design.feasible else r_link_fail
-    return designs, quality
+
+    return _chain_sweep(uav_positions, chain_edges, scenario, rng, design,
+                        r_link_pass, r_link_fail)

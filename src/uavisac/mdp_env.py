@@ -136,16 +136,15 @@ def schedulable(gain2, collected, cfg) -> np.ndarray:
 def claim_targets(targets, allowed):
     """Claims in UAV order: UAV m gets ``targets[b, m]`` (-1 for none) when
     ``allowed[b, m]`` admits it and no lower-index UAV holds it, i.e. the
-    lowest-index admitted UAV holds each MD. Returns (granted, taken), both
-    (B, M): the granted MD (-1 otherwise) and where a lower UAV held it."""
+    lowest-index admitted UAV holds each MD. Returns the granted MD (-1
+    otherwise), (B, M)."""
     n_fleets, m_count = targets.shape
     admitted = (targets >= 0) & allowed[np.arange(n_fleets)[:, None],
                                         np.arange(m_count),
                                         np.maximum(targets, 0)]
     held = ((targets[:, :, None] == targets[:, None, :]) & admitted[:, None, :]
             & pairs_above(m_count).T)
-    taken = held.any(axis=-1)
-    return np.where(admitted & ~taken, targets, -1), taken
+    return np.where(admitted & ~held.any(axis=-1), targets, -1)
 
 
 def advance(positions, heading, speed, cfg) -> np.ndarray:
@@ -280,7 +279,7 @@ class CorridorEnv:
     def __init__(self, scenario: Scenario, reward: RewardConfig = RewardConfig(),
                  propulsion: PropulsionParams = REFERENCE_PROPULSION,
                  sdr_opts: SdrOptions = SdrOptions(certify_only=True, gap_tol=1e-5),
-                 sdr_cache: dict | None = None, record: bool = False,
+                 record: bool = False,
                  connected: bool = True, link_mode: str = "isac"):
         if link_mode not in ("isac", "separated"):
             raise ValueError(f"unknown link mode {link_mode!r}")
@@ -290,7 +289,6 @@ class CorridorEnv:
         self.propulsion = propulsion
         self._slot_costs = slot_costs(self.cfg, propulsion)
         self.sdr_opts = sdr_opts
-        self.sdr_cache = sdr_cache
         self.record = record
         self.connected = connected
         self.link_mode = link_mode
@@ -421,8 +419,8 @@ class CorridorEnv:
 
         # validate scheduling against the sequential masks
         gain2 = uplink_gain2(s.positions, self.scenario)
-        granted, _ = claim_targets(md_choice[None],
-                                   schedulable(gain2, s.collected, cfg)[None])
+        granted = claim_targets(md_choice[None],
+                                schedulable(gain2, s.collected, cfg)[None])
         bad = np.flatnonzero((md_choice >= 0) & (granted[0] != md_choice))
         if len(bad):
             m = bad[0]
@@ -469,9 +467,8 @@ class CorridorEnv:
                 designs, qos = link_feasibility_sweep(
                     s.positions, self.scenario.chain_edges, self.scenario,
                     self._rng, self.reward_cfg.link_pass, self.reward_cfg.link_fail,
-                    self.sdr_opts, cache=self.sdr_cache, slot_key=s.slot)
-            margins = np.array([d.margin if d is not None else np.nan
-                                for d in designs])
+                    self.sdr_opts)
+            margins = np.array([d.margin for d in designs])
             reward.qos = qos
 
         success, done = mission_status(s.positions, s.collected,
@@ -562,8 +559,6 @@ def check_constraints(trace, scenario: Scenario,
                 if rec.served_sinr[m] < cfg.gamma_th_md:
                     rep.uplink_gating += 1
         for design in rec.link_designs:
-            if design is None:
-                continue
             report = verify_design(design, design.problem.h_eff,
                                    design.problem.noise_uav,
                                    design.problem.gamma_th,

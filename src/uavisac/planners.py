@@ -43,7 +43,6 @@ class MissionResult:
     success: bool
     violations: ConstraintReport
     per_uav_energy: list
-    plan_conflicts: int = 0
     seed: int = 0
 
 
@@ -89,13 +88,12 @@ def controller_actions(positions, collected, gain2, targets, aims, cfg):
     """Serve-or-fly decisions under the environment's own masks.
 
     ``targets`` (B, M) is the MD each UAV wants next (or -1) and ``aims``
-    (B, M, 2) the point it flies toward. Returns (md, heading, speed, taken),
-    the last flagging wanted MDs that a lower-index UAV already holds.
+    (B, M, 2) the point it flies toward. Returns (md, heading, speed).
     """
-    md, taken = claim_targets(targets, schedulable(gain2, collected, cfg))
+    md = claim_targets(targets, schedulable(gain2, collected, cfg))
     md = serve_backoff(gain2, md, cfg)
     heading, speed = steer(positions, targets, aims, md, cfg)
-    return md, heading, speed, taken
+    return md, heading, speed
 
 
 def _pack_routes(plans, scenario: Scenario):
@@ -172,8 +170,8 @@ def population_fitness(plans, scenario: Scenario,
             targets, aims = _follow_routes(route, waypoint, finish, cursor,
                                            collected, positions, cfg)
         gain2 = uplink_gain2(positions, scenario)
-        md, heading, speed, _ = controller_actions(positions, collected, gain2,
-                                                   targets, aims, cfg)
+        md, heading, speed = controller_actions(positions, collected, gain2,
+                                                targets, aims, cfg)
         out = fleet_transition(positions, collected, gain2, md, heading, speed,
                                cfg, costs)
         follow = out.newly.any() or not finish.all()
@@ -258,14 +256,13 @@ def greedy_offline(scenario: Scenario) -> Plan:
 
 
 def _controller_step(env: CorridorEnv, targets, aim_points):
-    """The controller's action for the env's fleet, and its claim conflicts."""
+    """The controller's action for the env's fleet."""
     s = env.state
-    md, heading, speed, taken = controller_actions(
+    md, heading, speed = controller_actions(
         s.positions[None], s.collected[None],
         uplink_gain2(s.positions, env.scenario)[None],
         np.asarray(targets)[None], np.asarray(aim_points, float)[None], env.cfg)
-    action = JointAction(md_choice=md[0], heading=heading[0], speed=speed[0])
-    return action, int(taken.sum())
+    return JointAction(md_choice=md[0], heading=heading[0], speed=speed[0])
 
 
 def _fly_mission(scenario: Scenario, choose, seed: int, method: str,
@@ -276,20 +273,16 @@ def _fly_mission(scenario: Scenario, choose, seed: int, method: str,
     env = CorridorEnv(scenario, reward=reward, propulsion=propulsion,
                       record=True, connected=connected)
     state = env.reset(seed)[0]
-    conflicts = 0
     done = False
     info = {"success": False}
     while not done:
-        action, c = _controller_step(env, *choose(state))
-        conflicts += c
-        state, _, _, done, info = env.step(action)
+        state, _, _, done, info = env.step(_controller_step(env, *choose(state)))
     return MissionResult(
         method=method, energy_j=state.cumulative_energy,
         time_s=state.slot * scenario.config.slot_seconds,
         collected=int(state.collected.sum()), success=bool(info["success"]),
         violations=check_constraints(env.trace, scenario, connected=connected),
-        per_uav_energy=state.energy_per_uav.tolist(),
-        plan_conflicts=conflicts, seed=seed)
+        per_uav_energy=state.energy_per_uav.tolist(), seed=seed)
 
 
 def evaluate_plan(plan: Plan, scenario: Scenario, seed: int = 0,

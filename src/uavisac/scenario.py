@@ -7,7 +7,7 @@ function of the configuration, including its seed.
 """
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class ScenarioConfig:
     n_antennas: int = 12
     arrival_radius: float = 40.0
     seed: int = 0
-
-    def with_overrides(self, **kwargs) -> "ScenarioConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from uavisac.drl_mappo import (ActorNet, Adam, CriticNet, MappoConfig,
                                critic_update, gae, joint_log_prob,
                                ppo_actor_update, sample_actions, train)
 from uavisac.mdp_env import CorridorEnv, RewardConfig
-from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
+from uavisac.scenario import (ScenarioConfig, build_scenario, db_to_linear,
+                              rng_stream)
 
 
 def random_actor_batch(rng, actor, n=16, forced_ratio=None):
@@ -312,6 +315,33 @@ class TestTrainLoop:
             assert np.all(np.isfinite(diag))
         assert all(0.0 <= f <= 1.0 for f in curve.clip_fraction)
         assert all(r > 0.0 for r in curve.ratio_mean)
+
+    def test_link_failing_world_records_every_link_margin(self, monkeypatch):
+        # every slot draws and solves its own links, so no recorded link
+        # margin is missing, also where episodes revisit a slot's formation
+        traces = []
+
+        class Recorded(CorridorEnv):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, record=True, **kwargs)
+
+            def reset(self, seed):
+                out = super().reset(seed)
+                traces.append(self.trace)
+                return out
+
+        monkeypatch.setattr(drl_mappo, "CorridorEnv", Recorded)
+        sc = build_scenario(replace(self.scenario().config,
+                                    gamma_th_uav=db_to_linear(40.0)))
+        cfg = MappoConfig(max_episodes=3, hidden=16, rollout=64,
+                          minibatch=32, epochs=1, seed=4)
+        train(sc, cfg)
+        assert len(traces) == 3
+        margins = np.concatenate([rec.link_margins for trace in traces
+                                  for rec in trace])
+        assert len(margins) == sum(len(trace) for trace in traces)
+        assert not np.isnan(margins).any()
+        assert (margins < 0.0).any()        # the world has failing links
 
     @pytest.mark.slow
     def test_curve_csv(self, tmp_path):

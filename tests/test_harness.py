@@ -56,7 +56,11 @@ class TestRunExperiment:
     def test_grid_shape_and_persistence(self, tmp_path):
         rows = run_experiment(small_spec(tmp_path))
         assert len(rows) == 2 * 2 * 2
-        assert (tmp_path / "results.csv").exists()
+        header = (tmp_path / "results.csv").read_text().splitlines()[0]
+        assert header == ("method,axis,value,seed,energy_j,time_s,collected,"
+                          "success,v_md_exclusivity,v_coverage_missing,"
+                          "v_power,v_psd,v_tbp,v_min_distance,"
+                          "v_uplink_gating,v_inter_uav")
         assert (tmp_path / "aggregates.csv").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["methods"] == ["greedy_offline", "greedy_online"]
@@ -168,11 +172,11 @@ class TestEmitters:
         out.mkdir(exist_ok=True)
         header = ("method,axis,value,seed,energy_j,time_s,collected,success,"
                   "v_md_exclusivity,v_coverage_missing,v_power,v_psd,v_tbp,"
-                  "v_min_distance,v_uplink_gating,v_inter_uav,plan_conflicts")
+                  "v_min_distance,v_uplink_gating,v_inter_uav")
         rows = [
-            "drl_sdr,md_count,10,0,50000.0,200.0,10,1,0,0,0,0,0,0,0,0,0",
-            "ga,md_count,10,0,50000.0,220.0,10,1,0,0,0,0,0,0,0,na,0",
-            "pso,md_count,10,0,100000.0,260.0,10,1,0,0,0,0,0,0,0,na,0",
+            "drl_sdr,md_count,10,0,50000.0,200.0,10,1,0,0,0,0,0,0,0,0",
+            "ga,md_count,10,0,50000.0,220.0,10,1,0,0,0,0,0,0,0,na",
+            "pso,md_count,10,0,100000.0,260.0,10,1,0,0,0,0,0,0,0,na",
         ]
         (out / "results.csv").write_text(header + "\n" + "\n".join(rows) + "\n")
         emit_sweep_data(out, "md_count")

@@ -5,12 +5,12 @@ import pytest
 
 from uavisac.channel import (effective_channel, sample_rician_channel,
                              steering_vector, tbp_gain)
-from uavisac.isac_sdr import (PSD_TOL, VERIFY_TOL, SdrOptions,
-                              SdrProblem, TransmitDesign, _finish_design,
-                              _herm, _measure_design, _newton_margin,
-                              extract_rank_one,
-                              link_feasibility_sweep, solve_feasibility,
-                              tbp_quadratic, verify_design)
+from uavisac.isac_sdr import (_TBP_CACHE, FEAS_TOL, PSD_TOL, VERIFY_TOL,
+                              SdrOptions, SdrProblem, TransmitDesign,
+                              _finish_design, _herm, _measure_design,
+                              _newton_margin, extract_rank_one,
+                              link_feasibility_sweep, separated_link_sweep,
+                              solve_feasibility, tbp_quadratic, verify_design)
 from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
 
 L = 12
@@ -329,6 +329,37 @@ class TestNewtonSolve:
                                          "numerical_failure")
             assert des.iterations <= opts.max_iter
 
+    def test_certify_only_matches_full_at_the_boundary(self):
+        # bisect onto the feasibility boundary, where certify-only mode used
+        # to stop on its own gap before either certificate held
+        lo, hi = 1300.0, 1600.0
+        for _ in range(34):
+            mid = 0.5 * (lo + hi)
+            h_eff = make_h_eff(mid, seed=0)
+            full, cert = solve(h_eff), solve(h_eff, opts=CERTIFY)
+            assert cert.solver_status != "numerical_failure", mid
+            assert cert.solver_status == full.solver_status, mid
+            lo, hi = (mid, hi) if full.feasible else (lo, mid)
+        assert hi - lo < 1e-6
+
+    def test_beampattern_design_ignores_caller_options(self):
+        # the link-independent design is cached for the whole process, so
+        # the first caller's options must not decide every later solve
+        links = [make_h_eff(d, seed=s) for s in range(3)
+                 for d in (200.0, 600.0, 1000.0, 1400.0)]
+        saved = dict(_TBP_CACHE)
+        try:
+            _TBP_CACHE.clear()
+            fresh = [solve(h_eff).solver_status for h_eff in links]
+            _TBP_CACHE.clear()
+            solve(make_h_eff(200.0, seed=0), opts=SdrOptions(max_iter=1))
+            after = [solve(h_eff).solver_status for h_eff in links]
+        finally:
+            _TBP_CACHE.clear()
+            _TBP_CACHE.update(saved)
+        assert fresh == ["feasible"] * len(links)
+        assert after == fresh
+
 
 def pair_margin_oracle(r_comm, r_sens, problem):
     """Worst slack of a design in the margin program's units, measured on
@@ -442,19 +473,58 @@ class TestLinkSweep:
                                           rng_stream(5, "dist"))
         assert d_far[0].margin <= d_near[0].margin + 1e-9
 
-    def test_cache_skips_repeat_solves(self):
+    def chain_draws(self, pos, seed):
+        """The sweeps' channels, drawn here in chain order from the same rng."""
+        cfg = self.scenario.config
+        rng = rng_stream(seed, "sweep")
+        return [sample_rician_channel(pos[tx], pos[rx], cfg.rician_k,
+                                      cfg.beta_ref, cfg.n_antennas, rng)
+                for tx, rx in self.scenario.chain_edges]
+
+    def test_separated_margin_is_matched_filter_snr(self):
         pos = np.array([[0.0, 2500.0, 80.0], [150.0, 2400.0, 80.0],
-                        [280.0, 2300.0, 80.0]])
-        cache = {}
-        d1, q1 = link_feasibility_sweep(pos, self.scenario.chain_edges,
-                                        self.scenario, rng_stream(2, "sweep"),
-                                        cache=cache, slot_key=4)
-        d2, q2 = link_feasibility_sweep(pos, self.scenario.chain_edges,
-                                        self.scenario, rng_stream(3, "sweep"),
-                                        cache=cache, slot_key=4)
-        assert q1 == q2
-        assert all(d is not None for d in d1)
-        assert all(d is None for d in d2)
+                        [3150.0, 2400.0, 80.0]])
+        cfg = self.scenario.config
+        designs, quality = separated_link_sweep(
+            pos, self.scenario.chain_edges, self.scenario, rng_stream(2, "sweep"))
+        scale = cfg.gamma_th_uav * cfg.noise_uav
+        for des, h in zip(designs, self.chain_draws(pos, 2)):
+            g = h.conj().T @ self.scenario.rx_combiner
+            expected = (cfg.p_max * np.linalg.norm(g) ** 2 - scale) / scale
+            assert des.margin == pytest.approx(expected, rel=1e-12)
+        assert [d.feasible for d in designs] == [True, False]
+        assert quality == pytest.approx(0.05 - 1.0)
+
+    def test_separated_feasible_iff_margin_clears_tolerance(self):
+        cfg = self.scenario.config
+        statuses = set()
+        for seed, gap in enumerate((1000.0, 2000.0, 3000.0, 5000.0)):
+            # chain links from 100 m to 5 km, both sides of the SINR floor
+            pos = np.array([[0.0, 0.0, 80.0], [100.0, 0.0, 80.0],
+                            [100.0 + gap, 0.0, 80.0]])
+            designs, _ = separated_link_sweep(
+                pos, self.scenario.chain_edges, self.scenario,
+                rng_stream(seed, "sweep"))
+            for des in designs:
+                assert des.feasible == (des.margin >= -FEAS_TOL)
+                assert des.feasible == (des.solver_status == "feasible")
+                w_gain = np.linalg.norm(des.w_c) ** 2
+                assert w_gain == pytest.approx(cfg.p_max, rel=1e-12)
+                statuses.add(des.solver_status)
+        assert statuses == {"feasible", "infeasible"}
+
+    def test_both_link_modes_see_the_same_channel(self):
+        # the first pair is co-located, so the 1 m clamp is drawn too
+        pos = np.array([[0.0, 2500.0, 80.0], [0.0, 2500.0, 80.0],
+                        [900.0, 2300.0, 80.0]])
+        isac, _ = link_feasibility_sweep(
+            pos, self.scenario.chain_edges, self.scenario, rng_stream(7, "sweep"))
+        split, _ = separated_link_sweep(
+            pos, self.scenario.chain_edges, self.scenario, rng_stream(7, "sweep"))
+        assert len(isac) == len(split) == 2
+        for a, b in zip(isac, split):
+            # solve_feasibility keeps the Hermitian part of g g^H
+            assert np.array_equal(a.problem.h_eff, _herm(b.problem.h_eff))
 
 
 @pytest.mark.slow

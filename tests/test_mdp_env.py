@@ -489,6 +489,26 @@ class TestConstraintAudit:
         assert rep.power_budget == 0 and rep.psd == 0 and rep.tbp == 0
         assert rep.md_exclusivity == 0
 
+    def test_separated_episode_audits_clean(self):
+        sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
+                                           horizon_slots=15))
+        env = CorridorEnv(sc, record=True, link_mode="separated")
+        env.reset(0)
+        done = False
+        rng = np.random.default_rng(5)
+        while not done:
+            act = JointAction(md_choice=np.array([-1, -1, -1]),
+                              heading=rng.uniform(-np.pi, np.pi, 3),
+                              speed=np.ones(3, dtype=np.uint8))
+            _, _, _, done, _ = env.step(act)
+        rep = check_constraints(env.trace, sc)
+        assert rep.clean
+        failed = sum(not d.feasible for rec in env.trace for d in rec.link_designs)
+        assert rep.inter_uav_sinr == failed
+        margins = np.concatenate([rec.link_margins for rec in env.trace])
+        assert len(margins) == 2 * len(env.trace)
+        assert np.all(np.isfinite(margins))
+
     def test_disconnected_reports_na(self):
         sc = build_scenario(ScenarioConfig(num_uavs=1, num_mds=2, seed=0,
                                            horizon_slots=5))
