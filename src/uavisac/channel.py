@@ -119,20 +119,26 @@ def tbp_gain(r_total, phi) -> float:
 
 def sample_rician_channel(q_a, q_b, rician_k, beta, n_antennas,
                           rng: np.random.Generator) -> np.ndarray:
-    """One Rician fading draw of the inter-UAV MIMO channel, shape (L, L).
+    """Rician fading draws of the inter-UAV MIMO channel, shape (..., L, L)
+    for positions (..., 3).
 
     Both the all-ones LoS part and the unit-variance scattered part carry the
     large-scale amplitude sqrt(beta)/d, so the channel scale decays as 1/d.
+    One ``standard_normal`` call fills every link's real part, then its
+    imaginary part, link after link, so a batch takes the same stream and
+    gives the same bits as one call per link in batch order.
     """
-    d = float(np.linalg.norm(np.asarray(q_a, float) - np.asarray(q_b, float)))
-    if d == 0.0:
+    diff = np.asarray(q_a, float) - np.asarray(q_b, float)
+    # vecdot sums like the dot product of np.linalg.norm on one vector
+    d = np.sqrt(np.vecdot(diff, diff))
+    if (d == 0.0).any():
         raise ValueError("coincident UAV positions")
+    draws = rng.standard_normal((*d.shape, 2, n_antennas, n_antennas))
     los = np.ones((n_antennas, n_antennas), dtype=complex)
-    nlos = (rng.standard_normal((n_antennas, n_antennas))
-            + 1j * rng.standard_normal((n_antennas, n_antennas))) / np.sqrt(2.0)
+    nlos = (draws[..., 0, :, :] + 1j * draws[..., 1, :, :]) / np.sqrt(2.0)
     w_los = np.sqrt(rician_k / (rician_k + 1.0))
     w_nlos = np.sqrt(1.0 / (rician_k + 1.0))
-    return (np.sqrt(beta) / d) * (w_los * los + w_nlos * nlos)
+    return (np.sqrt(beta) / d)[..., None, None] * (w_los * los + w_nlos * nlos)
 
 
 def inter_uav_sinr(h, w_c, r_s, f, noise_uav) -> float:

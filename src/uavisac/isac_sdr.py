@@ -122,12 +122,14 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
     complementary directions off by the residual). mu_j = 1/(tau*s_j), scaled
     to sum_j mu_j*dn[j] = 1, gives the Lagrangian dual bound
     p_max*max(lambda_max(sum_j mu_j*rows[j]), 0) - mu.cn, sound for any
-    mu >= 0. A full solve stops at opts.gap_tol. A certify-only solve stops
-    at a margin of at least -FEAS_TOL, a bound below -FEAS_TOL, or a gap of
-    FEAS_TOL, the default full solve's stop; it follows the same iterates, so
-    it reaches the default full solve's status. Returns the best iterate,
-    its achieved margin, the best bound, the Newton step count and a
-    convergence flag.
+    mu >= 0. No solve stops before one certificate holds: a margin of at
+    least -FEAS_TOL or a bound below -FEAS_TOL. A certify-only solve stops
+    there; a full solve also waits for a gap of opts.gap_tol. Both follow the
+    same iterates, so they reach the same status. A solve that runs into the
+    step cap or the slacks' precision with neither certificate is left for
+    _finish_design to report as a numerical failure. Returns the best
+    iterate, its achieved margin, the best bound, the Newton step count and
+    a convergence flag.
     """
     n_rows, dim, _ = rows.shape
     basis = _hermitian_basis(dim)
@@ -145,9 +147,13 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
 
     best_y, best_margin, best_bound = np.eye(dim) / (2 * dim), -np.inf, np.inf
     converged, steps = False, 0
+    # the slacks are carried along with z: near the optimum the active ones
+    # are far smaller than the terms of g_mat @ z, whose rounding would
+    # swamp them if they were recomputed, while each step's increment is
+    # small too
+    s = g_mat @ z - h
     try:
         while steps < opts.max_iter:
-            s = g_mat @ z - h
             y_mat = (basis @ z[:-1]).reshape(dim, dim)
             w, v = np.linalg.eigh(y_mat)
             if not (s.min() > 0.0 and w[0] > 0.0):
@@ -159,17 +165,14 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
             mu /= mu @ dn
             lam = np.linalg.eigvalsh(np.tensordot(mu, rows, 1))[-1]
             best_bound = min(best_bound, p_max * max(lam, 0.0) - mu @ cn)
-            gap = best_bound - best_margin
-            if opts.certify_only:
-                # stop once _finish_design can classify the pair: feasible,
-                # certified infeasible, or the optimum pinned below the slack
-                # as tightly as a default full solve pins it
-                if (best_margin >= -FEAS_TOL or best_bound < -FEAS_TOL
-                        or gap <= FEAS_TOL * (1.0 + abs(best_margin))):
+            if best_margin >= -FEAS_TOL or best_bound < -FEAS_TOL:
+                # _finish_design can classify the pair; a full solve also
+                # waits for the margin to converge
+                if opts.certify_only:
                     break
-            elif gap <= opts.gap_tol * (1.0 + abs(best_margin)):
-                converged = True
-                break
+                if best_bound - best_margin <= opts.gap_tol * (1.0 + abs(best_margin)):
+                    converged = True
+                    break
 
             # the Hessian does not depend on tau: solve once for the barrier
             # and the objective parts of the step, then pick tau
@@ -188,13 +191,16 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
             # Y^-1/2 dY Y^-1/2: backtrack from the boundary to the first
             # step that passes the Armijo test
             dy = v.conj().T @ (basis @ dz[:-1]).reshape(dim, dim) @ v / np.sqrt(np.outer(w, w))
-            ratios = np.append((g_mat @ dz) / s, np.linalg.eigvalsh(dy))
+            g_dz = g_mat @ dz
+            ratios = np.append(g_dz / s, np.linalg.eigvalsh(dy))
             alphas = min(1.0, 0.99 / max(-ratios.min(), 1e-300)) * 0.5 ** np.arange(40)
             drop = -tau * dz[-1] * alphas - np.log1p(alphas[:, None] * ratios).sum(axis=1)
             ok = drop <= -0.01 * alphas * decrement
             if not (np.isfinite(dz).all() and ok.any()):
                 break
-            z = z + alphas[np.argmax(ok)] * dz
+            alpha = alphas[np.argmax(ok)]
+            z = z + alpha * dz
+            s = s + alpha * g_dz
             steps += 1
     except np.linalg.LinAlgError:
         pass                    # a singular Newton system: keep the best pair
@@ -241,14 +247,20 @@ _TBP_OPTS = SdrOptions(gap_tol=1e-9)
 
 
 def _tbp_only_design(angles, tbp_threshold, p_max, n_antennas):
-    """Max-min beampattern covariance; link-independent, solved once and cached."""
+    """Max-min beampattern covariance; link-independent, solved once and
+    cached. Returns it with its margin, its dual bound and whether its own
+    matrices re-verify as a design without a SINR floor, measured once here."""
     key = (n_antennas, angles, tbp_threshold, p_max)
     hit = _TBP_CACHE.get(key)
     if hit is not None:
         return hit
     r, margin, bound, _ = _solve_margin(angles, tbp_threshold, p_max,
                                         n_antennas, None, _TBP_OPTS)
-    _TBP_CACHE[key] = (r, margin, bound)
+    zero = np.zeros_like(r)
+    measured, report = _measure_design(zero, r, SdrProblem(
+        h_eff=zero, noise_uav=0.0, gamma_th=0.0, tbp_threshold=tbp_threshold,
+        angles=angles, p_max=p_max))
+    _TBP_CACHE[key] = (r, margin, bound, measured >= -FEAS_TOL and report.passed)
     return _TBP_CACHE[key]
 
 
@@ -296,7 +308,7 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
         return _finish_design(zero, g, problem, 0,
                               _measure_design(zero, zero, problem)[0])
 
-    r_tbp, tbp_margin, tbp_bound = _tbp_only_design(
+    r_tbp, tbp_margin, tbp_bound, _ = _tbp_only_design(
         angles, problem.tbp_threshold, problem.p_max, dim)
 
     if gamma_th <= 0.0:
@@ -373,10 +385,8 @@ def _finish_design(r_total, g, problem: SdrProblem, iterations, bound):
     elif design.dual_bound < -FEAS_TOL:
         # dual certificate: no covariance pair can clear the slack threshold
         design.solver_status = "infeasible"
-    elif design.dual_bound - design.margin <= 10.0 * FEAS_TOL * (1.0 + abs(design.margin)):
-        # converged to the optimum, which sits below the feasibility slack
-        design.solver_status = "infeasible"
     else:
+        # neither certificate holds, however small the gap
         design.solver_status = "numerical_failure"
     return design
 
@@ -428,25 +438,105 @@ def verify_design(design: TransmitDesign, h_eff, noise_uav, gamma_th,
                            problem)[1]
 
 
-def _chain_sweep(uav_positions, chain_edges, scenario, rng, design_link,
-                 r_link_pass, r_link_fail):
-    """One Rician draw per chain link, in chain order, each handed to
-    ``design_link(h)``; co-located transceivers are clamped to the 1 m
-    reference distance. Returns the designs and the QoS reward: +r_link_pass
-    per feasible link, r_link_fail per infeasible or failed link."""
+def _chain_channels(uav_positions, chain_edges, scenario, rng) -> np.ndarray:
+    """(E, L, L): one Rician draw per chain link, in chain order, from one
+    rng call; co-located transceivers are clamped to the 1 m reference
+    distance."""
     cfg = scenario.config
     positions = np.asarray(uav_positions, dtype=float)
-    designs = []
-    quality = 0.0
-    for tx, rx in chain_edges:
-        d = float(np.linalg.norm(positions[tx] - positions[rx]))
-        ref = positions[tx] + np.array([1.0, 0.0, 0.0]) if d < 1.0 else positions[rx]
-        h = sample_rician_channel(positions[tx], ref, cfg.rician_k,
-                                  cfg.beta_ref, cfg.n_antennas, rng)
-        design = design_link(h)
-        designs.append(design)
-        quality += r_link_pass if design.feasible else r_link_fail
-    return designs, quality
+    edges = np.asarray(chain_edges, dtype=int).reshape(-1, 2)
+    tx, rx = positions[edges[:, 0]], positions[edges[:, 1]]
+    diff = tx - rx
+    close = np.sqrt(np.vecdot(diff, diff)) < 1.0
+    ref = np.where(close[:, None], tx + np.array([1.0, 0.0, 0.0]), rx)
+    return sample_rician_channel(tx, ref, cfg.rician_k, cfg.beta_ref,
+                                 cfg.n_antennas, rng)
+
+
+def link_reward(feasible, r_link_pass: float, r_link_fail: float) -> float:
+    """QoS reward of a slot's links: +r_link_pass per feasible link,
+    r_link_fail per infeasible or failed link, summed in chain order."""
+    return sum((r_link_pass if ok else r_link_fail for ok in feasible), 0.0)
+
+
+def _separated_margins(h, scenario) -> np.ndarray:
+    """Matched-filter margins (p_max ||g||^2 - gamma sigma^2)/(gamma sigma^2)
+    of g = h^H f, for channels (..., L, L)."""
+    cfg = scenario.config
+    g = h.conj().swapaxes(-1, -2) @ scenario.rx_combiner
+    scale = cfg.gamma_th_uav * cfg.noise_uav
+    return (cfg.p_max * np.vecdot(g, g).real - scale) / scale
+
+
+def _isac_verdicts(h, scenario, opts: SdrOptions) -> np.ndarray:
+    """solve_feasibility's verdict on each channel of h (E, L, L), taken as
+    array formulas of g = h^H f wherever one of its shortcuts applies.
+
+    The tests are solve_feasibility's, in its order: zero power, no SINR
+    floor, a zero channel (lead = ||g||^2), the beampattern-bound slack
+    g^H r_tbp g against the cached beampattern margin, the deep deficit and,
+    in certify-only mode, the single-mode cap. Only the remaining band links
+    are solved, each by solve_feasibility itself. A shortcut "feasible" needs
+    no per-link split: the split w = R g / sqrt(g^H R g) of R = r_tbp leaves
+    a residual R - w w^H that is PSD, as the Schur complement of the PSD
+    [[R, R g], [g^H R, g^H R g]], and that the receiver cannot see,
+    g^H (R - w w^H) g = 0; so the link's SINR slack is the computed one, at
+    least the beampattern margin, and every other constraint is r_tbp's,
+    re-verified from its matrices when it was cached. A shortcut
+    "infeasible" is certified by the cap (p_max ||g||^2 - gamma sigma^2) /
+    (gamma sigma^2) on the SINR slack of any covariance within the budget,
+    or by the slack -1 of a zero channel.
+    """
+    cfg = scenario.config
+    n_links, dim = h.shape[0], cfg.n_antennas
+    args = (cfg.noise_uav, cfg.gamma_th_uav, cfg.tbp_threshold,
+            cfg.sensing_angles, cfg.p_max, opts)
+    if cfg.p_max <= 0.0:
+        # R = 0 on every link, and its measurement does not see the channel
+        zero = np.zeros((dim, dim), dtype=complex)
+        return np.full(n_links, solve_feasibility(zero, *args).feasible)
+    r_tbp, tbp_margin, _, tbp_ok = _tbp_only_design(
+        tuple(float(a) for a in cfg.sensing_angles), float(cfg.tbp_threshold),
+        float(cfg.p_max), dim)
+    if cfg.gamma_th_uav <= 0.0:
+        return np.full(n_links, tbp_ok)
+    g = h.conj().swapaxes(-1, -2) @ scenario.rx_combiner
+    lead = np.vecdot(g, g).real
+    scale = cfg.gamma_th_uav * cfg.noise_uav
+    sinr_slack = (np.vecdot(g, g @ r_tbp.T).real - scale) / scale
+    sinr_cap = (cfg.p_max * lead - scale) / scale
+    live = lead > 0.0
+    beam_bound = live & (sinr_slack >= tbp_margin)
+    certified = (sinr_cap < -FEAS_TOL) & ((sinr_cap <= -cfg.tbp_threshold)
+                                          | opts.certify_only)
+    feasible = beam_bound & tbp_ok
+    for k in np.flatnonzero(live & ~beam_bound & ~certified):
+        feasible[k] = solve_feasibility(
+            effective_channel(h[k], scenario.rx_combiner), *args).feasible
+    return feasible
+
+
+def chain_link_verdicts(uav_positions, chain_edges, scenario, rng,
+                        opts: SdrOptions = SdrOptions(),
+                        separated: bool = False) -> np.ndarray:
+    """Feasible or not, per chain link, (E,) bool: the verdicts of the
+    designs link_feasibility_sweep (separated_link_sweep when ``separated``)
+    would return for the same rng, drawn the same way but decided in one
+    array pass, without building the designs."""
+    h = _chain_channels(uav_positions, chain_edges, scenario, rng)
+    if separated:
+        return _separated_margins(h, scenario) >= -FEAS_TOL
+    return _isac_verdicts(h, scenario, opts)
+
+
+def _chain_sweep(uav_positions, chain_edges, scenario, rng, design_link,
+                 r_link_pass, r_link_fail):
+    """The chain links' draws, each handed to ``design_link(h)``. Returns
+    the designs and their QoS reward (link_reward)."""
+    designs = [design_link(h) for h in
+               _chain_channels(uav_positions, chain_edges, scenario, rng)]
+    return designs, link_reward([d.feasible for d in designs],
+                                r_link_pass, r_link_fail)
 
 
 def link_feasibility_sweep(uav_positions, chain_edges, scenario, rng,
@@ -486,12 +576,11 @@ def separated_link_sweep(uav_positions, chain_edges, scenario, rng,
     link_feasibility_sweep does.
     """
     cfg = scenario.config
-    scale = cfg.gamma_th_uav * cfg.noise_uav
 
     def design(h):
         g = h.conj().T @ scenario.rx_combiner
         gain = float(np.real(g.conj() @ g))
-        margin = (cfg.p_max * gain - scale) / scale
+        margin = float(_separated_margins(h, scenario))
         if gain > 0:
             w = np.sqrt(cfg.p_max) * g / np.sqrt(gain)
         else:
@@ -502,9 +591,9 @@ def separated_link_sweep(uav_positions, chain_edges, scenario, rng,
         return TransmitDesign(
             r_comm=np.outer(w, w.conj()),
             r_sens=np.zeros((cfg.n_antennas, cfg.n_antennas), dtype=complex),
-            w_c=w, margin=float(margin),
+            w_c=w, margin=margin,
             solver_status="feasible" if margin >= -FEAS_TOL else "infeasible",
-            dual_bound=float(margin), problem=problem)
+            dual_bound=margin, problem=problem)
 
     return _chain_sweep(uav_positions, chain_edges, scenario, rng, design,
                         r_link_pass, r_link_fail)

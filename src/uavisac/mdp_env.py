@@ -20,8 +20,8 @@ import numpy as np
 
 from .channel import md_gain_matrix, uplink_sinr
 from .energy import PropulsionParams, REFERENCE_PROPULSION, slot_energy
-from .isac_sdr import (SdrOptions, link_feasibility_sweep,
-                       separated_link_sweep, verify_design)
+from .isac_sdr import (SdrOptions, chain_link_verdicts, link_feasibility_sweep,
+                       link_reward, separated_link_sweep, verify_design)
 from .scenario import Scenario, rng_stream
 
 
@@ -304,6 +304,7 @@ class CorridorEnv:
         self.trace: list[SlotRecord] = []
         self._rng = None
         self._scored = None     # (positions, collected, potential) last scored
+        self._gains = None      # (positions, squared gains) last computed
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -383,17 +384,26 @@ class CorridorEnv:
 
     # -- action masking ------------------------------------------------------
 
+    def gain2(self) -> np.ndarray:
+        """Squared UAV-MD gains (M, I) at the fleet's current positions;
+        read-only. The last result is kept by value, so the masks, the
+        controller and the step of one slot share one gain matrix."""
+        pos = self.state.positions
+        if self._gains is None or not np.array_equal(self._gains[0], pos):
+            gain2 = uplink_gain2(pos, self.scenario)
+            gain2.flags.writeable = False
+            self._gains = (pos.copy(), gain2)
+        return self._gains[1]
+
     def predicted_sinr(self) -> np.ndarray:
         """Interference-free uplink SINR of every (UAV, MD) pair this slot."""
-        return interference_free_sinr(
-            uplink_gain2(self.state.positions, self.scenario), self.cfg)
+        return interference_free_sinr(self.gain2(), self.cfg)
 
     def open_masks(self) -> np.ndarray:
         """(M, n_actions) choices open to each agent before any claim this
         slot: the schedulable MDs, plus the no-op, which is always on."""
         mask = np.ones((self.n_agents, self.n_actions), dtype=bool)
-        mask[:, :-1] = schedulable(uplink_gain2(self.state.positions, self.scenario),
-                                   self.state.collected, self.cfg)
+        mask[:, :-1] = schedulable(self.gain2(), self.state.collected, self.cfg)
         return mask
 
     def action_mask(self, m: int, claimed=()) -> np.ndarray:
@@ -418,7 +428,7 @@ class CorridorEnv:
             raise ValueError("malformed joint action")
 
         # validate scheduling against the sequential masks
-        gain2 = uplink_gain2(s.positions, self.scenario)
+        gain2 = self.gain2()
         granted = claim_targets(md_choice[None],
                                 schedulable(gain2, s.collected, cfg)[None])
         bad = np.flatnonzero((md_choice >= 0) & (granted[0] != md_choice))
@@ -455,21 +465,24 @@ class CorridorEnv:
         s.slot += 1
         reward.shaping = self._potential(final, s.collected) - potential_before
 
-        # per-link ISAC feasibility at the slot's resulting formation
-        designs, margins = [], np.zeros(0)
+        # per-link ISAC feasibility at the slot's resulting formation: the
+        # designs are built only for the trace, which the audit re-verifies
+        designs = []
         if self.n_agents >= 2 and self.connected:
-            if self.link_mode == "separated":
-                designs, qos = separated_link_sweep(
-                    s.positions, self.scenario.chain_edges, self.scenario,
-                    self._rng, self.reward_cfg.link_pass,
-                    self.reward_cfg.link_fail)
+            edges, r = self.scenario.chain_edges, self.reward_cfg
+            separated = self.link_mode == "separated"
+            if not self.record:
+                reward.qos = link_reward(chain_link_verdicts(
+                    s.positions, edges, self.scenario, self._rng, self.sdr_opts,
+                    separated), r.link_pass, r.link_fail)
+            elif separated:
+                designs, reward.qos = separated_link_sweep(
+                    s.positions, edges, self.scenario, self._rng,
+                    r.link_pass, r.link_fail)
             else:
-                designs, qos = link_feasibility_sweep(
-                    s.positions, self.scenario.chain_edges, self.scenario,
-                    self._rng, self.reward_cfg.link_pass, self.reward_cfg.link_fail,
-                    self.sdr_opts)
-            margins = np.array([d.margin for d in designs])
-            reward.qos = qos
+                designs, reward.qos = link_feasibility_sweep(
+                    s.positions, edges, self.scenario, self._rng,
+                    r.link_pass, r.link_fail, self.sdr_opts)
 
         success, done = mission_status(s.positions, s.collected,
                                        s.residual_energy, s.slot, cfg)
@@ -482,10 +495,11 @@ class CorridorEnv:
                 slot=s.slot, positions=final.copy(), headings=s.headings.copy(),
                 speeds=moved.copy(), served=md_choice.copy(),
                 served_sinr=out.served_sinr[0], collected_after=s.collected.copy(),
-                reward=reward, link_designs=designs, link_margins=margins,
+                reward=reward, link_designs=designs,
+                link_margins=np.array([d.margin for d in designs]),
                 overrides=overrides.copy(), energy=float(slot_e.sum())))
 
-        info = {"success": success, "designs": designs, "overrides": overrides}
+        info = {"success": success, "overrides": overrides}
         return s, reward, self.observations(), done, info
 
     def _potential(self, positions, collected) -> float:

@@ -260,7 +260,7 @@ def _controller_step(env: CorridorEnv, targets, aim_points):
     s = env.state
     md, heading, speed = controller_actions(
         s.positions[None], s.collected[None],
-        uplink_gain2(s.positions, env.scenario)[None],
+        env.gain2()[None],
         np.asarray(targets)[None], np.asarray(aim_points, float)[None], env.cfg)
     return JointAction(md_choice=md[0], heading=heading[0], speed=speed[0])
 

@@ -190,6 +190,36 @@ class TestRician:
         with pytest.raises(ValueError):
             sample_rician_channel(self.Q1, self.Q1, 10.0, 1e-6, 4, rng_stream(5, "x"))
 
+    @staticmethod
+    def one_link_oracle(q_a, q_b, rician_k, beta, n_antennas, rng):
+        """One link per call: the real part, then the imaginary part."""
+        d = float(np.linalg.norm(np.asarray(q_a, float) - np.asarray(q_b, float)))
+        los = np.ones((n_antennas, n_antennas), dtype=complex)
+        nlos = (rng.standard_normal((n_antennas, n_antennas))
+                + 1j * rng.standard_normal((n_antennas, n_antennas))) / np.sqrt(2.0)
+        return (np.sqrt(beta) / d) * (np.sqrt(rician_k / (rician_k + 1.0)) * los
+                                      + np.sqrt(1.0 / (rician_k + 1.0)) * nlos)
+
+    @pytest.mark.parametrize("batch", [(), (1,), (5,), (2, 3)])
+    def test_batch_equals_per_link_draws(self, batch):
+        pts = rng_stream(6, "pts").uniform(0.0, 2500.0, (*batch, 2, 3))
+        pts[..., 2] = 80.0
+        pts[..., 1, :] += [1e-3, 0.0, 0.0]     # one near-coincident pair at most
+        batched, looped = rng_stream(7, "x"), rng_stream(7, "x")
+        h = sample_rician_channel(pts[..., 0, :], pts[..., 1, :], 10.0, 1e-6, 12,
+                                  batched)
+        assert h.shape == (*batch, 12, 12)
+        flat = pts.reshape(-1, 2, 3)
+        ref = [self.one_link_oracle(a, b, 10.0, 1e-6, 12, looped) for a, b in flat]
+        assert np.array_equal(h.reshape(-1, 12, 12), np.array(ref).reshape(-1, 12, 12))
+        assert batched.random() == looped.random()
+
+    def test_batch_with_a_coincident_link_rejected(self):
+        with pytest.raises(ValueError):
+            sample_rician_channel(np.array([self.Q1, self.Q2]),
+                                  np.array([self.Q2, self.Q2]),
+                                  10.0, 1e-6, 4, rng_stream(5, "x"))
+
 
 class TestInterUavSinr:
     def setup_method(self):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -8,8 +9,9 @@ from uavisac.channel import (effective_channel, sample_rician_channel,
 from uavisac.isac_sdr import (_TBP_CACHE, FEAS_TOL, PSD_TOL, VERIFY_TOL,
                               SdrOptions, SdrProblem, TransmitDesign,
                               _finish_design, _herm, _measure_design,
-                              _newton_margin, extract_rank_one,
-                              link_feasibility_sweep, separated_link_sweep,
+                              _newton_margin, chain_link_verdicts,
+                              extract_rank_one, link_feasibility_sweep,
+                              link_reward, separated_link_sweep,
                               solve_feasibility, tbp_quadratic, verify_design)
 from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
 
@@ -342,6 +344,29 @@ class TestNewtonSolve:
             lo, hi = (mid, hi) if full.feasible else (lo, mid)
         assert hi - lo < 1e-6
 
+    @pytest.mark.parametrize("opts", [SdrOptions(), CERTIFY])
+    def test_small_gap_without_a_certificate_is_not_infeasible(self, opts):
+        # a converged gap once let this instance through as "infeasible"
+        # (margin -1.04e-7, bound -5.6e-8); stepping on until a certificate
+        # holds finds a margin above the slack
+        des = solve(make_h_eff(1477.641487121582, seed=0), opts=opts)
+        assert des.solver_status == "feasible"
+        assert des.margin >= -FEAS_TOL
+
+    def test_infeasible_needs_the_dual_bound(self):
+        # the isotropic design misses a beampattern floor p_max + 2e-7 by
+        # exactly 2e-7; only a bound below -FEAS_TOL may call that infeasible
+        r = np.eye(L, dtype=complex) * (P_MAX / L)
+        problem = SdrProblem(h_eff=np.zeros((L, L)), noise_uav=NOISE_U,
+                             gamma_th=0.0, tbp_threshold=P_MAX + 2e-7,
+                             angles=ANGLES, p_max=P_MAX)
+        g = np.zeros(L, dtype=complex)
+        near = _finish_design(r, g, problem, 0, -0.5 * FEAS_TOL)
+        assert near.margin == pytest.approx(-2e-7, rel=1e-6)
+        assert near.solver_status == "numerical_failure"
+        assert _finish_design(r, g, problem, 0, -1.5 * FEAS_TOL).solver_status \
+            == "infeasible"
+
     def test_beampattern_design_ignores_caller_options(self):
         # the link-independent design is cached for the whole process, so
         # the first caller's options must not decide every later solve
@@ -525,6 +550,108 @@ class TestLinkSweep:
         for a, b in zip(isac, split):
             # solve_feasibility keeps the Hermitian part of g g^H
             assert np.array_equal(a.problem.h_eff, _herm(b.problem.h_eff))
+
+
+def per_link_verdicts(pos, scenario, rng, opts, separated):
+    """The per-link reference: one draw per chain link in chain order (1 m
+    clamp for co-located pairs), decided by solve_feasibility on the
+    effective channel or by the matched-filter margin rule."""
+    cfg = scenario.config
+    f = scenario.rx_combiner
+    verdicts, designs = [], []
+    for tx, rx in scenario.chain_edges:
+        ref = pos[rx]
+        if np.linalg.norm(pos[tx] - pos[rx]) < 1.0:
+            ref = pos[tx] + np.array([1.0, 0.0, 0.0])
+        h = sample_rician_channel(pos[tx], ref, cfg.rician_k, cfg.beta_ref,
+                                  cfg.n_antennas, rng)
+        g = h.conj().T @ f
+        if separated:
+            scale = cfg.gamma_th_uav * cfg.noise_uav
+            verdicts.append((cfg.p_max * np.linalg.norm(g) ** 2 - scale) / scale
+                            >= -FEAS_TOL)
+            continue
+        des = solve_feasibility(effective_channel(h, f), cfg.noise_uav,
+                                cfg.gamma_th_uav, cfg.tbp_threshold,
+                                cfg.sensing_angles, cfg.p_max, opts)
+        verdicts.append(des.feasible)
+        designs.append(des)
+    return verdicts, designs
+
+
+def branch_of(des, tbp_threshold):
+    """Which solve_feasibility branch decided a design with p_max, gamma > 0."""
+    if des.iterations > 0:
+        return "band-" + des.solver_status
+    if des.feasible:
+        return "beampattern"
+    return "deep" if des.dual_bound <= -tbp_threshold else "certify-cap"
+
+
+# chain link lengths from co-located (the 1 m clamp) to 5 km: beampattern-
+# bound, band, certify-cap and deep-deficit links
+CHAIN_LINKS_M = ((0.0, 900.0), (150.0, 1400.0), (1430.0, 1460.0),
+                 (1480.0, 1520.0), (1600.0, 1800.0), (2000.0, 2300.0),
+                 (2600.0, 3000.0), (3500.0, 5000.0), (1440.0, 0.0))
+
+
+class TestChainVerdicts:
+    def setup_method(self):
+        self.scenario = build_scenario(ScenarioConfig(num_uavs=3, seed=0))
+
+    def formations(self):
+        for k, (d1, d2) in enumerate(CHAIN_LINKS_M):
+            heading = 0.7 * k
+            p0 = np.array([300.0 + 40.0 * k, 2200.0 - 90.0 * k, 80.0])
+            p1 = p0 + d1 * np.array([np.cos(heading), np.sin(heading), 0.0])
+            p2 = p1 + d2 * np.array([np.cos(-heading), np.sin(-heading), 0.0])
+            yield k, np.stack([p0, p1, p2])
+
+    def check(self, scenario, opts, separated, label):
+        branches = []
+        for k, pos in self.formations():
+            for seed in range(3):
+                ref_rng = rng_stream(seed, f"{label}-{k}")
+                rng = rng_stream(seed, f"{label}-{k}")
+                want, designs = per_link_verdicts(pos, scenario, ref_rng, opts,
+                                                  separated)
+                got = chain_link_verdicts(pos, scenario.chain_edges, scenario,
+                                          rng, opts, separated)
+                assert got.dtype == bool and list(got) == want, (k, seed)
+                assert rng.random() == ref_rng.random()
+                branches += [branch_of(d, scenario.config.tbp_threshold)
+                             for d in designs]
+        return branches
+
+    @pytest.mark.parametrize("opts", [SdrOptions(), CERTIFY])
+    def test_isac_matches_per_link_solves(self, opts):
+        branches = set(self.check(self.scenario, opts, False, "isac"))
+        expected = {"beampattern", "deep", "band-feasible", "band-infeasible"}
+        if opts.certify_only:
+            expected.add("certify-cap")
+        assert expected <= branches
+
+    def test_separated_matches_margin_rule(self):
+        self.check(self.scenario, SdrOptions(), True, "split")
+
+    @pytest.mark.parametrize("opts", [SdrOptions(), CERTIFY])
+    @pytest.mark.parametrize("field, value", [
+        ("p_max", 0.0), ("gamma_th_uav", 0.0),
+        ("tbp_threshold", 20.0)])        # above p_max * L: no link can sense
+    def test_degenerate_worlds(self, opts, field, value):
+        cfg = replace(self.scenario.config, **{field: value})
+        world = replace(self.scenario, config=cfg)
+        self.check(world, opts, False, field)
+
+    def test_no_links(self):
+        solo = build_scenario(ScenarioConfig(num_uavs=1, seed=0))
+        got = chain_link_verdicts(np.array([[0.0, 0.0, 80.0]]), solo.chain_edges,
+                                  solo, rng_stream(0, "solo"))
+        assert got.shape == (0,)
+        assert link_reward(got, 0.05, -1.0) == 0.0
+
+    def test_reward_sums_in_chain_order(self):
+        assert link_reward([True, False, True], 0.05, -1.0) == (0.05 - 1.0) + 0.05
 
 
 @pytest.mark.slow

@@ -1,11 +1,15 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from uavisac import mdp_env
 from uavisac.channel import expected_md_channel
 from uavisac.energy import REFERENCE_PROPULSION, flight_power, hover_power
 from uavisac.mdp_env import (CorridorEnv, JointAction, RewardConfig,
-                             check_constraints, write_trace_csv)
-from uavisac.scenario import Scenario, ScenarioConfig, build_scenario
+                             check_constraints, uplink_gain2, write_trace_csv)
+from uavisac.scenario import (Scenario, ScenarioConfig, build_scenario,
+                              db_to_linear)
 
 
 def make_scenario(md_xyz, num_uavs=1, **overrides) -> Scenario:
@@ -519,6 +523,74 @@ class TestConstraintAudit:
             _, _, _, done, _ = env.step(hover_action(env))
         rep = check_constraints(env.trace, sc, connected=False)
         assert rep.inter_uav_sinr is None
+
+
+class TestLinkVerdicts:
+    """Unrecorded slots take the QoS reward from the array verdicts, recorded
+    slots from the per-link designs; both must agree slot by slot."""
+
+    @pytest.mark.parametrize("link_mode", ["isac", "separated"])
+    def test_recorded_and_unrecorded_rewards_agree(self, link_mode, monkeypatch):
+        # a 22 dB SINR floor, so links fail once the fleet spreads out
+        sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
+                                           horizon_slots=40,
+                                           gamma_th_uav=db_to_linear(22.0)))
+        verdicts = []
+        original = mdp_env.chain_link_verdicts
+
+        def keep(*args, **kwargs):
+            verdicts.append(original(*args, **kwargs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(mdp_env, "chain_link_verdicts", keep)
+        recorded = CorridorEnv(sc, record=True, link_mode=link_mode)
+        unrecorded = CorridorEnv(sc, link_mode=link_mode)
+        recorded.reset(3)
+        unrecorded.reset(3)
+        rng = np.random.default_rng(11)
+        headings = np.array([0.0, -0.5 * np.pi, -0.25 * np.pi])
+        done = False
+        while not done:
+            act = JointAction(md_choice=np.array([-1, -1, -1]),
+                              heading=headings + rng.normal(0.0, 0.3, 3),
+                              speed=np.ones(3, dtype=np.uint8))
+            _, rew_a, _, done, _ = recorded.step(act)
+            _, rew_b, _, done_b, _ = unrecorded.step(act)
+            assert asdict(rew_a) == asdict(rew_b)
+            assert done == done_b
+        assert len(verdicts) == len(recorded.trace) == 40
+        for rec, verdict in zip(recorded.trace, verdicts):
+            assert [d.feasible for d in rec.link_designs] == list(verdict)
+        assert unrecorded.trace == []
+        links = np.concatenate(verdicts)
+        assert links.any() and not links.all()
+
+    def test_one_gain_matrix_per_slot(self, monkeypatch):
+        sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=6, seed=1,
+                                           horizon_slots=12))
+        calls = []
+
+        def counted(positions, scenario):
+            calls.append(positions.copy())
+            return uplink_gain2(positions, scenario)
+
+        monkeypatch.setattr(mdp_env, "uplink_gain2", counted)
+        env = CorridorEnv(sc)
+        env.reset(0)
+        done, slots = False, 0
+        while not done:
+            masks = env.open_masks()
+            gain2 = env.gain2()
+            assert not gain2.flags.writeable
+            assert np.array_equal(gain2, uplink_gain2(env.state.positions, sc))
+            md = np.full(3, -1)
+            if masks[0, :-1].any():
+                md[0] = np.flatnonzero(masks[0, :-1])[0]
+            _, _, _, done, _ = env.step(JointAction(
+                md_choice=md, heading=np.array([0.0, -0.5, -1.0]),
+                speed=np.ones(3, dtype=np.uint8)))
+            slots += 1
+        assert len(calls) == slots == 12
 
 
 def test_trace_csv_round_trip(tmp_path):
