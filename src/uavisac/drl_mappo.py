@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .mdp_env import CorridorEnv, JointAction, RewardConfig
+from .mdp_env import CorridorEnv, JointAction, RewardConfig, run_episode
 from .nn import Adam, Linear, log_softmax_masked, softplus
 from .scenario import Scenario, rng_stream
 
@@ -330,7 +330,6 @@ def act_in_env(policy: MappoPolicy, env: CorridorEnv, obs,
         if rng is None:
             md_m, head_m, sp_m = greedy_actions(policy.actor, obs[m], mask[None])
             md[m], heading[m], speed[m] = md_m[0], head_m[0], sp_m[0]
-            u[m] = np.arctanh(np.clip(heading[m] / np.pi, -0.999999, 0.999999))
         else:
             md_m, u_m, head_m, sp_m, lp = sample_actions(
                 policy.actor, obs[m], mask[None], rng)
@@ -505,16 +504,10 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
     return policy, curve
 
 
-def run_policy_episode(policy: MappoPolicy, env: CorridorEnv, seed: int,
-                       deterministic: bool = True,
-                       sample_rng: np.random.Generator | None = None):
-    """Roll one evaluation episode; returns (success, slots, energy, collected)."""
-    rng = None if deterministic else (sample_rng or rng_stream(seed, "eval"))
-    _, obs, _ = env.reset(seed)
-    done = False
-    info = {"success": False}
-    while not done:
-        action, _, _, _ = act_in_env(policy, env, obs, rng)
-        state, _, obs, done, info = env.step(action)
-    return (info["success"], state.slot, state.cumulative_energy,
+def run_policy_episode(policy: MappoPolicy, env: CorridorEnv, seed: int):
+    """Roll one greedy evaluation episode; returns (success, slots, energy,
+    collected)."""
+    state, success = run_episode(
+        env, seed, lambda env, obs: act_in_env(policy, env, obs, None)[0])
+    return (success, state.slot, state.cumulative_energy,
             int(state.collected.sum()))

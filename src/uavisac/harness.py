@@ -17,10 +17,9 @@ import numpy as np
 
 from . import __version__, accel
 from .config import RunConfig, load_config
-from .drl_mappo import MappoPolicy, run_policy_episode, train
-from .mdp_env import CorridorEnv, check_constraints
-from .planners import (MissionResult, evaluate_plan, ga_plan, greedy_offline,
-                       greedy_online, pso_plan)
+from .drl_mappo import MappoPolicy, act_in_env, train
+from .planners import (MissionResult, evaluate_plan, fly_mission, ga_plan,
+                       greedy_offline, greedy_online, pso_plan)
 from .scenario import (ScenarioConfig, build_scenario, db_to_linear,
                        scenario_fingerprint)
 
@@ -104,24 +103,6 @@ def train_checkpoint(spec: ExperimentSpec, value) -> Path:
     return path
 
 
-def _policy_mission(policy, scenario, seed, run_config: RunConfig,
-                    method: str, link_mode: str) -> MissionResult:
-    env = CorridorEnv(scenario, reward=run_config.reward,
-                      propulsion=run_config.propulsion, record=True,
-                      link_mode=link_mode)
-    success, slots, energy, collected = run_policy_episode(
-        policy, env, seed, deterministic=True)
-    violations = check_constraints(env.trace, scenario, connected=True)
-    if method == "drl_sc":
-        energy += CIRCUIT_POWER_W * scenario.config.num_uavs \
-            * slots * scenario.config.slot_seconds
-    return MissionResult(
-        method=method, energy_j=energy,
-        time_s=slots * scenario.config.slot_seconds, collected=collected,
-        success=success, violations=violations,
-        per_uav_energy=env.state.energy_per_uav.tolist(), seed=seed)
-
-
 def run_cell(method: str, spec: ExperimentSpec, value, seed) -> MissionResult:
     rc = spec.run_config
     scenario = build_scenario(scenario_config_for(rc, spec.axis, value))
@@ -145,8 +126,16 @@ def run_cell(method: str, spec: ExperimentSpec, value, seed) -> MissionResult:
                 f"method {method!r} needs a trained checkpoint at {path}; "
                 "run with train_first or train explicitly")
         policy = MappoPolicy.load(path)
-        mode = "separated" if method == "drl_sc" else "isac"
-        return _policy_mission(policy, scenario, seed, rc, method, mode)
+        res = fly_mission(scenario,
+                          lambda env, obs: act_in_env(policy, env, obs, None)[0],
+                          seed, method,
+                          "separated" if method == "drl_sc" else "isac",
+                          rc.propulsion, rc.reward)
+        if method == "drl_sc":
+            cfg = scenario.config
+            slots = round(res.time_s / cfg.slot_seconds)
+            res.energy_j += CIRCUIT_POWER_W * cfg.num_uavs * slots * cfg.slot_seconds
+        return res
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -529,42 +529,24 @@ def chain_link_verdicts(uav_positions, chain_edges, scenario, rng,
     return _isac_verdicts(h, scenario, opts)
 
 
-def _chain_sweep(uav_positions, chain_edges, scenario, rng, design_link,
-                 r_link_pass, r_link_fail):
-    """The chain links' draws, each handed to ``design_link(h)``. Returns
-    the designs and their QoS reward (link_reward)."""
-    designs = [design_link(h) for h in
-               _chain_channels(uav_positions, chain_edges, scenario, rng)]
-    return designs, link_reward([d.feasible for d in designs],
-                                r_link_pass, r_link_fail)
-
-
 def link_feasibility_sweep(uav_positions, chain_edges, scenario, rng,
-                           r_link_pass: float = 0.05, r_link_fail: float = -1.0,
                            opts: SdrOptions = SdrOptions()):
     """Solve the shared-array transmit design for every chain link.
 
     Every call draws each link's fading afresh from ``rng``, and
     solve_feasibility decides the link on the draw's effective channel
-    through the receive combiner.
-    Returns the per-link designs (in chain order) and the aggregated QoS
-    reward: +r_link_pass per feasible link, r_link_fail per infeasible or
-    failed link.
+    through the receive combiner. Returns the per-link designs in chain
+    order.
     """
     cfg = scenario.config
-
-    def design(h):
-        return solve_feasibility(effective_channel(h, scenario.rx_combiner),
-                                 cfg.noise_uav, cfg.gamma_th_uav,
-                                 cfg.tbp_threshold, cfg.sensing_angles,
-                                 cfg.p_max, opts)
-
-    return _chain_sweep(uav_positions, chain_edges, scenario, rng, design,
-                        r_link_pass, r_link_fail)
+    return [solve_feasibility(effective_channel(h, scenario.rx_combiner),
+                              cfg.noise_uav, cfg.gamma_th_uav,
+                              cfg.tbp_threshold, cfg.sensing_angles,
+                              cfg.p_max, opts)
+            for h in _chain_channels(uav_positions, chain_edges, scenario, rng)]
 
 
-def separated_link_sweep(uav_positions, chain_edges, scenario, rng,
-                         r_link_pass: float = 0.05, r_link_fail: float = -1.0):
+def separated_link_sweep(uav_positions, chain_edges, scenario, rng):
     """Link outcomes for the split-array variant: sensing on a dedicated
     radar aperture, communication as a full-budget matched-filter beam.
 
@@ -572,8 +554,8 @@ def separated_link_sweep(uav_positions, chain_edges, scenario, rng,
     covariance sharing the beam w = sqrt(p_max) g/||g||, g = h^H f, is
     optimal, so the margin is (p_max ||g||^2 - gamma sigma^2)/(gamma sigma^2)
     and the link is feasible iff it clears -FEAS_TOL; the sensing floor is
-    met off-array by construction. Returns designs and QoS reward as
-    link_feasibility_sweep does.
+    met off-array by construction. Returns the per-link designs in chain
+    order.
     """
     cfg = scenario.config
 
@@ -595,5 +577,5 @@ def separated_link_sweep(uav_positions, chain_edges, scenario, rng,
             solver_status="feasible" if margin >= -FEAS_TOL else "infeasible",
             dual_bound=margin, problem=problem)
 
-    return _chain_sweep(uav_positions, chain_edges, scenario, rng, design,
-                        r_link_pass, r_link_fail)
+    return [design(h) for h in
+            _chain_channels(uav_positions, chain_edges, scenario, rng)]

@@ -274,14 +274,17 @@ def mission_status(positions, collected, residual_energy, slot, cfg):
 
 
 class CorridorEnv:
-    """Single-owner, sequentially stepped; spawn one instance per worker."""
+    """Single-owner, sequentially stepped; spawn one instance per worker.
+
+    ``link_mode`` scores the chain links each slot with the shared-array
+    transmit design ("isac"), the split-array variant ("separated"), or not
+    at all ("none")."""
 
     def __init__(self, scenario: Scenario, reward: RewardConfig = RewardConfig(),
                  propulsion: PropulsionParams = REFERENCE_PROPULSION,
-                 sdr_opts: SdrOptions = SdrOptions(certify_only=True, gap_tol=1e-5),
-                 record: bool = False,
-                 connected: bool = True, link_mode: str = "isac"):
-        if link_mode not in ("isac", "separated"):
+                 sdr_opts: SdrOptions = SdrOptions(certify_only=True),
+                 record: bool = False, link_mode: str = "isac"):
+        if link_mode not in ("isac", "separated", "none"):
             raise ValueError(f"unknown link mode {link_mode!r}")
         self.scenario = scenario
         self.cfg = scenario.config
@@ -290,7 +293,6 @@ class CorridorEnv:
         self._slot_costs = slot_costs(self.cfg, propulsion)
         self.sdr_opts = sdr_opts
         self.record = record
-        self.connected = connected
         self.link_mode = link_mode
         self.n_agents = self.cfg.num_uavs
         self.n_mds = self.cfg.num_mds
@@ -407,10 +409,13 @@ class CorridorEnv:
         return mask
 
     def action_mask(self, m: int, claimed=()) -> np.ndarray:
-        """Valid MD choices for agent m given earlier agents' claims; no-op always on."""
+        """Valid MD choices for agent m given earlier agents' claims; no-op always on.
+
+        Only MD indices (0 .. n_mds-1) in ``claimed`` are claims; -1, None and
+        the no-op index are not."""
         mask = self.open_masks()[m]
         for i in claimed:
-            if i is not None and i >= 0:
+            if i is not None and 0 <= i < self.n_mds:
                 mask[i] = False
         return mask
 
@@ -468,21 +473,17 @@ class CorridorEnv:
         # per-link ISAC feasibility at the slot's resulting formation: the
         # designs are built only for the trace, which the audit re-verifies
         designs = []
-        if self.n_agents >= 2 and self.connected:
-            edges, r = self.scenario.chain_edges, self.reward_cfg
+        if self.n_agents >= 2 and self.link_mode != "none":
+            links = (s.positions, self.scenario.chain_edges, self.scenario, self._rng)
             separated = self.link_mode == "separated"
             if not self.record:
-                reward.qos = link_reward(chain_link_verdicts(
-                    s.positions, edges, self.scenario, self._rng, self.sdr_opts,
-                    separated), r.link_pass, r.link_fail)
-            elif separated:
-                designs, reward.qos = separated_link_sweep(
-                    s.positions, edges, self.scenario, self._rng,
-                    r.link_pass, r.link_fail)
+                feasible = chain_link_verdicts(*links, self.sdr_opts, separated)
             else:
-                designs, reward.qos = link_feasibility_sweep(
-                    s.positions, edges, self.scenario, self._rng,
-                    r.link_pass, r.link_fail, self.sdr_opts)
+                designs = (separated_link_sweep(*links) if separated
+                           else link_feasibility_sweep(*links, self.sdr_opts))
+                feasible = [d.feasible for d in designs]
+            reward.qos = link_reward(feasible, self.reward_cfg.link_pass,
+                                     self.reward_cfg.link_fail)
 
         success, done = mission_status(s.positions, s.collected,
                                        s.residual_energy, s.slot, cfg)
@@ -525,6 +526,16 @@ class CorridorEnv:
             value -= r.shaping_end * float(d_end.sum())
         self._scored = (positions.copy(), collected.copy(), value)
         return value
+
+
+def run_episode(env: CorridorEnv, seed: int, act):
+    """Reset ``env`` with ``seed`` and step it with ``act(env, obs)`` until the
+    episode ends; returns the final FleetState and the success flag."""
+    _, obs, _ = env.reset(seed)
+    done = False
+    while not done:
+        state, _, obs, done, info = env.step(act(env, obs))
+    return state, info["success"]
 
 
 # -- offline constraint audit ------------------------------------------------

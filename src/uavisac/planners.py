@@ -3,7 +3,8 @@
 Offline planners decide routes on expected channels only; their plans are then
 replayed through the real environment by evaluate_plan. Every planner flies
 the same serve-or-fly controller under the env's own mission rules
-(``mdp_env``): evaluate_plan and greedy_online step a CorridorEnv, and the
+(``mdp_env``): evaluate_plan and greedy_online fly a CorridorEnv through
+fly_mission, the one runner of every method's audited mission, and the
 metaheuristics score a whole population per generation with
 population_fitness, which steps one fleet per plan through those rules and so
 matches the disconnected replay exactly.
@@ -17,7 +18,8 @@ from .channel import uplink_sinr
 from .energy import PropulsionParams, REFERENCE_PROPULSION
 from .mdp_env import (CorridorEnv, ConstraintReport, JointAction, RewardConfig,
                       check_constraints, claim_targets, fleet_transition,
-                      mission_status, schedulable, slot_costs, uplink_gain2)
+                      mission_status, run_episode, schedulable, slot_costs,
+                      uplink_gain2)
 from .scenario import Scenario, rng_stream
 
 
@@ -265,23 +267,19 @@ def _controller_step(env: CorridorEnv, targets, aim_points):
     return JointAction(md_choice=md[0], heading=heading[0], speed=speed[0])
 
 
-def _fly_mission(scenario: Scenario, choose, seed: int, method: str,
-                 connected: bool, propulsion: PropulsionParams,
-                 reward: RewardConfig) -> MissionResult:
-    """One audited env episode of the controller; ``choose(state)`` gives
-    each UAV's (target, aim point) for the slot."""
+def fly_mission(scenario: Scenario, act, seed: int, method: str, link_mode: str,
+                propulsion: PropulsionParams, reward: RewardConfig) -> MissionResult:
+    """One recorded env episode of ``act(env, obs)`` in ``link_mode``,
+    audited and reported; every method's mission is flown here."""
     env = CorridorEnv(scenario, reward=reward, propulsion=propulsion,
-                      record=True, connected=connected)
-    state = env.reset(seed)[0]
-    done = False
-    info = {"success": False}
-    while not done:
-        state, _, _, done, info = env.step(_controller_step(env, *choose(state)))
+                      record=True, link_mode=link_mode)
+    state, success = run_episode(env, seed, act)
     return MissionResult(
         method=method, energy_j=state.cumulative_energy,
         time_s=state.slot * scenario.config.slot_seconds,
-        collected=int(state.collected.sum()), success=bool(info["success"]),
-        violations=check_constraints(env.trace, scenario, connected=connected),
+        collected=int(state.collected.sum()), success=bool(success),
+        violations=check_constraints(env.trace, scenario,
+                                     connected=link_mode != "none"),
         per_uav_energy=state.energy_per_uav.tolist(), seed=seed)
 
 
@@ -289,18 +287,19 @@ def evaluate_plan(plan: Plan, scenario: Scenario, seed: int = 0,
                   method: str = "plan", connected: bool = False,
                   propulsion: PropulsionParams = REFERENCE_PROPULSION,
                   reward: RewardConfig = RewardConfig()) -> MissionResult:
-    """Replay a plan through the environment and audit the episode."""
+    """Replay a plan through the environment and audit the episode; a
+    ``connected`` replay scores its chain links in the "isac" link mode."""
     route, waypoint, finish = _pack_routes([plan], scenario)
     cursor = np.zeros(route.shape[:2], dtype=int)
 
-    def choose(state):
+    def act(env, obs):
         targets, aims = _follow_routes(route, waypoint, finish, cursor,
-                                       state.collected[None],
-                                       state.positions[None], scenario.config)
-        return targets[0], aims[0]
+                                       env.state.collected[None],
+                                       env.state.positions[None], scenario.config)
+        return _controller_step(env, targets[0], aims[0])
 
-    return _fly_mission(scenario, choose, seed, method, connected, propulsion,
-                        reward)
+    return fly_mission(scenario, act, seed, method,
+                       "isac" if connected else "none", propulsion, reward)
 
 
 def greedy_online(scenario: Scenario, seed: int = 0,
@@ -314,7 +313,8 @@ def greedy_online(scenario: Scenario, seed: int = 0,
     cfg = scenario.config
     md = scenario.md_positions[:, :2]
 
-    def choose(state):
+    def act(env, obs):
+        state = env.state
         targets = []
         aims = []
         for m in range(cfg.num_uavs):
@@ -328,10 +328,10 @@ def greedy_online(scenario: Scenario, seed: int = 0,
             else:
                 targets.append(-1)
                 aims.append(np.asarray(cfg.end, float))
-        return targets, aims
+        return _controller_step(env, targets, aims)
 
-    return _fly_mission(scenario, choose, seed, "greedy_online", True,
-                        propulsion, reward)
+    return fly_mission(scenario, act, seed, "greedy_online", "isac",
+                       propulsion, reward)
 
 
 # -- metaheuristics -------------------------------------------------------------

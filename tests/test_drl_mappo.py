@@ -250,7 +250,7 @@ class TestActInEnv:
         sc = build_scenario(ScenarioConfig(
             num_uavs=3, num_mds=4, seed=0, area_width=300.0, area_height=300.0,
             start=(0.0, 300.0), end=(300.0, 0.0)))
-        env = CorridorEnv(sc, connected=False)
+        env = CorridorEnv(sc, link_mode="none")
         rng = rng_stream(0, "act")
         actor = ActorNet(rng, env.obs_dim, env.n_actions, hidden=8)
         policy = MappoPolicy(actor, CriticNet(rng, env.state_dim, 8), MappoConfig())

@@ -10,9 +10,14 @@ import pytest
 from uavisac import accel
 from uavisac.cli import main
 from uavisac.config import load_config
-from uavisac.harness import (SEED_MEANING, ExperimentSpec, checkpoint_path,
-                             emit_comparison_table, emit_sweep_data,
-                             git_revision, run_experiment, validate_spec)
+from uavisac.drl_mappo import MappoPolicy, run_policy_episode
+from uavisac.harness import (CIRCUIT_POWER_W, SEED_MEANING, ExperimentSpec,
+                             checkpoint_path, emit_comparison_table,
+                             emit_sweep_data, git_revision, run_cell,
+                             run_experiment, scenario_config_for,
+                             train_checkpoint, validate_spec)
+from uavisac.mdp_env import CorridorEnv
+from uavisac.scenario import build_scenario
 
 
 def small_run_config(num_mds=5, horizon=150):
@@ -115,6 +120,29 @@ class TestRunExperiment:
         extra = 2.0 * 2 * float(sc["time_s"])
         assert float(sc["energy_j"]) == pytest.approx(
             float(sdr["energy_j"]) + extra, rel=1e-9)
+
+
+    def test_drl_cells_fly_the_policy_episode(self, tmp_path):
+        spec = replace(small_spec(tmp_path, methods=("drl_sdr",), values=(2,)),
+                       train_episodes=1)
+        policy = MappoPolicy.load(train_checkpoint(spec, 2))
+        rc = spec.run_config
+        scenario = build_scenario(scenario_config_for(rc, "uav_count", 2))
+        cfg = scenario.config
+        for method, link_mode in (("drl_sdr", "isac"), ("drl_sc", "separated")):
+            for seed in spec.seeds:
+                env = CorridorEnv(scenario, reward=rc.reward,
+                                  propulsion=rc.propulsion, record=True,
+                                  link_mode=link_mode)
+                success, slots, energy, collected = run_policy_episode(
+                    policy, env, seed)
+                res = run_cell(method, spec, 2, seed)
+                circuit = (CIRCUIT_POWER_W * cfg.num_uavs * slots
+                           * cfg.slot_seconds if method == "drl_sc" else 0.0)
+                assert res.time_s == slots * cfg.slot_seconds
+                assert res.energy_j == energy + circuit
+                assert (res.collected, res.success) == (collected, success)
+                assert res.per_uav_energy == env.state.energy_per_uav.tolist()
 
 
 class TestGitRevision:

@@ -190,7 +190,7 @@ class TestExtractRankOne:
             assert rep.passed, f"extraction broke feasibility at seed {seed}"
 
 
-CERTIFY = SdrOptions(certify_only=True, gap_tol=1e-5)   # the env's options
+CERTIFY = SdrOptions(certify_only=True)   # the env's options
 LADDER_M = (200.0, 1000.0, 1400.0, 1500.0, 1700.0, 2500.0, 5000.0)
 
 
@@ -290,6 +290,15 @@ class TestNewtonSolve:
     def test_statuses_match_first_order_solver(self, seed, mode):
         statuses = "".join(d.solver_status[0] for d in table_ladder(seed, mode))
         assert statuses == FIRST_ORDER_STATUSES[seed, mode]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_certify_only_never_reads_gap_tol(self, seed):
+        loose = SdrOptions(certify_only=True, gap_tol=1e-5)
+        for d, des in zip(TABLE_M, table_ladder(seed, "certify")):
+            other = solve(make_h_eff(d, seed=seed, label="ladder"), opts=loose)
+            assert (other.solver_status, other.iterations, other.margin,
+                    other.dual_bound) == (des.solver_status, des.iterations,
+                                          des.margin, des.dual_bound), d
 
     @pytest.mark.parametrize("seed", range(3))
     def test_full_mode_band_solves_converge(self, seed):
@@ -473,29 +482,30 @@ class TestLinkSweep:
 
     def test_single_uav_neutral(self):
         solo = build_scenario(ScenarioConfig(num_uavs=1, seed=0))
-        designs, quality = link_feasibility_sweep(
+        designs = link_feasibility_sweep(
             np.array([[0.0, 2500.0, 80.0]]), solo.chain_edges, solo,
             rng_stream(0, "sweep"))
         assert designs == []
-        assert quality == 0.0
+        assert link_reward([d.feasible for d in designs], 0.05, -1.0) == 0.0
 
     def test_all_links_feasible_aggregation(self):
         pos = np.array([[0.0, 2500.0, 80.0], [150.0, 2400.0, 80.0],
                         [280.0, 2300.0, 80.0]])
-        designs, quality = link_feasibility_sweep(
+        designs = link_feasibility_sweep(
             pos, self.scenario.chain_edges, self.scenario, rng_stream(1, "sweep"))
         assert len(designs) == 2
         assert all(d.feasible for d in designs)
-        assert quality == pytest.approx(2 * 0.05)
+        assert link_reward([d.feasible for d in designs], 0.05, -1.0) == \
+            pytest.approx(2 * 0.05)
 
     def test_margin_no_larger_at_longer_range(self):
         near = np.array([[0.0, 0.0, 80.0], [100.0, 0.0, 80.0]])
         far = np.array([[0.0, 0.0, 80.0], [2000.0, 0.0, 80.0]])
         two = build_scenario(ScenarioConfig(num_uavs=2, seed=0))
-        d_near, _ = link_feasibility_sweep(near, two.chain_edges, two,
-                                           rng_stream(5, "dist"))
-        d_far, _ = link_feasibility_sweep(far, two.chain_edges, two,
-                                          rng_stream(5, "dist"))
+        d_near = link_feasibility_sweep(near, two.chain_edges, two,
+                                        rng_stream(5, "dist"))
+        d_far = link_feasibility_sweep(far, two.chain_edges, two,
+                                       rng_stream(5, "dist"))
         assert d_far[0].margin <= d_near[0].margin + 1e-9
 
     def chain_draws(self, pos, seed):
@@ -510,7 +520,7 @@ class TestLinkSweep:
         pos = np.array([[0.0, 2500.0, 80.0], [150.0, 2400.0, 80.0],
                         [3150.0, 2400.0, 80.0]])
         cfg = self.scenario.config
-        designs, quality = separated_link_sweep(
+        designs = separated_link_sweep(
             pos, self.scenario.chain_edges, self.scenario, rng_stream(2, "sweep"))
         scale = cfg.gamma_th_uav * cfg.noise_uav
         for des, h in zip(designs, self.chain_draws(pos, 2)):
@@ -518,7 +528,8 @@ class TestLinkSweep:
             expected = (cfg.p_max * np.linalg.norm(g) ** 2 - scale) / scale
             assert des.margin == pytest.approx(expected, rel=1e-12)
         assert [d.feasible for d in designs] == [True, False]
-        assert quality == pytest.approx(0.05 - 1.0)
+        assert link_reward([d.feasible for d in designs], 0.05, -1.0) == \
+            pytest.approx(0.05 - 1.0)
 
     def test_separated_feasible_iff_margin_clears_tolerance(self):
         cfg = self.scenario.config
@@ -527,7 +538,7 @@ class TestLinkSweep:
             # chain links from 100 m to 5 km, both sides of the SINR floor
             pos = np.array([[0.0, 0.0, 80.0], [100.0, 0.0, 80.0],
                             [100.0 + gap, 0.0, 80.0]])
-            designs, _ = separated_link_sweep(
+            designs = separated_link_sweep(
                 pos, self.scenario.chain_edges, self.scenario,
                 rng_stream(seed, "sweep"))
             for des in designs:
@@ -542,9 +553,9 @@ class TestLinkSweep:
         # the first pair is co-located, so the 1 m clamp is drawn too
         pos = np.array([[0.0, 2500.0, 80.0], [0.0, 2500.0, 80.0],
                         [900.0, 2300.0, 80.0]])
-        isac, _ = link_feasibility_sweep(
+        isac = link_feasibility_sweep(
             pos, self.scenario.chain_edges, self.scenario, rng_stream(7, "sweep"))
-        split, _ = separated_link_sweep(
+        split = separated_link_sweep(
             pos, self.scenario.chain_edges, self.scenario, rng_stream(7, "sweep"))
         assert len(isac) == len(split) == 2
         for a, b in zip(isac, split):

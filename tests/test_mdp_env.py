@@ -9,7 +9,7 @@ from uavisac.energy import REFERENCE_PROPULSION, flight_power, hover_power
 from uavisac.mdp_env import (CorridorEnv, JointAction, RewardConfig,
                              check_constraints, uplink_gain2, write_trace_csv)
 from uavisac.scenario import (Scenario, ScenarioConfig, build_scenario,
-                              db_to_linear)
+                              db_to_linear, rng_stream)
 
 
 def make_scenario(md_xyz, num_uavs=1, **overrides) -> Scenario:
@@ -134,7 +134,7 @@ class TestObservations:
 
     def test_stepped_states_match_oracle(self):
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=6, seed=4))
-        env = CorridorEnv(sc, connected=False)
+        env = CorridorEnv(sc, link_mode="none")
         _, obs, critic = env.reset(2)
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -230,6 +230,15 @@ class TestActionMask:
         assert env.action_mask(0, [])[0]
         assert env.action_mask(1, [0])[0] == False  # noqa: E712
         assert env.action_mask(1, [-1])[0]
+
+    def test_claimed_noop_stays_on(self):
+        # act_in_env stores the no-op index for an agent that claims no MD
+        sc = make_scenario([[30.0, 2470.0, 0.0]], num_uavs=2)
+        env = CorridorEnv(sc)
+        env.reset(0)
+        mask = env.action_mask(1, [env.n_mds])
+        assert mask[-1]
+        assert np.array_equal(mask, env.open_masks()[1])
 
     def test_mask_violation_rejected(self):
         sc = make_scenario([[30.0, 2470.0, 0.0]], num_uavs=2)
@@ -523,6 +532,36 @@ class TestConstraintAudit:
             _, _, _, done, _ = env.step(hover_action(env))
         rep = check_constraints(env.trace, sc, connected=False)
         assert rep.inter_uav_sinr is None
+
+
+class TestLinkMode:
+    @pytest.mark.parametrize("record", [True, False])
+    def test_none_scores_and_draws_no_links(self, record):
+        sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
+                                           horizon_slots=6))
+        envs = {mode: CorridorEnv(sc, record=record, link_mode=mode)
+                for mode in ("none", "isac")}
+        for env in envs.values():
+            env.reset(0)
+        act = JointAction(md_choice=np.full(3, -1),
+                          heading=np.array([0.0, -0.5 * np.pi, -0.25 * np.pi]),
+                          speed=np.ones(3, dtype=np.uint8))
+        done = False
+        while not done:
+            _, rew, _, done, _ = envs["none"].step(act)
+            assert rew.qos == 0.0
+            envs["isac"].step(act)
+        fresh = rng_stream(0, "env-channel").random()
+        assert envs["none"]._rng.random() == fresh
+        assert envs["isac"]._rng.random() != fresh
+        assert len(envs["none"].trace) == (6 if record else 0)
+        for rec in envs["none"].trace:
+            assert rec.link_designs == [] and len(rec.link_margins) == 0
+
+    def test_unknown_mode_rejected(self):
+        sc = build_scenario(ScenarioConfig(num_uavs=2, seed=0))
+        with pytest.raises(ValueError, match="unknown link mode"):
+            CorridorEnv(sc, link_mode="radar")
 
 
 class TestLinkVerdicts:

@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Check that the working tree writes the same outputs as a parent revision.
+
+    python3 tools/same_outputs.py --parent HEAD~1
+
+Run from the repository root. The parent revision is unpacked with
+``git archive`` (``ab_bench.unpack``); in each tree the ``uavisac`` CLI then
+runs with ``OPENBLAS_NUM_THREADS=1`` on the ``mission_grid`` world of
+``perfbench/workloads.py`` with its cut PSO/GA budgets:
+
+- ``run --train-first --episodes 1 --values 2,3 --seeds 0,1`` for scenario
+  (and MAPPO) seeds 0-4;
+- ``curves --episodes 2 --seeds 0,1,2`` on the seed-0 world.
+
+``results.csv``, ``aggregates.csv`` and the curve CSVs are compared byte for
+byte, and the checkpoints array by array with ``np.array_equal``. Each file's
+digest is printed for both trees; the exit code is 1 on any difference.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from ab_bench import ROOT, git, unpack
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import GRID_GA, GRID_PSO, GRID_WORLD  # noqa: E402
+
+SCENARIO_SEEDS = range(5)
+RUN_ARGS = ("run", "--train-first", "--episodes", "1", "--values", "2,3",
+            "--seeds", "0,1")
+CURVE_ARGS = ("curves", "--episodes", "2", "--seeds", "0,1,2")
+COMPARED = ("results.csv", "aggregates.csv", "*.curve.csv", "curve_seed*.csv",
+            "*.npz")
+
+
+def write_config(path: Path, seed: int) -> None:
+    def ini(value):
+        return " ".join(map(str, value)) if isinstance(value, tuple) else value
+
+    sections = {"scenario": {**GRID_WORLD, "seed": seed}, "pso": GRID_PSO,
+                "ga": GRID_GA, "mappo": {"seed": seed}}
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {ini(v)}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+
+
+def produce(tree: Path, work: Path) -> None:
+    """Every compared output of one tree, under ``work``."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(tree / "src")}
+    jobs = [(seed, RUN_ARGS) for seed in SCENARIO_SEEDS] + [(0, CURVE_ARGS)]
+    for seed, args in jobs:
+        out = work / f"{args[0]}_seed{seed}"
+        config = work / f"seed{seed}.cfg"
+        write_config(config, seed)
+        subprocess.run([sys.executable, "-m", "uavisac.cli", *args, "--config",
+                        str(config), "--out", str(out)],
+                       cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def digest(path: Path) -> str:
+    if path.suffix != ".npz":
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with np.load(path) as data:
+        for key in sorted(data.files):
+            h.update(key.encode() + np.ascontiguousarray(data[key]).tobytes())
+    return h.hexdigest()
+
+
+def same(a: Path, b: Path) -> bool:
+    if a.suffix != ".npz":
+        return a.read_bytes() == b.read_bytes()
+    with np.load(a) as x, np.load(b) as y:
+        return (sorted(x.files) == sorted(y.files)
+                and all(np.array_equal(x[k], y[k]) for k in x.files))
+
+
+def outputs(work: Path) -> set:
+    return {p.relative_to(work) for pattern in COMPARED
+            for p in work.rglob(pattern)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    args = parser.parse_args(argv)
+    parent_rev = git("rev-parse", args.parent)
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        tmp = Path(tmp)
+        unpack(parent_rev, tmp)
+        sides = {"parent": tmp / "tree", "change": ROOT}
+        for side, tree in sides.items():
+            (tmp / side).mkdir()
+            produce(tree, tmp / side)
+        files = outputs(tmp / "parent") | outputs(tmp / "change")
+        differ = 0
+        for rel in sorted(files):
+            paths = {side: tmp / side / rel for side in sides}
+            ok = (all(p.exists() for p in paths.values())
+                  and same(paths["parent"], paths["change"]))
+            differ += not ok
+            print(f"{'same' if ok else 'DIFF'} {rel}")
+            for side, p in paths.items():
+                print(f"  {side:6} {digest(p) if p.exists() else 'missing'}")
+    print(f"{len(files)} files compared against {parent_rev}, {differ} differ")
+    return 1 if differ or not files else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
