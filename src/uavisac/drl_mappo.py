@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .mdp_env import CorridorEnv, JointAction, RewardConfig, run_episode
-from .nn import Adam, Linear, log_softmax_masked, softplus
+from .nn import (Adam, Linear, Workspace, log_softmax_masked, softplus,
+                 tanh_backward, tanh_layer)
 from .scenario import Scenario, rng_stream
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -59,11 +60,6 @@ class ActorNet:
         return (self.l1.params + self.l2.params + self.head_md.params
                 + self.head_mu.params + self.head_speed.params + [self.log_std])
 
-    def trunk(self, obs):
-        h1 = np.tanh(self.l1.forward(obs))
-        h2 = np.tanh(self.l2.forward(h1))
-        return h1, h2
-
     def heads(self, h2):
         return (self.head_md.forward(h2),
                 self.head_mu.forward(h2)[:, 0],
@@ -83,48 +79,83 @@ class CriticNet:
         return self.l1.params + self.l2.params + self.out.params
 
 
+def _trunk(net, x, work: Workspace):
+    """Activations (h1, h2) of a net's two tanh layers ``l1`` and ``l2``."""
+    shape = (len(x), net.hidden)
+    h1 = tanh_layer(net.l1, x, work.array("h1", shape))
+    return h1, tanh_layer(net.l2, h1, work.array("h2", shape))
+
+
+def _trunk_grads(net, x, h1, h2, gh2, work: Workspace):
+    """[gw1, gb1, gw2, gb2] of the two tanh layers under the upstream
+    gradient ``gh2``. Overwrites ``gh2``, ``h1`` and ``h2``, whose buffers
+    the backward pass reuses; the network input gets no gradient."""
+    gz2 = tanh_backward(gh2, h2)
+    gw2, gb2 = net.l2.backward(h1, gz2, work.array("gw2", net.l2.w.shape))
+    gz1 = tanh_backward(np.matmul(gz2, net.l2.w.T, out=h2), h1)
+    gw1, gb1 = net.l1.backward(x, gz1, work.array("gw1", net.l1.w.shape))
+    return [gw1, gb1, gw2, gb2]
+
+
 def actor_forward(actor: ActorNet, obs, mask):
     """Distribution parameters for a batch of observations.
 
     Returns masked per-action log-probabilities, heading mean, heading std
     and the speed logit.
     """
-    obs = np.atleast_2d(obs)
-    _, h2 = actor.trunk(obs)
+    _, h2 = _trunk(actor, np.atleast_2d(obs), Workspace())
     md_logits, mu, z_speed = actor.heads(h2)
     logp_md = log_softmax_masked(md_logits, np.atleast_2d(mask))
     return logp_md, mu, float(np.exp(actor.log_std[0])), z_speed
 
 
-def critic_forward(critic: CriticNet, state):
-    state = np.atleast_2d(state)
-    h1 = np.tanh(critic.l1.forward(state))
-    h2 = np.tanh(critic.l2.forward(h1))
+def critic_forward(critic: CriticNet, state, work: Workspace | None = None):
+    """V(s) for a state or a batch of states; the hidden activations go to
+    ``work`` when given."""
+    _, h2 = _trunk(critic, np.atleast_2d(state),
+                   Workspace() if work is None else work)
     return critic.out.forward(h2)[:, 0]
+
+
+def _categorical(probs, rng: np.random.Generator):
+    """The draw of ``rng.choice(len(probs), p=probs / probs.sum())``, bit for
+    bit, without that call's per-call argument checks; non-finite
+    probabilities raise ValueError as they do there."""
+    cdf = (probs / probs.sum()).cumsum()
+    if not np.isfinite(cdf[-1]):
+        raise ValueError("probabilities are not finite")
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(), "right")
+
+
+def _draw(logp_md, mu, sigma, z_speed, rng: np.random.Generator):
+    """(md, u, heading, speed) drawn for every row: the MD indices row by
+    row, then the heading normals, then the speed uniforms. One row at a
+    time gives one agent's draws in that order."""
+    md = np.array([_categorical(p, rng) for p in np.exp(logp_md)], dtype=int)
+    u = mu + sigma * rng.standard_normal(len(md))
+    p_speed = 1.0 / (1.0 + np.exp(-z_speed))
+    speed = (rng.random(len(md)) < p_speed).astype(np.uint8)
+    return md, u, np.pi * np.tanh(u), speed
+
+
+def _greedy(logp_md, mu, z_speed):
+    """(md, heading, speed): every row's most likely action."""
+    return (logp_md.argmax(axis=1), np.pi * np.tanh(mu),
+            (z_speed > 0).astype(np.uint8))
 
 
 def sample_actions(actor: ActorNet, obs, mask, rng: np.random.Generator):
     """One action tuple per row: (md index or -1, pre-squash u, heading, speed, logp)."""
     logp_md, mu, sigma, z_speed = actor_forward(actor, obs, mask)
-    batch = logp_md.shape[0]
-    md = np.empty(batch, dtype=int)
-    probs = np.exp(logp_md)
-    for b in range(batch):
-        md[b] = rng.choice(logp_md.shape[1], p=probs[b] / probs[b].sum())
-    u = mu + sigma * rng.standard_normal(batch)
-    heading = np.pi * np.tanh(u)
-    p_speed = 1.0 / (1.0 + np.exp(-z_speed))
-    speed = (rng.random(batch) < p_speed).astype(np.uint8)
+    md, u, heading, speed = _draw(logp_md, mu, sigma, z_speed, rng)
     logp = joint_log_prob(logp_md, mu, sigma, z_speed, md, u, speed)
     return md, u, heading, speed, logp
 
 
 def greedy_actions(actor: ActorNet, obs, mask):
     logp_md, mu, _, z_speed = actor_forward(actor, obs, mask)
-    md = logp_md.argmax(axis=1)
-    heading = np.pi * np.tanh(mu)
-    speed = (z_speed > 0).astype(np.uint8)
-    return md, heading, speed
+    return _greedy(logp_md, mu, z_speed)
 
 
 def joint_log_prob(logp_md, mu, sigma, z_speed, md, u, speed):
@@ -158,11 +189,15 @@ def gae(rewards, values, dones, discount, lam):
     return adv
 
 
-def actor_loss_and_grads(actor: ActorNet, batch, clip_ratio, entropy_coef):
+def actor_loss_and_grads(actor: ActorNet, batch, clip_ratio, entropy_coef,
+                         work: Workspace | None = None):
     """Clipped-surrogate loss (to minimize) and gradients for every actor param.
 
     ``batch`` carries obs, mask, md, u, speed, logp_old and normalized adv.
+    The large temporaries and weight gradients live in ``work`` (a fresh
+    Workspace when None), so the gradients hold until its next use.
     """
+    work = Workspace() if work is None else work
     obs = batch["obs"]
     mask = batch["mask"]
     md = batch["md"]
@@ -172,8 +207,7 @@ def actor_loss_and_grads(actor: ActorNet, batch, clip_ratio, entropy_coef):
     adv = batch["adv"]
     n = len(obs)
 
-    h1 = np.tanh(actor.l1.forward(obs))
-    h2 = np.tanh(actor.l2.forward(h1))
+    h1, h2 = _trunk(actor, obs, work)
     md_logits, mu, z_speed = actor.heads(h2)
     logp_all = log_softmax_masked(md_logits, mask)
     sigma = float(np.exp(actor.log_std[0]))
@@ -218,44 +252,47 @@ def actor_loss_and_grads(actor: ActorNet, batch, clip_ratio, entropy_coef):
     g_z = g_logp * (speed - sig_speed)
     g_z += -(entropy_coef / n) * (-z_speed * sig_speed * (1.0 - sig_speed))
 
-    # backprop heads into the trunk
-    gh2_md, gw_md, gb_md = actor.head_md.backward(h2, g_md)
-    gh2_mu, gw_mu, gb_mu = actor.head_mu.backward(h2, g_mu[:, None])
-    gh2_sp, gw_sp, gb_sp = actor.head_speed.backward(h2, g_z[:, None])
-    gh2 = gh2_md + gh2_mu + gh2_sp
-    gz2 = gh2 * (1.0 - h2 ** 2)
-    gh1, gw2, gb2 = actor.l2.backward(h1, gz2)
-    gz1 = gh1 * (1.0 - h1 ** 2)
-    _, gw1, gb1 = actor.l1.backward(obs, gz1)
+    # backprop heads into the trunk; a one-column head's input gradient is
+    # an outer product, which broadcasting forms with the same bits as a
+    # matrix product
+    gw_md, gb_md = actor.head_md.backward(h2, g_md)
+    gw_mu, gb_mu = actor.head_mu.backward(h2, g_mu[:, None])
+    gw_sp, gb_sp = actor.head_speed.backward(h2, g_z[:, None])
+    gh2 = np.matmul(g_md, actor.head_md.w.T, out=work.array("gh2", h2.shape))
+    outer = np.multiply(g_mu[:, None], actor.head_mu.w.T,
+                        out=work.array("outer", h2.shape))
+    gh2 += outer
+    gh2 += np.multiply(g_z[:, None], actor.head_speed.w.T, out=outer)
 
-    grads = [gw1, gb1, gw2, gb2, gw_md, gb_md, gw_mu, gb_mu, gw_sp, gb_sp,
-             np.array([g_logstd])]
+    grads = _trunk_grads(actor, obs, h1, h2, gh2, work) + [
+        gw_md, gb_md, gw_mu, gb_mu, gw_sp, gb_sp, np.array([g_logstd])]
     diag = {"ratio_mean": float(ratio.mean()),
             "clip_fraction": float((active == 0.0).mean()),
             "entropy": float(entropy.mean())}
     return float(loss), grads, diag
 
 
-def critic_loss_and_grads(critic: CriticNet, states, targets):
-    """Mean squared error against the frozen value targets."""
+def critic_loss_and_grads(critic: CriticNet, states, targets,
+                          work: Workspace | None = None):
+    """Mean squared error against the frozen value targets; ``work`` as in
+    ``actor_loss_and_grads``."""
+    work = Workspace() if work is None else work
     n = len(states)
-    h1 = np.tanh(critic.l1.forward(states))
-    h2 = np.tanh(critic.l2.forward(h1))
+    h1, h2 = _trunk(critic, states, work)
     v = critic.out.forward(h2)[:, 0]
     err = v - targets
     loss = float(np.mean(err ** 2))
     gv = (2.0 / n) * err
-    gh2, gw3, gb3 = critic.out.backward(h2, gv[:, None])
-    gz2 = gh2 * (1.0 - h2 ** 2)
-    gh1, gw2, gb2 = critic.l2.backward(h1, gz2)
-    gz1 = gh1 * (1.0 - h1 ** 2)
-    _, gw1, gb1 = critic.l1.backward(states, gz1)
-    return loss, [gw1, gb1, gw2, gb2, gw3, gb3]
+    gw3, gb3 = critic.out.backward(h2, gv[:, None])
+    gh2 = np.multiply(gv[:, None], critic.out.w.T, out=work.array("gh2", h2.shape))
+    return loss, _trunk_grads(critic, states, h1, h2, gh2, work) + [gw3, gb3]
 
 
 def ppo_actor_update(actor: ActorNet, optimizer: Adam, batch,
-                     clip_ratio=0.2, entropy_coef=0.01):
-    loss, grads, diag = actor_loss_and_grads(actor, batch, clip_ratio, entropy_coef)
+                     clip_ratio=0.2, entropy_coef=0.01,
+                     work: Workspace | None = None):
+    loss, grads, diag = actor_loss_and_grads(actor, batch, clip_ratio,
+                                             entropy_coef, work)
     for g in grads:
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite actor gradient; update aborted")
@@ -264,8 +301,9 @@ def ppo_actor_update(actor: ActorNet, optimizer: Adam, batch,
     return diag
 
 
-def critic_update(critic: CriticNet, optimizer: Adam, states, targets):
-    loss, grads = critic_loss_and_grads(critic, states, targets)
+def critic_update(critic: CriticNet, optimizer: Adam, states, targets,
+                  work: Workspace | None = None):
+    loss, grads = critic_loss_and_grads(critic, states, targets, work)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite critic loss; update aborted")
     optimizer.step(critic.params, grads)
@@ -315,30 +353,35 @@ def act_in_env(policy: MappoPolicy, env: CorridorEnv, obs,
                rng: np.random.Generator | None):
     """Sequential per-agent action selection under the claim-order masks.
 
+    One forward pass serves every agent: the claim order changes only the
+    MD-head masks. Each agent then draws in turn (MD, heading, speed), and
+    the joint log-probabilities are taken over the final masks.
     Deterministic (greedy) when ``rng`` is None. Returns the joint action
     plus everything the trainer stores per agent.
     """
+    actor = policy.actor
     m_agents = env.n_agents
+    md_logits, mu, z_speed = actor.heads(_trunk(actor, obs, Workspace())[1])
+    sigma = float(np.exp(actor.log_std[0]))
     md = np.empty(m_agents, dtype=int)
     u = np.zeros(m_agents)
     heading = np.zeros(m_agents)
     speed = np.zeros(m_agents, dtype=np.uint8)
-    logp = np.zeros(m_agents)
     masks = env.open_masks()
     for m in range(m_agents):
-        mask = masks[m]
+        row = slice(m, m + 1)
+        logp_md = log_softmax_masked(md_logits[row], masks[row])
         if rng is None:
-            md_m, head_m, sp_m = greedy_actions(policy.actor, obs[m], mask[None])
-            md[m], heading[m], speed[m] = md_m[0], head_m[0], sp_m[0]
+            md[row], heading[row], speed[row] = _greedy(logp_md, mu[row],
+                                                        z_speed[row])
         else:
-            md_m, u_m, head_m, sp_m, lp = sample_actions(
-                policy.actor, obs[m], mask[None], rng)
-            md[m], u[m], heading[m], speed[m], logp[m] = (
-                md_m[0], u_m[0], head_m[0], sp_m[0], lp[0])
+            md[row], u[row], heading[row], speed[row] = _draw(
+                logp_md, mu[row], sigma, z_speed[row], rng)
         if md[m] < env.n_mds:
             masks[m + 1:, md[m]] = False    # claimed for the later agents
-        else:
-            md[m] = -1
+    logp = (np.zeros(m_agents) if rng is None else joint_log_prob(
+        log_softmax_masked(md_logits, masks), mu, sigma, z_speed, md, u, speed))
+    md[md >= env.n_mds] = -1
     action = JointAction(md_choice=md, heading=heading, speed=speed)
     return action, masks, u, logp
 
@@ -382,13 +425,12 @@ class _Buffer:
         self.speed = []      # (M,)
         self.logp = []       # (M,)
         self.states = []     # (S,)
-        self.values = []     # scalar V(s)
         self.rewards = []    # shared reward
         self.dones = []
         self.agent_samples = 0
 
     def store(self, obs, masks, md_head, u, speed, logp, critic_state,
-              value, reward, done):
+              reward, done):
         self.obs.append(obs)
         self.mask.append(masks)
         self.md.append(md_head)
@@ -396,7 +438,6 @@ class _Buffer:
         self.speed.append(speed)
         self.logp.append(logp)
         self.states.append(critic_state)
-        self.values.append(value)
         self.rewards.append(reward)
         self.dones.append(done)
         self.agent_samples += len(md_head)
@@ -405,10 +446,19 @@ class _Buffer:
 def _update(policy: MappoPolicy, opt_actor: Adam, opt_critic: Adam,
             buf: _Buffer, config: MappoConfig, shuffle_rng):
     """PPO epochs over one rollout; returns the mean critic loss and the
-    means of the actor diagnostics (ratio_mean, clip_fraction, entropy)."""
-    adv_step = gae(buf.rewards, buf.values, buf.dones,
+    means of the actor diagnostics (ratio_mean, clip_fraction, entropy).
+
+    The rollout's values come from one critic pass here: the critic changes
+    only inside this function, so they are the values it had while the
+    rollout was collected. That pass and every minibatch reuse one
+    Workspace for inputs, activations and gradients. The buffer is cleared
+    once its arrays are stacked."""
+    work = Workspace()
+    states = np.stack(buf.states)
+    values = critic_forward(policy.critic, states, work)
+    adv_step = gae(buf.rewards, values, buf.dones,
                    config.discount, config.gae_lambda)
-    targets = adv_step + np.asarray(buf.values)
+    targets = adv_step + values
 
     m_agents = buf.md[0].shape[0]
     obs = np.concatenate(buf.obs)                       # (T*M, obs_dim)
@@ -419,26 +469,29 @@ def _update(policy: MappoPolicy, opt_actor: Adam, opt_critic: Adam,
     logp_old = np.concatenate(buf.logp)
     adv = np.repeat(adv_step, m_agents)
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-
-    states = np.stack(buf.states)
+    buf.clear()
 
     n_actor = len(obs)
     n_critic = len(states)
+
+    def rows(x, sel):
+        return np.take(x, sel, axis=0, out=work.array("x", (len(sel),) + x.shape[1:]))
+
     losses, diags = [], []
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(n_actor)
         for lo in range(0, n_actor, config.minibatch):
             sel = order[lo:lo + config.minibatch]
             diags.append(ppo_actor_update(policy.actor, opt_actor, {
-                "obs": obs[sel], "mask": mask[sel], "md": md[sel],
+                "obs": rows(obs, sel), "mask": mask[sel], "md": md[sel],
                 "u": u[sel], "speed": speed[sel],
                 "logp_old": logp_old[sel], "adv": adv[sel]},
-                config.clip_ratio, config.entropy_coef))
+                config.clip_ratio, config.entropy_coef, work))
         order_c = shuffle_rng.permutation(n_critic)
         for lo in range(0, n_critic, config.minibatch):
             sel = order_c[lo:lo + config.minibatch]
             losses.append(critic_update(policy.critic, opt_critic,
-                                        states[sel], targets[sel]))
+                                        rows(states, sel), targets[sel], work))
     return float(np.mean(losses)), {
         key: float(np.mean([d[key] for d in diags]))
         for key in ("ratio_mean", "clip_fraction", "entropy")}
@@ -473,13 +526,12 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
         done = False
         ep_reward = 0.0
         while not done:
-            value = float(critic_forward(critic, critic_state)[0])
             action, masks, u, logp = act_in_env(policy, env, obs, sample_rng)
             md_head = np.where(action.md_choice >= 0, action.md_choice,
                                env.n_mds)
             _, rew, next_obs, done, info = env.step(action)
             buf.store(obs, masks, md_head, u, action.speed, logp,
-                      critic_state, value, rew.total, done)
+                      critic_state, rew.total, done)
             obs = next_obs
             critic_state = env.critic_state(obs)
             ep_reward += rew.total
@@ -499,7 +551,6 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
             curve.ratio_mean.append(diag["ratio_mean"])
             curve.clip_fraction.append(diag["clip_fraction"])
             curve.entropy.append(diag["entropy"])
-            buf.clear()
             curve.value_loss[-1] = last_value_loss
     return policy, curve
 

@@ -8,7 +8,6 @@ idempotent, and single-worker runs are byte-deterministic.
 
 import csv
 import json
-import os
 import platform
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, accel
-from .config import RunConfig, load_config
+from .config import RunConfig
 from .drl_mappo import MappoPolicy, act_in_env, train
 from .planners import (MissionResult, evaluate_plan, fly_mission, ga_plan,
                        greedy_offline, greedy_online, pso_plan)

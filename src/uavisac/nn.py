@@ -5,6 +5,8 @@ against central finite differences in the test suite. Layout convention:
 activations are (batch, features), weights are (in, out).
 """
 
+import math
+
 import numpy as np
 
 
@@ -24,20 +26,47 @@ class Linear:
         self.w = orthogonal(rng, (n_in, n_out), gain)
         self.b = np.zeros(n_out)
 
-    def forward(self, x):
-        return x @ self.w + self.b
+    def forward(self, x, out=None):
+        out = np.matmul(x, self.w, out=out)
+        out += self.b
+        return out
 
-    def backward(self, x, grad_out):
-        """Returns (grad_x, grad_w, grad_b) for upstream gradient grad_out."""
-        return grad_out @ self.w.T, x.T @ grad_out, grad_out.sum(axis=0)
+    def backward(self, x, grad_out, out=None):
+        """Returns (grad_w, grad_b) for upstream gradient grad_out, grad_w in
+        ``out`` when given. The input gradient ``grad_out @ w.T`` is left to
+        the caller, which forms it only where a layer below needs it."""
+        return np.matmul(x.T, grad_out, out=out), grad_out.sum(axis=0)
 
     @property
     def params(self):
         return [self.w, self.b]
 
 
+class Workspace:
+    """Scratch arrays by name, reused from one call to the next.
+
+    ``array(name, shape)`` returns a float64 array of ``shape`` laid over the
+    named buffer, which a larger request replaces. A loop over equal-sized
+    batches thus allocates its large temporaries once instead of paging in
+    fresh ones on every pass. The next request under a name overwrites what
+    the last one handed out.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def array(self, name, shape):
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 class Adam:
     """Adaptive moment estimation over a flat list of parameter arrays."""
+
+    CHUNK = 16384   # elements per block: a block's six arrays stay in cache
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -47,17 +76,51 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._work = Workspace()
 
     def step(self, params, grads):
+        """One update, in place. Each parameter is updated a block of rows at
+        a time, about CHUNK elements, through two block-sized scratch arrays,
+        so a block's arrays stay in cache. Every product, sum and quotient
+        rounds as in ``p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)``."""
+        work = self._work
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        for param, grad, m_all, v_all in zip(params, grads, self.m, self.v):
+            rows = max(1, self.CHUNK * len(param) // param.size)
+            for lo in range(0, len(param), rows):
+                block = slice(lo, lo + rows)
+                p, g, m, v = param[block], grad[block], m_all[block], v_all[block]
+                t = np.multiply(g, 1.0 - self.beta1, out=work.array("adam_t", p.shape))
+                m *= self.beta1
+                m += t
+                np.multiply(g, 1.0 - self.beta2, out=t)
+                t *= g
+                v *= self.beta2
+                v += t
+                np.divide(m, b1c, out=t)
+                t *= self.lr
+                d = np.divide(v, b2c, out=work.array("adam_d", p.shape))
+                np.sqrt(d, out=d)
+                d += self.eps
+                t /= d
+                p -= t
+
+
+def tanh_layer(layer, x, out):
+    """tanh(x @ w + b), computed in ``out``."""
+    out = layer.forward(x, out)
+    return np.tanh(out, out=out)
+
+
+def tanh_backward(grad, h):
+    """grad * (1 - h**2) for h = tanh(z), written over ``grad``; ``h`` is
+    overwritten with 1 - h**2."""
+    np.square(h, out=h)
+    np.subtract(1.0, h, out=h)
+    grad *= h
+    return grad
 
 
 def log_softmax_masked(logits, mask):

@@ -25,7 +25,7 @@ def test_linear_backward_matches_fd():
         return 0.5 * np.sum((layer.forward(x) - target) ** 2)
 
     grad_out = layer.forward(x) - target
-    _, gw, gb = layer.backward(x, grad_out)
+    gw, gb = layer.backward(x, grad_out)
     h = 1e-6
     for idx in [(0, 0), (2, 1), (4, 2)]:
         layer.w[idx] += h

@@ -12,9 +12,14 @@ runs with ``OPENBLAS_NUM_THREADS=1`` on the ``mission_grid`` world of
   (and MAPPO) seeds 0-4;
 - ``curves --episodes 2 --seeds 0,1,2`` on the seed-0 world.
 
+The ``[mappo]`` section sets ``rollout = 256``, fewer agent samples than one
+episode gives, so every training episode ends in a PPO update.
+
 ``results.csv``, ``aggregates.csv`` and the curve CSVs are compared byte for
 byte, and the checkpoints array by array with ``np.array_equal``. Each file's
-digest is printed for both trees; the exit code is 1 on any difference.
+digest is printed for both trees, and for a differing checkpoint the largest
+absolute difference of each differing array; the exit code is 1 on any
+difference.
 """
 
 import argparse
@@ -36,6 +41,7 @@ SCENARIO_SEEDS = range(5)
 RUN_ARGS = ("run", "--train-first", "--episodes", "1", "--values", "2,3",
             "--seeds", "0,1")
 CURVE_ARGS = ("curves", "--episodes", "2", "--seeds", "0,1,2")
+ROLLOUT = 256
 COMPARED = ("results.csv", "aggregates.csv", "*.curve.csv", "curve_seed*.csv",
             "*.npz")
 
@@ -45,7 +51,7 @@ def write_config(path: Path, seed: int) -> None:
         return " ".join(map(str, value)) if isinstance(value, tuple) else value
 
     sections = {"scenario": {**GRID_WORLD, "seed": seed}, "pso": GRID_PSO,
-                "ga": GRID_GA, "mappo": {"seed": seed}}
+                "ga": GRID_GA, "mappo": {"seed": seed, "rollout": ROLLOUT}}
     path.write_text("".join(
         f"[{name}]\n" + "".join(f"{k} = {ini(v)}\n" for k, v in keys.items())
         for name, keys in sections.items()))
@@ -83,6 +89,14 @@ def same(a: Path, b: Path) -> bool:
                 and all(np.array_equal(x[k], y[k]) for k in x.files))
 
 
+def array_deltas(a: Path, b: Path) -> dict:
+    """Max |a - b| of each numeric array that differs between two checkpoints."""
+    with np.load(a) as x, np.load(b) as y:
+        return {k: float(np.max(np.abs(x[k] - y[k]))) for k in sorted(x.files)
+                if k in y.files and x[k].dtype.kind == "f"
+                and x[k].shape == y[k].shape and not np.array_equal(x[k], y[k])}
+
+
 def outputs(work: Path) -> set:
     return {p.relative_to(work) for pattern in COMPARED
             for p in work.rglob(pattern)}
@@ -110,6 +124,9 @@ def main(argv=None) -> int:
             print(f"{'same' if ok else 'DIFF'} {rel}")
             for side, p in paths.items():
                 print(f"  {side:6} {digest(p) if p.exists() else 'missing'}")
+            if not ok and rel.suffix == ".npz" and all(p.exists() for p in paths.values()):
+                for key, delta in array_deltas(paths["parent"], paths["change"]).items():
+                    print(f"  max |delta| {key} {delta:.3g}")
     print(f"{len(files)} files compared against {parent_rev}, {differ} differ")
     return 1 if differ or not files else 0
 
