@@ -31,11 +31,17 @@ def _out_root(args) -> str:
 
 
 def _load_config(path):
-    """The run configuration; unreadable or malformed files are bad input."""
+    """The run configuration; unreadable or malformed files and propulsion
+    parameters out of range are bad input."""
     try:
-        return load_config(path)
+        run_config = load_config(path)
     except (OSError, ValueError, configparser.Error) as exc:
         raise ValidationFailure(f"cannot load config: {exc}") from exc
+    try:
+        run_config.propulsion.validate()
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from exc
+    return run_config
 
 
 def _number(tok: str):

@@ -4,7 +4,8 @@ Sections map to components: [scenario], [propulsion], [reward], [pso], [ga],
 [mappo]. Keys mirror the dataclass field names and use linear SI units; the
 two human-facing exceptions are ``sensing_angles_deg`` (degrees in the file,
 radians internally) and the ``*_db``/``*_dbm`` convenience keys, which
-override their linear counterparts when present.
+override their linear counterparts when present. Any other section or key is
+rejected, so a misspelt one cannot leave its default silently in force.
 """
 
 import configparser
@@ -46,12 +47,15 @@ def _coerce(raw: str, like):
     return raw
 
 
-def _apply_section(instance, section):
-    updates = {}
+def _apply_section(instance, section, extra=()):
+    """``instance`` with the section's keys set; a key that is neither a field
+    nor in ``extra`` is rejected."""
     known = {f.name: getattr(instance, f.name) for f in fields(instance)}
-    for key, raw in section.items():
-        if key in known:
-            updates[key] = _coerce(raw, known[key])
+    unknown = [key for key in section if key not in known and key not in extra]
+    if unknown:
+        raise ValueError(f"unknown keys in [{section.name}]: {', '.join(unknown)}")
+    updates = {key: _coerce(raw, known[key]) for key, raw in section.items()
+               if key in known}
     return replace(instance, **updates) if updates else instance
 
 
@@ -68,7 +72,8 @@ _DB_KEYS = {
 
 def _apply_scenario_section(scenario: ScenarioConfig, section) -> ScenarioConfig:
     raw = dict(section)
-    scenario = _apply_section(scenario, section)
+    scenario = _apply_section(scenario, section,
+                              extra=(*_DB_KEYS, "sensing_angles_deg"))
     # db/deg convenience keys override the linear fields set in the same file
     for key, (target, conv) in _DB_KEYS.items():
         if key in raw:
@@ -82,7 +87,9 @@ def _apply_scenario_section(scenario: ScenarioConfig, section) -> ScenarioConfig
 
 
 def load_config(path=None) -> RunConfig:
-    """Parse a config file as an override layer on the built-in defaults."""
+    """Parse a config file as an override layer on the built-in defaults.
+
+    A section or key the schema does not know raises ValueError."""
     layers = []
     defaults = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     defaults.read_string(default_config_text())
@@ -93,24 +100,12 @@ def load_config(path=None) -> RunConfig:
             user.read_file(fh)
         layers.append(user)
 
-    scenario = ScenarioConfig()
-    propulsion = PropulsionParams()
-    reward = RewardConfig()
-    pso = PsoConfig()
-    ga = GaConfig()
-    mappo = MappoConfig()
+    parts = {f.name: f.type() for f in fields(RunConfig)}
     for parser in layers:
-        if parser.has_section("scenario"):
-            scenario = _apply_scenario_section(scenario, parser["scenario"])
-        if parser.has_section("propulsion"):
-            propulsion = _apply_section(propulsion, parser["propulsion"])
-        if parser.has_section("reward"):
-            reward = _apply_section(reward, parser["reward"])
-        if parser.has_section("pso"):
-            pso = _apply_section(pso, parser["pso"])
-        if parser.has_section("ga"):
-            ga = _apply_section(ga, parser["ga"])
-        if parser.has_section("mappo"):
-            mappo = _apply_section(mappo, parser["mappo"])
-    return RunConfig(scenario=scenario, propulsion=propulsion, reward=reward,
-                     pso=pso, ga=ga, mappo=mappo)
+        unknown = [name for name in parser.sections() if name not in parts]
+        if unknown:
+            raise ValueError(f"unknown config sections: {', '.join(unknown)}")
+        for name in parser.sections():
+            apply = _apply_scenario_section if name == "scenario" else _apply_section
+            parts[name] = apply(parts[name], parser[name])
+    return RunConfig(**parts)

@@ -196,20 +196,27 @@ def run_experiment(spec: ExperimentSpec) -> list:
     return rows
 
 
-def _write_aggregates(rows, path):
-    groups: dict = {}
+def _cell_means(rows) -> dict:
+    """Per (method, value) cell of result rows: its row count ``n``, its axis
+    and the mean of each averaged field, over the rows in their given order."""
+    cells: dict = {}
     for r in rows:
-        groups.setdefault((r["method"], r["value"]), []).append(r)
+        cells.setdefault((r["method"], r["value"]), []).append(r)
+    return {key: {"n": len(group), "axis": group[0]["axis"],
+                  **{field: np.mean([float(g[field]) for g in group])
+                     for field in ("energy_j", "time_s", "success", "collected")}}
+            for key, group in cells.items()}
+
+
+def _write_aggregates(rows, path):
     lines = ["method,axis,value,n_seeds,mean_energy_j,mean_time_s,"
              "success_rate,mean_collected"]
-    for (method, value), group in sorted(
-            groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-        energy = np.mean([float(g["energy_j"]) for g in group])
-        time_s = np.mean([float(g["time_s"]) for g in group])
-        succ = np.mean([int(g["success"]) for g in group])
-        coll = np.mean([int(g["collected"]) for g in group])
-        lines.append(f"{method},{group[0]['axis']},{value},{len(group)},"
-                     f"{energy:.6f},{time_s:.3f},{succ:.3f},{coll:.3f}")
+    cells = _cell_means(rows)
+    for (method, value), c in sorted(cells.items(),
+                                     key=lambda kv: (kv[0][0], str(kv[0][1]))):
+        lines.append(f"{method},{c['axis']},{value},{c['n']},"
+                     f"{c['energy_j']:.6f},{c['time_s']:.3f},{c['success']:.3f},"
+                     f"{c['collected']:.3f}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -269,35 +276,31 @@ def read_results(out_dir) -> list:
         return list(csv.DictReader(fh))
 
 
+def _axis_means(out_dir, axis):
+    """The per-cell means of the persisted rows of one sweep axis, with the
+    axis values in numeric order and the methods sorted."""
+    rows = [r for r in read_results(out_dir) if r["axis"] == axis]
+    if not rows:
+        raise ValueError(f"no {axis} results found")
+    cells = _cell_means(rows)
+    return (cells, sorted({v for _, v in cells}, key=float),
+            sorted({m for m, _ in cells}))
+
+
 def emit_comparison_table(out_dir) -> Path:
     """Methods x {energy, time} against UAV counts, plus a minima sidecar."""
-    rows = [r for r in read_results(out_dir) if r["axis"] == "uav_count"]
-    if not rows:
-        raise ValueError("no uav_count results found to tabulate")
-    values = sorted({r["value"] for r in rows}, key=float)
-    methods = sorted({r["method"] for r in rows})
-
-    def mean_of(method, value, field):
-        cell = [float(r[field]) for r in rows
-                if r["method"] == method and r["value"] == value]
-        return np.mean(cell) if cell else None
-
+    cells, values, methods = _axis_means(out_dir, "uav_count")
     lines = ["method,metric," + ",".join(f"uav_{v}" for v in values)]
     marks = ["metric,uav_count,best_method"]
     for metric, field, scale in (("energy_1e5_j", "energy_j", 1e-5),
                                  ("total_time_s", "time_s", 1.0)):
         for method in methods:
-            cells = []
-            for v in values:
-                mean = mean_of(method, v, field)
-                cells.append("" if mean is None else f"{mean * scale:.4f}")
-            lines.append(f"{method},{metric}," + ",".join(cells))
+            lines.append(f"{method},{metric}," + ",".join(
+                f"{cells[method, v][field] * scale:.4f}" if (method, v) in cells
+                else "" for v in values))
         for v in values:
-            candidates = [(mean_of(m, v, field), m) for m in methods
-                          if mean_of(m, v, field) is not None]
-            if candidates:
-                best = min(candidates)[1]
-                marks.append(f"{metric},{v},{best}")
+            best = min((cells[m, v][field], m) for m in methods if (m, v) in cells)
+            marks.append(f"{metric},{v},{best[1]}")
     table_path = Path(out_dir) / "comparison_table.csv"
     table_path.write_text("\n".join(lines) + "\n")
     (Path(out_dir) / "comparison_table_minima.csv").write_text(
@@ -308,32 +311,22 @@ def emit_comparison_table(out_dir) -> Path:
 def emit_sweep_data(out_dir, axis) -> Path:
     """Long-format mean energy per (value, method) plus percentage reductions
     of the proposed method against every baseline."""
-    rows = [r for r in read_results(out_dir) if r["axis"] == axis]
-    if not rows:
-        raise ValueError(f"no {axis} results found")
-    values = sorted({r["value"] for r in rows}, key=float)
-    methods = sorted({r["method"] for r in rows})
-    means: dict = {}
-    lines = ["value,method,mean_energy_j"]
-    for v in values:
-        for m in methods:
-            cell = [float(r["energy_j"]) for r in rows
-                    if r["method"] == m and r["value"] == v]
-            if cell:
-                means[(v, m)] = float(np.mean(cell))
-                lines.append(f"{v},{m},{means[(v, m)]:.6f}")
+    cells, values, methods = _axis_means(out_dir, axis)
+    lines = ["value,method,mean_energy_j"] + [
+        f"{v},{m},{cells[m, v]['energy_j']:.6f}"
+        for v in values for m in methods if (m, v) in cells]
     sweep_path = Path(out_dir) / f"sweep_{axis}.csv"
     sweep_path.write_text("\n".join(lines) + "\n")
 
     red = ["value,baseline,reduction_pct"]
     for v in values:
-        ours = means.get((v, "drl_sdr"))
-        if ours is None:
+        if ("drl_sdr", v) not in cells:
             continue
+        ours = cells["drl_sdr", v]["energy_j"]
         for m in methods:
-            if m == "drl_sdr" or (v, m) not in means:
+            if m == "drl_sdr" or (m, v) not in cells:
                 continue
-            base = means[(v, m)]
+            base = cells[m, v]["energy_j"]
             pct = 100.0 * (base - ours) / base if base > 0 else 0.0
             red.append(f"{v},{m},{pct:.4f}")
     (Path(out_dir) / f"sweep_{axis}_reductions.csv").write_text(

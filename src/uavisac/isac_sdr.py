@@ -277,6 +277,44 @@ def tbp_quadratic(r, phi) -> float:
     return float(np.real(a.conj() @ (r @ a)))
 
 
+# the cases of _link_ladder, in its order; SOLVE: none holds
+NO_FLOOR, ZERO, BEAM, DEEP, CAP, SOLVE = range(6)
+
+
+def _link_ladder(g, lead, noise_uav, gamma_th, tbp_threshold, angles, p_max,
+                 opts: SdrOptions):
+    """The closed-form cases of the transmit design with p_max > 0, per link.
+
+    ``g`` (E, L) holds each link's channel top mode and ``lead`` (E,) its
+    ||g||^2. The first case that holds decides the link: no SINR floor, where
+    the cached beampattern optimum r_tbp is optimal; a zero channel, whose
+    SINR slack is pinned at -1; a beampattern-bound link, g^H r_tbp g giving
+    an SINR slack of at least r_tbp's margin, so dropping the SINR row costs
+    nothing; a deep deficit, where the cap (p_max ||g||^2 - gamma sigma^2) /
+    (gamma sigma^2) on the SINR slack of any covariance within the budget is
+    below -FEAS_TOL and at most -tbp_threshold, the least a beampattern slack
+    can be, so all power on g is optimal; and, certify-only, a cap below
+    -FEAS_TOL. Returns each link's case and its dual bound, and the cached
+    beampattern design.
+    """
+    tbp = _tbp_only_design(tuple(float(a) for a in angles), float(tbp_threshold),
+                           float(p_max), g.shape[-1])
+    r_tbp, tbp_margin, tbp_bound, _ = tbp
+    if gamma_th <= 0.0:
+        return np.full(len(lead), NO_FLOOR), np.full(len(lead), tbp_bound), tbp
+    scale = gamma_th * noise_uav
+    sinr_slack = (np.vecdot(g, g @ r_tbp.T).real - scale) / scale
+    sinr_cap = (p_max * lead - scale) / scale
+    deficit = sinr_cap < -FEAS_TOL
+    case = np.where(lead <= 0.0, ZERO, np.where(
+        sinr_slack >= tbp_margin, BEAM, np.where(
+            deficit & (sinr_cap <= -tbp_threshold), DEEP,
+            np.where(deficit & opts.certify_only, CAP, SOLVE))))
+    bound = np.where(case == ZERO, min(tbp_bound, -1.0),
+                     np.where(case == BEAM, tbp_bound, sinr_cap))
+    return case, bound, tbp
+
+
 def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
                       p_max, opts: SdrOptions = SdrOptions()) -> TransmitDesign:
     """Solve the relaxed transmit feasibility check for one directed link.
@@ -308,38 +346,15 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
         return _finish_design(zero, g, problem, 0,
                               _measure_design(zero, zero, problem)[0])
 
-    r_tbp, tbp_margin, tbp_bound, _ = _tbp_only_design(
-        angles, problem.tbp_threshold, problem.p_max, dim)
-
-    if gamma_th <= 0.0:
-        # no SINR row: the link-independent design is optimal
-        r_total = r_tbp
-        iterations, bound = 0, tbp_bound
-    elif lead <= 0.0:
-        # a zero effective channel pins the SINR slack at exactly -1
-        r_total = r_tbp
-        iterations, bound = 0, min(tbp_bound, -1.0)
-    else:
-        scale = gamma_th * noise_uav
-        sinr_slack = (float(np.real(g.conj() @ (r_tbp @ g))) - scale) / scale
-        sinr_cap = (p_max * lead - scale) / scale
-        if sinr_slack >= tbp_margin:
-            # beampattern-bound instance: reuse the cached optimum, certified
-            # because dropping the SINR row can only increase the margin
-            r_total = r_tbp
-            iterations, bound = 0, tbp_bound
-        elif sinr_cap <= -tbp_threshold and sinr_cap < -FEAS_TOL:
-            # deep SINR deficit: all power on the channel's top mode is the
-            # exact optimum, since the beampattern floors are already slacker
-            r_total = p_max * np.outer(eigvecs[:, -1], eigvecs[:, -1].conj())
-            iterations, bound = 0, sinr_cap
-        elif opts.certify_only and sinr_cap < -FEAS_TOL:
-            # infeasibility already certified by the single-mode power cap
-            r_total = r_tbp
-            iterations, bound = 0, sinr_cap
-        else:
-            r_total, _, bound, iterations = _solve_margin(
-                angles, tbp_threshold, p_max, dim, (g, scale), opts)
+    case, bound, (r_total, _, _, _) = _link_ladder(
+        g[None], np.array([lead]), noise_uav, gamma_th, tbp_threshold, angles,
+        p_max, opts)
+    case, bound, iterations = case[0], bound[0], 0
+    if case == DEEP:
+        r_total = p_max * np.outer(eigvecs[:, -1], eigvecs[:, -1].conj())
+    elif case == SOLVE:
+        r_total, _, bound, iterations = _solve_margin(
+            angles, tbp_threshold, p_max, dim, (g, gamma_th * noise_uav), opts)
     return _finish_design(r_total, g, problem, iterations, bound)
 
 
@@ -469,48 +484,23 @@ def _separated_margins(h, scenario) -> np.ndarray:
 
 
 def _isac_verdicts(h, scenario, opts: SdrOptions) -> np.ndarray:
-    """solve_feasibility's verdict on each channel of h (E, L, L), taken as
-    array formulas of g = h^H f wherever one of its shortcuts applies.
-
-    The tests are solve_feasibility's, in its order: zero power, no SINR
-    floor, a zero channel (lead = ||g||^2), the beampattern-bound slack
-    g^H r_tbp g against the cached beampattern margin, the deep deficit and,
-    in certify-only mode, the single-mode cap. Only the remaining band links
-    are solved, each by solve_feasibility itself. A shortcut "feasible" needs
-    no per-link split: the split w = R g / sqrt(g^H R g) of R = r_tbp leaves
-    a residual R - w w^H that is PSD, as the Schur complement of the PSD
-    [[R, R g], [g^H R, g^H R g]], and that the receiver cannot see,
-    g^H (R - w w^H) g = 0; so the link's SINR slack is the computed one, at
-    least the beampattern margin, and every other constraint is r_tbp's,
-    re-verified from its matrices when it was cached. A shortcut
-    "infeasible" is certified by the cap (p_max ||g||^2 - gamma sigma^2) /
-    (gamma sigma^2) on the SINR slack of any covariance within the budget,
-    or by the slack -1 of a zero channel.
-    """
+    """solve_feasibility's verdict on each channel of h (E, L, L): the cases
+    of _link_ladder on g = h^H f, and a solve of each link that no case
+    covers. A case that keeps r_tbp needs no per-link split: w = R g /
+    sqrt(g^H R g) leaves a residual R - w w^H that is PSD (a Schur
+    complement) and that the receiver cannot see, so such a link is feasible
+    iff r_tbp re-verified when it was cached."""
     cfg = scenario.config
-    n_links, dim = h.shape[0], cfg.n_antennas
     args = (cfg.noise_uav, cfg.gamma_th_uav, cfg.tbp_threshold,
             cfg.sensing_angles, cfg.p_max, opts)
     if cfg.p_max <= 0.0:
         # R = 0 on every link, and its measurement does not see the channel
-        zero = np.zeros((dim, dim), dtype=complex)
-        return np.full(n_links, solve_feasibility(zero, *args).feasible)
-    r_tbp, tbp_margin, _, tbp_ok = _tbp_only_design(
-        tuple(float(a) for a in cfg.sensing_angles), float(cfg.tbp_threshold),
-        float(cfg.p_max), dim)
-    if cfg.gamma_th_uav <= 0.0:
-        return np.full(n_links, tbp_ok)
+        zero = np.zeros((cfg.n_antennas, cfg.n_antennas), dtype=complex)
+        return np.full(len(h), solve_feasibility(zero, *args).feasible)
     g = h.conj().swapaxes(-1, -2) @ scenario.rx_combiner
-    lead = np.vecdot(g, g).real
-    scale = cfg.gamma_th_uav * cfg.noise_uav
-    sinr_slack = (np.vecdot(g, g @ r_tbp.T).real - scale) / scale
-    sinr_cap = (cfg.p_max * lead - scale) / scale
-    live = lead > 0.0
-    beam_bound = live & (sinr_slack >= tbp_margin)
-    certified = (sinr_cap < -FEAS_TOL) & ((sinr_cap <= -cfg.tbp_threshold)
-                                          | opts.certify_only)
-    feasible = beam_bound & tbp_ok
-    for k in np.flatnonzero(live & ~beam_bound & ~certified):
+    case, _, (_, _, _, tbp_ok) = _link_ladder(g, np.vecdot(g, g).real, *args)
+    feasible = tbp_ok & ((case == NO_FLOOR) | (case == BEAM))
+    for k in np.flatnonzero(case == SOLVE):
         feasible[k] = solve_feasibility(
             effective_channel(h[k], scenario.rx_combiner), *args).feasible
     return feasible
@@ -558,24 +548,17 @@ def separated_link_sweep(uav_positions, chain_edges, scenario, rng):
     order.
     """
     cfg = scenario.config
-
-    def design(h):
-        g = h.conj().T @ scenario.rx_combiner
-        gain = float(np.real(g.conj() @ g))
-        margin = float(_separated_margins(h, scenario))
-        if gain > 0:
-            w = np.sqrt(cfg.p_max) * g / np.sqrt(gain)
-        else:
-            w = np.zeros(cfg.n_antennas, dtype=complex)
-        problem = SdrProblem(h_eff=np.outer(g, g.conj()), noise_uav=cfg.noise_uav,
-                             gamma_th=cfg.gamma_th_uav, tbp_threshold=0.0,
-                             angles=cfg.sensing_angles, p_max=cfg.p_max)
-        return TransmitDesign(
-            r_comm=np.outer(w, w.conj()),
-            r_sens=np.zeros((cfg.n_antennas, cfg.n_antennas), dtype=complex),
-            w_c=w, margin=margin,
-            solver_status="feasible" if margin >= -FEAS_TOL else "infeasible",
-            dual_bound=margin, problem=problem)
-
-    return [design(h) for h in
-            _chain_channels(uav_positions, chain_edges, scenario, rng)]
+    h = _chain_channels(uav_positions, chain_edges, scenario, rng)
+    g = h.conj().swapaxes(-1, -2) @ scenario.rx_combiner
+    gain = np.vecdot(g, g).real
+    w = np.sqrt(cfg.p_max) * g / np.sqrt(np.where(gain > 0, gain, np.inf))[:, None]
+    return [TransmitDesign(
+        r_comm=np.outer(w[k], w[k].conj()),
+        r_sens=np.zeros((cfg.n_antennas, cfg.n_antennas), dtype=complex),
+        w_c=w[k], margin=float(margin),
+        solver_status="feasible" if margin >= -FEAS_TOL else "infeasible",
+        dual_bound=float(margin), problem=SdrProblem(
+            h_eff=np.outer(g[k], g[k].conj()), noise_uav=cfg.noise_uav,
+            gamma_th=cfg.gamma_th_uav, tbp_threshold=0.0,
+            angles=cfg.sensing_angles, p_max=cfg.p_max))
+        for k, margin in enumerate(_separated_margins(h, scenario))]

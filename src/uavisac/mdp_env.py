@@ -65,7 +65,6 @@ class FleetState:
     residual_energy: np.ndarray    # (M,)
     collected: np.ndarray          # (I,) uint8
     energy_per_uav: np.ndarray     # (M,) cumulative J
-    flying: np.ndarray             # (M,) uint8, last slot's effective motion
 
     @property
     def cumulative_energy(self) -> float:
@@ -94,12 +93,10 @@ class SlotRecord:
     speeds: np.ndarray
     served: np.ndarray
     served_sinr: np.ndarray
-    collected_after: np.ndarray
     reward: RewardBreakdown
     link_designs: list
     link_margins: np.ndarray
     overrides: np.ndarray
-    energy: float
 
 
 # -- mission rules ---------------------------------------------------------------
@@ -320,7 +317,6 @@ class CorridorEnv:
             residual_energy=np.full(m, self.cfg.e_total),
             collected=np.zeros(self.n_mds, dtype=np.uint8),
             energy_per_uav=np.zeros(m),
-            flying=np.zeros(m, dtype=np.uint8),
         )
         self._rng = rng_stream(seed, "env-channel")
         self.trace = []
@@ -451,7 +447,7 @@ class CorridorEnv:
         reward.collection = self.reward_cfg.collect * int(out.newly.sum())
 
         # pairs that end close or blocked one another, outside the station zones
-        near = pair_distances(final) < cfg.d_min
+        near = pair_distances(final) < cfg.d_min - 1e-9
         near |= overrides[:, None] & (out.blocked[0][:, None] == np.arange(self.n_agents))
         near = (near | near.T) & pairs_above(self.n_agents)
         if near.any():
@@ -466,7 +462,6 @@ class CorridorEnv:
 
         s.positions = final
         s.headings = out.heading[0]
-        s.flying = moved
         s.slot += 1
         reward.shaping = self._potential(final, s.collected) - potential_before
 
@@ -495,10 +490,10 @@ class CorridorEnv:
             self.trace.append(SlotRecord(
                 slot=s.slot, positions=final.copy(), headings=s.headings.copy(),
                 speeds=moved.copy(), served=md_choice.copy(),
-                served_sinr=out.served_sinr[0], collected_after=s.collected.copy(),
-                reward=reward, link_designs=designs,
+                served_sinr=out.served_sinr[0], reward=reward,
+                link_designs=designs,
                 link_margins=np.array([d.margin for d in designs]),
-                overrides=overrides.copy(), energy=float(slot_e.sum())))
+                overrides=overrides.copy()))
 
         info = {"success": success, "overrides": overrides}
         return s, reward, self.observations(), done, info

@@ -29,7 +29,6 @@ class Plan:
 
     md_order: list            # list of per-UAV MD index lists
     waypoints: list           # list of per-UAV (x, y) arrays aligned with md_order
-    finish_at_end: bool = True
 
     def covers_once(self, num_mds: int) -> bool:
         seen = [i for route in self.md_order for i in route]
@@ -99,8 +98,8 @@ def controller_actions(positions, collected, gain2, targets, aims, cfg):
 
 
 def _pack_routes(plans, scenario: Scenario):
-    """Plans as arrays: MD order (P, M, L+1) padded with -1, aim points
-    (P, M, L+1, 2) and finish_at_end flags (P,)."""
+    """Plans as arrays: MD order (P, M, L+1) padded with -1 and aim points
+    (P, M, L+1, 2)."""
     cfg = scenario.config
     m_count = cfg.num_uavs
     for plan in plans:
@@ -116,16 +115,14 @@ def _pack_routes(plans, scenario: Scenario):
             if len(order):
                 route[p, m, :len(order)] = order
                 waypoint[p, m, :len(order)] = points
-    finish = np.array([plan.finish_at_end for plan in plans], dtype=bool)
-    return route, waypoint, finish
+    return route, waypoint
 
 
-def _follow_routes(route, waypoint, finish, cursor, collected, positions, cfg):
+def _follow_routes(route, waypoint, cursor, collected, cfg):
     """Each UAV's target (B, M) and aim point (B, M, 2) along its route.
 
     Cursors (updated in place) skip MDs that are already collected; past its
-    route's end a UAV aims at the end station, or holds its position when
-    the plan does not finish there.
+    route's end a UAV aims at the end station.
     """
     fleets = np.arange(len(route))[:, None]
     uavs = np.arange(route.shape[1])
@@ -135,9 +132,8 @@ def _follow_routes(route, waypoint, finish, cursor, collected, positions, cfg):
         if not skip.any():
             break
         cursor += skip
-    idle = np.where(finish[:, None, None], np.asarray(cfg.end, float),
-                    positions[..., :2])
-    aims = np.where((target >= 0)[..., None], waypoint[fleets, uavs, cursor], idle)
+    aims = np.where((target >= 0)[..., None], waypoint[fleets, uavs, cursor],
+                    np.asarray(cfg.end, float))
     return target, aims
 
 
@@ -152,7 +148,7 @@ def population_fitness(plans, scenario: Scenario,
     """
     cfg = scenario.config
     costs = slot_costs(cfg, propulsion)
-    route, waypoint, finish = _pack_routes(plans, scenario)
+    route, waypoint = _pack_routes(plans, scenario)
     n, m_count = route.shape[:2]
     energy = np.zeros(n)
     slots = np.zeros(n, dtype=int)
@@ -169,14 +165,14 @@ def population_fitness(plans, scenario: Scenario,
         slot += 1
         # targets move on only when an MD gets collected
         if follow:
-            targets, aims = _follow_routes(route, waypoint, finish, cursor,
-                                           collected, positions, cfg)
+            targets, aims = _follow_routes(route, waypoint, cursor, collected,
+                                           cfg)
         gain2 = uplink_gain2(positions, scenario)
         md, heading, speed = controller_actions(positions, collected, gain2,
                                                 targets, aims, cfg)
         out = fleet_transition(positions, collected, gain2, md, heading, speed,
                                cfg, costs)
-        follow = out.newly.any() or not finish.all()
+        follow = out.newly.any()
         spent += out.energy
         residual -= out.energy
         positions = out.final
@@ -187,9 +183,9 @@ def population_fitness(plans, scenario: Scenario,
             slots[ended] = slot
             collected_count[ended] = collected[done].sum(axis=1)
             keep = ~done
-            live, route, waypoint, finish, cursor, targets, aims = (
-                live[keep], route[keep], waypoint[keep], finish[keep],
-                cursor[keep], targets[keep], aims[keep])
+            live, route, waypoint, cursor, targets, aims = (
+                live[keep], route[keep], waypoint[keep], cursor[keep],
+                targets[keep], aims[keep])
             positions, collected, spent, residual = (
                 positions[keep], collected[keep], spent[keep], residual[keep])
     fitness = energy + 1e5 * (cfg.num_mds - collected_count)
@@ -289,13 +285,12 @@ def evaluate_plan(plan: Plan, scenario: Scenario, seed: int = 0,
                   reward: RewardConfig = RewardConfig()) -> MissionResult:
     """Replay a plan through the environment and audit the episode; a
     ``connected`` replay scores its chain links in the "isac" link mode."""
-    route, waypoint, finish = _pack_routes([plan], scenario)
+    route, waypoint = _pack_routes([plan], scenario)
     cursor = np.zeros(route.shape[:2], dtype=int)
 
     def act(env, obs):
-        targets, aims = _follow_routes(route, waypoint, finish, cursor,
-                                       env.state.collected[None],
-                                       env.state.positions[None], scenario.config)
+        targets, aims = _follow_routes(route, waypoint, cursor,
+                                       env.state.collected[None], scenario.config)
         return _controller_step(env, targets[0], aims[0])
 
     return fly_mission(scenario, act, seed, method,

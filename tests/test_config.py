@@ -75,3 +75,10 @@ def test_default_text_is_parseable_and_commented():
     text = default_config_text()
     assert "[scenario]" in text and "[propulsion]" in text
     assert "#" in text
+
+
+def test_unknown_section_rejected_by_name(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[scenari]\nnum_uavs = 2\n")
+    with pytest.raises(ValueError, match="scenari"):
+        load_config(cfg)

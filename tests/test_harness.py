@@ -233,6 +233,21 @@ class TestCli:
         assert main(["validate", "--config", str(bad)]) == 1
         assert "p_max" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("text, named", [
+        ("[propulsion]\nair_density = -1\n", "air_density"),
+        ("[propulsion]\ntip_speed = 0\n", "tip_speed"),
+        ("[scenario]\nnum_uav = 5\n", "num_uav")])
+    def test_bad_config_exits_1(self, tmp_path, capsys, verb, text, named):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        args = [verb, "--config", str(bad), "--out", str(tmp_path / "out")]
+        if verb == "run":
+            args += ["--methods", "greedy_offline", "--values", "1",
+                     "--seeds", "0"]
+        assert main(args) == 1
+        assert named in capsys.readouterr().err
+
     def test_run_and_table_verbs(self, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text("""

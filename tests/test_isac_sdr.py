@@ -4,6 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from uavisac import isac_sdr
 from uavisac.channel import (effective_channel, sample_rician_channel,
                              steering_vector, tbp_gain)
 from uavisac.isac_sdr import (_TBP_CACHE, FEAS_TOL, PSD_TOL, VERIFY_TOL,
@@ -635,12 +636,21 @@ class TestChainVerdicts:
         return branches
 
     @pytest.mark.parametrize("opts", [SdrOptions(), CERTIFY])
-    def test_isac_matches_per_link_solves(self, opts):
-        branches = set(self.check(self.scenario, opts, False, "isac"))
+    def test_isac_matches_per_link_solves(self, opts, monkeypatch):
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return solve_feasibility(*args)
+
+        monkeypatch.setattr(isac_sdr, "solve_feasibility", counted)
+        branches = self.check(self.scenario, opts, False, "isac")
         expected = {"beampattern", "deep", "band-feasible", "band-infeasible"}
         if opts.certify_only:
             expected.add("certify-cap")
-        assert expected <= branches
+        assert expected <= set(branches)
+        # the closed-form cases keep every other link away from the solver
+        assert len(solves) == sum(b.startswith("band-") for b in branches)
 
     def test_separated_matches_margin_rule(self):
         self.check(self.scenario, SdrOptions(), True, "split")

@@ -345,6 +345,19 @@ class TestSafety:
         state, rew, _, _, _ = env.step(hover_action(env))
         assert rew.distance == pytest.approx(-5.0)
 
+    def test_penalty_and_audit_share_the_threshold(self):
+        # a pair within the audit's 1e-9 m tolerance of d_min is neither
+        # penalized nor counted
+        sc = make_scenario([[2000.0, 300.0, 0.0]], num_uavs=2)
+        env = CorridorEnv(sc, record=True, link_mode="none")
+        env.reset(0)
+        gap = sc.config.d_min - 5e-10
+        env.state.positions = np.array([[1000.0, 1000.0, 80.0],
+                                        [1000.0 + gap, 1000.0, 80.0]])
+        _, rew, _, _, _ = env.step(hover_action(env))
+        assert rew.distance == 0.0
+        assert check_constraints(env.trace, sc, connected=False).min_distance == 0
+
     def test_override_prevents_closing_in(self):
         sc = make_scenario([[2000.0, 300.0, 0.0]], num_uavs=2)
         env = CorridorEnv(sc)

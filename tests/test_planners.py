@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from uavisac.config import load_config
-from uavisac.energy import hover_power
 from uavisac.planners import (GaConfig, InfeasiblePlanError, Plan, PsoConfig,
                               _decode_keys, _split_decode, evaluate_plan,
                               ga_plan, greedy_offline, greedy_online,
@@ -62,12 +61,13 @@ class TestGreedyOffline:
 
 
 class TestEvaluatePlan:
-    def test_empty_plan_hovers_at_start(self):
+    def test_empty_plan_heads_for_the_end_without_collecting(self):
         sc = corridor(2, 1, horizon_slots=50)
-        plan = Plan(md_order=[[]], waypoints=[[]], finish_at_end=False)
+        plan = Plan(md_order=[[]], waypoints=[[]])
         res = evaluate_plan(plan, sc)
         assert res.collected == 0 and not res.success
-        assert res.energy_j == pytest.approx(hover_power() * 50, rel=1e-9)
+        assert res.time_s == 50 * sc.config.slot_seconds
+        assert res.energy_j == pytest.approx(plan_fitness(plan, sc)[1], rel=1e-12)
 
     def test_partition_violation_rejected(self):
         sc = corridor(3, 1)

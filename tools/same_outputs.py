@@ -10,16 +10,17 @@ runs with ``OPENBLAS_NUM_THREADS=1`` on the ``mission_grid`` world of
 
 - ``run --train-first --episodes 1 --values 2,3 --seeds 0,1`` for scenario
   (and MAPPO) seeds 0-4;
-- ``curves --episodes 2 --seeds 0,1,2`` on the seed-0 world.
+- ``curves --episodes 2 --seeds 0,1,2`` on the seed-0 world;
+- ``table`` and ``sweep --axis uav_count`` on each ``run`` output.
 
 The ``[mappo]`` section sets ``rollout = 256``, fewer agent samples than one
 episode gives, so every training episode ends in a PPO update.
 
-``results.csv``, ``aggregates.csv`` and the curve CSVs are compared byte for
-byte, and the checkpoints array by array with ``np.array_equal``. Each file's
-digest is printed for both trees, and for a differing checkpoint the largest
-absolute difference of each differing array; the exit code is 1 on any
-difference.
+``results.csv``, ``aggregates.csv``, the comparison tables, the sweep CSVs
+and the curve CSVs are compared byte for byte, and the checkpoints array by
+array with ``np.array_equal``. Each file's digest is printed for both trees,
+and for a differing checkpoint the largest absolute difference of each
+differing array; the exit code is 1 on any difference.
 """
 
 import argparse
@@ -41,9 +42,10 @@ SCENARIO_SEEDS = range(5)
 RUN_ARGS = ("run", "--train-first", "--episodes", "1", "--values", "2,3",
             "--seeds", "0,1")
 CURVE_ARGS = ("curves", "--episodes", "2", "--seeds", "0,1,2")
+SUMMARY_ARGS = (("table",), ("sweep", "--axis", "uav_count"))
 ROLLOUT = 256
-COMPARED = ("results.csv", "aggregates.csv", "*.curve.csv", "curve_seed*.csv",
-            "*.npz")
+COMPARED = ("results.csv", "aggregates.csv", "comparison_table*.csv",
+            "sweep_*.csv", "*.curve.csv", "curve_seed*.csv", "*.npz")
 
 
 def write_config(path: Path, seed: int) -> None:
@@ -61,14 +63,21 @@ def produce(tree: Path, work: Path) -> None:
     """Every compared output of one tree, under ``work``."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": str(tree / "src")}
+
+    def cli(*args, out):
+        subprocess.run([sys.executable, "-m", "uavisac.cli", *args, "--out",
+                        str(out)],
+                       cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
+
     jobs = [(seed, RUN_ARGS) for seed in SCENARIO_SEEDS] + [(0, CURVE_ARGS)]
     for seed, args in jobs:
         out = work / f"{args[0]}_seed{seed}"
         config = work / f"seed{seed}.cfg"
         write_config(config, seed)
-        subprocess.run([sys.executable, "-m", "uavisac.cli", *args, "--config",
-                        str(config), "--out", str(out)],
-                       cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
+        cli(*args, "--config", str(config), out=out)
+        if args is RUN_ARGS:
+            for summary in SUMMARY_ARGS:
+                cli(*summary, out=out)
 
 
 def digest(path: Path) -> str:
