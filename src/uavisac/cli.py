@@ -30,9 +30,15 @@ def _out_root(args) -> str:
     return os.environ.get("UAVISAC_OUT", "results")
 
 
+# the search and training counts that size a loop or an array
+_COUNT_KEYS = (("pso", "swarm"), ("ga", "population"), ("mappo", "hidden"),
+               ("mappo", "minibatch"), ("mappo", "epochs"),
+               ("mappo", "smooth_window"))
+
+
 def _load_config(path):
-    """The run configuration; unreadable or malformed files and propulsion
-    parameters out of range are bad input."""
+    """The run configuration; unreadable or malformed files, propulsion
+    parameters out of range and counts below 1 are bad input."""
     try:
         run_config = load_config(path)
     except (OSError, ValueError, configparser.Error) as exc:
@@ -41,6 +47,10 @@ def _load_config(path):
         run_config.propulsion.validate()
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
+    low = [f"[{section}] {key}" for section, key in _COUNT_KEYS
+           if getattr(getattr(run_config, section), key) < 1]
+    if low:
+        raise ValidationFailure(f"counts must be at least 1: {', '.join(low)}")
     return run_config
 
 
@@ -129,7 +139,8 @@ def cmd_curves(args) -> int:
         if args.episodes is not None:
             mappo = replace(mappo, max_episodes=args.episodes)
         scenario = build_scenario(run_config.scenario)
-        _, curve = train(scenario, mappo, run_config.reward)
+        _, curve = train(scenario, mappo, run_config.reward,
+                         propulsion=run_config.propulsion)
         path = out / f"curve_seed{seed}.csv"
         curve.write_csv(path)
         print(f"learning curve written: {path}")

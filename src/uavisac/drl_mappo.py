@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .energy import PropulsionParams, REFERENCE_PROPULSION
 from .mdp_env import CorridorEnv, JointAction, RewardConfig, run_episode
 from .nn import (Adam, Linear, Workspace, log_softmax_masked, softplus,
                  tanh_backward, tanh_layer)
@@ -499,13 +500,16 @@ def _update(policy: MappoPolicy, opt_actor: Adam, opt_critic: Adam,
 
 def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
           reward: RewardConfig = RewardConfig(),
-          progress=None) -> tuple[MappoPolicy, LearningCurve]:
+          progress=None,
+          propulsion: PropulsionParams = REFERENCE_PROPULSION
+          ) -> tuple[MappoPolicy, LearningCurve]:
     """Episode loop: sample, per-slot link feasibility, store, PPO epochs.
 
     Single-worker and bit-deterministic for a fixed config (seed included).
-    ``progress`` is an optional callback(episode, curve).
+    ``progress`` is an optional callback(episode, curve); ``propulsion`` sets
+    the env's slot energy costs.
     """
-    env = CorridorEnv(scenario, reward=reward)
+    env = CorridorEnv(scenario, reward=reward, propulsion=propulsion)
     actor = ActorNet(rng_stream(config.seed, "init-actor"),
                      env.obs_dim, env.n_actions, config.hidden)
     critic = CriticNet(rng_stream(config.seed, "init-critic"),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, accel
+from . import __version__
 from .config import RunConfig
 from .drl_mappo import MappoPolicy, act_in_env, train
 from .planners import (MissionResult, evaluate_plan, fly_mission, ga_plan,
@@ -94,7 +94,8 @@ def train_checkpoint(spec: ExperimentSpec, value) -> Path:
     mappo = rc.mappo
     if spec.train_episodes is not None:
         mappo = replace(mappo, max_episodes=spec.train_episodes)
-    policy, curve = train(scenario, mappo, rc.reward)
+    policy, curve = train(scenario, mappo, rc.reward,
+                          propulsion=rc.propulsion)
     path = checkpoint_path(spec.out_dir, spec.axis, value)
     path.parent.mkdir(parents=True, exist_ok=True)
     policy.save(path)
@@ -107,9 +108,9 @@ def run_cell(method: str, spec: ExperimentSpec, value, seed) -> MissionResult:
     scenario = build_scenario(scenario_config_for(rc, spec.axis, value))
     if method in ("greedy_offline", "pso", "ga"):
         if method == "pso":
-            plan = pso_plan(scenario, replace(rc.pso, seed=seed))
+            plan = pso_plan(scenario, replace(rc.pso, seed=seed), rc.propulsion)
         elif method == "ga":
-            plan = ga_plan(scenario, replace(rc.ga, seed=seed))
+            plan = ga_plan(scenario, replace(rc.ga, seed=seed), rc.propulsion)
         else:
             plan = greedy_offline(scenario)
         return evaluate_plan(plan, scenario, seed=seed, method=method,
@@ -220,18 +221,6 @@ def _write_aggregates(rows, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: _jsonable(v) for k, v in asdict(obj).items()}
-    if isinstance(obj, (tuple, list)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def git_revision(root: Path) -> str | None:
     """HEAD commit of the checkout at ``root``, read from .git without running
     git; None when there is no readable repository."""
@@ -255,7 +244,6 @@ def _write_manifest(spec: ExperimentSpec, path):
     base = build_scenario(spec.run_config.scenario)
     manifest = {
         "package_version": __version__,
-        "lane": "numpy" if accel.NUMBA_DISABLED else "numba",
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "git_revision": git_revision(SOURCE_ROOT),
@@ -266,7 +254,7 @@ def _write_manifest(spec: ExperimentSpec, path):
         "seed_meaning": SEED_MEANING,
         "train_episodes": spec.train_episodes,
         "scenario_fingerprint": scenario_fingerprint(base),
-        "config": _jsonable(spec.run_config),
+        "config": asdict(spec.run_config),
     }
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

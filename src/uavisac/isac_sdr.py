@@ -241,27 +241,22 @@ def _solve_margin(angles, tbp_threshold, p_max, dim, link, opts: SdrOptions):
     return _herm(q @ x @ q.conj().T), float(margin), float(bound), steps
 
 
-_TBP_CACHE: dict = {}
 # fixed, so no caller's options can decide what every later solve reuses
 _TBP_OPTS = SdrOptions(gap_tol=1e-9)
 
 
+@lru_cache(maxsize=None)
 def _tbp_only_design(angles, tbp_threshold, p_max, n_antennas):
     """Max-min beampattern covariance; link-independent, solved once and
     cached. Returns it with its margin, its dual bound and whether its own
     matrices re-verify as a design without a SINR floor, measured once here."""
-    key = (n_antennas, angles, tbp_threshold, p_max)
-    hit = _TBP_CACHE.get(key)
-    if hit is not None:
-        return hit
     r, margin, bound, _ = _solve_margin(angles, tbp_threshold, p_max,
                                         n_antennas, None, _TBP_OPTS)
     zero = np.zeros_like(r)
     measured, report = _measure_design(zero, r, SdrProblem(
         h_eff=zero, noise_uav=0.0, gamma_th=0.0, tbp_threshold=tbp_threshold,
         angles=angles, p_max=p_max))
-    _TBP_CACHE[key] = (r, margin, bound, measured >= -FEAS_TOL and report.passed)
-    return _TBP_CACHE[key]
+    return r, margin, bound, measured >= -FEAS_TOL and report.passed
 
 
 @lru_cache(maxsize=256)

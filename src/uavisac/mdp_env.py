@@ -95,8 +95,6 @@ class SlotRecord:
     served_sinr: np.ndarray
     reward: RewardBreakdown
     link_designs: list
-    link_margins: np.ndarray
-    overrides: np.ndarray
 
 
 # -- mission rules ---------------------------------------------------------------
@@ -491,11 +489,9 @@ class CorridorEnv:
                 slot=s.slot, positions=final.copy(), headings=s.headings.copy(),
                 speeds=moved.copy(), served=md_choice.copy(),
                 served_sinr=out.served_sinr[0], reward=reward,
-                link_designs=designs,
-                link_margins=np.array([d.margin for d in designs]),
-                overrides=overrides.copy()))
+                link_designs=designs))
 
-        info = {"success": success, "overrides": overrides}
+        info = {"success": success}
         return s, reward, self.observations(), done, info
 
     def _potential(self, positions, collected) -> float:
@@ -621,8 +617,9 @@ def write_trace_csv(trace, scenario: Scenario, path):
         row += [f"{r.collection:.6f}", f"{r.qos:.6f}", f"{r.energy:.6f}",
                 f"{r.distance:.6f}", f"{r.bonus:.6f}", f"{r.shaping:.6f}",
                 f"{r.total:.6f}"]
+        margins = [d.margin for d in rec.link_designs]
         for k in range(n_links):
-            val = rec.link_margins[k] if k < len(rec.link_margins) else np.nan
+            val = margins[k] if k < len(margins) else np.nan
             row.append(f"{val:.9g}")
         lines.append(",".join(row))
     with open(path, "w") as fh:

@@ -372,7 +372,8 @@ def _decode_keys(order_keys, assign_keys, offsets, scenario: Scenario) -> Plan:
     return Plan(md_order=md_order, waypoints=waypoints)
 
 
-def pso_plan(scenario: Scenario, hyper: PsoConfig = PsoConfig()) -> Plan:
+def pso_plan(scenario: Scenario, hyper: PsoConfig = PsoConfig(),
+             propulsion: PropulsionParams = REFERENCE_PROPULSION) -> Plan:
     """Random-key particle swarm over assignment, order and aim offsets."""
     cfg = scenario.config
     n = cfg.num_mds
@@ -389,7 +390,8 @@ def pso_plan(scenario: Scenario, hyper: PsoConfig = PsoConfig()) -> Plan:
         return _decode_keys(x[:n], x[n:2 * n], x[2 * n:].reshape(n, 2), scenario)
 
     def score(xs) -> np.ndarray:
-        return population_fitness([decode(x) for x in xs], scenario)[0]
+        return population_fitness([decode(x) for x in xs], scenario,
+                                  propulsion)[0]
 
     fitness = score(pos)
     pbest = pos.copy()
@@ -441,7 +443,8 @@ def _split_decode(perm, splits, scenario: Scenario) -> Plan:
     return Plan(md_order=md_order, waypoints=waypoints)
 
 
-def ga_plan(scenario: Scenario, hyper: GaConfig = GaConfig()) -> Plan:
+def ga_plan(scenario: Scenario, hyper: GaConfig = GaConfig(),
+            propulsion: PropulsionParams = REFERENCE_PROPULSION) -> Plan:
     """Permutation-with-split genetic search: order crossover, swap mutation."""
     cfg = scenario.config
     n = cfg.num_mds
@@ -454,7 +457,7 @@ def ga_plan(scenario: Scenario, hyper: GaConfig = GaConfig()) -> Plan:
 
     def score(individuals) -> np.ndarray:
         plans = [_split_decode(*ind, scenario) for ind in individuals]
-        return population_fitness(plans, scenario)[0]
+        return population_fitness(plans, scenario, propulsion)[0]
 
     pop = [random_individual() for _ in range(hyper.population)]
     fit = score(pop)

@@ -27,7 +27,6 @@ class ScenarioConfig:
     area_width: float = 2500.0
     area_height: float = 2500.0
     num_towers: int = 20
-    num_lines: int = 20
     num_mds: int = 30
     num_uavs: int = 3
     altitude: float = 80.0
@@ -80,7 +79,7 @@ def validate_config(cfg: ScenarioConfig) -> list:
                  "noise_md", "noise_uav", "p_md", "p_max", "gamma_th_md",
                  "gamma_th_uav", "tbp_threshold", "arrival_radius"):
         positive(name)
-    for name in ("num_towers", "num_lines", "num_mds", "num_uavs", "horizon_slots"):
+    for name in ("num_towers", "num_mds", "num_uavs", "horizon_slots"):
         if getattr(cfg, name) < 1:
             v.append(f"{name} must be at least 1, got {getattr(cfg, name)}")
     if not 0.0 < cfg.kappa_nlos <= 1.0:

@@ -9,7 +9,7 @@ def test_bundled_defaults_match_reference_setup():
     rc = load_config()
     sc = rc.scenario
     assert sc.area_width == 2500 and sc.area_height == 2500
-    assert sc.num_towers == 20 and sc.num_lines == 20
+    assert sc.num_towers == 20
     assert sc.num_mds == 30 and sc.num_uavs == 3
     assert sc.altitude == 80 and sc.v_fixed == 20 and sc.d_min == 10
     assert sc.start == (0.0, 2500.0) and sc.end == (2500.0, 0.0)

@@ -8,9 +8,10 @@ from uavisac.drl_mappo import (ActorNet, Adam, CriticNet, MappoConfig,
                                MappoPolicy, act_in_env, actor_forward,
                                actor_loss_and_grads,
                                critic_forward, critic_loss_and_grads,
-                               critic_update, gae, joint_log_prob,
-                               ppo_actor_update, sample_actions, train)
-from uavisac.mdp_env import CorridorEnv, RewardConfig
+                               critic_update, gae, ppo_actor_update,
+                               sample_actions, train)
+from uavisac.energy import REFERENCE_PROPULSION
+from uavisac.mdp_env import CorridorEnv, slot_costs
 from uavisac.scenario import (ScenarioConfig, build_scenario, db_to_linear,
                               rng_stream)
 
@@ -316,6 +317,29 @@ class TestTrainLoop:
         assert all(0.0 <= f <= 1.0 for f in curve.clip_fraction)
         assert all(r > 0.0 for r in curve.ratio_mean)
 
+    def test_env_energy_follows_the_given_propulsion(self, monkeypatch):
+        envs = []
+
+        class Recorded(CorridorEnv):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, record=True, **kwargs)
+                envs.append(self)
+
+        monkeypatch.setattr(drl_mappo, "CorridorEnv", Recorded)
+        sc = self.scenario()
+        heavy = replace(REFERENCE_PROPULSION,
+                        p0_blade=2.0 * REFERENCE_PROPULSION.p0_blade)
+        train(sc, MappoConfig(max_episodes=1, hidden=16, seed=4),
+              propulsion=heavy)
+        (env,) = envs
+        costs = slot_costs(sc.config, heavy)
+        spent = np.zeros(sc.config.num_uavs)
+        for rec in env.trace:
+            spent += costs[rec.speeds]
+        assert np.array_equal(env.state.energy_per_uav, spent)
+        assert not np.array_equal(costs, slot_costs(sc.config,
+                                                    REFERENCE_PROPULSION))
+
     def test_link_failing_world_records_every_link_margin(self, monkeypatch):
         # every slot draws and solves its own links, so no recorded link
         # margin is missing, also where episodes revisit a slot's formation
@@ -337,8 +361,8 @@ class TestTrainLoop:
                           minibatch=32, epochs=1, seed=4)
         train(sc, cfg)
         assert len(traces) == 3
-        margins = np.concatenate([rec.link_margins for trace in traces
-                                  for rec in trace])
+        margins = np.array([d.margin for trace in traces for rec in trace
+                            for d in rec.link_designs])
         assert len(margins) == sum(len(trace) for trace in traces)
         assert not np.isnan(margins).any()
         assert (margins < 0.0).any()        # the world has failing links

@@ -2,12 +2,10 @@ import csv
 import json
 import platform
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uavisac import accel
 from uavisac.cli import main
 from uavisac.config import load_config
 from uavisac.drl_mappo import MappoPolicy, run_policy_episode
@@ -71,7 +69,6 @@ class TestRunExperiment:
         assert manifest["methods"] == ["greedy_offline", "greedy_online"]
         assert "scenario_fingerprint" in manifest
         assert manifest["config"]["scenario"]["num_mds"] == 5
-        assert manifest["lane"] == ("numpy" if accel.NUMBA_DISABLED else "numba")
         assert manifest["numpy_version"] == np.__version__
         assert manifest["python_version"] == platform.python_version()
         revision = manifest["git_revision"]
@@ -237,7 +234,14 @@ class TestCli:
     @pytest.mark.parametrize("text, named", [
         ("[propulsion]\nair_density = -1\n", "air_density"),
         ("[propulsion]\ntip_speed = 0\n", "tip_speed"),
-        ("[scenario]\nnum_uav = 5\n", "num_uav")])
+        ("[scenario]\nnum_uav = 5\n", "num_uav"),
+        ("[scenario]\nnum_lines = 20\n", "num_lines"),
+        ("[pso]\nswarm = 0\n", "swarm"),
+        ("[ga]\npopulation = 0\n", "population"),
+        ("[mappo]\nhidden = 0\n", "hidden"),
+        ("[mappo]\nminibatch = 0\n", "minibatch"),
+        ("[mappo]\nepochs = 0\n", "epochs"),
+        ("[mappo]\nsmooth_window = 0\n", "smooth_window")])
     def test_bad_config_exits_1(self, tmp_path, capsys, verb, text, named):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)

@@ -7,10 +7,10 @@ import pytest
 from uavisac import isac_sdr
 from uavisac.channel import (effective_channel, sample_rician_channel,
                              steering_vector, tbp_gain)
-from uavisac.isac_sdr import (_TBP_CACHE, FEAS_TOL, PSD_TOL, VERIFY_TOL,
-                              SdrOptions, SdrProblem, TransmitDesign,
-                              _finish_design, _herm, _measure_design,
-                              _newton_margin, chain_link_verdicts,
+from uavisac.isac_sdr import (FEAS_TOL, PSD_TOL, VERIFY_TOL, SdrOptions,
+                              SdrProblem, TransmitDesign, _finish_design,
+                              _herm, _measure_design, _newton_margin,
+                              _tbp_only_design, chain_link_verdicts,
                               extract_rank_one, link_feasibility_sweep,
                               link_reward, separated_link_sweep,
                               solve_feasibility, tbp_quadratic, verify_design)
@@ -382,16 +382,14 @@ class TestNewtonSolve:
         # the first caller's options must not decide every later solve
         links = [make_h_eff(d, seed=s) for s in range(3)
                  for d in (200.0, 600.0, 1000.0, 1400.0)]
-        saved = dict(_TBP_CACHE)
         try:
-            _TBP_CACHE.clear()
+            _tbp_only_design.cache_clear()
             fresh = [solve(h_eff).solver_status for h_eff in links]
-            _TBP_CACHE.clear()
+            _tbp_only_design.cache_clear()
             solve(make_h_eff(200.0, seed=0), opts=SdrOptions(max_iter=1))
             after = [solve(h_eff).solver_status for h_eff in links]
         finally:
-            _TBP_CACHE.clear()
-            _TBP_CACHE.update(saved)
+            _tbp_only_design.cache_clear()
         assert fresh == ["feasible"] * len(links)
         assert after == fresh
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from uavisac import mdp_env
-from uavisac.channel import expected_md_channel
-from uavisac.energy import REFERENCE_PROPULSION, flight_power, hover_power
-from uavisac.mdp_env import (CorridorEnv, JointAction, RewardConfig,
-                             check_constraints, uplink_gain2, write_trace_csv)
+from uavisac.energy import flight_power, hover_power
+from uavisac.mdp_env import (CorridorEnv, JointAction, check_constraints,
+                             uplink_gain2, write_trace_csv)
 from uavisac.scenario import (Scenario, ScenarioConfig, build_scenario,
                               db_to_linear, rng_stream)
 
@@ -531,7 +530,8 @@ class TestConstraintAudit:
         assert rep.clean
         failed = sum(not d.feasible for rec in env.trace for d in rec.link_designs)
         assert rep.inter_uav_sinr == failed
-        margins = np.concatenate([rec.link_margins for rec in env.trace])
+        margins = np.array([d.margin for rec in env.trace
+                            for d in rec.link_designs])
         assert len(margins) == 2 * len(env.trace)
         assert np.all(np.isfinite(margins))
 
@@ -569,7 +569,7 @@ class TestLinkMode:
         assert envs["isac"]._rng.random() != fresh
         assert len(envs["none"].trace) == (6 if record else 0)
         for rec in envs["none"].trace:
-            assert rec.link_designs == [] and len(rec.link_margins) == 0
+            assert rec.link_designs == []
 
     def test_unknown_mode_rejected(self):
         sc = build_scenario(ScenarioConfig(num_uavs=2, seed=0))

@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uavisac import planners
 from uavisac.config import load_config
+from uavisac.energy import REFERENCE_PROPULSION
 from uavisac.planners import (GaConfig, InfeasiblePlanError, Plan, PsoConfig,
                               _decode_keys, _split_decode, evaluate_plan,
                               ga_plan, greedy_offline, greedy_online,
@@ -143,6 +145,32 @@ class TestPopulationFitness:
             assert fitness[k] == replay.energy_j + 1e5 * missing
             assert plan_fitness(plan, sc) == (fitness[k], energy[k], slots[k],
                                               collected[k])
+
+
+class TestSearchPropulsion:
+    """PSO and GA score plans with the propulsion their replay flies."""
+
+    @pytest.mark.parametrize("search", ["pso", "ga"])
+    def test_fitness_energy_equals_replay(self, monkeypatch, search):
+        scored = []
+        fitness = planners.population_fitness
+
+        def recorded(plans, *args):
+            out = fitness(plans, *args)
+            scored.append((plans, out[1]))
+            return out
+
+        monkeypatch.setattr(planners, "population_fitness", recorded)
+        sc = corridor(5, 2, seed=8)
+        heavy = replace(REFERENCE_PROPULSION,
+                        p0_blade=2.0 * REFERENCE_PROPULSION.p0_blade)
+        if search == "pso":
+            pso_plan(sc, PsoConfig(swarm=4, iterations=1, seed=1), heavy)
+        else:
+            ga_plan(sc, GaConfig(population=4, generations=1, seed=1), heavy)
+        plans, energy = scored[-1]
+        for plan, e in zip(plans, energy):
+            assert e == evaluate_plan(plan, sc, propulsion=heavy).energy_j
 
 
 class TestGreedyOnline:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from uavisac.scenario import (ScenarioConfig, Scenario, build_scenario,
-                              rng_stream, scenario_fingerprint, validate_config)
+from uavisac.scenario import (ScenarioConfig, build_scenario, rng_stream,
+                              scenario_fingerprint, validate_config)
 
 
 def test_default_config_is_valid():
