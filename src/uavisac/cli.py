@@ -33,7 +33,14 @@ def _out_root(args) -> str:
 # the search and training counts that size a loop or an array
 _COUNT_KEYS = (("pso", "swarm"), ("ga", "population"), ("mappo", "hidden"),
                ("mappo", "minibatch"), ("mappo", "epochs"),
-               ("mappo", "smooth_window"))
+               ("mappo", "smooth_window"), ("mappo", "max_episodes"))
+
+
+def _require_counts(named):
+    """Bad input unless every (name, value) count is unset (None) or >= 1."""
+    low = [name for name, value in named if value is not None and value < 1]
+    if low:
+        raise ValidationFailure(f"counts must be at least 1: {', '.join(low)}")
 
 
 def _load_config(path):
@@ -47,10 +54,8 @@ def _load_config(path):
         run_config.propulsion.validate()
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
-    low = [f"[{section}] {key}" for section, key in _COUNT_KEYS
-           if getattr(getattr(run_config, section), key) < 1]
-    if low:
-        raise ValidationFailure(f"counts must be at least 1: {', '.join(low)}")
+    _require_counts((f"[{section}] {key}", getattr(getattr(run_config, section), key))
+                    for section, key in _COUNT_KEYS)
     return run_config
 
 
@@ -73,6 +78,7 @@ def _require(problems):
 
 
 def _spec_from_args(args) -> ExperimentSpec:
+    _require_counts((("--episodes", args.episodes), ("--workers", args.workers)))
     spec = ExperimentSpec(
         run_config=_load_config(args.config),
         methods=tuple(args.methods.replace(",", " ").split()),
@@ -129,6 +135,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    _require_counts((("--episodes", args.episodes),))
     run_config = _load_config(args.config)
     _require(validate_config(run_config.scenario))
     seeds = _parse_list(args.seeds, int, "--seeds")

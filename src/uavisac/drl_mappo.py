@@ -354,34 +354,46 @@ def act_in_env(policy: MappoPolicy, env: CorridorEnv, obs,
                rng: np.random.Generator | None):
     """Sequential per-agent action selection under the claim-order masks.
 
-    One forward pass serves every agent: the claim order changes only the
-    MD-head masks. Each agent then draws in turn (MD, heading, speed), and
-    the joint log-probabilities are taken over the final masks.
-    Deterministic (greedy) when ``rng`` is None. Returns the joint action
-    plus everything the trainer stores per agent.
+    One forward pass and one masked log-softmax serve every agent: the claim
+    order changes only the MD-head masks, so a row is normalised again only
+    when an earlier agent's claim closes one of its open entries. Each agent
+    then draws in turn (MD, heading normal, speed uniform), and the joint
+    log-probabilities are taken over the final masks, which are the masks
+    each agent drew under. Deterministic (greedy) when ``rng`` is None.
+    Returns the joint action plus everything the trainer stores per agent.
     """
     actor = policy.actor
     m_agents = env.n_agents
     md_logits, mu, z_speed = actor.heads(_trunk(actor, obs, Workspace())[1])
     sigma = float(np.exp(actor.log_std[0]))
+    masks = env.open_masks()
+    logp_md = log_softmax_masked(md_logits, masks)
+    stale = np.zeros(m_agents, dtype=bool)
     md = np.empty(m_agents, dtype=int)
     u = np.zeros(m_agents)
-    heading = np.zeros(m_agents)
-    speed = np.zeros(m_agents, dtype=np.uint8)
-    masks = env.open_masks()
+    if rng is None:
+        speed = (z_speed > 0).astype(np.uint8)
+    else:
+        p_speed = 1.0 / (1.0 + np.exp(-z_speed))
+        speed = np.zeros(m_agents, dtype=np.uint8)
     for m in range(m_agents):
-        row = slice(m, m + 1)
-        logp_md = log_softmax_masked(md_logits[row], masks[row])
+        if stale[m]:
+            logp_md[m] = log_softmax_masked(md_logits[m:m + 1], masks[m:m + 1])[0]
         if rng is None:
-            md[row], heading[row], speed[row] = _greedy(logp_md, mu[row],
-                                                        z_speed[row])
+            md[m] = logp_md[m].argmax()
         else:
-            md[row], u[row], heading[row], speed[row] = _draw(
-                logp_md, mu[row], sigma, z_speed[row], rng)
+            md[m] = _categorical(np.exp(logp_md[m]), rng)
+            u[m] = mu[m] + sigma * rng.standard_normal()
+            speed[m] = rng.random() < p_speed[m]
         if md[m] < env.n_mds:
-            masks[m + 1:, md[m]] = False    # claimed for the later agents
-    logp = (np.zeros(m_agents) if rng is None else joint_log_prob(
-        log_softmax_masked(md_logits, masks), mu, sigma, z_speed, md, u, speed))
+            later = masks[m + 1:, md[m]]     # claimed for the later agents
+            stale[m + 1:] |= later
+            later[:] = False
+    if rng is None:
+        heading, logp = np.pi * np.tanh(mu), np.zeros(m_agents)
+    else:
+        heading = np.pi * np.tanh(u)
+        logp = joint_log_prob(logp_md, mu, sigma, z_speed, md, u, speed)
     md[md >= env.n_mds] = -1
     action = JointAction(md_choice=md, heading=heading, speed=speed)
     return action, masks, u, logp

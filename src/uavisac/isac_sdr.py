@@ -127,14 +127,26 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
     there; a full solve also waits for a gap of opts.gap_tol. Both follow the
     same iterates, so they reach the same status. A solve that runs into the
     step cap or the slacks' precision with neither certificate is left for
-    _finish_design to report as a numerical failure. Returns the best
-    iterate, its achieved margin, the best bound, the Newton step count and
-    a convergence flag.
+    _finish_design to report as a numerical failure.
+
+    One step takes the eigendecomposition Y = V diag(w) V^H, the dual bound
+    from the eigenvalues of sum_j mu_j*rows[j], the Hessian of the barrier
+    (the log-det part is basis^H (Y^-1 kron Y^-T) basis) and one linear solve
+    for two right-hand sides, -grad and the unit t direction, so that the
+    step for any tau is their combination. It then backtracks from 0.99 of
+    the distance to the boundary by halving, at most 40 times, to the first
+    step that passes the Armijo test. Three buffers live for the whole
+    solve: the rows flattened to (n_rows, d*d), the (n, 2) right-hand side
+    whose second column stays the unit t direction, and the log-det
+    gradient, whose t entry stays 0. Returns the best iterate, its achieved
+    margin, the best bound and the Newton step count.
     """
     n_rows, dim, _ = rows.shape
     basis = _hermitian_basis(dim)
     basis_h = basis.conj().T
-    a = (basis_h @ rows.reshape(n_rows, dim * dim).T).real.T * p_max
+    d2 = dim * dim
+    flat_rows = rows.reshape(n_rows, d2)
+    a = (basis_h @ flat_rows.T).real.T * p_max
     e = (basis_h @ np.eye(dim).ravel()).real
     # slacks s = G z - h of z = (y, t): the rows, then the trace bound
     g_mat = np.vstack([np.column_stack([a, -dn]), np.append(-e, 0.0)])
@@ -144,9 +156,11 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
     z = np.append(y, start.min() - 1.0)
     tau = float(np.sum(1.0 / (start - z[-1])))      # centred in t at the start
     unit_t = np.eye(len(z))[-1]
+    rhs = np.column_stack([unit_t, unit_t])         # column 0 takes -grad
+    logdet_grad = np.zeros(len(z))
 
     best_y, best_margin, best_bound = np.eye(dim) / (2 * dim), -np.inf, np.inf
-    converged, steps = False, 0
+    steps = 0
     # the slacks are carried along with z: near the optimum the active ones
     # are far smaller than the terms of g_mat @ z, whose rounding would
     # swamp them if they were recomputed, while each step's increment is
@@ -158,12 +172,13 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
             w, v = np.linalg.eigh(y_mat)
             if not (s.min() > 0.0 and w[0] > 0.0):
                 break           # the slacks have run out of precision
-            margin = np.min(s[:-1] / dn) + z[-1]
+            margin = (s[:-1] / dn).min() + z[-1]
             if margin > best_margin:
                 best_margin, best_y = margin, y_mat
             mu = 1.0 / s[:-1]
             mu /= mu @ dn
-            lam = np.linalg.eigvalsh(np.tensordot(mu, rows, 1))[-1]
+            lam = np.linalg.eigvalsh(np.dot(mu.reshape(1, n_rows), flat_rows)
+                                     .reshape(dim, dim))[-1]
             best_bound = min(best_bound, p_max * max(lam, 0.0) - mu @ cn)
             if best_margin >= -FEAS_TOL or best_bound < -FEAS_TOL:
                 # _finish_design can classify the pair; a full solve also
@@ -171,40 +186,50 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
                 if opts.certify_only:
                     break
                 if best_bound - best_margin <= opts.gap_tol * (1.0 + abs(best_margin)):
-                    converged = True
                     break
 
             # the Hessian does not depend on tau: solve once for the barrier
             # and the objective parts of the step, then pick tau
-            inv = (v / w) @ v.conj().T
+            vh = v.conj().T
+            inv = (v / w) @ vh
             hess = (g_mat.T / s ** 2) @ g_mat
-            hess[:-1, :-1] += (basis_h @ np.kron(inv, inv.T) @ basis).real
-            grad = -(g_mat.T @ (1.0 / s)) - np.append((basis_h @ inv.ravel()).real, 0.0)
-            dz_bar, dz_t = np.linalg.solve(hess, np.column_stack([-grad, unit_t])).T
-            if -(grad - tau * unit_t) @ (dz_bar + tau * dz_t) <= 1e-6:
+            # kron(inv, inv.T), without np.kron's argument handling
+            inv_kron = (inv[:, None, :, None] * inv.T[:, None, :]).reshape(d2, d2)
+            hess[:-1, :-1] += (basis_h @ inv_kron @ basis).real
+            logdet_grad[:-1] = (basis_h @ inv.ravel()).real
+            grad = -(g_mat.T @ (1.0 / s)) - logdet_grad
+            np.negative(grad, out=rhs[:, 0])
+            dz_bar, dz_t = np.linalg.solve(hess, rhs).T
+            dz = dz_bar + tau * dz_t
+            decrement = -(grad - tau * unit_t) @ dz
+            if decrement <= 1e-6:
                 tau *= 30.0
                 if len(s) + dim < 1e-12 * tau * (1.0 + abs(best_margin)):
                     break       # the central path's gap is below the slacks' precision
-            dz = dz_bar + tau * dz_t
-            decrement = -(grad - tau * unit_t) @ dz
-            # the barrier along dz in closed form, with the eigenvalues of
-            # Y^-1/2 dY Y^-1/2: backtrack from the boundary to the first
-            # step that passes the Armijo test
-            dy = v.conj().T @ (basis @ dz[:-1]).reshape(dim, dim) @ v / np.sqrt(np.outer(w, w))
-            g_dz = g_mat @ dz
-            ratios = np.append(g_dz / s, np.linalg.eigvalsh(dy))
-            alphas = min(1.0, 0.99 / max(-ratios.min(), 1e-300)) * 0.5 ** np.arange(40)
-            drop = -tau * dz[-1] * alphas - np.log1p(alphas[:, None] * ratios).sum(axis=1)
-            ok = drop <= -0.01 * alphas * decrement
-            if not (np.isfinite(dz).all() and ok.any()):
+                dz = dz_bar + tau * dz_t
+                decrement = -(grad - tau * unit_t) @ dz
+            if not np.isfinite(dz).all():
                 break
-            alpha = alphas[np.argmax(ok)]
+            # the barrier along dz in closed form, with the eigenvalues of
+            # Y^-1/2 dY Y^-1/2: try alpha_0 * 0.5**k, from 0.99 of the way
+            # to the boundary, until a step passes the Armijo test
+            dy = vh @ (basis @ dz[:-1]).reshape(dim, dim) @ v / np.sqrt(w[:, None] * w)
+            g_dz = g_mat @ dz
+            ratios = np.concatenate((g_dz / s, np.linalg.eigvalsh(dy)))
+            alpha_0 = min(1.0, 0.99 / max(-ratios.min(), 1e-300))
+            slope = -tau * dz[-1]
+            for k in range(40):
+                alpha = alpha_0 * 0.5 ** k
+                if slope * alpha - np.log1p(alpha * ratios).sum() <= -0.01 * alpha * decrement:
+                    break
+            else:
+                break
             z = z + alpha * dz
             s = s + alpha * g_dz
             steps += 1
     except np.linalg.LinAlgError:
         pass                    # a singular Newton system: keep the best pair
-    return p_max * best_y, best_margin, best_bound, steps, converged
+    return p_max * best_y, best_margin, best_bound, steps
 
 
 # perfbench wraps and counts the kernel under its former name
@@ -236,7 +261,7 @@ def _solve_margin(angles, tbp_threshold, p_max, dim, link, opts: SdrOptions):
     # ||u u^H||_F = ||u||^2, so rows keep the scaling of the full-space rows
     scales = np.sqrt(sq_norms ** 2 + np.square(ds))
     rows = np.einsum("in,jn->nij", c, c.conj()) / scales[:, None, None]
-    x, margin, bound, steps, _ = _newton_margin(
+    x, margin, bound, steps = _newton_margin(
         rows, np.asarray(ds) / scales, np.asarray(cs) / scales, p_max, opts)
     return _herm(q @ x @ q.conj().T), float(margin), float(bound), steps
 

@@ -241,7 +241,8 @@ class TestCli:
         ("[mappo]\nhidden = 0\n", "hidden"),
         ("[mappo]\nminibatch = 0\n", "minibatch"),
         ("[mappo]\nepochs = 0\n", "epochs"),
-        ("[mappo]\nsmooth_window = 0\n", "smooth_window")])
+        ("[mappo]\nsmooth_window = 0\n", "smooth_window"),
+        ("[mappo]\nmax_episodes = 0\n", "max_episodes")])
     def test_bad_config_exits_1(self, tmp_path, capsys, verb, text, named):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
@@ -251,6 +252,19 @@ class TestCli:
                      "--seeds", "0"]
         assert main(args) == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, named", [
+        (["curves", "--episodes", "-3"], "--episodes"),
+        (["curves", "--episodes", "0", "--seeds", "0"], "--episodes"),
+        (["train", "--episodes", "-1"], "--episodes"),
+        (["run", "--episodes", "0", "--train-first"], "--episodes"),
+        (["run", "--workers", "0"], "--workers"),
+        (["train", "--workers", "-2"], "--workers")])
+    def test_bad_count_flag_exits_1(self, tmp_path, capsys, args, named):
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()      # nothing trained or written
 
     def test_run_and_table_verbs(self, tmp_path):
         cfg = tmp_path / "small.cfg"

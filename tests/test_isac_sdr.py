@@ -203,21 +203,24 @@ def span_projector(vectors):
     return q @ q.conj().T, q.shape[1]
 
 
-def full_space_design(h_eff, gam, opts):
-    """The link solve of solve_feasibility, run on the uncompressed L x L rows."""
-    h = _herm(np.asarray(h_eff, dtype=complex))
-    w, v = np.linalg.eigh(h)
-    lead = float(w[-1])
-    g = v[:, -1] * np.sqrt(lead)
+def full_space_rows(h, gam):
+    """The margin program of the link solve for a Hermitian h_eff, on the
+    uncompressed L x L rows: (rows, dn, cn) as _newton_margin takes them."""
     scale = gam * NOISE_U
     mats = [np.outer(steering_vector(phi, L), steering_vector(phi, L).conj())
             for phi in ANGLES] + [h]
     ds = np.array([1.0] * len(ANGLES) + [scale])
     cs = np.array([GAMMA_LIN] * len(ANGLES) + [scale])
     norms = np.sqrt(np.array([np.linalg.norm(m) ** 2 for m in mats]) + ds ** 2)
-    rows = np.stack(mats) / norms[:, None, None]
-    r, _, bound, iters, _ = _newton_margin(rows, ds / norms, cs / norms,
-                                           P_MAX, opts)
+    return np.stack(mats) / norms[:, None, None], ds / norms, cs / norms
+
+
+def full_space_design(h_eff, gam, opts):
+    """The link solve of solve_feasibility, run on the uncompressed L x L rows."""
+    h = _herm(np.asarray(h_eff, dtype=complex))
+    w, v = np.linalg.eigh(h)
+    g = v[:, -1] * np.sqrt(float(w[-1]))
+    r, _, bound, iters = _newton_margin(*full_space_rows(h, gam), P_MAX, opts)
     problem = SdrProblem(h_eff=h, noise_uav=NOISE_U, gamma_th=gam,
                          tbp_threshold=GAMMA_LIN, angles=ANGLES, p_max=P_MAX)
     return _finish_design(_herm(r), g, problem, iters, bound), g
