@@ -68,6 +68,11 @@ def validate_spec(spec: ExperimentSpec) -> list:
             problems.append(f"{spec.axis} values must be positive integers, got {bad}")
     if not spec.seeds:
         problems.append("seed list must not be empty")
+    for label, items in (("methods", spec.methods), ("values", spec.values),
+                         ("seeds", spec.seeds)):
+        repeated = sorted({x for k, x in enumerate(items) if x in items[:k]})
+        if repeated:    # a cell run twice would count twice in the means
+            problems.append(f"repeated {label}: {repeated}")
     return problems
 
 

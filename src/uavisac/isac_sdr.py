@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import effective_channel, sample_rician_channel, steering_vector
+from .channel import sample_rician_channel, steering_vector
 
 FEAS_TOL = 1e-7          # margin slack accepted as feasible
 VERIFY_TOL = 1e-6        # relative residual floor in verify_design
@@ -350,7 +350,6 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
     angles = tuple(float(a) for a in angles)
     if len(angles) == 0:
         raise ValueError("at least one sensing angle is required")
-    dim = h_eff.shape[0]
     problem = SdrProblem(h_eff=h_eff, noise_uav=float(noise_uav),
                          gamma_th=float(gamma_th),
                          tbp_threshold=float(tbp_threshold),
@@ -362,19 +361,28 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
 
     if p_max <= 0.0:
         # zero power forces R = 0, so the margin of the zero design is exact
-        zero = np.zeros((dim, dim), dtype=complex)
+        zero = np.zeros_like(h_eff)
         return _finish_design(zero, g, problem, 0,
                               _measure_design(zero, zero, problem)[0])
 
-    case, bound, (r_total, _, _, _) = _link_ladder(
-        g[None], np.array([lead]), noise_uav, gamma_th, tbp_threshold, angles,
-        p_max, opts)
-    case, bound, iterations = case[0], bound[0], 0
+    case, bound, tbp = _link_ladder(g[None], np.array([lead]), noise_uav,
+                                    gamma_th, tbp_threshold, angles, p_max, opts)
+    return _case_design(case[0], bound[0], tbp[0], g, lead, problem, opts)
+
+
+def _case_design(case, bound, r_tbp, g, lead, problem: SdrProblem, opts):
+    """The design of one link from its _link_ladder case: all power on g for
+    DEEP, the Newton margin solve for SOLVE and the cached beampattern
+    covariance r_tbp otherwise, split and re-verified by _finish_design."""
+    iterations = 0
     if case == DEEP:
-        r_total = p_max * np.outer(eigvecs[:, -1], eigvecs[:, -1].conj())
+        r_total = problem.p_max * np.outer(g, g.conj()) / lead
     elif case == SOLVE:
         r_total, _, bound, iterations = _solve_margin(
-            angles, tbp_threshold, p_max, dim, (g, gamma_th * noise_uav), opts)
+            problem.angles, problem.tbp_threshold, problem.p_max, len(g),
+            (g, problem.gamma_th * problem.noise_uav), opts)
+    else:
+        r_total = r_tbp
     return _finish_design(r_total, g, problem, iterations, bound)
 
 
@@ -473,10 +481,10 @@ def verify_design(design: TransmitDesign, h_eff, noise_uav, gamma_th,
                            problem)[1]
 
 
-def _chain_channels(uav_positions, chain_edges, scenario, rng) -> np.ndarray:
-    """(E, L, L): one Rician draw per chain link, in chain order, from one
-    rng call; co-located transceivers are clamped to the 1 m reference
-    distance."""
+def _chain_gains(uav_positions, chain_edges, scenario, rng):
+    """g = h^H f (E, L) and ||g||^2 (E,) of each chain link, in chain order:
+    one Rician draw per link from one rng call; co-located transceivers are
+    clamped to the 1 m reference distance."""
     cfg = scenario.config
     positions = np.asarray(uav_positions, dtype=float)
     edges = np.asarray(chain_edges, dtype=int).reshape(-1, 2)
@@ -484,8 +492,10 @@ def _chain_channels(uav_positions, chain_edges, scenario, rng) -> np.ndarray:
     diff = tx - rx
     close = np.sqrt(np.vecdot(diff, diff)) < 1.0
     ref = np.where(close[:, None], tx + np.array([1.0, 0.0, 0.0]), rx)
-    return sample_rician_channel(tx, ref, cfg.rician_k, cfg.beta_ref,
-                                 cfg.n_antennas, rng)
+    h = sample_rician_channel(tx, ref, cfg.rician_k, cfg.beta_ref,
+                              cfg.n_antennas, rng)
+    g = h.conj().swapaxes(-1, -2) @ scenario.rx_combiner
+    return g, np.vecdot(g, g).real
 
 
 def link_reward(feasible, r_link_pass: float, r_link_fail: float) -> float:
@@ -494,66 +504,58 @@ def link_reward(feasible, r_link_pass: float, r_link_fail: float) -> float:
     return sum((r_link_pass if ok else r_link_fail for ok in feasible), 0.0)
 
 
-def _separated_margins(h, scenario) -> np.ndarray:
-    """Matched-filter margins (p_max ||g||^2 - gamma sigma^2)/(gamma sigma^2)
-    of g = h^H f, for channels (..., L, L)."""
-    cfg = scenario.config
-    g = h.conj().swapaxes(-1, -2) @ scenario.rx_combiner
+def _separated_margins(lead, cfg) -> np.ndarray:
+    """Matched-filter margins (p_max lead - gamma sigma^2)/(gamma sigma^2)."""
     scale = cfg.gamma_th_uav * cfg.noise_uav
-    return (cfg.p_max * np.vecdot(g, g).real - scale) / scale
+    return (cfg.p_max * lead - scale) / scale
 
 
-def _isac_verdicts(h, scenario, opts: SdrOptions) -> np.ndarray:
-    """solve_feasibility's verdict on each channel of h (E, L, L): the cases
-    of _link_ladder on g = h^H f, and a solve of each link that no case
-    covers. A case that keeps r_tbp needs no per-link split: w = R g /
-    sqrt(g^H R g) leaves a residual R - w w^H that is PSD (a Schur
-    complement) and that the receiver cannot see, so such a link is feasible
-    iff r_tbp re-verified when it was cached."""
+def _isac_links(g, lead, scenario, opts: SdrOptions, build: bool):
+    """One _link_ladder pass over chain links g (E, L), ||g||^2 ``lead`` (E,).
+    Returns (feasible (E,) bool, designs): every link's design in chain order
+    when ``build``, else only the SOLVE links'. A case that keeps r_tbp is
+    feasible iff r_tbp re-verified when cached: its split w = R g /
+    sqrt(g^H R g) leaves a PSD residual (a Schur complement) that the
+    receiver cannot see."""
     cfg = scenario.config
-    args = (cfg.noise_uav, cfg.gamma_th_uav, cfg.tbp_threshold,
-            cfg.sensing_angles, cfg.p_max, opts)
-    if cfg.p_max <= 0.0:
-        # R = 0 on every link, and its measurement does not see the channel
-        zero = np.zeros((cfg.n_antennas, cfg.n_antennas), dtype=complex)
-        return np.full(len(h), solve_feasibility(zero, *args).feasible)
-    g = h.conj().swapaxes(-1, -2) @ scenario.rx_combiner
-    case, _, (_, _, _, tbp_ok) = _link_ladder(g, np.vecdot(g, g).real, *args)
+    case, bound, (r_tbp, _, _, tbp_ok) = _link_ladder(
+        g, lead, cfg.noise_uav, cfg.gamma_th_uav, cfg.tbp_threshold,
+        cfg.sensing_angles, cfg.p_max, opts)
     feasible = tbp_ok & ((case == NO_FLOOR) | (case == BEAM))
-    for k in np.flatnonzero(case == SOLVE):
-        feasible[k] = solve_feasibility(
-            effective_channel(h[k], scenario.rx_combiner), *args).feasible
-    return feasible
+    designs = []
+    for k in range(len(g)) if build else np.flatnonzero(case == SOLVE):
+        problem = SdrProblem(
+            h_eff=_herm(np.outer(g[k], g[k].conj())), noise_uav=cfg.noise_uav,
+            gamma_th=cfg.gamma_th_uav, tbp_threshold=cfg.tbp_threshold,
+            angles=cfg.sensing_angles, p_max=cfg.p_max)
+        designs.append(_case_design(case[k], bound[k], r_tbp, g[k], lead[k],
+                                    problem, opts))
+        feasible[k] = designs[-1].feasible
+    return feasible, designs
 
 
 def chain_link_verdicts(uav_positions, chain_edges, scenario, rng,
                         opts: SdrOptions = SdrOptions(),
                         separated: bool = False) -> np.ndarray:
-    """Feasible or not, per chain link, (E,) bool: the verdicts of the
-    designs link_feasibility_sweep (separated_link_sweep when ``separated``)
-    would return for the same rng, drawn the same way but decided in one
-    array pass, without building the designs."""
-    h = _chain_channels(uav_positions, chain_edges, scenario, rng)
+    """(E,) bool: the verdicts of link_feasibility_sweep (separated_link_sweep
+    when ``separated``) for the same rng, from the same draws and ladder
+    pass, with a design built only for the links that need a Newton solve."""
+    g, lead = _chain_gains(uav_positions, chain_edges, scenario, rng)
     if separated:
-        return _separated_margins(h, scenario) >= -FEAS_TOL
-    return _isac_verdicts(h, scenario, opts)
+        return _separated_margins(lead, scenario.config) >= -FEAS_TOL
+    return _isac_links(g, lead, scenario, opts, build=False)[0]
 
 
 def link_feasibility_sweep(uav_positions, chain_edges, scenario, rng,
                            opts: SdrOptions = SdrOptions()):
-    """Solve the shared-array transmit design for every chain link.
+    """Build the shared-array transmit design of every chain link.
 
-    Every call draws each link's fading afresh from ``rng``, and
-    solve_feasibility decides the link on the draw's effective channel
-    through the receive combiner. Returns the per-link designs in chain
-    order.
+    Every call draws each link's fading afresh from ``rng``; one _link_ladder
+    pass on g = h^H f decides the links, and each design comes from its
+    link's case as in solve_feasibility. Returns the designs in chain order.
     """
-    cfg = scenario.config
-    return [solve_feasibility(effective_channel(h, scenario.rx_combiner),
-                              cfg.noise_uav, cfg.gamma_th_uav,
-                              cfg.tbp_threshold, cfg.sensing_angles,
-                              cfg.p_max, opts)
-            for h in _chain_channels(uav_positions, chain_edges, scenario, rng)]
+    g, lead = _chain_gains(uav_positions, chain_edges, scenario, rng)
+    return _isac_links(g, lead, scenario, opts, build=True)[1]
 
 
 def separated_link_sweep(uav_positions, chain_edges, scenario, rng):
@@ -568,9 +570,7 @@ def separated_link_sweep(uav_positions, chain_edges, scenario, rng):
     order.
     """
     cfg = scenario.config
-    h = _chain_channels(uav_positions, chain_edges, scenario, rng)
-    g = h.conj().swapaxes(-1, -2) @ scenario.rx_combiner
-    gain = np.vecdot(g, g).real
+    g, gain = _chain_gains(uav_positions, chain_edges, scenario, rng)
     w = np.sqrt(cfg.p_max) * g / np.sqrt(np.where(gain > 0, gain, np.inf))[:, None]
     return [TransmitDesign(
         r_comm=np.outer(w[k], w[k].conj()),
@@ -581,4 +581,4 @@ def separated_link_sweep(uav_positions, chain_edges, scenario, rng):
             h_eff=np.outer(g[k], g[k].conj()), noise_uav=cfg.noise_uav,
             gamma_th=cfg.gamma_th_uav, tbp_threshold=0.0,
             angles=cfg.sensing_angles, p_max=cfg.p_max))
-        for k, margin in enumerate(_separated_margins(h, scenario))]
+        for k, margin in enumerate(_separated_margins(gain, cfg))]

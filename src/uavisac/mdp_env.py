@@ -158,9 +158,10 @@ def distances(a, b) -> np.ndarray:
     return np.sqrt(((a - b) ** 2).sum(axis=-1))
 
 
-def pair_distances(positions) -> np.ndarray:
-    """(..., M, M) distances between the UAVs of each fleet."""
-    return distances(positions[..., :, None, :], positions[..., None, :, :])
+def too_close(positions, cfg) -> np.ndarray:
+    """(..., M, M): the UAV pairs of each fleet closer than d_min - 1e-9 m."""
+    pair = distances(positions[..., :, None, :], positions[..., None, :, :])
+    return pair < cfg.d_min - 1e-9
 
 
 def station_exempt(positions, cfg) -> np.ndarray:
@@ -194,7 +195,7 @@ def resolve_collisions(pre, intended, cfg):
     for _ in range(m_count * m_count + 1):
         moved = (cand != pre).any(axis=-1)
         close = (pairs_above(m_count) & (moved[:, :, None] | moved[:, None, :])
-                 & (pair_distances(cand) < cfg.d_min - 1e-9))
+                 & too_close(cand, cfg))
         if not close.any():
             break
         close &= ~station_exempt(cand, cfg)
@@ -445,7 +446,7 @@ class CorridorEnv:
         reward.collection = self.reward_cfg.collect * int(out.newly.sum())
 
         # pairs that end close or blocked one another, outside the station zones
-        near = pair_distances(final) < cfg.d_min - 1e-9
+        near = too_close(final, cfg)
         near |= overrides[:, None] & (out.blocked[0][:, None] == np.arange(self.n_agents))
         near = (near | near.T) & pairs_above(self.n_agents)
         if near.any():
@@ -542,12 +543,6 @@ class ConstraintReport:
     uplink_gating: int = 0         # served slots below the MD SINR threshold
     inter_uav_sinr: int | None = 0  # infeasible link-slots; None when N/A
 
-    @property
-    def clean(self) -> bool:
-        hard = (self.md_exclusivity, self.power_budget, self.psd,
-                self.tbp, self.min_distance)
-        return all(v == 0 for v in hard)
-
 
 def check_constraints(trace, scenario: Scenario,
                       connected: bool = True) -> ConstraintReport:
@@ -562,8 +557,7 @@ def check_constraints(trace, scenario: Scenario,
     collected = np.zeros(cfg.num_mds, dtype=bool)
     if trace:
         positions = np.stack([rec.positions for rec in trace])
-        close = pairs_above(cfg.num_uavs) & (pair_distances(positions)
-                                             < cfg.d_min - 1e-9)
+        close = pairs_above(cfg.num_uavs) & too_close(positions, cfg)
         close &= ~station_exempt(positions, cfg)
         rep.min_distance = int(close.sum())
     for rec in trace:

@@ -54,6 +54,13 @@ class TestSpecValidation:
         spec = replace(small_spec(tmp_path), values=(0,))
         assert validate_spec(spec)
 
+    def test_repeated_entries_rejected(self, tmp_path):
+        spec = replace(small_spec(tmp_path), methods=("ga", "pso", "ga"),
+                       values=(2, 3, 2.0), seeds=(0, 0))
+        assert validate_spec(spec) == ["repeated methods: ['ga']",
+                                       "repeated values: [2.0]",
+                                       "repeated seeds: [0]"]
+
 
 class TestRunExperiment:
     def test_grid_shape_and_persistence(self, tmp_path):
@@ -297,6 +304,13 @@ horizon_slots = 120
         monkeypatch.setattr("uavisac.harness.run_cell", broken_cell)
         assert main(["run", "--methods", "greedy_offline", "--values", "1",
                      "--seeds", "0", "--out", str(tmp_path)]) == 2
+
+    def test_repeated_grid_entries_exit_1(self, tmp_path, capsys):
+        assert main(["run", "--methods", "greedy_offline,greedy_offline",
+                     "--values", "2,2", "--seeds", "0,0",
+                     "--out", str(tmp_path)]) == 1
+        assert "repeated methods" in capsys.readouterr().out
+        assert not (tmp_path / "results.csv").exists()
 
     def test_bad_seed_list_exits_1(self, tmp_path):
         assert main(["run", "--methods", "greedy_offline", "--seeds", "0,x",

@@ -639,19 +639,22 @@ class TestChainVerdicts:
     @pytest.mark.parametrize("opts", [SdrOptions(), CERTIFY])
     def test_isac_matches_per_link_solves(self, opts, monkeypatch):
         solves = []
+        solve_margin = isac_sdr._solve_margin
 
-        def counted(*args):
-            solves.append(args)
-            return solve_feasibility(*args)
+        def counted(angles, tbp_threshold, p_max, dim, link, opts):
+            if link is not None:        # not the cached beampattern solve
+                solves.append(link)
+            return solve_margin(angles, tbp_threshold, p_max, dim, link, opts)
 
-        monkeypatch.setattr(isac_sdr, "solve_feasibility", counted)
+        monkeypatch.setattr(isac_sdr, "_solve_margin", counted)
         branches = self.check(self.scenario, opts, False, "isac")
         expected = {"beampattern", "deep", "band-feasible", "band-infeasible"}
         if opts.certify_only:
             expected.add("certify-cap")
         assert expected <= set(branches)
-        # the closed-form cases keep every other link away from the solver
-        assert len(solves) == sum(b.startswith("band-") for b in branches)
+        # the closed-form cases keep every other link away from the Newton
+        # solver: one solve per band link in the pass, one in the reference
+        assert len(solves) == 2 * sum(b.startswith("band-") for b in branches)
 
     def test_separated_matches_margin_rule(self):
         self.check(self.scenario, SdrOptions(), True, "split")

@@ -527,7 +527,8 @@ class TestConstraintAudit:
                               speed=np.ones(3, dtype=np.uint8))
             _, _, _, done, _ = env.step(act)
         rep = check_constraints(env.trace, sc)
-        assert rep.clean
+        assert (rep.md_exclusivity, rep.power_budget, rep.psd, rep.tbp,
+                rep.min_distance) == (0, 0, 0, 0, 0)
         failed = sum(not d.feasible for rec in env.trace for d in rec.link_designs)
         assert rep.inter_uav_sinr == failed
         margins = np.array([d.margin for rec in env.trace
