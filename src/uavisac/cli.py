@@ -16,7 +16,7 @@ from .config import load_config
 from .drl_mappo import train
 from .harness import (AXES, METHODS, ExperimentSpec, emit_comparison_table,
                       emit_sweep_data, run_experiment, scenario_config_for,
-                      train_checkpoint, validate_spec)
+                      seed_problems, train_checkpoint, validate_spec)
 from .scenario import build_scenario, validate_config
 
 
@@ -139,6 +139,7 @@ def cmd_curves(args) -> int:
     run_config = _load_config(args.config)
     _require(validate_config(run_config.scenario))
     seeds = _parse_list(args.seeds, int, "--seeds")
+    _require(seed_problems(seeds))
     out = Path(_out_root(args))
     out.mkdir(parents=True, exist_ok=True)
     for seed in seeds:

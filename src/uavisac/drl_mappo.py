@@ -350,9 +350,10 @@ class MappoPolicy:
         return cls(actor, critic, cfg)
 
 
-def act_in_env(policy: MappoPolicy, env: CorridorEnv, obs,
+def act_in_env(policy: MappoPolicy, env: CorridorEnv,
                rng: np.random.Generator | None):
-    """Sequential per-agent action selection under the claim-order masks.
+    """Sequential per-agent action selection under the claim-order masks,
+    from the env's current observations.
 
     One forward pass and one masked log-softmax serve every agent: the claim
     order changes only the MD-head masks, so a row is normalised again only
@@ -360,10 +361,13 @@ def act_in_env(policy: MappoPolicy, env: CorridorEnv, obs,
     then draws in turn (MD, heading normal, speed uniform), and the joint
     log-probabilities are taken over the final masks, which are the masks
     each agent drew under. Deterministic (greedy) when ``rng`` is None.
-    Returns the joint action plus everything the trainer stores per agent.
+    Returns the joint action and the sample the trainer stores: (obs, masks,
+    md_head, u, speed, logp), where md_head holds the no-op index n_mds for
+    an agent that claims no MD.
     """
     actor = policy.actor
     m_agents = env.n_agents
+    obs = env.observations()
     md_logits, mu, z_speed = actor.heads(_trunk(actor, obs, Workspace())[1])
     sigma = float(np.exp(actor.log_std[0]))
     masks = env.open_masks()
@@ -394,9 +398,9 @@ def act_in_env(policy: MappoPolicy, env: CorridorEnv, obs,
     else:
         heading = np.pi * np.tanh(u)
         logp = joint_log_prob(logp_md, mu, sigma, z_speed, md, u, speed)
-    md[md >= env.n_mds] = -1
-    action = JointAction(md_choice=md, heading=heading, speed=speed)
-    return action, masks, u, logp
+    action = JointAction(md_choice=np.where(md < env.n_mds, md, -1),
+                         heading=heading, speed=speed)
+    return action, (obs, masks, md, u, speed, logp)
 
 
 # -- training loop --------------------------------------------------------------
@@ -424,65 +428,31 @@ class LearningCurve:
             fh.write("\n".join(lines) + "\n")
 
 
-class _Buffer:
-    """Rollout storage: per-step shared quantities plus per-agent samples."""
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self.obs = []        # (M, obs_dim) at action time
-        self.mask = []       # (M, A)
-        self.md = []         # (M,) head indices (no-op = A-1)
-        self.u = []          # (M,) pre-squash heading draws
-        self.speed = []      # (M,)
-        self.logp = []       # (M,)
-        self.states = []     # (S,)
-        self.rewards = []    # shared reward
-        self.dones = []
-        self.agent_samples = 0
-
-    def store(self, obs, masks, md_head, u, speed, logp, critic_state,
-              reward, done):
-        self.obs.append(obs)
-        self.mask.append(masks)
-        self.md.append(md_head)
-        self.u.append(u)
-        self.speed.append(speed)
-        self.logp.append(logp)
-        self.states.append(critic_state)
-        self.rewards.append(reward)
-        self.dones.append(done)
-        self.agent_samples += len(md_head)
-
-
 def _update(policy: MappoPolicy, opt_actor: Adam, opt_critic: Adam,
-            buf: _Buffer, config: MappoConfig, shuffle_rng):
+            slots, rewards, dones, config: MappoConfig, shuffle_rng):
     """PPO epochs over one rollout; returns the mean critic loss and the
     means of the actor diagnostics (ratio_mean, clip_fraction, entropy).
 
+    ``slots`` holds one (obs, masks, md_head, u, speed, logp, critic_state)
+    per env slot, as act_in_env sampled it plus the critic state it saw;
+    ``rewards`` and ``dones`` are the slots' shared rewards and episode ends.
     The rollout's values come from one critic pass here: the critic changes
     only inside this function, so they are the values it had while the
     rollout was collected. That pass and every minibatch reuse one
-    Workspace for inputs, activations and gradients. The buffer is cleared
-    once its arrays are stacked."""
+    Workspace for inputs, activations and gradients. The three lists are
+    emptied once their arrays are stacked."""
     work = Workspace()
-    states = np.stack(buf.states)
+    obs, mask, md, u, speed, logp_old = map(np.concatenate, list(zip(*slots))[:6])
+    states = np.stack([slot[-1] for slot in slots])
     values = critic_forward(policy.critic, states, work)
-    adv_step = gae(buf.rewards, values, buf.dones,
-                   config.discount, config.gae_lambda)
+    adv_step = gae(rewards, values, dones, config.discount, config.gae_lambda)
     targets = adv_step + values
 
-    m_agents = buf.md[0].shape[0]
-    obs = np.concatenate(buf.obs)                       # (T*M, obs_dim)
-    mask = np.concatenate(buf.mask)
-    md = np.concatenate(buf.md)
-    u = np.concatenate(buf.u)
-    speed = np.concatenate(buf.speed).astype(float)
-    logp_old = np.concatenate(buf.logp)
-    adv = np.repeat(adv_step, m_agents)
+    speed = speed.astype(float)
+    adv = np.repeat(adv_step, len(md) // len(states))    # one per agent
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-    buf.clear()
+    for rollout in (slots, rewards, dones):
+        rollout.clear()
 
     n_actor = len(obs)
     n_critic = len(states)
@@ -515,7 +485,8 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
           progress=None,
           propulsion: PropulsionParams = REFERENCE_PROPULSION
           ) -> tuple[MappoPolicy, LearningCurve]:
-    """Episode loop: sample, per-slot link feasibility, store, PPO epochs.
+    """Episodes through run_episode: sample, per-slot link feasibility, store,
+    PPO epochs.
 
     Single-worker and bit-deterministic for a fixed config (seed included).
     ``progress`` is an optional callback(episode, curve); ``propulsion`` sets
@@ -532,38 +503,37 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
     sample_rng = rng_stream(config.seed, "policy-sample")
     shuffle_rng = rng_stream(config.seed, "minibatch")
 
-    buf = _Buffer()
+    slots, rewards, dones = [], [], []
     curve = LearningCurve()
     last_value_loss = 0.0
-    info = {"success": False}
+
+    def act(env):
+        action, sample = act_in_env(policy, env, sample_rng)
+        slots.append(sample + (env.critic_state(sample[0]),))
+        return action
 
     for episode in range(config.max_episodes):
-        _, obs, critic_state = env.reset(config.seed * 1_000_003 + episode)
-        done = False
+        _, success, ep_rewards = run_episode(
+            env, config.seed * 1_000_003 + episode, act)
+        rewards += ep_rewards
+        dones += [False] * (len(ep_rewards) - 1) + [True]
         ep_reward = 0.0
-        while not done:
-            action, masks, u, logp = act_in_env(policy, env, obs, sample_rng)
-            md_head = np.where(action.md_choice >= 0, action.md_choice,
-                               env.n_mds)
-            _, rew, next_obs, done, info = env.step(action)
-            buf.store(obs, masks, md_head, u, action.speed, logp,
-                      critic_state, rew.total, done)
-            obs = next_obs
-            critic_state = env.critic_state(obs)
-            ep_reward += rew.total
+        for r in ep_rewards:    # in slot order; sum() would round differently
+            ep_reward += r
 
         curve.episode.append(episode)
         curve.reward.append(ep_reward)
         window = curve.reward[-config.smooth_window:]
         curve.smoothed.append(float(np.mean(window)))
         curve.value_loss.append(last_value_loss)
-        curve.success.append(bool(info["success"]))
+        curve.success.append(bool(success))
         if progress is not None:
             progress(episode, curve)
 
-        if buf.agent_samples >= config.rollout:
+        if len(slots) * env.n_agents >= config.rollout:
             last_value_loss, diag = _update(policy, opt_actor, opt_critic,
-                                            buf, config, shuffle_rng)
+                                            slots, rewards, dones, config,
+                                            shuffle_rng)
             curve.ratio_mean.append(diag["ratio_mean"])
             curve.clip_fraction.append(diag["clip_fraction"])
             curve.entropy.append(diag["entropy"])
@@ -574,7 +544,7 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
 def run_policy_episode(policy: MappoPolicy, env: CorridorEnv, seed: int):
     """Roll one greedy evaluation episode; returns (success, slots, energy,
     collected)."""
-    state, success = run_episode(
-        env, seed, lambda env, obs: act_in_env(policy, env, obs, None)[0])
+    state, success, _ = run_episode(
+        env, seed, lambda env: act_in_env(policy, env, None)[0])
     return (success, state.slot, state.cumulative_energy,
             int(state.collected.sum()))

@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .drl_mappo import MappoPolicy, act_in_env, train
+from .mdp_env import CorridorEnv
 from .planners import (MissionResult, evaluate_plan, fly_mission, ga_plan,
                        greedy_offline, greedy_online, pso_plan)
 from .scenario import (ScenarioConfig, build_scenario, db_to_linear,
@@ -66,14 +67,18 @@ def validate_spec(spec: ExperimentSpec) -> list:
         bad = [v for v in spec.values if int(v) != v or v < 1]
         if bad:
             problems.append(f"{spec.axis} values must be positive integers, got {bad}")
-    if not spec.seeds:
-        problems.append("seed list must not be empty")
-    for label, items in (("methods", spec.methods), ("values", spec.values),
-                         ("seeds", spec.seeds)):
-        repeated = sorted({x for k, x in enumerate(items) if x in items[:k]})
-        if repeated:    # a cell run twice would count twice in the means
-            problems.append(f"repeated {label}: {repeated}")
-    return problems
+    return (problems + _repeated("methods", spec.methods)
+            + _repeated("values", spec.values) + seed_problems(spec.seeds))
+
+
+def _repeated(label, items) -> list:
+    twice = sorted({x for k, x in enumerate(items) if x in items[:k]})
+    return [f"repeated {label}: {twice}"] if twice else []
+
+
+def seed_problems(seeds) -> list:
+    """Empty or repeated seeds: a seed run twice would count (or write) twice."""
+    return _repeated("seeds", seeds) if seeds else ["seed list must not be empty"]
 
 
 def scenario_config_for(run_config: RunConfig, axis: str, value) -> ScenarioConfig:
@@ -108,6 +113,19 @@ def train_checkpoint(spec: ExperimentSpec, value) -> Path:
     return path
 
 
+def _require_fit(path, spec: ExperimentSpec, value):
+    """ValueError unless the checkpoint at ``path`` fits the axis value's world."""
+    env = CorridorEnv(build_scenario(
+        scenario_config_for(spec.run_config, spec.axis, value)))
+    net = MappoPolicy.load(path)
+    have = (net.actor.obs_dim, net.actor.n_actions, net.critic.state_dim)
+    need = (env.obs_dim, env.n_actions, env.state_dim)
+    if have != need:
+        raise ValueError(
+            f"checkpoint {path} has (obs_dim, n_actions, state_dim) = "
+            f"{have}, but the {spec.axis} = {value} world needs {need}")
+
+
 def run_cell(method: str, spec: ExperimentSpec, value, seed) -> MissionResult:
     rc = spec.run_config
     scenario = build_scenario(scenario_config_for(rc, spec.axis, value))
@@ -132,7 +150,7 @@ def run_cell(method: str, spec: ExperimentSpec, value, seed) -> MissionResult:
                 "run with train_first or train explicitly")
         policy = MappoPolicy.load(path)
         res = fly_mission(scenario,
-                          lambda env, obs: act_in_env(policy, env, obs, None)[0],
+                          lambda env: act_in_env(policy, env, None)[0],
                           seed, method,
                           "separated" if method == "drl_sc" else "isac",
                           rc.propulsion, rc.reward)
@@ -181,6 +199,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
                     raise FileNotFoundError(
                         f"missing checkpoint for {needs_policy[0]!r} at {path}")
                 train_checkpoint(spec, value)
+            _require_fit(path, spec, value)
 
     tasks = [(m, spec, v, s) for m in spec.methods
              for v in spec.values for s in spec.seeds]
@@ -217,9 +236,7 @@ def _cell_means(rows) -> dict:
 def _write_aggregates(rows, path):
     lines = ["method,axis,value,n_seeds,mean_energy_j,mean_time_s,"
              "success_rate,mean_collected"]
-    cells = _cell_means(rows)
-    for (method, value), c in sorted(cells.items(),
-                                     key=lambda kv: (kv[0][0], str(kv[0][1]))):
+    for (method, value), c in _cell_means(rows).items():   # in the rows' order
         lines.append(f"{method},{c['axis']},{value},{c['n']},"
                      f"{c['energy_j']:.6f},{c['time_s']:.3f},{c['success']:.3f},"
                      f"{c['collected']:.3f}")

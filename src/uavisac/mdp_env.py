@@ -319,8 +319,6 @@ class CorridorEnv:
         )
         self._rng = rng_stream(seed, "env-channel")
         self.trace = []
-        obs = self.observations()
-        return self.state, obs, self.critic_state(obs)
 
     # -- observation/state construction -------------------------------------
 
@@ -367,7 +365,7 @@ class CorridorEnv:
         """Joint observations plus global MD locations and collection status.
 
         ``obs`` may pass this state's observations() when the caller already
-        holds them (step returns them)."""
+        holds them."""
         cfg = self.cfg
         md = self.scenario.md_positions
         if obs is None:
@@ -417,13 +415,17 @@ class CorridorEnv:
     # -- transition ----------------------------------------------------------
 
     def step(self, action: JointAction):
+        """Apply one joint action; returns (reward, done, success). The new
+        fleet state is ``self.state``."""
         s = self.state
         cfg = self.cfg
         if s is None:
             raise RuntimeError("reset() must be called before step()")
         md_choice = np.asarray(action.md_choice, dtype=int)
+        heading = np.asarray(action.heading, dtype=float)
         speed = np.asarray(action.speed).astype(np.uint8)
-        if (md_choice.shape != (self.n_agents,) or np.any(speed > 1)
+        if ({md_choice.shape, heading.shape, speed.shape} != {(self.n_agents,)}
+                or np.any(speed > 1) or np.any(md_choice < -1)
                 or np.any(md_choice >= self.n_mds)):
             raise ValueError("malformed joint action")
 
@@ -439,9 +441,8 @@ class CorridorEnv:
         reward = RewardBreakdown()
         potential_before = self._potential(s.positions, s.collected)
         out = fleet_transition(s.positions[None], s.collected[None], gain2[None],
-                               md_choice[None],
-                               np.asarray(action.heading, float)[None],
-                               speed[None], cfg, self._slot_costs)
+                               md_choice[None], heading[None], speed[None], cfg,
+                               self._slot_costs)
         final, overrides, moved = out.final[0], out.overrides[0], out.moved[0]
         reward.collection = self.reward_cfg.collect * int(out.newly.sum())
 
@@ -492,8 +493,7 @@ class CorridorEnv:
                 served_sinr=out.served_sinr[0], reward=reward,
                 link_designs=designs))
 
-        info = {"success": success}
-        return s, reward, self.observations(), done, info
+        return reward, done, success
 
     def _potential(self, positions, collected) -> float:
         """State potential: negative device-deficit and landing distances.
@@ -521,13 +521,16 @@ class CorridorEnv:
 
 
 def run_episode(env: CorridorEnv, seed: int, act):
-    """Reset ``env`` with ``seed`` and step it with ``act(env, obs)`` until the
-    episode ends; returns the final FleetState and the success flag."""
-    _, obs, _ = env.reset(seed)
+    """Reset ``env`` with ``seed`` and step it with ``act(env)`` until the
+    episode ends; returns the final FleetState, the success flag and each
+    slot's total reward in order. The one loop that steps an env."""
+    env.reset(seed)
+    rewards = []
     done = False
     while not done:
-        state, _, obs, done, info = env.step(act(env, obs))
-    return state, info["success"]
+        reward, done, success = env.step(act(env))
+        rewards.append(reward.total)
+    return env.state, success, rewards
 
 
 # -- offline constraint audit ------------------------------------------------

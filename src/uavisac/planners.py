@@ -265,11 +265,11 @@ def _controller_step(env: CorridorEnv, targets, aim_points):
 
 def fly_mission(scenario: Scenario, act, seed: int, method: str, link_mode: str,
                 propulsion: PropulsionParams, reward: RewardConfig) -> MissionResult:
-    """One recorded env episode of ``act(env, obs)`` in ``link_mode``,
+    """One recorded env episode of ``act(env)`` in ``link_mode``,
     audited and reported; every method's mission is flown here."""
     env = CorridorEnv(scenario, reward=reward, propulsion=propulsion,
                       record=True, link_mode=link_mode)
-    state, success = run_episode(env, seed, act)
+    state, success, _ = run_episode(env, seed, act)
     return MissionResult(
         method=method, energy_j=state.cumulative_energy,
         time_s=state.slot * scenario.config.slot_seconds,
@@ -288,7 +288,7 @@ def evaluate_plan(plan: Plan, scenario: Scenario, seed: int = 0,
     route, waypoint = _pack_routes([plan], scenario)
     cursor = np.zeros(route.shape[:2], dtype=int)
 
-    def act(env, obs):
+    def act(env):
         targets, aims = _follow_routes(route, waypoint, cursor,
                                        env.state.collected[None], scenario.config)
         return _controller_step(env, targets[0], aims[0])
@@ -308,7 +308,7 @@ def greedy_online(scenario: Scenario, seed: int = 0,
     cfg = scenario.config
     md = scenario.md_positions[:, :2]
 
-    def act(env, obs):
+    def act(env):
         state = env.state
         targets = []
         aims = []

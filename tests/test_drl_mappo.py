@@ -5,11 +5,11 @@ import pytest
 
 from uavisac import drl_mappo
 from uavisac.drl_mappo import (ActorNet, Adam, CriticNet, MappoConfig,
-                               MappoPolicy, act_in_env, actor_forward,
+                               MappoPolicy, _update, act_in_env, actor_forward,
                                actor_loss_and_grads,
                                critic_forward, critic_loss_and_grads,
                                critic_update, gae, ppo_actor_update,
-                               sample_actions, train)
+                               run_policy_episode, sample_actions, train)
 from uavisac.energy import REFERENCE_PROPULSION
 from uavisac.mdp_env import CorridorEnv, slot_costs
 from uavisac.scenario import (ScenarioConfig, build_scenario, db_to_linear,
@@ -257,18 +257,37 @@ class TestActInEnv:
         policy = MappoPolicy(actor, CriticNet(rng, env.state_dim, 8), MappoConfig())
         withheld = 0
         for episode in range(3):
-            _, obs, _ = env.reset(episode)
+            env.reset(episode)
             for _ in range(15):
                 open_masks = env.open_masks()
-                action, masks, _, _ = act_in_env(policy, env, obs, rng)
+                action, (_, masks, md_head, _, speed, _) = act_in_env(policy, env, rng)
+                assert np.array_equal(action.md_choice,
+                                      np.where(md_head < env.n_mds, md_head, -1))
+                assert speed is action.speed
                 for m in range(3):
                     claimed = action.md_choice[:m]
                     assert np.array_equal(masks[m], env.action_mask(m, claimed))
                     withheld += int((open_masks[m] & ~masks[m]).sum())
-                _, _, obs, done, _ = env.step(action)
+                _, done, _ = env.step(action)
                 if done:
                     break
         assert withheld > 0
+
+
+def test_policy_mission_observes_once_per_slot(monkeypatch):
+    sc = build_scenario(ScenarioConfig(num_uavs=2, num_mds=3, seed=0,
+                                       horizon_slots=30))
+    policy, _ = train(sc, MappoConfig(max_episodes=0, hidden=16, seed=0))
+    built = []
+    observations = CorridorEnv.observations
+
+    def counted(env):
+        built.append(env.state.slot)
+        return observations(env)
+
+    monkeypatch.setattr(CorridorEnv, "observations", counted)
+    _, slots, _, _ = run_policy_episode(policy, CorridorEnv(sc, record=True), 0)
+    assert built == list(range(slots))
 
 
 class TestTrainLoop:
@@ -297,6 +316,49 @@ class TestTrainLoop:
         _, c2 = train(sc, cfg)
         assert c1.reward == c2.reward
         assert c1.value_loss == c2.value_loss
+
+    def test_matches_explicit_loop(self):
+        # train is run_episode plus the act closure that stores each slot's
+        # sample and critic state; the same steps written out give the same
+        # curve and weights, bit for bit
+        sc = self.scenario()
+        cfg = MappoConfig(max_episodes=2, hidden=16, rollout=64,
+                          minibatch=32, epochs=2, seed=4)
+        policy, curve = train(sc, cfg)
+
+        env = CorridorEnv(sc)
+        ref = MappoPolicy(
+            ActorNet(rng_stream(4, "init-actor"), env.obs_dim, env.n_actions, 16),
+            CriticNet(rng_stream(4, "init-critic"), env.state_dim, 16), cfg)
+        opt_a = Adam(ref.actor.params, cfg.actor_lr)
+        opt_c = Adam(ref.critic.params, cfg.critic_lr)
+        sample_rng = rng_stream(4, "policy-sample")
+        shuffle_rng = rng_stream(4, "minibatch")
+        slots, rewards, dones = [], [], []
+        ep_rewards, successes, losses = [], [], []
+        for episode in range(2):
+            env.reset(4 * 1_000_003 + episode)
+            total, done = 0.0, False
+            while not done:
+                action, sample = act_in_env(ref, env, sample_rng)
+                slots.append(sample + (env.critic_state(),))
+                rew, done, success = env.step(action)
+                rewards.append(rew.total)
+                dones.append(done)
+                total += rew.total
+            ep_rewards.append(total)
+            successes.append(success)
+            assert len(slots) * env.n_agents >= cfg.rollout
+            loss, _ = _update(ref, opt_a, opt_c, slots, rewards, dones, cfg,
+                              shuffle_rng)
+            losses.append(loss)
+
+        assert curve.reward == ep_rewards
+        assert curve.value_loss == losses
+        assert curve.success == successes
+        for a, b in zip(policy.actor.params + policy.critic.params,
+                        ref.actor.params + ref.critic.params):
+            assert np.array_equal(a, b)
 
     def test_ppo_diagnostics_recorded_per_update(self, monkeypatch):
         updates = []

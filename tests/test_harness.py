@@ -8,7 +8,8 @@ import pytest
 
 from uavisac.cli import main
 from uavisac.config import load_config
-from uavisac.drl_mappo import MappoPolicy, run_policy_episode
+from uavisac.drl_mappo import (ActorNet, CriticNet, MappoConfig, MappoPolicy,
+                               run_policy_episode)
 from uavisac.harness import (CIRCUIT_POWER_W, SEED_MEANING, ExperimentSpec,
                              checkpoint_path, emit_comparison_table,
                              emit_sweep_data, git_revision, run_cell,
@@ -104,6 +105,38 @@ class TestRunExperiment:
         spec = replace(small_spec(tmp_path), methods=("drl_sdr",))
         with pytest.raises(FileNotFoundError, match="drl_sdr"):
             run_experiment(spec)
+
+    def test_aggregates_keep_numeric_value_order(self, tmp_path):
+        spec = replace(small_spec(tmp_path, methods=("greedy_offline",),
+                                  values=(5, 10), seeds=(0,)), axis="md_count")
+        run_experiment(spec)
+        for name in ("results.csv", "aggregates.csv"):
+            rows = list(csv.DictReader(open(tmp_path / name)))
+            assert [r["value"] for r in rows] == ["5", "10"]
+
+    def test_stale_checkpoint_runs_no_cell(self, tmp_path, capsys, monkeypatch):
+        # a checkpoint trained for a 5-MD world, found by a 4-MD run
+        cfg = tmp_path / "four.cfg"
+        cfg.write_text("[scenario]\nnum_mds = 4\n")
+        path = checkpoint_path(tmp_path / "out", "uav_count", 2)
+        path.parent.mkdir(parents=True)
+        stale = CorridorEnv(build_scenario(replace(load_config().scenario,
+                                                   num_uavs=2, num_mds=5)))
+        rng = np.random.default_rng(0)
+        MappoPolicy(ActorNet(rng, stale.obs_dim, stale.n_actions, 8),
+                    CriticNet(rng, stale.state_dim, 8),
+                    MappoConfig(hidden=8)).save(path)
+        cells = []
+        monkeypatch.setattr("uavisac.harness.run_cell",
+                            lambda *args: cells.append(args))
+        assert main(["run", "--config", str(cfg), "--methods", "drl_sdr",
+                     "--values", "2", "--seeds", "0",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "(33, 6, 81)" in err and "(29, 5, 70)" in err
+        assert cells == []
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_offline_rows_mark_link_constraint_na(self, tmp_path):
         run_experiment(small_spec(tmp_path, methods=("greedy_offline",),
@@ -311,6 +344,19 @@ horizon_slots = 120
                      "--out", str(tmp_path)]) == 1
         assert "repeated methods" in capsys.readouterr().out
         assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "train", "curves"])
+    @pytest.mark.parametrize("seeds, named", [
+        ("", "seed list must not be empty"), ("0,0", "repeated seeds: [0]")])
+    def test_empty_or_repeated_seeds_exit_1(self, tmp_path, capsys, verb,
+                                            seeds, named):
+        out = tmp_path / "out"
+        args = [verb, "--seeds", seeds, "--out", str(out)]
+        if verb != "curves":
+            args += ["--methods", "greedy_offline"]
+        assert main(args) == 1
+        assert named in capsys.readouterr().out
+        assert not out.exists()      # nothing trained or written
 
     def test_bad_seed_list_exits_1(self, tmp_path):
         assert main(["run", "--methods", "greedy_offline", "--seeds", "0,x",

@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -74,7 +74,10 @@ class TestReset:
     def test_initial_conditions(self):
         sc = build_scenario(ScenarioConfig(num_uavs=3, seed=1))
         env = CorridorEnv(sc)
-        state, obs, critic = env.reset(0)
+        assert env.reset(0) is None
+        state = env.state
+        obs = env.observations()
+        critic = env.critic_state(obs)
         assert np.allclose(state.positions, [0.0, 2500.0, 80.0])
         assert np.all(state.collected == 0)
         assert np.all(state.residual_energy == sc.config.e_total)
@@ -93,8 +96,8 @@ class TestReset:
                 act = JointAction(md_choice=np.array([-1, -1]),
                                   heading=np.array([0.1 * k, -0.2 * k]),
                                   speed=np.array([1, 1], dtype=np.uint8))
-                state, rew, obs, done, _ = env.step(act)
-                out.append((state.positions.copy(), rew.total))
+                rew, _, _ = env.step(act)
+                out.append((env.state.positions.copy(), rew.total))
             return out
 
         a, b = episode(), episode()
@@ -134,16 +137,16 @@ class TestObservations:
     def test_stepped_states_match_oracle(self):
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=6, seed=4))
         env = CorridorEnv(sc, link_mode="none")
-        _, obs, critic = env.reset(2)
+        env.reset(2)
         rng = np.random.default_rng(5)
         for _ in range(25):
+            obs = env.observations()
             assert np.array_equal(obs, observations_oracle(env))
-            assert np.array_equal(critic, critic_state_oracle(env))
+            assert np.array_equal(env.critic_state(obs), critic_state_oracle(env))
             act = JointAction(md_choice=np.full(3, -1),
                               heading=rng.uniform(-np.pi, np.pi, 3),
                               speed=rng.integers(0, 2, 3).astype(np.uint8))
-            _, _, obs, _, _ = env.step(act)
-            critic = env.critic_state(obs)
+            env.step(act)
 
     def test_injected_state_is_followed(self):
         # one MD beside the start pad, one far away
@@ -200,7 +203,7 @@ class TestObservations:
                 inject(env)
             for env in (fresh, stepped, fresh, stepped):
                 before = potential(env)
-                shaping = env.step(act)[1].shaping
+                shaping = env.step(act)[0].shaping
                 assert shaping == potential(env) - before
                 assert shaping != 0.0
 
@@ -248,6 +251,18 @@ class TestActionMask:
         with pytest.raises(ValueError, match="mask violation"):
             env.step(act)
 
+    @pytest.mark.parametrize("field, value", [
+        ("heading", 0.5),                           # scalar, not (M,)
+        ("speed", np.ones(1, dtype=np.uint8)),      # length 1, not (M,)
+        ("md_choice", np.array([-7, -1]))])         # below the idle -1
+    def test_malformed_joint_action_rejected(self, field, value):
+        sc = make_scenario([[30.0, 2470.0, 0.0]], num_uavs=2)
+        env = CorridorEnv(sc)
+        env.reset(0)
+        with pytest.raises(ValueError, match="malformed joint action"):
+            env.step(replace(JointAction.hover(2), **{field: value}))
+        assert env.state.slot == 0
+
 
 class TestStepKinematics:
     def test_heading_zero_advances_x(self):
@@ -256,7 +271,8 @@ class TestStepKinematics:
         env.reset(0)
         act = JointAction(md_choice=np.array([-1]), heading=np.array([0.0]),
                           speed=np.array([1], dtype=np.uint8))
-        state, _, _, _, _ = env.step(act)
+        env.step(act)
+        state = env.state
         assert np.allclose(state.positions[0], [20.0, 2500.0, 80.0])
 
     def test_altitude_preserved_exactly(self):
@@ -268,7 +284,8 @@ class TestStepKinematics:
             act = JointAction(md_choice=np.array([-1]),
                               heading=np.array([rng.uniform(-np.pi, np.pi)]),
                               speed=np.array([1], dtype=np.uint8))
-            state, _, _, _, _ = env.step(act)
+            env.step(act)
+            state = env.state
             assert state.positions[0, 2] == 80.0
 
     def test_area_clipping(self):
@@ -277,7 +294,8 @@ class TestStepKinematics:
         env.reset(0)
         act = JointAction(md_choice=np.array([-1]), heading=np.array([np.pi / 2]),
                           speed=np.array([1], dtype=np.uint8))
-        state, _, _, _, _ = env.step(act)  # pushing past the top edge
+        env.step(act)  # pushing past the top edge
+        state = env.state
         assert state.positions[0, 1] == 2500.0
 
 
@@ -286,7 +304,8 @@ class TestCollection:
         sc = make_scenario([[30.0, 2470.0, 0.0]])
         env = CorridorEnv(sc)
         env.reset(0)
-        state, rew, _, _, _ = env.step(hover_action(env, md=[0]))
+        rew, _, _ = env.step(hover_action(env, md=[0]))
+        state = env.state
         assert state.collected[0] == 1
         assert rew.collection == pytest.approx(10.0)
 
@@ -304,7 +323,8 @@ class TestCollection:
         assert mask0[1] and mask1[3]
         act = JointAction(md_choice=np.array([1, 3]), heading=np.zeros(2),
                           speed=np.zeros(2, dtype=np.uint8))
-        state, rew, _, _, _ = env.step(act)
+        rew, _, _ = env.step(act)
+        state = env.state
         # both uplinks suffer a near-equal-power interferer, so neither clears
         assert state.collected[1] == 0 and state.collected[3] == 0
         assert rew.collection == 0.0
@@ -327,7 +347,8 @@ class TestCollection:
             act = JointAction(md_choice=np.array(md),
                               heading=rng.uniform(-np.pi, np.pi, 2),
                               speed=rng.integers(0, 2, 2).astype(np.uint8))
-            state, _, _, done, _ = env.step(act)
+            _, done, _ = env.step(act)
+            state = env.state
             assert np.all(state.collected >= prev)
             prev = state.collected.copy()
             if done:
@@ -341,7 +362,8 @@ class TestSafety:
         env.reset(0)
         env.state.positions = np.array([[1000.0, 1000.0, 80.0],
                                         [1008.0, 1000.0, 80.0]])
-        state, rew, _, _, _ = env.step(hover_action(env))
+        rew, _, _ = env.step(hover_action(env))
+        state = env.state
         assert rew.distance == pytest.approx(-5.0)
 
     def test_penalty_and_audit_share_the_threshold(self):
@@ -353,7 +375,7 @@ class TestSafety:
         gap = sc.config.d_min - 5e-10
         env.state.positions = np.array([[1000.0, 1000.0, 80.0],
                                         [1000.0 + gap, 1000.0, 80.0]])
-        _, rew, _, _, _ = env.step(hover_action(env))
+        rew, _, _ = env.step(hover_action(env))
         assert rew.distance == 0.0
         assert check_constraints(env.trace, sc, connected=False).min_distance == 0
 
@@ -369,7 +391,8 @@ class TestSafety:
             act = JointAction(md_choice=np.array([-1, -1]),
                               heading=np.array([0.0, np.pi]),
                               speed=np.ones(2, dtype=np.uint8))
-            state, rew, _, _, info = env.step(act)
+            env.step(act)
+            state = env.state
             d = np.linalg.norm(state.positions[0] - state.positions[1])
             assert d >= sc.config.d_min - 1e-9
 
@@ -377,7 +400,8 @@ class TestSafety:
         sc = make_scenario([[2000.0, 300.0, 0.0]], num_uavs=3)
         env = CorridorEnv(sc)
         env.reset(0)
-        state, rew, _, _, _ = env.step(hover_action(env))
+        rew, _, _ = env.step(hover_action(env))
+        state = env.state
         assert rew.distance == 0.0
 
 
@@ -386,11 +410,13 @@ class TestEnergyAccounting:
         sc = make_scenario([[1200.0, 1200.0, 0.0]])
         env = CorridorEnv(sc)
         env.reset(0)
-        state, rew, _, _, _ = env.step(hover_action(env))
+        rew, _, _ = env.step(hover_action(env))
+        state = env.state
         assert state.cumulative_energy == pytest.approx(hover_power())
         act = JointAction(md_choice=np.array([-1]), heading=np.array([0.0]),
                           speed=np.array([1], dtype=np.uint8))
-        state, rew, _, _, _ = env.step(act)
+        rew, _, _ = env.step(act)
+        state = env.state
         assert state.cumulative_energy == pytest.approx(hover_power() + flight_power(20.0))
 
     def test_objective_matches_offline_recomputation(self):
@@ -402,7 +428,8 @@ class TestEnergyAccounting:
             act = JointAction(md_choice=np.array([-1, -1]),
                               heading=rng.uniform(-np.pi, np.pi, 2),
                               speed=rng.integers(0, 2, 2).astype(np.uint8))
-            state, _, _, done, _ = env.step(act)
+            _, done, _ = env.step(act)
+            state = env.state
             if done:
                 break
         recomputed = sum(
@@ -418,7 +445,7 @@ class TestEnergyAccounting:
         done = False
         steps = 0
         while not done:
-            _, _, _, done, _ = env.step(hover_action(env))
+            _, done, _ = env.step(hover_action(env))
             steps += 1
         assert steps == 3  # 168.49 J per hover slot against a 400 J budget
 
@@ -433,7 +460,7 @@ class TestRewardBreakdown:
             act = JointAction(md_choice=np.array([-1, -1, -1]),
                               heading=rng.uniform(-np.pi, np.pi, 3),
                               speed=rng.integers(0, 2, 3).astype(np.uint8))
-            _, rew, _, done, _ = env.step(act)
+            rew, done, _ = env.step(act)
             parts = (rew.collection + rew.qos + rew.energy
                      + rew.distance + rew.bonus + rew.shaping)
             assert rew.total == pytest.approx(parts, rel=1e-12)
@@ -447,16 +474,18 @@ class TestTermination:
                            arrival_radius=40.0)
         env = CorridorEnv(sc)
         env.reset(0)
-        state, rew, _, done, info = env.step(hover_action(env, md=[0]))
+        rew, done, success = env.step(hover_action(env, md=[0]))
+        state = env.state
         assert state.collected.all() and not done
         # fly to the nearby end point
         for _ in range(10):
             act = JointAction(md_choice=np.array([-1]), heading=np.array([0.0]),
                               speed=np.array([1], dtype=np.uint8))
-            state, rew, _, done, info = env.step(act)
+            rew, done, success = env.step(act)
+            state = env.state
             if done:
                 break
-        assert done and info["success"]
+        assert done and success
         assert rew.bonus == pytest.approx(50.0)
 
     def test_horizon_cap(self):
@@ -466,9 +495,9 @@ class TestTermination:
         done = False
         n = 0
         while not done:
-            _, _, _, done, info = env.step(hover_action(env))
+            _, done, success = env.step(hover_action(env))
             n += 1
-        assert n == 5 and not info["success"]
+        assert n == 5 and not success
 
 
 class TestConstraintAudit:
@@ -479,7 +508,7 @@ class TestConstraintAudit:
         env.reset(0)
         done = False
         while not done:
-            _, _, _, done, _ = env.step(hover_action(env))
+            _, done, _ = env.step(hover_action(env))
         rep = check_constraints(env.trace, sc)
         assert rep.coverage_missing == 12
 
@@ -494,7 +523,7 @@ class TestConstraintAudit:
             act = JointAction(md_choice=np.array([-1]),
                               heading=np.array([rng.uniform(-np.pi, np.pi)]),
                               speed=np.array([1], dtype=np.uint8))
-            _, _, _, done, _ = env.step(act)
+            _, done, _ = env.step(act)
         rep = check_constraints(env.trace, sc)
         assert rep.min_distance == 0
 
@@ -509,7 +538,7 @@ class TestConstraintAudit:
             act = JointAction(md_choice=np.array([-1, -1, -1]),
                               heading=rng.uniform(-np.pi, np.pi, 3),
                               speed=np.ones(3, dtype=np.uint8))
-            _, _, _, done, _ = env.step(act)
+            _, done, _ = env.step(act)
         rep = check_constraints(env.trace, sc)
         assert rep.power_budget == 0 and rep.psd == 0 and rep.tbp == 0
         assert rep.md_exclusivity == 0
@@ -525,7 +554,7 @@ class TestConstraintAudit:
             act = JointAction(md_choice=np.array([-1, -1, -1]),
                               heading=rng.uniform(-np.pi, np.pi, 3),
                               speed=np.ones(3, dtype=np.uint8))
-            _, _, _, done, _ = env.step(act)
+            _, done, _ = env.step(act)
         rep = check_constraints(env.trace, sc)
         assert (rep.md_exclusivity, rep.power_budget, rep.psd, rep.tbp,
                 rep.min_distance) == (0, 0, 0, 0, 0)
@@ -543,7 +572,7 @@ class TestConstraintAudit:
         env.reset(0)
         done = False
         while not done:
-            _, _, _, done, _ = env.step(hover_action(env))
+            _, done, _ = env.step(hover_action(env))
         rep = check_constraints(env.trace, sc, connected=False)
         assert rep.inter_uav_sinr is None
 
@@ -562,7 +591,7 @@ class TestLinkMode:
                           speed=np.ones(3, dtype=np.uint8))
         done = False
         while not done:
-            _, rew, _, done, _ = envs["none"].step(act)
+            rew, done, _ = envs["none"].step(act)
             assert rew.qos == 0.0
             envs["isac"].step(act)
         fresh = rng_stream(0, "env-channel").random()
@@ -607,8 +636,8 @@ class TestLinkVerdicts:
             act = JointAction(md_choice=np.array([-1, -1, -1]),
                               heading=headings + rng.normal(0.0, 0.3, 3),
                               speed=np.ones(3, dtype=np.uint8))
-            _, rew_a, _, done, _ = recorded.step(act)
-            _, rew_b, _, done_b, _ = unrecorded.step(act)
+            rew_a, done, _ = recorded.step(act)
+            rew_b, done_b, _ = unrecorded.step(act)
             assert asdict(rew_a) == asdict(rew_b)
             assert done == done_b
         assert len(verdicts) == len(recorded.trace) == 40
@@ -639,7 +668,7 @@ class TestLinkVerdicts:
             md = np.full(3, -1)
             if masks[0, :-1].any():
                 md[0] = np.flatnonzero(masks[0, :-1])[0]
-            _, _, _, done, _ = env.step(JointAction(
+            _, done, _ = env.step(JointAction(
                 md_choice=md, heading=np.array([0.0, -0.5, -1.0]),
                 speed=np.ones(3, dtype=np.uint8)))
             slots += 1
@@ -653,7 +682,7 @@ def test_trace_csv_round_trip(tmp_path):
     env.reset(0)
     done = False
     while not done:
-        _, _, _, done, _ = env.step(JointAction.hover(2))
+        _, done, _ = env.step(JointAction.hover(2))
     out = tmp_path / "trace.csv"
     write_trace_csv(env.trace, sc, out)
     lines = out.read_text().strip().split("\n")

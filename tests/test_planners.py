@@ -7,6 +7,7 @@ import pytest
 from uavisac import planners
 from uavisac.config import load_config
 from uavisac.energy import REFERENCE_PROPULSION
+from uavisac.mdp_env import CorridorEnv
 from uavisac.planners import (GaConfig, InfeasiblePlanError, Plan, PsoConfig,
                               _decode_keys, _split_decode, evaluate_plan,
                               ga_plan, greedy_offline, greedy_online,
@@ -194,6 +195,23 @@ class TestGreedyOnline:
         assert res.success
         # both UAVs spent meaningful energy, so the work was actually split
         assert min(res.per_uav_energy) > 0.2 * max(res.per_uav_energy)
+
+
+def test_controllers_build_no_observations(monkeypatch):
+    # the controller missions read the fleet state, never the actor's view
+    built = []
+    observations = CorridorEnv.observations
+
+    def counted(env):
+        built.append(env.state.slot)
+        return observations(env)
+
+    monkeypatch.setattr(CorridorEnv, "observations", counted)
+    sc = corridor(6, 2, seed=1)
+    for res in (evaluate_plan(greedy_offline(sc), sc, connected=True),
+                greedy_online(sc)):
+        assert res.time_s > 0.0
+    assert built == []
 
 
 class TestPso:

@@ -12,7 +12,7 @@ import pytest
 
 from uavisac import drl_mappo
 from uavisac.drl_mappo import (LOG_2PI, ActorNet, CriticNet, MappoConfig,
-                               MappoPolicy, _Buffer, _update, act_in_env,
+                               MappoPolicy, _update, act_in_env,
                                actor_loss_and_grads, critic_forward,
                                critic_loss_and_grads, joint_log_prob,
                                sample_actions)
@@ -151,9 +151,10 @@ def ref_sample_row(actor, obs_row, mask_row, rng):
     return md[0], u[0], heading[0], speed[0], logp[0]
 
 
-def ref_act_in_env(actor, env, obs, rng):
+def ref_act_in_env(actor, env, rng):
     """Per-agent forward and draw under the claim-order masks."""
     m_agents = env.n_agents
+    obs = env.observations()
     md = np.empty(m_agents, dtype=int)
     u, heading, logp = np.zeros(m_agents), np.zeros(m_agents), np.zeros(m_agents)
     speed = np.zeros(m_agents, dtype=np.uint8)
@@ -306,14 +307,14 @@ class TestInPlaceArithmetic:
         cfg = MappoConfig(hidden=32, minibatch=16, epochs=3)
 
         (actor, critic), (ref_actor, ref_critic) = nets
-        buf = _Buffer()
-        for t in range(steps):
-            buf.store(*(rollout[k][t] for k in ("obs", "mask", "md", "u", "speed",
-                                                "logp", "states", "rewards",
-                                                "dones")))
+        slots = [tuple(rollout[k][t] for k in ("obs", "mask", "md", "u", "speed",
+                                               "logp", "states"))
+                 for t in range(steps)]
+        rewards, dones = list(rollout["rewards"]), list(rollout["dones"])
         opt_a, opt_c = Adam(actor.params, 1e-3), Adam(critic.params, 1e-3)
-        loss, diag = _update(MappoPolicy(actor, critic, cfg), opt_a, opt_c, buf,
-                             cfg, rng_stream(20, "shuffle"))
+        loss, diag = _update(MappoPolicy(actor, critic, cfg), opt_a, opt_c,
+                             slots, rewards, dones, cfg,
+                             rng_stream(20, "shuffle"))
 
         values = critic_forward(ref_critic, rollout["states"])
         adv_step = drl_mappo.gae(rollout["rewards"], values, rollout["dones"],
@@ -352,7 +353,7 @@ class TestInPlaceArithmetic:
                         for k in ("ratio_mean", "clip_fraction", "entropy")}
         assert_all_equal(actor.params, ref_actor.params)
         assert_all_equal(critic.params, ref_critic.params)
-        assert buf.agent_samples == 0 and buf.states == []
+        assert slots == rewards == dones == []
 
 
 # -- batched acting -------------------------------------------------------------
@@ -411,13 +412,14 @@ class TestBatchedActing:
         a, b = rng_stream(14, "draw"), rng_stream(14, "draw")
         withheld = 0
         for episode in range(3):
-            _, obs, _ = env.reset(episode)
+            env.reset(episode)
             for _ in range(20):
                 open_masks = env.open_masks()
-                action, masks, u, logp = act_in_env(policy, env, obs,
-                                                    None if greedy else a)
+                action, (obs, masks, _, u, _, logp) = act_in_env(
+                    policy, env, None if greedy else a)
+                assert np.array_equal(obs, env.observations())
                 ref, ref_masks, ref_u, ref_logp = ref_act_in_env(
-                    policy.actor, env, obs, None if greedy else b)
+                    policy.actor, env, None if greedy else b)
                 assert np.array_equal(action.md_choice, ref.md_choice)
                 assert np.array_equal(action.speed, ref.speed)
                 assert np.array_equal(masks, ref_masks)
@@ -429,7 +431,7 @@ class TestBatchedActing:
                 np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(logp, ref_logp, rtol=0, atol=1e-12)
                 withheld += int((open_masks & ~masks).sum())
-                _, _, obs, done, _ = env.step(action)
+                _, done, _ = env.step(action)
                 if done:
                     break
         assert withheld > 0
@@ -439,9 +441,9 @@ class TestBatchedActing:
         env = CorridorEnv(claim_world(), link_mode="none")
         policy = claim_policy(env, hidden=16)
         policy.actor.l1.w[0, 0] = np.nan
-        _, obs, _ = env.reset(0)
+        env.reset(0)
         with pytest.raises(ValueError):
-            act_in_env(policy, env, obs, rng_stream(15, "draw"))
+            act_in_env(policy, env, rng_stream(15, "draw"))
 
 
 class TestBatchedValues:
@@ -450,15 +452,17 @@ class TestBatchedValues:
         actor = ActorNet(rng, 9, 4, 32)
         critic = CriticNet(rng, 20, 32)
         policy = MappoPolicy(actor, critic, MappoConfig(hidden=32))
-        buf = _Buffer()
+        slots, rewards, dones = [], [], []
         for t in range(40):
             mask = np.ones((2, 4), dtype=bool)
-            buf.store(rng.standard_normal((2, 9)), mask,
-                      rng.integers(0, 4, 2), rng.standard_normal(2),
-                      rng.integers(0, 2, 2).astype(np.uint8),
-                      rng.standard_normal(2) - 2.0, rng.standard_normal(20),
-                      float(rng.standard_normal()), t % 13 == 12)
-        per_state = np.array([critic_forward(critic, s)[0] for s in buf.states])
+            slots.append((rng.standard_normal((2, 9)), mask,
+                          rng.integers(0, 4, 2), rng.standard_normal(2),
+                          rng.integers(0, 2, 2).astype(np.uint8),
+                          rng.standard_normal(2) - 2.0, rng.standard_normal(20)))
+            rewards.append(float(rng.standard_normal()))
+            dones.append(t % 13 == 12)
+        per_state = np.array([critic_forward(critic, slot[-1])[0]
+                              for slot in slots])
         seen = []
         gae = drl_mappo.gae
 
@@ -469,6 +473,6 @@ class TestBatchedValues:
         monkeypatch.setattr(drl_mappo, "gae", recorded)
         cfg = MappoConfig(hidden=32, minibatch=16, epochs=1)
         _update(policy, Adam(actor.params, 1e-4), Adam(critic.params, 3e-4),
-                buf, cfg, rng_stream(17, "shuffle"))
+                slots, rewards, dones, cfg, rng_stream(17, "shuffle"))
         assert len(seen) == 1
         np.testing.assert_allclose(seen[0], per_state, rtol=0, atol=1e-12)
