@@ -7,7 +7,7 @@ device head, a tanh-squashed Gaussian heading head and a Bernoulli speed
 head; the joint log-probability is the sum over heads.
 
 All gradients are hand-derived (see nn.py) and checked against finite
-differences in the tests.
+differences in the tests. A net computes in the dtype of its weights.
 """
 
 import json
@@ -17,11 +17,11 @@ import numpy as np
 
 from .energy import PropulsionParams, REFERENCE_PROPULSION
 from .mdp_env import CorridorEnv, JointAction, RewardConfig, run_episode
-from .nn import (Adam, Linear, Workspace, log_softmax_masked, softplus,
-                 tanh_backward, tanh_layer)
+from .nn import (Adam, Linear, Workspace, log_softmax_masked, matmul, pack,
+                 softplus, tanh_backward, tanh_layer)
 from .scenario import Scenario, rng_stream
 
-LOG_2PI = np.log(2.0 * np.pi)
+LOG_2PI = float(np.log(2.0 * np.pi))
 CHECKPOINT_VERSION = 1
 
 
@@ -42,24 +42,31 @@ class MappoConfig:
     seed: int = 0
 
 
+def _layers(rng, dims, params, dtype, extra=()):
+    """(vec, views, layers): ``params``, or a draw for ``dims`` then ``extra``,
+    cast to ``dtype`` (None keeps theirs) as views of one vector ``vec``."""
+    if params is None:
+        params = [a for layer in (Linear(rng, *d) for d in dims)
+                  for a in (layer.w, layer.b)] + list(extra)
+    vec, views = pack(params, dtype)
+    return vec, views, [Linear.over(*views[k:k + 2])
+                        for k in range(0, 2 * len(dims), 2)]
+
+
 class ActorNet:
     """Shared two-layer trunk with device, heading and speed heads."""
 
-    def __init__(self, rng, obs_dim, n_actions, hidden=256):
+    def __init__(self, rng, obs_dim, n_actions, hidden=256, dtype=None,
+                 params=None):
         self.obs_dim = obs_dim
         self.n_actions = n_actions
         self.hidden = hidden
-        self.l1 = Linear(rng, obs_dim, hidden, gain=np.sqrt(2.0))
-        self.l2 = Linear(rng, hidden, hidden, gain=np.sqrt(2.0))
-        self.head_md = Linear(rng, hidden, n_actions, gain=0.01)
-        self.head_mu = Linear(rng, hidden, 1, gain=0.01)
-        self.head_speed = Linear(rng, hidden, 1, gain=0.01)
-        self.log_std = np.zeros(1)
-
-    @property
-    def params(self):
-        return (self.l1.params + self.l2.params + self.head_md.params
-                + self.head_mu.params + self.head_speed.params + [self.log_std])
+        dims = [(obs_dim, hidden, np.sqrt(2.0)), (hidden, hidden, np.sqrt(2.0)),
+                (hidden, n_actions, 0.01), (hidden, 1, 0.01), (hidden, 1, 0.01)]
+        self.vec, self.params, layers = _layers(rng, dims, params, dtype,
+                                                [np.zeros(1)])
+        self.l1, self.l2, self.head_md, self.head_mu, self.head_speed = layers
+        self.log_std = self.params[-1]
 
     def heads(self, h2):
         return (self.head_md.forward(h2),
@@ -68,22 +75,20 @@ class ActorNet:
 
 
 class CriticNet:
-    def __init__(self, rng, state_dim, hidden=256):
+    def __init__(self, rng, state_dim, hidden=256, dtype=None, params=None):
         self.state_dim = state_dim
         self.hidden = hidden
-        self.l1 = Linear(rng, state_dim, hidden, gain=np.sqrt(2.0))
-        self.l2 = Linear(rng, hidden, hidden, gain=np.sqrt(2.0))
-        self.out = Linear(rng, hidden, 1, gain=1.0)
-
-    @property
-    def params(self):
-        return self.l1.params + self.l2.params + self.out.params
+        self.vec, self.params, (self.l1, self.l2, self.out) = _layers(rng, [
+            (state_dim, hidden, np.sqrt(2.0)), (hidden, hidden, np.sqrt(2.0)),
+            (hidden, 1, 1.0)], params, dtype)
 
 
-def _trunk(net, x, work: Workspace):
-    """Activations (h1, h2) of a net's two tanh layers ``l1`` and ``l2``."""
+def _trunk(net, x, work: Workspace | None = None):
+    """(h1, h2) of a net's tanh layers ``l1`` and ``l2`` for ``x`` in its dtype."""
+    work = Workspace(net.vec.dtype) if work is None else work
     shape = (len(x), net.hidden)
-    h1 = tanh_layer(net.l1, x, work.array("h1", shape))
+    h1 = tanh_layer(net.l1, x.astype(net.vec.dtype, copy=False),
+                    work.array("h1", shape))
     return h1, tanh_layer(net.l2, h1, work.array("h2", shape))
 
 
@@ -93,7 +98,7 @@ def _trunk_grads(net, x, h1, h2, gh2, work: Workspace):
     the backward pass reuses; the network input gets no gradient."""
     gz2 = tanh_backward(gh2, h2)
     gw2, gb2 = net.l2.backward(h1, gz2, work.array("gw2", net.l2.w.shape))
-    gz1 = tanh_backward(np.matmul(gz2, net.l2.w.T, out=h2), h1)
+    gz1 = tanh_backward(matmul(gz2, net.l2.w.T, out=h2), h1)
     gw1, gb1 = net.l1.backward(x, gz1, work.array("gw1", net.l1.w.shape))
     return [gw1, gb1, gw2, gb2]
 
@@ -104,7 +109,7 @@ def actor_forward(actor: ActorNet, obs, mask):
     Returns masked per-action log-probabilities, heading mean, heading std
     and the speed logit.
     """
-    _, h2 = _trunk(actor, np.atleast_2d(obs), Workspace())
+    _, h2 = _trunk(actor, np.atleast_2d(obs))
     md_logits, mu, z_speed = actor.heads(h2)
     logp_md = log_softmax_masked(md_logits, np.atleast_2d(mask))
     return logp_md, mu, float(np.exp(actor.log_std[0])), z_speed
@@ -113,8 +118,7 @@ def actor_forward(actor: ActorNet, obs, mask):
 def critic_forward(critic: CriticNet, state, work: Workspace | None = None):
     """V(s) for a state or a batch of states; the hidden activations go to
     ``work`` when given."""
-    _, h2 = _trunk(critic, np.atleast_2d(state),
-                   Workspace() if work is None else work)
+    _, h2 = _trunk(critic, np.atleast_2d(state), work)
     return critic.out.forward(h2)[:, 0]
 
 
@@ -129,41 +133,32 @@ def _categorical(probs, rng: np.random.Generator):
     return cdf.searchsorted(rng.random(), "right")
 
 
-def _draw(logp_md, mu, sigma, z_speed, rng: np.random.Generator):
-    """(md, u, heading, speed) drawn for every row: the MD indices row by
-    row, then the heading normals, then the speed uniforms. One row at a
-    time gives one agent's draws in that order."""
+def sample_actions(actor: ActorNet, obs, mask, rng: np.random.Generator):
+    """One action tuple per row: (md index or -1, pre-squash u, heading, speed,
+    logp), drawn as the MD indices row by row, then the heading normals,
+    then the speed uniforms; one row alone gives one agent's draws."""
+    logp_md, mu, sigma, z_speed = actor_forward(actor, obs, mask)
     md = np.array([_categorical(p, rng) for p in np.exp(logp_md)], dtype=int)
     u = mu + sigma * rng.standard_normal(len(md))
     p_speed = 1.0 / (1.0 + np.exp(-z_speed))
     speed = (rng.random(len(md)) < p_speed).astype(np.uint8)
-    return md, u, np.pi * np.tanh(u), speed
-
-
-def _greedy(logp_md, mu, z_speed):
-    """(md, heading, speed): every row's most likely action."""
-    return (logp_md.argmax(axis=1), np.pi * np.tanh(mu),
-            (z_speed > 0).astype(np.uint8))
-
-
-def sample_actions(actor: ActorNet, obs, mask, rng: np.random.Generator):
-    """One action tuple per row: (md index or -1, pre-squash u, heading, speed, logp)."""
-    logp_md, mu, sigma, z_speed = actor_forward(actor, obs, mask)
-    md, u, heading, speed = _draw(logp_md, mu, sigma, z_speed, rng)
     logp = joint_log_prob(logp_md, mu, sigma, z_speed, md, u, speed)
-    return md, u, heading, speed, logp
+    return md, u, np.pi * np.tanh(u), speed, logp
 
 
 def greedy_actions(actor: ActorNet, obs, mask):
+    """(md, heading, speed): every row's most likely action."""
     logp_md, mu, _, z_speed = actor_forward(actor, obs, mask)
-    return _greedy(logp_md, mu, z_speed)
+    return (logp_md.argmax(axis=1), np.pi * np.tanh(mu),
+            (z_speed > 0).astype(np.uint8))
 
 
 def joint_log_prob(logp_md, mu, sigma, z_speed, md, u, speed):
     """Sum of the three heads' log-probabilities (tanh correction included)."""
     batch = logp_md.shape[0]
     lp_md = logp_md[np.arange(batch), md]
-    lp_gauss = (-0.5 * ((u - mu) / sigma) ** 2 - np.log(sigma) - 0.5 * LOG_2PI)
+    lp_gauss = (-0.5 * ((u - mu) / sigma) ** 2 - float(np.log(sigma))
+                - 0.5 * LOG_2PI)
     tanh_corr = np.log(np.pi * (1.0 - np.tanh(u) ** 2) + 1e-12)
     lp_heading = lp_gauss - tanh_corr
     lp_speed = speed * z_speed - softplus(z_speed)
@@ -198,7 +193,7 @@ def actor_loss_and_grads(actor: ActorNet, batch, clip_ratio, entropy_coef,
     The large temporaries and weight gradients live in ``work`` (a fresh
     Workspace when None), so the gradients hold until its next use.
     """
-    work = Workspace() if work is None else work
+    work = Workspace(actor.vec.dtype) if work is None else work
     obs = batch["obs"]
     mask = batch["mask"]
     md = batch["md"]
@@ -233,7 +228,7 @@ def actor_loss_and_grads(actor: ActorNet, batch, clip_ratio, entropy_coef,
 
     # d(-surrogate)/d logp: gradient passes only where the unclipped branch
     # is the active minimum
-    active = (unclipped <= clipped).astype(float)
+    active = (unclipped <= clipped).astype(ratio.dtype)
     g_logp = -(active * ratio * adv) / n
 
     # categorical head: d logp/d logits = onehot - p ; entropy adds -p(lp + H)
@@ -246,8 +241,8 @@ def actor_loss_and_grads(actor: ActorNet, batch, clip_ratio, entropy_coef,
     # heading head (Gaussian over the pre-squash variable)
     inv_var = 1.0 / sigma ** 2
     g_mu = g_logp * (u - mu) * inv_var
-    g_logstd = float(np.sum(g_logp * (((u - mu) ** 2) * inv_var - 1.0))
-                     - entropy_coef)
+    g_logstd = (np.sum(g_logp * (((u - mu) ** 2) * inv_var - 1.0))
+                - entropy_coef)
 
     # speed head
     g_z = g_logp * (speed - sig_speed)
@@ -259,14 +254,14 @@ def actor_loss_and_grads(actor: ActorNet, batch, clip_ratio, entropy_coef,
     gw_md, gb_md = actor.head_md.backward(h2, g_md)
     gw_mu, gb_mu = actor.head_mu.backward(h2, g_mu[:, None])
     gw_sp, gb_sp = actor.head_speed.backward(h2, g_z[:, None])
-    gh2 = np.matmul(g_md, actor.head_md.w.T, out=work.array("gh2", h2.shape))
+    gh2 = matmul(g_md, actor.head_md.w.T, out=work.array("gh2", h2.shape))
     outer = np.multiply(g_mu[:, None], actor.head_mu.w.T,
                         out=work.array("outer", h2.shape))
     gh2 += outer
     gh2 += np.multiply(g_z[:, None], actor.head_speed.w.T, out=outer)
 
     grads = _trunk_grads(actor, obs, h1, h2, gh2, work) + [
-        gw_md, gb_md, gw_mu, gb_mu, gw_sp, gb_sp, np.array([g_logstd])]
+        gw_md, gb_md, gw_mu, gb_mu, gw_sp, gb_sp, g_logstd.reshape(1)]
     diag = {"ratio_mean": float(ratio.mean()),
             "clip_fraction": float((active == 0.0).mean()),
             "entropy": float(entropy.mean())}
@@ -277,7 +272,7 @@ def critic_loss_and_grads(critic: CriticNet, states, targets,
                           work: Workspace | None = None):
     """Mean squared error against the frozen value targets; ``work`` as in
     ``actor_loss_and_grads``."""
-    work = Workspace() if work is None else work
+    work = Workspace(critic.vec.dtype) if work is None else work
     n = len(states)
     h1, h2 = _trunk(critic, states, work)
     v = critic.out.forward(h2)[:, 0]
@@ -289,15 +284,20 @@ def critic_loss_and_grads(critic: CriticNet, states, targets,
     return loss, _trunk_grads(critic, states, h1, h2, gh2, work) + [gw3, gb3]
 
 
+def _step(net, optimizer: Adam, grads, name):
+    """One step on ``net.vec`` with ``grads`` gathered, if all are finite."""
+    grad = np.concatenate([g.ravel() for g in grads])
+    if not np.isfinite(grad).all():
+        raise FloatingPointError(f"non-finite {name} gradient; update aborted")
+    optimizer.step([net.vec], [grad])
+
+
 def ppo_actor_update(actor: ActorNet, optimizer: Adam, batch,
                      clip_ratio=0.2, entropy_coef=0.01,
                      work: Workspace | None = None):
     loss, grads, diag = actor_loss_and_grads(actor, batch, clip_ratio,
                                              entropy_coef, work)
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite actor gradient; update aborted")
-    optimizer.step(actor.params, grads)
+    _step(actor, optimizer, grads, "actor")
     diag["loss"] = loss
     return diag
 
@@ -307,7 +307,7 @@ def critic_update(critic: CriticNet, optimizer: Adam, states, targets,
     loss, grads = critic_loss_and_grads(critic, states, targets, work)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite critic loss; update aborted")
-    optimizer.step(critic.params, grads)
+    _step(critic, optimizer, grads, "critic")
     return loss
 
 
@@ -333,21 +333,28 @@ class MappoPolicy:
         }
         np.savez(path, meta=json.dumps(meta), **arrays)
 
-    @classmethod
-    def load(cls, path):
-        data = np.load(path, allow_pickle=False)
-        meta = json.loads(str(data["meta"]))
+    @staticmethod
+    def read_meta(path) -> dict:
+        """The checkpoint's dims and config; its weights are not read."""
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        cfg = MappoConfig(**meta["config"])
-        rng = np.random.default_rng(0)
-        actor = ActorNet(rng, meta["obs_dim"], meta["n_actions"], meta["hidden"])
-        critic = CriticNet(rng, meta["state_dim"], meta["hidden"])
-        for i, p in enumerate(actor.params):
-            p[...] = data[f"actor_{i}"]
-        for i, p in enumerate(critic.params):
-            p[...] = data[f"critic_{i}"]
-        return cls(actor, critic, cfg)
+        return meta
+
+    @classmethod
+    def load(cls, path):
+        """The saved nets, built from the file's arrays in their dtype."""
+        meta = cls.read_meta(path)
+        with np.load(path, allow_pickle=False) as data:
+            actor, critic = ([data[f"{net}_{i}"] for i in range(sum(
+                name.startswith(net) for name in data.files))]
+                for net in ("actor", "critic"))
+        return cls(ActorNet(None, meta["obs_dim"], meta["n_actions"],
+                            meta["hidden"], params=actor),
+                   CriticNet(None, meta["state_dim"], meta["hidden"],
+                             params=critic),
+                   MappoConfig(**meta["config"]))
 
 
 def act_in_env(policy: MappoPolicy, env: CorridorEnv,
@@ -368,7 +375,7 @@ def act_in_env(policy: MappoPolicy, env: CorridorEnv,
     actor = policy.actor
     m_agents = env.n_agents
     obs = env.observations()
-    md_logits, mu, z_speed = actor.heads(_trunk(actor, obs, Workspace())[1])
+    md_logits, mu, z_speed = actor.heads(_trunk(actor, obs)[1])
     sigma = float(np.exp(actor.log_std[0]))
     masks = env.open_masks()
     logp_md = log_softmax_masked(md_logits, masks)
@@ -439,39 +446,38 @@ def _update(policy: MappoPolicy, opt_actor: Adam, opt_critic: Adam,
     The rollout's values come from one critic pass here: the critic changes
     only inside this function, so they are the values it had while the
     rollout was collected. That pass and every minibatch reuse one
-    Workspace for inputs, activations and gradients. The three lists are
-    emptied once their arrays are stacked."""
-    work = Workspace()
-    obs, mask, md, u, speed, logp_old = map(np.concatenate, list(zip(*slots))[:6])
-    states = np.stack([slot[-1] for slot in slots])
+    Workspace. Arrays are stacked, and the float64 advantages and targets
+    cast, in the nets' dtype; then the three lists are emptied."""
+    dtype = policy.actor.vec.dtype
+    work = Workspace(dtype)
+    obs, mask, md, u, speed, logp_old, states = (
+        np.concatenate(col, dtype=None if k in (1, 2) else dtype)
+        for k, col in enumerate(zip(*slots)))
+    states = states.reshape(len(slots), -1)
     values = critic_forward(policy.critic, states, work)
     adv_step = gae(rewards, values, dones, config.discount, config.gae_lambda)
-    targets = adv_step + values
+    targets = (adv_step + values).astype(dtype)
 
-    speed = speed.astype(float)
     adv = np.repeat(adv_step, len(md) // len(states))    # one per agent
-    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    adv = ((adv - adv.mean()) / (adv.std() + 1e-8)).astype(dtype)
     for rollout in (slots, rewards, dones):
         rollout.clear()
-
-    n_actor = len(obs)
-    n_critic = len(states)
 
     def rows(x, sel):
         return np.take(x, sel, axis=0, out=work.array("x", (len(sel),) + x.shape[1:]))
 
     losses, diags = [], []
     for _ in range(config.epochs):
-        order = shuffle_rng.permutation(n_actor)
-        for lo in range(0, n_actor, config.minibatch):
+        order = shuffle_rng.permutation(len(obs))
+        for lo in range(0, len(obs), config.minibatch):
             sel = order[lo:lo + config.minibatch]
             diags.append(ppo_actor_update(policy.actor, opt_actor, {
                 "obs": rows(obs, sel), "mask": mask[sel], "md": md[sel],
                 "u": u[sel], "speed": speed[sel],
                 "logp_old": logp_old[sel], "adv": adv[sel]},
                 config.clip_ratio, config.entropy_coef, work))
-        order_c = shuffle_rng.permutation(n_critic)
-        for lo in range(0, n_critic, config.minibatch):
+        order_c = shuffle_rng.permutation(len(states))
+        for lo in range(0, len(states), config.minibatch):
             sel = order_c[lo:lo + config.minibatch]
             losses.append(critic_update(policy.critic, opt_critic,
                                         rows(states, sel), targets[sel], work))
@@ -488,18 +494,18 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
     """Episodes through run_episode: sample, per-slot link feasibility, store,
     PPO epochs.
 
-    Single-worker and bit-deterministic for a fixed config (seed included).
-    ``progress`` is an optional callback(episode, curve); ``propulsion`` sets
-    the env's slot energy costs.
+    Single-worker, float32, and bit-deterministic for a fixed config (seed
+    included) under any BLAS thread count. ``progress`` is an optional
+    callback(episode, curve); ``propulsion`` sets the env's slot energy costs.
     """
     env = CorridorEnv(scenario, reward=reward, propulsion=propulsion)
-    actor = ActorNet(rng_stream(config.seed, "init-actor"),
-                     env.obs_dim, env.n_actions, config.hidden)
-    critic = CriticNet(rng_stream(config.seed, "init-critic"),
-                       env.state_dim, config.hidden)
+    actor = ActorNet(rng_stream(config.seed, "init-actor"), env.obs_dim,
+                     env.n_actions, config.hidden, np.float32)
+    critic = CriticNet(rng_stream(config.seed, "init-critic"), env.state_dim,
+                       config.hidden, np.float32)
     policy = MappoPolicy(actor, critic, config)
-    opt_actor = Adam(actor.params, config.actor_lr)
-    opt_critic = Adam(critic.params, config.critic_lr)
+    opt_actor = Adam([actor.vec], config.actor_lr)
+    opt_critic = Adam([critic.vec], config.critic_lr)
     sample_rng = rng_stream(config.seed, "policy-sample")
     shuffle_rng = rng_stream(config.seed, "minibatch")
 
@@ -534,9 +540,8 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
             last_value_loss, diag = _update(policy, opt_actor, opt_critic,
                                             slots, rewards, dones, config,
                                             shuffle_rng)
-            curve.ratio_mean.append(diag["ratio_mean"])
-            curve.clip_fraction.append(diag["clip_fraction"])
-            curve.entropy.append(diag["entropy"])
+            for key, value in diag.items():
+                getattr(curve, key).append(value)
             curve.value_loss[-1] = last_value_loss
     return policy, curve
 

@@ -117,8 +117,8 @@ def _require_fit(path, spec: ExperimentSpec, value):
     """ValueError unless the checkpoint at ``path`` fits the axis value's world."""
     env = CorridorEnv(build_scenario(
         scenario_config_for(spec.run_config, spec.axis, value)))
-    net = MappoPolicy.load(path)
-    have = (net.actor.obs_dim, net.actor.n_actions, net.critic.state_dim)
+    meta = MappoPolicy.read_meta(path)
+    have = (meta["obs_dim"], meta["n_actions"], meta["state_dim"])
     need = (env.obs_dim, env.n_actions, env.state_dim)
     if have != need:
         raise ValueError(

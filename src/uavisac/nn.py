@@ -1,13 +1,24 @@
 """Minimal dense networks with explicit backward passes.
 
-Everything is float64 numpy; gradients are hand-derived and validated
-against central finite differences in the test suite. Layout convention:
-activations are (batch, features), weights are (in, out).
+Arithmetic runs in the weights' dtype; gradients are hand-derived and
+validated against central finite differences in the test suite. Layout
+convention: activations are (batch, features), weights are (in, out).
 """
 
 import math
 
 import numpy as np
+
+K_BLOCK = 384   # deeper products rounded per thread count on OpenBLAS 0.3.31
+
+
+def matmul(a, b, out=None):
+    """2-D ``a @ b`` summed over inner blocks of K_BLOCK in order, so its bits
+    do not depend on the BLAS thread count; one block is np.matmul's bits."""
+    out = np.matmul(a[:, :K_BLOCK], b[:K_BLOCK], out=out)
+    for lo in range(K_BLOCK, len(b), K_BLOCK):
+        out += np.matmul(a[:, lo:lo + K_BLOCK], b[lo:lo + K_BLOCK])
+    return out
 
 
 def orthogonal(rng: np.random.Generator, shape, gain=1.0) -> np.ndarray:
@@ -21,13 +32,28 @@ def orthogonal(rng: np.random.Generator, shape, gain=1.0) -> np.ndarray:
     return gain * q[:rows, :cols]
 
 
+def pack(arrays, dtype=None):
+    """One vector holding ``arrays`` in order, cast to ``dtype`` (kept when
+    None), and a view of it shaped like each array."""
+    vec = np.concatenate([np.ravel(a) for a in arrays], dtype=dtype)
+    parts = np.split(vec, np.cumsum([a.size for a in arrays[:-1]]))
+    return vec, [part.reshape(a.shape) for part, a in zip(parts, arrays)]
+
+
 class Linear:
     def __init__(self, rng, n_in, n_out, gain=1.0):
         self.w = orthogonal(rng, (n_in, n_out), gain)
         self.b = np.zeros(n_out)
 
+    @classmethod
+    def over(cls, w, b):
+        """A layer over the given weight and bias arrays (or views)."""
+        layer = cls.__new__(cls)
+        layer.w, layer.b = w, b
+        return layer
+
     def forward(self, x, out=None):
-        out = np.matmul(x, self.w, out=out)
+        out = matmul(x, self.w, out=out)
         out += self.b
         return out
 
@@ -35,36 +61,33 @@ class Linear:
         """Returns (grad_w, grad_b) for upstream gradient grad_out, grad_w in
         ``out`` when given. The input gradient ``grad_out @ w.T`` is left to
         the caller, which forms it only where a layer below needs it."""
-        return np.matmul(x.T, grad_out, out=out), grad_out.sum(axis=0)
-
-    @property
-    def params(self):
-        return [self.w, self.b]
+        return matmul(x.T, grad_out, out=out), grad_out.sum(axis=0)
 
 
 class Workspace:
     """Scratch arrays by name, reused from one call to the next.
 
-    ``array(name, shape)`` returns a float64 array of ``shape`` laid over the
-    named buffer, which a larger request replaces. A loop over equal-sized
-    batches thus allocates its large temporaries once instead of paging in
-    fresh ones on every pass. The next request under a name overwrites what
-    the last one handed out.
+    ``array(name, shape)`` returns an array of ``shape`` and of the
+    workspace's dtype, laid over the named buffer, which a larger request
+    replaces. A loop over equal-sized batches thus allocates its large
+    temporaries once instead of paging in fresh ones on every pass. The
+    next request under a name overwrites what the last one handed out.
     """
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = dtype
         self._buffers = {}
 
     def array(self, name, shape):
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size)
+            buf = self._buffers[name] = np.empty(size, self.dtype)
         return buf[:size].reshape(shape)
 
 
 class Adam:
-    """Adaptive moment estimation over a flat list of parameter arrays."""
+    """Adaptive moment estimation over parameter arrays or a vector of them."""
 
     CHUNK = 16384   # elements per block: a block's six arrays stay in cache
 
@@ -74,9 +97,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self._work = Workspace()
+        self._m, self.m = pack([np.zeros_like(p) for p in params])
+        self._v, self.v = pack(self.m)
+        self._work = Workspace(self._m.dtype)
 
     def step(self, params, grads):
         """One update, in place. Each parameter is updated a block of rows at
@@ -87,7 +110,9 @@ class Adam:
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
-        for param, grad, m_all, v_all in zip(params, grads, self.m, self.v):
+        moments = (zip(self.m, self.v) if len(params) == len(self.m)
+                   else [(self._m, self._v)])
+        for param, grad, (m_all, v_all) in zip(params, grads, moments):
             rows = max(1, self.CHUNK * len(param) // param.size)
             for lo in range(0, len(param), rows):
                 block = slice(lo, lo + rows)

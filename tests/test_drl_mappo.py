@@ -1,9 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uavisac import drl_mappo
+from uavisac import drl_mappo, nn
 from uavisac.drl_mappo import (ActorNet, Adam, CriticNet, MappoConfig,
                                MappoPolicy, _update, act_in_env, actor_forward,
                                actor_loss_and_grads,
@@ -222,26 +226,38 @@ class TestCriticUpdate:
 
 
 class TestCheckpointRoundTrip:
-    def test_save_load_identical(self, tmp_path):
-        rng = rng_stream(14, "ckpt")
-        actor = ActorNet(rng, obs_dim=6, n_actions=4, hidden=8)
-        critic = CriticNet(rng, state_dim=9, hidden=8)
-        policy = MappoPolicy(actor, critic, MappoConfig(hidden=8, seed=3))
-        path = tmp_path / "ckpt.npz"
-        policy.save(path)
-        loaded = MappoPolicy.load(path)
-        for a, b in zip(policy.actor.params, loaded.actor.params):
-            assert np.array_equal(a, b)
-        for a, b in zip(policy.critic.params, loaded.critic.params):
-            assert np.array_equal(a, b)
-        assert loaded.config.seed == 3
+    def test_save_load_identical(self, tmp_path, monkeypatch):
+        # the nets are built from the file's arrays, in their dtype, with no
+        # initial draw to overwrite
+        draws = []
+        orthogonal = nn.orthogonal
+        monkeypatch.setattr(nn, "orthogonal",
+                            lambda *args: draws.append(args) or orthogonal(*args))
+        for dtype in (np.float32, np.float64):
+            rng = rng_stream(14, "ckpt")
+            actor = ActorNet(rng, obs_dim=6, n_actions=4, hidden=8, dtype=dtype)
+            critic = CriticNet(rng, state_dim=9, hidden=8, dtype=dtype)
+            policy = MappoPolicy(actor, critic, MappoConfig(hidden=8, seed=3))
+            path = tmp_path / f"ckpt-{np.dtype(dtype).name}.npz"
+            policy.save(path)
+            assert len(draws) == 8          # five actor layers, three critic
+            del draws[:]
+            loaded = MappoPolicy.load(path)
+            assert draws == []
+            for a, b in zip(policy.actor.params + policy.critic.params,
+                            loaded.actor.params + loaded.critic.params,
+                            strict=True):
+                assert np.array_equal(a, b) and b.dtype == dtype
+            assert loaded.actor.vec.dtype == loaded.critic.vec.dtype == dtype
+            assert loaded.config.seed == 3
+            assert MappoPolicy.read_meta(path)["state_dim"] == 9
 
-        obs = rng.standard_normal((2, 6))
-        mask = np.ones((2, 4), dtype=bool)
-        a_out = actor_forward(policy.actor, obs, mask)
-        b_out = actor_forward(loaded.actor, obs, mask)
-        for x, y in zip(a_out[:2], b_out[:2]):
-            assert np.array_equal(x, y)
+            obs = rng.standard_normal((2, 6))
+            mask = np.ones((2, 4), dtype=bool)
+            a_out = actor_forward(policy.actor, obs, mask)
+            b_out = actor_forward(loaded.actor, obs, mask)
+            for x, y in zip(a_out[:2], b_out[:2]):
+                assert np.array_equal(x, y)
 
 
 class TestActInEnv:
@@ -290,6 +306,59 @@ def test_policy_mission_observes_once_per_slot(monkeypatch):
     assert built == list(range(slots))
 
 
+def record_dtypes(monkeypatch):
+    """(what, dtype) of every Workspace buffer, network product (operands
+    and result), stacked rollout array gathered into a minibatch, minibatch
+    float input and gradient, as the calls go by."""
+    seen = []
+    array, product, take = nn.Workspace.array, nn.matmul, np.take
+    actor_grads = drl_mappo.actor_loss_and_grads
+    critic_grads = drl_mappo.critic_loss_and_grads
+
+    def recorded_array(work, name, shape):
+        out = array(work, name, shape)
+        seen.append((f"workspace {name}", out.dtype))
+        return out
+
+    def recorded_product(a, b, out=None):
+        out = product(a, b, out)
+        seen.extend(("product", x.dtype) for x in (a, b, out))
+        return out
+
+    def recorded_take(x, sel, **kwargs):
+        if "out" in kwargs:             # a minibatch's rows of a stacked array
+            seen.append(("stacked", x.dtype))
+        return take(x, sel, **kwargs)
+
+    def recorded_actor(actor, batch, *args):
+        loss, grads, diag = actor_grads(actor, batch, *args)
+        seen.extend((f"batch {key}", x.dtype) for key, x in batch.items()
+                    if x.dtype.kind == "f")
+        seen.extend(("actor grad", g.dtype) for g in grads)
+        return loss, grads, diag
+
+    def recorded_critic(critic, states, targets, *args):
+        loss, grads = critic_grads(critic, states, targets, *args)
+        seen.append(("targets", targets.dtype))
+        seen.extend(("critic grad", g.dtype) for g in grads)
+        return loss, grads
+
+    for owner, name, fn in ((nn.Workspace, "array", recorded_array),
+                            (nn, "matmul", recorded_product),
+                            (drl_mappo, "matmul", recorded_product),
+                            (np, "take", recorded_take),
+                            (drl_mappo, "actor_loss_and_grads", recorded_actor),
+                            (drl_mappo, "critic_loss_and_grads", recorded_critic)):
+        monkeypatch.setattr(owner, name, fn)
+    return seen
+
+
+RECORDED = {"workspace h1", "workspace h2", "workspace gw1", "workspace gh2",
+            "workspace adam_t", "workspace x", "product", "stacked",
+            "batch obs", "batch u", "batch adv", "targets", "actor grad",
+            "critic grad"}
+
+
 class TestTrainLoop:
     def scenario(self):
         return build_scenario(ScenarioConfig(
@@ -301,10 +370,10 @@ class TestTrainLoop:
         sc = self.scenario()
         cfg = MappoConfig(max_episodes=0, hidden=16, seed=0)
         policy, curve = train(sc, cfg)
-        fresh = ActorNet(rng_stream(0, "init-actor"),
-                         policy.actor.obs_dim, policy.actor.n_actions, 16)
+        fresh = ActorNet(rng_stream(0, "init-actor"), policy.actor.obs_dim,
+                         policy.actor.n_actions, 16, np.float32)
         for a, b in zip(policy.actor.params, fresh.params):
-            assert np.array_equal(a, b)
+            assert np.array_equal(a, b) and a.dtype == b.dtype
         assert curve.episode == []
 
     @pytest.mark.slow
@@ -317,6 +386,52 @@ class TestTrainLoop:
         assert c1.reward == c2.reward
         assert c1.value_loss == c2.value_loss
 
+    def test_training_runs_in_float32(self, monkeypatch):
+        # parameters, moments, scratch buffers, the stacked rollout, every
+        # product and every gradient: no float64 array of a batch's size
+        # appears in an update
+        optimizers = []
+        update = drl_mappo._update
+
+        def kept(policy, opt_actor, opt_critic, *args):
+            optimizers.extend((opt_actor, opt_critic))
+            return update(policy, opt_actor, opt_critic, *args)
+
+        monkeypatch.setattr(drl_mappo, "_update", kept)
+        seen = record_dtypes(monkeypatch)
+        policy, _ = train(self.scenario(), MappoConfig(
+            max_episodes=2, hidden=16, rollout=64, minibatch=32, epochs=1,
+            seed=4))
+        assert len(optimizers) == 4
+        assert RECORDED <= {what for what, _ in seen}
+        assert [(what, dtype) for what, dtype in seen
+                if dtype != np.float32] == []
+        for p in policy.actor.params + policy.critic.params + [
+                m for opt in optimizers for m in opt.m + opt.v]:
+            assert p.dtype == np.float32
+
+    def test_float64_nets_stay_float64_through_update(self, monkeypatch):
+        rng = rng_stream(21, "rollout")
+        policy = MappoPolicy(ActorNet(rng, 9, 4, 16), CriticNet(rng, 20, 16),
+                             MappoConfig(hidden=16))
+        optimizers = (Adam([policy.actor.vec], 1e-4),
+                      Adam([policy.critic.vec], 3e-4))
+        slots = [(rng.standard_normal((2, 9)), np.ones((2, 4), dtype=bool),
+                  rng.integers(0, 4, 2), rng.standard_normal(2),
+                  rng.integers(0, 2, 2).astype(np.uint8),
+                  rng.standard_normal(2) - 2.0, rng.standard_normal(20))
+                 for _ in range(40)]
+        seen = record_dtypes(monkeypatch)
+        _update(policy, *optimizers, slots, list(rng.standard_normal(40)),
+                [t % 13 == 12 for t in range(40)],
+                MappoConfig(hidden=16, minibatch=16, epochs=1),
+                rng_stream(22, "shuffle"))
+        assert RECORDED <= {what for what, _ in seen}
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
+        for p in policy.actor.params + policy.critic.params + [
+                m for opt in optimizers for m in opt.m + opt.v]:
+            assert p.dtype == np.float64
+
     def test_matches_explicit_loop(self):
         # train is run_episode plus the act closure that stores each slot's
         # sample and critic state; the same steps written out give the same
@@ -327,11 +442,14 @@ class TestTrainLoop:
         policy, curve = train(sc, cfg)
 
         env = CorridorEnv(sc)
+        dtype = np.float32             # the dtype train builds its nets in
         ref = MappoPolicy(
-            ActorNet(rng_stream(4, "init-actor"), env.obs_dim, env.n_actions, 16),
-            CriticNet(rng_stream(4, "init-critic"), env.state_dim, 16), cfg)
-        opt_a = Adam(ref.actor.params, cfg.actor_lr)
-        opt_c = Adam(ref.critic.params, cfg.critic_lr)
+            ActorNet(rng_stream(4, "init-actor"), env.obs_dim, env.n_actions,
+                     16, dtype),
+            CriticNet(rng_stream(4, "init-critic"), env.state_dim, 16, dtype),
+            cfg)
+        opt_a = Adam([ref.actor.vec], cfg.actor_lr)
+        opt_c = Adam([ref.critic.vec], cfg.critic_lr)
         sample_rng = rng_stream(4, "policy-sample")
         shuffle_rng = rng_stream(4, "minibatch")
         slots, rewards, dones = [], [], []
@@ -440,3 +558,36 @@ class TestTrainLoop:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "episode,reward,smoothed_reward,value_loss,success"
         assert len(lines) == 4
+
+
+THREADS_RUN = """
+import hashlib, json
+from dataclasses import replace
+from uavisac.config import load_config
+from uavisac.drl_mappo import MappoConfig, train
+from uavisac.scenario import build_scenario
+rc = load_config()
+world = build_scenario(replace(rc.scenario, horizon_slots=100))
+policy, _ = train(world, MappoConfig(max_episodes=2, rollout=128, epochs=2,
+                                     seed=1), rc.reward)
+print(json.dumps([hashlib.sha256(p.tobytes()).hexdigest()
+                  for p in policy.actor.params + policy.critic.params]))
+"""
+
+
+@pytest.mark.slow
+def test_training_bits_do_not_depend_on_blas_threads():
+    # the default world's critic input is 501 wide: an unblocked product of
+    # that depth rounds differently under one and two OpenBLAS threads
+    src = os.path.dirname(os.path.dirname(drl_mappo.__file__))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", THREADS_RUN], capture_output=True, text=True,
+            timeout=600, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                                  PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout.splitlines()[-1]))
+    assert len(digests[0]) == 17
+    assert digests[0] == digests[1]
