@@ -18,8 +18,8 @@ from . import __version__
 from .config import RunConfig
 from .drl_mappo import MappoPolicy, act_in_env, train
 from .mdp_env import CorridorEnv
-from .planners import (MissionResult, evaluate_plan, fly_mission, ga_plan,
-                       greedy_offline, greedy_online, pso_plan)
+from .planners import (SEARCHES, MissionResult, evaluate_plan, fly_mission,
+                       greedy_offline, greedy_online, plan_searches)
 from .scenario import (ScenarioConfig, build_scenario, db_to_linear,
                        scenario_fingerprint)
 
@@ -127,17 +127,13 @@ def _require_fit(path, spec: ExperimentSpec, value):
 
 
 def run_cell(method: str, spec: ExperimentSpec, value, seed) -> MissionResult:
+    if method in SEARCHES:
+        return _search_cells((method,), spec, value, (seed,))[0]
     rc = spec.run_config
     scenario = build_scenario(scenario_config_for(rc, spec.axis, value))
-    if method in ("greedy_offline", "pso", "ga"):
-        if method == "pso":
-            plan = pso_plan(scenario, replace(rc.pso, seed=seed), rc.propulsion)
-        elif method == "ga":
-            plan = ga_plan(scenario, replace(rc.ga, seed=seed), rc.propulsion)
-        else:
-            plan = greedy_offline(scenario)
-        return evaluate_plan(plan, scenario, seed=seed, method=method,
-                             connected=False, propulsion=rc.propulsion,
+    if method == "greedy_offline":
+        return evaluate_plan(greedy_offline(scenario), scenario, seed=seed,
+                             method=method, propulsion=rc.propulsion,
                              reward=rc.reward)
     if method == "greedy_online":
         return greedy_online(scenario, seed=seed, propulsion=rc.propulsion,
@@ -162,6 +158,21 @@ def run_cell(method: str, spec: ExperimentSpec, value, seed) -> MissionResult:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _search_cells(methods, spec: ExperimentSpec, value, seeds) -> list:
+    """MissionResults of the PSO/GA cells (method, seed) of one axis value, in
+    that order: one world, every search planned jointly by plan_searches with
+    its own seeded rng, each plan then replayed like any offline plan."""
+    rc = spec.run_config
+    scenario = build_scenario(scenario_config_for(rc, spec.axis, value))
+    cells = [(m, s) for m in methods for s in seeds]
+    plans = plan_searches(
+        [SEARCHES[m](scenario, replace(getattr(rc, m), seed=s))   # rc.pso, rc.ga
+         for m, s in cells], scenario, rc.propulsion)
+    return [evaluate_plan(plan, scenario, seed=s, method=m,
+                          propulsion=rc.propulsion, reward=rc.reward)
+            for (m, s), plan in zip(cells, plans)]
+
+
 def _result_row(res: MissionResult, axis, value) -> dict:
     v = res.violations
     return {
@@ -176,10 +187,13 @@ def _result_row(res: MissionResult, axis, value) -> dict:
     }
 
 
-def _cell_task(args):
-    method, spec, value, seed = args
-    res = run_cell(method, spec, value, seed)
-    return _result_row(res, spec.axis, value)
+def _grid_task(args) -> list:
+    """Rows of one grid task: one cell, or every PSO and GA cell of one axis
+    value."""
+    methods, spec, value, seeds = args
+    results = (_search_cells(*args) if methods[0] in SEARCHES
+               else [run_cell(methods[0], spec, value, seeds[0])])
+    return [_result_row(res, spec.axis, value) for res in results]
 
 
 def run_experiment(spec: ExperimentSpec) -> list:
@@ -201,14 +215,17 @@ def run_experiment(spec: ExperimentSpec) -> list:
                 train_checkpoint(spec, value)
             _require_fit(path, spec, value)
 
-    tasks = [(m, spec, v, s) for m in spec.methods
+    searched = tuple(m for m in spec.methods if m in SEARCHES)
+    tasks = [((m,), spec, v, (s,)) for m in spec.methods if m not in SEARCHES
              for v in spec.values for s in spec.seeds]
+    tasks += [(searched, spec, v, spec.seeds) for v in spec.values if searched]
     if spec.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(_cell_task, tasks))
+            parts = list(pool.map(_grid_task, tasks))
     else:
-        rows = [_cell_task(t) for t in tasks]
+        parts = [_grid_task(t) for t in tasks]
+    rows = [row for part in parts for row in part]
     rows.sort(key=lambda r: (r["method"], spec.values.index(r["value"]),
                              r["seed"]))
 

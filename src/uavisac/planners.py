@@ -4,10 +4,11 @@ Offline planners decide routes on expected channels only; their plans are then
 replayed through the real environment by evaluate_plan. Every planner flies
 the same serve-or-fly controller under the env's own mission rules
 (``mdp_env``): evaluate_plan and greedy_online fly a CorridorEnv through
-fly_mission, the one runner of every method's audited mission, and the
-metaheuristics score a whole population per generation with
-population_fitness, which steps one fleet per plan through those rules and so
-matches the disconnected replay exactly.
+fly_mission, the one runner of every method's audited mission. The
+metaheuristics are ask/tell searches run by plan_searches, which scores a
+generation of every live search with one population_fitness call; that steps
+one fleet per plan through those rules and so matches the disconnected replay
+exactly.
 """
 
 from dataclasses import dataclass
@@ -372,9 +373,9 @@ def _decode_keys(order_keys, assign_keys, offsets, scenario: Scenario) -> Plan:
     return Plan(md_order=md_order, waypoints=waypoints)
 
 
-def pso_plan(scenario: Scenario, hyper: PsoConfig = PsoConfig(),
-             propulsion: PropulsionParams = REFERENCE_PROPULSION) -> Plan:
-    """Random-key particle swarm over assignment, order and aim offsets."""
+def _pso_search(scenario: Scenario, hyper: PsoConfig):
+    """Random-key particle swarm over assignment, order and aim offsets: an
+    ask/tell search for plan_searches."""
     cfg = scenario.config
     n = cfg.num_mds
     dim = 2 * n + 2 * n  # order keys, assignment keys, 2-d offsets
@@ -389,11 +390,7 @@ def pso_plan(scenario: Scenario, hyper: PsoConfig = PsoConfig(),
     def decode(x) -> Plan:
         return _decode_keys(x[:n], x[n:2 * n], x[2 * n:].reshape(n, 2), scenario)
 
-    def score(xs) -> np.ndarray:
-        return population_fitness([decode(x) for x in xs], scenario,
-                                  propulsion)[0]
-
-    fitness = score(pos)
+    fitness = yield [decode(x) for x in pos]
     pbest = pos.copy()
     pbest_fit = fitness.copy()
     g = int(np.argmin(fitness))
@@ -407,7 +404,7 @@ def pso_plan(scenario: Scenario, hyper: PsoConfig = PsoConfig(),
                + hyper.cognitive * r1 * (pbest - pos)
                + hyper.social * r2 * (gbest[None, :] - pos))
         pos = np.clip(pos + vel, lo, hi)
-        fitness = score(pos)
+        fitness = yield [decode(x) for x in pos]
         improved = fitness < pbest_fit
         pbest[improved] = pos[improved]
         pbest_fit[improved] = fitness[improved]
@@ -419,17 +416,12 @@ def pso_plan(scenario: Scenario, hyper: PsoConfig = PsoConfig(),
 
 
 def _order_crossover(rng, pa, pb):
+    """pa's genes a..b kept in place, the other positions filled in pb's order."""
     n = len(pa)
     a, b = sorted(rng.integers(0, n, size=2))
-    child = -np.ones(n, dtype=int)
-    child[a:b + 1] = pa[a:b + 1]
-    fill = [x for x in pb if x not in set(child[a:b + 1])]
-    k = 0
-    for i in range(n):
-        if child[i] < 0:
-            child[i] = fill[k]
-            k += 1
-    return child
+    taken = set(pa[a:b + 1])
+    fill = (x for x in pb if x not in taken)
+    return np.array([pa[i] if a <= i <= b else next(fill) for i in range(n)])
 
 
 def _split_decode(perm, splits, scenario: Scenario) -> Plan:
@@ -443,24 +435,20 @@ def _split_decode(perm, splits, scenario: Scenario) -> Plan:
     return Plan(md_order=md_order, waypoints=waypoints)
 
 
-def ga_plan(scenario: Scenario, hyper: GaConfig = GaConfig(),
-            propulsion: PropulsionParams = REFERENCE_PROPULSION) -> Plan:
-    """Permutation-with-split genetic search: order crossover, swap mutation."""
+def _ga_search(scenario: Scenario, hyper: GaConfig):
+    """Permutation-with-split genetic search, order crossover and swap
+    mutation: an ask/tell search for plan_searches."""
     cfg = scenario.config
     n = cfg.num_mds
     m_count = cfg.num_uavs
     rng = rng_stream(hyper.seed, "ga")
 
-    def random_individual():
-        return (rng.permutation(n),
-                rng.integers(0, n + 1, size=m_count - 1))
+    def decode(individuals) -> list:
+        return [_split_decode(*ind, scenario) for ind in individuals]
 
-    def score(individuals) -> np.ndarray:
-        plans = [_split_decode(*ind, scenario) for ind in individuals]
-        return population_fitness(plans, scenario, propulsion)[0]
-
-    pop = [random_individual() for _ in range(hyper.population)]
-    fit = score(pop)
+    pop = [(rng.permutation(n), rng.integers(0, n + 1, size=m_count - 1))
+           for _ in range(hyper.population)]
+    fit = yield decode(pop)
 
     for _ in range(hyper.generations):
         order = np.argsort(fit, kind="stable")
@@ -485,6 +473,44 @@ def ga_plan(scenario: Scenario, hyper: GaConfig = GaConfig(),
             next_pop.append((perm, splits))
         pop = next_pop
         # the carried-over champion keeps its score: fitness is deterministic
-        fit = np.concatenate([[elite_fit], score(pop[1:])])
+        fit = np.concatenate([[elite_fit], (yield decode(pop[1:]))])
     best = int(np.argmin(fit))
     return _split_decode(*pop[best], scenario)
+
+
+SEARCHES = {"pso": _pso_search, "ga": _ga_search}   # ask/tell search per method
+
+
+def plan_searches(searches, scenario: Scenario,
+                  propulsion: PropulsionParams = REFERENCE_PROPULSION) -> list:
+    """Run ask/tell searches of one world together; returns each one's plan.
+
+    A search yields a generation's plans and is sent their fitness. Each round
+    scores the plans of every live search in one population_fitness call, which
+    scores a plan the same at any batch size, so each search ends as alone."""
+    best = [None] * len(searches)
+    asked = {k: next(search) for k, search in enumerate(searches)}
+    while asked:
+        fitness = population_fitness(sum(asked.values(), []), scenario,
+                                     propulsion)[0]
+        cuts = np.cumsum([len(plans) for plans in asked.values()])[:-1]
+        pending = {}
+        for k, part in zip(asked, np.split(fitness, cuts)):
+            try:
+                pending[k] = searches[k].send(part.copy())
+            except StopIteration as done:
+                best[k] = done.value
+        asked = pending
+    return best
+
+
+def pso_plan(scenario: Scenario, hyper: PsoConfig = PsoConfig(),
+             propulsion: PropulsionParams = REFERENCE_PROPULSION) -> Plan:
+    """The particle swarm's plan, searched on its own."""
+    return plan_searches([_pso_search(scenario, hyper)], scenario, propulsion)[0]
+
+
+def ga_plan(scenario: Scenario, hyper: GaConfig = GaConfig(),
+            propulsion: PropulsionParams = REFERENCE_PROPULSION) -> Plan:
+    """The genetic search's plan, searched on its own."""
+    return plan_searches([_ga_search(scenario, hyper)], scenario, propulsion)[0]

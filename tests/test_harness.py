@@ -11,7 +11,7 @@ from uavisac.config import load_config
 from uavisac.drl_mappo import (ActorNet, CriticNet, MappoConfig, MappoPolicy,
                                run_policy_episode)
 from uavisac.harness import (CIRCUIT_POWER_W, SEED_MEANING, ExperimentSpec,
-                             checkpoint_path, emit_comparison_table,
+                             _result_row, checkpoint_path, emit_comparison_table,
                              emit_sweep_data, git_revision, run_cell,
                              run_experiment, scenario_config_for,
                              train_checkpoint, validate_spec)
@@ -100,6 +100,24 @@ class TestRunExperiment:
         run_experiment(replace(small_spec(two), workers=2))
         for name in ("results.csv", "aggregates.csv"):
             assert (one / name).read_bytes() == (two / name).read_bytes()
+
+    def test_worker_count_does_not_change_search_bytes(self, tmp_path):
+        methods = ("pso", "ga", "greedy_offline")
+        one, two = tmp_path / "one", tmp_path / "two"
+        run_experiment(small_spec(one, methods=methods))
+        run_experiment(replace(small_spec(two, methods=methods), workers=2))
+        for name in ("results.csv", "aggregates.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+
+    def test_grouped_search_rows_equal_their_cells(self, tmp_path):
+        # one task plans every PSO and GA search of an axis value jointly
+        spec = small_spec(tmp_path, methods=("pso", "ga"))
+        rows = run_experiment(spec)
+        assert [(r["method"], r["value"], r["seed"]) for r in rows] == [
+            (m, v, s) for m in ("ga", "pso") for v in (1, 2) for s in (0, 1)]
+        for r in rows:
+            cell = run_cell(r["method"], spec, r["value"], r["seed"])
+            assert r == _result_row(cell, "uav_count", r["value"])
 
     def test_missing_checkpoint_names_method(self, tmp_path):
         spec = replace(small_spec(tmp_path), methods=("drl_sdr",))

@@ -9,9 +9,10 @@ from uavisac.config import load_config
 from uavisac.energy import REFERENCE_PROPULSION
 from uavisac.mdp_env import CorridorEnv
 from uavisac.planners import (GaConfig, InfeasiblePlanError, Plan, PsoConfig,
-                              _decode_keys, _split_decode, evaluate_plan,
-                              ga_plan, greedy_offline, greedy_online,
-                              plan_fitness, population_fitness, pso_plan)
+                              _decode_keys, _ga_search, _pso_search,
+                              _split_decode, evaluate_plan, ga_plan,
+                              greedy_offline, greedy_online, plan_fitness,
+                              plan_searches, population_fitness, pso_plan)
 from uavisac.scenario import (Scenario, ScenarioConfig, build_scenario,
                               rng_stream)
 
@@ -148,6 +149,56 @@ class TestPopulationFitness:
                                               collected[k])
 
 
+def same_plan(a: Plan, b: Plan) -> bool:
+    return a.md_order == b.md_order and len(a.waypoints) == len(b.waypoints) \
+        and all(np.array_equal(np.asarray(wa, float).reshape(-1, 2),
+                               np.asarray(wb, float).reshape(-1, 2))
+                for wa, wb in zip(a.waypoints, b.waypoints))
+
+
+class TestPlanSearches:
+    """Searches flown together through one rollout per round end as alone."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_mixed_batch_equals_separate_calls(self, m):
+        sc = build_scenario(replace(load_config().scenario, seed=1, num_uavs=m,
+                                    **GRID_WORLD))
+        parts = [parity_plans(sc, seed) for seed in range(3)]
+        parts.append([greedy_offline(sc)])
+        joint = population_fitness([p for part in parts for p in part], sc)
+        start = 0
+        for part in parts:
+            alone = population_fitness(part, sc)
+            for whole, own in zip(joint, alone):
+                assert np.array_equal(whole[start:start + len(part)], own)
+            start += len(part)
+
+    def test_joint_searches_return_the_plans_found_alone(self, monkeypatch):
+        sc = corridor(6, 2, seed=3)
+        psos = [PsoConfig(swarm=5, iterations=3, seed=0),
+                PsoConfig(swarm=4, iterations=6, seed=1)]
+        gas = [GaConfig(population=6, generations=4, seed=0),
+               GaConfig(population=5, generations=2, seed=1),
+               GaConfig(population=1, generations=3, seed=1)]
+        alone = ([pso_plan(sc, h) for h in psos] + [ga_plan(sc, h) for h in gas])
+        sizes = []
+        fitness = planners.population_fitness
+
+        def recorded(plans, *args):
+            sizes.append(len(plans))
+            return fitness(plans, *args)
+
+        monkeypatch.setattr(planners, "population_fitness", recorded)
+        joint = plan_searches([_pso_search(sc, h) for h in psos]
+                              + [_ga_search(sc, h) for h in gas], sc)
+        assert all(same_plan(a, b) for a, b in zip(joint, alone))
+        assert len(joint) == len(alone)
+        # every search's first generation, then each leaves once it is done;
+        # the lone GA individual is the carried-over champion, never rescored
+        assert sizes == [5 + 4 + 6 + 5 + 1, 5 + 4 + 5 + 4, 5 + 4 + 5 + 4,
+                         5 + 4 + 5, 4 + 5, 4, 4]
+
+
 class TestSearchPropulsion:
     """PSO and GA score plans with the propulsion their replay flies."""
 
@@ -227,7 +278,7 @@ class TestPso:
         b = pso_plan(sc, cfgp)
         assert a.md_order == b.md_order
         for wa, wb in zip(a.waypoints, b.waypoints):
-            assert np.allclose(np.asarray(wa, float), np.asarray(wb, float))
+            assert np.array_equal(np.asarray(wa, float), np.asarray(wb, float))
 
     def test_single_md_close_to_greedy(self):
         sc = line_scenario([0.45])
