@@ -155,6 +155,10 @@ def cmd_curves(args) -> int:
     return 0
 
 
+def _comma(items) -> str:
+    return ",".join(map(str, items))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uavisac",
@@ -164,17 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_grid=False):
         p.add_argument("--config", default=None,
-                       help="config file (bundled defaults otherwise)")
+                       help="config file (built-in defaults otherwise)")
         p.add_argument("--out", default=None,
                        help="output directory (default $UAVISAC_OUT or ./results)")
         if needs_grid:
-            p.add_argument("--methods", default="drl_sdr,greedy_online,"
-                           "greedy_offline,pso,ga,drl_sc",
+            p.add_argument("--methods", default=_comma(METHODS),
                            help=f"comma list from {METHODS}")
-            p.add_argument("--axis", default="uav_count", choices=AXES)
-            p.add_argument("--values", default="1,2,3,4,5",
+            p.add_argument("--axis", default=ExperimentSpec.axis, choices=AXES)
+            p.add_argument("--values", default=_comma(ExperimentSpec.values),
                            help="sweep values (sinr_threshold axis in dB)")
-            p.add_argument("--seeds", default="0,1,2,3,4")
+            p.add_argument("--seeds", default=_comma(ExperimentSpec.seeds))
             p.add_argument("--train-first", action="store_true",
                            help="train missing DRL checkpoints before running")
             p.add_argument("--episodes", type=int, default=None,
@@ -206,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curves", help="train and emit learning curves")
     common(p)
-    p.add_argument("--seeds", default="0,1,2,3,4")
+    p.add_argument("--seeds", default=_comma(ExperimentSpec.seeds))
     p.add_argument("--episodes", type=int, default=None)
     p.set_defaults(func=cmd_curves)
     return parser

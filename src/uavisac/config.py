@@ -1,5 +1,6 @@
 """INI-style run configuration mirroring the dataclass schemas.
 
+The dataclass field defaults are the only defaults; a file overrides them.
 Sections map to components: [scenario], [propulsion], [reward], [pso], [ga],
 [mappo]. Keys mirror the dataclass field names and use linear SI units; the
 two human-facing exceptions are ``sensing_angles_deg`` (degrees in the file,
@@ -10,7 +11,6 @@ rejected, so a misspelt one cannot leave its default silently in force.
 
 import configparser
 from dataclasses import dataclass, fields, replace
-from importlib import resources
 
 from .drl_mappo import MappoConfig
 from .energy import PropulsionParams
@@ -31,13 +31,7 @@ class RunConfig:
     mappo: MappoConfig
 
 
-def default_config_text() -> str:
-    return resources.files("uavisac.data").joinpath("default.cfg").read_text()
-
-
 def _coerce(raw: str, like):
-    if isinstance(like, bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
     if isinstance(like, int):
         return int(raw)
     if isinstance(like, float):
@@ -87,25 +81,20 @@ def _apply_scenario_section(scenario: ScenarioConfig, section) -> ScenarioConfig
 
 
 def load_config(path=None) -> RunConfig:
-    """Parse a config file as an override layer on the built-in defaults.
+    """The dataclass defaults, with the config file at ``path`` (if any)
+    applied on top.
 
     A section or key the schema does not know raises ValueError."""
-    layers = []
-    defaults = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    defaults.read_string(default_config_text())
-    layers.append(defaults)
-    if path is not None:
-        user = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        with open(path) as fh:
-            user.read_file(fh)
-        layers.append(user)
-
     parts = {f.name: f.type() for f in fields(RunConfig)}
-    for parser in layers:
-        unknown = [name for name in parser.sections() if name not in parts]
-        if unknown:
-            raise ValueError(f"unknown config sections: {', '.join(unknown)}")
-        for name in parser.sections():
-            apply = _apply_scenario_section if name == "scenario" else _apply_section
-            parts[name] = apply(parts[name], parser[name])
+    if path is None:
+        return RunConfig(**parts)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    with open(path) as fh:
+        parser.read_file(fh)
+    unknown = [name for name in parser.sections() if name not in parts]
+    if unknown:
+        raise ValueError(f"unknown config sections: {', '.join(unknown)}")
+    for name in parser.sections():
+        apply = _apply_scenario_section if name == "scenario" else _apply_section
+        parts[name] = apply(parts[name], parser[name])
     return RunConfig(**parts)

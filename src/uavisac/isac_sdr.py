@@ -297,6 +297,13 @@ def tbp_quadratic(r, phi) -> float:
     return float(np.real(a.conj() @ (r @ a)))
 
 
+def _sinr_cap(lead, noise_uav, gamma_th, p_max):
+    """Per-link SINR slack cap (p_max ||g||^2 - gamma sigma^2)/(gamma sigma^2),
+    met by the full-budget matched-filter beam."""
+    scale = gamma_th * noise_uav
+    return (p_max * lead - scale) / scale
+
+
 # the cases of _link_ladder, in its order; SOLVE: none holds
 NO_FLOOR, ZERO, BEAM, DEEP, CAP, SOLVE = range(6)
 
@@ -324,7 +331,7 @@ def _link_ladder(g, lead, noise_uav, gamma_th, tbp_threshold, angles, p_max,
         return np.full(len(lead), NO_FLOOR), np.full(len(lead), tbp_bound), tbp
     scale = gamma_th * noise_uav
     sinr_slack = (np.vecdot(g, g @ r_tbp.T).real - scale) / scale
-    sinr_cap = (p_max * lead - scale) / scale
+    sinr_cap = _sinr_cap(lead, noise_uav, gamma_th, p_max)
     deficit = sinr_cap < -FEAS_TOL
     case = np.where(lead <= 0.0, ZERO, np.where(
         sinr_slack >= tbp_margin, BEAM, np.where(
@@ -504,12 +511,6 @@ def link_reward(feasible, r_link_pass: float, r_link_fail: float) -> float:
     return sum((r_link_pass if ok else r_link_fail for ok in feasible), 0.0)
 
 
-def _separated_margins(lead, cfg) -> np.ndarray:
-    """Matched-filter margins (p_max lead - gamma sigma^2)/(gamma sigma^2)."""
-    scale = cfg.gamma_th_uav * cfg.noise_uav
-    return (cfg.p_max * lead - scale) / scale
-
-
 def _isac_links(g, lead, scenario, opts: SdrOptions, build: bool):
     """One _link_ladder pass over chain links g (E, L), ||g||^2 ``lead`` (E,).
     Returns (feasible (E,) bool, designs): every link's design in chain order
@@ -542,7 +543,8 @@ def chain_link_verdicts(uav_positions, chain_edges, scenario, rng,
     pass, with a design built only for the links that need a Newton solve."""
     g, lead = _chain_gains(uav_positions, chain_edges, scenario, rng)
     if separated:
-        return _separated_margins(lead, scenario.config) >= -FEAS_TOL
+        cfg = scenario.config
+        return _sinr_cap(lead, cfg.noise_uav, cfg.gamma_th_uav, cfg.p_max) >= -FEAS_TOL
     return _isac_links(g, lead, scenario, opts, build=False)[0]
 
 
@@ -581,4 +583,5 @@ def separated_link_sweep(uav_positions, chain_edges, scenario, rng):
             h_eff=np.outer(g[k], g[k].conj()), noise_uav=cfg.noise_uav,
             gamma_th=cfg.gamma_th_uav, tbp_threshold=0.0,
             angles=cfg.sensing_angles, p_max=cfg.p_max))
-        for k, margin in enumerate(_separated_margins(gain, cfg))]
+        for k, margin in enumerate(
+            _sinr_cap(gain, cfg.noise_uav, cfg.gamma_th_uav, cfg.p_max))]

@@ -49,7 +49,7 @@ class ScenarioConfig:
     gamma_th_md: float = db_to_linear(3.0)
     gamma_th_uav: float = db_to_linear(8.0)
     tbp_threshold: float = db_to_linear(-4.0)
-    sensing_angles: tuple = tuple(np.deg2rad((-10.0, 0.0, 10.0)))
+    sensing_angles: tuple = tuple(np.deg2rad((-10.0, 0.0, 10.0)).tolist())
     n_antennas: int = 12
     arrival_radius: float = 40.0
     seed: int = 0
@@ -95,9 +95,12 @@ def validate_config(cfg: ScenarioConfig) -> list:
     if tuple(cfg.start) == tuple(cfg.end):
         v.append("start and end must differ")
     for name in ("start", "end"):
-        x, y = getattr(cfg, name)
-        if not (0 <= x <= cfg.area_width and 0 <= y <= cfg.area_height):
-            v.append(f"{name} must lie inside the area, got {(x, y)}")
+        point = tuple(getattr(cfg, name))
+        if len(point) != 2:
+            v.append(f"{name} must be an (x, y) point, got {point}")
+        elif not (0 <= point[0] <= cfg.area_width
+                  and 0 <= point[1] <= cfg.area_height):
+            v.append(f"{name} must lie inside the area, got {point}")
     if cfg.altitude <= 25.0:
         # MD altitude bands are [0, 5] on the ground and [10, z0 - 10] on spans
         v.append(f"altitude must exceed 25 m to leave room for line-mounted devices, got {cfg.altitude}")

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from uavisac.config import default_config_text, load_config
-from uavisac.scenario import validate_config
+from uavisac.config import RunConfig, load_config
+from uavisac.scenario import (ScenarioConfig, build_scenario,
+                              scenario_fingerprint, validate_config)
 
 
 def test_bundled_defaults_match_reference_setup():
@@ -71,10 +74,21 @@ def test_linear_keys_accepted(tmp_path):
     assert rc.scenario.p_max == 0.25
 
 
-def test_default_text_is_parseable_and_commented():
-    text = default_config_text()
-    assert "[scenario]" in text and "[propulsion]" in text
-    assert "#" in text
+def test_loader_defaults_are_the_dataclass_defaults():
+    rc = load_config()
+    for part in fields(RunConfig):
+        loaded, default = getattr(rc, part.name), part.type()
+        for field in fields(default):
+            a, b = getattr(loaded, field.name), getattr(default, field.name)
+            assert a == b, (part.name, field.name)
+            assert type(a) is type(b), (part.name, field.name)
+            if isinstance(a, tuple):
+                assert [type(x) for x in a] == [type(x) for x in b]
+
+
+def test_default_world_fingerprint_does_not_depend_on_the_loader():
+    assert (scenario_fingerprint(build_scenario(ScenarioConfig()))
+            == scenario_fingerprint(build_scenario(load_config().scenario)))
 
 
 def test_unknown_section_rejected_by_name(tmp_path):

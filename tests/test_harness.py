@@ -300,7 +300,9 @@ class TestCli:
         ("[mappo]\nminibatch = 0\n", "minibatch"),
         ("[mappo]\nepochs = 0\n", "epochs"),
         ("[mappo]\nsmooth_window = 0\n", "smooth_window"),
-        ("[mappo]\nmax_episodes = 0\n", "max_episodes")])
+        ("[mappo]\nmax_episodes = 0\n", "max_episodes"),
+        ("[scenario]\nstart = 0, 2500, 80\n", "start"),
+        ("[scenario]\nend = 7\n", "end")])
     def test_bad_config_exits_1(self, tmp_path, capsys, verb, text, named):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
@@ -309,7 +311,9 @@ class TestCli:
             args += ["--methods", "greedy_offline", "--values", "1",
                      "--seeds", "0"]
         assert main(args) == 1
-        assert named in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        # scenario violations are listed on stdout, load errors on stderr
+        assert named in (out if "violation(s)" in err else err)
 
     @pytest.mark.parametrize("args, named", [
         (["curves", "--episodes", "-3"], "--episodes"),

@@ -28,6 +28,13 @@ def test_start_equals_end_flagged():
     assert any("start" in v and "end" in v for v in validate_config(bad))
 
 
+def test_malformed_points_flagged():
+    bad = ScenarioConfig(start=(0.0, 2500.0, 80.0), end=(7.0,))
+    assert validate_config(bad) == [
+        "start must be an (x, y) point, got (0.0, 2500.0, 80.0)",
+        "end must be an (x, y) point, got (7.0,)"]
+
+
 def test_build_rejects_invalid_config():
     with pytest.raises(ValueError):
         build_scenario(ScenarioConfig(kappa_nlos=0.0))

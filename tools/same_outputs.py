@@ -17,14 +17,17 @@ The ``[mappo]`` section sets ``rollout = 256``, fewer agent samples than one
 episode gives, so every training episode ends in a PPO update.
 
 ``results.csv``, ``aggregates.csv``, the comparison tables, the sweep CSVs
-and the curve CSVs are compared byte for byte, and the checkpoints array by
-array with ``np.array_equal``. Each file's digest is printed for both trees,
-and for a differing checkpoint the largest absolute difference of each
-differing array; the exit code is 1 on any difference.
+and the curve CSVs are compared byte for byte, each ``run`` output's
+``manifest.json`` with its ``git_revision`` removed (the unpacked parent has
+no ``.git``), and the checkpoints array by array with ``np.array_equal``.
+Each file's digest is printed for both trees, and for a differing checkpoint
+the largest absolute difference of each differing array; the exit code is 1
+on any difference.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -45,7 +48,8 @@ CURVE_ARGS = ("curves", "--episodes", "2", "--seeds", "0,1,2")
 SUMMARY_ARGS = (("table",), ("sweep", "--axis", "uav_count"))
 ROLLOUT = 256
 COMPARED = ("results.csv", "aggregates.csv", "comparison_table*.csv",
-            "sweep_*.csv", "*.curve.csv", "curve_seed*.csv", "*.npz")
+            "sweep_*.csv", "*.curve.csv", "curve_seed*.csv", "*.npz",
+            "manifest.json")
 
 
 def write_config(path: Path, seed: int) -> None:
@@ -80,9 +84,18 @@ def produce(tree: Path, work: Path) -> None:
                 cli(*summary, out=out)
 
 
+def compared_bytes(path: Path) -> bytes:
+    """A CSV's bytes, or a manifest's without its ``git_revision``."""
+    if path.name != "manifest.json":
+        return path.read_bytes()
+    manifest = json.loads(path.read_text())
+    manifest.pop("git_revision")
+    return json.dumps(manifest, indent=2, sort_keys=True).encode()
+
+
 def digest(path: Path) -> str:
     if path.suffix != ".npz":
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        return hashlib.sha256(compared_bytes(path)).hexdigest()
     h = hashlib.sha256()
     with np.load(path) as data:
         for key in sorted(data.files):
@@ -92,7 +105,7 @@ def digest(path: Path) -> str:
 
 def same(a: Path, b: Path) -> bool:
     if a.suffix != ".npz":
-        return a.read_bytes() == b.read_bytes()
+        return compared_bytes(a) == compared_bytes(b)
     with np.load(a) as x, np.load(b) as y:
         return (sorted(x.files) == sorted(y.files)
                 and all(np.array_equal(x[k], y[k]) for k in x.files))
