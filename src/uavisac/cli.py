@@ -7,6 +7,7 @@ Verbs: validate, train, run, table, sweep, curves. Results land under
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import replace
@@ -45,7 +46,8 @@ def _require_counts(named):
 
 def _load_config(path):
     """The run configuration; unreadable or malformed files, propulsion
-    parameters out of range and counts below 1 are bad input."""
+    parameters out of range, counts below 1 and non-finite reals are bad
+    input."""
     try:
         run_config = load_config(path)
     except (OSError, ValueError, configparser.Error) as exc:
@@ -56,6 +58,12 @@ def _load_config(path):
         raise ValidationFailure(str(exc)) from exc
     _require_counts((f"[{section}] {key}", getattr(getattr(run_config, section), key))
                     for section, key in _COUNT_KEYS)
+    # the scenario and propulsion checks cover their own reals
+    non_finite = [f"[{section}] {key}" for section in ("reward", "pso", "ga", "mappo")
+                  for key, value in vars(getattr(run_config, section)).items()
+                  if isinstance(value, float) and not math.isfinite(value)]
+    if non_finite:
+        raise ValidationFailure(f"values must be finite: {', '.join(non_finite)}")
     return run_config
 
 

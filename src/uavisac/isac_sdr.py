@@ -488,14 +488,14 @@ def verify_design(design: TransmitDesign, h_eff, noise_uav, gamma_th,
                            problem)[1]
 
 
-def _chain_gains(uav_positions, chain_edges, scenario, rng):
-    """g = h^H f (E, L) and ||g||^2 (E,) of each chain link, in chain order:
-    one Rician draw per link from one rng call; co-located transceivers are
-    clamped to the 1 m reference distance."""
+def _chain_gains(uav_positions, scenario, rng):
+    """g = h^H f (E, L) and ||g||^2 (E,) of each chain link, UAV m to UAV
+    m + 1 in chain order: one Rician draw per link from one rng call, none
+    for a single UAV; co-located transceivers are clamped to the 1 m
+    reference distance."""
     cfg = scenario.config
     positions = np.asarray(uav_positions, dtype=float)
-    edges = np.asarray(chain_edges, dtype=int).reshape(-1, 2)
-    tx, rx = positions[edges[:, 0]], positions[edges[:, 1]]
+    tx, rx = positions[:-1], positions[1:]
     diff = tx - rx
     close = np.sqrt(np.vecdot(diff, diff)) < 1.0
     ref = np.where(close[:, None], tx + np.array([1.0, 0.0, 0.0]), rx)
@@ -535,53 +535,44 @@ def _isac_links(g, lead, scenario, opts: SdrOptions, build: bool):
     return feasible, designs
 
 
-def chain_link_verdicts(uav_positions, chain_edges, scenario, rng,
-                        opts: SdrOptions = SdrOptions(),
-                        separated: bool = False) -> np.ndarray:
-    """(E,) bool: the verdicts of link_feasibility_sweep (separated_link_sweep
-    when ``separated``) for the same rng, from the same draws and ladder
-    pass, with a design built only for the links that need a Newton solve."""
-    g, lead = _chain_gains(uav_positions, chain_edges, scenario, rng)
-    if separated:
-        cfg = scenario.config
-        return _sinr_cap(lead, cfg.noise_uav, cfg.gamma_th_uav, cfg.p_max) >= -FEAS_TOL
-    return _isac_links(g, lead, scenario, opts, build=False)[0]
-
-
-def link_feasibility_sweep(uav_positions, chain_edges, scenario, rng,
-                           opts: SdrOptions = SdrOptions()):
-    """Build the shared-array transmit design of every chain link.
-
-    Every call draws each link's fading afresh from ``rng``; one _link_ladder
-    pass on g = h^H f decides the links, and each design comes from its
-    link's case as in solve_feasibility. Returns the designs in chain order.
-    """
-    g, lead = _chain_gains(uav_positions, chain_edges, scenario, rng)
-    return _isac_links(g, lead, scenario, opts, build=True)[1]
-
-
-def separated_link_sweep(uav_positions, chain_edges, scenario, rng):
-    """Link outcomes for the split-array variant: sensing on a dedicated
-    radar aperture, communication as a full-budget matched-filter beam.
-
-    The links see the same chain draws as link_feasibility_sweep. With no
-    covariance sharing the beam w = sqrt(p_max) g/||g||, g = h^H f, is
-    optimal, so the margin is (p_max ||g||^2 - gamma sigma^2)/(gamma sigma^2)
-    and the link is feasible iff it clears -FEAS_TOL; the sensing floor is
-    met off-array by construction. Returns the per-link designs in chain
-    order.
-    """
+def _separated_links(g, lead, scenario, build: bool):
+    """_isac_links for the split-array variant: sensing on a dedicated radar
+    aperture, communication on the full-budget matched-filter beam w =
+    sqrt(p_max) g/||g||, optimal with no covariance sharing. A link's margin
+    is then its SINR cap, feasible iff it clears -FEAS_TOL; the sensing floor
+    is met off-array. Designs: every link's when ``build``, else none."""
     cfg = scenario.config
-    g, gain = _chain_gains(uav_positions, chain_edges, scenario, rng)
-    w = np.sqrt(cfg.p_max) * g / np.sqrt(np.where(gain > 0, gain, np.inf))[:, None]
-    return [TransmitDesign(
+    margin = _sinr_cap(lead, cfg.noise_uav, cfg.gamma_th_uav, cfg.p_max)
+    feasible = margin >= -FEAS_TOL
+    if not build:
+        return feasible, []
+    w = np.sqrt(cfg.p_max) * g / np.sqrt(np.where(lead > 0, lead, np.inf))[:, None]
+    return feasible, [TransmitDesign(
         r_comm=np.outer(w[k], w[k].conj()),
         r_sens=np.zeros((cfg.n_antennas, cfg.n_antennas), dtype=complex),
-        w_c=w[k], margin=float(margin),
-        solver_status="feasible" if margin >= -FEAS_TOL else "infeasible",
-        dual_bound=float(margin), problem=SdrProblem(
+        w_c=w[k], margin=float(margin[k]),
+        solver_status="feasible" if feasible[k] else "infeasible",
+        dual_bound=float(margin[k]), problem=SdrProblem(
             h_eff=np.outer(g[k], g[k].conj()), noise_uav=cfg.noise_uav,
             gamma_th=cfg.gamma_th_uav, tbp_threshold=0.0,
             angles=cfg.sensing_angles, p_max=cfg.p_max))
-        for k, margin in enumerate(
-            _sinr_cap(gain, cfg.noise_uav, cfg.gamma_th_uav, cfg.p_max))]
+        for k in range(len(g))]
+
+
+def link_feasibility_sweep(uav_positions, scenario, rng,
+                           opts: SdrOptions = SdrOptions(),
+                           separated: bool = False, build: bool = True):
+    """Decide every chain link of one slot, UAV m to UAV m + 1, on fresh
+    fading draws from ``rng``: by the shared-array design, or by the
+    split-array one when ``separated``. Returns (feasible (E,) bool, designs):
+    every link's design in chain order when ``build``, else only those that a
+    Newton solve built. Verdicts and rng use do not depend on ``build``."""
+    g, lead = _chain_gains(uav_positions, scenario, rng)
+    if separated:
+        return _separated_links(g, lead, scenario, build)
+    return _isac_links(g, lead, scenario, opts, build)
+
+
+def separated_link_sweep(uav_positions, scenario, rng):
+    """link_feasibility_sweep of the split-array variant."""
+    return link_feasibility_sweep(uav_positions, scenario, rng, separated=True)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .channel import md_gain_matrix, uplink_sinr
 from .energy import PropulsionParams, REFERENCE_PROPULSION, slot_energy
-from .isac_sdr import (SdrOptions, chain_link_verdicts, link_feasibility_sweep,
-                       link_reward, separated_link_sweep, verify_design)
+from .isac_sdr import (SdrOptions, link_feasibility_sweep, link_reward,
+                       verify_design)
 from .scenario import Scenario, rng_stream
 
 
@@ -421,13 +421,19 @@ class CorridorEnv:
         cfg = self.cfg
         if s is None:
             raise RuntimeError("reset() must be called before step()")
-        md_choice = np.asarray(action.md_choice, dtype=int)
-        heading = np.asarray(action.heading, dtype=float)
-        speed = np.asarray(action.speed).astype(np.uint8)
+        md_choice, heading, speed = (np.asarray(a) for a in (
+            action.md_choice, action.heading, action.speed))
+        # checked before the casts, which would turn a NaN or a fraction
+        # into a valid-looking choice
         if ({md_choice.shape, heading.shape, speed.shape} != {(self.n_agents,)}
-                or np.any(speed > 1) or np.any(md_choice < -1)
-                or np.any(md_choice >= self.n_mds)):
+                or not np.isfinite(heading).all()
+                or not ((speed == 0) | (speed == 1)).all()
+                or not ((md_choice >= -1) & (md_choice < self.n_mds)
+                        & (md_choice % 1 == 0)).all()):
             raise ValueError("malformed joint action")
+        md_choice = np.asarray(md_choice, dtype=int)
+        heading = np.asarray(heading, dtype=float)
+        speed = speed.astype(np.uint8)
 
         # validate scheduling against the sequential masks
         gain2 = self.gain2()
@@ -465,18 +471,13 @@ class CorridorEnv:
         s.slot += 1
         reward.shaping = self._potential(final, s.collected) - potential_before
 
-        # per-link ISAC feasibility at the slot's resulting formation: the
-        # designs are built only for the trace, which the audit re-verifies
+        # per-link ISAC feasibility at the slot's resulting formation: every
+        # link's design is built only for the trace, which the audit re-verifies
         designs = []
         if self.n_agents >= 2 and self.link_mode != "none":
-            links = (s.positions, self.scenario.chain_edges, self.scenario, self._rng)
-            separated = self.link_mode == "separated"
-            if not self.record:
-                feasible = chain_link_verdicts(*links, self.sdr_opts, separated)
-            else:
-                designs = (separated_link_sweep(*links) if separated
-                           else link_feasibility_sweep(*links, self.sdr_opts))
-                feasible = [d.feasible for d in designs]
+            feasible, designs = link_feasibility_sweep(
+                s.positions, self.scenario, self._rng, self.sdr_opts,
+                separated=self.link_mode == "separated", build=self.record)
             reward.qos = link_reward(feasible, self.reward_cfg.link_pass,
                                      self.reward_cfg.link_fail)
 
@@ -596,7 +597,7 @@ def check_constraints(trace, scenario: Scenario,
 def write_trace_csv(trace, scenario: Scenario, path):
     """Per-slot episode trace: kinematics, scheduling, rewards, link margins."""
     m_count = scenario.config.num_uavs
-    n_links = max(len(scenario.chain_edges), 0)
+    n_links = m_count - 1
     cols = ["slot"]
     for m in range(m_count):
         cols += [f"x_{m}", f"y_{m}", f"heading_{m}", f"speed_{m}", f"served_md_{m}"]

@@ -87,7 +87,7 @@ class Workspace:
 
 
 class Adam:
-    """Adaptive moment estimation over parameter arrays or a vector of them."""
+    """Adaptive moment estimation, one moment pair per parameter array."""
 
     CHUNK = 16384   # elements per block: a block's six arrays stay in cache
 
@@ -97,9 +97,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m, self.m = pack([np.zeros_like(p) for p in params])
-        self._v, self.v = pack(self.m)
-        self._work = Workspace(self._m.dtype)
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self._work = Workspace(params[0].dtype)
 
     def step(self, params, grads):
         """One update, in place. Each parameter is updated a block of rows at
@@ -110,9 +110,8 @@ class Adam:
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
-        moments = (zip(self.m, self.v) if len(params) == len(self.m)
-                   else [(self._m, self._v)])
-        for param, grad, (m_all, v_all) in zip(params, grads, moments):
+        for param, grad, m_all, v_all in zip(params, grads, self.m, self.v,
+                                             strict=True):
             rows = max(1, self.CHUNK * len(param) // param.size)
             for lo in range(0, len(param), rows):
                 block = slice(lo, lo + rows)

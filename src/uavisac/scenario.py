@@ -62,7 +62,6 @@ class Scenario:
     config: ScenarioConfig
     md_positions: np.ndarray        # (I, 3)
     tower_positions: np.ndarray     # (num_towers, 2)
-    chain_edges: tuple              # ((0,1), (1,2), ...) directed UAV pairs
     rx_combiner: np.ndarray         # (L,) complex, unit norm
 
 
@@ -84,10 +83,12 @@ def validate_config(cfg: ScenarioConfig) -> list:
             v.append(f"{name} must be at least 1, got {getattr(cfg, name)}")
     if not 0.0 < cfg.kappa_nlos <= 1.0:
         v.append(f"kappa_nlos must lie in (0, 1], got {cfg.kappa_nlos}")
-    if cfg.rician_k < 0:
-        v.append(f"rician_k must be nonnegative, got {cfg.rician_k}")
+    if not 0 <= cfg.rician_k < np.inf:
+        v.append(f"rician_k must be finite and nonnegative, got {cfg.rician_k}")
     if len(cfg.sensing_angles) < 1:
         v.append("sensing_angles must contain at least one direction")
+    elif not np.isfinite(cfg.sensing_angles).all():
+        v.append(f"sensing_angles must be finite, got {cfg.sensing_angles}")
     if cfg.n_antennas < 2:
         v.append(f"n_antennas must be at least 2, got {cfg.n_antennas}")
     if cfg.num_towers < 2:
@@ -125,7 +126,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
-    """Deterministically place towers and MDs and fix the comm chain.
+    """Deterministically place towers and MDs and fix the receive combiner.
 
     Towers are equally spaced on the start-to-end diagonal. Each MD is
     attached 50/50 to a random span midpoint (altitude in [10, z0-10]) or to
@@ -159,14 +160,12 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     md[:, 0] = np.clip(md[:, 0], 0.0, cfg.area_width)
     md[:, 1] = np.clip(md[:, 1], 0.0, cfg.area_height)
 
-    chain = tuple((m, m + 1) for m in range(cfg.num_uavs - 1))
     combiner = np.ones(cfg.n_antennas, dtype=complex) / np.sqrt(cfg.n_antennas)
 
     return Scenario(
         config=cfg,
         md_positions=_readonly(md),
         tower_positions=_readonly(towers),
-        chain_edges=chain,
         rx_combiner=_readonly(combiner),
     )
 

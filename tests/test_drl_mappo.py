@@ -161,7 +161,7 @@ class TestPpoArithmetic:
     def test_nonfinite_gradient_aborts(self):
         batch = random_actor_batch(self.rng, self.actor)
         batch["adv"] = np.full_like(batch["adv"], np.nan)
-        opt = Adam(self.actor.params, 1e-3)
+        opt = Adam([self.actor.vec], 1e-3)
         with pytest.raises(FloatingPointError):
             ppo_actor_update(self.actor, opt, batch, 0.2, 0.01)
 
@@ -210,7 +210,7 @@ class TestCriticUpdate:
         critic = CriticNet(rng_stream(10, "cu"), state_dim=4, hidden=8)
         states = rng_stream(11, "s").standard_normal((6, 4))
         targets = critic_forward(critic, states)
-        opt = Adam(critic.params, 1e-3)
+        opt = Adam([critic.vec], 1e-3)
         loss = critic_update(critic, opt, states, targets)
         assert loss == pytest.approx(0.0, abs=1e-20)
 
@@ -219,7 +219,7 @@ class TestCriticUpdate:
         states = rng_stream(13, "s").standard_normal((6, 4))
         targets = critic_forward(critic, states) + 1.0
         bias_before = critic.out.b.copy()
-        opt = Adam(critic.params, 1e-3)
+        opt = Adam([critic.vec], 1e-3)
         loss = critic_update(critic, opt, states, targets)
         assert loss == pytest.approx(1.0, rel=1e-12)
         assert critic.out.b[0] > bias_before[0]

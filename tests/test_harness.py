@@ -302,7 +302,12 @@ class TestCli:
         ("[mappo]\nsmooth_window = 0\n", "smooth_window"),
         ("[mappo]\nmax_episodes = 0\n", "max_episodes"),
         ("[scenario]\nstart = 0, 2500, 80\n", "start"),
-        ("[scenario]\nend = 7\n", "end")])
+        ("[scenario]\nend = 7\n", "end"),
+        ("[scenario]\nsensing_angles_deg = nan\n", "sensing_angles"),
+        ("[scenario]\nrician_k = nan\n", "rician_k"),
+        ("[reward]\ncollect = inf\n", "collect"),
+        ("[pso]\ninertia = nan\n", "inertia"),
+        ("[mappo]\nactor_lr = nan\n", "actor_lr")])
     def test_bad_config_exits_1(self, tmp_path, capsys, verb, text, named):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)

@@ -10,9 +10,8 @@ from uavisac.channel import (effective_channel, sample_rician_channel,
 from uavisac.isac_sdr import (FEAS_TOL, PSD_TOL, VERIFY_TOL, SdrOptions,
                               SdrProblem, TransmitDesign, _finish_design,
                               _herm, _measure_design, _newton_margin,
-                              _tbp_only_design, chain_link_verdicts,
-                              extract_rank_one, link_feasibility_sweep,
-                              link_reward, separated_link_sweep,
+                              _tbp_only_design, extract_rank_one,
+                              link_feasibility_sweep, link_reward,
                               solve_feasibility, tbp_quadratic, verify_design)
 from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
 
@@ -484,17 +483,16 @@ class TestLinkSweep:
 
     def test_single_uav_neutral(self):
         solo = build_scenario(ScenarioConfig(num_uavs=1, seed=0))
-        designs = link_feasibility_sweep(
-            np.array([[0.0, 2500.0, 80.0]]), solo.chain_edges, solo,
-            rng_stream(0, "sweep"))
+        _, designs = link_feasibility_sweep(
+            np.array([[0.0, 2500.0, 80.0]]), solo, rng_stream(0, "sweep"))
         assert designs == []
         assert link_reward([d.feasible for d in designs], 0.05, -1.0) == 0.0
 
     def test_all_links_feasible_aggregation(self):
         pos = np.array([[0.0, 2500.0, 80.0], [150.0, 2400.0, 80.0],
                         [280.0, 2300.0, 80.0]])
-        designs = link_feasibility_sweep(
-            pos, self.scenario.chain_edges, self.scenario, rng_stream(1, "sweep"))
+        _, designs = link_feasibility_sweep(pos, self.scenario,
+                                            rng_stream(1, "sweep"))
         assert len(designs) == 2
         assert all(d.feasible for d in designs)
         assert link_reward([d.feasible for d in designs], 0.05, -1.0) == \
@@ -504,26 +502,24 @@ class TestLinkSweep:
         near = np.array([[0.0, 0.0, 80.0], [100.0, 0.0, 80.0]])
         far = np.array([[0.0, 0.0, 80.0], [2000.0, 0.0, 80.0]])
         two = build_scenario(ScenarioConfig(num_uavs=2, seed=0))
-        d_near = link_feasibility_sweep(near, two.chain_edges, two,
-                                        rng_stream(5, "dist"))
-        d_far = link_feasibility_sweep(far, two.chain_edges, two,
-                                       rng_stream(5, "dist"))
+        _, d_near = link_feasibility_sweep(near, two, rng_stream(5, "dist"))
+        _, d_far = link_feasibility_sweep(far, two, rng_stream(5, "dist"))
         assert d_far[0].margin <= d_near[0].margin + 1e-9
 
     def chain_draws(self, pos, seed):
         """The sweeps' channels, drawn here in chain order from the same rng."""
         cfg = self.scenario.config
         rng = rng_stream(seed, "sweep")
-        return [sample_rician_channel(pos[tx], pos[rx], cfg.rician_k,
+        return [sample_rician_channel(pos[m], pos[m + 1], cfg.rician_k,
                                       cfg.beta_ref, cfg.n_antennas, rng)
-                for tx, rx in self.scenario.chain_edges]
+                for m in range(len(pos) - 1)]
 
     def test_separated_margin_is_matched_filter_snr(self):
         pos = np.array([[0.0, 2500.0, 80.0], [150.0, 2400.0, 80.0],
                         [3150.0, 2400.0, 80.0]])
         cfg = self.scenario.config
-        designs = separated_link_sweep(
-            pos, self.scenario.chain_edges, self.scenario, rng_stream(2, "sweep"))
+        _, designs = link_feasibility_sweep(
+            pos, self.scenario, rng_stream(2, "sweep"), separated=True)
         scale = cfg.gamma_th_uav * cfg.noise_uav
         for des, h in zip(designs, self.chain_draws(pos, 2)):
             g = h.conj().T @ self.scenario.rx_combiner
@@ -540,9 +536,8 @@ class TestLinkSweep:
             # chain links from 100 m to 5 km, both sides of the SINR floor
             pos = np.array([[0.0, 0.0, 80.0], [100.0, 0.0, 80.0],
                             [100.0 + gap, 0.0, 80.0]])
-            designs = separated_link_sweep(
-                pos, self.scenario.chain_edges, self.scenario,
-                rng_stream(seed, "sweep"))
+            _, designs = link_feasibility_sweep(
+                pos, self.scenario, rng_stream(seed, "sweep"), separated=True)
             for des in designs:
                 assert des.feasible == (des.margin >= -FEAS_TOL)
                 assert des.feasible == (des.solver_status == "feasible")
@@ -555,14 +550,41 @@ class TestLinkSweep:
         # the first pair is co-located, so the 1 m clamp is drawn too
         pos = np.array([[0.0, 2500.0, 80.0], [0.0, 2500.0, 80.0],
                         [900.0, 2300.0, 80.0]])
-        isac = link_feasibility_sweep(
-            pos, self.scenario.chain_edges, self.scenario, rng_stream(7, "sweep"))
-        split = separated_link_sweep(
-            pos, self.scenario.chain_edges, self.scenario, rng_stream(7, "sweep"))
+        _, isac = link_feasibility_sweep(pos, self.scenario,
+                                         rng_stream(7, "sweep"))
+        _, split = link_feasibility_sweep(pos, self.scenario,
+                                          rng_stream(7, "sweep"), separated=True)
         assert len(isac) == len(split) == 2
         for a, b in zip(isac, split):
             # solve_feasibility keeps the Hermitian part of g g^H
             assert np.array_equal(a.problem.h_eff, _herm(b.problem.h_eff))
+
+    def test_chain_is_consecutive_pairs(self):
+        # four UAVs: the links 0->1, 1->2 and 2->3, drawn in that order
+        four = build_scenario(ScenarioConfig(num_uavs=4, seed=0))
+        cfg = four.config
+        pos = np.array([[0.0, 2500.0, 80.0], [150.0, 2400.0, 80.0],
+                        [300.0, 2450.0, 80.0], [420.0, 2300.0, 80.0]])
+        ref_rng = rng_stream(3, "chain")
+        _, designs = link_feasibility_sweep(pos, four, rng_stream(3, "chain"),
+                                            separated=True)
+        assert len(designs) == 3
+        for des, (tx, rx) in zip(designs, ((0, 1), (1, 2), (2, 3))):
+            h = sample_rician_channel(pos[tx], pos[rx], cfg.rician_k,
+                                      cfg.beta_ref, cfg.n_antennas, ref_rng)
+            g = h.conj().T @ four.rx_combiner
+            np.testing.assert_allclose(des.problem.h_eff, np.outer(g, g.conj()),
+                                       rtol=1e-12)
+        want, _ = per_link_verdicts(pos, four, rng_stream(3, "chain"),
+                                    SdrOptions(), False)
+        got, _ = link_feasibility_sweep(pos, four, rng_stream(3, "chain"))
+        assert list(got) == want
+        # one UAV: no link, and nothing drawn
+        solo = build_scenario(ScenarioConfig(num_uavs=1, seed=0))
+        rng, ref_rng = rng_stream(4, "chain"), rng_stream(4, "chain")
+        got, designs = link_feasibility_sweep(pos[:1], solo, rng)
+        assert got.shape == (0,) and designs == []
+        assert rng.random() == ref_rng.random()
 
 
 def per_link_verdicts(pos, scenario, rng, opts, separated):
@@ -572,11 +594,11 @@ def per_link_verdicts(pos, scenario, rng, opts, separated):
     cfg = scenario.config
     f = scenario.rx_combiner
     verdicts, designs = [], []
-    for tx, rx in scenario.chain_edges:
-        ref = pos[rx]
-        if np.linalg.norm(pos[tx] - pos[rx]) < 1.0:
-            ref = pos[tx] + np.array([1.0, 0.0, 0.0])
-        h = sample_rician_channel(pos[tx], ref, cfg.rician_k, cfg.beta_ref,
+    for m in range(len(pos) - 1):           # UAV m to UAV m + 1
+        ref = pos[m + 1]
+        if np.linalg.norm(pos[m] - pos[m + 1]) < 1.0:
+            ref = pos[m] + np.array([1.0, 0.0, 0.0])
+        h = sample_rician_channel(pos[m], ref, cfg.rician_k, cfg.beta_ref,
                                   cfg.n_antennas, rng)
         g = h.conj().T @ f
         if separated:
@@ -628,8 +650,8 @@ class TestChainVerdicts:
                 rng = rng_stream(seed, f"{label}-{k}")
                 want, designs = per_link_verdicts(pos, scenario, ref_rng, opts,
                                                   separated)
-                got = chain_link_verdicts(pos, scenario.chain_edges, scenario,
-                                          rng, opts, separated)
+                got, _ = link_feasibility_sweep(pos, scenario, rng, opts,
+                                                separated, build=False)
                 assert got.dtype == bool and list(got) == want, (k, seed)
                 assert rng.random() == ref_rng.random()
                 branches += [branch_of(d, scenario.config.tbp_threshold)
@@ -670,10 +692,22 @@ class TestChainVerdicts:
 
     def test_no_links(self):
         solo = build_scenario(ScenarioConfig(num_uavs=1, seed=0))
-        got = chain_link_verdicts(np.array([[0.0, 0.0, 80.0]]), solo.chain_edges,
-                                  solo, rng_stream(0, "solo"))
+        got, _ = link_feasibility_sweep(np.array([[0.0, 0.0, 80.0]]), solo,
+                                        rng_stream(0, "solo"), build=False)
         assert got.shape == (0,)
         assert link_reward(got, 0.05, -1.0) == 0.0
+
+    @pytest.mark.parametrize("opts", [SdrOptions(), CERTIFY])
+    @pytest.mark.parametrize("separated", [False, True])
+    def test_build_keeps_verdicts_and_draws(self, separated, opts):
+        for k, pos in self.formations():
+            rng, bare_rng = rng_stream(k, "build"), rng_stream(k, "build")
+            feasible, designs = link_feasibility_sweep(
+                pos, self.scenario, rng, opts, separated, build=True)
+            bare, _ = link_feasibility_sweep(
+                pos, self.scenario, bare_rng, opts, separated, build=False)
+            assert list(bare) == list(feasible) == [d.feasible for d in designs]
+            assert rng.random() == bare_rng.random()
 
     def test_reward_sums_in_chain_order(self):
         assert link_reward([True, False, True], 0.05, -1.0) == (0.05 - 1.0) + 0.05

@@ -18,7 +18,7 @@ def make_scenario(md_xyz, num_uavs=1, **overrides) -> Scenario:
     base = build_scenario(cfg)
     return Scenario(config=cfg, md_positions=md,
                     tower_positions=base.tower_positions,
-                    chain_edges=base.chain_edges, rx_combiner=base.rx_combiner)
+                    rx_combiner=base.rx_combiner)
 
 
 def observations_oracle(env) -> np.ndarray:
@@ -254,7 +254,11 @@ class TestActionMask:
     @pytest.mark.parametrize("field, value", [
         ("heading", 0.5),                           # scalar, not (M,)
         ("speed", np.ones(1, dtype=np.uint8)),      # length 1, not (M,)
-        ("md_choice", np.array([-7, -1]))])         # below the idle -1
+        ("md_choice", np.array([-7, -1])),          # below the idle -1
+        ("heading", np.array([np.nan, 0.0])),
+        ("heading", np.array([np.inf, 0.0])),
+        ("speed", np.array([0.7, 0.0])),            # not cast to hover
+        ("md_choice", np.array([0.9, -1]))])        # not cast to MD 0
     def test_malformed_joint_action_rejected(self, field, value):
         sc = make_scenario([[30.0, 2470.0, 0.0]], num_uavs=2)
         env = CorridorEnv(sc)
@@ -618,13 +622,15 @@ class TestLinkVerdicts:
                                            horizon_slots=40,
                                            gamma_th_uav=db_to_linear(22.0)))
         verdicts = []
-        original = mdp_env.chain_link_verdicts
+        original = mdp_env.link_feasibility_sweep
 
         def keep(*args, **kwargs):
-            verdicts.append(original(*args, **kwargs))
-            return verdicts[-1]
+            feasible, designs = original(*args, **kwargs)
+            if not kwargs["build"]:
+                verdicts.append(feasible)
+            return feasible, designs
 
-        monkeypatch.setattr(mdp_env, "chain_link_verdicts", keep)
+        monkeypatch.setattr(mdp_env, "link_feasibility_sweep", keep)
         recorded = CorridorEnv(sc, record=True, link_mode=link_mode)
         unrecorded = CorridorEnv(sc, link_mode=link_mode)
         recorded.reset(3)

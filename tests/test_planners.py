@@ -35,7 +35,7 @@ def line_scenario(xs, num_uavs=1, **extra):
     md = np.array([[*(start + t * (end - start)), 0.0] for t in xs])
     return Scenario(config=cfg, md_positions=md,
                     tower_positions=base.tower_positions,
-                    chain_edges=base.chain_edges, rx_combiner=base.rx_combiner)
+                    rx_combiner=base.rx_combiner)
 
 
 class TestGreedyOffline:

@@ -311,7 +311,7 @@ class TestInPlaceArithmetic:
                                                "logp", "states"))
                  for t in range(steps)]
         rewards, dones = list(rollout["rewards"]), list(rollout["dones"])
-        opt_a, opt_c = Adam(actor.params, 1e-3), Adam(critic.params, 1e-3)
+        opt_a, opt_c = Adam([actor.vec], 1e-3), Adam([critic.vec], 1e-3)
         loss, diag = _update(MappoPolicy(actor, critic, cfg), opt_a, opt_c,
                              slots, rewards, dones, cfg,
                              rng_stream(20, "shuffle"))
@@ -472,7 +472,7 @@ class TestBatchedValues:
 
         monkeypatch.setattr(drl_mappo, "gae", recorded)
         cfg = MappoConfig(hidden=32, minibatch=16, epochs=1)
-        _update(policy, Adam(actor.params, 1e-4), Adam(critic.params, 3e-4),
+        _update(policy, Adam([actor.vec], 1e-4), Adam([critic.vec], 3e-4),
                 slots, rewards, dones, cfg, rng_stream(17, "shuffle"))
         assert len(seen) == 1
         np.testing.assert_allclose(seen[0], per_state, rtol=0, atol=1e-12)

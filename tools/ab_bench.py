@@ -9,9 +9,11 @@ Run from the repository root. The parent revision is unpacked with
 alternating order (the parent first in even pairs), with seed ``S`` =
 ``--seed`` + pair index on both sides. ``BENCH_<workload>.json`` gets every
 run's end-to-end metrics and, per metric, each side's median and quartiles,
-the pairs the working tree won (ties count for neither side) and whether a
-gain may be claimed: at least nine tenths of the pairs won, and medians
-apart by more than the parent's interquartile range.
+the pairs the working tree won (ties count for neither side), whether a
+gain may be claimed (at least nine tenths of the pairs won, and medians
+apart by more than the parent's interquartile range) and the median
+change/parent ratio over the pairs run parent first and over those run
+change first, so that a run-order effect shows.
 """
 
 import argparse
@@ -64,7 +66,22 @@ def spread(values) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
+def parent_first(pair: int) -> bool:
+    """Whether the parent side runs first in pair ``pair``: the even ones."""
+    return pair % 2 == 0
+
+
+def order_ratio(parent, change, first: bool):
+    """Median change/parent ratio over the pairs whose parent_first is
+    ``first``; None when no such pair has a nonzero parent value."""
+    ratios = [c / p for k, (p, c) in enumerate(zip(parent, change))
+              if parent_first(k) == first and p]
+    return statistics.median(ratios) if ratios else None
+
+
 def summarize(runs, end_to_end) -> dict:
+    """Per end-to-end metric, the comparison of ``runs``, a list of
+    (parent, change) run records in pair order."""
     out = {}
     for spec in end_to_end:
         name, higher = spec["name"], spec["better"] == "higher"
@@ -79,6 +96,8 @@ def summarize(runs, end_to_end) -> dict:
             "parent": base, "change": new, "change_wins": wins,
             "parent_wins": losses, "pairs": len(runs),
             "median_ratio": new["median"] / base["median"] if base["median"] else None,
+            "ratio_parent_first": order_ratio(parent, change, True),
+            "ratio_change_first": order_ratio(parent, change, False),
             "gain_claimable": wins >= 0.9 * len(runs) and gap > base["iqr"],
             "worse_than_bound": -gap > spec["bound"] * abs(base["median"]),
         }
@@ -106,7 +125,7 @@ def main(argv=None) -> int:
         sides = {"parent": Path(tmp) / "tree", "change": ROOT}
         for k in range(args.pairs):
             seed = args.seed + k
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            order = ("parent", "change") if parent_first(k) else ("change", "parent")
             pair = {side: run_side(sides[side], args.workload, seed, args.seconds)
                     for side in order}
             runs.append((pair["parent"], pair["change"]))
@@ -122,15 +141,21 @@ def main(argv=None) -> int:
                  "nproc": os.cpu_count(),
                  "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},
         "summary": summarize(runs, end_to_end),
-        "runs": [{"pair": k, "parent_first": k % 2 == 0, "parent": p, "change": c}
+        "runs": [{"pair": k, "parent_first": parent_first(k), "parent": p, "change": c}
                  for k, (p, c) in enumerate(runs)],
     }
     out.write_text(json.dumps(report, indent=1) + "\n")
+
+    def fmt(ratio):
+        return "n/a" if ratio is None else f"{ratio:.4f}"
+
     for name, s in report["summary"].items():
         print(f"{name}: parent {s['parent']['median']:.4g} "
               f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}], change "
               f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
-              f"{s['change']['q3']:.4g}], change won {s['change_wins']}/{s['pairs']}")
+              f"{s['change']['q3']:.4g}], change won {s['change_wins']}/{s['pairs']}; "
+              f"change/parent median {fmt(s['ratio_parent_first'])} parent first, "
+              f"{fmt(s['ratio_change_first'])} change first")
     print(f"wrote {out}")
     failed = sum(p["failed"] + c["failed"] for p, c in runs)
     correct = all(p["correct"] and c["correct"] for p, c in runs)
