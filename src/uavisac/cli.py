@@ -2,7 +2,7 @@
 
 Verbs: validate, train, run, table, sweep, curves. Results land under
 --out, defaulting to $UAVISAC_OUT or ./results. Exit codes: 0 success,
-1 validation error, 2 runtime failure.
+1 bad input (a usage or validation error), 2 runtime failure.
 """
 
 import argparse
@@ -23,6 +23,13 @@ from .scenario import build_scenario, validate_config
 
 class ValidationFailure(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """argparse's usage error, exiting 1 (bad input) rather than 2."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _out_root(args) -> str:
@@ -168,7 +175,7 @@ def _comma(items) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uavisac",
         description="Multi-UAV corridor data-collection experiments with "
                     "ISAC QoS feasibility checks")

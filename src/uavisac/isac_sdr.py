@@ -29,7 +29,7 @@ dual bound certifies infeasibility, so "feasible" answers are sound by
 construction rather than by solver convergence flags.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -43,7 +43,8 @@ PSD_TOL = 1e-8           # eigenvalue tolerance for the PSD checks
 
 @dataclass(frozen=True)
 class SdrProblem:
-    """Inputs of one feasibility check, kept with the design for re-verification."""
+    """Inputs of one feasibility check, kept with the design for re-verification;
+    h_eff (L, L), or (N, L, L) for a stack of links that share the scalars."""
 
     h_eff: np.ndarray
     noise_uav: float
@@ -81,7 +82,7 @@ class TransmitDesign:
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Signed relative residuals of one design; pass iff all >= -1e-6."""
+    """Signed relative residuals of a design (or stack); pass iff all >= -1e-6."""
 
     tbp_residuals: np.ndarray
     sinr_residual: float
@@ -91,7 +92,12 @@ class DesignReport:
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _outer(v: np.ndarray) -> np.ndarray:
+    """v v^H of each vector of v (..., L), as np.outer(v, v.conj()) gives it."""
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +133,7 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
     there; a full solve also waits for a gap of opts.gap_tol. Both follow the
     same iterates, so they reach the same status. A solve that runs into the
     step cap or the slacks' precision with neither certificate is left for
-    _finish_design to report as a numerical failure.
+    _finish_designs to report as a numerical failure.
 
     One step takes the eigendecomposition Y = V diag(w) V^H, the dual bound
     from the eigenvalues of sum_j mu_j*rows[j], the Hessian of the barrier
@@ -181,7 +187,7 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
                                      .reshape(dim, dim))[-1]
             best_bound = min(best_bound, p_max * max(lam, 0.0) - mu @ cn)
             if best_margin >= -FEAS_TOL or best_bound < -FEAS_TOL:
-                # _finish_design can classify the pair; a full solve also
+                # _finish_designs can classify the pair; a full solve also
                 # waits for the margin to converge
                 if opts.certify_only:
                     break
@@ -281,7 +287,7 @@ def _tbp_only_design(angles, tbp_threshold, p_max, n_antennas):
     measured, report = _measure_design(zero, r, SdrProblem(
         h_eff=zero, noise_uav=0.0, gamma_th=0.0, tbp_threshold=tbp_threshold,
         angles=angles, p_max=p_max))
-    return r, margin, bound, measured >= -FEAS_TOL and report.passed
+    return r, margin, bound, bool(measured >= -FEAS_TOL and report.passed)
 
 
 @lru_cache(maxsize=256)
@@ -292,9 +298,10 @@ def _steering(phi: float, n_antennas: int) -> np.ndarray:
     return a
 
 
-def tbp_quadratic(r, phi) -> float:
-    a = _steering(float(phi), r.shape[0])
-    return float(np.real(a.conj() @ (r @ a)))
+def tbp_quadratic(r, phi):
+    """a(phi)^H R a(phi) of each covariance of r (..., L, L)."""
+    a = _steering(float(phi), r.shape[-1])
+    return np.real(a.conj() @ (r @ a)[..., None])[..., 0]
 
 
 def _sinr_cap(lead, noise_uav, gamma_th, p_max):
@@ -357,7 +364,7 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
     angles = tuple(float(a) for a in angles)
     if len(angles) == 0:
         raise ValueError("at least one sensing angle is required")
-    problem = SdrProblem(h_eff=h_eff, noise_uav=float(noise_uav),
+    problem = SdrProblem(h_eff=h_eff[None], noise_uav=float(noise_uav),
                          gamma_th=float(gamma_th),
                          tbp_threshold=float(tbp_threshold),
                          angles=angles, p_max=float(p_max))
@@ -368,37 +375,57 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
 
     if p_max <= 0.0:
         # zero power forces R = 0, so the margin of the zero design is exact
-        zero = np.zeros_like(h_eff)
-        return _finish_design(zero, g, problem, 0,
-                              _measure_design(zero, zero, problem)[0])
-
+        zero = np.zeros_like(problem.h_eff)
+        return _finish_designs(zero, g[None], problem, [0],
+                               _measure_design(zero, zero, problem)[0])[0]
     case, bound, tbp = _link_ladder(g[None], np.array([lead]), noise_uav,
                                     gamma_th, tbp_threshold, angles, p_max, opts)
-    return _case_design(case[0], bound[0], tbp[0], g, lead, problem, opts)
+    return _build_designs(case, bound, tbp[0], g[None], np.array([lead]),
+                          problem, opts)[0]
 
 
-def _case_design(case, bound, r_tbp, g, lead, problem: SdrProblem, opts):
-    """The design of one link from its _link_ladder case: all power on g for
-    DEEP, the Newton margin solve for SOLVE and the cached beampattern
-    covariance r_tbp otherwise, split and re-verified by _finish_design."""
-    iterations = 0
-    if case == DEEP:
-        r_total = problem.p_max * np.outer(g, g.conj()) / lead
-    elif case == SOLVE:
-        r_total, _, bound, iterations = _solve_margin(
-            problem.angles, problem.tbp_threshold, problem.p_max, len(g),
-            (g, problem.gamma_th * problem.noise_uav), opts)
+def _build_designs(case, bound, r_tbp, g, lead, problem: SdrProblem, opts):
+    """The designs of links g (N, L), ||g||^2 ``lead`` (N,), from their
+    _link_ladder cases, in array form: all power on g for DEEP, the Newton
+    margin solve for SOLVE and the cached beampattern covariance r_tbp
+    otherwise, finished by _finish_designs. ``problem.h_eff`` is (N, L, L)."""
+    r_total = np.repeat(r_tbp[None], len(g), axis=0)
+    deep = case == DEEP
+    r_total[deep] = problem.p_max * _outer(g[deep]) / lead[deep, None, None]
+    bound = np.array(bound, dtype=float)
+    iterations = np.zeros(len(g), dtype=int)
+    for k in np.flatnonzero(case == SOLVE):
+        r_total[k], _, bound[k], iterations[k] = _solve_margin(
+            problem.angles, problem.tbp_threshold, problem.p_max, g.shape[-1],
+            (g[k], problem.gamma_th * problem.noise_uav), opts)
+    return _finish_designs(r_total, g, problem, iterations, bound)
+
+
+def _finish_designs(r_total, g, problem: SdrProblem, iterations, bound):
+    """Split each total covariance (N, L, L), measure the returned matrices in
+    one stacked pass and classify them: "feasible" needs the matrices to
+    re-verify, "infeasible" needs the dual bound."""
+    if problem.gamma_th > 0.0:
+        w_c, r_comm, r_sens = extract_rank_one(r_total, g)
     else:
-        r_total = r_tbp
-    return _finish_design(r_total, g, problem, iterations, bound)
+        w_c, r_comm, r_sens = np.zeros_like(g), np.zeros_like(r_total), r_total
+    margin, report = _measure_design(r_comm, r_sens, problem)
+    verified = (margin >= -FEAS_TOL) & report.passed
+    # numerical_failure: neither certificate holds, however small the gap
+    return [TransmitDesign(
+        r_comm=r_comm[k], r_sens=r_sens[k], w_c=w_c[k], margin=float(margin[k]),
+        solver_status="feasible" if verified[k] else (
+            "infeasible" if bound[k] < -FEAS_TOL else "numerical_failure"),
+        iterations=int(iterations[k]), dual_bound=float(bound[k]),
+        problem=replace(problem, h_eff=problem.h_eff[k]))
+        for k in range(len(g))]
 
 
 def _psd_clip(r: np.ndarray) -> np.ndarray:
     r = _herm(r)
     w, v = np.linalg.eigh(r)
-    if w[0] >= 0.0:
-        return r
-    return _herm((v * np.maximum(w, 0.0)) @ v.conj().T)
+    return np.where((w[..., :1] >= 0.0)[..., None], r, _herm(
+        (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)))
 
 
 def extract_rank_one(r_total, g):
@@ -407,71 +434,50 @@ def extract_rank_one(r_total, g):
 
     Returns (w, w w^H, R - w w^H); the residual is PSD and g^H (R - w w^H) g
     = 0, so the split keeps every beampattern value and the SINR numerator.
+    A stack r_total (..., L, L), g (..., L) is split link by link.
     """
-    gain = float(np.real(g.conj() @ (r_total @ g)))
-    if gain <= 0.0:
-        return np.zeros(len(g), dtype=complex), np.zeros_like(r_total), r_total
-    w_c = (r_total @ g) / np.sqrt(gain)
-    r_comm = np.outer(w_c, w_c.conj())
-    return w_c, r_comm, _psd_clip(r_total - r_comm)
-
-
-def _finish_design(r_total, g, problem: SdrProblem, iterations, bound):
-    """Split the total covariance, measure the returned matrices once and
-    classify them: "feasible" needs the matrices to re-verify, "infeasible"
-    needs the dual bound."""
-    if problem.gamma_th > 0.0:
-        w_c, r_comm, r_sens = extract_rank_one(r_total, g)
-    else:
-        w_c = np.zeros(len(g), dtype=complex)
-        r_comm, r_sens = np.zeros_like(r_total), r_total
-    margin, report = _measure_design(r_comm, r_sens, problem)
-    design = TransmitDesign(
-        r_comm=r_comm, r_sens=r_sens, w_c=w_c, margin=margin,
-        solver_status="pending", iterations=iterations,
-        dual_bound=float(bound), problem=problem)
-    if design.margin >= -FEAS_TOL and report.passed:
-        design.solver_status = "feasible"
-    elif design.dual_bound < -FEAS_TOL:
-        # dual certificate: no covariance pair can clear the slack threshold
-        design.solver_status = "infeasible"
-    else:
-        # neither certificate holds, however small the gap
-        design.solver_status = "numerical_failure"
-    return design
+    rg = (r_total @ g[..., None])[..., 0]
+    gain = np.real(g.conj()[..., None, :] @ rg[..., None])[..., 0, 0]
+    seen = gain > 0.0
+    w_c = np.where(seen[..., None],
+                   rg / np.sqrt(np.where(seen, gain, 1.0))[..., None], 0.0)
+    r_comm = _outer(w_c)
+    return w_c, r_comm, np.where(seen[..., None, None],
+                                 _psd_clip(r_total - r_comm), r_total)
 
 
 def _measure_design(r_comm, r_sens, problem: SdrProblem):
-    """One pass over a design's matrices: the beampattern gains, the SINR
-    traces and the power, read once and turned into both the worst slack in
-    the margin program's own units and the signed relative residuals of
-    verify_design. Returns (margin, DesignReport)."""
+    """One pass over designs' matrices (..., L, L): the beampattern gains, the
+    SINR traces and the power, read once and turned into both the worst slack
+    in the margin program's own units and the signed relative residuals of
+    verify_design. Returns (margin, DesignReport) over the leading axes."""
     total = r_comm + r_sens
-    slacks = [tbp_quadratic(total, phi) - problem.tbp_threshold
-              for phi in problem.angles]
-    tbp_scale = max(abs(problem.tbp_threshold), 1e-300)
-    tbp_res = np.array([slack / tbp_scale for slack in slacks])
+    slacks = np.stack([tbp_quadratic(total, phi) - problem.tbp_threshold
+                       for phi in problem.angles], axis=-1)
+    tbp_res = slacks / max(abs(problem.tbp_threshold), 1e-300)
 
     gamma_th = problem.gamma_th
     if gamma_th > 0:
-        num = float(np.real(np.trace(r_comm @ problem.h_eff)))
-        den = float(np.real(np.trace(r_sens @ problem.h_eff))) + problem.noise_uav
-        slacks.append((num - gamma_th * den) / (gamma_th * problem.noise_uav))
+        num = np.real(np.trace(r_comm @ problem.h_eff, axis1=-2, axis2=-1))
+        den = (np.real(np.trace(r_sens @ problem.h_eff, axis1=-2, axis2=-1))
+               + problem.noise_uav)
+        slacks = np.concatenate((slacks, ((num - gamma_th * den) / (
+            gamma_th * problem.noise_uav))[..., None]), axis=-1)
         sinr_res = (num / den - gamma_th) / gamma_th
     else:
-        sinr_res = 0.0
+        sinr_res = np.zeros(total.shape[:-2])
 
-    power = float(np.real(np.trace(total)))
+    power = np.real(np.trace(total, axis1=-2, axis2=-1))
     power_res = (problem.p_max - power) / max(problem.p_max, 1e-300)
 
-    psd_res = float(min(np.linalg.eigvalsh(_herm(r_comm))[0],
-                        np.linalg.eigvalsh(_herm(r_sens))[0]) / max(power, 1.0e-30))
+    lowest = np.linalg.eigvalsh(_herm(np.stack((r_comm, r_sens))))[..., 0]
+    psd_res = np.minimum(lowest[0], lowest[1]) / np.maximum(power, 1.0e-30)
 
-    passed = bool(tbp_res.min() >= -VERIFY_TOL and sinr_res >= -VERIFY_TOL
-                  and power_res >= -VERIFY_TOL and psd_res >= -PSD_TOL)
-    return float(min(slacks)), DesignReport(
-        tbp_residuals=tbp_res, sinr_residual=float(sinr_res),
-        power_residual=float(power_res), psd_residual=psd_res, passed=passed)
+    passed = ((tbp_res.min(axis=-1) >= -VERIFY_TOL) & (sinr_res >= -VERIFY_TOL)
+              & (power_res >= -VERIFY_TOL) & (psd_res >= -PSD_TOL))
+    return slacks.min(axis=-1), DesignReport(
+        tbp_residuals=tbp_res, sinr_residual=sinr_res,
+        power_residual=power_res, psd_residual=psd_res, passed=passed)
 
 
 def verify_design(design: TransmitDesign, h_eff, noise_uav, gamma_th,
@@ -489,16 +495,17 @@ def verify_design(design: TransmitDesign, h_eff, noise_uav, gamma_th,
 
 
 def _chain_gains(uav_positions, scenario, rng):
-    """g = h^H f (E, L) and ||g||^2 (E,) of each chain link, UAV m to UAV
-    m + 1 in chain order: one Rician draw per link from one rng call, none
-    for a single UAV; co-located transceivers are clamped to the 1 m
-    reference distance."""
+    """g = h^H f (..., E, L) and ||g||^2 (..., E) of each chain link, UAV m
+    to UAV m + 1 in chain order, for positions (..., M, 3): one Rician draw
+    per link from one rng call, in the order of the leading axes, none for a
+    single UAV; co-located transceivers are clamped to the 1 m reference
+    distance."""
     cfg = scenario.config
     positions = np.asarray(uav_positions, dtype=float)
-    tx, rx = positions[:-1], positions[1:]
+    tx, rx = positions[..., :-1, :], positions[..., 1:, :]
     diff = tx - rx
     close = np.sqrt(np.vecdot(diff, diff)) < 1.0
-    ref = np.where(close[:, None], tx + np.array([1.0, 0.0, 0.0]), rx)
+    ref = np.where(close[..., None], tx + np.array([1.0, 0.0, 0.0]), rx)
     h = sample_rician_channel(tx, ref, cfg.rician_k, cfg.beta_ref,
                               cfg.n_antennas, rng)
     g = h.conj().swapaxes(-1, -2) @ scenario.rx_combiner
@@ -512,26 +519,27 @@ def link_reward(feasible, r_link_pass: float, r_link_fail: float) -> float:
 
 
 def _isac_links(g, lead, scenario, opts: SdrOptions, build: bool):
-    """One _link_ladder pass over chain links g (E, L), ||g||^2 ``lead`` (E,).
-    Returns (feasible (E,) bool, designs): every link's design in chain order
-    when ``build``, else only the SOLVE links'. A case that keeps r_tbp is
-    feasible iff r_tbp re-verified when cached: its split w = R g /
-    sqrt(g^H R g) leaves a PSD residual (a Schur complement) that the
-    receiver cannot see."""
+    """One _link_ladder pass over chain links g (N, L), ||g||^2 ``lead`` (N,).
+    Returns (feasible (N,) bool, designs): every link's design in chain order
+    when ``build``, else only the SOLVE links', built by _build_designs. A
+    case that keeps r_tbp is feasible iff r_tbp re-verified when cached: its
+    split w = R g / sqrt(g^H R g) leaves a PSD residual (a Schur complement)
+    that the receiver cannot see."""
     cfg = scenario.config
     case, bound, (r_tbp, _, _, tbp_ok) = _link_ladder(
         g, lead, cfg.noise_uav, cfg.gamma_th_uav, cfg.tbp_threshold,
         cfg.sensing_angles, cfg.p_max, opts)
     feasible = tbp_ok & ((case == NO_FLOOR) | (case == BEAM))
-    designs = []
-    for k in range(len(g)) if build else np.flatnonzero(case == SOLVE):
-        problem = SdrProblem(
-            h_eff=_herm(np.outer(g[k], g[k].conj())), noise_uav=cfg.noise_uav,
-            gamma_th=cfg.gamma_th_uav, tbp_threshold=cfg.tbp_threshold,
-            angles=cfg.sensing_angles, p_max=cfg.p_max)
-        designs.append(_case_design(case[k], bound[k], r_tbp, g[k], lead[k],
-                                    problem, opts))
-        feasible[k] = designs[-1].feasible
+    links = np.arange(len(g)) if build else np.flatnonzero(case == SOLVE)
+    if not len(links):
+        return feasible, []
+    problem = SdrProblem(
+        h_eff=_herm(_outer(g[links])), noise_uav=cfg.noise_uav,
+        gamma_th=cfg.gamma_th_uav, tbp_threshold=cfg.tbp_threshold,
+        angles=cfg.sensing_angles, p_max=cfg.p_max)
+    designs = _build_designs(case[links], bound[links], r_tbp, g[links],
+                             lead[links], problem, opts)
+    feasible[links] = [d.feasible for d in designs]
     return feasible, designs
 
 
@@ -547,30 +555,33 @@ def _separated_links(g, lead, scenario, build: bool):
     if not build:
         return feasible, []
     w = np.sqrt(cfg.p_max) * g / np.sqrt(np.where(lead > 0, lead, np.inf))[:, None]
+    r_comm = _outer(w)
+    problem = SdrProblem(h_eff=_outer(g), noise_uav=cfg.noise_uav,
+                         gamma_th=cfg.gamma_th_uav, tbp_threshold=0.0,
+                         angles=cfg.sensing_angles, p_max=cfg.p_max)
     return feasible, [TransmitDesign(
-        r_comm=np.outer(w[k], w[k].conj()),
-        r_sens=np.zeros((cfg.n_antennas, cfg.n_antennas), dtype=complex),
-        w_c=w[k], margin=float(margin[k]),
+        r_comm=r_comm[k], r_sens=np.zeros_like(r_comm[k]), w_c=w[k],
+        margin=float(margin[k]),
         solver_status="feasible" if feasible[k] else "infeasible",
-        dual_bound=float(margin[k]), problem=SdrProblem(
-            h_eff=np.outer(g[k], g[k].conj()), noise_uav=cfg.noise_uav,
-            gamma_th=cfg.gamma_th_uav, tbp_threshold=0.0,
-            angles=cfg.sensing_angles, p_max=cfg.p_max))
+        dual_bound=float(margin[k]), problem=replace(problem, h_eff=problem.h_eff[k]))
         for k in range(len(g))]
 
 
 def link_feasibility_sweep(uav_positions, scenario, rng,
                            opts: SdrOptions = SdrOptions(),
                            separated: bool = False, build: bool = True):
-    """Decide every chain link of one slot, UAV m to UAV m + 1, on fresh
-    fading draws from ``rng``: by the shared-array design, or by the
-    split-array one when ``separated``. Returns (feasible (E,) bool, designs):
-    every link's design in chain order when ``build``, else only those that a
-    Newton solve built. Verdicts and rng use do not depend on ``build``."""
+    """Decide every chain link, UAV m to UAV m + 1, of one slot's formation
+    (M, 3) or a block of slots' (S, M, 3), on fresh fading draws from
+    ``rng``: by the shared-array design, or by the split-array one when
+    ``separated``. Returns (feasible (..., E) bool, designs): every link's
+    design, slot by slot in chain order, when ``build``, else only those that
+    a Newton solve built. Verdicts and rng use depend on neither ``build``
+    nor the blocking."""
     g, lead = _chain_gains(uav_positions, scenario, rng)
-    if separated:
-        return _separated_links(g, lead, scenario, build)
-    return _isac_links(g, lead, scenario, opts, build)
+    shape, g, lead = lead.shape, g.reshape(-1, g.shape[-1]), lead.ravel()
+    feasible, designs = (_separated_links(g, lead, scenario, build) if separated
+                         else _isac_links(g, lead, scenario, opts, build))
+    return feasible.reshape(shape), designs
 
 
 def separated_link_sweep(uav_positions, scenario, rng):

@@ -13,15 +13,16 @@ station are exempt, since the shared launch/landing pads make co-location
 unavoidable there.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
 from .channel import md_gain_matrix, uplink_sinr
 from .energy import PropulsionParams, REFERENCE_PROPULSION, slot_energy
-from .isac_sdr import (SdrOptions, link_feasibility_sweep, link_reward,
-                       verify_design)
+from .isac_sdr import (SdrOptions, _measure_design, link_feasibility_sweep,
+                       link_reward)
 from .scenario import Scenario, rng_stream
 
 
@@ -94,7 +95,7 @@ class SlotRecord:
     served: np.ndarray
     served_sinr: np.ndarray
     reward: RewardBreakdown
-    link_designs: list
+    link_designs: list = field(default_factory=list)
 
 
 # -- mission rules ---------------------------------------------------------------
@@ -274,7 +275,8 @@ class CorridorEnv:
 
     ``link_mode`` scores the chain links each slot with the shared-array
     transmit design ("isac"), the split-array variant ("separated"), or not
-    at all ("none")."""
+    at all ("none"), for the reward only: ``record`` records the kinematics,
+    and score_links builds the designs of a recorded episode."""
 
     def __init__(self, scenario: Scenario, reward: RewardConfig = RewardConfig(),
                  propulsion: PropulsionParams = REFERENCE_PROPULSION,
@@ -471,13 +473,11 @@ class CorridorEnv:
         s.slot += 1
         reward.shaping = self._potential(final, s.collected) - potential_before
 
-        # per-link ISAC feasibility at the slot's resulting formation: every
-        # link's design is built only for the trace, which the audit re-verifies
-        designs = []
+        # per-link ISAC feasibility at the slot's resulting formation
         if self.n_agents >= 2 and self.link_mode != "none":
-            feasible, designs = link_feasibility_sweep(
+            feasible, _ = link_feasibility_sweep(
                 s.positions, self.scenario, self._rng, self.sdr_opts,
-                separated=self.link_mode == "separated", build=self.record)
+                separated=self.link_mode == "separated", build=False)
             reward.qos = link_reward(feasible, self.reward_cfg.link_pass,
                                      self.reward_cfg.link_fail)
 
@@ -491,8 +491,7 @@ class CorridorEnv:
             self.trace.append(SlotRecord(
                 slot=s.slot, positions=final.copy(), headings=s.headings.copy(),
                 speeds=moved.copy(), served=md_choice.copy(),
-                served_sinr=out.served_sinr[0], reward=reward,
-                link_designs=designs))
+                served_sinr=out.served_sinr[0], reward=reward))
 
         return reward, done, success
 
@@ -534,7 +533,25 @@ def run_episode(env: CorridorEnv, seed: int, act):
     return env.state, success, rewards
 
 
-# -- offline constraint audit ------------------------------------------------
+# -- offline link scoring and constraint audit --------------------------------
+
+_BLOCK = 16  # slots per link sweep or audit pass; whole missions raise peak RSS
+
+
+def score_links(trace, scenario: Scenario, rng, opts: SdrOptions,
+                separated: bool):
+    """Build the chain-link designs of each recorded slot into its
+    ``link_designs``, after the episode: one link_feasibility_sweep per block
+    of slots, in slot order from ``rng``, so the draws, verdicts and designs
+    are those of sweeping each slot as it was flown."""
+    n_links = scenario.config.num_uavs - 1
+    for start in range(0, len(trace), _BLOCK):
+        block = trace[start:start + _BLOCK]
+        positions = np.stack([rec.positions for rec in block])
+        _, designs = link_feasibility_sweep(positions, scenario, rng, opts, separated)
+        for k, rec in enumerate(block):
+            rec.link_designs = designs[k * n_links:(k + 1) * n_links]
+
 
 @dataclass
 class ConstraintReport:
@@ -564,32 +581,32 @@ def check_constraints(trace, scenario: Scenario,
         close = pairs_above(cfg.num_uavs) & too_close(positions, cfg)
         close &= ~station_exempt(positions, cfg)
         rep.min_distance = int(close.sum())
-    for rec in trace:
-        active = rec.served[rec.served >= 0]
-        rep.md_exclusivity += len(active) - len(np.unique(active))
-        for m, i in enumerate(rec.served):
-            if i >= 0:
-                collected[i] = True
-                if rec.served_sinr[m] < cfg.gamma_th_md:
-                    rep.uplink_gating += 1
-        for design in rec.link_designs:
-            report = verify_design(design, design.problem.h_eff,
-                                   design.problem.noise_uav,
-                                   design.problem.gamma_th,
-                                   design.problem.tbp_threshold,
-                                   design.problem.angles,
-                                   design.problem.p_max)
-            if report.power_residual < -1e-6:
-                rep.power_budget += 1
-            if report.psd_residual < -1e-8:
-                rep.psd += 1
-            if design.feasible:
-                if report.tbp_residuals.min() < -1e-6:
-                    rep.tbp += 1
-                if connected and report.sinr_residual < -1e-6:
-                    rep.inter_uav_sinr += 1
-            elif connected:
-                rep.inter_uav_sinr += 1
+        served = np.stack([rec.served for rec in trace])
+        sinr = np.stack([rec.served_sinr for rec in trace])
+        ordered = np.sort(served, axis=1)
+        rep.md_exclusivity = int(((ordered[:, 1:] == ordered[:, :-1])
+                                  & (ordered[:, 1:] >= 0)).sum())
+        rep.uplink_gating = int(((served >= 0) & (sinr < cfg.gamma_th_md)).sum())
+        # an MD is covered only by an uplink that cleared the gate
+        collected[served[(served >= 0) & (sinr >= cfg.gamma_th_md)]] = True
+    # each design re-measured from its matrices: per block of slots, the
+    # designs that share their problem's scalars at a time
+    for start in range(0, len(trace), _BLOCK):
+        designs = [d for rec in trace[start:start + _BLOCK] for d in rec.link_designs]
+        for _, block in groupby(designs, lambda d: replace(d.problem, h_eff=None)):
+            block = list(block)
+            r_comm, r_sens, h_eff = (np.stack(m) for m in zip(
+                *((d.r_comm, d.r_sens, d.problem.h_eff) for d in block)))
+            _, report = _measure_design(r_comm, r_sens,
+                                        replace(block[0].problem, h_eff=h_eff))
+            feasible = np.array([d.feasible for d in block])
+            tbp_short = report.tbp_residuals.min(axis=-1) < -1e-6
+            rep.power_budget += int((report.power_residual < -1e-6).sum())
+            rep.psd += int((report.psd_residual < -1e-8).sum())
+            rep.tbp += int((feasible & tbp_short).sum())
+            if connected:
+                rep.inter_uav_sinr += int(
+                    (~feasible | (report.sinr_residual < -1e-6)).sum())
     rep.coverage_missing = int((~collected).sum())
     return rep
 

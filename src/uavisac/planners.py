@@ -19,8 +19,8 @@ from .channel import uplink_sinr
 from .energy import PropulsionParams, REFERENCE_PROPULSION
 from .mdp_env import (CorridorEnv, ConstraintReport, JointAction, RewardConfig,
                       check_constraints, claim_targets, fleet_transition,
-                      mission_status, run_episode, schedulable, slot_costs,
-                      uplink_gain2)
+                      mission_status, run_episode, schedulable, score_links,
+                      slot_costs, uplink_gain2)
 from .scenario import Scenario, rng_stream
 
 
@@ -266,11 +266,15 @@ def _controller_step(env: CorridorEnv, targets, aim_points):
 
 def fly_mission(scenario: Scenario, act, seed: int, method: str, link_mode: str,
                 propulsion: PropulsionParams, reward: RewardConfig) -> MissionResult:
-    """One recorded env episode of ``act(env)`` in ``link_mode``,
-    audited and reported; every method's mission is flown here."""
+    """One recorded env episode of ``act(env)``, audited and reported; every
+    method's mission is flown here. No controller reads a link verdict, so
+    the chain links are scored in ``link_mode`` after the mission lands."""
     env = CorridorEnv(scenario, reward=reward, propulsion=propulsion,
-                      record=True, link_mode=link_mode)
+                      record=True, link_mode="none")
     state, success, _ = run_episode(env, seed, act)
+    if link_mode != "none":
+        score_links(env.trace, scenario, rng_stream(seed, "env-channel"),
+                    env.sdr_opts, separated=link_mode == "separated")
     return MissionResult(
         method=method, energy_j=state.cumulative_energy,
         time_s=state.slot * scenario.config.slot_seconds,

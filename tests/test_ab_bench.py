@@ -1,6 +1,8 @@
-"""tools/ab_bench.py's summaries, fed synthetic run pairs."""
+"""tools/ab_bench.py's summaries, fed synthetic run pairs, and its copy of
+the working tree."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,22 @@ def test_zero_parent_values_give_no_ratio():
     summary = load_ab_bench().summarize(pairs([0.0, 0.0], [1.0, 1.0]), SPECS)
     assert summary["ops_per_s"]["ratio_parent_first"] is None
     assert summary["ops_per_s"]["ratio_change_first"] is None
+
+
+def test_copy_worktree_takes_the_tree_as_it_stands(tmp_path):
+    repo, into = tmp_path / "repo", tmp_path / "copy"
+    (repo / "pkg").mkdir(parents=True)
+    files = {".gitignore": "*.log\n", "edited.py": "old\n", "deleted.py": "x\n",
+             "pkg/kept.py": "kept\n"}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", *files], cwd=repo, check=True)
+    (repo / "edited.py").write_text("new\n")
+    (repo / "deleted.py").unlink()
+    (repo / "pkg" / "untracked.py").write_text("fresh\n")
+    (repo / "run.log").write_text("ignored\n")
+    load_ab_bench().copy_worktree(repo, into)
+    copied = sorted(str(p.relative_to(into)) for p in into.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "edited.py", "pkg/kept.py", "pkg/untracked.py"]
+    assert (into / "edited.py").read_text() == "new\n"

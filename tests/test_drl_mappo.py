@@ -15,7 +15,7 @@ from uavisac.drl_mappo import (ActorNet, Adam, CriticNet, MappoConfig,
                                critic_update, gae, ppo_actor_update,
                                run_policy_episode, sample_actions, train)
 from uavisac.energy import REFERENCE_PROPULSION
-from uavisac.mdp_env import CorridorEnv, slot_costs
+from uavisac.mdp_env import CorridorEnv, score_links, slot_costs
 from uavisac.scenario import (ScenarioConfig, build_scenario, db_to_linear,
                               rng_stream)
 
@@ -521,8 +521,9 @@ class TestTrainLoop:
                                                     REFERENCE_PROPULSION))
 
     def test_link_failing_world_records_every_link_margin(self, monkeypatch):
-        # every slot draws and solves its own links, so no recorded link
-        # margin is missing, also where episodes revisit a slot's formation
+        # every slot draws and solves its own links, so no link margin of a
+        # scored trace is missing, also where episodes revisit a slot's
+        # formation
         traces = []
 
         class Recorded(CorridorEnv):
@@ -531,7 +532,7 @@ class TestTrainLoop:
 
             def reset(self, seed):
                 out = super().reset(seed)
-                traces.append(self.trace)
+                traces.append((self, seed, self.trace))
                 return out
 
         monkeypatch.setattr(drl_mappo, "CorridorEnv", Recorded)
@@ -541,6 +542,10 @@ class TestTrainLoop:
                           minibatch=32, epochs=1, seed=4)
         train(sc, cfg)
         assert len(traces) == 3
+        for env, seed, trace in traces:
+            score_links(trace, sc, rng_stream(seed, "env-channel"),
+                        env.sdr_opts, separated=False)
+        traces = [trace for _, _, trace in traces]
         margins = np.array([d.margin for trace in traces for rec in trace
                             for d in rec.link_designs])
         assert len(margins) == sum(len(trace) for trace in traces)

@@ -353,6 +353,25 @@ horizon_slots = 120
         assert main(["table", "--out", str(out)]) == 0
         assert (out / "comparison_table.csv").exists()
 
+    @pytest.mark.parametrize("args, named", [
+        (["run", "--axis", "num_mds"], "invalid choice"),
+        (["run", "--episodes", "x"], "invalid int value"),
+        (["validate", "--nope"], "unrecognized arguments"),
+        ([], "required")])
+    def test_usage_error_exits_1(self, tmp_path, capsys, args, named):
+        with pytest.raises(SystemExit) as exc:
+            main(args + (["--out", str(tmp_path / "out")] if args else []))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uavisac") and named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--axis" in capsys.readouterr().out
+
     def test_run_unknown_method_exits_1(self, tmp_path):
         assert main(["run", "--methods", "nope", "--out",
                      str(tmp_path)]) == 1

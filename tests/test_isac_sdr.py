@@ -8,7 +8,7 @@ from uavisac import isac_sdr
 from uavisac.channel import (effective_channel, sample_rician_channel,
                              steering_vector, tbp_gain)
 from uavisac.isac_sdr import (FEAS_TOL, PSD_TOL, VERIFY_TOL, SdrOptions,
-                              SdrProblem, TransmitDesign, _finish_design,
+                              SdrProblem, TransmitDesign, _finish_designs,
                               _herm, _measure_design, _newton_margin,
                               _tbp_only_design, extract_rank_one,
                               link_feasibility_sweep, link_reward,
@@ -222,7 +222,8 @@ def full_space_design(h_eff, gam, opts):
     r, _, bound, iters = _newton_margin(*full_space_rows(h, gam), P_MAX, opts)
     problem = SdrProblem(h_eff=h, noise_uav=NOISE_U, gamma_th=gam,
                          tbp_threshold=GAMMA_LIN, angles=ANGLES, p_max=P_MAX)
-    return _finish_design(_herm(r), g, problem, iters, bound), g
+    return _finish_designs(_herm(r)[None], g[None],
+                           replace(problem, h_eff=h[None]), [iters], [bound])[0], g
 
 
 class TestSubspaceSolve:
@@ -373,11 +374,15 @@ class TestNewtonSolve:
                              gamma_th=0.0, tbp_threshold=P_MAX + 2e-7,
                              angles=ANGLES, p_max=P_MAX)
         g = np.zeros(L, dtype=complex)
-        near = _finish_design(r, g, problem, 0, -0.5 * FEAS_TOL)
+
+        def finish(bound):
+            return _finish_designs(r[None], g[None], replace(
+                problem, h_eff=problem.h_eff[None]), [0], [bound])[0]
+
+        near = finish(-0.5 * FEAS_TOL)
         assert near.margin == pytest.approx(-2e-7, rel=1e-6)
         assert near.solver_status == "numerical_failure"
-        assert _finish_design(r, g, problem, 0, -1.5 * FEAS_TOL).solver_status \
-            == "infeasible"
+        assert finish(-1.5 * FEAS_TOL).solver_status == "infeasible"
 
     def test_beampattern_design_ignores_caller_options(self):
         # the link-independent design is cached for the whole process, so

@@ -6,7 +6,7 @@ import pytest
 from uavisac import mdp_env
 from uavisac.energy import flight_power, hover_power
 from uavisac.mdp_env import (CorridorEnv, JointAction, check_constraints,
-                             uplink_gain2, write_trace_csv)
+                             score_links, uplink_gain2, write_trace_csv)
 from uavisac.scenario import (Scenario, ScenarioConfig, build_scenario,
                               db_to_linear, rng_stream)
 
@@ -19,6 +19,13 @@ def make_scenario(md_xyz, num_uavs=1, **overrides) -> Scenario:
     return Scenario(config=cfg, md_positions=md,
                     tower_positions=base.tower_positions,
                     rx_combiner=base.rx_combiner)
+
+
+def score_trace(env, seed):
+    """Build the designs of ``env``'s recorded episode, reset with ``seed``,
+    in its own link mode, as a mission's post-flight scoring does."""
+    score_links(env.trace, env.scenario, rng_stream(seed, "env-channel"),
+                env.sdr_opts, separated=env.link_mode == "separated")
 
 
 def observations_oracle(env) -> np.ndarray:
@@ -516,6 +523,22 @@ class TestConstraintAudit:
         rep = check_constraints(env.trace, sc)
         assert rep.coverage_missing == 12
 
+    def test_failed_uplink_leaves_its_md_uncovered(self):
+        # both UAVs serve an MD from the start pad; under each other's
+        # interference neither uplink clears the gate, so nothing is collected
+        sc = build_scenario(ScenarioConfig(
+            num_uavs=2, num_mds=6, seed=1, horizon_slots=1, area_width=300,
+            area_height=300, start=(0, 300), end=(300, 0)))
+        env = CorridorEnv(sc, record=True, link_mode="none")
+        env.reset(0)
+        _, done, _ = env.step(hover_action(env, md=[1, 3]))
+        assert done and env.state.collected.sum() == 0
+        sinr = env.trace[0].served_sinr
+        assert (sinr < sc.config.gamma_th_md).all()
+        assert sinr == pytest.approx([1.86, 0.34], abs=0.005)
+        rep = check_constraints(env.trace, sc, connected=False)
+        assert (rep.coverage_missing, rep.uplink_gating) == (6, 2)
+
     def test_single_uav_has_no_distance_violations(self):
         sc = build_scenario(ScenarioConfig(num_uavs=1, num_mds=3, seed=0,
                                            horizon_slots=20))
@@ -543,6 +566,7 @@ class TestConstraintAudit:
                               heading=rng.uniform(-np.pi, np.pi, 3),
                               speed=np.ones(3, dtype=np.uint8))
             _, done, _ = env.step(act)
+        score_trace(env, 0)
         rep = check_constraints(env.trace, sc)
         assert rep.power_budget == 0 and rep.psd == 0 and rep.tbp == 0
         assert rep.md_exclusivity == 0
@@ -559,6 +583,7 @@ class TestConstraintAudit:
                               heading=rng.uniform(-np.pi, np.pi, 3),
                               speed=np.ones(3, dtype=np.uint8))
             _, done, _ = env.step(act)
+        score_trace(env, 0)
         rep = check_constraints(env.trace, sc)
         assert (rep.md_exclusivity, rep.power_budget, rep.psd, rep.tbp,
                 rep.min_distance) == (0, 0, 0, 0, 0)
@@ -612,8 +637,9 @@ class TestLinkMode:
 
 
 class TestLinkVerdicts:
-    """Unrecorded slots take the QoS reward from the array verdicts, recorded
-    slots from the per-link designs; both must agree slot by slot."""
+    """Every slot takes the QoS reward from the array verdicts; the designs
+    that score_links builds for a recorded episode afterwards must agree with
+    them slot by slot."""
 
     @pytest.mark.parametrize("link_mode", ["isac", "separated"])
     def test_recorded_and_unrecorded_rewards_agree(self, link_mode, monkeypatch):
@@ -624,9 +650,9 @@ class TestLinkVerdicts:
         verdicts = []
         original = mdp_env.link_feasibility_sweep
 
-        def keep(*args, **kwargs):
-            feasible, designs = original(*args, **kwargs)
-            if not kwargs["build"]:
+        def keep(positions, scenario, rng, *args, **kwargs):
+            feasible, designs = original(positions, scenario, rng, *args, **kwargs)
+            if rng is recorded._rng:
                 verdicts.append(feasible)
             return feasible, designs
 
@@ -647,6 +673,7 @@ class TestLinkVerdicts:
             assert asdict(rew_a) == asdict(rew_b)
             assert done == done_b
         assert len(verdicts) == len(recorded.trace) == 40
+        score_trace(recorded, 3)
         for rec, verdict in zip(recorded.trace, verdicts):
             assert [d.feasible for d in rec.link_designs] == list(verdict)
         assert unrecorded.trace == []
@@ -689,6 +716,7 @@ def test_trace_csv_round_trip(tmp_path):
     done = False
     while not done:
         _, done, _ = env.step(JointAction.hover(2))
+    score_trace(env, 0)
     out = tmp_path / "trace.csv"
     write_trace_csv(env.trace, sc, out)
     lines = out.read_text().strip().split("\n")
@@ -696,3 +724,4 @@ def test_trace_csv_round_trip(tmp_path):
     assert len(lines) == 9
     assert "x_0" in header and "served_md_1" in header and "r_total" in header
     assert all(len(line.split(",")) == len(header) for line in lines[1:])
+    assert all(line.split(",")[-1] != "nan" for line in lines[1:])

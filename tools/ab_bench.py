@@ -4,7 +4,9 @@
     python3 tools/ab_bench.py --parent HEAD~1 --workload mappo_train --pairs 10
 
 Run from the repository root. The parent revision is unpacked with
-``git archive`` into a temporary directory; each pair then runs
+``git archive`` into a temporary directory, and the working tree as it
+stands is copied next to it (``copy_worktree``), so both sides run from the
+same kind of fresh directory; each pair then runs
 ``perfbench/run.py --workload W --seed S --seconds T`` once on each side, in
 alternating order (the parent first in even pairs), with seed ``S`` =
 ``--seed`` + pair index on both sides. ``BENCH_<workload>.json`` gets every
@@ -20,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +47,19 @@ def unpack(rev: str, into: Path) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(into / "tree", filter="data")
     archive.unlink()
+
+
+def copy_worktree(root: Path, into: Path) -> None:
+    """Copy the checkout at ``root`` into ``into`` as it stands: tracked files
+    with their uncommitted edits and the untracked files that no ignore rule
+    excludes; tracked files deleted from the working tree stay out."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        if (root / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, into / name)
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -122,7 +138,8 @@ def main(argv=None) -> int:
     runs = []
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         unpack(parent_rev, Path(tmp))
-        sides = {"parent": Path(tmp) / "tree", "change": ROOT}
+        copy_worktree(ROOT, Path(tmp) / "change")
+        sides = {"parent": Path(tmp) / "tree", "change": Path(tmp) / "change"}
         for k in range(args.pairs):
             seed = args.seed + k
             order = ("parent", "change") if parent_first(k) else ("change", "parent")
