@@ -75,7 +75,8 @@ def _load_config(path):
 
 
 def _number(tok: str):
-    return float(tok) if "." in tok or "-" in tok else int(tok)
+    """An int, or a float when written with a point, minus or exponent."""
+    return float(tok) if any(c in tok for c in ".-eE") else int(tok)
 
 
 def _parse_list(raw: str, convert, flag: str) -> tuple:

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .energy import PropulsionParams, REFERENCE_PROPULSION
-from .mdp_env import CorridorEnv, JointAction, RewardConfig, run_episode
+from .mdp_env import (CorridorEnv, JointAction, RewardConfig, run_episode,
+                      score_links)
 from .nn import (Adam, Linear, Workspace, log_softmax_masked, matmul, pack,
                  softplus, tanh_backward, tanh_layer)
 from .scenario import Scenario, rng_stream
@@ -491,14 +492,14 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
           progress=None,
           propulsion: PropulsionParams = REFERENCE_PROPULSION
           ) -> tuple[MappoPolicy, LearningCurve]:
-    """Episodes through run_episode: sample, per-slot link feasibility, store,
-    PPO epochs.
+    """Episodes through run_episode: sample and store each slot, score the
+    landed episode's links (score_links), then PPO epochs on a full rollout.
 
     Single-worker, float32, and bit-deterministic for a fixed config (seed
     included) under any BLAS thread count. ``progress`` is an optional
     callback(episode, curve); ``propulsion`` sets the env's slot energy costs.
     """
-    env = CorridorEnv(scenario, reward=reward, propulsion=propulsion)
+    env = CorridorEnv(scenario, reward=reward, propulsion=propulsion, record=True)
     actor = ActorNet(rng_stream(config.seed, "init-actor"), env.obs_dim,
                      env.n_actions, config.hidden, np.float32)
     critic = CriticNet(rng_stream(config.seed, "init-critic"), env.state_dim,
@@ -519,13 +520,15 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
         return action
 
     for episode in range(config.max_episodes):
-        _, success, ep_rewards = run_episode(
-            env, config.seed * 1_000_003 + episode, act)
-        rewards += ep_rewards
-        dones += [False] * (len(ep_rewards) - 1) + [True]
+        seed = config.seed * 1_000_003 + episode
+        _, success = run_episode(env, seed, act)
+        score_links(env, seed, separated=False, build=False)
         ep_reward = 0.0
-        for r in ep_rewards:    # in slot order; sum() would round differently
-            ep_reward += r
+        for rec in env.trace:   # in slot order; sum() would round differently
+            rewards.append(rec.reward.total)
+            ep_reward += rewards[-1]
+        dones += [False] * (len(env.trace) - 1) + [True]
+        env.trace = []          # let the trace go before the PPO update
 
         curve.episode.append(episode)
         curve.reward.append(ep_reward)
@@ -549,7 +552,7 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
 def run_policy_episode(policy: MappoPolicy, env: CorridorEnv, seed: int):
     """Roll one greedy evaluation episode; returns (success, slots, energy,
     collected)."""
-    state, success, _ = run_episode(
+    state, success = run_episode(
         env, seed, lambda env: act_in_env(policy, env, None)[0])
     return (success, state.slot, state.cumulative_energy,
             int(state.collected.sum()))

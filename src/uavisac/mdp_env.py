@@ -3,8 +3,8 @@
 Per slot, each UAV picks a monitoring device (or none), a heading and a
 binary speed; collection succeeds when the scheduled uplink clears the SINR
 threshold under the slot's interference. The shared reward combines
-collection progress, the per-link ISAC feasibility outcome, an energy
-penalty and a safe-distance penalty.
+collection progress, an energy penalty, a safe-distance penalty and the
+per-link ISAC feasibility outcome, which score_links adds after landing.
 
 Safe-distance handling: intended moves that would end a non-exempt pair
 closer than d_min (or shrink an already-close pair) are replaced by hover,
@@ -43,7 +43,7 @@ class RewardConfig:
     shaping_end: float = 0.002    # reward per metre of closing landing distance
 
 
-@dataclass
+@dataclass(slots=True)
 class RewardBreakdown:
     collection: float = 0.0
     qos: float = 0.0
@@ -84,7 +84,9 @@ class JointAction:
                    speed=np.zeros(m, dtype=np.uint8))
 
 
-@dataclass
+# slotted, as is RewardBreakdown: training holds a record per slot of an
+# episode until score_links has scored it
+@dataclass(slots=True)
 class SlotRecord:
     """One slot of the episode trace, enough to re-audit every constraint."""
 
@@ -273,17 +275,14 @@ def mission_status(positions, collected, residual_energy, slot, cfg):
 class CorridorEnv:
     """Single-owner, sequentially stepped; spawn one instance per worker.
 
-    ``link_mode`` scores the chain links each slot with the shared-array
-    transmit design ("isac"), the split-array variant ("separated"), or not
-    at all ("none"), for the reward only: ``record`` records the kinematics,
-    and score_links builds the designs of a recorded episode."""
+    A step draws and scores no chain link; its reward leaves ``qos`` at 0.
+    ``record`` keeps the trace that score_links scores after the episode,
+    with ``sdr_opts``."""
 
     def __init__(self, scenario: Scenario, reward: RewardConfig = RewardConfig(),
                  propulsion: PropulsionParams = REFERENCE_PROPULSION,
                  sdr_opts: SdrOptions = SdrOptions(certify_only=True),
-                 record: bool = False, link_mode: str = "isac"):
-        if link_mode not in ("isac", "separated", "none"):
-            raise ValueError(f"unknown link mode {link_mode!r}")
+                 record: bool = False):
         self.scenario = scenario
         self.cfg = scenario.config
         self.reward_cfg = reward
@@ -291,7 +290,6 @@ class CorridorEnv:
         self._slot_costs = slot_costs(self.cfg, propulsion)
         self.sdr_opts = sdr_opts
         self.record = record
-        self.link_mode = link_mode
         self.n_agents = self.cfg.num_uavs
         self.n_mds = self.cfg.num_mds
         self.n_actions = self.n_mds + 1          # MD indices plus no-op
@@ -302,7 +300,6 @@ class CorridorEnv:
         self._end3 = np.array([*self.cfg.end, self.cfg.altitude])
         self.state: FleetState | None = None
         self.trace: list[SlotRecord] = []
-        self._rng = None
         self._scored = None     # (positions, collected, potential) last scored
         self._gains = None      # (positions, squared gains) last computed
 
@@ -319,7 +316,6 @@ class CorridorEnv:
             collected=np.zeros(self.n_mds, dtype=np.uint8),
             energy_per_uav=np.zeros(m),
         )
-        self._rng = rng_stream(seed, "env-channel")
         self.trace = []
 
     # -- observation/state construction -------------------------------------
@@ -473,14 +469,6 @@ class CorridorEnv:
         s.slot += 1
         reward.shaping = self._potential(final, s.collected) - potential_before
 
-        # per-link ISAC feasibility at the slot's resulting formation
-        if self.n_agents >= 2 and self.link_mode != "none":
-            feasible, _ = link_feasibility_sweep(
-                s.positions, self.scenario, self._rng, self.sdr_opts,
-                separated=self.link_mode == "separated", build=False)
-            reward.qos = link_reward(feasible, self.reward_cfg.link_pass,
-                                     self.reward_cfg.link_fail)
-
         success, done = mission_status(s.positions, s.collected,
                                        s.residual_energy, s.slot, cfg)
         success, done = bool(success), bool(done)
@@ -522,15 +510,13 @@ class CorridorEnv:
 
 def run_episode(env: CorridorEnv, seed: int, act):
     """Reset ``env`` with ``seed`` and step it with ``act(env)`` until the
-    episode ends; returns the final FleetState, the success flag and each
-    slot's total reward in order. The one loop that steps an env."""
+    episode ends; returns the final FleetState and the success flag. The one
+    loop that steps an env; it scores no chain link (score_links does)."""
     env.reset(seed)
-    rewards = []
     done = False
     while not done:
-        reward, done, success = env.step(act(env))
-        rewards.append(reward.total)
-    return env.state, success, rewards
+        _, done, success = env.step(act(env))
+    return env.state, success
 
 
 # -- offline link scoring and constraint audit --------------------------------
@@ -538,19 +524,24 @@ def run_episode(env: CorridorEnv, seed: int, act):
 _BLOCK = 16  # slots per link sweep or audit pass; whole missions raise peak RSS
 
 
-def score_links(trace, scenario: Scenario, rng, opts: SdrOptions,
-                separated: bool):
-    """Build the chain-link designs of each recorded slot into its
-    ``link_designs``, after the episode: one link_feasibility_sweep per block
-    of slots, in slot order from ``rng``, so the draws, verdicts and designs
-    are those of sweeping each slot as it was flown."""
+def score_links(env: CorridorEnv, seed: int, separated: bool, build: bool):
+    """Score the chain links of ``env``'s landed episode, reset with ``seed``:
+    one link_feasibility_sweep per block of slots from the episode's
+    "env-channel" stream sets each slot's ``reward.qos`` (link_reward) and,
+    when ``build``, its ``link_designs``, as sweeping each slot in flight
+    would have. No link verdict moves a UAV or enters an observation."""
+    scenario, r = env.scenario, env.reward_cfg
     n_links = scenario.config.num_uavs - 1
-    for start in range(0, len(trace), _BLOCK):
-        block = trace[start:start + _BLOCK]
-        positions = np.stack([rec.positions for rec in block])
-        _, designs = link_feasibility_sweep(positions, scenario, rng, opts, separated)
+    rng = rng_stream(seed, "env-channel")
+    for start in range(0, len(env.trace), _BLOCK):
+        block = env.trace[start:start + _BLOCK]
+        feasible, designs = link_feasibility_sweep(
+            np.stack([rec.positions for rec in block]), scenario, rng,
+            env.sdr_opts, separated, build)
         for k, rec in enumerate(block):
-            rec.link_designs = designs[k * n_links:(k + 1) * n_links]
+            rec.reward.qos = link_reward(feasible[k], r.link_pass, r.link_fail)
+            if build:
+                rec.link_designs = designs[k * n_links:(k + 1) * n_links]
 
 
 @dataclass

@@ -267,14 +267,12 @@ def _controller_step(env: CorridorEnv, targets, aim_points):
 def fly_mission(scenario: Scenario, act, seed: int, method: str, link_mode: str,
                 propulsion: PropulsionParams, reward: RewardConfig) -> MissionResult:
     """One recorded env episode of ``act(env)``, audited and reported; every
-    method's mission is flown here. No controller reads a link verdict, so
-    the chain links are scored in ``link_mode`` after the mission lands."""
-    env = CorridorEnv(scenario, reward=reward, propulsion=propulsion,
-                      record=True, link_mode="none")
-    state, success, _ = run_episode(env, seed, act)
+    method's mission is flown here. After landing, the chain links are scored
+    and designed in ``link_mode`` ("isac", "separated" or "none")."""
+    env = CorridorEnv(scenario, reward=reward, propulsion=propulsion, record=True)
+    state, success = run_episode(env, seed, act)
     if link_mode != "none":
-        score_links(env.trace, scenario, rng_stream(seed, "env-channel"),
-                    env.sdr_opts, separated=link_mode == "separated")
+        score_links(env, seed, separated=link_mode == "separated", build=True)
     return MissionResult(
         method=method, energy_j=state.cumulative_energy,
         time_s=state.slot * scenario.config.slot_seconds,
@@ -307,8 +305,8 @@ def greedy_online(scenario: Scenario, seed: int = 0,
                   reward: RewardConfig = RewardConfig()) -> MissionResult:
     """Nearest-unvisited pursuit on the live shared collection status.
 
-    Connected baseline: the per-slot transmit design runs on every chain link
-    and its outcome is logged, but movement decisions stay greedy.
+    Connected baseline: after the mission lands, every slot's chain links get
+    their transmit design and are audited, but no link outcome moves a UAV.
     """
     cfg = scenario.config
     md = scenario.md_positions[:, :2]

@@ -25,8 +25,9 @@ from uavisac.isac_sdr import (BEAM, CAP, DEEP, FEAS_TOL, NO_FLOOR, PSD_TOL,
                               SOLVE, VERIFY_TOL, ZERO, SdrOptions, SdrProblem,
                               _chain_gains, _link_ladder, _sinr_cap,
                               _solve_margin, link_feasibility_sweep,
-                              solve_feasibility, tbp_quadratic, verify_design)
-from uavisac.mdp_env import score_links
+                              link_reward, solve_feasibility, tbp_quadratic,
+                              verify_design)
+from uavisac.mdp_env import CorridorEnv, RewardBreakdown, score_links
 from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
 
 REL = 1e-12
@@ -298,25 +299,47 @@ def block_trace(n_slots, seed):
     """A trace of ``n_slots`` random 3-UAV formations over a 3 km square."""
     rng = rng_stream(seed, "score-trace")
     return [SimpleNamespace(positions=np.column_stack(
-        [rng.uniform(0.0, 3000.0, (3, 2)), np.full(3, 80.0)]), link_designs=[])
-        for _ in range(n_slots)]
+        [rng.uniform(0.0, 3000.0, (3, 2)), np.full(3, 80.0)]),
+        reward=RewardBreakdown(), link_designs=[]) for _ in range(n_slots)]
+
+
+def scoring_env(world, opts, trace):
+    """A recorded env holding ``trace`` as the episode it flew."""
+    env = CorridorEnv(world, sdr_opts=opts, record=True)
+    env.trace = trace
+    return env
+
+
+def opened_streams(monkeypatch):
+    """The rng streams that score_links opens, in order."""
+    streams = []
+
+    def opened(*args):
+        streams.append(rng_stream(*args))
+        return streams[-1]
+
+    monkeypatch.setattr(mdp_env, "rng_stream", opened)
+    return streams
 
 
 class TestPostFlightScoring:
     @pytest.mark.parametrize("n_slots", [1, mdp_env._BLOCK, mdp_env._BLOCK + 1])
     @pytest.mark.parametrize("mode", ["full", "certify", "separated"])
-    def test_blocks_match_slot_by_slot(self, n_slots, mode):
+    def test_blocks_match_slot_by_slot(self, n_slots, mode, monkeypatch):
         opts = SdrOptions() if mode == "full" else CERTIFY
         separated = mode == "separated"
-        trace = block_trace(n_slots, n_slots)
-        rng, ref_rng = rng_stream(7, "score"), rng_stream(7, "score")
-        score_links(trace, WORLD, rng, opts, separated)
+        env = scoring_env(WORLD, opts, block_trace(n_slots, n_slots))
+        streams = opened_streams(monkeypatch)
+        score_links(env, 7, separated, build=True)
+        (rng,), ref_rng = streams, rng_stream(7, "env-channel")
+        r = env.reward_cfg
         statuses = set()
-        for rec in trace:
+        for rec in env.trace:
             verdict, want = link_feasibility_sweep(rec.positions, WORLD, ref_rng,
                                                    opts, separated)
             assert len(rec.link_designs) == len(want) == 2
             assert [d.feasible for d in rec.link_designs] == list(verdict)
+            assert rec.reward.qos == link_reward(verdict, r.link_pass, r.link_fail)
             for des, ref in zip(rec.link_designs, want):
                 assert_same_design(des, ref)
                 statuses.add(des.solver_status)
@@ -324,11 +347,14 @@ class TestPostFlightScoring:
         if n_slots > 1:
             assert statuses == {"feasible", "infeasible"}
 
-    def test_one_uav_scores_no_links_and_draws_nothing(self):
+    def test_one_uav_scores_no_links_and_draws_nothing(self, monkeypatch):
         solo = build_scenario(ScenarioConfig(num_uavs=1, seed=0))
-        trace = [SimpleNamespace(positions=np.array([[10.0 * k, 0.0, 80.0]]),
-                                 link_designs=None) for k in range(3)]
-        rng = rng_stream(8, "score")
-        score_links(trace, solo, rng, CERTIFY, False)
-        assert [rec.link_designs for rec in trace] == [[], [], []]
-        assert rng.random() == rng_stream(8, "score").random()
+        env = scoring_env(solo, CERTIFY, [SimpleNamespace(
+            positions=np.array([[10.0 * k, 0.0, 80.0]]), reward=RewardBreakdown(),
+            link_designs=None) for k in range(3)])
+        streams = opened_streams(monkeypatch)
+        score_links(env, 8, False, build=True)
+        assert [rec.link_designs for rec in env.trace] == [[], [], []]
+        assert [rec.reward.qos for rec in env.trace] == [0.0, 0.0, 0.0]
+        (rng,) = streams
+        assert rng.random() == rng_stream(8, "env-channel").random()

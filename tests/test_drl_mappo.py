@@ -15,6 +15,7 @@ from uavisac.drl_mappo import (ActorNet, Adam, CriticNet, MappoConfig,
                                critic_update, gae, ppo_actor_update,
                                run_policy_episode, sample_actions, train)
 from uavisac.energy import REFERENCE_PROPULSION
+from uavisac.isac_sdr import link_feasibility_sweep, link_reward
 from uavisac.mdp_env import CorridorEnv, score_links, slot_costs
 from uavisac.scenario import (ScenarioConfig, build_scenario, db_to_linear,
                               rng_stream)
@@ -267,7 +268,7 @@ class TestActInEnv:
         sc = build_scenario(ScenarioConfig(
             num_uavs=3, num_mds=4, seed=0, area_width=300.0, area_height=300.0,
             start=(0.0, 300.0), end=(300.0, 0.0)))
-        env = CorridorEnv(sc, link_mode="none")
+        env = CorridorEnv(sc)
         rng = rng_stream(0, "act")
         actor = ActorNet(rng, env.obs_dim, env.n_actions, hidden=8)
         policy = MappoPolicy(actor, CriticNet(rng, env.state_dim, 8), MappoConfig())
@@ -359,6 +360,20 @@ RECORDED = {"workspace h1", "workspace h2", "workspace gw1", "workspace gh2",
             "critic grad"}
 
 
+def keep_scored_traces(monkeypatch):
+    """(env, seed, trace) of each episode that train scores, in order; train
+    drops an episode's trace once its rewards are read."""
+    scored = []
+    score = drl_mappo.score_links
+
+    def kept(env, seed, *args, **kwargs):
+        scored.append((env, seed, env.trace))
+        return score(env, seed, *args, **kwargs)
+
+    monkeypatch.setattr(drl_mappo, "score_links", kept)
+    return scored
+
+
 class TestTrainLoop:
     def scenario(self):
         return build_scenario(ScenarioConfig(
@@ -433,50 +448,67 @@ class TestTrainLoop:
             assert p.dtype == np.float64
 
     def test_matches_explicit_loop(self):
-        # train is run_episode plus the act closure that stores each slot's
-        # sample and critic state; the same steps written out give the same
-        # curve and weights, bit for bit
-        sc = self.scenario()
+        # the frozen reward rule: a slot's reward is its step's terms plus the
+        # QoS term of its chain links, swept right after the step from the
+        # episode's "env-channel" stream. train flies each episode first and
+        # scores its links after landing; the curve, success flags, value
+        # losses and weights must be the same, bit for bit, on a default-size
+        # world whose links fail and on a one-UAV world
+        worlds = (ScenarioConfig(gamma_th_uav=db_to_linear(22.0)),
+                  replace(self.scenario().config, num_uavs=1))
         cfg = MappoConfig(max_episodes=2, hidden=16, rollout=64,
                           minibatch=32, epochs=2, seed=4)
-        policy, curve = train(sc, cfg)
+        for world in worlds:
+            sc = build_scenario(world)
+            policy, curve = train(sc, cfg)
 
-        env = CorridorEnv(sc)
-        dtype = np.float32             # the dtype train builds its nets in
-        ref = MappoPolicy(
-            ActorNet(rng_stream(4, "init-actor"), env.obs_dim, env.n_actions,
-                     16, dtype),
-            CriticNet(rng_stream(4, "init-critic"), env.state_dim, 16, dtype),
-            cfg)
-        opt_a = Adam([ref.actor.vec], cfg.actor_lr)
-        opt_c = Adam([ref.critic.vec], cfg.critic_lr)
-        sample_rng = rng_stream(4, "policy-sample")
-        shuffle_rng = rng_stream(4, "minibatch")
-        slots, rewards, dones = [], [], []
-        ep_rewards, successes, losses = [], [], []
-        for episode in range(2):
-            env.reset(4 * 1_000_003 + episode)
-            total, done = 0.0, False
-            while not done:
-                action, sample = act_in_env(ref, env, sample_rng)
-                slots.append(sample + (env.critic_state(),))
-                rew, done, success = env.step(action)
-                rewards.append(rew.total)
-                dones.append(done)
-                total += rew.total
-            ep_rewards.append(total)
-            successes.append(success)
-            assert len(slots) * env.n_agents >= cfg.rollout
-            loss, _ = _update(ref, opt_a, opt_c, slots, rewards, dones, cfg,
-                              shuffle_rng)
-            losses.append(loss)
+            env = CorridorEnv(sc)
+            r = env.reward_cfg
+            dtype = np.float32             # the dtype train builds its nets in
+            ref = MappoPolicy(
+                ActorNet(rng_stream(4, "init-actor"), env.obs_dim,
+                         env.n_actions, 16, dtype),
+                CriticNet(rng_stream(4, "init-critic"), env.state_dim, 16, dtype),
+                cfg)
+            opt_a = Adam([ref.actor.vec], cfg.actor_lr)
+            opt_c = Adam([ref.critic.vec], cfg.critic_lr)
+            sample_rng = rng_stream(4, "policy-sample")
+            shuffle_rng = rng_stream(4, "minibatch")
+            slots, rewards, dones = [], [], []
+            ep_rewards, successes, losses = [], [], []
+            loss, updates, failed = 0.0, 0, 0
+            for episode in range(2):
+                seed = 4 * 1_000_003 + episode
+                env.reset(seed)
+                link_rng = rng_stream(seed, "env-channel")
+                total, done = 0.0, False
+                while not done:
+                    action, sample = act_in_env(ref, env, sample_rng)
+                    slots.append(sample + (env.critic_state(),))
+                    rew, done, success = env.step(action)
+                    feasible, _ = link_feasibility_sweep(
+                        env.state.positions, sc, link_rng, env.sdr_opts,
+                        build=False)
+                    failed += int((~feasible).sum())
+                    rew.qos = link_reward(feasible, r.link_pass, r.link_fail)
+                    rewards.append(rew.total)
+                    dones.append(done)
+                    total += rew.total
+                ep_rewards.append(total)
+                successes.append(success)
+                if len(slots) * env.n_agents >= cfg.rollout:
+                    loss, _ = _update(ref, opt_a, opt_c, slots, rewards, dones,
+                                      cfg, shuffle_rng)
+                    updates += 1
+                losses.append(loss)
 
-        assert curve.reward == ep_rewards
-        assert curve.value_loss == losses
-        assert curve.success == successes
-        for a, b in zip(policy.actor.params + policy.critic.params,
-                        ref.actor.params + ref.critic.params):
-            assert np.array_equal(a, b)
+            assert updates >= 1 and (failed > 0) == (world.num_uavs > 1)
+            assert curve.reward == ep_rewards
+            assert curve.value_loss == losses
+            assert curve.success == successes
+            for a, b in zip(policy.actor.params + policy.critic.params,
+                            ref.actor.params + ref.critic.params):
+                assert np.array_equal(a, b)
 
     def test_ppo_diagnostics_recorded_per_update(self, monkeypatch):
         updates = []
@@ -498,23 +530,16 @@ class TestTrainLoop:
         assert all(r > 0.0 for r in curve.ratio_mean)
 
     def test_env_energy_follows_the_given_propulsion(self, monkeypatch):
-        envs = []
-
-        class Recorded(CorridorEnv):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, record=True, **kwargs)
-                envs.append(self)
-
-        monkeypatch.setattr(drl_mappo, "CorridorEnv", Recorded)
+        scored = keep_scored_traces(monkeypatch)
         sc = self.scenario()
         heavy = replace(REFERENCE_PROPULSION,
                         p0_blade=2.0 * REFERENCE_PROPULSION.p0_blade)
         train(sc, MappoConfig(max_episodes=1, hidden=16, seed=4),
               propulsion=heavy)
-        (env,) = envs
+        ((env, _, trace),) = scored
         costs = slot_costs(sc.config, heavy)
         spent = np.zeros(sc.config.num_uavs)
-        for rec in env.trace:
+        for rec in trace:
             spent += costs[rec.speeds]
         assert np.array_equal(env.state.energy_per_uav, spent)
         assert not np.array_equal(costs, slot_costs(sc.config,
@@ -523,32 +548,24 @@ class TestTrainLoop:
     def test_link_failing_world_records_every_link_margin(self, monkeypatch):
         # every slot draws and solves its own links, so no link margin of a
         # scored trace is missing, also where episodes revisit a slot's
-        # formation
-        traces = []
-
-        class Recorded(CorridorEnv):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, record=True, **kwargs)
-
-            def reset(self, seed):
-                out = super().reset(seed)
-                traces.append((self, seed, self.trace))
-                return out
-
-        monkeypatch.setattr(drl_mappo, "CorridorEnv", Recorded)
+        # formation; building the designs keeps the verdicts train scored
+        scored = keep_scored_traces(monkeypatch)
         sc = build_scenario(replace(self.scenario().config,
                                     gamma_th_uav=db_to_linear(40.0)))
         cfg = MappoConfig(max_episodes=3, hidden=16, rollout=64,
                           minibatch=32, epochs=1, seed=4)
         train(sc, cfg)
-        assert len(traces) == 3
-        for env, seed, trace in traces:
-            score_links(trace, sc, rng_stream(seed, "env-channel"),
-                        env.sdr_opts, separated=False)
-        traces = [trace for _, _, trace in traces]
-        margins = np.array([d.margin for trace in traces for rec in trace
+        assert len(scored) == 3
+        r = scored[0][0].reward_cfg
+        for env, seed, trace in scored:
+            qos = [rec.reward.qos for rec in trace]
+            env.trace = trace
+            score_links(env, seed, separated=False, build=True)
+            assert qos == [link_reward([d.feasible for d in rec.link_designs],
+                                       r.link_pass, r.link_fail) for rec in trace]
+        margins = np.array([d.margin for _, _, trace in scored for rec in trace
                             for d in rec.link_designs])
-        assert len(margins) == sum(len(trace) for trace in traces)
+        assert len(margins) == sum(len(trace) for _, _, trace in scored)
         assert not np.isnan(margins).any()
         assert (margins < 0.0).any()        # the world has failing links
 

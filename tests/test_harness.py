@@ -184,11 +184,10 @@ class TestRunExperiment:
         rc = spec.run_config
         scenario = build_scenario(scenario_config_for(rc, "uav_count", 2))
         cfg = scenario.config
-        for method, link_mode in (("drl_sdr", "isac"), ("drl_sc", "separated")):
+        for method in ("drl_sdr", "drl_sc"):
             for seed in spec.seeds:
                 env = CorridorEnv(scenario, reward=rc.reward,
-                                  propulsion=rc.propulsion, record=True,
-                                  link_mode=link_mode)
+                                  propulsion=rc.propulsion, record=True)
                 success, slots, energy, collected = run_policy_episode(
                     policy, env, seed)
                 res = run_cell(method, spec, 2, seed)
@@ -352,6 +351,25 @@ horizon_slots = 120
         assert (out / "results.csv").exists()
         assert main(["table", "--out", str(out)]) == 0
         assert (out / "comparison_table.csv").exists()
+
+    def test_exponent_sweep_value_is_a_float(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("""
+[scenario]
+num_mds = 3
+area_width = 600
+area_height = 600
+start = 0, 600
+end = 600, 0
+horizon_slots = 100
+""")
+        out = tmp_path / "res"
+        assert main(["run", "--config", str(cfg), "--methods", "greedy_offline",
+                     "--axis", "sinr_threshold", "--values", "1e1", "--seeds", "0",
+                     "--out", str(out)]) == 0
+        with open(out / "results.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["axis"], row["value"]) == ("sinr_threshold", "10.0")
 
     @pytest.mark.parametrize("args, named", [
         (["run", "--axis", "num_mds"], "invalid choice"),

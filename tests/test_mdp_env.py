@@ -1,12 +1,14 @@
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uavisac import mdp_env
+from uavisac import isac_sdr, mdp_env
 from uavisac.energy import flight_power, hover_power
+from uavisac.isac_sdr import link_feasibility_sweep, link_reward
 from uavisac.mdp_env import (CorridorEnv, JointAction, check_constraints,
-                             score_links, uplink_gain2, write_trace_csv)
+                             run_episode, score_links, uplink_gain2,
+                             write_trace_csv)
 from uavisac.scenario import (Scenario, ScenarioConfig, build_scenario,
                               db_to_linear, rng_stream)
 
@@ -19,13 +21,6 @@ def make_scenario(md_xyz, num_uavs=1, **overrides) -> Scenario:
     return Scenario(config=cfg, md_positions=md,
                     tower_positions=base.tower_positions,
                     rx_combiner=base.rx_combiner)
-
-
-def score_trace(env, seed):
-    """Build the designs of ``env``'s recorded episode, reset with ``seed``,
-    in its own link mode, as a mission's post-flight scoring does."""
-    score_links(env.trace, env.scenario, rng_stream(seed, "env-channel"),
-                env.sdr_opts, separated=env.link_mode == "separated")
 
 
 def observations_oracle(env) -> np.ndarray:
@@ -143,7 +138,7 @@ class TestObservations:
 
     def test_stepped_states_match_oracle(self):
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=6, seed=4))
-        env = CorridorEnv(sc, link_mode="none")
+        env = CorridorEnv(sc)
         env.reset(2)
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -381,7 +376,7 @@ class TestSafety:
         # a pair within the audit's 1e-9 m tolerance of d_min is neither
         # penalized nor counted
         sc = make_scenario([[2000.0, 300.0, 0.0]], num_uavs=2)
-        env = CorridorEnv(sc, record=True, link_mode="none")
+        env = CorridorEnv(sc, record=True)
         env.reset(0)
         gap = sc.config.d_min - 5e-10
         env.state.positions = np.array([[1000.0, 1000.0, 80.0],
@@ -529,7 +524,7 @@ class TestConstraintAudit:
         sc = build_scenario(ScenarioConfig(
             num_uavs=2, num_mds=6, seed=1, horizon_slots=1, area_width=300,
             area_height=300, start=(0, 300), end=(300, 0)))
-        env = CorridorEnv(sc, record=True, link_mode="none")
+        env = CorridorEnv(sc, record=True)
         env.reset(0)
         _, done, _ = env.step(hover_action(env, md=[1, 3]))
         assert done and env.state.collected.sum() == 0
@@ -566,7 +561,7 @@ class TestConstraintAudit:
                               heading=rng.uniform(-np.pi, np.pi, 3),
                               speed=np.ones(3, dtype=np.uint8))
             _, done, _ = env.step(act)
-        score_trace(env, 0)
+        score_links(env, 0, separated=False, build=True)
         rep = check_constraints(env.trace, sc)
         assert rep.power_budget == 0 and rep.psd == 0 and rep.tbp == 0
         assert rep.md_exclusivity == 0
@@ -574,7 +569,7 @@ class TestConstraintAudit:
     def test_separated_episode_audits_clean(self):
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
                                            horizon_slots=15))
-        env = CorridorEnv(sc, record=True, link_mode="separated")
+        env = CorridorEnv(sc, record=True)
         env.reset(0)
         done = False
         rng = np.random.default_rng(5)
@@ -583,7 +578,7 @@ class TestConstraintAudit:
                               heading=rng.uniform(-np.pi, np.pi, 3),
                               speed=np.ones(3, dtype=np.uint8))
             _, done, _ = env.step(act)
-        score_trace(env, 0)
+        score_links(env, 0, separated=True, build=True)
         rep = check_constraints(env.trace, sc)
         assert (rep.md_exclusivity, rep.power_budget, rep.psd, rep.tbp,
                 rep.min_distance) == (0, 0, 0, 0, 0)
@@ -606,79 +601,74 @@ class TestConstraintAudit:
         assert rep.inter_uav_sinr is None
 
 
-class TestLinkMode:
-    @pytest.mark.parametrize("record", [True, False])
-    def test_none_scores_and_draws_no_links(self, record):
-        sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
-                                           horizon_slots=6))
-        envs = {mode: CorridorEnv(sc, record=record, link_mode=mode)
-                for mode in ("none", "isac")}
-        for env in envs.values():
-            env.reset(0)
-        act = JointAction(md_choice=np.full(3, -1),
-                          heading=np.array([0.0, -0.5 * np.pi, -0.25 * np.pi]),
-                          speed=np.ones(3, dtype=np.uint8))
-        done = False
-        while not done:
-            rew, done, _ = envs["none"].step(act)
-            assert rew.qos == 0.0
-            envs["isac"].step(act)
-        fresh = rng_stream(0, "env-channel").random()
-        assert envs["none"]._rng.random() == fresh
-        assert envs["isac"]._rng.random() != fresh
-        assert len(envs["none"].trace) == (6 if record else 0)
-        for rec in envs["none"].trace:
-            assert rec.link_designs == []
+def fly_link_failing_episode(seed):
+    """A recorded 40-slot episode of three UAVs spreading out under a 22 dB
+    link SINR floor, so some of its chain links fail."""
+    sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
+                                       horizon_slots=40,
+                                       gamma_th_uav=db_to_linear(22.0)))
+    env = CorridorEnv(sc, record=True)
+    rng = np.random.default_rng(11)
+    headings = np.array([0.0, -0.5 * np.pi, -0.25 * np.pi])
 
-    def test_unknown_mode_rejected(self):
-        sc = build_scenario(ScenarioConfig(num_uavs=2, seed=0))
-        with pytest.raises(ValueError, match="unknown link mode"):
-            CorridorEnv(sc, link_mode="radar")
+    def act(env):
+        return JointAction(md_choice=np.full(3, -1),
+                           heading=headings + rng.normal(0.0, 0.3, 3),
+                           speed=np.ones(3, dtype=np.uint8))
+
+    run_episode(env, seed, act)
+    return env
 
 
 class TestLinkVerdicts:
-    """Every slot takes the QoS reward from the array verdicts; the designs
-    that score_links builds for a recorded episode afterwards must agree with
-    them slot by slot."""
+    """No chain link is drawn or scored in flight. score_links adds each
+    slot's QoS term after landing, from the episode's "env-channel" stream,
+    with the verdicts of sweeping each slot as it was flown."""
 
-    @pytest.mark.parametrize("link_mode", ["isac", "separated"])
-    def test_recorded_and_unrecorded_rewards_agree(self, link_mode, monkeypatch):
-        # a 22 dB SINR floor, so links fail once the fleet spreads out
-        sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
-                                           horizon_slots=40,
-                                           gamma_th_uav=db_to_linear(22.0)))
+    def test_flight_draws_no_links_until_scored(self, monkeypatch):
+        opened, swept = [], []
+        stream, chain_gains = mdp_env.rng_stream, isac_sdr._chain_gains
+
+        def counted_stream(*args):
+            opened.append(args)
+            return stream(*args)
+
+        def counted_gains(*args):
+            swept.append(len(args[0]))
+            return chain_gains(*args)
+
+        monkeypatch.setattr(mdp_env, "rng_stream", counted_stream)
+        monkeypatch.setattr(isac_sdr, "_chain_gains", counted_gains)
+        env = fly_link_failing_episode(3)
+        assert (opened, swept) == ([], [])
+        assert len(env.trace) == 40
+        assert all(rec.reward.qos == 0.0 for rec in env.trace)
+        score_links(env, 3, separated=False, build=False)
+        assert opened == [(3, "env-channel")]
+        assert swept == [16, 16, 8]
+        qos = [rec.reward.qos for rec in env.trace]
+        assert min(qos) < 0.0 and max(qos) == 0.0
+        assert all(rec.link_designs == [] for rec in env.trace)
+
+    @pytest.mark.parametrize("separated", [False, True], ids=["isac", "separated"])
+    def test_verdicts_do_not_depend_on_the_blocking(self, separated):
+        env = fly_link_failing_episode(3)
+        positions = np.stack([rec.positions for rec in env.trace])
         verdicts = []
-        original = mdp_env.link_feasibility_sweep
-
-        def keep(positions, scenario, rng, *args, **kwargs):
-            feasible, designs = original(positions, scenario, rng, *args, **kwargs)
-            if rng is recorded._rng:
-                verdicts.append(feasible)
-            return feasible, designs
-
-        monkeypatch.setattr(mdp_env, "link_feasibility_sweep", keep)
-        recorded = CorridorEnv(sc, record=True, link_mode=link_mode)
-        unrecorded = CorridorEnv(sc, link_mode=link_mode)
-        recorded.reset(3)
-        unrecorded.reset(3)
-        rng = np.random.default_rng(11)
-        headings = np.array([0.0, -0.5 * np.pi, -0.25 * np.pi])
-        done = False
-        while not done:
-            act = JointAction(md_choice=np.array([-1, -1, -1]),
-                              heading=headings + rng.normal(0.0, 0.3, 3),
-                              speed=np.ones(3, dtype=np.uint8))
-            rew_a, done, _ = recorded.step(act)
-            rew_b, done_b, _ = unrecorded.step(act)
-            assert asdict(rew_a) == asdict(rew_b)
-            assert done == done_b
-        assert len(verdicts) == len(recorded.trace) == 40
-        score_trace(recorded, 3)
-        for rec, verdict in zip(recorded.trace, verdicts):
+        for block in (1, mdp_env._BLOCK, len(positions)):
+            rng = rng_stream(3, "env-channel")
+            verdicts.append(np.concatenate([link_feasibility_sweep(
+                positions[k:k + block], env.scenario, rng, env.sdr_opts,
+                separated, build=False)[0]
+                for k in range(0, len(positions), block)]))
+        want = verdicts[0]
+        assert all(np.array_equal(got, want) for got in verdicts)
+        assert want.any() and not want.all()
+        score_links(env, 3, separated, build=True)
+        r = env.reward_cfg
+        for rec, verdict in zip(env.trace, want):
             assert [d.feasible for d in rec.link_designs] == list(verdict)
-        assert unrecorded.trace == []
-        links = np.concatenate(verdicts)
-        assert links.any() and not links.all()
+            assert rec.reward.qos == link_reward(verdict, r.link_pass, r.link_fail)
 
     def test_one_gain_matrix_per_slot(self, monkeypatch):
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=6, seed=1,
@@ -716,7 +706,7 @@ def test_trace_csv_round_trip(tmp_path):
     done = False
     while not done:
         _, done, _ = env.step(JointAction.hover(2))
-    score_trace(env, 0)
+    score_links(env, 0, separated=False, build=True)
     out = tmp_path / "trace.csv"
     write_trace_csv(env.trace, sc, out)
     lines = out.read_text().strip().split("\n")

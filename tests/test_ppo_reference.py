@@ -407,7 +407,7 @@ class TestBatchedActing:
 
     @pytest.mark.parametrize("greedy", [False, True])
     def test_matches_per_agent_reference(self, greedy):
-        env = CorridorEnv(claim_world(), link_mode="none")
+        env = CorridorEnv(claim_world())
         policy = claim_policy(env)
         a, b = rng_stream(14, "draw"), rng_stream(14, "draw")
         withheld = 0
@@ -438,7 +438,7 @@ class TestBatchedActing:
         assert a.random() == b.random()
 
     def test_nan_weight_raises(self):
-        env = CorridorEnv(claim_world(), link_mode="none")
+        env = CorridorEnv(claim_world())
         policy = claim_policy(env, hidden=16)
         policy.actor.l1.w[0, 0] = np.nan
         env.reset(0)

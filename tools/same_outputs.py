@@ -11,7 +11,10 @@ runs with ``OPENBLAS_NUM_THREADS=1`` on the ``mission_grid`` world of
 - ``run --train-first --episodes 1 --values 2,3 --seeds 0,1`` for scenario
   (and MAPPO) seeds 0-4;
 - ``curves --episodes 2 --seeds 0,1,2`` on the seed-0 world;
-- ``table`` and ``sweep --axis uav_count`` on each ``run`` output.
+- ``table`` and ``sweep --axis uav_count`` on each ``run`` output;
+- ``curves --episodes 2 --seeds 0,1,2`` once more, on the default-size
+  seed-0 world with a 22 dB inter-UAV SINR floor. No training link of the
+  runs above fails, so only these curves can show a change to the QoS reward.
 
 The ``[mappo]`` section sets ``rollout = 256``, fewer agent samples than one
 episode gives, so every training episode ends in a PPO update.
@@ -47,16 +50,17 @@ RUN_ARGS = ("run", "--train-first", "--episodes", "1", "--values", "2,3",
 CURVE_ARGS = ("curves", "--episodes", "2", "--seeds", "0,1,2")
 SUMMARY_ARGS = (("table",), ("sweep", "--axis", "uav_count"))
 ROLLOUT = 256
+LINK_WORLD = dict(gamma_th_uav_db=22.0)     # default area: training links fail
 COMPARED = ("results.csv", "aggregates.csv", "comparison_table*.csv",
             "sweep_*.csv", "*.curve.csv", "curve_seed*.csv", "*.npz",
             "manifest.json")
 
 
-def write_config(path: Path, seed: int) -> None:
+def write_config(path: Path, seed: int, world: dict) -> None:
     def ini(value):
         return " ".join(map(str, value)) if isinstance(value, tuple) else value
 
-    sections = {"scenario": {**GRID_WORLD, "seed": seed}, "pso": GRID_PSO,
+    sections = {"scenario": {**world, "seed": seed}, "pso": GRID_PSO,
                 "ga": GRID_GA, "mappo": {"seed": seed, "rollout": ROLLOUT}}
     path.write_text("".join(
         f"[{name}]\n" + "".join(f"{k} = {ini(v)}\n" for k, v in keys.items())
@@ -73,11 +77,14 @@ def produce(tree: Path, work: Path) -> None:
                         str(out)],
                        cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
 
-    jobs = [(seed, RUN_ARGS) for seed in SCENARIO_SEEDS] + [(0, CURVE_ARGS)]
-    for seed, args in jobs:
-        out = work / f"{args[0]}_seed{seed}"
-        config = work / f"seed{seed}.cfg"
-        write_config(config, seed)
+    jobs = ([(f"run_seed{seed}", seed, GRID_WORLD, RUN_ARGS)
+             for seed in SCENARIO_SEEDS]
+            + [("curves_seed0", 0, GRID_WORLD, CURVE_ARGS),
+               ("curves_links_seed0", 0, LINK_WORLD, CURVE_ARGS)])
+    for name, seed, world, args in jobs:
+        out = work / name
+        config = work / f"{name}.cfg"
+        write_config(config, seed, world)
         cli(*args, "--config", str(config), out=out)
         if args is RUN_ARGS:
             for summary in SUMMARY_ARGS:
