@@ -620,6 +620,35 @@ def fly_link_failing_episode(seed):
     return env
 
 
+class TestLinkMode:
+    """Flight has one link mode, "none": stepping an env, recorded or not,
+    opens no "env-channel" stream, sweeps no chain and leaves ``qos`` at 0."""
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_none_scores_and_draws_no_links(self, record, monkeypatch):
+        opened, swept = [], []
+        stream, chain_gains = mdp_env.rng_stream, isac_sdr._chain_gains
+        monkeypatch.setattr(mdp_env, "rng_stream",
+                            lambda *a: opened.append(a) or stream(*a))
+        monkeypatch.setattr(isac_sdr, "_chain_gains",
+                            lambda *a: swept.append(a) or chain_gains(*a))
+        sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
+                                           horizon_slots=6))
+        env = CorridorEnv(sc, record=record)
+        env.reset(0)
+        act = JointAction(md_choice=np.full(3, -1),
+                          heading=np.array([0.0, -0.5 * np.pi, -0.25 * np.pi]),
+                          speed=np.ones(3, dtype=np.uint8))
+        done = False
+        while not done:
+            rew, done, _ = env.step(act)
+            assert rew.qos == 0.0
+        assert (opened, swept) == ([], [])
+        assert len(env.trace) == (6 if record else 0)
+        for rec in env.trace:
+            assert rec.link_designs == []
+
+
 class TestLinkVerdicts:
     """No chain link is drawn or scored in flight. score_links adds each
     slot's QoS term after landing, from the episode's "env-channel" stream,
