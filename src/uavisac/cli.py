@@ -53,8 +53,8 @@ def _require_counts(named):
 
 def _load_config(path):
     """The run configuration; unreadable or malformed files, propulsion
-    parameters out of range, counts below 1 and non-finite reals are bad
-    input."""
+    parameters out of range, counts below 1, non-finite reals and an energy
+    scale that is not positive are bad input."""
     try:
         run_config = load_config(path)
     except (OSError, ValueError, configparser.Error) as exc:
@@ -71,6 +71,8 @@ def _load_config(path):
                   if isinstance(value, float) and not math.isfinite(value)]
     if non_finite:
         raise ValidationFailure(f"values must be finite: {', '.join(non_finite)}")
+    if run_config.reward.energy_scale <= 0:
+        raise ValidationFailure("[reward] energy_scale must be positive")
     return run_config
 
 

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .energy import PropulsionParams, REFERENCE_PROPULSION
-from .mdp_env import (CorridorEnv, JointAction, RewardConfig, run_episode,
-                      score_links)
+from .mdp_env import (CorridorEnv, JointAction, RewardConfig, reward_terms,
+                      run_episode, score_links)
 from .nn import (Adam, Linear, Workspace, log_softmax_masked, matmul, pack,
                  softplus, tanh_backward, tanh_layer)
 from .scenario import Scenario, rng_stream
@@ -493,13 +493,14 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
           propulsion: PropulsionParams = REFERENCE_PROPULSION
           ) -> tuple[MappoPolicy, LearningCurve]:
     """Episodes through run_episode: sample and store each slot, score the
-    landed episode's links (score_links), then PPO epochs on a full rollout.
+    landed episode's links (score_links) and rewards (reward_terms), then PPO
+    epochs on a full rollout.
 
     Single-worker, float32, and bit-deterministic for a fixed config (seed
     included) under any BLAS thread count. ``progress`` is an optional
     callback(episode, curve); ``propulsion`` sets the env's slot energy costs.
     """
-    env = CorridorEnv(scenario, reward=reward, propulsion=propulsion, record=True)
+    env = CorridorEnv(scenario, reward=reward, propulsion=propulsion)
     actor = ActorNet(rng_stream(config.seed, "init-actor"), env.obs_dim,
                      env.n_actions, config.hidden, np.float32)
     critic = CriticNet(rng_stream(config.seed, "init-critic"), env.state_dim,
@@ -522,13 +523,13 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
     for episode in range(config.max_episodes):
         seed = config.seed * 1_000_003 + episode
         _, success = run_episode(env, seed, act)
-        score_links(env, seed, separated=False, build=False)
+        qos, _ = score_links(env, seed, separated=False, build=False)
         ep_reward = 0.0
-        for rec in env.trace:   # in slot order; sum() would round differently
-            rewards.append(rec.reward.total)
-            ep_reward += rewards[-1]
-        dones += [False] * (len(env.trace) - 1) + [True]
-        env.trace = []          # let the trace go before the PPO update
+        # in slot order; sum() would round differently
+        for total in reward_terms(env, qos)["total"].tolist():
+            rewards.append(total)
+            ep_reward += total
+        dones += [False] * (env.state.slot - 1) + [True]
 
         curve.episode.append(episode)
         curve.reward.append(ep_reward)

@@ -2,9 +2,11 @@
 
 Per slot, each UAV picks a monitoring device (or none), a heading and a
 binary speed; collection succeeds when the scheduled uplink clears the SINR
-threshold under the slot's interference. The shared reward combines
-collection progress, an energy penalty, a safe-distance penalty and the
-per-link ISAC feasibility outcome, which score_links adds after landing.
+threshold under the slot's interference. The env writes each slot into its
+flight arrays and scores no reward. After landing, reward_terms scores the
+shared reward from those arrays: collection progress, an energy penalty, a
+safe-distance penalty, the arrival bonus, potential shaping and the per-link
+ISAC feasibility outcome that score_links scores.
 
 Safe-distance handling: intended moves that would end a non-exempt pair
 closer than d_min (or shrink an already-close pair) are replaced by hover,
@@ -13,8 +15,8 @@ station are exempt, since the shared launch/landing pads make co-location
 unavoidable there.
 """
 
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, fields, replace
+from functools import lru_cache, reduce
 from itertools import groupby
 
 import numpy as np
@@ -43,21 +45,6 @@ class RewardConfig:
     shaping_end: float = 0.002    # reward per metre of closing landing distance
 
 
-@dataclass(slots=True)
-class RewardBreakdown:
-    collection: float = 0.0
-    qos: float = 0.0
-    energy: float = 0.0
-    distance: float = 0.0
-    bonus: float = 0.0
-    shaping: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return (self.collection + self.qos + self.energy + self.distance
-                + self.bonus + self.shaping)
-
-
 @dataclass
 class FleetState:
     slot: int
@@ -82,22 +69,6 @@ class JointAction:
     def hover(cls, m: int) -> "JointAction":
         return cls(md_choice=np.full(m, -1), heading=np.zeros(m),
                    speed=np.zeros(m, dtype=np.uint8))
-
-
-# slotted, as is RewardBreakdown: training holds a record per slot of an
-# episode until score_links has scored it
-@dataclass(slots=True)
-class SlotRecord:
-    """One slot of the episode trace, enough to re-audit every constraint."""
-
-    slot: int
-    positions: np.ndarray
-    headings: np.ndarray
-    speeds: np.ndarray
-    served: np.ndarray
-    served_sinr: np.ndarray
-    reward: RewardBreakdown
-    link_designs: list = field(default_factory=list)
 
 
 # -- mission rules ---------------------------------------------------------------
@@ -228,6 +199,26 @@ class SlotOutcome:
     energy: np.ndarray        # J spent in the slot
 
 
+@dataclass
+class Flight(SlotOutcome):
+    """One fleet's episode: each slot's SlotOutcome and the state and
+    schedule it started from, every array led by the slot axis (T, ...)."""
+
+    start: np.ndarray         # (T, M, 3) positions at the slot's start
+    collected: np.ndarray     # (T, I) uint8, collected at the slot's start
+    served: np.ndarray        # (T, M) scheduled MD, -1 for none
+
+    @classmethod
+    def empty(cls, slots: int, m_count: int, n_mds: int) -> "Flight":
+        dtypes = {"newly": bool, "overrides": bool, "blocked": int,
+                  "moved": np.uint8, "served": int}
+        arrays = {f.name: np.zeros((slots, m_count), dtypes.get(f.name, float))
+                  for f in fields(cls)}
+        return cls(**arrays | {"final": np.zeros((slots, m_count, 3)),
+                               "start": np.zeros((slots, m_count, 3)),
+                               "collected": np.zeros((slots, n_mds), np.uint8)})
+
+
 def slot_costs(cfg, propulsion: PropulsionParams) -> np.ndarray:
     """Energy in J of one slot spent hovering (index 0) or flying (index 1)."""
     return np.array([slot_energy(flying, cfg.slot_seconds, propulsion, cfg.v_fixed)
@@ -259,14 +250,19 @@ def fleet_transition(positions, collected, gain2, md_choice, heading, speed,
                        moved, costs[moved])
 
 
-def mission_status(positions, collected, residual_energy, slot, cfg):
-    """(success, done) per fleet: success is every MD collected with every UAV
-    within arrival_radius of the end station; the episode also ends at the
-    horizon or on an empty battery."""
+def arrived(positions, collected, cfg) -> np.ndarray:
+    """Per fleet: every MD collected, every UAV within arrival_radius of the end."""
     success = collected.all(axis=-1)
     if success.any():
         end = np.array([*cfg.end, cfg.altitude])
         success &= (distances(positions, end) <= cfg.arrival_radius).all(axis=-1)
+    return success
+
+
+def mission_status(positions, collected, residual_energy, slot, cfg):
+    """(success, done) per fleet: success is arrived(); the episode also ends
+    at the horizon or on an empty battery."""
+    success = arrived(positions, collected, cfg)
     done = (success | (slot >= cfg.horizon_slots)
             | (residual_energy <= 0).any(axis=-1))
     return success, done
@@ -275,10 +271,11 @@ def mission_status(positions, collected, residual_energy, slot, cfg):
 class CorridorEnv:
     """Single-owner, sequentially stepped; spawn one instance per worker.
 
-    A step draws and scores no chain link; its reward leaves ``qos`` at 0.
-    ``record`` keeps the trace that score_links scores after the episode,
-    with ``sdr_opts``."""
+    A step scores no reward and draws no chain link: it writes the slot into
+    ``flight``, which reward_terms and score_links (with ``sdr_opts``) read
+    after landing."""
 
+    # record selects nothing; it stays only because perfbench passes it
     def __init__(self, scenario: Scenario, reward: RewardConfig = RewardConfig(),
                  propulsion: PropulsionParams = REFERENCE_PROPULSION,
                  sdr_opts: SdrOptions = SdrOptions(certify_only=True),
@@ -289,7 +286,6 @@ class CorridorEnv:
         self.propulsion = propulsion
         self._slot_costs = slot_costs(self.cfg, propulsion)
         self.sdr_opts = sdr_opts
-        self.record = record
         self.n_agents = self.cfg.num_uavs
         self.n_mds = self.cfg.num_mds
         self.n_actions = self.n_mds + 1          # MD indices plus no-op
@@ -299,14 +295,14 @@ class CorridorEnv:
         self._start3 = np.array([*self.cfg.start, self.cfg.altitude])
         self._end3 = np.array([*self.cfg.end, self.cfg.altitude])
         self.state: FleetState | None = None
-        self.trace: list[SlotRecord] = []
-        self._scored = None     # (positions, collected, potential) last scored
+        self.flight: Flight | None = None
         self._gains = None      # (positions, squared gains) last computed
 
     # -- lifecycle ---------------------------------------------------------
 
     def reset(self, seed: int):
-        """All UAVs on the start pad, nothing collected, full batteries."""
+        """All UAVs on the start pad, nothing collected, full batteries, and
+        new flight arrays for horizon_slots slots."""
         m = self.n_agents
         self.state = FleetState(
             slot=0,
@@ -316,7 +312,13 @@ class CorridorEnv:
             collected=np.zeros(self.n_mds, dtype=np.uint8),
             energy_per_uav=np.zeros(m),
         )
-        self.trace = []
+        self.flight = Flight.empty(self.cfg.horizon_slots, m, self.n_mds)
+
+    def flown(self) -> Flight:
+        """The slots stepped since reset: the first state.slot rows of the
+        flight arrays, as views."""
+        n = self.state.slot
+        return Flight(**{name: rows[:n] for name, rows in vars(self.flight).items()})
 
     # -- observation/state construction -------------------------------------
 
@@ -413,12 +415,13 @@ class CorridorEnv:
     # -- transition ----------------------------------------------------------
 
     def step(self, action: JointAction):
-        """Apply one joint action; returns (reward, done, success). The new
-        fleet state is ``self.state``."""
-        s = self.state
-        cfg = self.cfg
+        """Apply one joint action and write the slot into ``flight``; returns
+        (done, success). The new fleet state is ``self.state``."""
+        s, cfg = self.state, self.cfg
         if s is None:
             raise RuntimeError("reset() must be called before step()")
+        if s.slot >= cfg.horizon_slots:
+            raise RuntimeError("step past the horizon; reset() first")
         md_choice, heading, speed = (np.asarray(a) for a in (
             action.md_choice, action.heading, action.speed))
         # checked before the casts, which would turn a NaN or a fraction
@@ -442,70 +445,23 @@ class CorridorEnv:
             m = bad[0]
             raise ValueError(f"action mask violation: UAV {m} chose MD {md_choice[m]}")
 
-        reward = RewardBreakdown()
-        potential_before = self._potential(s.positions, s.collected)
+        t, f = s.slot, self.flight
+        f.start[t], f.collected[t], f.served[t] = s.positions, s.collected, md_choice
         out = fleet_transition(s.positions[None], s.collected[None], gain2[None],
                                md_choice[None], heading[None], speed[None], cfg,
                                self._slot_costs)
-        final, overrides, moved = out.final[0], out.overrides[0], out.moved[0]
-        reward.collection = self.reward_cfg.collect * int(out.newly.sum())
-
-        # pairs that end close or blocked one another, outside the station zones
-        near = too_close(final, cfg)
-        near |= overrides[:, None] & (out.blocked[0][:, None] == np.arange(self.n_agents))
-        near = (near | near.T) & pairs_above(self.n_agents)
-        if near.any():
-            near &= ~station_exempt(final, cfg)
-        reward.distance = self.reward_cfg.distance_penalty * int(near.sum())
+        for name, value in vars(out).items():
+            getattr(f, name)[t] = value[0]
 
         # energy bookkeeping uses the effective motion after overrides
-        slot_e = out.energy[0]
-        s.energy_per_uav += slot_e
-        s.residual_energy -= slot_e
-        reward.energy = -float(slot_e.sum()) / self.reward_cfg.energy_scale
-
-        s.positions = final
+        s.energy_per_uav += out.energy[0]
+        s.residual_energy -= out.energy[0]
+        s.positions = out.final[0]
         s.headings = out.heading[0]
         s.slot += 1
-        reward.shaping = self._potential(final, s.collected) - potential_before
-
         success, done = mission_status(s.positions, s.collected,
                                        s.residual_energy, s.slot, cfg)
-        success, done = bool(success), bool(done)
-        if success:
-            reward.bonus = self.reward_cfg.arrival_bonus
-
-        if self.record:
-            self.trace.append(SlotRecord(
-                slot=s.slot, positions=final.copy(), headings=s.headings.copy(),
-                speeds=moved.copy(), served=md_choice.copy(),
-                served_sinr=out.served_sinr[0], reward=reward))
-
-        return reward, done, success
-
-    def _potential(self, positions, collected) -> float:
-        """State potential: negative device-deficit and landing distances.
-
-        The last state scored is kept by value, so a slot's start state, which
-        the previous slot scored as its end state, is not scored again."""
-        r = self.reward_cfg
-        if r.shaping_md == 0.0 and r.shaping_end == 0.0:
-            return 0.0
-        if (self._scored is not None and np.array_equal(self._scored[0], positions)
-                and np.array_equal(self._scored[1], collected)):
-            return self._scored[2]
-        value = 0.0
-        if r.shaping_md != 0.0:
-            open_md = self.scenario.md_positions[collected == 0, :2]
-            if len(open_md):
-                diff = open_md[None, :, :] - positions[:, None, :2]
-                dist = np.sqrt((diff ** 2).sum(axis=2))
-                value -= r.shaping_md * float(dist.min(axis=0).sum())
-        if r.shaping_end != 0.0:
-            d_end = np.linalg.norm(positions[:, :2] - self._end3[:2], axis=1)
-            value -= r.shaping_end * float(d_end.sum())
-        self._scored = (positions.copy(), collected.copy(), value)
-        return value
+        return bool(done), bool(success)
 
 
 def run_episode(env: CorridorEnv, seed: int, act):
@@ -515,33 +471,77 @@ def run_episode(env: CorridorEnv, seed: int, act):
     env.reset(seed)
     done = False
     while not done:
-        _, done, success = env.step(act(env))
+        done, success = env.step(act(env))
     return env.state, success
 
 
-# -- offline link scoring and constraint audit --------------------------------
+# -- post-flight rewards, link scoring and constraint audit ---------------------
 
 _BLOCK = 16  # slots per link sweep or audit pass; whole missions raise peak RSS
+
+
+def _potentials(env: CorridorEnv, positions, collected) -> np.ndarray:
+    """State potentials of (T, M, 3) positions with (T, I) collected sets:
+    negative device-deficit and landing distances. States are grouped by
+    their collected set, so each one sums exactly its open MDs."""
+    r = env.reward_cfg
+    value = np.zeros(len(positions))
+    sets, group = np.unique(collected, axis=0, return_inverse=True)
+    for k, open_md in enumerate(sets == 0):
+        rows = group == k
+        diff = env.scenario.md_positions[open_md, :2] - positions[rows, :, None, :2]
+        dist = np.sqrt((diff ** 2).sum(axis=-1))
+        value[rows] -= r.shaping_md * dist.min(axis=1).sum(axis=-1)
+    d_end = np.linalg.norm(positions[..., :2] - env._end3[:2], axis=-1)
+    return value - r.shaping_end * d_end.sum(axis=-1)
+
+
+def reward_terms(env: CorridorEnv, qos) -> dict:
+    """Each slot's reward terms since reset, (T,) arrays in the order they sum
+    to "total"; ``qos`` is score_links' QoS term. Only training reads them,
+    after landing: the shaping is the difference of each slot's end and start
+    state potentials (Ng, Harada & Russell 1999)."""
+    f, cfg, r = env.flown(), env.cfg, env.reward_cfg
+    end_collected = f.collected.copy()
+    slots, uavs = np.nonzero(f.newly)
+    end_collected[slots, f.served[slots, uavs]] = 1
+    # pairs that end close or blocked one another, outside the station zones
+    near = too_close(f.final, cfg)
+    near |= f.overrides[..., None] & (f.blocked[..., None] == np.arange(env.n_agents))
+    near = (near | near.swapaxes(-1, -2)) & pairs_above(env.n_agents)
+    near &= ~station_exempt(f.final, cfg)
+    terms = {
+        "collection": r.collect * f.newly.sum(axis=-1),
+        "qos": np.asarray(qos, dtype=float),
+        "energy": -f.energy.sum(axis=-1) / r.energy_scale,
+        "distance": r.distance_penalty * near.sum(axis=(-2, -1)),
+        "bonus": np.where(arrived(f.final, end_collected, cfg), r.arrival_bonus, 0.0),
+        "shaping": (_potentials(env, f.final, end_collected)
+                    - _potentials(env, f.start, f.collected)),
+    }
+    terms["total"] = reduce(np.add, terms.values())
+    return terms
 
 
 def score_links(env: CorridorEnv, seed: int, separated: bool, build: bool):
     """Score the chain links of ``env``'s landed episode, reset with ``seed``:
     one link_feasibility_sweep per block of slots from the episode's
-    "env-channel" stream sets each slot's ``reward.qos`` (link_reward) and,
-    when ``build``, its ``link_designs``, as sweeping each slot in flight
-    would have. No link verdict moves a UAV or enters an observation."""
-    scenario, r = env.scenario, env.reward_cfg
-    n_links = scenario.config.num_uavs - 1
+    "env-channel" stream, as sweeping each slot in flight would have.
+    Returns each slot's QoS term (link_reward), (T,), and every link's
+    design, slot by slot in chain order, when ``build`` (else []). No link
+    verdict moves a UAV or enters an observation."""
+    r = env.reward_cfg
+    final = env.flown().final
     rng = rng_stream(seed, "env-channel")
-    for start in range(0, len(env.trace), _BLOCK):
-        block = env.trace[start:start + _BLOCK]
-        feasible, designs = link_feasibility_sweep(
-            np.stack([rec.positions for rec in block]), scenario, rng,
-            env.sdr_opts, separated, build)
-        for k, rec in enumerate(block):
-            rec.reward.qos = link_reward(feasible[k], r.link_pass, r.link_fail)
-            if build:
-                rec.link_designs = designs[k * n_links:(k + 1) * n_links]
+    qos, designs = [], []
+    for start in range(0, len(final), _BLOCK):
+        feasible, built = link_feasibility_sweep(
+            final[start:start + _BLOCK], env.scenario, rng, env.sdr_opts,
+            separated, build)
+        qos += [link_reward(ok, r.link_pass, r.link_fail) for ok in feasible]
+        if build:
+            designs += built
+    return np.array(qos), designs
 
 
 @dataclass
@@ -556,9 +556,10 @@ class ConstraintReport:
     inter_uav_sinr: int | None = 0  # infeasible link-slots; None when N/A
 
 
-def check_constraints(trace, scenario: Scenario,
+def check_constraints(flight: Flight, designs, scenario: Scenario,
                       connected: bool = True) -> ConstraintReport:
-    """Audit an episode trace against the mission constraints.
+    """Audit an episode's slots (CorridorEnv.flown()) and its link designs
+    (score_links') against the mission constraints.
 
     ``connected`` marks methods that solve the inter-UAV transmit design; for
     disconnected baselines the link SINR constraint is reported
@@ -566,25 +567,23 @@ def check_constraints(trace, scenario: Scenario,
     """
     cfg = scenario.config
     rep = ConstraintReport(inter_uav_sinr=0 if connected else None)
+    close = pairs_above(cfg.num_uavs) & too_close(flight.final, cfg)
+    close &= ~station_exempt(flight.final, cfg)
+    rep.min_distance = int(close.sum())
+    served, sinr = flight.served, flight.served_sinr
+    ordered = np.sort(served, axis=1)
+    rep.md_exclusivity = int(((ordered[:, 1:] == ordered[:, :-1])
+                              & (ordered[:, 1:] >= 0)).sum())
+    rep.uplink_gating = int(((served >= 0) & (sinr < cfg.gamma_th_md)).sum())
+    # an MD is covered only by an uplink that cleared the gate
     collected = np.zeros(cfg.num_mds, dtype=bool)
-    if trace:
-        positions = np.stack([rec.positions for rec in trace])
-        close = pairs_above(cfg.num_uavs) & too_close(positions, cfg)
-        close &= ~station_exempt(positions, cfg)
-        rep.min_distance = int(close.sum())
-        served = np.stack([rec.served for rec in trace])
-        sinr = np.stack([rec.served_sinr for rec in trace])
-        ordered = np.sort(served, axis=1)
-        rep.md_exclusivity = int(((ordered[:, 1:] == ordered[:, :-1])
-                                  & (ordered[:, 1:] >= 0)).sum())
-        rep.uplink_gating = int(((served >= 0) & (sinr < cfg.gamma_th_md)).sum())
-        # an MD is covered only by an uplink that cleared the gate
-        collected[served[(served >= 0) & (sinr >= cfg.gamma_th_md)]] = True
+    collected[served[(served >= 0) & (sinr >= cfg.gamma_th_md)]] = True
     # each design re-measured from its matrices: per block of slots, the
     # designs that share their problem's scalars at a time
-    for start in range(0, len(trace), _BLOCK):
-        designs = [d for rec in trace[start:start + _BLOCK] for d in rec.link_designs]
-        for _, block in groupby(designs, lambda d: replace(d.problem, h_eff=None)):
+    size = _BLOCK * max(cfg.num_uavs - 1, 1)
+    for start in range(0, len(designs), size):
+        for _, block in groupby(designs[start:start + size],
+                                lambda d: replace(d.problem, h_eff=None)):
             block = list(block)
             r_comm, r_sens, h_eff = (np.stack(m) for m in zip(
                 *((d.r_comm, d.r_sens, d.problem.h_eff) for d in block)))
@@ -602,31 +601,26 @@ def check_constraints(trace, scenario: Scenario,
     return rep
 
 
-def write_trace_csv(trace, scenario: Scenario, path):
-    """Per-slot episode trace: kinematics, scheduling, rewards, link margins."""
+def write_trace_csv(flight: Flight, rewards, designs, scenario: Scenario, path):
+    """Per-slot episode trace: kinematics, scheduling, the reward terms
+    (reward_terms') and the link margins of score_links' designs."""
     m_count = scenario.config.num_uavs
     n_links = m_count - 1
     cols = ["slot"]
     for m in range(m_count):
         cols += [f"x_{m}", f"y_{m}", f"heading_{m}", f"speed_{m}", f"served_md_{m}"]
-    cols += ["r_collection", "r_qos", "r_energy", "r_distance", "r_bonus",
-             "r_shaping", "r_total"]
+    cols += [f"r_{name}" for name in rewards]
     cols += [f"link_margin_{k}" for k in range(n_links)]
     lines = [",".join(cols)]
-    for rec in trace:
-        row = [str(rec.slot)]
+    for t, final in enumerate(flight.final):
+        row = [str(t + 1)]
         for m in range(m_count):
-            row += [f"{rec.positions[m, 0]:.6f}", f"{rec.positions[m, 1]:.6f}",
-                    f"{rec.headings[m]:.6f}", str(int(rec.speeds[m])),
-                    str(int(rec.served[m]))]
-        r = rec.reward
-        row += [f"{r.collection:.6f}", f"{r.qos:.6f}", f"{r.energy:.6f}",
-                f"{r.distance:.6f}", f"{r.bonus:.6f}", f"{r.shaping:.6f}",
-                f"{r.total:.6f}"]
-        margins = [d.margin for d in rec.link_designs]
-        for k in range(n_links):
-            val = margins[k] if k < len(margins) else np.nan
-            row.append(f"{val:.9g}")
+            row += [f"{final[m, 0]:.6f}", f"{final[m, 1]:.6f}",
+                    f"{flight.heading[t, m]:.6f}", str(int(flight.moved[t, m])),
+                    str(int(flight.served[t, m]))]
+        row += [f"{terms[t]:.6f}" for terms in rewards.values()]
+        margins = [d.margin for d in designs[t * n_links:(t + 1) * n_links]]
+        row += [f"{val:.9g}" for val in margins or [np.nan] * n_links]
         lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

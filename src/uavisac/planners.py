@@ -266,18 +266,19 @@ def _controller_step(env: CorridorEnv, targets, aim_points):
 
 def fly_mission(scenario: Scenario, act, seed: int, method: str, link_mode: str,
                 propulsion: PropulsionParams, reward: RewardConfig) -> MissionResult:
-    """One recorded env episode of ``act(env)``, audited and reported; every
-    method's mission is flown here. After landing, the chain links are scored
-    and designed in ``link_mode`` ("isac", "separated" or "none")."""
-    env = CorridorEnv(scenario, reward=reward, propulsion=propulsion, record=True)
+    """One env episode of ``act(env)``, audited and reported; every method's
+    mission is flown here. After landing, the chain links are scored and
+    designed in ``link_mode`` ("isac", "separated" or "none"); no reward is
+    scored."""
+    env = CorridorEnv(scenario, reward=reward, propulsion=propulsion)
     state, success = run_episode(env, seed, act)
-    if link_mode != "none":
-        score_links(env, seed, separated=link_mode == "separated", build=True)
+    designs = ([] if link_mode == "none" else score_links(
+        env, seed, separated=link_mode == "separated", build=True)[1])
     return MissionResult(
         method=method, energy_j=state.cumulative_energy,
         time_s=state.slot * scenario.config.slot_seconds,
         collected=int(state.collected.sum()), success=bool(success),
-        violations=check_constraints(env.trace, scenario,
+        violations=check_constraints(env.flown(), designs, scenario,
                                      connected=link_mode != "none"),
         per_uav_energy=state.energy_per_uav.tolist(), seed=seed)
 

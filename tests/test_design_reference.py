@@ -27,7 +27,7 @@ from uavisac.isac_sdr import (BEAM, CAP, DEEP, FEAS_TOL, NO_FLOOR, PSD_TOL,
                               _solve_margin, link_feasibility_sweep,
                               link_reward, solve_feasibility, tbp_quadratic,
                               verify_design)
-from uavisac.mdp_env import CorridorEnv, RewardBreakdown, score_links
+from uavisac.mdp_env import CorridorEnv, score_links
 from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
 
 REL = 1e-12
@@ -295,18 +295,20 @@ class TestArrayDesigns:
                         [reference_quadratic(r[k], phi) for k in range(len(r))])
 
 
-def block_trace(n_slots, seed):
-    """A trace of ``n_slots`` random 3-UAV formations over a 3 km square."""
+def block_flight(n_slots, seed):
+    """``n_slots`` random 3-UAV formations over a 3 km square, (S, 3, 3)."""
     rng = rng_stream(seed, "score-trace")
-    return [SimpleNamespace(positions=np.column_stack(
-        [rng.uniform(0.0, 3000.0, (3, 2)), np.full(3, 80.0)]),
-        reward=RewardBreakdown(), link_designs=[]) for _ in range(n_slots)]
+    return np.stack([np.column_stack(
+        [rng.uniform(0.0, 3000.0, (3, 2)), np.full(3, 80.0)])
+        for _ in range(n_slots)])
 
 
-def scoring_env(world, opts, trace):
-    """A recorded env holding ``trace`` as the episode it flew."""
-    env = CorridorEnv(world, sdr_opts=opts, record=True)
-    env.trace = trace
+def scoring_env(world, opts, positions):
+    """An env that flew one slot per formation of ``positions``."""
+    env = CorridorEnv(world, sdr_opts=opts)
+    env.reset(0)
+    env.flight.final[:len(positions)] = positions
+    env.state.slot = len(positions)
     return env
 
 
@@ -328,19 +330,22 @@ class TestPostFlightScoring:
     def test_blocks_match_slot_by_slot(self, n_slots, mode, monkeypatch):
         opts = SdrOptions() if mode == "full" else CERTIFY
         separated = mode == "separated"
-        env = scoring_env(WORLD, opts, block_trace(n_slots, n_slots))
+        positions = block_flight(n_slots, n_slots)
+        env = scoring_env(WORLD, opts, positions)
         streams = opened_streams(monkeypatch)
-        score_links(env, 7, separated, build=True)
+        qos, designs = score_links(env, 7, separated, build=True)
         (rng,), ref_rng = streams, rng_stream(7, "env-channel")
         r = env.reward_cfg
         statuses = set()
-        for rec in env.trace:
-            verdict, want = link_feasibility_sweep(rec.positions, WORLD, ref_rng,
+        assert len(qos) == n_slots and len(designs) == 2 * n_slots
+        for k, formation in enumerate(positions):
+            verdict, want = link_feasibility_sweep(formation, WORLD, ref_rng,
                                                    opts, separated)
-            assert len(rec.link_designs) == len(want) == 2
-            assert [d.feasible for d in rec.link_designs] == list(verdict)
-            assert rec.reward.qos == link_reward(verdict, r.link_pass, r.link_fail)
-            for des, ref in zip(rec.link_designs, want):
+            slot_designs = designs[2 * k:2 * k + 2]
+            assert len(want) == 2
+            assert [d.feasible for d in slot_designs] == list(verdict)
+            assert qos[k] == link_reward(verdict, r.link_pass, r.link_fail)
+            for des, ref in zip(slot_designs, want):
                 assert_same_design(des, ref)
                 statuses.add(des.solver_status)
         assert rng.random() == ref_rng.random()
@@ -349,12 +354,11 @@ class TestPostFlightScoring:
 
     def test_one_uav_scores_no_links_and_draws_nothing(self, monkeypatch):
         solo = build_scenario(ScenarioConfig(num_uavs=1, seed=0))
-        env = scoring_env(solo, CERTIFY, [SimpleNamespace(
-            positions=np.array([[10.0 * k, 0.0, 80.0]]), reward=RewardBreakdown(),
-            link_designs=None) for k in range(3)])
+        env = scoring_env(solo, CERTIFY, np.array(
+            [[[10.0 * k, 0.0, 80.0]] for k in range(3)]))
         streams = opened_streams(monkeypatch)
-        score_links(env, 8, False, build=True)
-        assert [rec.link_designs for rec in env.trace] == [[], [], []]
-        assert [rec.reward.qos for rec in env.trace] == [0.0, 0.0, 0.0]
+        qos, designs = score_links(env, 8, False, build=True)
+        assert designs == []
+        assert qos.tolist() == [0.0, 0.0, 0.0]
         (rng,) = streams
         assert rng.random() == rng_stream(8, "env-channel").random()

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from test_reward_oracle import oracle_step
 from uavisac import drl_mappo, nn
 from uavisac.drl_mappo import (ActorNet, Adam, CriticNet, MappoConfig,
                                MappoPolicy, _update, act_in_env, actor_forward,
@@ -16,7 +17,7 @@ from uavisac.drl_mappo import (ActorNet, Adam, CriticNet, MappoConfig,
                                run_policy_episode, sample_actions, train)
 from uavisac.energy import REFERENCE_PROPULSION
 from uavisac.isac_sdr import link_feasibility_sweep, link_reward
-from uavisac.mdp_env import CorridorEnv, score_links, slot_costs
+from uavisac.mdp_env import CorridorEnv, slot_costs
 from uavisac.scenario import (ScenarioConfig, build_scenario, db_to_linear,
                               rng_stream)
 
@@ -285,7 +286,7 @@ class TestActInEnv:
                     claimed = action.md_choice[:m]
                     assert np.array_equal(masks[m], env.action_mask(m, claimed))
                     withheld += int((open_masks[m] & ~masks[m]).sum())
-                _, done, _ = env.step(action)
+                done, _ = env.step(action)
                 if done:
                     break
         assert withheld > 0
@@ -303,7 +304,7 @@ def test_policy_mission_observes_once_per_slot(monkeypatch):
         return observations(env)
 
     monkeypatch.setattr(CorridorEnv, "observations", counted)
-    _, slots, _, _ = run_policy_episode(policy, CorridorEnv(sc, record=True), 0)
+    _, slots, _, _ = run_policy_episode(policy, CorridorEnv(sc), 0)
     assert built == list(range(slots))
 
 
@@ -360,15 +361,18 @@ RECORDED = {"workspace h1", "workspace h2", "workspace gw1", "workspace gh2",
             "critic grad"}
 
 
-def keep_scored_traces(monkeypatch):
-    """(env, seed, trace) of each episode that train scores, in order; train
-    drops an episode's trace once its rewards are read."""
+def keep_scored_flights(monkeypatch):
+    """(env, the slots it flew, score_links' QoS and, scored again with
+    designs built, its designs) of each episode that train scores, in order;
+    each reset gives the env new flight arrays."""
     scored = []
     score = drl_mappo.score_links
 
-    def kept(env, seed, *args, **kwargs):
-        scored.append((env, seed, env.trace))
-        return score(env, seed, *args, **kwargs)
+    def kept(env, seed, separated, build):
+        qos, designs = score(env, seed, separated, build)
+        scored.append((env, env.flown(), qos,
+                       score(env, seed, separated, build=True)[1]))
+        return qos, designs
 
     monkeypatch.setattr(drl_mappo, "score_links", kept)
     return scored
@@ -448,12 +452,13 @@ class TestTrainLoop:
             assert p.dtype == np.float64
 
     def test_matches_explicit_loop(self):
-        # the frozen reward rule: a slot's reward is its step's terms plus the
-        # QoS term of its chain links, swept right after the step from the
-        # episode's "env-channel" stream. train flies each episode first and
-        # scores its links after landing; the curve, success flags, value
-        # losses and weights must be the same, bit for bit, on a default-size
-        # world whose links fail and on a one-UAV world
+        # the frozen reward rule: a slot's reward is the in-flight step's
+        # terms (test_reward_oracle.oracle_step) plus the QoS term of its
+        # chain links, swept right after the step from the episode's
+        # "env-channel" stream. train flies each episode first and scores
+        # its rewards and links after landing; the curve, success flags,
+        # value losses and weights must be the same, bit for bit, on a
+        # default-size world whose links fail and on a one-UAV world
         worlds = (ScenarioConfig(gamma_th_uav=db_to_linear(22.0)),
                   replace(self.scenario().config, num_uavs=1))
         cfg = MappoConfig(max_episodes=2, hidden=16, rollout=64,
@@ -485,7 +490,7 @@ class TestTrainLoop:
                 while not done:
                     action, sample = act_in_env(ref, env, sample_rng)
                     slots.append(sample + (env.critic_state(),))
-                    rew, done, success = env.step(action)
+                    rew, done, success = oracle_step(env, action)
                     feasible, _ = link_feasibility_sweep(
                         env.state.positions, sc, link_rng, env.sdr_opts,
                         build=False)
@@ -530,17 +535,17 @@ class TestTrainLoop:
         assert all(r > 0.0 for r in curve.ratio_mean)
 
     def test_env_energy_follows_the_given_propulsion(self, monkeypatch):
-        scored = keep_scored_traces(monkeypatch)
+        scored = keep_scored_flights(monkeypatch)
         sc = self.scenario()
         heavy = replace(REFERENCE_PROPULSION,
                         p0_blade=2.0 * REFERENCE_PROPULSION.p0_blade)
         train(sc, MappoConfig(max_episodes=1, hidden=16, seed=4),
               propulsion=heavy)
-        ((env, _, trace),) = scored
+        ((env, flown, _, _),) = scored
         costs = slot_costs(sc.config, heavy)
         spent = np.zeros(sc.config.num_uavs)
-        for rec in trace:
-            spent += costs[rec.speeds]
+        for moved in flown.moved:
+            spent += costs[moved]
         assert np.array_equal(env.state.energy_per_uav, spent)
         assert not np.array_equal(costs, slot_costs(sc.config,
                                                     REFERENCE_PROPULSION))
@@ -549,7 +554,7 @@ class TestTrainLoop:
         # every slot draws and solves its own links, so no link margin of a
         # scored trace is missing, also where episodes revisit a slot's
         # formation; building the designs keeps the verdicts train scored
-        scored = keep_scored_traces(monkeypatch)
+        scored = keep_scored_flights(monkeypatch)
         sc = build_scenario(replace(self.scenario().config,
                                     gamma_th_uav=db_to_linear(40.0)))
         cfg = MappoConfig(max_episodes=3, hidden=16, rollout=64,
@@ -557,15 +562,12 @@ class TestTrainLoop:
         train(sc, cfg)
         assert len(scored) == 3
         r = scored[0][0].reward_cfg
-        for env, seed, trace in scored:
-            qos = [rec.reward.qos for rec in trace]
-            env.trace = trace
-            score_links(env, seed, separated=False, build=True)
-            assert qos == [link_reward([d.feasible for d in rec.link_designs],
-                                       r.link_pass, r.link_fail) for rec in trace]
-        margins = np.array([d.margin for _, _, trace in scored for rec in trace
-                            for d in rec.link_designs])
-        assert len(margins) == sum(len(trace) for _, _, trace in scored)
+        for _, flown, qos, designs in scored:
+            assert len(designs) == len(flown.final)
+            assert qos.tolist() == [link_reward([d.feasible], r.link_pass,
+                                                r.link_fail) for d in designs]
+        margins = np.array([d.margin for *_, designs in scored for d in designs])
+        assert len(margins) == sum(len(flown.final) for _, flown, _, _ in scored)
         assert not np.isnan(margins).any()
         assert (margins < 0.0).any()        # the world has failing links
 

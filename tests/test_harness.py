@@ -187,7 +187,7 @@ class TestRunExperiment:
         for method in ("drl_sdr", "drl_sc"):
             for seed in spec.seeds:
                 env = CorridorEnv(scenario, reward=rc.reward,
-                                  propulsion=rc.propulsion, record=True)
+                                  propulsion=rc.propulsion)
                 success, slots, energy, collected = run_policy_episode(
                     policy, env, seed)
                 res = run_cell(method, spec, 2, seed)
@@ -305,6 +305,8 @@ class TestCli:
         ("[scenario]\nsensing_angles_deg = nan\n", "sensing_angles"),
         ("[scenario]\nrician_k = nan\n", "rician_k"),
         ("[reward]\ncollect = inf\n", "collect"),
+        ("[reward]\nenergy_scale = 0\n", "energy_scale"),
+        ("[reward]\nenergy_scale = -1e4\n", "energy_scale"),
         ("[pso]\ninertia = nan\n", "inertia"),
         ("[mappo]\nactor_lr = nan\n", "actor_lr")])
     def test_bad_config_exits_1(self, tmp_path, capsys, verb, text, named):
@@ -318,6 +320,16 @@ class TestCli:
         out, err = capsys.readouterr()
         # scenario violations are listed on stdout, load errors on stderr
         assert named in (out if "violation(s)" in err else err)
+
+    def test_zero_energy_scale_exits_1_before_training(self, tmp_path, capsys):
+        # the energy reward divides by the scale
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[reward]\nenergy_scale = 0\n")
+        out = tmp_path / "out"
+        assert main(["curves", "--config", str(bad), "--episodes", "1",
+                     "--seeds", "0", "--out", str(out)]) == 1
+        assert "energy_scale" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, named", [
         (["curves", "--episodes", "-3"], "--episodes"),

@@ -1,3 +1,4 @@
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,8 @@ from uavisac import isac_sdr, mdp_env
 from uavisac.energy import flight_power, hover_power
 from uavisac.isac_sdr import link_feasibility_sweep, link_reward
 from uavisac.mdp_env import (CorridorEnv, JointAction, check_constraints,
-                             run_episode, score_links, uplink_gain2,
-                             write_trace_csv)
+                             reward_terms, run_episode, score_links,
+                             uplink_gain2, write_trace_csv)
 from uavisac.scenario import (Scenario, ScenarioConfig, build_scenario,
                               db_to_linear, rng_stream)
 
@@ -65,6 +66,11 @@ def critic_state_oracle(env) -> np.ndarray:
                            env.state.collected.astype(float)])
 
 
+def terms(env):
+    """The post-flight reward terms of the slots ``env`` flew, QoS at 0."""
+    return reward_terms(env, np.zeros(env.state.slot))
+
+
 def hover_action(env, md=None):
     act = JointAction.hover(env.n_agents)
     if md is not None:
@@ -98,14 +104,14 @@ class TestReset:
                 act = JointAction(md_choice=np.array([-1, -1]),
                                   heading=np.array([0.1 * k, -0.2 * k]),
                                   speed=np.array([1, 1], dtype=np.uint8))
-                rew, _, _ = env.step(act)
-                out.append((env.state.positions.copy(), rew.total))
-            return out
+                env.step(act)
+                out.append(env.state.positions.copy())
+            return out, terms(env)["total"]
 
-        a, b = episode(), episode()
-        for (pa, ra), (pb, rb) in zip(a, b):
+        (a, ra), (b, rb) = episode(), episode()
+        for pa, pb in zip(a, b):
             assert np.array_equal(pa, pb)
-            assert ra == rb
+        assert ra.tobytes() == rb.tobytes()
 
 
 class TestObservations:
@@ -205,7 +211,8 @@ class TestObservations:
                 inject(env)
             for env in (fresh, stepped, fresh, stepped):
                 before = potential(env)
-                shaping = env.step(act)[0].shaping
+                env.step(act)
+                shaping = terms(env)["shaping"][-1]
                 assert shaping == potential(env) - before
                 assert shaping != 0.0
 
@@ -310,10 +317,10 @@ class TestCollection:
         sc = make_scenario([[30.0, 2470.0, 0.0]])
         env = CorridorEnv(sc)
         env.reset(0)
-        rew, _, _ = env.step(hover_action(env, md=[0]))
+        env.step(hover_action(env, md=[0]))
         state = env.state
         assert state.collected[0] == 1
-        assert rew.collection == pytest.approx(10.0)
+        assert terms(env)["collection"][0] == pytest.approx(10.0)
 
     def test_interference_blocks_collection(self):
         # symmetric MDs between two co-serving UAVs: cross interference drops
@@ -329,11 +336,11 @@ class TestCollection:
         assert mask0[1] and mask1[3]
         act = JointAction(md_choice=np.array([1, 3]), heading=np.zeros(2),
                           speed=np.zeros(2, dtype=np.uint8))
-        rew, _, _ = env.step(act)
+        env.step(act)
         state = env.state
         # both uplinks suffer a near-equal-power interferer, so neither clears
         assert state.collected[1] == 0 and state.collected[3] == 0
-        assert rew.collection == 0.0
+        assert terms(env)["collection"][0] == 0.0
 
     def test_collection_is_monotone(self):
         sc = build_scenario(ScenarioConfig(num_uavs=2, num_mds=8, seed=2))
@@ -353,7 +360,7 @@ class TestCollection:
             act = JointAction(md_choice=np.array(md),
                               heading=rng.uniform(-np.pi, np.pi, 2),
                               speed=rng.integers(0, 2, 2).astype(np.uint8))
-            _, done, _ = env.step(act)
+            done, _ = env.step(act)
             state = env.state
             assert np.all(state.collected >= prev)
             prev = state.collected.copy()
@@ -368,22 +375,22 @@ class TestSafety:
         env.reset(0)
         env.state.positions = np.array([[1000.0, 1000.0, 80.0],
                                         [1008.0, 1000.0, 80.0]])
-        rew, _, _ = env.step(hover_action(env))
-        state = env.state
-        assert rew.distance == pytest.approx(-5.0)
+        env.step(hover_action(env))
+        assert terms(env)["distance"][0] == pytest.approx(-5.0)
 
     def test_penalty_and_audit_share_the_threshold(self):
         # a pair within the audit's 1e-9 m tolerance of d_min is neither
         # penalized nor counted
         sc = make_scenario([[2000.0, 300.0, 0.0]], num_uavs=2)
-        env = CorridorEnv(sc, record=True)
+        env = CorridorEnv(sc)
         env.reset(0)
         gap = sc.config.d_min - 5e-10
         env.state.positions = np.array([[1000.0, 1000.0, 80.0],
                                         [1000.0 + gap, 1000.0, 80.0]])
-        rew, _, _ = env.step(hover_action(env))
-        assert rew.distance == 0.0
-        assert check_constraints(env.trace, sc, connected=False).min_distance == 0
+        env.step(hover_action(env))
+        assert terms(env)["distance"][0] == 0.0
+        assert check_constraints(env.flown(), [], sc,
+                                 connected=False).min_distance == 0
 
     def test_override_prevents_closing_in(self):
         sc = make_scenario([[2000.0, 300.0, 0.0]], num_uavs=2)
@@ -406,9 +413,8 @@ class TestSafety:
         sc = make_scenario([[2000.0, 300.0, 0.0]], num_uavs=3)
         env = CorridorEnv(sc)
         env.reset(0)
-        rew, _, _ = env.step(hover_action(env))
-        state = env.state
-        assert rew.distance == 0.0
+        env.step(hover_action(env))
+        assert terms(env)["distance"][0] == 0.0
 
 
 class TestEnergyAccounting:
@@ -416,32 +422,32 @@ class TestEnergyAccounting:
         sc = make_scenario([[1200.0, 1200.0, 0.0]])
         env = CorridorEnv(sc)
         env.reset(0)
-        rew, _, _ = env.step(hover_action(env))
+        env.step(hover_action(env))
         state = env.state
         assert state.cumulative_energy == pytest.approx(hover_power())
         act = JointAction(md_choice=np.array([-1]), heading=np.array([0.0]),
                           speed=np.array([1], dtype=np.uint8))
-        rew, _, _ = env.step(act)
+        env.step(act)
         state = env.state
         assert state.cumulative_energy == pytest.approx(hover_power() + flight_power(20.0))
 
     def test_objective_matches_offline_recomputation(self):
         sc = build_scenario(ScenarioConfig(num_uavs=2, num_mds=4, seed=5))
-        env = CorridorEnv(sc, record=True)
+        env = CorridorEnv(sc)
         env.reset(1)
         rng = np.random.default_rng(2)
         for _ in range(60):
             act = JointAction(md_choice=np.array([-1, -1]),
                               heading=rng.uniform(-np.pi, np.pi, 2),
                               speed=rng.integers(0, 2, 2).astype(np.uint8))
-            _, done, _ = env.step(act)
+            done, _ = env.step(act)
             state = env.state
             if done:
                 break
         recomputed = sum(
-            (flight_power(20.0) if rec.speeds[m] else hover_power())
+            (flight_power(20.0) if moved else hover_power())
             * sc.config.slot_seconds
-            for rec in env.trace for m in range(2))
+            for moved in env.flown().moved.ravel())
         assert state.cumulative_energy == pytest.approx(recomputed, rel=1e-9)
 
     def test_battery_exhaustion_terminates(self):
@@ -451,7 +457,7 @@ class TestEnergyAccounting:
         done = False
         steps = 0
         while not done:
-            _, done, _ = env.step(hover_action(env))
+            done, _ = env.step(hover_action(env))
             steps += 1
         assert steps == 3  # 168.49 J per hover slot against a 400 J budget
 
@@ -466,12 +472,13 @@ class TestRewardBreakdown:
             act = JointAction(md_choice=np.array([-1, -1, -1]),
                               heading=rng.uniform(-np.pi, np.pi, 3),
                               speed=rng.integers(0, 2, 3).astype(np.uint8))
-            rew, done, _ = env.step(act)
-            parts = (rew.collection + rew.qos + rew.energy
-                     + rew.distance + rew.bonus + rew.shaping)
-            assert rew.total == pytest.approx(parts, rel=1e-12)
+            done, _ = env.step(act)
             if done:
                 break
+        rew = reward_terms(env, rng.uniform(-2.0, 0.0, env.state.slot))
+        parts = (rew["collection"] + rew["qos"] + rew["energy"]
+                 + rew["distance"] + rew["bonus"] + rew["shaping"])
+        assert np.array_equal(rew["total"], parts)
 
 
 class TestTermination:
@@ -480,19 +487,20 @@ class TestTermination:
                            arrival_radius=40.0)
         env = CorridorEnv(sc)
         env.reset(0)
-        rew, done, success = env.step(hover_action(env, md=[0]))
+        done, success = env.step(hover_action(env, md=[0]))
         state = env.state
         assert state.collected.all() and not done
         # fly to the nearby end point
         for _ in range(10):
             act = JointAction(md_choice=np.array([-1]), heading=np.array([0.0]),
                               speed=np.array([1], dtype=np.uint8))
-            rew, done, success = env.step(act)
+            done, success = env.step(act)
             state = env.state
             if done:
                 break
         assert done and success
-        assert rew.bonus == pytest.approx(50.0)
+        bonus = terms(env)["bonus"]
+        assert bonus[-1] == pytest.approx(50.0) and not bonus[:-1].any()
 
     def test_horizon_cap(self):
         sc = make_scenario([[2300.0, 200.0, 0.0]], horizon_slots=5)
@@ -501,21 +509,39 @@ class TestTermination:
         done = False
         n = 0
         while not done:
-            _, done, success = env.step(hover_action(env))
+            done, success = env.step(hover_action(env))
             n += 1
         assert n == 5 and not success
+        assert not terms(env)["bonus"].any()
+
+    def test_step_past_the_horizon_rejected(self):
+        # the flight arrays hold horizon_slots slots; a step past them
+        # changes neither the state nor the arrays
+        sc = make_scenario([[2300.0, 200.0, 0.0]], horizon_slots=3)
+        env = CorridorEnv(sc)
+        env.reset(0)
+        while not env.step(hover_action(env))[0]:
+            pass
+        state, flight = deepcopy(env.state), deepcopy(env.flight)
+        with pytest.raises(RuntimeError, match="horizon"):
+            env.step(hover_action(env))
+        for name, value in vars(state).items():
+            assert np.array_equal(getattr(env.state, name), value)
+        for name, rows in vars(flight).items():
+            assert np.array_equal(getattr(env.flight, name), rows)
+        assert len(env.flight.final) == env.state.slot == 3
 
 
 class TestConstraintAudit:
     def test_hover_forever_misses_all_coverage(self):
         sc = build_scenario(ScenarioConfig(num_uavs=1, num_mds=12, seed=0,
                                            horizon_slots=10))
-        env = CorridorEnv(sc, record=True)
+        env = CorridorEnv(sc)
         env.reset(0)
         done = False
         while not done:
-            _, done, _ = env.step(hover_action(env))
-        rep = check_constraints(env.trace, sc)
+            done, _ = env.step(hover_action(env))
+        rep = check_constraints(env.flown(), [], sc)
         assert rep.coverage_missing == 12
 
     def test_failed_uplink_leaves_its_md_uncovered(self):
@@ -524,20 +550,20 @@ class TestConstraintAudit:
         sc = build_scenario(ScenarioConfig(
             num_uavs=2, num_mds=6, seed=1, horizon_slots=1, area_width=300,
             area_height=300, start=(0, 300), end=(300, 0)))
-        env = CorridorEnv(sc, record=True)
+        env = CorridorEnv(sc)
         env.reset(0)
-        _, done, _ = env.step(hover_action(env, md=[1, 3]))
+        done, _ = env.step(hover_action(env, md=[1, 3]))
         assert done and env.state.collected.sum() == 0
-        sinr = env.trace[0].served_sinr
+        sinr = env.flown().served_sinr[0]
         assert (sinr < sc.config.gamma_th_md).all()
         assert sinr == pytest.approx([1.86, 0.34], abs=0.005)
-        rep = check_constraints(env.trace, sc, connected=False)
+        rep = check_constraints(env.flown(), [], sc, connected=False)
         assert (rep.coverage_missing, rep.uplink_gating) == (6, 2)
 
     def test_single_uav_has_no_distance_violations(self):
         sc = build_scenario(ScenarioConfig(num_uavs=1, num_mds=3, seed=0,
                                            horizon_slots=20))
-        env = CorridorEnv(sc, record=True)
+        env = CorridorEnv(sc)
         env.reset(0)
         done = False
         rng = np.random.default_rng(0)
@@ -545,14 +571,14 @@ class TestConstraintAudit:
             act = JointAction(md_choice=np.array([-1]),
                               heading=np.array([rng.uniform(-np.pi, np.pi)]),
                               speed=np.array([1], dtype=np.uint8))
-            _, done, _ = env.step(act)
-        rep = check_constraints(env.trace, sc)
+            done, _ = env.step(act)
+        rep = check_constraints(env.flown(), [], sc)
         assert rep.min_distance == 0
 
     def test_feasible_designs_audit_clean(self):
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
                                            horizon_slots=15))
-        env = CorridorEnv(sc, record=True)
+        env = CorridorEnv(sc)
         env.reset(0)
         done = False
         rng = np.random.default_rng(5)
@@ -560,16 +586,17 @@ class TestConstraintAudit:
             act = JointAction(md_choice=np.array([-1, -1, -1]),
                               heading=rng.uniform(-np.pi, np.pi, 3),
                               speed=np.ones(3, dtype=np.uint8))
-            _, done, _ = env.step(act)
-        score_links(env, 0, separated=False, build=True)
-        rep = check_constraints(env.trace, sc)
+            done, _ = env.step(act)
+        _, designs = score_links(env, 0, separated=False, build=True)
+        rep = check_constraints(env.flown(), designs, sc)
+        assert len(designs) == 2 * env.state.slot
         assert rep.power_budget == 0 and rep.psd == 0 and rep.tbp == 0
         assert rep.md_exclusivity == 0
 
     def test_separated_episode_audits_clean(self):
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
                                            horizon_slots=15))
-        env = CorridorEnv(sc, record=True)
+        env = CorridorEnv(sc)
         env.reset(0)
         done = False
         rng = np.random.default_rng(5)
@@ -577,37 +604,36 @@ class TestConstraintAudit:
             act = JointAction(md_choice=np.array([-1, -1, -1]),
                               heading=rng.uniform(-np.pi, np.pi, 3),
                               speed=np.ones(3, dtype=np.uint8))
-            _, done, _ = env.step(act)
-        score_links(env, 0, separated=True, build=True)
-        rep = check_constraints(env.trace, sc)
+            done, _ = env.step(act)
+        _, designs = score_links(env, 0, separated=True, build=True)
+        rep = check_constraints(env.flown(), designs, sc)
         assert (rep.md_exclusivity, rep.power_budget, rep.psd, rep.tbp,
                 rep.min_distance) == (0, 0, 0, 0, 0)
-        failed = sum(not d.feasible for rec in env.trace for d in rec.link_designs)
+        failed = sum(not d.feasible for d in designs)
         assert rep.inter_uav_sinr == failed
-        margins = np.array([d.margin for rec in env.trace
-                            for d in rec.link_designs])
-        assert len(margins) == 2 * len(env.trace)
+        margins = np.array([d.margin for d in designs])
+        assert len(margins) == 2 * env.state.slot
         assert np.all(np.isfinite(margins))
 
     def test_disconnected_reports_na(self):
         sc = build_scenario(ScenarioConfig(num_uavs=1, num_mds=2, seed=0,
                                            horizon_slots=5))
-        env = CorridorEnv(sc, record=True)
+        env = CorridorEnv(sc)
         env.reset(0)
         done = False
         while not done:
-            _, done, _ = env.step(hover_action(env))
-        rep = check_constraints(env.trace, sc, connected=False)
+            done, _ = env.step(hover_action(env))
+        rep = check_constraints(env.flown(), [], sc, connected=False)
         assert rep.inter_uav_sinr is None
 
 
 def fly_link_failing_episode(seed):
-    """A recorded 40-slot episode of three UAVs spreading out under a 22 dB
+    """A 40-slot episode of three UAVs spreading out under a 22 dB
     link SINR floor, so some of its chain links fail."""
     sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
                                        horizon_slots=40,
                                        gamma_th_uav=db_to_linear(22.0)))
-    env = CorridorEnv(sc, record=True)
+    env = CorridorEnv(sc)
     rng = np.random.default_rng(11)
     headings = np.array([0.0, -0.5 * np.pi, -0.25 * np.pi])
 
@@ -621,11 +647,10 @@ def fly_link_failing_episode(seed):
 
 
 class TestLinkMode:
-    """Flight has one link mode, "none": stepping an env, recorded or not,
-    opens no "env-channel" stream, sweeps no chain and leaves ``qos`` at 0."""
+    """Flight has one link mode, "none": stepping an env opens no
+    "env-channel" stream and sweeps no chain."""
 
-    @pytest.mark.parametrize("record", [True, False])
-    def test_none_scores_and_draws_no_links(self, record, monkeypatch):
+    def test_none_scores_and_draws_no_links(self, monkeypatch):
         opened, swept = [], []
         stream, chain_gains = mdp_env.rng_stream, isac_sdr._chain_gains
         monkeypatch.setattr(mdp_env, "rng_stream",
@@ -634,19 +659,16 @@ class TestLinkMode:
                             lambda *a: swept.append(a) or chain_gains(*a))
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
                                            horizon_slots=6))
-        env = CorridorEnv(sc, record=record)
+        env = CorridorEnv(sc)
         env.reset(0)
         act = JointAction(md_choice=np.full(3, -1),
                           heading=np.array([0.0, -0.5 * np.pi, -0.25 * np.pi]),
                           speed=np.ones(3, dtype=np.uint8))
         done = False
         while not done:
-            rew, done, _ = env.step(act)
-            assert rew.qos == 0.0
+            done, _ = env.step(act)
         assert (opened, swept) == ([], [])
-        assert len(env.trace) == (6 if record else 0)
-        for rec in env.trace:
-            assert rec.link_designs == []
+        assert len(env.flown().final) == 6
 
 
 class TestLinkVerdicts:
@@ -670,19 +692,17 @@ class TestLinkVerdicts:
         monkeypatch.setattr(isac_sdr, "_chain_gains", counted_gains)
         env = fly_link_failing_episode(3)
         assert (opened, swept) == ([], [])
-        assert len(env.trace) == 40
-        assert all(rec.reward.qos == 0.0 for rec in env.trace)
-        score_links(env, 3, separated=False, build=False)
+        assert len(env.flown().final) == 40
+        qos, designs = score_links(env, 3, separated=False, build=False)
         assert opened == [(3, "env-channel")]
         assert swept == [16, 16, 8]
-        qos = [rec.reward.qos for rec in env.trace]
-        assert min(qos) < 0.0 and max(qos) == 0.0
-        assert all(rec.link_designs == [] for rec in env.trace)
+        assert qos.shape == (40,) and min(qos) < 0.0 and max(qos) == 0.0
+        assert designs == []
 
     @pytest.mark.parametrize("separated", [False, True], ids=["isac", "separated"])
     def test_verdicts_do_not_depend_on_the_blocking(self, separated):
         env = fly_link_failing_episode(3)
-        positions = np.stack([rec.positions for rec in env.trace])
+        positions = env.flown().final
         verdicts = []
         for block in (1, mdp_env._BLOCK, len(positions)):
             rng = rng_stream(3, "env-channel")
@@ -693,11 +713,11 @@ class TestLinkVerdicts:
         want = verdicts[0]
         assert all(np.array_equal(got, want) for got in verdicts)
         assert want.any() and not want.all()
-        score_links(env, 3, separated, build=True)
+        qos, designs = score_links(env, 3, separated, build=True)
         r = env.reward_cfg
-        for rec, verdict in zip(env.trace, want):
-            assert [d.feasible for d in rec.link_designs] == list(verdict)
-            assert rec.reward.qos == link_reward(verdict, r.link_pass, r.link_fail)
+        assert [d.feasible for d in designs] == list(want.ravel())
+        assert qos.tolist() == [link_reward(verdict, r.link_pass, r.link_fail)
+                                for verdict in want]
 
     def test_one_gain_matrix_per_slot(self, monkeypatch):
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=6, seed=1,
@@ -720,7 +740,7 @@ class TestLinkVerdicts:
             md = np.full(3, -1)
             if masks[0, :-1].any():
                 md[0] = np.flatnonzero(masks[0, :-1])[0]
-            _, done, _ = env.step(JointAction(
+            done, _ = env.step(JointAction(
                 md_choice=md, heading=np.array([0.0, -0.5, -1.0]),
                 speed=np.ones(3, dtype=np.uint8)))
             slots += 1
@@ -730,14 +750,14 @@ class TestLinkVerdicts:
 def test_trace_csv_round_trip(tmp_path):
     sc = build_scenario(ScenarioConfig(num_uavs=2, num_mds=3, seed=0,
                                        horizon_slots=8))
-    env = CorridorEnv(sc, record=True)
+    env = CorridorEnv(sc)
     env.reset(0)
     done = False
     while not done:
-        _, done, _ = env.step(JointAction.hover(2))
-    score_links(env, 0, separated=False, build=True)
+        done, _ = env.step(JointAction.hover(2))
+    qos, designs = score_links(env, 0, separated=False, build=True)
     out = tmp_path / "trace.csv"
-    write_trace_csv(env.trace, sc, out)
+    write_trace_csv(env.flown(), reward_terms(env, qos), designs, sc, out)
     lines = out.read_text().strip().split("\n")
     header = lines[0].split(",")
     assert len(lines) == 9

@@ -431,7 +431,7 @@ class TestBatchedActing:
                 np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(logp, ref_logp, rtol=0, atol=1e-12)
                 withheld += int((open_masks & ~masks).sum())
-                _, done, _ = env.step(action)
+                done, _ = env.step(action)
                 if done:
                     break
         assert withheld > 0
