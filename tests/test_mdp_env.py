@@ -647,10 +647,11 @@ def fly_link_failing_episode(seed):
 
 
 class TestLinkMode:
-    """Flight has one link mode, "none": stepping an env opens no
-    "env-channel" stream and sweeps no chain."""
+    """Flight has one link mode, "none": stepping an env, whatever its
+    record flag, opens no "env-channel" stream and sweeps no chain."""
 
-    def test_none_scores_and_draws_no_links(self, monkeypatch):
+    @pytest.mark.parametrize("record", [True, False])
+    def test_none_scores_and_draws_no_links(self, record, monkeypatch):
         opened, swept = [], []
         stream, chain_gains = mdp_env.rng_stream, isac_sdr._chain_gains
         monkeypatch.setattr(mdp_env, "rng_stream",
@@ -659,7 +660,7 @@ class TestLinkMode:
                             lambda *a: swept.append(a) or chain_gains(*a))
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
                                            horizon_slots=6))
-        env = CorridorEnv(sc)
+        env = CorridorEnv(sc, record=record)
         env.reset(0)
         act = JointAction(md_choice=np.full(3, -1),
                           heading=np.array([0.0, -0.5 * np.pi, -0.25 * np.pi]),
