@@ -54,10 +54,13 @@ def md_gain_matrix(uav_pos, md_pos, beta, kappa, c, d) -> np.ndarray:
     """Expected amplitude gains, shape (..., M, I) for UAV positions (..., M, 3)."""
     q = np.asarray(uav_pos, dtype=float)[..., :, None, :]
     diff = q - np.asarray(md_pos, dtype=float)
-    dist = np.sqrt((diff ** 2).sum(axis=-1))
+    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    # the terms in the order a sum over the last axis adds them, without
+    # its reduction overhead
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     if (dist == 0.0).any():
         raise ValueError("coincident UAV and MD positions")
-    theta = np.degrees(np.arcsin(diff[..., 2] / dist))
+    theta = np.degrees(np.arcsin(dz / dist))
     p_los = los_probability(theta, c, d)
     return (p_los + (1.0 - p_los) * kappa) * np.sqrt(beta) / dist
 

@@ -201,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--episodes", type=int, default=None,
                            help="training episode override")
             p.add_argument("--workers", type=int, default=1,
-                           help="parallel grid workers: a task is one cell, or all PSO "
-                           "and GA cells of one value (the CSVs do not depend on it)")
+                           help="parallel grid workers: a task is the DRL pair, "
+                           "greedy_online, or the offline plans (greedy_offline, PSO, "
+                           "GA) of one value (the CSVs do not depend on it)")
 
     p = sub.add_parser("validate", help="check a configuration file")
     common(p)

@@ -523,7 +523,9 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
     for episode in range(config.max_episodes):
         seed = config.seed * 1_000_003 + episode
         _, success = run_episode(env, seed, act)
-        qos, _ = score_links(env, seed, separated=False, build=False)
+        qos, _ = score_links(env.flown(), scenario, seed, separated=False,
+                             build=False, reward=reward,
+                             sdr_opts=env.sdr_opts)
         ep_reward = 0.0
         # in slot order; sum() would round differently
         for total in reward_terms(env, qos)["total"].tolist():

@@ -4,6 +4,9 @@ Every cell (method, axis value, seed) yields one persisted MissionResult row;
 aggregation only ever reads those rows back, so each emitted number traces to
 per-seed provenance. Re-running an emit step on persisted results is
 idempotent, and single-worker runs are byte-deterministic.
+
+A grid task is one axis value of one TASK_GROUPS entry, every seed; run_cells
+flies each of its trajectories once, so a row does not depend on the grouping.
 """
 
 import csv
@@ -18,8 +21,9 @@ from . import __version__
 from .config import RunConfig
 from .drl_mappo import MappoPolicy, act_in_env, train
 from .mdp_env import CorridorEnv
-from .planners import (SEARCHES, MissionResult, evaluate_plan, fly_mission,
-                       greedy_offline, greedy_online, plan_searches)
+from .planners import (SEARCHES, MissionResult, fly_env, fly_plans,
+                       greedy_offline, mission_result, online_flight,
+                       plan_searches)
 from .scenario import (ScenarioConfig, build_scenario, db_to_linear,
                        scenario_fingerprint)
 
@@ -29,6 +33,12 @@ SEED_MEANING = ("a cell seed varies the env's channel draws and the PSO and GA "
                 "scenario.seed, and the MAPPO checkpoint is trained once per "
                 "axis value with mappo.seed")
 METHODS = ("drl_sdr", "greedy_online", "greedy_offline", "pso", "ga", "drl_sc")
+DRL_METHODS = ("drl_sdr", "drl_sc")
+# a grid task runs the cells of one group for one axis value, every seed
+TASK_GROUPS = (DRL_METHODS, ("greedy_online",), ("greedy_offline", "pso", "ga"))
+# how each method's chain links are scored after landing
+LINK_MODES = {"drl_sdr": "isac", "greedy_online": "isac", "greedy_offline": "none",
+              "pso": "none", "ga": "none", "drl_sc": "separated"}
 AXES = ("uav_count", "md_count", "sinr_threshold")
 CIRCUIT_POWER_W = 2.0   # extra draw of the split-array variant, per UAV
 
@@ -127,50 +137,61 @@ def _require_fit(path, spec: ExperimentSpec, value):
 
 
 def run_cell(method: str, spec: ExperimentSpec, value, seed) -> MissionResult:
-    if method in SEARCHES:
-        return _search_cells((method,), spec, value, (seed,))[0]
-    rc = spec.run_config
-    scenario = build_scenario(scenario_config_for(rc, spec.axis, value))
-    if method == "greedy_offline":
-        return evaluate_plan(greedy_offline(scenario), scenario, seed=seed,
-                             method=method, propulsion=rc.propulsion,
-                             reward=rc.reward)
-    if method == "greedy_online":
-        return greedy_online(scenario, seed=seed, propulsion=rc.propulsion,
-                             reward=rc.reward)
-    if method in ("drl_sdr", "drl_sc"):
-        path = checkpoint_path(spec.out_dir, spec.axis, value)
-        if not path.exists():
-            raise FileNotFoundError(
-                f"method {method!r} needs a trained checkpoint at {path}; "
-                "run with train_first or train explicitly")
-        policy = MappoPolicy.load(path)
-        res = fly_mission(scenario,
-                          lambda env: act_in_env(policy, env, None)[0],
-                          seed, method,
-                          "separated" if method == "drl_sc" else "isac",
-                          rc.propulsion, rc.reward)
-        if method == "drl_sc":
-            cfg = scenario.config
-            slots = round(res.time_s / cfg.slot_seconds)
-            res.energy_j += CIRCUIT_POWER_W * cfg.num_uavs * slots * cfg.slot_seconds
-        return res
-    raise ValueError(f"unknown method {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return run_cells((method,), spec, value, (seed,))[0]
 
 
-def _search_cells(methods, spec: ExperimentSpec, value, seeds) -> list:
-    """MissionResults of the PSO/GA cells (method, seed) of one axis value, in
-    that order: one world, every search planned jointly by plan_searches with
-    its own seeded rng, each plan then replayed like any offline plan."""
+def run_cells(methods, spec: ExperimentSpec, value, seeds) -> list:
+    """MissionResults of the cells (method, seed) of one axis value, in that
+    order, each equal to its run_cell.
+
+    A cell seed picks only the link draws that score a flight and a search's
+    rng, so each trajectory is flown once and scored for every cell that
+    shares it: a DRL episode per checkpoint, greedy_online's pursuit, and
+    every offline plan (greedy_offline's and each PSO/GA winner, searched
+    jointly by plan_searches) in one recorded fly_plans."""
     rc = spec.run_config
     scenario = build_scenario(scenario_config_for(rc, spec.axis, value))
     cells = [(m, s) for m in methods for s in seeds]
-    plans = plan_searches(
+
+    def key(method, seed):      # what decides the method's trajectory
+        if method in DRL_METHODS:
+            return checkpoint_path(spec.out_dir, spec.axis, value)
+        return (method, seed) if method in SEARCHES else method
+
+    flights = {}
+    for method in methods:
+        path = key(method, None)
+        if method in DRL_METHODS and path not in flights:
+            if not path.exists():
+                raise FileNotFoundError(
+                    f"method {method!r} needs a trained checkpoint at {path}; "
+                    "run with train_first or train explicitly")
+            policy = MappoPolicy.load(path)
+            flights[path] = fly_env(
+                scenario, lambda env: act_in_env(policy, env, None)[0],
+                rc.propulsion)
+    if "greedy_online" in methods:
+        flights["greedy_online"] = online_flight(scenario, rc.propulsion)
+    searched = [(m, s) for m, s in cells if m in SEARCHES]
+    plans = dict(zip(searched, plan_searches(
         [SEARCHES[m](scenario, replace(getattr(rc, m), seed=s))   # rc.pso, rc.ga
-         for m, s in cells], scenario, rc.propulsion)
-    return [evaluate_plan(plan, scenario, seed=s, method=m,
-                          propulsion=rc.propulsion, reward=rc.reward)
-            for (m, s), plan in zip(cells, plans)]
+         for m, s in searched], scenario, rc.propulsion)))
+    if "greedy_offline" in methods:
+        plans["greedy_offline"] = greedy_offline(scenario)
+    if plans:
+        flights.update(zip(plans, fly_plans(list(plans.values()), scenario,
+                                            rc.propulsion, record=True)[3]))
+    results = []
+    for m, s in cells:
+        res = mission_result(flights[key(m, s)], scenario, s, m, LINK_MODES[m])
+        if m == "drl_sc":
+            cfg = scenario.config
+            slots = round(res.time_s / cfg.slot_seconds)
+            res.energy_j += CIRCUIT_POWER_W * cfg.num_uavs * slots * cfg.slot_seconds
+        results.append(res)
+    return results
 
 
 def _result_row(res: MissionResult, axis, value) -> dict:
@@ -188,12 +209,10 @@ def _result_row(res: MissionResult, axis, value) -> dict:
 
 
 def _grid_task(args) -> list:
-    """Rows of one grid task: one cell, or every PSO and GA cell of one axis
-    value."""
+    """Rows of one grid task: the cells of one task group and axis value."""
     methods, spec, value, seeds = args
-    results = (_search_cells(*args) if methods[0] in SEARCHES
-               else [run_cell(methods[0], spec, value, seeds[0])])
-    return [_result_row(res, spec.axis, value) for res in results]
+    return [_result_row(res, spec.axis, value)
+            for res in run_cells(methods, spec, value, seeds)]
 
 
 def run_experiment(spec: ExperimentSpec) -> list:
@@ -204,7 +223,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    needs_policy = [m for m in spec.methods if m in ("drl_sdr", "drl_sc")]
+    needs_policy = [m for m in spec.methods if m in DRL_METHODS]
     if needs_policy:
         for value in spec.values:
             path = checkpoint_path(spec.out_dir, spec.axis, value)
@@ -215,10 +234,10 @@ def run_experiment(spec: ExperimentSpec) -> list:
                 train_checkpoint(spec, value)
             _require_fit(path, spec, value)
 
-    searched = tuple(m for m in spec.methods if m in SEARCHES)
-    tasks = [((m,), spec, v, (s,)) for m in spec.methods if m not in SEARCHES
-             for v in spec.values for s in spec.seeds]
-    tasks += [(searched, spec, v, spec.seeds) for v in spec.values if searched]
+    groups = [tuple(m for m in spec.methods if m in group)
+              for group in TASK_GROUPS]
+    tasks = [(methods, spec, v, spec.seeds) for v in spec.values
+             for methods in groups if methods]
     if spec.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:

@@ -209,14 +209,27 @@ class Flight(SlotOutcome):
     served: np.ndarray        # (T, M) scheduled MD, -1 for none
 
     @classmethod
-    def empty(cls, slots: int, m_count: int, n_mds: int) -> "Flight":
+    def empty(cls, lead: tuple, m_count: int, n_mds: int) -> "Flight":
+        """Zeroed arrays led by ``lead``: (T,) for one episode, (B, T) for a
+        batch of episodes."""
         dtypes = {"newly": bool, "overrides": bool, "blocked": int,
                   "moved": np.uint8, "served": int}
-        arrays = {f.name: np.zeros((slots, m_count), dtypes.get(f.name, float))
+        arrays = {f.name: np.zeros((*lead, m_count), dtypes.get(f.name, float))
                   for f in fields(cls)}
-        return cls(**arrays | {"final": np.zeros((slots, m_count, 3)),
-                               "start": np.zeros((slots, m_count, 3)),
-                               "collected": np.zeros((slots, n_mds), np.uint8)})
+        return cls(**arrays | {"final": np.zeros((*lead, m_count, 3)),
+                               "start": np.zeros((*lead, m_count, 3)),
+                               "collected": np.zeros((*lead, n_mds), np.uint8)})
+
+    def take(self, index) -> "Flight":
+        """The Flight of ``array[index]`` for every array."""
+        return Flight(**{name: rows[index] for name, rows in vars(self).items()})
+
+    def end_collected(self) -> np.ndarray:
+        """(T, I): the MDs collected at each slot's end."""
+        end = self.collected.copy()
+        slots, uavs = np.nonzero(self.newly)
+        end[slots, self.served[slots, uavs]] = 1
+        return end
 
 
 def slot_costs(cfg, propulsion: PropulsionParams) -> np.ndarray:
@@ -268,17 +281,21 @@ def mission_status(positions, collected, residual_energy, slot, cfg):
     return success, done
 
 
+# the transmit-design options of every post-flight link sweep
+LINK_OPTIONS = SdrOptions(certify_only=True)
+
+
 class CorridorEnv:
     """Single-owner, sequentially stepped; spawn one instance per worker.
 
     A step scores no reward and draws no chain link: it writes the slot into
-    ``flight``, which reward_terms and score_links (with ``sdr_opts``) read
-    after landing."""
+    ``flight``, which reward_terms reads after landing and score_links (given
+    ``sdr_opts``) scores as flown()."""
 
     # record selects nothing; it stays only because perfbench passes it
     def __init__(self, scenario: Scenario, reward: RewardConfig = RewardConfig(),
                  propulsion: PropulsionParams = REFERENCE_PROPULSION,
-                 sdr_opts: SdrOptions = SdrOptions(certify_only=True),
+                 sdr_opts: SdrOptions = LINK_OPTIONS,
                  record: bool = False):
         self.scenario = scenario
         self.cfg = scenario.config
@@ -312,13 +329,12 @@ class CorridorEnv:
             collected=np.zeros(self.n_mds, dtype=np.uint8),
             energy_per_uav=np.zeros(m),
         )
-        self.flight = Flight.empty(self.cfg.horizon_slots, m, self.n_mds)
+        self.flight = Flight.empty((self.cfg.horizon_slots,), m, self.n_mds)
 
     def flown(self) -> Flight:
         """The slots stepped since reset: the first state.slot rows of the
         flight arrays, as views."""
-        n = self.state.slot
-        return Flight(**{name: rows[:n] for name, rows in vars(self.flight).items()})
+        return self.flight.take(slice(self.state.slot))
 
     # -- observation/state construction -------------------------------------
 
@@ -502,9 +518,7 @@ def reward_terms(env: CorridorEnv, qos) -> dict:
     after landing: the shaping is the difference of each slot's end and start
     state potentials (Ng, Harada & Russell 1999)."""
     f, cfg, r = env.flown(), env.cfg, env.reward_cfg
-    end_collected = f.collected.copy()
-    slots, uavs = np.nonzero(f.newly)
-    end_collected[slots, f.served[slots, uavs]] = 1
+    end_collected = f.end_collected()
     # pairs that end close or blocked one another, outside the station zones
     near = too_close(f.final, cfg)
     near |= f.overrides[..., None] & (f.blocked[..., None] == np.arange(env.n_agents))
@@ -523,22 +537,25 @@ def reward_terms(env: CorridorEnv, qos) -> dict:
     return terms
 
 
-def score_links(env: CorridorEnv, seed: int, separated: bool, build: bool):
-    """Score the chain links of ``env``'s landed episode, reset with ``seed``:
-    one link_feasibility_sweep per block of slots from the episode's
-    "env-channel" stream, as sweeping each slot in flight would have.
-    Returns each slot's QoS term (link_reward), (T,), and every link's
-    design, slot by slot in chain order, when ``build`` (else []). No link
-    verdict moves a UAV or enters an observation."""
-    r = env.reward_cfg
-    final = env.flown().final
+def score_links(flight: Flight, scenario: Scenario, seed: int, separated: bool,
+                build: bool, reward: RewardConfig = RewardConfig(),
+                sdr_opts: SdrOptions = LINK_OPTIONS):
+    """Score the chain links of a landed episode's ``flight`` (for an env,
+    its flown()), reset with ``seed``: one link_feasibility_sweep per block
+    of slots from the episode's "env-channel" stream, as sweeping each slot
+    in flight would have. Returns each slot's QoS term (link_reward under
+    ``reward``), (T,), and every link's design, slot by slot in chain order,
+    when ``build`` (else []). No link verdict moves a UAV or enters an
+    observation."""
+    final = flight.final
     rng = rng_stream(seed, "env-channel")
     qos, designs = [], []
     for start in range(0, len(final), _BLOCK):
         feasible, built = link_feasibility_sweep(
-            final[start:start + _BLOCK], env.scenario, rng, env.sdr_opts,
-            separated, build)
-        qos += [link_reward(ok, r.link_pass, r.link_fail) for ok in feasible]
+            final[start:start + _BLOCK], scenario, rng, sdr_opts, separated,
+            build)
+        qos += [link_reward(ok, reward.link_pass, reward.link_fail)
+                for ok in feasible]
         if build:
             designs += built
     return np.array(qos), designs
@@ -558,8 +575,9 @@ class ConstraintReport:
 
 def check_constraints(flight: Flight, designs, scenario: Scenario,
                       connected: bool = True) -> ConstraintReport:
-    """Audit an episode's slots (CorridorEnv.flown()) and its link designs
-    (score_links') against the mission constraints.
+    """Audit an episode's Flight (CorridorEnv.flown(), or a plan's recorded
+    replay) and its link designs (score_links') against the mission
+    constraints.
 
     ``connected`` marks methods that solve the inter-UAV transmit design; for
     disconnected baselines the link SINR constraint is reported

@@ -1,14 +1,15 @@
 """Classical mission planners: greedy (offline/online), particle swarm, genetic.
 
-Offline planners decide routes on expected channels only; their plans are then
-replayed through the real environment by evaluate_plan. Every planner flies
-the same serve-or-fly controller under the env's own mission rules
-(``mdp_env``): evaluate_plan and greedy_online fly a CorridorEnv through
-fly_mission, the one runner of every method's audited mission. The
-metaheuristics are ask/tell searches run by plan_searches, which scores a
-generation of every live search with one population_fitness call; that steps
-one fleet per plan through those rules and so matches the disconnected replay
-exactly.
+Offline planners decide routes on expected channels only; their plans are
+then flown by fly_plans, the one per-slot loop that steps a batch of fleets,
+one per plan, through the serve-or-fly controller under the env's own
+mission rules (``mdp_env``), exactly as a CorridorEnv fleet steps. Search
+generations fly it unrecorded for their fitness sums (population_fitness);
+replays fly it recorded, one Flight per plan, which mission_result scores
+and audits into a MissionResult. greedy_online acts on the live fleet state,
+so it flies a CorridorEnv (fly_env). The metaheuristics are ask/tell searches
+run by plan_searches, which scores a generation of every live search with one
+population_fitness call.
 """
 
 from dataclasses import dataclass
@@ -17,10 +18,10 @@ import numpy as np
 
 from .channel import uplink_sinr
 from .energy import PropulsionParams, REFERENCE_PROPULSION
-from .mdp_env import (CorridorEnv, ConstraintReport, JointAction, RewardConfig,
-                      check_constraints, claim_targets, fleet_transition,
-                      mission_status, run_episode, schedulable, score_links,
-                      slot_costs, uplink_gain2)
+from .mdp_env import (CorridorEnv, ConstraintReport, Flight, JointAction,
+                      RewardConfig, arrived, check_constraints, claim_targets,
+                      fleet_transition, mission_status, run_episode,
+                      schedulable, score_links, slot_costs, uplink_gain2)
 from .scenario import Scenario, rng_stream
 
 
@@ -138,14 +139,15 @@ def _follow_routes(route, waypoint, cursor, collected, cfg):
     return target, aims
 
 
-def population_fitness(plans, scenario: Scenario,
-                       propulsion: PropulsionParams = REFERENCE_PROPULSION):
-    """Fly P plans at once through the controller and the env's rules.
+def fly_plans(plans, scenario: Scenario, propulsion: PropulsionParams,
+              record: bool):
+    """Fly P plans at once through the controller and the env's rules: the
+    one per-slot loop of every offline plan, search generation or replay.
 
-    Each plan is flown exactly as ``evaluate_plan(..., connected=False)``
-    flies it, so energy, slots and collected count equal the replay's.
-    Returns arrays (fitness, energy, slots, collected) with fitness equal to
-    energy plus 1e5 per missing MD.
+    Each fleet steps exactly as a CorridorEnv fleet does, and a fleet that
+    has landed, run out of battery or reached the horizon leaves the batch,
+    so a plan flies the same at any batch size. Returns arrays (energy,
+    slots, collected) and, when ``record``, each plan's Flight (else None).
     """
     cfg = scenario.config
     costs = slot_costs(cfg, propulsion)
@@ -160,10 +162,11 @@ def population_fitness(plans, scenario: Scenario,
     cursor = np.zeros((n, m_count), dtype=int)
     spent = np.zeros((n, m_count))
     residual = np.full((n, m_count), cfg.e_total)
+    flights = (Flight.empty((n, cfg.horizon_slots), m_count, cfg.num_mds)
+               if record else None)
     slot = 0
     follow = True
     while len(live):
-        slot += 1
         # targets move on only when an MD gets collected
         if follow:
             targets, aims = _follow_routes(route, waypoint, cursor, collected,
@@ -171,8 +174,16 @@ def population_fitness(plans, scenario: Scenario,
         gain2 = uplink_gain2(positions, scenario)
         md, heading, speed = controller_actions(positions, collected, gain2,
                                                 targets, aims, cfg)
+        if record:
+            flights.start[live, slot] = positions
+            flights.collected[live, slot] = collected
+            flights.served[live, slot] = md
         out = fleet_transition(positions, collected, gain2, md, heading, speed,
                                cfg, costs)
+        if record:
+            for name, value in vars(out).items():
+                getattr(flights, name)[live, slot] = value
+        slot += 1
         follow = out.newly.any()
         spent += out.energy
         residual -= out.energy
@@ -189,8 +200,20 @@ def population_fitness(plans, scenario: Scenario,
                 targets[keep], aims[keep])
             positions, collected, spent, residual = (
                 positions[keep], collected[keep], spent[keep], residual[keep])
-    fitness = energy + 1e5 * (cfg.num_mds - collected_count)
-    return fitness, energy, slots, collected_count
+    if record:
+        flights = [flights.take((p, slice(slots[p]))) for p in range(n)]
+    return energy, slots, collected_count, flights
+
+
+def population_fitness(plans, scenario: Scenario,
+                       propulsion: PropulsionParams = REFERENCE_PROPULSION):
+    """Arrays (fitness, energy, slots, collected) of P plans from one
+    unrecorded fly_plans, as their replays fly them; fitness is energy plus
+    1e5 per missing MD."""
+    energy, slots, collected, _ = fly_plans(plans, scenario, propulsion,
+                                            record=False)
+    fitness = energy + 1e5 * (scenario.config.num_mds - collected)
+    return fitness, energy, slots, collected
 
 
 def plan_fitness(plan: Plan, scenario: Scenario,
@@ -199,6 +222,28 @@ def plan_fitness(plan: Plan, scenario: Scenario,
     fitness, energy, slots, collected = population_fitness([plan], scenario,
                                                            propulsion)
     return float(fitness[0]), float(energy[0]), int(slots[0]), int(collected[0])
+
+
+def mission_result(flight: Flight, scenario: Scenario, seed: int, method: str,
+                   link_mode: str) -> MissionResult:
+    """The audited report of one flown mission; every method's row is built
+    here. The chain links are scored and designed with ``seed``'s link draws
+    in ``link_mode`` ("isac", "separated" or "none"); no reward is scored."""
+    cfg = scenario.config
+    designs = ([] if link_mode == "none" else score_links(
+        flight, scenario, seed, separated=link_mode == "separated",
+        build=True)[1])
+    # summed in slot order, as the env sums it; a pairwise sum rounds otherwise
+    per_uav = np.add.accumulate(flight.energy)[-1]
+    end = flight.end_collected()[-1]
+    return MissionResult(
+        method=method, energy_j=float(per_uav.sum()),
+        time_s=len(flight.final) * cfg.slot_seconds,
+        collected=int(end.sum()),
+        success=bool(arrived(flight.final[-1], end, cfg)),
+        violations=check_constraints(flight, designs, scenario,
+                                     connected=link_mode != "none"),
+        per_uav_energy=per_uav.tolist(), seed=seed)
 
 
 # -- greedy planners ------------------------------------------------------------
@@ -254,6 +299,27 @@ def greedy_offline(scenario: Scenario) -> Plan:
     return Plan(md_order=md_order, waypoints=waypoints)
 
 
+def fly_env(scenario: Scenario, act, propulsion: PropulsionParams) -> Flight:
+    """The Flight of one CorridorEnv episode of ``act(env)``, for the methods
+    that act on the live fleet state. A reset draws nothing from its seed,
+    so the flight is the same for every cell seed."""
+    env = CorridorEnv(scenario, propulsion=propulsion)
+    run_episode(env, 0, act)
+    return env.flown()
+
+
+def evaluate_plan(plan: Plan, scenario: Scenario, seed: int = 0,
+                  method: str = "plan", connected: bool = False,
+                  propulsion: PropulsionParams = REFERENCE_PROPULSION,
+                  reward: RewardConfig = RewardConfig()) -> MissionResult:
+    """Replay a plan (a recorded fly_plans of one plan) and audit it; a
+    ``connected`` replay scores its chain links in the "isac" link mode.
+    ``reward`` is not read: a mission scores no reward."""
+    flight, = fly_plans([plan], scenario, propulsion, record=True)[3]
+    return mission_result(flight, scenario, seed, method,
+                          "isac" if connected else "none")
+
+
 def _controller_step(env: CorridorEnv, targets, aim_points):
     """The controller's action for the env's fleet."""
     s = env.state
@@ -264,51 +330,9 @@ def _controller_step(env: CorridorEnv, targets, aim_points):
     return JointAction(md_choice=md[0], heading=heading[0], speed=speed[0])
 
 
-def fly_mission(scenario: Scenario, act, seed: int, method: str, link_mode: str,
-                propulsion: PropulsionParams, reward: RewardConfig) -> MissionResult:
-    """One env episode of ``act(env)``, audited and reported; every method's
-    mission is flown here. After landing, the chain links are scored and
-    designed in ``link_mode`` ("isac", "separated" or "none"); no reward is
-    scored."""
-    env = CorridorEnv(scenario, reward=reward, propulsion=propulsion)
-    state, success = run_episode(env, seed, act)
-    designs = ([] if link_mode == "none" else score_links(
-        env, seed, separated=link_mode == "separated", build=True)[1])
-    return MissionResult(
-        method=method, energy_j=state.cumulative_energy,
-        time_s=state.slot * scenario.config.slot_seconds,
-        collected=int(state.collected.sum()), success=bool(success),
-        violations=check_constraints(env.flown(), designs, scenario,
-                                     connected=link_mode != "none"),
-        per_uav_energy=state.energy_per_uav.tolist(), seed=seed)
-
-
-def evaluate_plan(plan: Plan, scenario: Scenario, seed: int = 0,
-                  method: str = "plan", connected: bool = False,
-                  propulsion: PropulsionParams = REFERENCE_PROPULSION,
-                  reward: RewardConfig = RewardConfig()) -> MissionResult:
-    """Replay a plan through the environment and audit the episode; a
-    ``connected`` replay scores its chain links in the "isac" link mode."""
-    route, waypoint = _pack_routes([plan], scenario)
-    cursor = np.zeros(route.shape[:2], dtype=int)
-
-    def act(env):
-        targets, aims = _follow_routes(route, waypoint, cursor,
-                                       env.state.collected[None], scenario.config)
-        return _controller_step(env, targets[0], aims[0])
-
-    return fly_mission(scenario, act, seed, method,
-                       "isac" if connected else "none", propulsion, reward)
-
-
-def greedy_online(scenario: Scenario, seed: int = 0,
-                  propulsion: PropulsionParams = REFERENCE_PROPULSION,
-                  reward: RewardConfig = RewardConfig()) -> MissionResult:
-    """Nearest-unvisited pursuit on the live shared collection status.
-
-    Connected baseline: after the mission lands, every slot's chain links get
-    their transmit design and are audited, but no link outcome moves a UAV.
-    """
+def online_flight(scenario: Scenario, propulsion: PropulsionParams) -> Flight:
+    """greedy_online's flight: each UAV pursues the nearest MD that is not
+    yet collected or pursued by a lower-index UAV, then heads for the end."""
     cfg = scenario.config
     md = scenario.md_positions[:, :2]
 
@@ -329,8 +353,19 @@ def greedy_online(scenario: Scenario, seed: int = 0,
                 aims.append(np.asarray(cfg.end, float))
         return _controller_step(env, targets, aims)
 
-    return fly_mission(scenario, act, seed, "greedy_online", "isac",
-                       propulsion, reward)
+    return fly_env(scenario, act, propulsion)
+
+
+def greedy_online(scenario: Scenario, seed: int = 0,
+                  propulsion: PropulsionParams = REFERENCE_PROPULSION
+                  ) -> MissionResult:
+    """Nearest-unvisited pursuit on the live shared collection status.
+
+    Connected baseline: after the mission lands, every slot's chain links get
+    their transmit design and are audited, but no link outcome moves a UAV.
+    """
+    return mission_result(online_flight(scenario, propulsion), scenario, seed,
+                          "greedy_online", "isac")
 
 
 # -- metaheuristics -------------------------------------------------------------

@@ -5,7 +5,8 @@ from uavisac.channel import (effective_channel, elevation_angle,
                              expected_md_channel, inter_uav_sinr,
                              los_probability, md_gain_matrix, md_uplink_sinr,
                              sample_rician_channel, steering_vector, tbp_gain)
-from uavisac.scenario import rng_stream
+from uavisac.mdp_env import CorridorEnv, uplink_gain2
+from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
 
 C, D = 11.95, 0.136
 
@@ -69,6 +70,45 @@ class TestExpectedChannel:
             for i in range(7):
                 assert mat[m, i] == pytest.approx(
                     expected_md_channel(uav[m], md[i], 1e-6, 0.2, C, D), rel=1e-12)
+
+
+def summed_gain_matrix(uav_pos, md_pos, beta, kappa, c, d):
+    """md_gain_matrix as first written: the squared distance summed over the
+    coordinate axis."""
+    diff = np.asarray(uav_pos, float)[..., :, None, :] - np.asarray(md_pos, float)
+    dist = np.sqrt((diff ** 2).sum(axis=-1))
+    p_los = los_probability(np.degrees(np.arcsin(diff[..., 2] / dist)), c, d)
+    return (p_los + (1.0 - p_los) * kappa) * np.sqrt(beta) / dist
+
+
+class TestGainMatrixBits:
+    """The explicit squared distance gives the bits of the summed one."""
+
+    def test_random_positions(self):
+        rng = rng_stream(11, "gain-bits")
+        uav = rng.uniform([-100.0, -100.0, 10.0], [2600.0, 2600.0, 300.0],
+                          (2000, 5, 3))
+        md = rng.uniform([0.0, 0.0, 0.0], [2500.0, 2500.0, 20.0], (12, 3))
+        got = md_gain_matrix(uav, md, 1e-6, 0.2, C, D)
+        assert got.size >= 10 ** 5
+        assert got.tobytes() == summed_gain_matrix(uav, md, 1e-6, 0.2, C,
+                                                   D).tobytes()
+
+    def test_env_and_batched_gain2(self):
+        sc = build_scenario(ScenarioConfig(seed=4))
+        cfg = sc.config
+        rng = rng_stream(12, "gain2-bits")
+        fleets = rng.uniform(0.0, [cfg.area_width, cfg.area_height, 0.0],
+                             (1200, cfg.num_uavs, 3)) + [0.0, 0.0, cfg.altitude]
+        want = summed_gain_matrix(fleets, sc.md_positions, cfg.beta_ref,
+                                  cfg.kappa_nlos, cfg.los_c, cfg.los_d) ** 2
+        assert want.size >= 10 ** 5
+        assert uplink_gain2(fleets, sc).tobytes() == want.tobytes()
+        env = CorridorEnv(sc)
+        env.reset(0)
+        for fleet, gain2 in zip(fleets, want):
+            env.state.positions = fleet
+            assert env.gain2().tobytes() == gain2.tobytes()
 
 
 class TestUplinkSinr:

@@ -333,7 +333,8 @@ class TestPostFlightScoring:
         positions = block_flight(n_slots, n_slots)
         env = scoring_env(WORLD, opts, positions)
         streams = opened_streams(monkeypatch)
-        qos, designs = score_links(env, 7, separated, build=True)
+        qos, designs = score_links(env.flown(), env.scenario, 7, separated,
+                                  build=True, sdr_opts=opts)
         (rng,), ref_rng = streams, rng_stream(7, "env-channel")
         r = env.reward_cfg
         statuses = set()
@@ -357,7 +358,8 @@ class TestPostFlightScoring:
         env = scoring_env(solo, CERTIFY, np.array(
             [[[10.0 * k, 0.0, 80.0]] for k in range(3)]))
         streams = opened_streams(monkeypatch)
-        qos, designs = score_links(env, 8, False, build=True)
+        qos, designs = score_links(env.flown(), env.scenario, 8, False,
+                                  build=True, sdr_opts=CERTIFY)
         assert designs == []
         assert qos.tolist() == [0.0, 0.0, 0.0]
         (rng,) = streams

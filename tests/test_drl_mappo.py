@@ -365,15 +365,20 @@ def keep_scored_flights(monkeypatch):
     """(env, the slots it flew, score_links' QoS and, scored again with
     designs built, its designs) of each episode that train scores, in order;
     each reset gives the env new flight arrays."""
-    scored = []
-    score = drl_mappo.score_links
+    scored, envs = [], []
+    score, run = drl_mappo.score_links, drl_mappo.run_episode
 
-    def kept(env, seed, separated, build):
-        qos, designs = score(env, seed, separated, build)
-        scored.append((env, env.flown(), qos,
-                       score(env, seed, separated, build=True)[1]))
+    def flown(env, seed, act):
+        envs.append(env)
+        return run(env, seed, act)
+
+    def kept(flight, scenario, seed, separated, build, **options):
+        qos, designs = score(flight, scenario, seed, separated, build, **options)
+        scored.append((envs[-1], flight, qos, score(
+            flight, scenario, seed, separated, True, **options)[1]))
         return qos, designs
 
+    monkeypatch.setattr(drl_mappo, "run_episode", flown)
     monkeypatch.setattr(drl_mappo, "score_links", kept)
     return scored
 

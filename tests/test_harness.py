@@ -10,11 +10,12 @@ from uavisac.cli import main
 from uavisac.config import load_config
 from uavisac.drl_mappo import (ActorNet, CriticNet, MappoConfig, MappoPolicy,
                                run_policy_episode)
-from uavisac.harness import (CIRCUIT_POWER_W, SEED_MEANING, ExperimentSpec,
-                             _result_row, checkpoint_path, emit_comparison_table,
-                             emit_sweep_data, git_revision, run_cell,
-                             run_experiment, scenario_config_for,
-                             train_checkpoint, validate_spec)
+from uavisac.harness import (CIRCUIT_POWER_W, METHODS, SEED_MEANING,
+                             ExperimentSpec, _result_row, checkpoint_path,
+                             emit_comparison_table, emit_sweep_data,
+                             git_revision, run_cell, run_experiment,
+                             scenario_config_for, train_checkpoint,
+                             validate_spec)
 from uavisac.mdp_env import CorridorEnv
 from uavisac.scenario import build_scenario
 
@@ -110,11 +111,14 @@ class TestRunExperiment:
             assert (one / name).read_bytes() == (two / name).read_bytes()
 
     def test_grouped_search_rows_equal_their_cells(self, tmp_path):
-        # one task plans every PSO and GA search of an axis value jointly
-        spec = small_spec(tmp_path, methods=("pso", "ga"))
+        # a task flies each trajectory of its group and axis value once: the
+        # DRL pair shares one episode, greedy_online one pursuit, and the
+        # offline plans (PSO and GA searched jointly) one batched replay
+        spec = replace(small_spec(tmp_path, methods=METHODS), workers=2,
+                       train_first=True, train_episodes=1)
         rows = run_experiment(spec)
         assert [(r["method"], r["value"], r["seed"]) for r in rows] == [
-            (m, v, s) for m in ("ga", "pso") for v in (1, 2) for s in (0, 1)]
+            (m, v, s) for m in sorted(METHODS) for v in (1, 2) for s in (0, 1)]
         for r in rows:
             cell = run_cell(r["method"], spec, r["value"], r["seed"])
             assert r == _result_row(cell, "uav_count", r["value"])
@@ -145,7 +149,7 @@ class TestRunExperiment:
                     CriticNet(rng, stale.state_dim, 8),
                     MappoConfig(hidden=8)).save(path)
         cells = []
-        monkeypatch.setattr("uavisac.harness.run_cell",
+        monkeypatch.setattr("uavisac.harness.run_cells",
                             lambda *args: cells.append(args))
         assert main(["run", "--config", str(cfg), "--methods", "drl_sdr",
                      "--values", "2", "--seeds", "0",
@@ -172,6 +176,10 @@ class TestRunExperiment:
         sdr = next(r for r in rows if r["method"] == "drl_sdr")
         sc = next(r for r in rows if r["method"] == "drl_sc")
         # identical trajectories, but the split-array variant pays 2 W per UAV
+        for field in ("time_s", "collected", "success"):
+            assert sc[field] == sdr[field]
+        assert (run_cell("drl_sc", spec, 2, 0).per_uav_energy
+                == run_cell("drl_sdr", spec, 2, 0).per_uav_energy)
         extra = 2.0 * 2 * float(sc["time_s"])
         assert float(sc["energy_j"]) == pytest.approx(
             float(sdr["energy_j"]) + extra, rel=1e-9)
@@ -410,7 +418,7 @@ horizon_slots = 100
         def broken_cell(*args, **kwargs):
             raise ValueError("action mask violation: UAV 0 chose MD 3")
 
-        monkeypatch.setattr("uavisac.harness.run_cell", broken_cell)
+        monkeypatch.setattr("uavisac.harness.run_cells", broken_cell)
         assert main(["run", "--methods", "greedy_offline", "--values", "1",
                      "--seeds", "0", "--out", str(tmp_path)]) == 2
 

@@ -587,7 +587,7 @@ class TestConstraintAudit:
                               heading=rng.uniform(-np.pi, np.pi, 3),
                               speed=np.ones(3, dtype=np.uint8))
             done, _ = env.step(act)
-        _, designs = score_links(env, 0, separated=False, build=True)
+        _, designs = score_links(env.flown(), sc, 0, separated=False, build=True)
         rep = check_constraints(env.flown(), designs, sc)
         assert len(designs) == 2 * env.state.slot
         assert rep.power_budget == 0 and rep.psd == 0 and rep.tbp == 0
@@ -605,7 +605,7 @@ class TestConstraintAudit:
                               heading=rng.uniform(-np.pi, np.pi, 3),
                               speed=np.ones(3, dtype=np.uint8))
             done, _ = env.step(act)
-        _, designs = score_links(env, 0, separated=True, build=True)
+        _, designs = score_links(env.flown(), sc, 0, separated=True, build=True)
         rep = check_constraints(env.flown(), designs, sc)
         assert (rep.md_exclusivity, rep.power_budget, rep.psd, rep.tbp,
                 rep.min_distance) == (0, 0, 0, 0, 0)
@@ -694,7 +694,8 @@ class TestLinkVerdicts:
         env = fly_link_failing_episode(3)
         assert (opened, swept) == ([], [])
         assert len(env.flown().final) == 40
-        qos, designs = score_links(env, 3, separated=False, build=False)
+        qos, designs = score_links(env.flown(), env.scenario, 3,
+                                   separated=False, build=False)
         assert opened == [(3, "env-channel")]
         assert swept == [16, 16, 8]
         assert qos.shape == (40,) and min(qos) < 0.0 and max(qos) == 0.0
@@ -714,7 +715,8 @@ class TestLinkVerdicts:
         want = verdicts[0]
         assert all(np.array_equal(got, want) for got in verdicts)
         assert want.any() and not want.all()
-        qos, designs = score_links(env, 3, separated, build=True)
+        qos, designs = score_links(env.flown(), env.scenario, 3, separated,
+                                   build=True)
         r = env.reward_cfg
         assert [d.feasible for d in designs] == list(want.ravel())
         assert qos.tolist() == [link_reward(verdict, r.link_pass, r.link_fail)
@@ -756,7 +758,7 @@ def test_trace_csv_round_trip(tmp_path):
     done = False
     while not done:
         done, _ = env.step(JointAction.hover(2))
-    qos, designs = score_links(env, 0, separated=False, build=True)
+    qos, designs = score_links(env.flown(), sc, 0, separated=False, build=True)
     out = tmp_path / "trace.csv"
     write_trace_csv(env.flown(), reward_terms(env, qos), designs, sc, out)
     lines = out.read_text().strip().split("\n")

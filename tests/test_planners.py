@@ -7,12 +7,14 @@ import pytest
 from uavisac import planners
 from uavisac.config import load_config
 from uavisac.energy import REFERENCE_PROPULSION
-from uavisac.mdp_env import CorridorEnv
-from uavisac.planners import (GaConfig, InfeasiblePlanError, Plan, PsoConfig,
-                              _decode_keys, _ga_search, _pso_search,
-                              _split_decode, evaluate_plan, ga_plan,
-                              greedy_offline, greedy_online, plan_fitness,
-                              plan_searches, population_fitness, pso_plan)
+from uavisac.mdp_env import (CorridorEnv, JointAction, check_constraints,
+                             run_episode, score_links)
+from uavisac.planners import (GaConfig, InfeasiblePlanError, MissionResult,
+                              Plan, PsoConfig, _decode_keys, _ga_search,
+                              _pso_search, _split_decode, controller_actions,
+                              evaluate_plan, ga_plan, greedy_offline,
+                              greedy_online, plan_fitness, plan_searches,
+                              population_fitness, pso_plan)
 from uavisac.scenario import (Scenario, ScenarioConfig, build_scenario,
                               rng_stream)
 
@@ -147,6 +149,67 @@ class TestPopulationFitness:
             assert fitness[k] == replay.energy_j + 1e5 * missing
             assert plan_fitness(plan, sc) == (fitness[k], energy[k], slots[k],
                                               collected[k])
+
+
+def oracle_replay(plan, sc, seed):
+    """The env-flown replay, frozen: the plan's controller actions stepped
+    through a CorridorEnv by run_episode, each MissionResult read off the
+    landed env's fleet state. Returns the env's flight and its results
+    disconnected and connected."""
+    route, waypoint = planners._pack_routes([plan], sc)
+    cursor = np.zeros(route.shape[:2], dtype=int)
+
+    def act(env):
+        s = env.state
+        targets, aims = planners._follow_routes(route, waypoint, cursor,
+                                                s.collected[None], sc.config)
+        md, heading, speed = controller_actions(
+            s.positions[None], s.collected[None], env.gain2()[None],
+            targets, aims, env.cfg)
+        return JointAction(md_choice=md[0], heading=heading[0], speed=speed[0])
+
+    env = CorridorEnv(sc)
+    state, success = run_episode(env, seed, act)
+    results = []
+    for connected in (False, True):
+        designs = (score_links(env.flown(), sc, seed, separated=False,
+                               build=True)[1] if connected else [])
+        results.append(MissionResult(
+            method="plan", energy_j=state.cumulative_energy,
+            time_s=state.slot * sc.config.slot_seconds,
+            collected=int(state.collected.sum()), success=bool(success),
+            violations=check_constraints(env.flown(), designs, sc,
+                                         connected=connected),
+            per_uav_energy=state.energy_per_uav.tolist(), seed=seed))
+    return env.flown(), results
+
+
+class TestBatchedReplay:
+    """One recorded fly_plans replays every plan as the env replay did."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_env_replay(self, seed, m):
+        sc = build_scenario(replace(load_config().scenario, seed=seed,
+                                    num_uavs=m, **GRID_WORLD))
+        searches = plan_searches(
+            [_pso_search(sc, PsoConfig(swarm=4, iterations=2, seed=seed)),
+             _ga_search(sc, GaConfig(population=4, generations=2, seed=seed))],
+            sc)
+        plans = parity_plans(sc, seed) + searches
+        flights = planners.fly_plans(plans, sc, REFERENCE_PROPULSION,
+                                     record=True)[3]
+        for plan, flight in zip(plans, flights):
+            want_flight, want = oracle_replay(plan, sc, seed)
+            for name, rows in vars(want_flight).items():
+                got = getattr(flight, name)
+                assert got.dtype == rows.dtype, name
+                assert got.shape == rows.shape, name
+                assert got.tobytes() == rows.tobytes(), name
+            for mode, result in zip(("none", "isac"), want):
+                assert planners.mission_result(flight, sc, seed, "plan",
+                                               mode) == result
+            assert evaluate_plan(plan, sc, seed=seed, connected=True) == want[1]
 
 
 def same_plan(a: Plan, b: Plan) -> bool:

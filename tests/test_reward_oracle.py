@@ -220,7 +220,8 @@ class TestPostFlightRewards:
                                            area_width=800.0, area_height=800.0,
                                            start=(0.0, 800.0), end=(800.0, 0.0)))
         env, oracle = fly_both(sc, RewardConfig(), pursue)
-        terms = assert_terms_match(env, oracle, score_links(env, 0, False, False)[0])
+        qos, _ = score_links(env.flown(), sc, 0, separated=False, build=False)
+        terms = assert_terms_match(env, oracle, qos)
         assert oracle[-1][2] and not terms["distance"].any()
         assert not terms["qos"].any()
 
@@ -237,7 +238,7 @@ class TestPostFlightRewards:
                 speed=np.ones(3, dtype=np.uint8))
 
         env, oracle = fly_both(sc, RewardConfig(), spread, slots=40)
-        qos, _ = score_links(env, 0, separated=False, build=False)
+        qos, _ = score_links(env.flown(), sc, 0, separated=False, build=False)
         assert qos.min() < 0.0
         assert_terms_match(env, oracle, qos)
 

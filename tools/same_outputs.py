@@ -9,7 +9,8 @@ runs with ``OPENBLAS_NUM_THREADS=1`` on the ``mission_grid`` world of
 ``perfbench/workloads.py`` with its cut PSO/GA budgets:
 
 - ``run --train-first --episodes 1 --values 2,3 --seeds 0,1`` for scenario
-  (and MAPPO) seeds 0-4;
+  (and MAPPO) seeds 0-4, and once more with ``--workers 2`` on the seed-0
+  world, so the grid's tasks also run in a worker pool;
 - ``curves --episodes 2 --seeds 0,1,2`` on the seed-0 world;
 - ``table`` and ``sweep --axis uav_count`` on each ``run`` output;
 - ``curves --episodes 2 --seeds 0,1,2`` once more, on the default-size
@@ -79,14 +80,15 @@ def produce(tree: Path, work: Path) -> None:
 
     jobs = ([(f"run_seed{seed}", seed, GRID_WORLD, RUN_ARGS)
              for seed in SCENARIO_SEEDS]
-            + [("curves_seed0", 0, GRID_WORLD, CURVE_ARGS),
+            + [("run_workers2_seed0", 0, GRID_WORLD, RUN_ARGS + ("--workers", "2")),
+               ("curves_seed0", 0, GRID_WORLD, CURVE_ARGS),
                ("curves_links_seed0", 0, LINK_WORLD, CURVE_ARGS)])
     for name, seed, world, args in jobs:
         out = work / name
         config = work / f"{name}.cfg"
         write_config(config, seed, world)
         cli(*args, "--config", str(config), out=out)
-        if args is RUN_ARGS:
+        if args[0] == "run":
             for summary in SUMMARY_ARGS:
                 cli(*summary, out=out)
 
