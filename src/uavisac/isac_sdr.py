@@ -29,7 +29,7 @@ dual bound certifies infeasibility, so "feasible" answers are sound by
 construction rather than by solver convergence flags.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,18 +66,29 @@ class SdrOptions:
 
 @dataclass
 class TransmitDesign:
-    r_comm: np.ndarray       # (L, L) Hermitian PSD communication covariance
-    r_sens: np.ndarray       # (L, L) Hermitian PSD sensing covariance
-    w_c: np.ndarray          # (L,) extracted communication beam
-    margin: float            # worst constraint slack of the returned matrices
-    solver_status: str       # feasible | infeasible | numerical_failure
-    iterations: int = 0
-    dual_bound: float = np.inf
+    """The designs of a stack of N links, every array led by the links and
+    problem.h_eff (N, L, L); take(k) gives link k's design, whose arrays
+    drop the link axis."""
+
+    r_comm: np.ndarray       # (N, L, L) Hermitian PSD communication covariances
+    r_sens: np.ndarray       # (N, L, L) Hermitian PSD sensing covariances
+    w_c: np.ndarray          # (N, L) extracted communication beams
+    margin: np.ndarray       # (N,) worst constraint slack of the returned matrices
+    solver_status: np.ndarray  # (N,) feasible | infeasible | numerical_failure
+    iterations: np.ndarray = 0
+    dual_bound: np.ndarray = np.inf
     problem: SdrProblem | None = None
 
     @property
-    def feasible(self) -> bool:
+    def feasible(self):
         return self.solver_status == "feasible"
+
+    def take(self, index) -> "TransmitDesign":
+        """The TransmitDesign of ``array[index]`` for every array and h_eff."""
+        *arrays, p = vars(self).values()
+        return TransmitDesign(*(value[index] for value in arrays), SdrProblem(
+            p.h_eff[index], p.noise_uav, p.gamma_th, p.tbp_threshold, p.angles,
+            p.p_max))
 
 
 @dataclass(frozen=True)
@@ -312,30 +323,27 @@ def _sinr_cap(lead, noise_uav, gamma_th, p_max):
 
 
 # the cases of _link_ladder, in its order; SOLVE: none holds
-NO_FLOOR, ZERO, BEAM, DEEP, CAP, SOLVE = range(6)
+ZERO, BEAM, DEEP, CAP, SOLVE = range(5)
 
 
 def _link_ladder(g, lead, noise_uav, gamma_th, tbp_threshold, angles, p_max,
                  opts: SdrOptions):
-    """The closed-form cases of the transmit design with p_max > 0, per link.
+    """The closed-form cases of the transmit design with p_max, gamma_th > 0.
 
     ``g`` (E, L) holds each link's channel top mode and ``lead`` (E,) its
-    ||g||^2. The first case that holds decides the link: no SINR floor, where
-    the cached beampattern optimum r_tbp is optimal; a zero channel, whose
-    SINR slack is pinned at -1; a beampattern-bound link, g^H r_tbp g giving
-    an SINR slack of at least r_tbp's margin, so dropping the SINR row costs
-    nothing; a deep deficit, where the cap (p_max ||g||^2 - gamma sigma^2) /
-    (gamma sigma^2) on the SINR slack of any covariance within the budget is
-    below -FEAS_TOL and at most -tbp_threshold, the least a beampattern slack
-    can be, so all power on g is optimal; and, certify-only, a cap below
-    -FEAS_TOL. Returns each link's case and its dual bound, and the cached
-    beampattern design.
+    ||g||^2. The first case that holds decides the link: a zero channel, whose
+    SINR slack is pinned at -1; a beampattern-bound link, g^H r_tbp g (r_tbp
+    the cached beampattern optimum) giving an SINR slack of at least r_tbp's
+    margin, so dropping the SINR row costs nothing; a deep deficit, where the
+    cap (p_max ||g||^2 - gamma sigma^2) / (gamma sigma^2) on the SINR slack of
+    any covariance within the budget is below -FEAS_TOL and at most
+    -tbp_threshold, the least a beampattern slack can be, so all power on g is
+    optimal; and, certify-only, a cap below -FEAS_TOL. Returns each link's
+    case and its dual bound, and the cached beampattern design.
     """
     tbp = _tbp_only_design(tuple(float(a) for a in angles), float(tbp_threshold),
                            float(p_max), g.shape[-1])
     r_tbp, tbp_margin, tbp_bound, _ = tbp
-    if gamma_th <= 0.0:
-        return np.full(len(lead), NO_FLOOR), np.full(len(lead), tbp_bound), tbp
     scale = gamma_th * noise_uav
     sinr_slack = (np.vecdot(g, g @ r_tbp.T).real - scale) / scale
     sinr_cap = _sinr_cap(lead, noise_uav, gamma_th, p_max)
@@ -358,12 +366,16 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
     is h_eff itself at rank one, and the returned matrices are re-verified
     against h_eff. Returns matrices, the extracted beam, the achieved margin
     and a status; feasible iff the margin clears -1e-7 and the matrices
-    themselves re-verify.
+    themselves re-verify. The SINR floor and the power budget must be
+    positive, as validate_config requires of a world.
     """
     h_eff = _herm(np.asarray(h_eff, dtype=complex))
     angles = tuple(float(a) for a in angles)
     if len(angles) == 0:
         raise ValueError("at least one sensing angle is required")
+    if not (gamma_th > 0.0 and p_max > 0.0):
+        raise ValueError(f"gamma_th and p_max must be positive, got "
+                         f"{gamma_th} and {p_max}")
     problem = SdrProblem(h_eff=h_eff[None], noise_uav=float(noise_uav),
                          gamma_th=float(gamma_th),
                          tbp_threshold=float(tbp_threshold),
@@ -372,16 +384,10 @@ def solve_feasibility(h_eff, noise_uav, gamma_th, tbp_threshold, angles,
     eigvals, eigvecs = np.linalg.eigh(h_eff)
     lead = float(eigvals[-1])
     g = eigvecs[:, -1] * np.sqrt(max(lead, 0.0))
-
-    if p_max <= 0.0:
-        # zero power forces R = 0, so the margin of the zero design is exact
-        zero = np.zeros_like(problem.h_eff)
-        return _finish_designs(zero, g[None], problem, [0],
-                               _measure_design(zero, zero, problem)[0])[0]
     case, bound, tbp = _link_ladder(g[None], np.array([lead]), noise_uav,
                                     gamma_th, tbp_threshold, angles, p_max, opts)
     return _build_designs(case, bound, tbp[0], g[None], np.array([lead]),
-                          problem, opts)[0]
+                          problem, opts).take(0)
 
 
 def _build_designs(case, bound, r_tbp, g, lead, problem: SdrProblem, opts):
@@ -404,21 +410,17 @@ def _build_designs(case, bound, r_tbp, g, lead, problem: SdrProblem, opts):
 def _finish_designs(r_total, g, problem: SdrProblem, iterations, bound):
     """Split each total covariance (N, L, L), measure the returned matrices in
     one stacked pass and classify them: "feasible" needs the matrices to
-    re-verify, "infeasible" needs the dual bound."""
-    if problem.gamma_th > 0.0:
-        w_c, r_comm, r_sens = extract_rank_one(r_total, g)
-    else:
-        w_c, r_comm, r_sens = np.zeros_like(g), np.zeros_like(r_total), r_total
+    re-verify, "infeasible" needs the dual bound (N,). Returns the stack."""
+    w_c, r_comm, r_sens = extract_rank_one(r_total, g)
     margin, report = _measure_design(r_comm, r_sens, problem)
     verified = (margin >= -FEAS_TOL) & report.passed
-    # numerical_failure: neither certificate holds, however small the gap
-    return [TransmitDesign(
-        r_comm=r_comm[k], r_sens=r_sens[k], w_c=w_c[k], margin=float(margin[k]),
-        solver_status="feasible" if verified[k] else (
-            "infeasible" if bound[k] < -FEAS_TOL else "numerical_failure"),
-        iterations=int(iterations[k]), dual_bound=float(bound[k]),
-        problem=replace(problem, h_eff=problem.h_eff[k]))
-        for k in range(len(g))]
+    # numerical_failure: neither certificate holds, however small the gap; a
+    # list, as numpy's string where costs more than a small stack's loop
+    status = np.array(["feasible" if ok else "infeasible" if low < -FEAS_TOL
+                       else "numerical_failure"
+                       for ok, low in zip(verified.tolist(), bound.tolist())])
+    return TransmitDesign(r_comm, r_sens, w_c, margin, status, iterations,
+                          bound, problem)
 
 
 def _psd_clip(r: np.ndarray) -> np.ndarray:
@@ -486,6 +488,7 @@ def verify_design(design: TransmitDesign, h_eff, noise_uav, gamma_th,
 
     Beampattern gains are evaluated per angle, the SINR through the trace
     identity, and the power sum directly; residuals are signed and relative.
+    A stack of designs is checked link by link, with h_eff (N, L, L).
     """
     problem = SdrProblem(h_eff=np.asarray(h_eff), noise_uav=noise_uav,
                          gamma_th=gamma_th, tbp_threshold=tbp_threshold,
@@ -520,26 +523,27 @@ def link_reward(feasible, r_link_pass: float, r_link_fail: float) -> float:
 
 def _isac_links(g, lead, scenario, opts: SdrOptions, build: bool):
     """One _link_ladder pass over chain links g (N, L), ||g||^2 ``lead`` (N,).
-    Returns (feasible (N,) bool, designs): every link's design in chain order
-    when ``build``, else only the SOLVE links', built by _build_designs. A
-    case that keeps r_tbp is feasible iff r_tbp re-verified when cached: its
-    split w = R g / sqrt(g^H R g) leaves a PSD residual (a Schur complement)
-    that the receiver cannot see."""
+    Returns (feasible (N,) bool, designs): the stack of every link's design
+    in chain order when ``build``, else of the SOLVE links', built by
+    _build_designs, or None when it would be empty. A case that keeps r_tbp
+    is feasible iff r_tbp re-verified when cached: its split w = R g /
+    sqrt(g^H R g) leaves a PSD residual (a Schur complement) that the
+    receiver cannot see."""
     cfg = scenario.config
     case, bound, (r_tbp, _, _, tbp_ok) = _link_ladder(
         g, lead, cfg.noise_uav, cfg.gamma_th_uav, cfg.tbp_threshold,
         cfg.sensing_angles, cfg.p_max, opts)
-    feasible = tbp_ok & ((case == NO_FLOOR) | (case == BEAM))
+    feasible = tbp_ok & (case == BEAM)
     links = np.arange(len(g)) if build else np.flatnonzero(case == SOLVE)
     if not len(links):
-        return feasible, []
+        return feasible, None
     problem = SdrProblem(
         h_eff=_herm(_outer(g[links])), noise_uav=cfg.noise_uav,
         gamma_th=cfg.gamma_th_uav, tbp_threshold=cfg.tbp_threshold,
         angles=cfg.sensing_angles, p_max=cfg.p_max)
     designs = _build_designs(case[links], bound[links], r_tbp, g[links],
                              lead[links], problem, opts)
-    feasible[links] = [d.feasible for d in designs]
+    feasible[links] = designs.feasible
     return feasible, designs
 
 
@@ -548,23 +552,22 @@ def _separated_links(g, lead, scenario, build: bool):
     aperture, communication on the full-budget matched-filter beam w =
     sqrt(p_max) g/||g||, optimal with no covariance sharing. A link's margin
     is then its SINR cap, feasible iff it clears -FEAS_TOL; the sensing floor
-    is met off-array. Designs: every link's when ``build``, else none."""
+    is met off-array. Designs: the stack of every link's when ``build``, else
+    (or with no link) None."""
     cfg = scenario.config
     margin = _sinr_cap(lead, cfg.noise_uav, cfg.gamma_th_uav, cfg.p_max)
     feasible = margin >= -FEAS_TOL
-    if not build:
-        return feasible, []
+    if not (build and len(g)):
+        return feasible, None
     w = np.sqrt(cfg.p_max) * g / np.sqrt(np.where(lead > 0, lead, np.inf))[:, None]
     r_comm = _outer(w)
-    problem = SdrProblem(h_eff=_outer(g), noise_uav=cfg.noise_uav,
-                         gamma_th=cfg.gamma_th_uav, tbp_threshold=0.0,
-                         angles=cfg.sensing_angles, p_max=cfg.p_max)
-    return feasible, [TransmitDesign(
-        r_comm=r_comm[k], r_sens=np.zeros_like(r_comm[k]), w_c=w[k],
-        margin=float(margin[k]),
-        solver_status="feasible" if feasible[k] else "infeasible",
-        dual_bound=float(margin[k]), problem=replace(problem, h_eff=problem.h_eff[k]))
-        for k in range(len(g))]
+    return feasible, TransmitDesign(
+        r_comm=r_comm, r_sens=np.zeros_like(r_comm), w_c=w, margin=margin,
+        solver_status=np.where(feasible, "feasible", "infeasible"),
+        iterations=np.zeros(len(g), dtype=int), dual_bound=margin,
+        problem=SdrProblem(h_eff=_outer(g), noise_uav=cfg.noise_uav,
+                           gamma_th=cfg.gamma_th_uav, tbp_threshold=0.0,
+                           angles=cfg.sensing_angles, p_max=cfg.p_max))
 
 
 def link_feasibility_sweep(uav_positions, scenario, rng,
@@ -573,10 +576,10 @@ def link_feasibility_sweep(uav_positions, scenario, rng,
     """Decide every chain link, UAV m to UAV m + 1, of one slot's formation
     (M, 3) or a block of slots' (S, M, 3), on fresh fading draws from
     ``rng``: by the shared-array design, or by the split-array one when
-    ``separated``. Returns (feasible (..., E) bool, designs): every link's
-    design, slot by slot in chain order, when ``build``, else only those that
-    a Newton solve built. Verdicts and rng use depend on neither ``build``
-    nor the blocking."""
+    ``separated``. Returns (feasible (..., E) bool, designs): the stack of
+    every link's design, slot by slot in chain order, when ``build``, else of
+    those that a Newton solve built; None when no link has one. Verdicts and
+    rng use depend on neither ``build`` nor the blocking."""
     g, lead = _chain_gains(uav_positions, scenario, rng)
     shape, g, lead = lead.shape, g.reshape(-1, g.shape[-1]), lead.ravel()
     feasible, designs = (_separated_links(g, lead, scenario, build) if separated

@@ -15,16 +15,15 @@ station are exempt, since the shared launch/landing pads make co-location
 unavoidable there.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
-from itertools import groupby
 
 import numpy as np
 
 from .channel import md_gain_matrix, uplink_sinr
 from .energy import PropulsionParams, REFERENCE_PROPULSION, slot_energy
-from .isac_sdr import (SdrOptions, _measure_design, link_feasibility_sweep,
-                       link_reward)
+from .isac_sdr import (SdrOptions, link_feasibility_sweep, link_reward,
+                       verify_design)
 from .scenario import Scenario, rng_stream
 
 
@@ -544,9 +543,9 @@ def score_links(flight: Flight, scenario: Scenario, seed: int, separated: bool,
     its flown()), reset with ``seed``: one link_feasibility_sweep per block
     of slots from the episode's "env-channel" stream, as sweeping each slot
     in flight would have. Returns each slot's QoS term (link_reward under
-    ``reward``), (T,), and every link's design, slot by slot in chain order,
-    when ``build`` (else []). No link verdict moves a UAV or enters an
-    observation."""
+    ``reward``), (T,), and when ``build`` each block's stack of its links'
+    designs, slot by slot in chain order (else []). No link verdict moves a
+    UAV or enters an observation."""
     final = flight.final
     rng = rng_stream(seed, "env-channel")
     qos, designs = [], []
@@ -556,8 +555,8 @@ def score_links(flight: Flight, scenario: Scenario, seed: int, separated: bool,
             build)
         qos += [link_reward(ok, reward.link_pass, reward.link_fail)
                 for ok in feasible]
-        if build:
-            designs += built
+        if build and built is not None:
+            designs.append(built)
     return np.array(qos), designs
 
 
@@ -576,8 +575,8 @@ class ConstraintReport:
 def check_constraints(flight: Flight, designs, scenario: Scenario,
                       connected: bool = True) -> ConstraintReport:
     """Audit an episode's Flight (CorridorEnv.flown(), or a plan's recorded
-    replay) and its link designs (score_links') against the mission
-    constraints.
+    replay) and its link designs (score_links' stacks, one per block of
+    slots) against the mission constraints.
 
     ``connected`` marks methods that solve the inter-UAV transmit design; for
     disconnected baselines the link SINR constraint is reported
@@ -596,32 +595,24 @@ def check_constraints(flight: Flight, designs, scenario: Scenario,
     # an MD is covered only by an uplink that cleared the gate
     collected = np.zeros(cfg.num_mds, dtype=bool)
     collected[served[(served >= 0) & (sinr >= cfg.gamma_th_md)]] = True
-    # each design re-measured from its matrices: per block of slots, the
-    # designs that share their problem's scalars at a time
-    size = _BLOCK * max(cfg.num_uavs - 1, 1)
-    for start in range(0, len(designs), size):
-        for _, block in groupby(designs[start:start + size],
-                                lambda d: replace(d.problem, h_eff=None)):
-            block = list(block)
-            r_comm, r_sens, h_eff = (np.stack(m) for m in zip(
-                *((d.r_comm, d.r_sens, d.problem.h_eff) for d in block)))
-            _, report = _measure_design(r_comm, r_sens,
-                                        replace(block[0].problem, h_eff=h_eff))
-            feasible = np.array([d.feasible for d in block])
-            tbp_short = report.tbp_residuals.min(axis=-1) < -1e-6
-            rep.power_budget += int((report.power_residual < -1e-6).sum())
-            rep.psd += int((report.psd_residual < -1e-8).sum())
-            rep.tbp += int((feasible & tbp_short).sum())
-            if connected:
-                rep.inter_uav_sinr += int(
-                    (~feasible | (report.sinr_residual < -1e-6)).sum())
+    # each block's designs re-measured from their matrices
+    for block in designs:
+        report = verify_design(block, **vars(block.problem))
+        feasible = block.feasible
+        tbp_short = report.tbp_residuals.min(axis=-1) < -1e-6
+        rep.power_budget += int((report.power_residual < -1e-6).sum())
+        rep.psd += int((report.psd_residual < -1e-8).sum())
+        rep.tbp += int((feasible & tbp_short).sum())
+        if connected:
+            rep.inter_uav_sinr += int(
+                (~feasible | (report.sinr_residual < -1e-6)).sum())
     rep.coverage_missing = int((~collected).sum())
     return rep
 
 
 def write_trace_csv(flight: Flight, rewards, designs, scenario: Scenario, path):
     """Per-slot episode trace: kinematics, scheduling, the reward terms
-    (reward_terms') and the link margins of score_links' designs."""
+    (reward_terms') and the link margins of score_links' design stacks."""
     m_count = scenario.config.num_uavs
     n_links = m_count - 1
     cols = ["slot"]
@@ -629,6 +620,7 @@ def write_trace_csv(flight: Flight, rewards, designs, scenario: Scenario, path):
         cols += [f"x_{m}", f"y_{m}", f"heading_{m}", f"speed_{m}", f"served_md_{m}"]
     cols += [f"r_{name}" for name in rewards]
     cols += [f"link_margin_{k}" for k in range(n_links)]
+    margins = [margin for block in designs for margin in block.margin]
     lines = [",".join(cols)]
     for t, final in enumerate(flight.final):
         row = [str(t + 1)]
@@ -637,8 +629,8 @@ def write_trace_csv(flight: Flight, rewards, designs, scenario: Scenario, path):
                     f"{flight.heading[t, m]:.6f}", str(int(flight.moved[t, m])),
                     str(int(flight.served[t, m]))]
         row += [f"{terms[t]:.6f}" for terms in rewards.values()]
-        margins = [d.margin for d in designs[t * n_links:(t + 1) * n_links]]
-        row += [f"{val:.9g}" for val in margins or [np.nan] * n_links]
+        row += [f"{val:.9g}" for val in
+                margins[t * n_links:(t + 1) * n_links] or [np.nan] * n_links]
         lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -19,10 +19,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from test_isac_sdr import ANGLES, CERTIFY, GAMMA_LIN, NOISE_U, P_MAX, make_h_eff
+from test_isac_sdr import (ANGLES, CERTIFY, GAMMA_LIN, NOISE_U, P_MAX, links_of,
+                           make_h_eff)
 from uavisac import isac_sdr, mdp_env
-from uavisac.isac_sdr import (BEAM, CAP, DEEP, FEAS_TOL, NO_FLOOR, PSD_TOL,
-                              SOLVE, VERIFY_TOL, ZERO, SdrOptions, SdrProblem,
+from uavisac.isac_sdr import (BEAM, CAP, DEEP, FEAS_TOL, PSD_TOL, SOLVE,
+                              VERIFY_TOL, ZERO, SdrOptions, SdrProblem,
                               _chain_gains, _link_ladder, _sinr_cap,
                               _solve_margin, link_feasibility_sweep,
                               link_reward, solve_feasibility, tbp_quadratic,
@@ -87,11 +88,7 @@ def reference_extract(r_total, g):
 
 
 def reference_finish(r_total, g, problem, iterations, bound):
-    if problem.gamma_th > 0.0:
-        w_c, r_comm, r_sens = reference_extract(r_total, g)
-    else:
-        w_c = np.zeros(len(g), dtype=complex)
-        r_comm, r_sens = np.zeros_like(r_total), r_total
+    w_c, r_comm, r_sens = reference_extract(r_total, g)
     margin, report = reference_measure(r_comm, r_sens, problem)
     if margin >= -FEAS_TOL and report[-1]:
         status = "feasible"
@@ -204,8 +201,7 @@ def ladder_gains(scenario, seed):
     return g, np.append(lead.ravel(), 0.0)
 
 
-WORLDS = {"reference": WORLD,
-          "no_floor": replace(WORLD, config=replace(WORLD.config, gamma_th_uav=0.0))}
+WORLDS = {"reference": WORLD}
 
 
 class TestArrayDesigns:
@@ -219,6 +215,7 @@ class TestArrayDesigns:
             case, want = reference_isac_links(g, lead, scenario, opts)
             feasible, got = isac_sdr._isac_links(g, lead, scenario, opts, True)
             bare, solved = isac_sdr._isac_links(g, lead, scenario, opts, False)
+            got, solved = links_of(got), links_of(solved)
             assert len(got) == len(want) == len(g)
             for des, ref in zip(got, want):
                 assert_same_design(des, ref)
@@ -227,17 +224,15 @@ class TestArrayDesigns:
             for des, k in zip(solved, np.flatnonzero(case == SOLVE)):
                 assert_same_design(des, want[k])
             cases |= set(case.tolist())
-        if world == "no_floor":
-            assert cases == {NO_FLOOR}
-        else:
-            wanted = {ZERO, BEAM, DEEP, SOLVE} | ({CAP} if opts.certify_only else set())
-            assert cases == wanted
+        assert cases == {ZERO, BEAM, DEEP, SOLVE} | (
+            {CAP} if opts.certify_only else set())
 
     def test_separated_links_match_per_link_designs(self):
         for seed in range(3):
             g, lead = ladder_gains(WORLD, seed)
             want = reference_separated_links(g, lead, WORLD)
             feasible, got = isac_sdr._separated_links(g, lead, WORLD, True)
+            got = links_of(got)
             assert list(feasible) == [d.solver_status == "feasible" for d in want]
             for des, ref in zip(got, want):
                 for name in ("solver_status", "iterations", "dual_bound", "margin"):
@@ -247,31 +242,23 @@ class TestArrayDesigns:
                 assert replace(des.problem, h_eff=None) == replace(ref.problem, h_eff=None)
                 assert_same(des.problem.h_eff, ref.problem.h_eff)
 
-    @pytest.mark.parametrize("kw", [{}, dict(gamma_lin=0.0), dict(p_max=0.0)],
-                             ids=["floor", "no_floor", "no_power"])
+    @pytest.mark.parametrize("gam", [10 ** 0.8], ids=["floor"])
     @pytest.mark.parametrize("opts", [SdrOptions(), CERTIFY], ids=["full", "certify"])
-    def test_solve_feasibility_matches_per_link_path(self, kw, opts):
-        gam = kw.get("gamma_lin", 10 ** 0.8)
-        p_max = kw.get("p_max", P_MAX)
+    def test_solve_feasibility_matches_per_link_path(self, gam, opts):
         for dist in (200.0, 1000.0, 1450.0, 1500.0, 1700.0, 2500.0, 5000.0):
             h_eff = reference_herm(make_h_eff(dist, seed=1, label="parity"))
             problem = SdrProblem(h_eff=h_eff, noise_uav=NOISE_U, gamma_th=gam,
                                  tbp_threshold=GAMMA_LIN, angles=ANGLES,
-                                 p_max=p_max)
+                                 p_max=P_MAX)
             w, v = np.linalg.eigh(h_eff)
             g = v[:, -1] * np.sqrt(max(float(w[-1]), 0.0))
-            if p_max <= 0.0:
-                zero = np.zeros_like(h_eff)
-                want = reference_finish(zero, g, problem, 0,
-                                        reference_measure(zero, zero, problem)[0])
-            else:
-                case, bound, tbp = _link_ladder(
-                    g[None], np.array([float(w[-1])]), NOISE_U, gam, GAMMA_LIN,
-                    ANGLES, p_max, opts)
-                want = reference_case_design(case[0], bound[0], tbp[0], g,
-                                             float(w[-1]), problem, opts)
+            case, bound, tbp = _link_ladder(
+                g[None], np.array([float(w[-1])]), NOISE_U, gam, GAMMA_LIN,
+                ANGLES, P_MAX, opts)
+            want = reference_case_design(case[0], bound[0], tbp[0], g,
+                                         float(w[-1]), problem, opts)
             got = solve_feasibility(h_eff, NOISE_U, gam, GAMMA_LIN, ANGLES,
-                                    p_max, opts)
+                                    P_MAX, opts)
             assert_same_design(got, want)
 
     def test_extract_rank_one_of_a_stack_is_per_link(self):
@@ -333,8 +320,9 @@ class TestPostFlightScoring:
         positions = block_flight(n_slots, n_slots)
         env = scoring_env(WORLD, opts, positions)
         streams = opened_streams(monkeypatch)
-        qos, designs = score_links(env.flown(), env.scenario, 7, separated,
-                                  build=True, sdr_opts=opts)
+        qos, stacks = score_links(env.flown(), env.scenario, 7, separated,
+                                 build=True, sdr_opts=opts)
+        designs = links_of(*stacks)
         (rng,), ref_rng = streams, rng_stream(7, "env-channel")
         r = env.reward_cfg
         statuses = set()
@@ -342,6 +330,7 @@ class TestPostFlightScoring:
         for k, formation in enumerate(positions):
             verdict, want = link_feasibility_sweep(formation, WORLD, ref_rng,
                                                    opts, separated)
+            want = links_of(want)
             slot_designs = designs[2 * k:2 * k + 2]
             assert len(want) == 2
             assert [d.feasible for d in slot_designs] == list(verdict)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from test_isac_sdr import links_of
 from test_reward_oracle import oracle_step
 from uavisac import drl_mappo, nn
 from uavisac.drl_mappo import (ActorNet, Adam, CriticNet, MappoConfig,
@@ -568,10 +569,12 @@ class TestTrainLoop:
         assert len(scored) == 3
         r = scored[0][0].reward_cfg
         for _, flown, qos, designs in scored:
-            assert len(designs) == len(flown.final)
+            links = links_of(*designs)
+            assert len(links) == len(flown.final)
             assert qos.tolist() == [link_reward([d.feasible], r.link_pass,
-                                                r.link_fail) for d in designs]
-        margins = np.array([d.margin for *_, designs in scored for d in designs])
+                                                r.link_fail) for d in links]
+        margins = np.array([d.margin for *_, designs in scored
+                            for d in links_of(*designs)])
         assert len(margins) == sum(len(flown.final) for _, flown, _, _ in scored)
         assert not np.isnan(margins).any()
         assert (margins < 0.0).any()        # the world has failing links

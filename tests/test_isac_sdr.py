@@ -35,20 +35,20 @@ def solve(h_eff, gamma_db=8.0, gamma_lin=None, tbp=GAMMA_LIN, p_max=P_MAX,
     return solve_feasibility(h_eff, NOISE_U, gam, tbp, angles, p_max, opts)
 
 
-class TestSolveFeasibility:
-    def test_zero_power_with_positive_floor_is_infeasible(self):
-        des = solve(make_h_eff(100), p_max=0.0)
-        assert des.solver_status == "infeasible"
-        assert des.margin < 0
+def links_of(*stacks):
+    """Each link's design of the design stacks, in order, by take(k); a None
+    stack holds no link."""
+    return [stack.take(k) for stack in stacks if stack is not None
+            for k in range(len(stack.margin))]
 
-    def test_isotropic_lower_bound_without_sinr(self):
-        # with no SINR requirement and a single angle, the isotropic design
-        # alone achieves p_max at the angle, so the margin beats p_max - Gamma
-        tbp = 0.05
-        des = solve(make_h_eff(100), gamma_lin=0.0, tbp=tbp,
-                    angles=(ANGLES[1],))
-        assert des.solver_status == "feasible"
-        assert des.margin >= P_MAX - tbp - 1e-9
+
+class TestSolveFeasibility:
+    @pytest.mark.parametrize("kw", [dict(gamma_lin=0.0), dict(gamma_lin=-1.0),
+                                    dict(gamma_lin=np.nan), dict(p_max=0.0),
+                                    dict(p_max=-0.1)])
+    def test_needs_a_positive_sinr_floor_and_budget(self, kw):
+        with pytest.raises(ValueError, match="must be positive"):
+            solve(make_h_eff(100), **kw)
 
     def test_table_scale_instance_feasible_and_verified(self):
         h_eff = make_h_eff(100)
@@ -223,7 +223,8 @@ def full_space_design(h_eff, gam, opts):
     problem = SdrProblem(h_eff=h, noise_uav=NOISE_U, gamma_th=gam,
                          tbp_threshold=GAMMA_LIN, angles=ANGLES, p_max=P_MAX)
     return _finish_designs(_herm(r)[None], g[None],
-                           replace(problem, h_eff=h[None]), [iters], [bound])[0], g
+                           replace(problem, h_eff=h[None]), np.array([iters]),
+                           np.array([bound])).take(0), g
 
 
 class TestSubspaceSolve:
@@ -368,16 +369,18 @@ class TestNewtonSolve:
 
     def test_infeasible_needs_the_dual_bound(self):
         # the isotropic design misses a beampattern floor p_max + 2e-7 by
-        # exactly 2e-7; only a bound below -FEAS_TOL may call that infeasible
+        # exactly 2e-7 and clears the SINR floor by far; only a bound below
+        # -FEAS_TOL may call that infeasible
         r = np.eye(L, dtype=complex) * (P_MAX / L)
-        problem = SdrProblem(h_eff=np.zeros((L, L)), noise_uav=NOISE_U,
-                             gamma_th=0.0, tbp_threshold=P_MAX + 2e-7,
-                             angles=ANGLES, p_max=P_MAX)
-        g = np.zeros(L, dtype=complex)
+        g = np.full(L, 1e-3, dtype=complex)
+        problem = SdrProblem(h_eff=_herm(np.outer(g, g.conj()))[None],
+                             noise_uav=NOISE_U, gamma_th=10 ** 0.8,
+                             tbp_threshold=P_MAX + 2e-7, angles=ANGLES,
+                             p_max=P_MAX)
 
         def finish(bound):
-            return _finish_designs(r[None], g[None], replace(
-                problem, h_eff=problem.h_eff[None]), [0], [bound])[0]
+            return _finish_designs(r[None], g[None], problem, np.zeros(1, int),
+                                   np.array([bound])).take(0)
 
         near = finish(-0.5 * FEAS_TOL)
         assert near.margin == pytest.approx(-2e-7, rel=1e-6)
@@ -469,18 +472,6 @@ class TestDesignMeasurement:
             h_eff = make_h_eff(dist, seed=1, label="parity")
             self.check(solve(h_eff, opts=CERTIFY), h_eff, 10 ** 0.8)
 
-    def test_no_sinr_floor_branch(self):
-        for seed in range(5):
-            h_eff = make_h_eff(200.0 + 300.0 * seed, seed=seed, label="branch")
-            assert self.check(solve(h_eff, gamma_lin=0.0), h_eff, 0.0) == "feasible"
-
-    def test_zero_power_branch(self):
-        for seed in range(5):
-            h_eff = make_h_eff(200.0 + 300.0 * seed, seed=seed, label="branch")
-            des = solve(h_eff, p_max=0.0)
-            assert self.check(des, h_eff, 10 ** 0.8, p_max=0.0) == "infeasible"
-            assert des.dual_bound == des.margin
-
 
 class TestLinkSweep:
     def setup_method(self):
@@ -488,16 +479,17 @@ class TestLinkSweep:
 
     def test_single_uav_neutral(self):
         solo = build_scenario(ScenarioConfig(num_uavs=1, seed=0))
-        _, designs = link_feasibility_sweep(
+        feasible, designs = link_feasibility_sweep(
             np.array([[0.0, 2500.0, 80.0]]), solo, rng_stream(0, "sweep"))
-        assert designs == []
-        assert link_reward([d.feasible for d in designs], 0.05, -1.0) == 0.0
+        assert designs is None
+        assert link_reward(feasible, 0.05, -1.0) == 0.0
 
     def test_all_links_feasible_aggregation(self):
         pos = np.array([[0.0, 2500.0, 80.0], [150.0, 2400.0, 80.0],
                         [280.0, 2300.0, 80.0]])
-        _, designs = link_feasibility_sweep(pos, self.scenario,
-                                            rng_stream(1, "sweep"))
+        _, stack = link_feasibility_sweep(pos, self.scenario,
+                                          rng_stream(1, "sweep"))
+        designs = links_of(stack)
         assert len(designs) == 2
         assert all(d.feasible for d in designs)
         assert link_reward([d.feasible for d in designs], 0.05, -1.0) == \
@@ -509,7 +501,7 @@ class TestLinkSweep:
         two = build_scenario(ScenarioConfig(num_uavs=2, seed=0))
         _, d_near = link_feasibility_sweep(near, two, rng_stream(5, "dist"))
         _, d_far = link_feasibility_sweep(far, two, rng_stream(5, "dist"))
-        assert d_far[0].margin <= d_near[0].margin + 1e-9
+        assert d_far.take(0).margin <= d_near.take(0).margin + 1e-9
 
     def chain_draws(self, pos, seed):
         """The sweeps' channels, drawn here in chain order from the same rng."""
@@ -523,8 +515,9 @@ class TestLinkSweep:
         pos = np.array([[0.0, 2500.0, 80.0], [150.0, 2400.0, 80.0],
                         [3150.0, 2400.0, 80.0]])
         cfg = self.scenario.config
-        _, designs = link_feasibility_sweep(
+        _, stack = link_feasibility_sweep(
             pos, self.scenario, rng_stream(2, "sweep"), separated=True)
+        designs = links_of(stack)
         scale = cfg.gamma_th_uav * cfg.noise_uav
         for des, h in zip(designs, self.chain_draws(pos, 2)):
             g = h.conj().T @ self.scenario.rx_combiner
@@ -541,9 +534,9 @@ class TestLinkSweep:
             # chain links from 100 m to 5 km, both sides of the SINR floor
             pos = np.array([[0.0, 0.0, 80.0], [100.0, 0.0, 80.0],
                             [100.0 + gap, 0.0, 80.0]])
-            _, designs = link_feasibility_sweep(
+            _, stack = link_feasibility_sweep(
                 pos, self.scenario, rng_stream(seed, "sweep"), separated=True)
-            for des in designs:
+            for des in links_of(stack):
                 assert des.feasible == (des.margin >= -FEAS_TOL)
                 assert des.feasible == (des.solver_status == "feasible")
                 w_gain = np.linalg.norm(des.w_c) ** 2
@@ -559,8 +552,8 @@ class TestLinkSweep:
                                          rng_stream(7, "sweep"))
         _, split = link_feasibility_sweep(pos, self.scenario,
                                           rng_stream(7, "sweep"), separated=True)
-        assert len(isac) == len(split) == 2
-        for a, b in zip(isac, split):
+        assert len(links_of(isac)) == len(links_of(split)) == 2
+        for a, b in zip(links_of(isac), links_of(split)):
             # solve_feasibility keeps the Hermitian part of g g^H
             assert np.array_equal(a.problem.h_eff, _herm(b.problem.h_eff))
 
@@ -571,8 +564,9 @@ class TestLinkSweep:
         pos = np.array([[0.0, 2500.0, 80.0], [150.0, 2400.0, 80.0],
                         [300.0, 2450.0, 80.0], [420.0, 2300.0, 80.0]])
         ref_rng = rng_stream(3, "chain")
-        _, designs = link_feasibility_sweep(pos, four, rng_stream(3, "chain"),
-                                            separated=True)
+        _, stack = link_feasibility_sweep(pos, four, rng_stream(3, "chain"),
+                                          separated=True)
+        designs = links_of(stack)
         assert len(designs) == 3
         for des, (tx, rx) in zip(designs, ((0, 1), (1, 2), (2, 3))):
             h = sample_rician_channel(pos[tx], pos[rx], cfg.rician_k,
@@ -588,7 +582,7 @@ class TestLinkSweep:
         solo = build_scenario(ScenarioConfig(num_uavs=1, seed=0))
         rng, ref_rng = rng_stream(4, "chain"), rng_stream(4, "chain")
         got, designs = link_feasibility_sweep(pos[:1], solo, rng)
-        assert got.shape == (0,) and designs == []
+        assert got.shape == (0,) and designs is None
         assert rng.random() == ref_rng.random()
 
 
@@ -688,7 +682,7 @@ class TestChainVerdicts:
 
     @pytest.mark.parametrize("opts", [SdrOptions(), CERTIFY])
     @pytest.mark.parametrize("field, value", [
-        ("p_max", 0.0), ("gamma_th_uav", 0.0),
+        ("p_max", 1e-12), ("gamma_th_uav", 1e-12),
         ("tbp_threshold", 20.0)])        # above p_max * L: no link can sense
     def test_degenerate_worlds(self, opts, field, value):
         cfg = replace(self.scenario.config, **{field: value})
@@ -711,7 +705,8 @@ class TestChainVerdicts:
                 pos, self.scenario, rng, opts, separated, build=True)
             bare, _ = link_feasibility_sweep(
                 pos, self.scenario, bare_rng, opts, separated, build=False)
-            assert list(bare) == list(feasible) == [d.feasible for d in designs]
+            assert list(bare) == list(feasible) == [
+                d.feasible for d in links_of(designs)]
             assert rng.random() == bare_rng.random()
 
     def test_reward_sums_in_chain_order(self):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from test_isac_sdr import links_of
 from uavisac import isac_sdr, mdp_env
 from uavisac.energy import flight_power, hover_power
 from uavisac.isac_sdr import link_feasibility_sweep, link_reward
@@ -589,7 +590,7 @@ class TestConstraintAudit:
             done, _ = env.step(act)
         _, designs = score_links(env.flown(), sc, 0, separated=False, build=True)
         rep = check_constraints(env.flown(), designs, sc)
-        assert len(designs) == 2 * env.state.slot
+        assert len(links_of(*designs)) == 2 * env.state.slot
         assert rep.power_budget == 0 and rep.psd == 0 and rep.tbp == 0
         assert rep.md_exclusivity == 0
 
@@ -609,9 +610,10 @@ class TestConstraintAudit:
         rep = check_constraints(env.flown(), designs, sc)
         assert (rep.md_exclusivity, rep.power_budget, rep.psd, rep.tbp,
                 rep.min_distance) == (0, 0, 0, 0, 0)
-        failed = sum(not d.feasible for d in designs)
+        links = links_of(*designs)
+        failed = sum(not d.feasible for d in links)
         assert rep.inter_uav_sinr == failed
-        margins = np.array([d.margin for d in designs])
+        margins = np.array([d.margin for d in links])
         assert len(margins) == 2 * env.state.slot
         assert np.all(np.isfinite(margins))
 
@@ -718,7 +720,7 @@ class TestLinkVerdicts:
         qos, designs = score_links(env.flown(), env.scenario, 3, separated,
                                    build=True)
         r = env.reward_cfg
-        assert [d.feasible for d in designs] == list(want.ravel())
+        assert [d.feasible for d in links_of(*designs)] == list(want.ravel())
         assert qos.tolist() == [link_reward(verdict, r.link_pass, r.link_fail)
                                 for verdict in want]
 

@@ -4,11 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uavisac import planners
+from test_isac_sdr import links_of
+from uavisac import mdp_env, planners
 from uavisac.config import load_config
 from uavisac.energy import REFERENCE_PROPULSION
-from uavisac.mdp_env import (CorridorEnv, JointAction, check_constraints,
-                             run_episode, score_links)
+from uavisac.isac_sdr import _measure_design
+from uavisac.mdp_env import (ConstraintReport, CorridorEnv, JointAction,
+                             check_constraints, pairs_above, run_episode,
+                             score_links, station_exempt, too_close)
 from uavisac.planners import (GaConfig, InfeasiblePlanError, MissionResult,
                               Plan, PsoConfig, _decode_keys, _ga_search,
                               _pso_search, _split_decode, controller_actions,
@@ -16,7 +19,7 @@ from uavisac.planners import (GaConfig, InfeasiblePlanError, MissionResult,
                               greedy_online, plan_fitness, plan_searches,
                               population_fitness, pso_plan)
 from uavisac.scenario import (Scenario, ScenarioConfig, build_scenario,
-                              rng_stream)
+                              db_to_linear, rng_stream)
 
 SMALL = dict(area_width=800.0, area_height=800.0, start=(0.0, 800.0),
              end=(800.0, 0.0), horizon_slots=200)
@@ -210,6 +213,73 @@ class TestBatchedReplay:
                 assert planners.mission_result(flight, sc, seed, "plan",
                                                mode) == result
             assert evaluate_plan(plan, sc, seed=seed, connected=True) == want[1]
+
+
+def oracle_check_constraints(flight, designs, sc, connected):
+    """check_constraints as it stood when a mission's designs were one flat
+    list of per-link designs, frozen: per block of slots, the designs that
+    share their problem's scalars are regrouped, restacked and measured."""
+    cfg = sc.config
+    rep = ConstraintReport(inter_uav_sinr=0 if connected else None)
+    close = pairs_above(cfg.num_uavs) & too_close(flight.final, cfg)
+    close &= ~station_exempt(flight.final, cfg)
+    rep.min_distance = int(close.sum())
+    served, sinr = flight.served, flight.served_sinr
+    ordered = np.sort(served, axis=1)
+    rep.md_exclusivity = int(((ordered[:, 1:] == ordered[:, :-1])
+                              & (ordered[:, 1:] >= 0)).sum())
+    rep.uplink_gating = int(((served >= 0) & (sinr < cfg.gamma_th_md)).sum())
+    collected = np.zeros(cfg.num_mds, dtype=bool)
+    collected[served[(served >= 0) & (sinr >= cfg.gamma_th_md)]] = True
+    size = mdp_env._BLOCK * max(cfg.num_uavs - 1, 1)
+    for start in range(0, len(designs), size):
+        for _, block in itertools.groupby(
+                designs[start:start + size],
+                lambda d: replace(d.problem, h_eff=None)):
+            block = list(block)
+            r_comm, r_sens, h_eff = (np.stack(m) for m in zip(
+                *((d.r_comm, d.r_sens, d.problem.h_eff) for d in block)))
+            _, report = _measure_design(r_comm, r_sens,
+                                        replace(block[0].problem, h_eff=h_eff))
+            feasible = np.array([d.feasible for d in block])
+            tbp_short = report.tbp_residuals.min(axis=-1) < -1e-6
+            rep.power_budget += int((report.power_residual < -1e-6).sum())
+            rep.psd += int((report.psd_residual < -1e-8).sum())
+            rep.tbp += int((feasible & tbp_short).sum())
+            if connected:
+                rep.inter_uav_sinr += int(
+                    (~feasible | (report.sinr_residual < -1e-6)).sum())
+    rep.coverage_missing = int((~collected).sum())
+    return rep
+
+
+# the default-size world under a 22 dB link floor, where chain links fail
+AUDIT_WORLDS = {"grid": GRID_WORLD, "links": dict(gamma_th_uav=db_to_linear(22.0))}
+
+
+class TestStackedAudit:
+    """check_constraints measures each block's design stack as score_links
+    returns it, and reports what the per-link audit reported."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("world", sorted(AUDIT_WORLDS))
+    def test_matches_the_per_link_audit(self, world, m):
+        sc = build_scenario(replace(load_config().scenario, seed=0,
+                                    num_uavs=m, **AUDIT_WORLDS[world]))
+        plans = parity_plans(sc, 0)
+        flights = planners.fly_plans(plans, sc, REFERENCE_PROPULSION,
+                                     record=True)[3]
+        failed = 0
+        for flight in flights:
+            for mode in ("none", "isac", "separated"):
+                designs = [] if mode == "none" else score_links(
+                    flight, sc, 0, separated=mode == "separated", build=True)[1]
+                got = check_constraints(flight, designs, sc,
+                                        connected=mode != "none")
+                assert got == oracle_check_constraints(
+                    flight, links_of(*designs), sc, connected=mode != "none")
+                failed += got.inter_uav_sinr or 0
+        assert (failed > 0) == (world == "links" and m > 1)
 
 
 def same_plan(a: Plan, b: Plan) -> bool:

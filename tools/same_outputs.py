@@ -13,9 +13,11 @@ runs with ``OPENBLAS_NUM_THREADS=1`` on the ``mission_grid`` world of
   world, so the grid's tasks also run in a worker pool;
 - ``curves --episodes 2 --seeds 0,1,2`` on the seed-0 world;
 - ``table`` and ``sweep --axis uav_count`` on each ``run`` output;
-- ``curves --episodes 2 --seeds 0,1,2`` once more, on the default-size
-  seed-0 world with a 22 dB inter-UAV SINR floor. No training link of the
-  runs above fails, so only these curves can show a change to the QoS reward.
+- ``curves --episodes 2 --seeds 0,1,2`` and the ``run`` grid above (with
+  its ``table`` and ``sweep``) once more, on the default-size seed-0 world
+  with a 22 dB inter-UAV SINR floor. No chain link of the runs on the
+  ``mission_grid`` world fails, so only these outputs can show a change to
+  the QoS reward or to the link audit counts of ``results.csv``.
 
 The ``[mappo]`` section sets ``rollout = 256``, fewer agent samples than one
 episode gives, so every training episode ends in a PPO update.
@@ -51,7 +53,7 @@ RUN_ARGS = ("run", "--train-first", "--episodes", "1", "--values", "2,3",
 CURVE_ARGS = ("curves", "--episodes", "2", "--seeds", "0,1,2")
 SUMMARY_ARGS = (("table",), ("sweep", "--axis", "uav_count"))
 ROLLOUT = 256
-LINK_WORLD = dict(gamma_th_uav_db=22.0)     # default area: training links fail
+LINK_WORLD = dict(gamma_th_uav_db=22.0)     # default area: chain links fail
 COMPARED = ("results.csv", "aggregates.csv", "comparison_table*.csv",
             "sweep_*.csv", "*.curve.csv", "curve_seed*.csv", "*.npz",
             "manifest.json")
@@ -82,7 +84,8 @@ def produce(tree: Path, work: Path) -> None:
              for seed in SCENARIO_SEEDS]
             + [("run_workers2_seed0", 0, GRID_WORLD, RUN_ARGS + ("--workers", "2")),
                ("curves_seed0", 0, GRID_WORLD, CURVE_ARGS),
-               ("curves_links_seed0", 0, LINK_WORLD, CURVE_ARGS)])
+               ("curves_links_seed0", 0, LINK_WORLD, CURVE_ARGS),
+               ("run_links_seed0", 0, LINK_WORLD, RUN_ARGS)])
     for name, seed, world, args in jobs:
         out = work / name
         config = work / f"{name}.cfg"
