@@ -58,7 +58,7 @@ def md_gain_matrix(uav_pos, md_pos, beta, kappa, c, d) -> np.ndarray:
     # the terms in the order a sum over the last axis adds them, without
     # its reduction overhead
     dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-    if (dist == 0.0).any():
+    if np.count_nonzero(dist == 0.0):
         raise ValueError("coincident UAV and MD positions")
     theta = np.degrees(np.arcsin(dz / dist))
     p_los = los_probability(theta, c, d)
@@ -74,7 +74,7 @@ def uplink_sinr(gain2, serving, p_md, noise_md) -> np.ndarray:
     """
     n_fleets, m_count = serving.shape
     active = serving >= 0
-    if not active.any():
+    if not np.count_nonzero(active):
         return np.zeros(serving.shape)
     # power[b, m, k]: received power at UAV m from the MD that UAV k serves
     power = p_md * gain2[np.arange(n_fleets)[:, None, None],

@@ -361,7 +361,7 @@ class MappoPolicy:
 def act_in_env(policy: MappoPolicy, env: CorridorEnv,
                rng: np.random.Generator | None):
     """Sequential per-agent action selection under the claim-order masks,
-    from the env's current observations.
+    from the current observations of the env's one fleet.
 
     One forward pass and one masked log-softmax serve every agent: the claim
     order changes only the MD-head masks, so a row is normalised again only
@@ -375,10 +375,10 @@ def act_in_env(policy: MappoPolicy, env: CorridorEnv,
     """
     actor = policy.actor
     m_agents = env.n_agents
-    obs = env.observations()
+    obs = env.observations()[0]
     md_logits, mu, z_speed = actor.heads(_trunk(actor, obs)[1])
     sigma = float(np.exp(actor.log_std[0]))
-    masks = env.open_masks()
+    masks = env.open_masks()[0]
     logp_md = log_softmax_masked(md_logits, masks)
     stale = np.zeros(m_agents, dtype=bool)
     md = np.empty(m_agents, dtype=int)
@@ -406,8 +406,8 @@ def act_in_env(policy: MappoPolicy, env: CorridorEnv,
     else:
         heading = np.pi * np.tanh(u)
         logp = joint_log_prob(logp_md, mu, sigma, z_speed, md, u, speed)
-    action = JointAction(md_choice=np.where(md < env.n_mds, md, -1),
-                         heading=heading, speed=speed)
+    action = JointAction(md_choice=np.where(md < env.n_mds, md, -1)[None],
+                         heading=heading[None], speed=speed[None])
     return action, (obs, masks, md, u, speed, logp)
 
 
@@ -517,12 +517,12 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
 
     def act(env):
         action, sample = act_in_env(policy, env, sample_rng)
-        slots.append(sample + (env.critic_state(sample[0]),))
+        slots.append(sample + (env.critic_state(sample[0][None])[0],))
         return action
 
     for episode in range(config.max_episodes):
         seed = config.seed * 1_000_003 + episode
-        _, success = run_episode(env, seed, act)
+        end, success = run_episode(env, seed, act)
         qos, _ = score_links(env.flown(), scenario, seed, separated=False,
                              build=False, reward=reward,
                              sdr_opts=env.sdr_opts)
@@ -531,14 +531,14 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
         for total in reward_terms(env, qos)["total"].tolist():
             rewards.append(total)
             ep_reward += total
-        dones += [False] * (env.state.slot - 1) + [True]
+        dones += [False] * (end.slot[0] - 1) + [True]
 
         curve.episode.append(episode)
         curve.reward.append(ep_reward)
         window = curve.reward[-config.smooth_window:]
         curve.smoothed.append(float(np.mean(window)))
         curve.value_loss.append(last_value_loss)
-        curve.success.append(bool(success))
+        curve.success.append(bool(success[0]))
         if progress is not None:
             progress(episode, curve)
 
@@ -555,7 +555,7 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
 def run_policy_episode(policy: MappoPolicy, env: CorridorEnv, seed: int):
     """Roll one greedy evaluation episode; returns (success, slots, energy,
     collected)."""
-    state, success = run_episode(
+    end, success = run_episode(
         env, seed, lambda env: act_in_env(policy, env, None)[0])
-    return (success, state.slot, state.cumulative_energy,
-            int(state.collected.sum()))
+    return (bool(success[0]), int(end.slot[0]),
+            float(end.energy_per_uav[0].sum()), int(end.collected[0].sum()))

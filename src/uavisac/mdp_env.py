@@ -1,4 +1,4 @@
-"""Slot-stepped multi-UAV data-collection environment.
+"""Slot-stepped multi-UAV data-collection environment for a batch of fleets.
 
 Per slot, each UAV picks a monitoring device (or none), a heading and a
 binary speed; collection succeeds when the scheduled uplink clears the SINR
@@ -46,34 +46,34 @@ class RewardConfig:
 
 @dataclass
 class FleetState:
-    slot: int
-    positions: np.ndarray          # (M, 3)
-    headings: np.ndarray           # (M,)
-    residual_energy: np.ndarray    # (M,)
-    collected: np.ndarray          # (I,) uint8
-    energy_per_uav: np.ndarray     # (M,) cumulative J
+    """Fleets' state, arrays led by the fleet axis; ``slot`` counts the slots
+    flown, for the live batch (CorridorEnv.state) or per fleet (end_state)."""
 
-    @property
-    def cumulative_energy(self) -> float:
-        return float(self.energy_per_uav.sum())
+    slot: int | np.ndarray
+    positions: np.ndarray          # (B, M, 3)
+    headings: np.ndarray           # (B, M)
+    residual_energy: np.ndarray    # (B, M)
+    collected: np.ndarray          # (B, I) uint8
+    energy_per_uav: np.ndarray     # (B, M) cumulative J
 
 
 @dataclass(frozen=True)
 class JointAction:
-    md_choice: np.ndarray   # (M,) int, -1 for no MD
-    heading: np.ndarray     # (M,) radians
-    speed: np.ndarray       # (M,) uint8, 0 hover / 1 fly at v_fixed
+    md_choice: np.ndarray   # (B, M) int, -1 for no MD
+    heading: np.ndarray     # (B, M) radians
+    speed: np.ndarray       # (B, M) uint8, 0 hover / 1 fly at v_fixed
 
     @classmethod
-    def hover(cls, m: int) -> "JointAction":
-        return cls(md_choice=np.full(m, -1), heading=np.zeros(m),
-                   speed=np.zeros(m, dtype=np.uint8))
+    def hover(cls, m: int, fleets: int = 1) -> "JointAction":
+        return cls(md_choice=np.full((fleets, m), -1), heading=np.zeros((fleets, m)),
+                   speed=np.zeros((fleets, m), dtype=np.uint8))
 
 
 # -- mission rules ---------------------------------------------------------------
-# Each rule takes arrays with leading batch axes (B fleets of M UAVs). The env
-# steps a batch of one through them; the planners' population rollout steps
-# one fleet per candidate plan, so both follow the same rules bit for bit.
+# Each rule takes arrays with leading batch axes (B fleets of M UAVs). Only
+# CorridorEnv.step applies them, to one fleet for training and the DRL and
+# online missions, to one per plan for the planners' searches and replays.
+# Per-slot "any" tests use np.count_nonzero, far cheaper than ndarray.any().
 
 
 @lru_cache(maxsize=None)
@@ -165,11 +165,11 @@ def resolve_collisions(pre, intended, cfg):
     n_fleets, m_count = cand.shape[:2]
     overrides = np.zeros((n_fleets, m_count), dtype=bool)
     blocked = np.full((n_fleets, m_count), -1)
+    moved = (cand != pre).any(axis=-1)
     for _ in range(m_count * m_count + 1):
-        moved = (cand != pre).any(axis=-1)
         close = (pairs_above(m_count) & (moved[:, :, None] | moved[:, None, :])
                  & too_close(cand, cfg))
-        if not close.any():
+        if not np.count_nonzero(close):
             break
         close &= ~station_exempt(cand, cfg)
         close = close.reshape(n_fleets, -1)
@@ -179,6 +179,7 @@ def resolve_collisions(pre, intended, cfg):
         a, b = np.divmod(np.argmax(close[fleets], axis=1), m_count)
         junior = np.where(moved[fleets, b], b, a)
         cand[fleets, junior] = pre[fleets, junior]
+        moved[fleets, junior] = False
         overrides[fleets, junior] = True
         blocked[fleets, junior] = a + b - junior
     return cand, overrides, blocked
@@ -248,7 +249,7 @@ def fleet_transition(positions, collected, gain2, md_choice, heading, speed,
     its effective motion."""
     served_sinr = uplink_sinr(gain2, md_choice, cfg.p_md, cfg.noise_md)
     newly = served_sinr >= cfg.gamma_th_md
-    if newly.any():
+    if np.count_nonzero(newly):
         fleets, uavs = np.nonzero(newly)
         mds = md_choice[fleets, uavs]
         newly[fleets, uavs] = collected[fleets, mds] == 0
@@ -265,7 +266,7 @@ def fleet_transition(positions, collected, gain2, md_choice, heading, speed,
 def arrived(positions, collected, cfg) -> np.ndarray:
     """Per fleet: every MD collected, every UAV within arrival_radius of the end."""
     success = collected.all(axis=-1)
-    if success.any():
+    if np.count_nonzero(success):
         end = np.array([*cfg.end, cfg.altitude])
         success &= (distances(positions, end) <= cfg.arrival_radius).all(axis=-1)
     return success
@@ -285,23 +286,25 @@ LINK_OPTIONS = SdrOptions(certify_only=True)
 
 
 class CorridorEnv:
-    """Single-owner, sequentially stepped; spawn one instance per worker.
+    """B fleets of one world stepped in lock step; single-owner, so spawn one
+    instance per worker. A fleet that lands, runs out of battery or reaches
+    the horizon leaves the batch: ``state`` holds the ``live`` fleets,
+    ``end_state`` and ``success`` each fleet's end. A step scores no reward
+    and draws no chain link; with ``record`` it writes the slot into the
+    (B, T) ``flight`` arrays, which reward_terms reads after landing and
+    score_links (given ``sdr_opts``) scores as flown()."""
 
-    A step scores no reward and draws no chain link: it writes the slot into
-    ``flight``, which reward_terms reads after landing and score_links (given
-    ``sdr_opts``) scores as flown()."""
-
-    # record selects nothing; it stays only because perfbench passes it
     def __init__(self, scenario: Scenario, reward: RewardConfig = RewardConfig(),
                  propulsion: PropulsionParams = REFERENCE_PROPULSION,
                  sdr_opts: SdrOptions = LINK_OPTIONS,
-                 record: bool = False):
+                 record: bool = True):
         self.scenario = scenario
         self.cfg = scenario.config
         self.reward_cfg = reward
         self.propulsion = propulsion
         self._slot_costs = slot_costs(self.cfg, propulsion)
         self.sdr_opts = sdr_opts
+        self.record = record
         self.n_agents = self.cfg.num_uavs
         self.n_mds = self.cfg.num_mds
         self.n_actions = self.n_mds + 1          # MD indices plus no-op
@@ -310,99 +313,111 @@ class CorridorEnv:
         self._diag = float(np.hypot(self.cfg.area_width, self.cfg.area_height))
         self._start3 = np.array([*self.cfg.start, self.cfg.altitude])
         self._end3 = np.array([*self.cfg.end, self.cfg.altitude])
-        self.state: FleetState | None = None
-        self.flight: Flight | None = None
+        md = scenario.md_positions
+        self._md_state = np.concatenate([2 * md[:, 0] / self.cfg.area_width - 1,
+                                         2 * md[:, 1] / self.cfg.area_height - 1])
+        self.state = self.live = self.end_state = self.success = self.flight = None
         self._gains = None      # (positions, squared gains) last computed
 
     # -- lifecycle ---------------------------------------------------------
 
-    def reset(self, seed: int):
-        """All UAVs on the start pad, nothing collected, full batteries, and
-        new flight arrays for horizon_slots slots."""
+    def reset(self, seed: int, fleets: int = 1):
+        """``fleets`` fleets on the start pad, nothing collected, full batteries,
+        and (with ``record``) new flight arrays for horizon_slots slots."""
         m = self.n_agents
-        self.state = FleetState(
-            slot=0,
-            positions=np.tile(self._start3, (m, 1)),
-            headings=np.zeros(m),
-            residual_energy=np.full(m, self.cfg.e_total),
-            collected=np.zeros(self.n_mds, dtype=np.uint8),
-            energy_per_uav=np.zeros(m),
-        )
-        self.flight = Flight.empty((self.cfg.horizon_slots,), m, self.n_mds)
 
-    def flown(self) -> Flight:
-        """The slots stepped since reset: the first state.slot rows of the
-        flight arrays, as views."""
-        return self.flight.take(slice(self.state.slot))
+        def on_pad(slot):
+            return FleetState(
+                slot=slot,
+                positions=np.tile(self._start3, (fleets, m, 1)),
+                headings=np.zeros((fleets, m)),
+                residual_energy=np.full((fleets, m), self.cfg.e_total),
+                collected=np.zeros((fleets, self.n_mds), dtype=np.uint8),
+                energy_per_uav=np.zeros((fleets, m)))
+
+        self.state = on_pad(0)
+        self.end_state = on_pad(np.zeros(fleets, dtype=int))
+        self.live = np.arange(fleets)
+        self.success = np.zeros(fleets, dtype=bool)
+        self.flight = (Flight.empty((fleets, self.cfg.horizon_slots), m, self.n_mds)
+                       if self.record else None)
+
+    def flown(self, fleet: int = 0) -> Flight:
+        """The flight rows of the slots ``fleet`` stepped since reset, as views."""
+        slots = (self.state.slot if fleet in self.live
+                 else self.end_state.slot[fleet])
+        return self.flight.take((fleet, slice(slots)))
 
     # -- observation/state construction -------------------------------------
 
     def _bearings(self, origins, points) -> np.ndarray:
-        """(M, N, 3): from each origin to each point, the unit direction
-        (cos, sin) and a bounded scaled distance."""
-        delta = points[None, :, :2] - origins[:, None, :2]
+        """(B, M, N, 3): from each origin (B, M, 3) to each point (B, N, 3),
+        the unit direction (cos, sin) and a bounded scaled distance."""
+        delta = points[:, None, :, :2] - origins[:, :, None, :2]
         dist = np.hypot(delta[..., 0], delta[..., 1])
         safe = np.maximum(dist, 1e-9)
         return np.stack([delta[..., 0] / safe, delta[..., 1] / safe,
                          2.0 * np.minimum(dist / self._diag, 1.0) - 1.0], axis=-1)
 
     def observations(self) -> np.ndarray:
-        """(M, obs_dim) per-agent views, all features scaled to [-1, 1].
+        """(live, M, obs_dim) per-agent views, all features scaled to [-1, 1].
 
-        Row m holds: heading (cos, sin), position, residual energy, the
-        bearing of the landing pad, per MD its bearing and collection flag,
-        the bearings of the other UAVs in index order, and the agent one-hot.
-        Directions are unit vectors with a separate bounded distance channel,
-        which keeps nearby targets well conditioned for the policy net.
+        Row m of a fleet holds: heading (cos, sin), position, residual
+        energy, the bearing of the landing pad, per MD its bearing and
+        collection flag, the bearings of the other UAVs in index order, and
+        the agent one-hot. Directions are unit vectors with a separate
+        bounded distance channel, which keeps nearby targets well
+        conditioned for the policy net.
         """
         s = self.state
         cfg = self.cfg
         m_count, n_md = self.n_agents, self.n_mds
         pos = s.positions
+        n_fleets = len(pos)
+        fixed = np.concatenate([self._end3[None], self.scenario.md_positions])
         bearings = self._bearings(pos, np.concatenate(
-            [self._end3[None], self.scenario.md_positions, pos]))
-        out = np.empty((m_count, self.obs_dim))
-        out[:, 0] = np.cos(s.headings)
-        out[:, 1] = np.sin(s.headings)
-        out[:, 2] = 2 * pos[:, 0] / cfg.area_width - 1
-        out[:, 3] = 2 * pos[:, 1] / cfg.area_height - 1
-        out[:, 4] = 2 * s.residual_energy / cfg.e_total - 1
-        out[:, 5:8] = bearings[:, 0]
-        md_feat = out[:, 8:8 + 4 * n_md].reshape(m_count, n_md, 4)
-        md_feat[..., :3] = bearings[:, 1:1 + n_md]
-        md_feat[..., 3] = s.collected
-        others = bearings[:, 1 + n_md:][~np.eye(m_count, dtype=bool)]
-        out[:, 8 + 4 * n_md:-m_count] = others.reshape(m_count, -1)
-        out[:, -m_count:] = np.eye(m_count)
+            [np.broadcast_to(fixed, (n_fleets, *fixed.shape)), pos], axis=1))
+        out = np.empty((n_fleets, m_count, self.obs_dim))
+        out[..., 0] = np.cos(s.headings)
+        out[..., 1] = np.sin(s.headings)
+        out[..., 2] = 2 * pos[..., 0] / cfg.area_width - 1
+        out[..., 3] = 2 * pos[..., 1] / cfg.area_height - 1
+        out[..., 4] = 2 * s.residual_energy / cfg.e_total - 1
+        out[..., 5:8] = bearings[:, :, 0]
+        md_feat = out[..., 8:8 + 4 * n_md].reshape(n_fleets, m_count, n_md, 4)
+        md_feat[..., :3] = bearings[:, :, 1:1 + n_md]
+        md_feat[..., 3] = s.collected[:, None]
+        others = bearings[:, :, 1 + n_md:][:, ~np.eye(m_count, dtype=bool)]
+        out[..., 8 + 4 * n_md:-m_count] = others.reshape(n_fleets, m_count, -1)
+        out[..., -m_count:] = np.eye(m_count)
         return out
 
     def critic_state(self, obs=None) -> np.ndarray:
-        """Joint observations plus global MD locations and collection status.
+        """(live, state_dim): each fleet's joint observations plus the global
+        MD locations and collection status.
 
         ``obs`` may pass this state's observations() when the caller already
         holds them."""
-        cfg = self.cfg
-        md = self.scenario.md_positions
         if obs is None:
             obs = self.observations()
-        glob = np.concatenate([
-            (2 * md[:, 0] / cfg.area_width - 1),
-            (2 * md[:, 1] / cfg.area_height - 1),
-            self.state.collected.astype(float),
-        ])
-        return np.concatenate([obs.ravel(), glob])
+        n_fleets = len(obs)
+        return np.concatenate([obs.reshape(n_fleets, -1),
+                               np.tile(self._md_state, (n_fleets, 1)),
+                               self.state.collected.astype(float)], axis=1)
 
     # -- action masking ------------------------------------------------------
 
     def gain2(self) -> np.ndarray:
-        """Squared UAV-MD gains (M, I) at the fleet's current positions;
-        read-only. The last result is kept by value, so the masks, the
-        controller and the step of one slot share one gain matrix."""
-        pos = self.state.positions
-        if self._gains is None or not np.array_equal(self._gains[0], pos):
-            gain2 = uplink_gain2(pos, self.scenario)
-            gain2.flags.writeable = False
-            self._gains = (pos.copy(), gain2)
+        """Squared UAV-MD gains (live, M, I) at the live fleets' positions,
+        read-only. Kept by value, so the masks, the controller and the step of
+        a slot (or of a slot that moved no UAV) share one; the positions are
+        made read-only, so a step or an injected state assigns new ones."""
+        pos, kept = self.state.positions, self._gains
+        if kept is None or kept[0] is not pos:
+            gain2 = (kept[1] if kept is not None and np.array_equal(kept[0], pos)
+                     else uplink_gain2(pos, self.scenario))
+            pos.flags.writeable = gain2.flags.writeable = False
+            self._gains = (pos, gain2)
         return self._gains[1]
 
     def predicted_sinr(self) -> np.ndarray:
@@ -410,84 +425,106 @@ class CorridorEnv:
         return interference_free_sinr(self.gain2(), self.cfg)
 
     def open_masks(self) -> np.ndarray:
-        """(M, n_actions) choices open to each agent before any claim this
-        slot: the schedulable MDs, plus the no-op, which is always on."""
-        mask = np.ones((self.n_agents, self.n_actions), dtype=bool)
-        mask[:, :-1] = schedulable(self.gain2(), self.state.collected, self.cfg)
+        """(live, M, n_actions) choices open to each agent before any claim
+        this slot: the schedulable MDs, plus the no-op, which is always on."""
+        mask = np.ones((len(self.live), self.n_agents, self.n_actions), dtype=bool)
+        mask[..., :-1] = schedulable(self.gain2(), self.state.collected, self.cfg)
         return mask
 
     def action_mask(self, m: int, claimed=()) -> np.ndarray:
-        """Valid MD choices for agent m given earlier agents' claims; no-op always on.
+        """(live, n_actions): agent m's valid MD choices in each live fleet
+        given earlier agents' claims, the same in every fleet; no-op always on.
 
         Only MD indices (0 .. n_mds-1) in ``claimed`` are claims; -1, None and
         the no-op index are not."""
-        mask = self.open_masks()[m]
+        mask = self.open_masks()[:, m]
         for i in claimed:
             if i is not None and 0 <= i < self.n_mds:
-                mask[i] = False
+                mask[:, i] = False
         return mask
 
     # -- transition ----------------------------------------------------------
 
     def step(self, action: JointAction):
-        """Apply one joint action and write the slot into ``flight``; returns
-        (done, success). The new fleet state is ``self.state``."""
-        s, cfg = self.state, self.cfg
-        if s is None:
-            raise RuntimeError("reset() must be called before step()")
-        if s.slot >= cfg.horizon_slots:
-            raise RuntimeError("step past the horizon; reset() first")
-        md_choice, heading, speed = (np.asarray(a) for a in (
+        """Apply one joint action, arrays (live, M), to the live fleets and
+        write the slot into ``flight``; returns (done, success) of the stepped
+        fleets, and the done ones leave ``state`` for ``end_state``."""
+        s, cfg, live = self.state, self.cfg, self.live
+        if s is None or not len(live):
+            raise RuntimeError("no live fleet: each has landed, run out of "
+                               "battery or reached the horizon; reset() first")
+        md_choice, heading, speed = map(np.asarray, (
             action.md_choice, action.heading, action.speed))
-        # checked before the casts, which would turn a NaN or a fraction
-        # into a valid-looking choice
-        if ({md_choice.shape, heading.shape, speed.shape} != {(self.n_agents,)}
+        # checked before the casts, which would turn a NaN or a fraction into
+        # a valid-looking choice; int and uint8 arrays pass some by type
+        if (not md_choice.shape == heading.shape == speed.shape
+                == (len(live), self.n_agents)
                 or not np.isfinite(heading).all()
-                or not ((speed == 0) | (speed == 1)).all()
-                or not ((md_choice >= -1) & (md_choice < self.n_mds)
-                        & (md_choice % 1 == 0)).all()):
+                or not (speed.max() <= 1 if speed.dtype == np.uint8
+                        else ((speed == 0) | (speed == 1)).all())
+                or md_choice.min() < -1
+                or (top := md_choice.max()) >= self.n_mds
+                or not (md_choice.dtype.kind in "iu"
+                        or (md_choice % 1 == 0).all())):
             raise ValueError("malformed joint action")
         md_choice = np.asarray(md_choice, dtype=int)
         heading = np.asarray(heading, dtype=float)
-        speed = speed.astype(np.uint8)
+        speed = np.asarray(speed, dtype=np.uint8)
 
-        # validate scheduling against the sequential masks
+        # validate scheduling against the sequential masks: a chosen MD must
+        # be schedulable and chosen by no other UAV of its fleet
         gain2 = self.gain2()
-        granted = claim_targets(md_choice[None],
-                                schedulable(gain2, s.collected, cfg)[None])
-        bad = np.flatnonzero((md_choice >= 0) & (granted[0] != md_choice))
-        if len(bad):
-            m = bad[0]
-            raise ValueError(f"action mask violation: UAV {m} chose MD {md_choice[m]}")
+        if top >= 0:
+            chosen = md_choice >= 0
+            allowed = schedulable(gain2, s.collected, cfg)
+            ordered = np.sort(md_choice, axis=1)
+            if (not allowed[(*np.nonzero(chosen), md_choice[chosen])].all()
+                    or ((ordered[:, 1:] == ordered[:, :-1])
+                        & (ordered[:, 1:] >= 0)).any()):
+                granted = claim_targets(md_choice, allowed)
+                b, m = np.argwhere(chosen & (granted != md_choice))[0]
+                raise ValueError(f"action mask violation: fleet {live[b]} "
+                                 f"UAV {m} chose MD {md_choice[b, m]}")
 
         t, f = s.slot, self.flight
-        f.start[t], f.collected[t], f.served[t] = s.positions, s.collected, md_choice
-        out = fleet_transition(s.positions[None], s.collected[None], gain2[None],
-                               md_choice[None], heading[None], speed[None], cfg,
-                               self._slot_costs)
-        for name, value in vars(out).items():
-            getattr(f, name)[t] = value[0]
+        if f is not None:
+            f.start[live, t], f.collected[live, t] = s.positions, s.collected
+            f.served[live, t] = md_choice
+        out = fleet_transition(s.positions, s.collected, gain2, md_choice,
+                               heading, speed, cfg, self._slot_costs)
+        if f is not None:
+            for name, value in vars(out).items():
+                getattr(f, name)[live, t] = value
 
         # energy bookkeeping uses the effective motion after overrides
-        s.energy_per_uav += out.energy[0]
-        s.residual_energy -= out.energy[0]
-        s.positions = out.final[0]
-        s.headings = out.heading[0]
+        s.energy_per_uav += out.energy
+        s.residual_energy -= out.energy
+        s.positions = out.final
+        s.headings = out.heading
         s.slot += 1
         success, done = mission_status(s.positions, s.collected,
                                        s.residual_energy, s.slot, cfg)
-        return bool(done), bool(success)
+        if np.count_nonzero(done):
+            ended, keep = live[done], ~done
+            self.success[ended] = success[done]
+            self.end_state.slot[ended] = s.slot
+            for name, value in vars(s).items():
+                if name != "slot":
+                    getattr(self.end_state, name)[ended] = value[done]
+                    setattr(s, name, value[keep])
+            self.live = live[keep]
+        return done, success
 
 
-def run_episode(env: CorridorEnv, seed: int, act):
-    """Reset ``env`` with ``seed`` and step it with ``act(env)`` until the
-    episode ends; returns the final FleetState and the success flag. The one
-    loop that steps an env; it scores no chain link (score_links does)."""
-    env.reset(seed)
-    done = False
-    while not done:
-        done, success = env.step(act(env))
-    return env.state, success
+def run_episode(env: CorridorEnv, seed: int, act, fleets: int = 1):
+    """Reset ``env`` with ``seed`` and ``fleets`` fleets and step it with
+    ``act(env)``, the live fleets' joint action, until every fleet has
+    ended; returns the end states and success flags, (B,). The one loop
+    that flies a fleet; it scores no chain link (score_links does)."""
+    env.reset(seed, fleets)
+    while len(env.live):
+        env.step(act(env))
+    return env.end_state, env.success
 
 
 # -- post-flight rewards, link scoring and constraint audit ---------------------
@@ -512,10 +549,10 @@ def _potentials(env: CorridorEnv, positions, collected) -> np.ndarray:
 
 
 def reward_terms(env: CorridorEnv, qos) -> dict:
-    """Each slot's reward terms since reset, (T,) arrays in the order they sum
-    to "total"; ``qos`` is score_links' QoS term. Only training reads them,
-    after landing: the shaping is the difference of each slot's end and start
-    state potentials (Ng, Harada & Russell 1999)."""
+    """Each slot's reward terms of fleet 0 since reset, (T,) arrays in the
+    order they sum to "total"; ``qos`` is score_links' QoS term. Only
+    training reads them, after landing: the shaping is the difference of each
+    slot's end and start state potentials (Ng, Harada & Russell 1999)."""
     f, cfg, r = env.flown(), env.cfg, env.reward_cfg
     end_collected = f.end_collected()
     # pairs that end close or blocked one another, outside the station zones

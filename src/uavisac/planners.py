@@ -1,14 +1,13 @@
 """Classical mission planners: greedy (offline/online), particle swarm, genetic.
 
-Offline planners decide routes on expected channels only; their plans are
-then flown by fly_plans, the one per-slot loop that steps a batch of fleets,
-one per plan, through the serve-or-fly controller under the env's own
-mission rules (``mdp_env``), exactly as a CorridorEnv fleet steps. Search
-generations fly it unrecorded for their fitness sums (population_fitness);
-replays fly it recorded, one Flight per plan, which mission_result scores
-and audits into a MissionResult. greedy_online acts on the live fleet state,
-so it flies a CorridorEnv (fly_env). The metaheuristics are ask/tell searches
-run by plan_searches, which scores a generation of every live search with one
+Offline planners decide routes on expected channels only. fly_plans flies
+P plans as the P fleets of one CorridorEnv episode (mdp_env.run_episode),
+each steered along its routes by the serve-or-fly controller. Search
+generations fly unrecorded for their fitness sums (population_fitness);
+replays fly recorded, one Flight per plan, which mission_result scores and
+audits into a MissionResult. greedy_online acts on the live fleet state of a
+one-fleet env (fly_env). The metaheuristics are ask/tell searches run by
+plan_searches, which scores a generation of every live search with one
 population_fitness call.
 """
 
@@ -20,8 +19,7 @@ from .channel import uplink_sinr
 from .energy import PropulsionParams, REFERENCE_PROPULSION
 from .mdp_env import (CorridorEnv, ConstraintReport, Flight, JointAction,
                       RewardConfig, arrived, check_constraints, claim_targets,
-                      fleet_transition, mission_status, run_episode,
-                      schedulable, score_links, slot_costs, uplink_gain2)
+                      run_episode, schedulable, score_links)
 from .scenario import Scenario, rng_stream
 
 
@@ -68,7 +66,7 @@ def serve_backoff(gain2, md, cfg) -> np.ndarray:
             uplink_sinr(gain2[fleets], md[fleets], cfg.p_md, cfg.noise_md)
             < cfg.gamma_th_md)
         hit = failing.any(axis=1)
-        if not hit.any():
+        if not np.count_nonzero(hit):
             break
         fleets, failing = fleets[hit], failing[hit]
         md[fleets, md.shape[1] - 1 - np.argmax(failing[:, ::-1], axis=1)] = -1
@@ -101,19 +99,22 @@ def controller_actions(positions, collected, gain2, targets, aims, cfg):
 
 def _pack_routes(plans, scenario: Scenario):
     """Plans as arrays: MD order (P, M, L+1) padded with -1 and aim points
-    (P, M, L+1, 2)."""
+    (P, M, L+1, 2). A plan needs at most one route per UAV, one waypoint
+    per MD of each route, and, unless it is empty, every MD exactly once."""
     cfg = scenario.config
     m_count = cfg.num_uavs
     for plan in plans:
-        if any(len(r) for r in plan.md_order) and not plan.covers_once(cfg.num_mds):
+        stops = [len(route) for route in plan.md_order]
+        if len(stops) > m_count or stops != [len(w) for w in plan.waypoints]:
+            raise InfeasiblePlanError(
+                f"plan needs at most {m_count} routes and one waypoint per MD")
+        if any(stops) and not plan.covers_once(cfg.num_mds):
             raise InfeasiblePlanError("plan does not assign every MD exactly once")
-    longest = max((len(r) for plan in plans for r in plan.md_order[:m_count]),
-                  default=0)
+    longest = max((len(r) for plan in plans for r in plan.md_order), default=0)
     route = np.full((len(plans), m_count, longest + 1), -1)
     waypoint = np.zeros((len(plans), m_count, longest + 1, 2))
     for p, plan in enumerate(plans):
-        for m, (order, points) in enumerate(zip(plan.md_order[:m_count],
-                                                plan.waypoints)):
+        for m, (order, points) in enumerate(zip(plan.md_order, plan.waypoints)):
             if len(order):
                 route[p, m, :len(order)] = order
                 waypoint[p, m, :len(order)] = points
@@ -131,7 +132,7 @@ def _follow_routes(route, waypoint, cursor, collected, cfg):
     while True:
         target = route[fleets, uavs, cursor]
         skip = (target >= 0) & (collected[fleets, np.maximum(target, 0)] != 0)
-        if not skip.any():
+        if not np.count_nonzero(skip):
             break
         cursor += skip
     aims = np.where((target >= 0)[..., None], waypoint[fleets, uavs, cursor],
@@ -141,68 +142,36 @@ def _follow_routes(route, waypoint, cursor, collected, cfg):
 
 def fly_plans(plans, scenario: Scenario, propulsion: PropulsionParams,
               record: bool):
-    """Fly P plans at once through the controller and the env's rules: the
-    one per-slot loop of every offline plan, search generation or replay.
-
-    Each fleet steps exactly as a CorridorEnv fleet does, and a fleet that
-    has landed, run out of battery or reached the horizon leaves the batch,
-    so a plan flies the same at any batch size. Returns arrays (energy,
-    slots, collected) and, when ``record``, each plan's Flight (else None).
-    """
+    """Fly P plans as the P fleets of one run_episode, each steered along
+    its routes by the controller; a plan flies the same at any batch size.
+    Returns arrays (energy, slots, collected) and, when ``record``, each
+    plan's Flight (else None)."""
     cfg = scenario.config
-    costs = slot_costs(cfg, propulsion)
     route, waypoint = _pack_routes(plans, scenario)
-    n, m_count = route.shape[:2]
-    energy = np.zeros(n)
-    slots = np.zeros(n, dtype=int)
-    collected_count = np.zeros(n, dtype=int)
-    live = np.arange(n)
-    positions = np.tile(np.array([*cfg.start, cfg.altitude]), (n, m_count, 1))
-    collected = np.zeros((n, cfg.num_mds), dtype=np.uint8)
-    cursor = np.zeros((n, m_count), dtype=int)
-    spent = np.zeros((n, m_count))
-    residual = np.full((n, m_count), cfg.e_total)
-    flights = (Flight.empty((n, cfg.horizon_slots), m_count, cfg.num_mds)
-               if record else None)
-    slot = 0
-    follow = True
-    while len(live):
+    cursor = np.zeros(route.shape[:2], dtype=int)
+    fleets, seen, targets, aims = np.arange(len(plans)), None, None, None
+
+    def act(env):
+        nonlocal route, waypoint, cursor, fleets, seen, targets, aims
+        s = env.state
+        if len(env.live) < len(fleets):     # fleets left the batch
+            keep = np.searchsorted(fleets, env.live)
+            route, waypoint, cursor = route[keep], waypoint[keep], cursor[keep]
+            fleets, seen = env.live, None
         # targets move on only when an MD gets collected
-        if follow:
-            targets, aims = _follow_routes(route, waypoint, cursor, collected,
-                                           cfg)
-        gain2 = uplink_gain2(positions, scenario)
-        md, heading, speed = controller_actions(positions, collected, gain2,
-                                                targets, aims, cfg)
-        if record:
-            flights.start[live, slot] = positions
-            flights.collected[live, slot] = collected
-            flights.served[live, slot] = md
-        out = fleet_transition(positions, collected, gain2, md, heading, speed,
-                               cfg, costs)
-        if record:
-            for name, value in vars(out).items():
-                getattr(flights, name)[live, slot] = value
-        slot += 1
-        follow = out.newly.any()
-        spent += out.energy
-        residual -= out.energy
-        positions = out.final
-        _, done = mission_status(positions, collected, residual, slot, cfg)
-        if done.any():
-            ended = live[done]
-            energy[ended] = spent[done].sum(axis=1)
-            slots[ended] = slot
-            collected_count[ended] = collected[done].sum(axis=1)
-            keep = ~done
-            live, route, waypoint, cursor, targets, aims = (
-                live[keep], route[keep], waypoint[keep], cursor[keep],
-                targets[keep], aims[keep])
-            positions, collected, spent, residual = (
-                positions[keep], collected[keep], spent[keep], residual[keep])
-    if record:
-        flights = [flights.take((p, slice(slots[p]))) for p in range(n)]
-    return energy, slots, collected_count, flights
+        count = np.count_nonzero(s.collected)
+        if count != seen:
+            targets, aims = _follow_routes(route, waypoint, cursor,
+                                           s.collected, cfg)
+            seen = count
+        return JointAction(*controller_actions(s.positions, s.collected,
+                                               env.gain2(), targets, aims, cfg))
+
+    env = CorridorEnv(scenario, propulsion=propulsion, record=record)
+    end, _ = run_episode(env, 0, act, len(plans))
+    flights = [env.flown(p) for p in range(len(plans))] if record else None
+    return (end.energy_per_uav.sum(axis=1), end.slot,
+            end.collected.sum(axis=1, dtype=int), flights)
 
 
 def population_fitness(plans, scenario: Scenario,
@@ -320,16 +289,6 @@ def evaluate_plan(plan: Plan, scenario: Scenario, seed: int = 0,
                           "isac" if connected else "none")
 
 
-def _controller_step(env: CorridorEnv, targets, aim_points):
-    """The controller's action for the env's fleet."""
-    s = env.state
-    md, heading, speed = controller_actions(
-        s.positions[None], s.collected[None],
-        env.gain2()[None],
-        np.asarray(targets)[None], np.asarray(aim_points, float)[None], env.cfg)
-    return JointAction(md_choice=md[0], heading=heading[0], speed=speed[0])
-
-
 def online_flight(scenario: Scenario, propulsion: PropulsionParams) -> Flight:
     """greedy_online's flight: each UAV pursues the nearest MD that is not
     yet collected or pursued by a lower-index UAV, then heads for the end."""
@@ -338,12 +297,11 @@ def online_flight(scenario: Scenario, propulsion: PropulsionParams) -> Flight:
 
     def act(env):
         state = env.state
-        targets = []
-        aims = []
+        targets, aims = [], []
         for m in range(cfg.num_uavs):
-            pos = state.positions[m][:2]
+            pos = state.positions[0, m, :2]
             candidates = [i for i in range(cfg.num_mds)
-                          if not state.collected[i] and i not in targets]
+                          if not state.collected[0, i] and i not in targets]
             if candidates:
                 tgt = min(candidates, key=lambda i: np.linalg.norm(pos - md[i]))
                 targets.append(tgt)
@@ -351,7 +309,9 @@ def online_flight(scenario: Scenario, propulsion: PropulsionParams) -> Flight:
             else:
                 targets.append(-1)
                 aims.append(np.asarray(cfg.end, float))
-        return _controller_step(env, targets, aims)
+        return JointAction(*controller_actions(
+            state.positions, state.collected, env.gain2(),
+            np.asarray(targets)[None], np.asarray(aims, float)[None], cfg))
 
     return fly_env(scenario, act, propulsion)
 

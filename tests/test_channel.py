@@ -107,8 +107,8 @@ class TestGainMatrixBits:
         env = CorridorEnv(sc)
         env.reset(0)
         for fleet, gain2 in zip(fleets, want):
-            env.state.positions = fleet
-            assert env.gain2().tobytes() == gain2.tobytes()
+            env.state.positions = fleet[None]
+            assert env.gain2()[0].tobytes() == gain2.tobytes()
 
 
 class TestUplinkSinr:

@@ -294,7 +294,7 @@ def scoring_env(world, opts, positions):
     """An env that flew one slot per formation of ``positions``."""
     env = CorridorEnv(world, sdr_opts=opts)
     env.reset(0)
-    env.flight.final[:len(positions)] = positions
+    env.flight.final[0, :len(positions)] = positions
     env.state.slot = len(positions)
     return env
 

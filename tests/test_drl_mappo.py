@@ -280,13 +280,13 @@ class TestActInEnv:
             for _ in range(15):
                 open_masks = env.open_masks()
                 action, (_, masks, md_head, _, speed, _) = act_in_env(policy, env, rng)
-                assert np.array_equal(action.md_choice,
+                assert np.array_equal(action.md_choice[0],
                                       np.where(md_head < env.n_mds, md_head, -1))
-                assert speed is action.speed
+                assert action.speed.base is speed
                 for m in range(3):
-                    claimed = action.md_choice[:m]
-                    assert np.array_equal(masks[m], env.action_mask(m, claimed))
-                    withheld += int((open_masks[m] & ~masks[m]).sum())
+                    claimed = action.md_choice[0, :m]
+                    assert np.array_equal(masks[m], env.action_mask(m, claimed)[0])
+                    withheld += int((open_masks[0, m] & ~masks[m]).sum())
                 done, _ = env.step(action)
                 if done:
                     break
@@ -495,10 +495,10 @@ class TestTrainLoop:
                 total, done = 0.0, False
                 while not done:
                     action, sample = act_in_env(ref, env, sample_rng)
-                    slots.append(sample + (env.critic_state(),))
+                    slots.append(sample + (env.critic_state()[0],))
                     rew, done, success = oracle_step(env, action)
                     feasible, _ = link_feasibility_sweep(
-                        env.state.positions, sc, link_rng, env.sdr_opts,
+                        env.state.positions[0], sc, link_rng, env.sdr_opts,
                         build=False)
                     failed += int((~feasible).sum())
                     rew.qos = link_reward(feasible, r.link_pass, r.link_fail)
@@ -552,7 +552,7 @@ class TestTrainLoop:
         spent = np.zeros(sc.config.num_uavs)
         for moved in flown.moved:
             spent += costs[moved]
-        assert np.array_equal(env.state.energy_per_uav, spent)
+        assert np.array_equal(env.end_state.energy_per_uav[0], spent)
         assert not np.array_equal(costs, slot_costs(sc.config,
                                                     REFERENCE_PROPULSION))
 

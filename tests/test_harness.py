@@ -204,7 +204,7 @@ class TestRunExperiment:
                 assert res.time_s == slots * cfg.slot_seconds
                 assert res.energy_j == energy + circuit
                 assert (res.collected, res.success) == (collected, success)
-                assert res.per_uav_energy == env.state.energy_per_uav.tolist()
+                assert res.per_uav_energy == env.end_state.energy_per_uav[0].tolist()
 
 
 class TestGitRevision:

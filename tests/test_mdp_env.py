@@ -1,3 +1,4 @@
+import itertools
 from copy import deepcopy
 from dataclasses import replace
 
@@ -25,9 +26,9 @@ def make_scenario(md_xyz, num_uavs=1, **overrides) -> Scenario:
                     rx_combiner=base.rx_combiner)
 
 
-def observations_oracle(env) -> np.ndarray:
-    """Per-agent loop over the observation layout, kept as the reference for
-    the env's array-form observations()."""
+def observations_oracle(env, fleet=0) -> np.ndarray:
+    """Per-agent loop over the observation layout of one live fleet, kept as
+    the reference for the env's array-form observations()."""
     s, cfg = env.state, env.cfg
     diag = float(np.hypot(cfg.area_width, cfg.area_height))
     end3 = np.array([*cfg.end, cfg.altitude])
@@ -40,15 +41,16 @@ def observations_oracle(env) -> np.ndarray:
                                 2.0 * np.minimum(dist / diag, 1.0) - 1.0])
 
     out = np.empty((env.n_agents, env.obs_dim))
-    c01 = s.collected.astype(float)
+    c01 = s.collected[fleet].astype(float)
+    positions = s.positions[fleet]
     for m in range(env.n_agents):
-        p = s.positions[m]
+        p = positions[m]
         md_feat = np.column_stack([bearings(p, env.scenario.md_positions), c01])
-        others = np.delete(s.positions, m, axis=0)
+        others = np.delete(positions, m, axis=0)
         parts = [
-            [np.cos(s.headings[m]), np.sin(s.headings[m])],
+            [np.cos(s.headings[fleet, m]), np.sin(s.headings[fleet, m])],
             [2 * p[0] / cfg.area_width - 1, 2 * p[1] / cfg.area_height - 1],
-            [2 * s.residual_energy[m] / cfg.e_total - 1],
+            [2 * s.residual_energy[fleet, m] / cfg.e_total - 1],
             bearings(p, end3[None, :]).ravel(),
             md_feat.ravel(),
             bearings(p, others).ravel() if len(others) else [],
@@ -59,12 +61,12 @@ def observations_oracle(env) -> np.ndarray:
     return out
 
 
-def critic_state_oracle(env) -> np.ndarray:
+def critic_state_oracle(env, fleet=0) -> np.ndarray:
     cfg, md = env.cfg, env.scenario.md_positions
-    return np.concatenate([observations_oracle(env).ravel(),
+    return np.concatenate([observations_oracle(env, fleet).ravel(),
                            2 * md[:, 0] / cfg.area_width - 1,
                            2 * md[:, 1] / cfg.area_height - 1,
-                           env.state.collected.astype(float)])
+                           env.state.collected[fleet].astype(float)])
 
 
 def terms(env):
@@ -73,26 +75,43 @@ def terms(env):
 
 
 def hover_action(env, md=None):
-    act = JointAction.hover(env.n_agents)
+    """Every live fleet hovers; fleet 0's first UAVs serve ``md``."""
+    act = JointAction.hover(env.n_agents, len(env.live))
     if md is not None:
-        act.md_choice[:len(md)] = md
+        act.md_choice[0, :len(md)] = md
     return act
+
+
+def one_fleet(md_choice, heading, speed):
+    """The JointAction of a one-fleet env from each UAV's choices."""
+    return JointAction(md_choice=np.asarray(md_choice)[None],
+                       heading=np.asarray(heading)[None],
+                       speed=np.asarray(speed)[None])
+
+
+def fleet_state(env):
+    """A one-fleet env's FleetState, live or ended."""
+    return env.state if len(env.live) else env.end_state
 
 
 class TestReset:
     def test_initial_conditions(self):
         sc = build_scenario(ScenarioConfig(num_uavs=3, seed=1))
         env = CorridorEnv(sc)
-        assert env.reset(0) is None
-        state = env.state
-        obs = env.observations()
-        critic = env.critic_state(obs)
-        assert np.allclose(state.positions, [0.0, 2500.0, 80.0])
-        assert np.all(state.collected == 0)
-        assert np.all(state.residual_energy == sc.config.e_total)
-        assert obs.shape == (3, env.obs_dim)
-        assert critic.shape == (env.state_dim,)
-        assert np.all(np.abs(obs) <= 1.0 + 1e-9)
+        for fleets in (1, 4):
+            assert env.reset(0, fleets) is None
+            state = env.state
+            obs = env.observations()
+            critic = env.critic_state(obs)
+            assert state.positions.shape == (fleets, 3, 3)
+            assert np.allclose(state.positions, [0.0, 2500.0, 80.0])
+            assert np.all(state.collected == 0)
+            assert np.all(state.residual_energy == sc.config.e_total)
+            assert np.array_equal(env.live, np.arange(fleets))
+            assert env.flight.final.shape == (fleets, sc.config.horizon_slots, 3, 3)
+            assert obs.shape == (fleets, 3, env.obs_dim)
+            assert critic.shape == (fleets, env.state_dim)
+            assert np.all(np.abs(obs) <= 1.0 + 1e-9)
 
     def test_seed_repeat_identical(self):
         sc = build_scenario(ScenarioConfig(num_uavs=2, num_mds=5, seed=1))
@@ -102,9 +121,9 @@ class TestReset:
             env.reset(7)
             out = []
             for k in range(30):
-                act = JointAction(md_choice=np.array([-1, -1]),
-                                  heading=np.array([0.1 * k, -0.2 * k]),
-                                  speed=np.array([1, 1], dtype=np.uint8))
+                act = one_fleet(md_choice=np.array([-1, -1]),
+                                heading=np.array([0.1 * k, -0.2 * k]),
+                                speed=np.array([1, 1], dtype=np.uint8))
                 env.step(act)
                 out.append(env.state.positions.copy())
             return out, terms(env)["total"]
@@ -122,26 +141,28 @@ class TestObservations:
                                            seed=m_count))
         cfg = sc.config
         env = CorridorEnv(sc)
-        env.reset(0)
         rng = np.random.default_rng(m_count)
-        for trial in range(20):
+        for trial in range(40):
+            fleets = 1 if trial < 20 else 3
+            env.reset(0, fleets)
             s = env.state
-            s.positions = np.column_stack([
-                rng.uniform(0.0, cfg.area_width, m_count),
-                rng.uniform(0.0, cfg.area_height, m_count),
-                np.full(m_count, cfg.altitude)])
+            s.positions = np.stack([
+                rng.uniform(0.0, cfg.area_width, (fleets, m_count)),
+                rng.uniform(0.0, cfg.area_height, (fleets, m_count)),
+                np.full((fleets, m_count), cfg.altitude)], axis=-1)
             if trial % 5 == 0:      # co-located UAVs and a UAV over an MD
-                s.positions[-1] = s.positions[0]
-                s.positions[0, :2] = sc.md_positions[trial % 7, :2]
-            s.headings = rng.uniform(-np.pi, np.pi, m_count)
-            s.residual_energy = rng.uniform(0.0, cfg.e_total, m_count)
-            s.collected = (rng.random(cfg.num_mds) < 0.4).astype(np.uint8)
+                s.positions[:, -1] = s.positions[:, 0]
+                s.positions[-1, 0, :2] = sc.md_positions[trial % 7, :2]
+            s.headings = rng.uniform(-np.pi, np.pi, (fleets, m_count))
+            s.residual_energy = rng.uniform(0.0, cfg.e_total, (fleets, m_count))
+            s.collected = (rng.random((fleets, cfg.num_mds)) < 0.4).astype(np.uint8)
             obs = env.observations()
-            assert obs.shape == (m_count, env.obs_dim)
-            assert np.array_equal(obs, observations_oracle(env))
-            critic = critic_state_oracle(env)
-            assert np.array_equal(env.critic_state(), critic)
+            assert obs.shape == (fleets, m_count, env.obs_dim)
+            critic = env.critic_state()
             assert np.array_equal(env.critic_state(obs), critic)
+            for fleet in range(fleets):
+                assert np.array_equal(obs[fleet], observations_oracle(env, fleet))
+                assert np.array_equal(critic[fleet], critic_state_oracle(env, fleet))
 
     def test_stepped_states_match_oracle(self):
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=6, seed=4))
@@ -150,11 +171,11 @@ class TestObservations:
         rng = np.random.default_rng(5)
         for _ in range(25):
             obs = env.observations()
-            assert np.array_equal(obs, observations_oracle(env))
-            assert np.array_equal(env.critic_state(obs), critic_state_oracle(env))
-            act = JointAction(md_choice=np.full(3, -1),
-                              heading=rng.uniform(-np.pi, np.pi, 3),
-                              speed=rng.integers(0, 2, 3).astype(np.uint8))
+            assert np.array_equal(obs[0], observations_oracle(env))
+            assert np.array_equal(env.critic_state(obs)[0], critic_state_oracle(env))
+            act = one_fleet(md_choice=np.full(3, -1),
+                            heading=rng.uniform(-np.pi, np.pi, 3),
+                            speed=rng.integers(0, 2, 3).astype(np.uint8))
             env.step(act)
 
     def test_injected_state_is_followed(self):
@@ -163,23 +184,23 @@ class TestObservations:
                            num_uavs=2)
         env = CorridorEnv(sc)
         env.reset(0)
-        assert env.action_mask(0)[0] and not env.action_mask(0)[1]
+        assert env.action_mask(0)[0, 0] and not env.action_mask(0)[0, 1]
         env.state.collected[:] = 1
         obs = env.observations()
-        assert np.array_equal(obs, observations_oracle(env))
-        assert np.all(obs[:, 8 + 3:8 + 4 * 2:4] == 1.0)
-        assert np.array_equal(env.critic_state(), critic_state_oracle(env))
+        assert np.array_equal(obs[0], observations_oracle(env))
+        assert np.all(obs[0, :, 8 + 3:8 + 4 * 2:4] == 1.0)
+        assert np.array_equal(env.critic_state()[0], critic_state_oracle(env))
         for m in range(2):
-            mask = env.action_mask(m)
+            mask = env.action_mask(m)[0]
             assert mask[-1] and not mask[:-1].any()
         env.state.collected[:] = 0
-        env.state.positions = np.array([[2000.0, 500.0, 80.0],
-                                        [1990.0, 520.0, 80.0]])
+        env.state.positions = np.array([[[2000.0, 500.0, 80.0],
+                                         [1990.0, 520.0, 80.0]]])
         obs = env.observations()
-        assert np.array_equal(obs, observations_oracle(env))
-        assert obs[0, 2] == 2 * 2000.0 / sc.config.area_width - 1
-        assert not env.action_mask(0)[0] and env.action_mask(0)[1]
-        assert env.action_mask(1, [1])[1] == False  # noqa: E712
+        assert np.array_equal(obs[0], observations_oracle(env))
+        assert obs[0, 0, 2] == 2 * 2000.0 / sc.config.area_width - 1
+        assert not env.action_mask(0)[0, 0] and env.action_mask(0)[0, 1]
+        assert env.action_mask(1, [1])[0, 1] == False  # noqa: E712
 
     def test_shaping_follows_injected_state(self):
         # a slot's start potential is the previous slot's end potential,
@@ -189,9 +210,10 @@ class TestObservations:
 
         def potential(env):
             r, s = env.reward_cfg, env.state
-            open_md = sc.md_positions[s.collected == 0, :2]
-            dist = np.sqrt(((open_md[None] - s.positions[:, None, :2]) ** 2).sum(axis=2))
-            d_end = np.linalg.norm(s.positions[:, :2] - end, axis=1)
+            positions = s.positions[0]
+            open_md = sc.md_positions[s.collected[0] == 0, :2]
+            dist = np.sqrt(((open_md[None] - positions[:, None, :2]) ** 2).sum(axis=2))
+            d_end = np.linalg.norm(positions[:, :2] - end, axis=1)
             return (-r.shaping_md * float(dist.min(axis=0).sum())
                     - r.shaping_end * float(d_end.sum()))
 
@@ -199,10 +221,10 @@ class TestObservations:
             env.state.collected[:] = [1, 0]
 
         def inject_positions(env):
-            env.state.positions = np.array([[900.0, 1500.0, 80.0]])
+            env.state.positions = np.array([[[900.0, 1500.0, 80.0]]])
 
-        act = JointAction(md_choice=np.array([-1]), heading=np.array([0.3]),
-                          speed=np.array([1], dtype=np.uint8))
+        act = one_fleet(md_choice=np.array([-1]), heading=np.array([0.3]),
+                        speed=np.array([1], dtype=np.uint8))
         for inject in (inject_collected, inject_positions):
             fresh, stepped = CorridorEnv(sc), CorridorEnv(sc)
             fresh.reset(0)
@@ -224,7 +246,7 @@ class TestActionMask:
         env = CorridorEnv(sc)
         env.reset(0)
         env.state.collected[:] = 1
-        mask = env.action_mask(0, [])
+        mask = env.action_mask(0, [])[0]
         assert mask[-1] and not mask[:-1].any()
 
     def test_out_of_range_md_masked(self):
@@ -232,50 +254,64 @@ class TestActionMask:
         sc = make_scenario([[2000.0, 500.0, 0.0]])
         env = CorridorEnv(sc)
         env.reset(0)
-        mask = env.action_mask(0, [])
+        mask = env.action_mask(0, [])[0]
         assert mask[-1] and not mask[:-1].any()
 
     def test_claimed_md_masked_for_later_agent(self):
         sc = make_scenario([[30.0, 2470.0, 0.0]], num_uavs=2)
         env = CorridorEnv(sc)
         env.reset(0)
-        assert env.action_mask(0, [])[0]
-        assert env.action_mask(1, [0])[0] == False  # noqa: E712
-        assert env.action_mask(1, [-1])[0]
+        assert env.action_mask(0, [])[0, 0]
+        assert env.action_mask(1, [0])[0, 0] == False  # noqa: E712
+        assert env.action_mask(1, [-1])[0, 0]
 
     def test_claimed_noop_stays_on(self):
         # act_in_env stores the no-op index for an agent that claims no MD
         sc = make_scenario([[30.0, 2470.0, 0.0]], num_uavs=2)
         env = CorridorEnv(sc)
         env.reset(0)
-        mask = env.action_mask(1, [env.n_mds])
+        mask = env.action_mask(1, [env.n_mds])[0]
         assert mask[-1]
-        assert np.array_equal(mask, env.open_masks()[1])
+        assert np.array_equal(mask, env.open_masks()[0, 1])
 
     def test_mask_violation_rejected(self):
-        sc = make_scenario([[30.0, 2470.0, 0.0]], num_uavs=2)
+        # MD 0 claimed twice, or MD 1 out of range, in the last fleet only
+        sc = make_scenario([[30.0, 2470.0, 0.0], [2000.0, 500.0, 0.0]],
+                           num_uavs=2)
         env = CorridorEnv(sc)
-        env.reset(0)
-        act = JointAction(md_choice=np.array([0, 0]),
-                          heading=np.zeros(2), speed=np.zeros(2, dtype=np.uint8))
-        with pytest.raises(ValueError, match="mask violation"):
-            env.step(act)
+        for fleets, md in itertools.product((1, 3), ([0, 0], [-1, 1])):
+            env.reset(0, fleets)
+            act = JointAction.hover(2, fleets)
+            act.md_choice[-1] = md
+            with pytest.raises(ValueError,
+                               match=f"mask violation: fleet {fleets - 1} "):
+                env.step(act)
+            assert env.state.slot == 0
 
     @pytest.mark.parametrize("field, value", [
-        ("heading", 0.5),                           # scalar, not (M,)
-        ("speed", np.ones(1, dtype=np.uint8)),      # length 1, not (M,)
+        ("heading", 0.5),                           # scalar, not (B, M)
+        ("speed", np.ones(1, dtype=np.uint8)),      # length 1, not (B, M)
         ("md_choice", np.array([-7, -1])),          # below the idle -1
         ("heading", np.array([np.nan, 0.0])),
         ("heading", np.array([np.inf, 0.0])),
         ("speed", np.array([0.7, 0.0])),            # not cast to hover
         ("md_choice", np.array([0.9, -1]))])        # not cast to MD 0
     def test_malformed_joint_action_rejected(self, field, value):
+        # with several fleets, a two-UAV value is the last fleet's row and
+        # the others hover
         sc = make_scenario([[30.0, 2470.0, 0.0]], num_uavs=2)
         env = CorridorEnv(sc)
-        env.reset(0)
-        with pytest.raises(ValueError, match="malformed joint action"):
-            env.step(replace(JointAction.hover(2), **{field: value}))
-        assert env.state.slot == 0
+        for fleets in (1, 3):
+            env.reset(0, fleets)
+            act = JointAction.hover(2, fleets)
+            bad = value
+            if np.shape(value) == (2,):
+                bad = getattr(act, field).astype(
+                    np.result_type(getattr(act, field), value))
+                bad[-1] = value
+            with pytest.raises(ValueError, match="malformed joint action"):
+                env.step(replace(act, **{field: bad}))
+            assert env.state.slot == 0
 
 
 class TestStepKinematics:
@@ -283,11 +319,11 @@ class TestStepKinematics:
         sc = make_scenario([[1200.0, 1200.0, 0.0]])
         env = CorridorEnv(sc)
         env.reset(0)
-        act = JointAction(md_choice=np.array([-1]), heading=np.array([0.0]),
-                          speed=np.array([1], dtype=np.uint8))
+        act = one_fleet(md_choice=np.array([-1]), heading=np.array([0.0]),
+                        speed=np.array([1], dtype=np.uint8))
         env.step(act)
         state = env.state
-        assert np.allclose(state.positions[0], [20.0, 2500.0, 80.0])
+        assert np.allclose(state.positions[0, 0], [20.0, 2500.0, 80.0])
 
     def test_altitude_preserved_exactly(self):
         sc = make_scenario([[1200.0, 1200.0, 0.0]])
@@ -295,22 +331,22 @@ class TestStepKinematics:
         env.reset(0)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            act = JointAction(md_choice=np.array([-1]),
-                              heading=np.array([rng.uniform(-np.pi, np.pi)]),
-                              speed=np.array([1], dtype=np.uint8))
+            act = one_fleet(md_choice=np.array([-1]),
+                            heading=np.array([rng.uniform(-np.pi, np.pi)]),
+                            speed=np.array([1], dtype=np.uint8))
             env.step(act)
             state = env.state
-            assert state.positions[0, 2] == 80.0
+            assert state.positions[0, 0, 2] == 80.0
 
     def test_area_clipping(self):
         sc = make_scenario([[1200.0, 1200.0, 0.0]])
         env = CorridorEnv(sc)
         env.reset(0)
-        act = JointAction(md_choice=np.array([-1]), heading=np.array([np.pi / 2]),
-                          speed=np.array([1], dtype=np.uint8))
+        act = one_fleet(md_choice=np.array([-1]), heading=np.array([np.pi / 2]),
+                        speed=np.array([1], dtype=np.uint8))
         env.step(act)  # pushing past the top edge
         state = env.state
-        assert state.positions[0, 1] == 2500.0
+        assert state.positions[0, 0, 1] == 2500.0
 
 
 class TestCollection:
@@ -320,7 +356,7 @@ class TestCollection:
         env.reset(0)
         env.step(hover_action(env, md=[0]))
         state = env.state
-        assert state.collected[0] == 1
+        assert state.collected[0, 0] == 1
         assert terms(env)["collection"][0] == pytest.approx(10.0)
 
     def test_interference_blocks_collection(self):
@@ -331,16 +367,16 @@ class TestCollection:
         sc = make_scenario(md, num_uavs=2, start=(0.0, 0.0), end=(2500.0, 2500.0))
         env = CorridorEnv(sc)
         env.reset(0)
-        env.state.positions = np.array([[0.0, 0.0, 80.0], [85.0, 0.0, 80.0]])
-        mask0 = env.action_mask(0, [])
-        mask1 = env.action_mask(1, [1])
+        env.state.positions = np.array([[[0.0, 0.0, 80.0], [85.0, 0.0, 80.0]]])
+        mask0 = env.action_mask(0, [])[0]
+        mask1 = env.action_mask(1, [1])[0]
         assert mask0[1] and mask1[3]
-        act = JointAction(md_choice=np.array([1, 3]), heading=np.zeros(2),
-                          speed=np.zeros(2, dtype=np.uint8))
+        act = one_fleet(md_choice=np.array([1, 3]), heading=np.zeros(2),
+                        speed=np.zeros(2, dtype=np.uint8))
         env.step(act)
         state = env.state
         # both uplinks suffer a near-equal-power interferer, so neither clears
-        assert state.collected[1] == 0 and state.collected[3] == 0
+        assert state.collected[0, 1] == 0 and state.collected[0, 3] == 0
         assert terms(env)["collection"][0] == 0.0
 
     def test_collection_is_monotone(self):
@@ -352,17 +388,17 @@ class TestCollection:
         for _ in range(80):
             claimed, md = [], []
             for m in range(2):
-                mask = env.action_mask(m, claimed)
+                mask = env.action_mask(m, claimed)[0]
                 valid = np.flatnonzero(mask)
                 pick = int(rng.choice(valid))
                 c = pick if pick < env.n_mds else -1
                 md.append(c)
                 claimed.append(c)
-            act = JointAction(md_choice=np.array(md),
-                              heading=rng.uniform(-np.pi, np.pi, 2),
-                              speed=rng.integers(0, 2, 2).astype(np.uint8))
+            act = one_fleet(md_choice=np.array(md),
+                            heading=rng.uniform(-np.pi, np.pi, 2),
+                            speed=rng.integers(0, 2, 2).astype(np.uint8))
             done, _ = env.step(act)
-            state = env.state
+            state = fleet_state(env)
             assert np.all(state.collected >= prev)
             prev = state.collected.copy()
             if done:
@@ -374,8 +410,8 @@ class TestSafety:
         sc = make_scenario([[2000.0, 300.0, 0.0]], num_uavs=2)
         env = CorridorEnv(sc)
         env.reset(0)
-        env.state.positions = np.array([[1000.0, 1000.0, 80.0],
-                                        [1008.0, 1000.0, 80.0]])
+        env.state.positions = np.array([[[1000.0, 1000.0, 80.0],
+                                         [1008.0, 1000.0, 80.0]]])
         env.step(hover_action(env))
         assert terms(env)["distance"][0] == pytest.approx(-5.0)
 
@@ -386,8 +422,8 @@ class TestSafety:
         env = CorridorEnv(sc)
         env.reset(0)
         gap = sc.config.d_min - 5e-10
-        env.state.positions = np.array([[1000.0, 1000.0, 80.0],
-                                        [1000.0 + gap, 1000.0, 80.0]])
+        env.state.positions = np.array([[[1000.0, 1000.0, 80.0],
+                                         [1000.0 + gap, 1000.0, 80.0]]])
         env.step(hover_action(env))
         assert terms(env)["distance"][0] == 0.0
         assert check_constraints(env.flown(), [], sc,
@@ -397,17 +433,17 @@ class TestSafety:
         sc = make_scenario([[2000.0, 300.0, 0.0]], num_uavs=2)
         env = CorridorEnv(sc)
         env.reset(0)
-        env.state.positions = np.array([[1000.0, 1000.0, 80.0],
-                                        [1025.0, 1000.0, 80.0]])
+        env.state.positions = np.array([[[1000.0, 1000.0, 80.0],
+                                         [1025.0, 1000.0, 80.0]]])
         # head-on at 20 m/s each would end 15 m apart... still legal;
         # repeat until the override must trigger
         for _ in range(3):
-            act = JointAction(md_choice=np.array([-1, -1]),
-                              heading=np.array([0.0, np.pi]),
-                              speed=np.ones(2, dtype=np.uint8))
+            act = one_fleet(md_choice=np.array([-1, -1]),
+                            heading=np.array([0.0, np.pi]),
+                            speed=np.ones(2, dtype=np.uint8))
             env.step(act)
             state = env.state
-            d = np.linalg.norm(state.positions[0] - state.positions[1])
+            d = np.linalg.norm(state.positions[0, 0] - state.positions[0, 1])
             assert d >= sc.config.d_min - 1e-9
 
     def test_shared_start_pad_is_exempt(self):
@@ -425,12 +461,12 @@ class TestEnergyAccounting:
         env.reset(0)
         env.step(hover_action(env))
         state = env.state
-        assert state.cumulative_energy == pytest.approx(hover_power())
-        act = JointAction(md_choice=np.array([-1]), heading=np.array([0.0]),
-                          speed=np.array([1], dtype=np.uint8))
+        assert state.energy_per_uav[0].sum() == pytest.approx(hover_power())
+        act = one_fleet(md_choice=np.array([-1]), heading=np.array([0.0]),
+                        speed=np.array([1], dtype=np.uint8))
         env.step(act)
         state = env.state
-        assert state.cumulative_energy == pytest.approx(hover_power() + flight_power(20.0))
+        assert state.energy_per_uav[0].sum() == pytest.approx(hover_power() + flight_power(20.0))
 
     def test_objective_matches_offline_recomputation(self):
         sc = build_scenario(ScenarioConfig(num_uavs=2, num_mds=4, seed=5))
@@ -438,18 +474,18 @@ class TestEnergyAccounting:
         env.reset(1)
         rng = np.random.default_rng(2)
         for _ in range(60):
-            act = JointAction(md_choice=np.array([-1, -1]),
-                              heading=rng.uniform(-np.pi, np.pi, 2),
-                              speed=rng.integers(0, 2, 2).astype(np.uint8))
+            act = one_fleet(md_choice=np.array([-1, -1]),
+                            heading=rng.uniform(-np.pi, np.pi, 2),
+                            speed=rng.integers(0, 2, 2).astype(np.uint8))
             done, _ = env.step(act)
-            state = env.state
+            state = fleet_state(env)
             if done:
                 break
         recomputed = sum(
             (flight_power(20.0) if moved else hover_power())
             * sc.config.slot_seconds
             for moved in env.flown().moved.ravel())
-        assert state.cumulative_energy == pytest.approx(recomputed, rel=1e-9)
+        assert state.energy_per_uav[0].sum() == pytest.approx(recomputed, rel=1e-9)
 
     def test_battery_exhaustion_terminates(self):
         sc = make_scenario([[1200.0, 1200.0, 0.0]], e_total=400.0)
@@ -470,9 +506,9 @@ class TestRewardBreakdown:
         env.reset(2)
         rng = np.random.default_rng(3)
         for _ in range(30):
-            act = JointAction(md_choice=np.array([-1, -1, -1]),
-                              heading=rng.uniform(-np.pi, np.pi, 3),
-                              speed=rng.integers(0, 2, 3).astype(np.uint8))
+            act = one_fleet(md_choice=np.array([-1, -1, -1]),
+                            heading=rng.uniform(-np.pi, np.pi, 3),
+                            speed=rng.integers(0, 2, 3).astype(np.uint8))
             done, _ = env.step(act)
             if done:
                 break
@@ -493,10 +529,9 @@ class TestTermination:
         assert state.collected.all() and not done
         # fly to the nearby end point
         for _ in range(10):
-            act = JointAction(md_choice=np.array([-1]), heading=np.array([0.0]),
-                              speed=np.array([1], dtype=np.uint8))
+            act = one_fleet(md_choice=np.array([-1]), heading=np.array([0.0]),
+                            speed=np.array([1], dtype=np.uint8))
             done, success = env.step(act)
-            state = env.state
             if done:
                 break
         assert done and success
@@ -516,21 +551,62 @@ class TestTermination:
         assert not terms(env)["bonus"].any()
 
     def test_step_past_the_horizon_rejected(self):
-        # the flight arrays hold horizon_slots slots; a step past them
-        # changes neither the state nor the arrays
+        # the flight arrays hold horizon_slots slots; every fleet leaves the
+        # batch there, and a step with no live fleet changes neither the end
+        # states nor the arrays
         sc = make_scenario([[2300.0, 200.0, 0.0]], horizon_slots=3)
         env = CorridorEnv(sc)
-        env.reset(0)
-        while not env.step(hover_action(env))[0]:
-            pass
-        state, flight = deepcopy(env.state), deepcopy(env.flight)
-        with pytest.raises(RuntimeError, match="horizon"):
+        with pytest.raises(RuntimeError, match="reset"):
+            env.step(JointAction.hover(1))
+        for fleets in (1, 3):
+            env.reset(0, fleets)
+            while len(env.live):
+                env.step(hover_action(env))
+            assert not env.state.positions.size
+            state, flight = deepcopy(env.end_state), deepcopy(env.flight)
+            with pytest.raises(RuntimeError, match="no live fleet.*horizon"):
+                env.step(JointAction.hover(1, fleets))
+            for name, value in vars(state).items():
+                assert np.array_equal(getattr(env.end_state, name), value)
+            for name, rows in vars(flight).items():
+                assert np.array_equal(getattr(env.flight, name), rows)
+            assert env.flight.final.shape[1] == 3
+            assert env.end_state.slot.tolist() == [3] * fleets
+
+    def test_fleets_leave_the_batch_on_their_own(self):
+        # fleet 1 collects the MD beside the pad and lands at the nearby end;
+        # fleets 0 and 2 hover until the horizon
+        sc = make_scenario([[30.0, 2470.0, 0.0]], end=(100.0, 2500.0),
+                           arrival_radius=40.0, horizon_slots=12)
+        env = CorridorEnv(sc)
+        env.reset(0, 3)
+        act = JointAction.hover(1, 3)
+        act.md_choice[1] = 0
+        done, success = env.step(act)
+        assert not done.any() and env.state.collected[:, 0].tolist() == [0, 1, 0]
+        act = JointAction.hover(1, 3)
+        act.speed[1] = 1
+        slots = 1
+        while len(env.live) == 3:
+            done, success = env.step(act)
+            slots += 1
+        assert done.tolist() == success.tolist() == [False, True, False]
+        assert env.live.tolist() == [0, 2] and env.end_state.slot[1] == slots
+        with pytest.raises(ValueError, match="malformed"):
+            env.step(act)                   # one action row too many
+        while len(env.live):
             env.step(hover_action(env))
-        for name, value in vars(state).items():
-            assert np.array_equal(getattr(env.state, name), value)
-        for name, rows in vars(flight).items():
-            assert np.array_equal(getattr(env.flight, name), rows)
-        assert len(env.flight.final) == env.state.slot == 3
+        assert env.end_state.slot.tolist() == [12, slots, 12]
+        assert env.success.tolist() == [False, True, False]
+        assert env.end_state.collected[:, 0].tolist() == [0, 1, 0]
+        landed = env.flown(1)
+        assert len(landed.final) == slots and landed.moved[1:].all()
+        # fleet 1's rows stop at its end slot while the others fly on
+        assert not env.flight.moved[1, slots:].any()
+        assert not env.flight.start[1, slots:].any()
+        assert (env.flight.start[[0, 2], slots:, :, 2] == 80.0).all()
+        assert len(env.flown(0).final) == len(env.flown(2).final) == 12
+        assert np.array_equal(env.flown(0).final, env.flown(2).final)
 
 
 class TestConstraintAudit:
@@ -554,7 +630,7 @@ class TestConstraintAudit:
         env = CorridorEnv(sc)
         env.reset(0)
         done, _ = env.step(hover_action(env, md=[1, 3]))
-        assert done and env.state.collected.sum() == 0
+        assert done and env.end_state.collected.sum() == 0
         sinr = env.flown().served_sinr[0]
         assert (sinr < sc.config.gamma_th_md).all()
         assert sinr == pytest.approx([1.86, 0.34], abs=0.005)
@@ -569,9 +645,9 @@ class TestConstraintAudit:
         done = False
         rng = np.random.default_rng(0)
         while not done:
-            act = JointAction(md_choice=np.array([-1]),
-                              heading=np.array([rng.uniform(-np.pi, np.pi)]),
-                              speed=np.array([1], dtype=np.uint8))
+            act = one_fleet(md_choice=np.array([-1]),
+                            heading=np.array([rng.uniform(-np.pi, np.pi)]),
+                            speed=np.array([1], dtype=np.uint8))
             done, _ = env.step(act)
         rep = check_constraints(env.flown(), [], sc)
         assert rep.min_distance == 0
@@ -584,9 +660,9 @@ class TestConstraintAudit:
         done = False
         rng = np.random.default_rng(5)
         while not done:
-            act = JointAction(md_choice=np.array([-1, -1, -1]),
-                              heading=rng.uniform(-np.pi, np.pi, 3),
-                              speed=np.ones(3, dtype=np.uint8))
+            act = one_fleet(md_choice=np.array([-1, -1, -1]),
+                            heading=rng.uniform(-np.pi, np.pi, 3),
+                            speed=np.ones(3, dtype=np.uint8))
             done, _ = env.step(act)
         _, designs = score_links(env.flown(), sc, 0, separated=False, build=True)
         rep = check_constraints(env.flown(), designs, sc)
@@ -602,9 +678,9 @@ class TestConstraintAudit:
         done = False
         rng = np.random.default_rng(5)
         while not done:
-            act = JointAction(md_choice=np.array([-1, -1, -1]),
-                              heading=rng.uniform(-np.pi, np.pi, 3),
-                              speed=np.ones(3, dtype=np.uint8))
+            act = one_fleet(md_choice=np.array([-1, -1, -1]),
+                            heading=rng.uniform(-np.pi, np.pi, 3),
+                            speed=np.ones(3, dtype=np.uint8))
             done, _ = env.step(act)
         _, designs = score_links(env.flown(), sc, 0, separated=True, build=True)
         rep = check_constraints(env.flown(), designs, sc)
@@ -640,9 +716,9 @@ def fly_link_failing_episode(seed):
     headings = np.array([0.0, -0.5 * np.pi, -0.25 * np.pi])
 
     def act(env):
-        return JointAction(md_choice=np.full(3, -1),
-                           heading=headings + rng.normal(0.0, 0.3, 3),
-                           speed=np.ones(3, dtype=np.uint8))
+        return one_fleet(md_choice=np.full(3, -1),
+                         heading=headings + rng.normal(0.0, 0.3, 3),
+                         speed=np.ones(3, dtype=np.uint8))
 
     run_episode(env, seed, act)
     return env
@@ -650,7 +726,8 @@ def fly_link_failing_episode(seed):
 
 class TestLinkMode:
     """Flight has one link mode, "none": stepping an env, whatever its
-    record flag, opens no "env-channel" stream and sweeps no chain."""
+    record flag, opens no "env-channel" stream and sweeps no chain. The
+    flag selects only whether the flight arrays are written."""
 
     @pytest.mark.parametrize("record", [True, False])
     def test_none_scores_and_draws_no_links(self, record, monkeypatch):
@@ -664,14 +741,17 @@ class TestLinkMode:
                                            horizon_slots=6))
         env = CorridorEnv(sc, record=record)
         env.reset(0)
-        act = JointAction(md_choice=np.full(3, -1),
-                          heading=np.array([0.0, -0.5 * np.pi, -0.25 * np.pi]),
-                          speed=np.ones(3, dtype=np.uint8))
+        act = one_fleet(md_choice=np.full(3, -1),
+                        heading=np.array([0.0, -0.5 * np.pi, -0.25 * np.pi]),
+                        speed=np.ones(3, dtype=np.uint8))
         done = False
         while not done:
             done, _ = env.step(act)
         assert (opened, swept) == ([], [])
-        assert len(env.flown().final) == 6
+        assert env.end_state.slot[0] == 6
+        assert (env.flight is None) == (not record)
+        if record:
+            assert len(env.flown().final) == 6
 
 
 class TestLinkVerdicts:
@@ -743,9 +823,9 @@ class TestLinkVerdicts:
             assert not gain2.flags.writeable
             assert np.array_equal(gain2, uplink_gain2(env.state.positions, sc))
             md = np.full(3, -1)
-            if masks[0, :-1].any():
-                md[0] = np.flatnonzero(masks[0, :-1])[0]
-            done, _ = env.step(JointAction(
+            if masks[0, 0, :-1].any():
+                md[0] = np.flatnonzero(masks[0, 0, :-1])[0]
+            done, _ = env.step(one_fleet(
                 md_choice=md, heading=np.array([0.0, -0.5, -1.0]),
                 speed=np.ones(3, dtype=np.uint8)))
             slots += 1

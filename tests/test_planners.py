@@ -9,9 +9,11 @@ from uavisac import mdp_env, planners
 from uavisac.config import load_config
 from uavisac.energy import REFERENCE_PROPULSION
 from uavisac.isac_sdr import _measure_design
-from uavisac.mdp_env import (ConstraintReport, CorridorEnv, JointAction,
-                             check_constraints, pairs_above, run_episode,
-                             score_links, station_exempt, too_close)
+from uavisac.mdp_env import (ConstraintReport, CorridorEnv, Flight,
+                             JointAction, check_constraints, fleet_transition,
+                             mission_status, pairs_above, run_episode,
+                             score_links, slot_costs, station_exempt,
+                             too_close, uplink_gain2)
 from uavisac.planners import (GaConfig, InfeasiblePlanError, MissionResult,
                               Plan, PsoConfig, _decode_keys, _ga_search,
                               _pso_search, _split_decode, controller_actions,
@@ -84,6 +86,25 @@ class TestEvaluatePlan:
                    waypoints=[[sc.md_positions[i, :2] for i in (0, 0, 1)]])
         with pytest.raises(InfeasiblePlanError):
             evaluate_plan(bad, sc)
+
+    @pytest.mark.parametrize("uavs, md_order, aimed", [
+        (2, [[0], [1], [2, 3]], [[0], [1], [2, 3]]),    # a route without a UAV
+        (1, [[0, 1]], [[0]]),                           # a stop without an aim
+        (2, [[0, 1], [2, 3]], [[0, 1]])],               # a route without aims
+        ids=["extra_route", "short_waypoints", "missing_waypoints"])
+    def test_malformed_plan_rejected(self, uavs, md_order, aimed):
+        mds = sum(map(len, md_order))
+        sc = build_scenario(replace(load_config().scenario, seed=0,
+                                    num_uavs=uavs,
+                                    **{**GRID_WORLD, "num_mds": mds}))
+        bad = Plan(md_order=md_order,
+                   waypoints=[[sc.md_positions[i, :2] for i in route]
+                              for route in aimed])
+        assert bad.covers_once(mds)
+        with pytest.raises(InfeasiblePlanError, match="routes and one waypoint"):
+            evaluate_plan(bad, sc)
+        with pytest.raises(InfeasiblePlanError, match="routes and one waypoint"):
+            population_fitness([greedy_offline(sc), bad], sc)
 
     def test_fitness_rejects_the_same_partition_violation(self):
         sc = corridor(3, 1)
@@ -165,11 +186,10 @@ def oracle_replay(plan, sc, seed):
     def act(env):
         s = env.state
         targets, aims = planners._follow_routes(route, waypoint, cursor,
-                                                s.collected[None], sc.config)
+                                                s.collected, sc.config)
         md, heading, speed = controller_actions(
-            s.positions[None], s.collected[None], env.gain2()[None],
-            targets, aims, env.cfg)
-        return JointAction(md_choice=md[0], heading=heading[0], speed=speed[0])
+            s.positions, s.collected, env.gain2(), targets, aims, env.cfg)
+        return JointAction(md_choice=md, heading=heading, speed=speed)
 
     env = CorridorEnv(sc)
     state, success = run_episode(env, seed, act)
@@ -178,12 +198,12 @@ def oracle_replay(plan, sc, seed):
         designs = (score_links(env.flown(), sc, seed, separated=False,
                                build=True)[1] if connected else [])
         results.append(MissionResult(
-            method="plan", energy_j=state.cumulative_energy,
-            time_s=state.slot * sc.config.slot_seconds,
-            collected=int(state.collected.sum()), success=bool(success),
+            method="plan", energy_j=float(state.energy_per_uav[0].sum()),
+            time_s=state.slot[0] * sc.config.slot_seconds,
+            collected=int(state.collected[0].sum()), success=bool(success[0]),
             violations=check_constraints(env.flown(), designs, sc,
                                          connected=connected),
-            per_uav_energy=state.energy_per_uav.tolist(), seed=seed))
+            per_uav_energy=state.energy_per_uav[0].tolist(), seed=seed))
     return env.flown(), results
 
 
@@ -213,6 +233,66 @@ class TestBatchedReplay:
                 assert planners.mission_result(flight, sc, seed, "plan",
                                                mode) == result
             assert evaluate_plan(plan, sc, seed=seed, connected=True) == want[1]
+
+
+def oracle_fly_plans(plans, scenario, propulsion, record):
+    """fly_plans as it stood with its own per-slot loop, frozen: the plans'
+    fleets stepped through the mission rules without an env, compacted as
+    they end. Returns (energy, slots, collected, flights or None)."""
+    cfg = scenario.config
+    costs = slot_costs(cfg, propulsion)
+    route, waypoint = planners._pack_routes(plans, scenario)
+    n, m_count = route.shape[:2]
+    energy = np.zeros(n)
+    slots = np.zeros(n, dtype=int)
+    collected_count = np.zeros(n, dtype=int)
+    live = np.arange(n)
+    positions = np.tile(np.array([*cfg.start, cfg.altitude]), (n, m_count, 1))
+    collected = np.zeros((n, cfg.num_mds), dtype=np.uint8)
+    cursor = np.zeros((n, m_count), dtype=int)
+    spent = np.zeros((n, m_count))
+    residual = np.full((n, m_count), cfg.e_total)
+    flights = (Flight.empty((n, cfg.horizon_slots), m_count, cfg.num_mds)
+               if record else None)
+    slot = 0
+    follow = True
+    while len(live):
+        # targets move on only when an MD gets collected
+        if follow:
+            targets, aims = planners._follow_routes(route, waypoint, cursor,
+                                                    collected, cfg)
+        gain2 = uplink_gain2(positions, scenario)
+        md, heading, speed = controller_actions(positions, collected, gain2,
+                                                targets, aims, cfg)
+        if record:
+            flights.start[live, slot] = positions
+            flights.collected[live, slot] = collected
+            flights.served[live, slot] = md
+        out = fleet_transition(positions, collected, gain2, md, heading, speed,
+                               cfg, costs)
+        if record:
+            for name, value in vars(out).items():
+                getattr(flights, name)[live, slot] = value
+        slot += 1
+        follow = out.newly.any()
+        spent += out.energy
+        residual -= out.energy
+        positions = out.final
+        _, done = mission_status(positions, collected, residual, slot, cfg)
+        if done.any():
+            ended = live[done]
+            energy[ended] = spent[done].sum(axis=1)
+            slots[ended] = slot
+            collected_count[ended] = collected[done].sum(axis=1)
+            keep = ~done
+            live, route, waypoint, cursor, targets, aims = (
+                live[keep], route[keep], waypoint[keep], cursor[keep],
+                targets[keep], aims[keep])
+            positions, collected, spent, residual = (
+                positions[keep], collected[keep], spent[keep], residual[keep])
+    if record:
+        flights = [flights.take((p, slice(slots[p]))) for p in range(n)]
+    return energy, slots, collected_count, flights
 
 
 def oracle_check_constraints(flight, designs, sc, connected):
@@ -255,6 +335,43 @@ def oracle_check_constraints(flight, designs, sc, connected):
 
 # the default-size world under a 22 dB link floor, where chain links fail
 AUDIT_WORLDS = {"grid": GRID_WORLD, "links": dict(gamma_th_uav=db_to_linear(22.0))}
+
+
+def same_arrays(got, want) -> bool:
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+# first generations of small searches: random plans, many of them reverted
+FIRST_GENERATIONS = {"pso": lambda sc, m: _pso_search(sc, PsoConfig(swarm=8, seed=m)),
+                     "ga": lambda sc, m: _ga_search(sc, GaConfig(population=8, seed=m))}
+
+
+class TestFrozenFlyPlans:
+    """fly_plans, one run_episode over a batched env, flies a search
+    generation as its own per-slot loop did, recorded or not."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("world", sorted(AUDIT_WORLDS))
+    @pytest.mark.parametrize("search", sorted(FIRST_GENERATIONS))
+    def test_matches_the_frozen_loop(self, search, world, m):
+        sc = build_scenario(replace(load_config().scenario, seed=0,
+                                    num_uavs=m, **AUDIT_WORLDS[world]))
+        plans = next(FIRST_GENERATIONS[search](sc, m))
+        for record in (True, False):
+            got = planners.fly_plans(plans, sc, REFERENCE_PROPULSION, record)
+            want = oracle_fly_plans(plans, sc, REFERENCE_PROPULSION, record)
+            for got_sums, want_sums in zip(got[:3], want[:3]):
+                assert same_arrays(got_sums, want_sums)
+            if record:
+                assert len(got[3]) == len(want[3]) == len(plans)
+                for flight, want_flight in zip(got[3], want[3]):
+                    for name, rows in vars(want_flight).items():
+                        assert same_arrays(getattr(flight, name), rows), name
+                reverted = any(flight.overrides.any() for flight in got[3])
+                assert reverted == (m > 1)
+            else:
+                assert got[3] is None
 
 
 class TestStackedAudit:

@@ -154,11 +154,11 @@ def ref_sample_row(actor, obs_row, mask_row, rng):
 def ref_act_in_env(actor, env, rng):
     """Per-agent forward and draw under the claim-order masks."""
     m_agents = env.n_agents
-    obs = env.observations()
+    obs = env.observations()[0]
     md = np.empty(m_agents, dtype=int)
     u, heading, logp = np.zeros(m_agents), np.zeros(m_agents), np.zeros(m_agents)
     speed = np.zeros(m_agents, dtype=np.uint8)
-    masks = env.open_masks()
+    masks = env.open_masks()[0]
     for m in range(m_agents):
         if rng is None:
             _, _, md_logits, mu, z_speed = ref_actor_heads(actor, obs[m][None])
@@ -173,7 +173,8 @@ def ref_act_in_env(actor, env, rng):
             masks[m + 1:, md[m]] = False
         else:
             md[m] = -1
-    return JointAction(md_choice=md, heading=heading, speed=speed), masks, u, logp
+    return (JointAction(md_choice=md[None], heading=heading[None],
+                        speed=speed[None]), masks, u, logp)
 
 
 # -- fixtures -------------------------------------------------------------------
@@ -417,20 +418,20 @@ class TestBatchedActing:
                 open_masks = env.open_masks()
                 action, (obs, masks, _, u, _, logp) = act_in_env(
                     policy, env, None if greedy else a)
-                assert np.array_equal(obs, env.observations())
+                assert np.array_equal(obs, env.observations()[0])
                 ref, ref_masks, ref_u, ref_logp = ref_act_in_env(
                     policy.actor, env, None if greedy else b)
                 assert np.array_equal(action.md_choice, ref.md_choice)
                 assert np.array_equal(action.speed, ref.speed)
                 assert np.array_equal(masks, ref_masks)
                 for m in range(env.n_agents):
-                    claimed = action.md_choice[:m]
-                    assert np.array_equal(masks[m], env.action_mask(m, claimed))
+                    claimed = action.md_choice[0, :m]
+                    assert np.array_equal(masks[m], env.action_mask(m, claimed)[0])
                 np.testing.assert_allclose(action.heading, ref.heading,
                                            rtol=0, atol=1e-12)
                 np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(logp, ref_logp, rtol=0, atol=1e-12)
-                withheld += int((open_masks & ~masks).sum())
+                withheld += int((open_masks[0] & ~masks).sum())
                 done, _ = env.step(action)
                 if done:
                     break

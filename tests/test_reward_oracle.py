@@ -59,16 +59,17 @@ def potential(env, positions, collected) -> float:
 
 
 def oracle_step(env, action):
-    """The in-flight step: (RewardBreakdown with qos 0, done, success)."""
+    """The in-flight step of a one-fleet env: (RewardBreakdown with qos 0,
+    done, success)."""
     s, cfg, r = env.state, env.cfg, env.reward_cfg
-    md_choice = np.asarray(action.md_choice, dtype=int)
-    heading = np.asarray(action.heading, dtype=float)
-    speed = np.asarray(action.speed).astype(np.uint8)
-    gain2 = env.gain2()
+    md_choice = np.asarray(action.md_choice, dtype=int)[0]
+    heading = np.asarray(action.heading, dtype=float)[0]
+    speed = np.asarray(action.speed).astype(np.uint8)[0]
+    gain2 = env.gain2()[0]
 
     reward = RewardBreakdown()
-    potential_before = potential(env, s.positions, s.collected)
-    out = fleet_transition(s.positions[None], s.collected[None], gain2[None],
+    potential_before = potential(env, s.positions[0], s.collected[0])
+    out = fleet_transition(s.positions, s.collected, gain2[None],
                            md_choice[None], heading[None], speed[None], cfg,
                            env._slot_costs)
     final, overrides = out.final[0], out.overrides[0]
@@ -82,17 +83,17 @@ def oracle_step(env, action):
     reward.distance = r.distance_penalty * int(near.sum())
 
     slot_e = out.energy[0]
-    s.energy_per_uav += slot_e
-    s.residual_energy -= slot_e
+    s.energy_per_uav[0] += slot_e
+    s.residual_energy[0] -= slot_e
     reward.energy = -float(slot_e.sum()) / r.energy_scale
 
-    s.positions = final
-    s.headings = out.heading[0]
+    s.positions = out.final
+    s.headings = out.heading
     s.slot += 1
-    reward.shaping = potential(env, final, s.collected) - potential_before
+    reward.shaping = potential(env, final, s.collected[0]) - potential_before
 
-    success, done = mission_status(s.positions, s.collected,
-                                   s.residual_energy, s.slot, cfg)
+    success, done = mission_status(s.positions[0], s.collected[0],
+                                   s.residual_energy[0], s.slot, cfg)
     success, done = bool(success), bool(done)
     if success:
         reward.bonus = r.arrival_bonus
@@ -106,27 +107,29 @@ def pursue(env):
     md = env.scenario.md_positions[:, :2]
     targets, aims = [], []
     for m in range(env.n_agents):
-        dist = np.linalg.norm(md - s.positions[m, :2], axis=1)
-        dist[s.collected == 1] = np.inf
+        dist = np.linalg.norm(md - s.positions[0, m, :2], axis=1)
+        dist[s.collected[0] == 1] = np.inf
         dist[[t for t in targets if t >= 0]] = np.inf
         target = int(np.argmin(dist)) if np.isfinite(dist).any() else -1
         targets.append(target)
         aims.append(md[target] if target >= 0 else np.asarray(cfg.end, float))
-    return planners._controller_step(env, targets, aims)
+    return JointAction(*planners.controller_actions(
+        s.positions, s.collected, env.gain2(), np.asarray(targets)[None],
+        np.asarray(aims, float)[None], cfg))
 
 
 def wander(rng):
     """Random headings and speeds, each UAV serving its first open MD."""
     def act(env):
-        masks, md = env.open_masks(), np.full(env.n_agents, -1)
+        masks, md = env.open_masks()[0], np.full(env.n_agents, -1)
         for m in range(env.n_agents):
             options = np.flatnonzero(masks[m, :-1])
             options = options[~np.isin(options, md)]
             if len(options):
                 md[m] = options[0]
-        return JointAction(md_choice=md,
-                           heading=rng.uniform(-np.pi, np.pi, env.n_agents),
-                           speed=rng.integers(0, 2, env.n_agents).astype(np.uint8))
+        return JointAction(md_choice=md[None],
+                           heading=rng.uniform(-np.pi, np.pi, (1, env.n_agents)),
+                           speed=rng.integers(0, 2, (1, env.n_agents)).astype(np.uint8))
     return act
 
 
@@ -145,11 +148,13 @@ def fly_both(scenario, reward, act, slots=None, inject=None):
                 inject(e, len(oracle))
         action = act(env)
         done, success = env.step(action)
+        done, success = done[0], success[0]
         oracle.append(oracle_step(twin, action))
         assert (done, success) == oracle[-1][1:]
+        fleet = env.end_state if done else env.state
         for name in ("positions", "headings", "residual_energy", "collected",
                      "energy_per_uav"):
-            assert np.array_equal(getattr(env.state, name),
+            assert np.array_equal(getattr(fleet, name),
                                   getattr(twin.state, name))
     return env, oracle
 
@@ -204,9 +209,10 @@ class TestPostFlightRewards:
         def inject(env, slot):
             if slot % 6 == 3:
                 xy, collected = injections[slot // 6]
-                env.state.positions = np.column_stack([xy, np.full(3, cfg.altitude)])
-                env.state.positions[1] = env.state.positions[0] + [9.0, 0.0, 0.0]
-                env.state.collected = collected.copy()
+                env.state.positions = np.column_stack(
+                    [xy, np.full(3, cfg.altitude)])[None]
+                env.state.positions[0, 1] = env.state.positions[0, 0] + [9.0, 0.0, 0.0]
+                env.state.collected = collected[None].copy()
 
         env, oracle = fly_both(sc, SHAPING[weights], wander(rng_stream(6, "act")),
                                slots=60, inject=inject)
@@ -233,9 +239,10 @@ class TestPostFlightRewards:
 
         def spread(env):
             return JointAction(
-                md_choice=np.full(3, -1),
-                heading=np.array([0.0, -0.5, -0.25]) * np.pi + rng.normal(0.0, 0.3, 3),
-                speed=np.ones(3, dtype=np.uint8))
+                md_choice=np.full((1, 3), -1),
+                heading=(np.array([0.0, -0.5, -0.25]) * np.pi
+                         + rng.normal(0.0, 0.3, 3))[None],
+                speed=np.ones((1, 3), dtype=np.uint8))
 
         env, oracle = fly_both(sc, RewardConfig(), spread, slots=40)
         qos, _ = score_links(env.flown(), sc, 0, separated=False, build=False)

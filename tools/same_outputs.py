@@ -11,6 +11,8 @@ runs with ``OPENBLAS_NUM_THREADS=1`` on the ``mission_grid`` world of
 - ``run --train-first --episodes 1 --values 2,3 --seeds 0,1`` for scenario
   (and MAPPO) seeds 0-4, and once more with ``--workers 2`` on the seed-0
   world, so the grid's tasks also run in a worker pool;
+- the same ``run`` with ``--values 1,4,5`` on the seed-0 world: one UAV has
+  no UAV pair and no chain link, and four or five UAVs revert more moves;
 - ``curves --episodes 2 --seeds 0,1,2`` on the seed-0 world;
 - ``table`` and ``sweep --axis uav_count`` on each ``run`` output;
 - ``curves --episodes 2 --seeds 0,1,2`` and the ``run`` grid above (with
@@ -50,6 +52,7 @@ from workloads import GRID_GA, GRID_PSO, GRID_WORLD  # noqa: E402
 SCENARIO_SEEDS = range(5)
 RUN_ARGS = ("run", "--train-first", "--episodes", "1", "--values", "2,3",
             "--seeds", "0,1")
+WIDE_RUN_ARGS = RUN_ARGS[:4] + ("--values", "1,4,5") + RUN_ARGS[6:]
 CURVE_ARGS = ("curves", "--episodes", "2", "--seeds", "0,1,2")
 SUMMARY_ARGS = (("table",), ("sweep", "--axis", "uav_count"))
 ROLLOUT = 256
@@ -83,6 +86,7 @@ def produce(tree: Path, work: Path) -> None:
     jobs = ([(f"run_seed{seed}", seed, GRID_WORLD, RUN_ARGS)
              for seed in SCENARIO_SEEDS]
             + [("run_workers2_seed0", 0, GRID_WORLD, RUN_ARGS + ("--workers", "2")),
+               ("run_uavs145_seed0", 0, GRID_WORLD, WIDE_RUN_ARGS),
                ("curves_seed0", 0, GRID_WORLD, CURVE_ARGS),
                ("curves_links_seed0", 0, LINK_WORLD, CURVE_ARGS),
                ("run_links_seed0", 0, LINK_WORLD, RUN_ARGS)])
