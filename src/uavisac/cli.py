@@ -17,7 +17,8 @@ from .config import load_config
 from .drl_mappo import train
 from .harness import (AXES, METHODS, ExperimentSpec, emit_comparison_table,
                       emit_sweep_data, run_experiment, scenario_config_for,
-                      seed_problems, train_checkpoint, validate_spec)
+                      seed_problems, train_checkpoint, training_config,
+                      validate_spec)
 from .scenario import build_scenario, validate_config
 
 
@@ -41,7 +42,8 @@ def _out_root(args) -> str:
 # the search and training counts that size a loop or an array
 _COUNT_KEYS = (("pso", "swarm"), ("ga", "population"), ("mappo", "hidden"),
                ("mappo", "minibatch"), ("mappo", "epochs"),
-               ("mappo", "smooth_window"), ("mappo", "max_episodes"))
+               ("mappo", "smooth_window"), ("mappo", "max_episodes"),
+               ("mappo", "rollout"))
 
 
 def _require_counts(named):
@@ -125,10 +127,26 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _progress(label: str, mappo):
+    """A train progress callback that prints, to stderr, every 50 episodes
+    and after the last one, the episode, the smoothed reward and the success
+    rate over the smoothing window."""
+    def report(episode, curve):
+        done = episode + 1
+        if done % 50 and done != mappo.max_episodes:
+            return
+        window = curve.success[-mappo.smooth_window:]
+        print(f"{label}: episode {done}/{mappo.max_episodes}, smoothed reward "
+              f"{curve.smoothed[-1]:.3f}, success {sum(window) / len(window):.2f}",
+              file=sys.stderr, flush=True)
+    return report
+
+
 def cmd_train(args) -> int:
     spec = _spec_from_args(args)
     for value in spec.values:
-        path = train_checkpoint(spec, value)
+        path = train_checkpoint(spec, value, _progress(
+            f"train {spec.axis} = {value}", training_config(spec)))
         print(f"checkpoint written: {path}")
     return 0
 
@@ -166,7 +184,8 @@ def cmd_curves(args) -> int:
             mappo = replace(mappo, max_episodes=args.episodes)
         scenario = build_scenario(run_config.scenario)
         _, curve = train(scenario, mappo, run_config.reward,
-                         propulsion=run_config.propulsion)
+                         _progress(f"curves seed {seed}", mappo),
+                         run_config.propulsion)
         path = out / f"curve_seed{seed}.csv"
         curve.write_csv(path)
         print(f"learning curve written: {path}")

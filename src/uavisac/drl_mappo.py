@@ -11,13 +11,14 @@ differences in the tests. A net computes in the dtype of its weights.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .energy import PropulsionParams, REFERENCE_PROPULSION
-from .mdp_env import (CorridorEnv, JointAction, RewardConfig, reward_terms,
-                      run_episode, score_links)
+from .mdp_env import (CorridorEnv, JointAction, RewardConfig, joint_states,
+                      reward_terms, run_episode, score_links)
 from .nn import (Adam, Linear, Workspace, log_softmax_masked, matmul, pack,
                  softplus, tanh_backward, tanh_layer)
 from .scenario import Scenario, rng_stream
@@ -436,33 +437,86 @@ class LearningCurve:
             fh.write("\n".join(lines) + "\n")
 
 
+class Rollout:
+    """The transitions of one PPO update, in arrays allocated once.
+
+    Row t holds slot t: act_in_env's sample (obs, u and logp in the nets'
+    dtype, each the cast of the float64 sample; masks, MD heads and speeds
+    as drawn), the collected set the slot started from and, once its episode
+    has landed, the slot's reward and episode end. ``n`` counts the filled
+    rows; ``md_state`` is the env's scaled MD locations, which every critic
+    state shares (mdp_env.joint_states)."""
+
+    def __init__(self, slots, m_agents, obs_dim, n_actions, md_state, dtype):
+        n_mds = len(md_state) // 2
+        self.md_state = md_state
+        self.obs = np.empty((slots, m_agents, obs_dim), dtype)
+        self.mask = np.empty((slots, m_agents, n_actions), bool)
+        self.md = np.empty((slots, m_agents), int)
+        self.u = np.empty((slots, m_agents), dtype)
+        self.speed = np.empty((slots, m_agents), np.uint8)
+        self.logp = np.empty((slots, m_agents), dtype)
+        self.collected = np.empty((slots, n_mds), np.uint8)
+        self.reward = np.empty(slots)
+        self.done = np.empty(slots, bool)
+        self.n = 0
+
+    @classmethod
+    def for_env(cls, env: CorridorEnv, rollout: int, dtype) -> "Rollout":
+        """Room for the most slots one update sees: an update follows the
+        episode that reaches ``rollout`` agent transitions, so fewer than
+        ceil(rollout / M) slots precede that episode's horizon_slots."""
+        slots = math.ceil(rollout / env.n_agents) - 1 + env.cfg.horizon_slots
+        return cls(slots, env.n_agents, env.obs_dim, env.n_actions,
+                   env.md_state, dtype)
+
+    def add(self, sample, collected):
+        """Write one act_in_env sample and the slot's collected set (I,) into
+        the next row."""
+        t = self.n
+        (self.obs[t], self.mask[t], self.md[t], self.u[t], self.speed[t],
+         self.logp[t]) = sample
+        self.collected[t] = collected
+        self.n = t + 1
+
+    def land(self, rewards):
+        """The rewards of the landed episode's slots, the last rows written;
+        its last slot ends the episode."""
+        episode = slice(self.n - len(rewards), self.n)
+        self.reward[episode] = rewards
+        self.done[episode] = False
+        self.done[self.n - 1] = True
+
+
 def _update(policy: MappoPolicy, opt_actor: Adam, opt_critic: Adam,
-            slots, rewards, dones, config: MappoConfig, shuffle_rng):
+            rollout: Rollout, config: MappoConfig, shuffle_rng):
     """PPO epochs over one rollout; returns the mean critic loss and the
     means of the actor diagnostics (ratio_mean, clip_fraction, entropy).
 
-    ``slots`` holds one (obs, masks, md_head, u, speed, logp, critic_state)
-    per env slot, as act_in_env sampled it plus the critic state it saw;
-    ``rewards`` and ``dones`` are the slots' shared rewards and episode ends.
-    The rollout's values come from one critic pass here: the critic changes
-    only inside this function, so they are the values it had while the
-    rollout was collected. That pass and every minibatch reuse one
-    Workspace. Arrays are stacked, and the float64 advantages and targets
-    cast, in the nets' dtype; then the three lists are emptied."""
+    Reads the ``rollout.n`` filled rows as views, builds their critic states
+    in one joint_states call and empties the rollout (``n`` = 0). The
+    rollout's values come from one critic pass here: the critic changes only
+    inside this function, so they are the values it had while the rollout
+    was collected. That pass and every minibatch reuse one Workspace. The
+    float64 advantages and targets are cast to the nets' dtype."""
     dtype = policy.actor.vec.dtype
     work = Workspace(dtype)
-    obs, mask, md, u, speed, logp_old, states = (
-        np.concatenate(col, dtype=None if k in (1, 2) else dtype)
-        for k, col in enumerate(zip(*slots)))
-    states = states.reshape(len(slots), -1)
+    n = rollout.n
+    obs, mask, md, u, speed, logp_old = (
+        x[:n].reshape(-1, *x.shape[2:]) for x in (
+            rollout.obs, rollout.mask, rollout.md, rollout.u, rollout.speed,
+            rollout.logp))
+    speed = speed.astype(dtype)
+    states = joint_states(rollout.obs[:n], rollout.md_state,
+                          rollout.collected[:n], dtype)
     values = critic_forward(policy.critic, states, work)
-    adv_step = gae(rewards, values, dones, config.discount, config.gae_lambda)
+    adv_step = gae(rollout.reward[:n], values, rollout.done[:n],
+                   config.discount, config.gae_lambda)
     targets = (adv_step + values).astype(dtype)
 
-    adv = np.repeat(adv_step, len(md) // len(states))    # one per agent
+    adv = np.repeat(adv_step, len(md) // n)             # one per agent
     adv = ((adv - adv.mean()) / (adv.std() + 1e-8)).astype(dtype)
-    for rollout in (slots, rewards, dones):
-        rollout.clear()
+    rollout.n = 0
 
     def rows(x, sel):
         return np.take(x, sel, axis=0, out=work.array("x", (len(sel),) + x.shape[1:]))
@@ -497,9 +551,13 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
     epochs on a full rollout.
 
     Single-worker, float32, and bit-deterministic for a fixed config (seed
-    included) under any BLAS thread count. ``progress`` is an optional
-    callback(episode, curve); ``propulsion`` sets the env's slot energy costs.
+    included) under any BLAS thread count. The slots go into one Rollout,
+    allocated here for the config's ``rollout``, which must be at least 1.
+    ``progress`` is an optional callback(episode, curve); ``propulsion`` sets
+    the env's slot energy costs.
     """
+    if config.rollout < 1:
+        raise ValueError(f"rollout must be at least 1, got {config.rollout}")
     env = CorridorEnv(scenario, reward=reward, propulsion=propulsion)
     actor = ActorNet(rng_stream(config.seed, "init-actor"), env.obs_dim,
                      env.n_actions, config.hidden, np.float32)
@@ -511,27 +569,27 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
     sample_rng = rng_stream(config.seed, "policy-sample")
     shuffle_rng = rng_stream(config.seed, "minibatch")
 
-    slots, rewards, dones = [], [], []
+    rollout = Rollout.for_env(env, config.rollout, np.float32)
     curve = LearningCurve()
     last_value_loss = 0.0
 
     def act(env):
         action, sample = act_in_env(policy, env, sample_rng)
-        slots.append(sample + (env.critic_state(sample[0][None])[0],))
+        rollout.add(sample, env.state.collected[0])
         return action
 
     for episode in range(config.max_episodes):
         seed = config.seed * 1_000_003 + episode
-        end, success = run_episode(env, seed, act)
+        _, success = run_episode(env, seed, act)
         qos, _ = score_links(env.flown(), scenario, seed, separated=False,
                              build=False, reward=reward,
                              sdr_opts=env.sdr_opts)
+        totals = reward_terms(env, qos)["total"]
+        rollout.land(totals)
         ep_reward = 0.0
         # in slot order; sum() would round differently
-        for total in reward_terms(env, qos)["total"].tolist():
-            rewards.append(total)
+        for total in totals.tolist():
             ep_reward += total
-        dones += [False] * (end.slot[0] - 1) + [True]
 
         curve.episode.append(episode)
         curve.reward.append(ep_reward)
@@ -542,10 +600,9 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
         if progress is not None:
             progress(episode, curve)
 
-        if len(slots) * env.n_agents >= config.rollout:
+        if rollout.n * env.n_agents >= config.rollout:
             last_value_loss, diag = _update(policy, opt_actor, opt_critic,
-                                            slots, rewards, dones, config,
-                                            shuffle_rng)
+                                            rollout, config, shuffle_rng)
             for key, value in diag.items():
                 getattr(curve, key).append(value)
             curve.value_loss[-1] = last_value_loss

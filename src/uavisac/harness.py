@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .drl_mappo import MappoPolicy, act_in_env, train
+from .drl_mappo import MappoConfig, MappoPolicy, act_in_env, train
 from .mdp_env import CorridorEnv
 from .planners import (SEARCHES, MissionResult, fly_env, fly_plans,
                        greedy_offline, mission_result, online_flight,
@@ -107,15 +107,22 @@ def checkpoint_path(out_dir, axis, value) -> Path:
     return Path(out_dir) / "checkpoints" / f"mappo_{axis}_{value}.npz"
 
 
-def train_checkpoint(spec: ExperimentSpec, value) -> Path:
-    """Train the shared MAPPO policy for one axis value and persist it."""
-    rc = spec.run_config
-    scenario = build_scenario(scenario_config_for(rc, spec.axis, value))
-    mappo = rc.mappo
+def training_config(spec: ExperimentSpec) -> MappoConfig:
+    """The MAPPO config a checkpoint of ``spec`` trains with: the run
+    config's, with ``train_episodes`` (when set) as its episode count."""
+    mappo = spec.run_config.mappo
     if spec.train_episodes is not None:
         mappo = replace(mappo, max_episodes=spec.train_episodes)
-    policy, curve = train(scenario, mappo, rc.reward,
-                          propulsion=rc.propulsion)
+    return mappo
+
+
+def train_checkpoint(spec: ExperimentSpec, value, progress=None) -> Path:
+    """Train the shared MAPPO policy for one axis value and persist it;
+    ``progress`` is train's optional callback(episode, curve)."""
+    rc = spec.run_config
+    scenario = build_scenario(scenario_config_for(rc, spec.axis, value))
+    policy, curve = train(scenario, training_config(spec), rc.reward,
+                          progress, rc.propulsion)
     path = checkpoint_path(spec.out_dir, spec.axis, value)
     path.parent.mkdir(parents=True, exist_ok=True)
     policy.save(path)

@@ -285,6 +285,16 @@ def mission_status(positions, collected, residual_energy, slot, cfg):
 LINK_OPTIONS = SdrOptions(certify_only=True)
 
 
+def joint_states(obs, md_state, collected, dtype=None) -> np.ndarray:
+    """(B, state_dim) critic states: each row's joint observations (B, M,
+    obs_dim), the scaled MD locations ``md_state`` (2I,) and its collected
+    set (B, I), cast to ``dtype`` (None: the inputs' common type)."""
+    rows = len(obs)
+    return np.concatenate([obs.reshape(rows, -1),
+                           np.broadcast_to(md_state, (rows, len(md_state))),
+                           collected], axis=1, dtype=dtype)
+
+
 class CorridorEnv:
     """B fleets of one world stepped in lock step; single-owner, so spawn one
     instance per worker. A fleet that lands, runs out of battery or reaches
@@ -314,8 +324,8 @@ class CorridorEnv:
         self._start3 = np.array([*self.cfg.start, self.cfg.altitude])
         self._end3 = np.array([*self.cfg.end, self.cfg.altitude])
         md = scenario.md_positions
-        self._md_state = np.concatenate([2 * md[:, 0] / self.cfg.area_width - 1,
-                                         2 * md[:, 1] / self.cfg.area_height - 1])
+        self.md_state = np.concatenate([2 * md[:, 0] / self.cfg.area_width - 1,
+                                        2 * md[:, 1] / self.cfg.area_height - 1])
         self.state = self.live = self.end_state = self.success = self.flight = None
         self._gains = None      # (positions, squared gains) last computed
 
@@ -394,16 +404,13 @@ class CorridorEnv:
 
     def critic_state(self, obs=None) -> np.ndarray:
         """(live, state_dim): each fleet's joint observations plus the global
-        MD locations and collection status.
+        MD locations and collection status (joint_states).
 
         ``obs`` may pass this state's observations() when the caller already
         holds them."""
         if obs is None:
             obs = self.observations()
-        n_fleets = len(obs)
-        return np.concatenate([obs.reshape(n_fleets, -1),
-                               np.tile(self._md_state, (n_fleets, 1)),
-                               self.state.collected.astype(float)], axis=1)
+        return joint_states(obs, self.md_state, self.state.collected)
 
     # -- action masking ------------------------------------------------------
 

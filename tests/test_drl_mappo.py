@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from test_isac_sdr import links_of
+from test_mdp_env import critic_state_oracle
+from test_ppo_reference import filled_rollout, random_rollout
 from test_reward_oracle import oracle_step
 from uavisac import drl_mappo, nn
 from uavisac.drl_mappo import (ActorNet, Adam, CriticNet, MappoConfig,
-                               MappoPolicy, _update, act_in_env, actor_forward,
-                               actor_loss_and_grads,
+                               MappoPolicy, Rollout, _update, act_in_env,
+                               actor_forward, actor_loss_and_grads,
                                critic_forward, critic_loss_and_grads,
                                critic_update, gae, ppo_actor_update,
                                run_policy_episode, sample_actions, train)
@@ -437,18 +439,14 @@ class TestTrainLoop:
 
     def test_float64_nets_stay_float64_through_update(self, monkeypatch):
         rng = rng_stream(21, "rollout")
-        policy = MappoPolicy(ActorNet(rng, 9, 4, 16), CriticNet(rng, 20, 16),
+        policy = MappoPolicy(ActorNet(rng, 9, 4, 16),
+                             CriticNet(rng, 2 * 9 + 3 * 2, 16),
                              MappoConfig(hidden=16))
         optimizers = (Adam([policy.actor.vec], 1e-4),
                       Adam([policy.critic.vec], 3e-4))
-        slots = [(rng.standard_normal((2, 9)), np.ones((2, 4), dtype=bool),
-                  rng.integers(0, 4, 2), rng.standard_normal(2),
-                  rng.integers(0, 2, 2).astype(np.uint8),
-                  rng.standard_normal(2) - 2.0, rng.standard_normal(20))
-                 for _ in range(40)]
+        rollout = filled_rollout(*random_rollout(rng, 40, 2, 9, 4, 2), np.float64)
         seen = record_dtypes(monkeypatch)
-        _update(policy, *optimizers, slots, list(rng.standard_normal(40)),
-                [t % 13 == 12 for t in range(40)],
+        _update(policy, *optimizers, rollout,
                 MappoConfig(hidden=16, minibatch=16, epochs=1),
                 rng_stream(22, "shuffle"))
         assert RECORDED <= {what for what, _ in seen}
@@ -485,7 +483,8 @@ class TestTrainLoop:
             opt_c = Adam([ref.critic.vec], cfg.critic_lr)
             sample_rng = rng_stream(4, "policy-sample")
             shuffle_rng = rng_stream(4, "minibatch")
-            slots, rewards, dones = [], [], []
+            rollout = Rollout(2 * env.cfg.horizon_slots, env.n_agents,
+                              env.obs_dim, env.n_actions, env.md_state, dtype)
             ep_rewards, successes, losses = [], [], []
             loss, updates, failed = 0.0, 0, 0
             for episode in range(2):
@@ -495,21 +494,22 @@ class TestTrainLoop:
                 total, done = 0.0, False
                 while not done:
                     action, sample = act_in_env(ref, env, sample_rng)
-                    slots.append(sample + (env.critic_state()[0],))
+                    slot = rollout.n
+                    rollout.add(sample, env.state.collected[0])
                     rew, done, success = oracle_step(env, action)
                     feasible, _ = link_feasibility_sweep(
                         env.state.positions[0], sc, link_rng, env.sdr_opts,
                         build=False)
                     failed += int((~feasible).sum())
                     rew.qos = link_reward(feasible, r.link_pass, r.link_fail)
-                    rewards.append(rew.total)
-                    dones.append(done)
+                    rollout.reward[slot] = rew.total
+                    rollout.done[slot] = done
                     total += rew.total
                 ep_rewards.append(total)
                 successes.append(success)
-                if len(slots) * env.n_agents >= cfg.rollout:
-                    loss, _ = _update(ref, opt_a, opt_c, slots, rewards, dones,
-                                      cfg, shuffle_rng)
+                if rollout.n * env.n_agents >= cfg.rollout:
+                    loss, _ = _update(ref, opt_a, opt_c, rollout, cfg,
+                                      shuffle_rng)
                     updates += 1
                 losses.append(loss)
 
@@ -520,6 +520,65 @@ class TestTrainLoop:
             for a, b in zip(policy.actor.params + policy.critic.params,
                             ref.actor.params + ref.critic.params):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rollout", [0, -3])
+    def test_rollout_below_one_raises(self, rollout):
+        with pytest.raises(ValueError, match="rollout"):
+            train(self.scenario(), MappoConfig(max_episodes=1, hidden=16,
+                                               rollout=rollout))
+
+    def test_rollout_fills_to_capacity(self, monkeypatch):
+        # one UAV flies every slot of a horizon too short to land, so the
+        # third episode reaches 2T + 1 transitions with 3T rows written: the
+        # most one update can see, and exactly the buffer's room
+        horizon = 12
+        sc = build_scenario(replace(self.scenario().config, num_uavs=1,
+                                    horizon_slots=horizon))
+        seen = []
+        update, run = drl_mappo._update, drl_mappo.run_episode
+
+        def kept(policy, opt_actor, opt_critic, rollout, *args):
+            seen.append((rollout.n, len(rollout.obs), len(rollout.collected),
+                         len(rollout.reward), rollout.done[:rollout.n].copy()))
+            return update(policy, opt_actor, opt_critic, rollout, *args)
+
+        def flown(env, seed, act):
+            end, success = run(env, seed, act)
+            assert end.slot[0] == horizon
+            return end, success
+
+        monkeypatch.setattr(drl_mappo, "_update", kept)
+        monkeypatch.setattr(drl_mappo, "run_episode", flown)
+        train(sc, MappoConfig(max_episodes=3, hidden=16, rollout=2 * horizon + 1,
+                              minibatch=16, epochs=1, seed=4))
+        ((rows, *room, done),) = seen
+        assert rows == room[0] == room[1] == room[2] == 3 * horizon
+        assert np.flatnonzero(done).tolist() == [horizon - 1, 2 * horizon - 1,
+                                                 3 * horizon - 1]
+
+    def test_update_critic_states_match_oracle(self, monkeypatch):
+        # the states each update builds from the buffer, row for row, are
+        # the critic states of the slots as they were sampled, cast once
+        expected, built = [], []
+        act, joint_states = drl_mappo.act_in_env, drl_mappo.joint_states
+
+        def acted(policy, env, rng):
+            expected.append(critic_state_oracle(env))
+            return act(policy, env, rng)
+
+        def states(*args):
+            built.append(joint_states(*args))
+            return built[-1]
+
+        monkeypatch.setattr(drl_mappo, "act_in_env", acted)
+        monkeypatch.setattr(drl_mappo, "joint_states", states)
+        _, curve = train(self.scenario(), MappoConfig(
+            max_episodes=3, hidden=16, rollout=64, minibatch=32, epochs=1,
+            seed=4))
+        assert len(built) == len(curve.entropy) >= 2
+        rows = np.concatenate(built)
+        assert rows.dtype == np.float32
+        assert np.array_equal(rows, np.array(expected[:len(rows)], np.float32))
 
     def test_ppo_diagnostics_recorded_per_update(self, monkeypatch):
         updates = []

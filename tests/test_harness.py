@@ -1,6 +1,7 @@
 import csv
 import json
 import platform
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -308,6 +309,7 @@ class TestCli:
         ("[mappo]\nepochs = 0\n", "epochs"),
         ("[mappo]\nsmooth_window = 0\n", "smooth_window"),
         ("[mappo]\nmax_episodes = 0\n", "max_episodes"),
+        ("[mappo]\nrollout = 0\n", "rollout"),
         ("[scenario]\nstart = 0, 2500, 80\n", "start"),
         ("[scenario]\nend = 7\n", "end"),
         ("[scenario]\nsensing_angles_deg = nan\n", "sensing_angles"),
@@ -328,6 +330,44 @@ class TestCli:
         out, err = capsys.readouterr()
         # scenario violations are listed on stdout, load errors on stderr
         assert named in (out if "violation(s)" in err else err)
+
+    def test_training_verbs_print_progress_to_stderr(self, tmp_path, capsys):
+        # every 50 episodes and after the last: the episode, the smoothed
+        # reward and the success rate over the smoothing window; stdout
+        # names only the files written
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("[scenario]\nnum_mds = 3\narea_width = 600\n"
+                       "area_height = 600\nstart = 0, 600\nend = 600, 0\n"
+                       "horizon_slots = 20\n[mappo]\nhidden = 16\n"
+                       "rollout = 64\nepochs = 1\nsmooth_window = 4\n")
+        line = (r"(curves seed 0|train uav_count = 2): episode (\d+)/(\d+), "
+                r"smoothed reward (-?\d+\.\d{3}), success (\d\.\d{2})")
+        out = tmp_path / "out"
+        assert main(["curves", "--config", str(cfg), "--episodes", "52",
+                     "--seeds", "0", "--out", str(out)]) == 0
+        stdout, err = capsys.readouterr()
+        assert stdout == f"learning curve written: {out / 'curve_seed0.csv'}\n"
+        rows = list(csv.DictReader(
+            (out / "curve_seed0.csv").read_text().splitlines()))
+        reports = [re.fullmatch(line, text).groups() for text in err.splitlines()]
+        assert [(int(done), int(total)) for _, done, total, _, _ in reports] \
+            == [(50, 52), (52, 52)]
+        for _, done, _, smoothed, success in reports:
+            done = int(done)
+            assert float(smoothed) == pytest.approx(
+                float(rows[done - 1]["smoothed_reward"]), abs=1e-3)
+            window = [int(r["success"]) for r in rows[done - 4:done]]
+            assert success == f"{sum(window) / 4:.2f}"
+
+        assert main(["train", "--config", str(cfg), "--methods", "drl_sdr",
+                     "--axis", "uav_count", "--values", "2", "--episodes", "2",
+                     "--out", str(out)]) == 0
+        stdout, err = capsys.readouterr()
+        path = checkpoint_path(out, "uav_count", 2)
+        assert stdout == f"checkpoint written: {path}\n"
+        ((label, done, total, _, _),) = [re.fullmatch(line, text).groups()
+                                         for text in err.splitlines()]
+        assert (label, done, total) == ("train uav_count = 2", "2", "2")
 
     def test_zero_energy_scale_exits_1_before_training(self, tmp_path, capsys):
         # the energy reward divides by the scale

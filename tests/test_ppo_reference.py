@@ -12,7 +12,7 @@ import pytest
 
 from uavisac import drl_mappo
 from uavisac.drl_mappo import (LOG_2PI, ActorNet, CriticNet, MappoConfig,
-                               MappoPolicy, _update, act_in_env,
+                               MappoPolicy, Rollout, _update, act_in_env,
                                actor_loss_and_grads, critic_forward,
                                critic_loss_and_grads, joint_log_prob,
                                sample_actions)
@@ -177,6 +177,57 @@ def ref_act_in_env(actor, env, rng):
                         speed=speed[None]), masks, u, logp)
 
 
+def list_update(policy, opt_actor, opt_critic, slots, rewards, dones, config,
+                shuffle_rng):
+    """The former list-based ``_update``, frozen: ``slots`` holds one (obs,
+    masks, md_head, u, speed, logp, critic_state) per env slot, with float64
+    samples and critic states; the columns are stacked, the float ones cast
+    to the nets' dtype, and the three lists emptied."""
+    dtype = policy.actor.vec.dtype
+    work = Workspace(dtype)
+    obs, mask, md, u, speed, logp_old, states = (
+        np.concatenate(col, dtype=None if k in (1, 2) else dtype)
+        for k, col in enumerate(zip(*slots)))
+    states = states.reshape(len(slots), -1)
+    values = critic_forward(policy.critic, states, work)
+    adv_step = drl_mappo.gae(rewards, values, dones, config.discount,
+                             config.gae_lambda)
+    targets = (adv_step + values).astype(dtype)
+
+    adv = np.repeat(adv_step, len(md) // len(states))
+    adv = ((adv - adv.mean()) / (adv.std() + 1e-8)).astype(dtype)
+    for rollout in (slots, rewards, dones):
+        rollout.clear()
+
+    def rows(x, sel):
+        return np.take(x, sel, axis=0, out=work.array("x", (len(sel),) + x.shape[1:]))
+
+    losses, diags = [], []
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(obs))
+        for lo in range(0, len(obs), config.minibatch):
+            sel = order[lo:lo + config.minibatch]
+            diags.append(drl_mappo.ppo_actor_update(policy.actor, opt_actor, {
+                "obs": rows(obs, sel), "mask": mask[sel], "md": md[sel],
+                "u": u[sel], "speed": speed[sel],
+                "logp_old": logp_old[sel], "adv": adv[sel]},
+                config.clip_ratio, config.entropy_coef, work))
+        order_c = shuffle_rng.permutation(len(states))
+        for lo in range(0, len(states), config.minibatch):
+            sel = order_c[lo:lo + config.minibatch]
+            losses.append(drl_mappo.critic_update(
+                policy.critic, opt_critic, rows(states, sel), targets[sel], work))
+    return float(np.mean(losses)), {
+        key: float(np.mean([d[key] for d in diags]))
+        for key in ("ratio_mean", "clip_fraction", "entropy")}
+
+
+def ref_critic_state(obs, md_state, collected):
+    """A slot's critic state by the env's rule: the joint observations, the
+    scaled MD locations and the collected set, in float64."""
+    return np.concatenate([obs.ravel(), md_state, collected.astype(float)])
+
+
 # -- fixtures -------------------------------------------------------------------
 
 SHAPES = [(6, 4, 16, 12), (97, 21, 256, 256)]   # obs_dim, n_actions, hidden, n
@@ -210,6 +261,35 @@ def assert_all_equal(xs, ys):
     assert len(xs) == len(ys)
     for x, y in zip(xs, ys):
         assert np.array_equal(x, y)
+
+
+def random_rollout(rng, steps, m_agents, obs_dim, n_actions, n_mds):
+    """(samples, collected sets, rewards, dones, md_state) of ``steps`` slots
+    with float64 samples as act_in_env returns them, masked MD columns and
+    episode ends every 13 slots."""
+    samples = []
+    for _ in range(steps):
+        mask = rng.random((m_agents, n_actions)) < 0.7
+        mask[:, -1] = True
+        samples.append((rng.standard_normal((m_agents, obs_dim)), mask,
+                        rng.integers(0, n_actions, m_agents),
+                        rng.standard_normal(m_agents),
+                        rng.integers(0, 2, m_agents).astype(np.uint8),
+                        rng.standard_normal(m_agents) - 2.0))
+    collected = (rng.random((steps, n_mds)) < 0.4).astype(np.uint8)
+    return (samples, collected, rng.standard_normal(steps),
+            np.arange(steps) % 13 == 12, rng.uniform(-1.0, 1.0, 2 * n_mds))
+
+
+def filled_rollout(samples, collected, rewards, dones, md_state, dtype):
+    """A Rollout with just enough room, holding the slots."""
+    obs, mask = samples[0][:2]
+    rollout = Rollout(len(samples), *obs.shape, mask.shape[1], md_state, dtype)
+    for sample, slot_collected in zip(samples, collected):
+        rollout.add(sample, slot_collected)
+    rollout.reward[:len(samples)] = rewards
+    rollout.done[:len(samples)] = dones
+    return rollout
 
 
 # -- bit-identical arithmetic ---------------------------------------------------
@@ -292,39 +372,29 @@ class TestInPlaceArithmetic:
         # the minibatch loop with its shared workspace and gathered rows,
         # given the same rollout values
         rng = rng_stream(18, "rollout")
-        nets = [(ActorNet(rng_stream(19, "a"), 9, 5, 32),
-                 CriticNet(rng_stream(19, "c"), 23, 32)) for _ in range(2)]
         steps = 45
-        rollout = {"obs": rng.standard_normal((steps, 3, 9)),
-                   "mask": rng.random((steps, 3, 5)) < 0.7,
-                   "md": rng.integers(0, 5, (steps, 3)),
-                   "u": rng.standard_normal((steps, 3)),
-                   "speed": rng.integers(0, 2, (steps, 3)).astype(np.uint8),
-                   "logp": rng.standard_normal((steps, 3)) - 2.0,
-                   "states": rng.standard_normal((steps, 23)),
-                   "rewards": rng.standard_normal(steps),
-                   "dones": np.arange(steps) % 17 == 16}
-        rollout["mask"][..., -1] = True
+        samples, collected, rewards, dones, md_state = random_rollout(
+            rng, steps, 3, 9, 5, 4)
+        nets = [(ActorNet(rng_stream(19, "a"), 9, 5, 32),
+                 CriticNet(rng_stream(19, "c"), 3 * 9 + 3 * 4, 32))
+                for _ in range(2)]
         cfg = MappoConfig(hidden=32, minibatch=16, epochs=3)
 
         (actor, critic), (ref_actor, ref_critic) = nets
-        slots = [tuple(rollout[k][t] for k in ("obs", "mask", "md", "u", "speed",
-                                               "logp", "states"))
-                 for t in range(steps)]
-        rewards, dones = list(rollout["rewards"]), list(rollout["dones"])
+        rollout = filled_rollout(samples, collected, rewards, dones, md_state,
+                                 np.float64)
         opt_a, opt_c = Adam([actor.vec], 1e-3), Adam([critic.vec], 1e-3)
         loss, diag = _update(MappoPolicy(actor, critic, cfg), opt_a, opt_c,
-                             slots, rewards, dones, cfg,
-                             rng_stream(20, "shuffle"))
+                             rollout, cfg, rng_stream(20, "shuffle"))
 
-        values = critic_forward(ref_critic, rollout["states"])
-        adv_step = drl_mappo.gae(rollout["rewards"], values, rollout["dones"],
-                                 cfg.discount, cfg.gae_lambda)
+        states = np.array([ref_critic_state(sample[0], md_state, slot_collected)
+                           for sample, slot_collected in zip(samples, collected)])
+        values = critic_forward(ref_critic, states)
+        adv_step = drl_mappo.gae(rewards, values, dones, cfg.discount,
+                                 cfg.gae_lambda)
         targets = adv_step + values
-        obs = rollout["obs"].reshape(-1, 9)
-        mask = rollout["mask"].reshape(-1, 5)
-        flat = {k: rollout[k].reshape(-1) for k in ("md", "u", "logp")}
-        speed = rollout["speed"].reshape(-1).astype(float)
+        obs, mask, md, u, speed, logp = (np.concatenate(col)
+                                         for col in zip(*samples))
         adv = np.repeat(adv_step, 3)
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
         ref_opt_a = RefAdam(ref_actor.params, 1e-3)
@@ -336,16 +406,16 @@ class TestInPlaceArithmetic:
             for lo in range(0, len(obs), cfg.minibatch):
                 sel = order[lo:lo + cfg.minibatch]
                 _, grads, d = ref_actor_loss_and_grads(ref_actor, {
-                    "obs": obs[sel], "mask": mask[sel], "md": flat["md"][sel],
-                    "u": flat["u"][sel], "speed": speed[sel],
-                    "logp_old": flat["logp"][sel], "adv": adv[sel]}, 0.2, 0.01)
+                    "obs": obs[sel], "mask": mask[sel], "md": md[sel],
+                    "u": u[sel], "speed": speed[sel].astype(float),
+                    "logp_old": logp[sel], "adv": adv[sel]}, 0.2, 0.01)
                 ref_opt_a.step(ref_actor.params, grads)
                 diags.append(d)
             order = shuffle.permutation(steps)
             for lo in range(0, steps, cfg.minibatch):
                 sel = order[lo:lo + cfg.minibatch]
                 c_loss, grads = ref_critic_loss_and_grads(
-                    ref_critic, rollout["states"][sel], targets[sel])
+                    ref_critic, states[sel], targets[sel])
                 ref_opt_c.step(ref_critic.params, grads)
                 losses.append(c_loss)
 
@@ -354,7 +424,46 @@ class TestInPlaceArithmetic:
                         for k in ("ratio_mean", "clip_fraction", "entropy")}
         assert_all_equal(actor.params, ref_actor.params)
         assert_all_equal(critic.params, ref_critic.params)
-        assert slots == rewards == dones == []
+        assert rollout.n == 0
+
+
+class TestRolloutBuffer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_update_matches_list_oracle(self, dtype):
+        # two rollouts in turn, stored per slot in a list (float64 samples
+        # and critic states, stacked and cast at the update) and written
+        # into one buffer as they are sampled: equal weights, Adam moments,
+        # losses, diagnostics and shuffle rng states after each update
+        rng = rng_stream(23, "rollout")
+        rollouts = [random_rollout(rng, steps, 3, 9, 5, 4) for steps in (50, 37)]
+        cfg = MappoConfig(hidden=32, minibatch=16, epochs=3)
+        sides = []
+        for _ in range(2):
+            actor = ActorNet(rng_stream(24, "a"), 9, 5, 32, dtype)
+            critic = CriticNet(rng_stream(24, "c"), 3 * 9 + 3 * 4, 32, dtype)
+            sides.append((MappoPolicy(actor, critic, cfg), Adam([actor.vec], 1e-3),
+                          Adam([critic.vec], 1e-3), rng_stream(25, "shuffle")))
+        (policy, opt_a, opt_c, shuffle), (ref, ref_a, ref_c, ref_shuffle) = sides
+        buffer = Rollout(64, 3, 9, 5, rollouts[0][-1], dtype)
+        for samples, collected, rewards, dones, md_state in rollouts:
+            buffer.md_state = md_state
+            for sample, slot_collected in zip(samples, collected):
+                buffer.add(sample, slot_collected)
+            buffer.reward[:len(samples)] = rewards
+            buffer.done[:len(samples)] = dones
+            out = _update(policy, opt_a, opt_c, buffer, cfg, shuffle)
+            assert buffer.n == 0
+            slots = [sample + (ref_critic_state(sample[0], md_state, slot_collected),)
+                     for sample, slot_collected in zip(samples, collected)]
+            assert out == list_update(ref, ref_a, ref_c, slots, list(rewards),
+                                      list(dones), cfg, ref_shuffle)
+            for net, ref_net in ((policy.actor, ref.actor),
+                                 (policy.critic, ref.critic)):
+                assert_all_equal(net.params, ref_net.params)
+                assert net.vec.dtype == dtype
+            assert_all_equal(opt_a.m + opt_a.v + opt_c.m + opt_c.v,
+                             ref_a.m + ref_a.v + ref_c.m + ref_c.v)
+            assert shuffle.random() == ref_shuffle.random()
 
 
 # -- batched acting -------------------------------------------------------------
@@ -450,20 +559,15 @@ class TestBatchedActing:
 class TestBatchedValues:
     def test_update_values_match_per_state_critic(self, monkeypatch):
         rng = rng_stream(16, "buffer")
+        samples, collected, rewards, dones, md_state = random_rollout(
+            rng, 40, 2, 9, 4, 2)
         actor = ActorNet(rng, 9, 4, 32)
-        critic = CriticNet(rng, 20, 32)
+        critic = CriticNet(rng, 2 * 9 + 3 * 2, 32)
         policy = MappoPolicy(actor, critic, MappoConfig(hidden=32))
-        slots, rewards, dones = [], [], []
-        for t in range(40):
-            mask = np.ones((2, 4), dtype=bool)
-            slots.append((rng.standard_normal((2, 9)), mask,
-                          rng.integers(0, 4, 2), rng.standard_normal(2),
-                          rng.integers(0, 2, 2).astype(np.uint8),
-                          rng.standard_normal(2) - 2.0, rng.standard_normal(20)))
-            rewards.append(float(rng.standard_normal()))
-            dones.append(t % 13 == 12)
-        per_state = np.array([critic_forward(critic, slot[-1])[0]
-                              for slot in slots])
+        per_state = np.array([
+            critic_forward(critic, ref_critic_state(sample[0], md_state,
+                                                    slot_collected))[0]
+            for sample, slot_collected in zip(samples, collected)])
         seen = []
         gae = drl_mappo.gae
 
@@ -474,6 +578,7 @@ class TestBatchedValues:
         monkeypatch.setattr(drl_mappo, "gae", recorded)
         cfg = MappoConfig(hidden=32, minibatch=16, epochs=1)
         _update(policy, Adam([actor.vec], 1e-4), Adam([critic.vec], 3e-4),
-                slots, rewards, dones, cfg, rng_stream(17, "shuffle"))
+                filled_rollout(samples, collected, rewards, dones, md_state,
+                               np.float64), cfg, rng_stream(17, "shuffle"))
         assert len(seen) == 1
         np.testing.assert_allclose(seen[0], per_state, rtol=0, atol=1e-12)

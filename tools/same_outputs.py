@@ -14,6 +14,9 @@ runs with ``OPENBLAS_NUM_THREADS=1`` on the ``mission_grid`` world of
 - the same ``run`` with ``--values 1,4,5`` on the seed-0 world: one UAV has
   no UAV pair and no chain link, and four or five UAVs revert more moves;
 - ``curves --episodes 2 --seeds 0,1,2`` on the seed-0 world;
+- ``curves --episodes 4 --seeds 0`` on the seed-0 world with ``rollout =
+  1024``: three UAVs give 600 transitions per 200-slot episode, so each
+  rollout spans two episodes and an update follows every second one;
 - ``table`` and ``sweep --axis uav_count`` on each ``run`` output;
 - ``curves --episodes 2 --seeds 0,1,2`` and the ``run`` grid above (with
   its ``table`` and ``sweep``) once more, on the default-size seed-0 world
@@ -21,8 +24,8 @@ runs with ``OPENBLAS_NUM_THREADS=1`` on the ``mission_grid`` world of
   ``mission_grid`` world fails, so only these outputs can show a change to
   the QoS reward or to the link audit counts of ``results.csv``.
 
-The ``[mappo]`` section sets ``rollout = 256``, fewer agent samples than one
-episode gives, so every training episode ends in a PPO update.
+Elsewhere the ``[mappo]`` section sets ``rollout = 256``, fewer agent samples
+than one episode gives, so every training episode ends in a PPO update.
 
 ``results.csv``, ``aggregates.csv``, the comparison tables, the sweep CSVs
 and the curve CSVs are compared byte for byte, each ``run`` output's
@@ -54,20 +57,22 @@ RUN_ARGS = ("run", "--train-first", "--episodes", "1", "--values", "2,3",
             "--seeds", "0,1")
 WIDE_RUN_ARGS = RUN_ARGS[:4] + ("--values", "1,4,5") + RUN_ARGS[6:]
 CURVE_ARGS = ("curves", "--episodes", "2", "--seeds", "0,1,2")
+SPAN_CURVE_ARGS = ("curves", "--episodes", "4", "--seeds", "0")
 SUMMARY_ARGS = (("table",), ("sweep", "--axis", "uav_count"))
-ROLLOUT = 256
+MAPPO = {"rollout": 256}
+SPAN_MAPPO = {"rollout": 1024}
 LINK_WORLD = dict(gamma_th_uav_db=22.0)     # default area: chain links fail
 COMPARED = ("results.csv", "aggregates.csv", "comparison_table*.csv",
             "sweep_*.csv", "*.curve.csv", "curve_seed*.csv", "*.npz",
             "manifest.json")
 
 
-def write_config(path: Path, seed: int, world: dict) -> None:
+def write_config(path: Path, seed: int, world: dict, mappo: dict) -> None:
     def ini(value):
         return " ".join(map(str, value)) if isinstance(value, tuple) else value
 
     sections = {"scenario": {**world, "seed": seed}, "pso": GRID_PSO,
-                "ga": GRID_GA, "mappo": {"seed": seed, "rollout": ROLLOUT}}
+                "ga": GRID_GA, "mappo": {"seed": seed, **mappo}}
     path.write_text("".join(
         f"[{name}]\n" + "".join(f"{k} = {ini(v)}\n" for k, v in keys.items())
         for name, keys in sections.items()))
@@ -83,17 +88,19 @@ def produce(tree: Path, work: Path) -> None:
                         str(out)],
                        cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
 
-    jobs = ([(f"run_seed{seed}", seed, GRID_WORLD, RUN_ARGS)
+    jobs = ([(f"run_seed{seed}", seed, GRID_WORLD, MAPPO, RUN_ARGS)
              for seed in SCENARIO_SEEDS]
-            + [("run_workers2_seed0", 0, GRID_WORLD, RUN_ARGS + ("--workers", "2")),
-               ("run_uavs145_seed0", 0, GRID_WORLD, WIDE_RUN_ARGS),
-               ("curves_seed0", 0, GRID_WORLD, CURVE_ARGS),
-               ("curves_links_seed0", 0, LINK_WORLD, CURVE_ARGS),
-               ("run_links_seed0", 0, LINK_WORLD, RUN_ARGS)])
-    for name, seed, world, args in jobs:
+            + [("run_workers2_seed0", 0, GRID_WORLD, MAPPO,
+                RUN_ARGS + ("--workers", "2")),
+               ("run_uavs145_seed0", 0, GRID_WORLD, MAPPO, WIDE_RUN_ARGS),
+               ("curves_seed0", 0, GRID_WORLD, MAPPO, CURVE_ARGS),
+               ("curves_span_seed0", 0, GRID_WORLD, SPAN_MAPPO, SPAN_CURVE_ARGS),
+               ("curves_links_seed0", 0, LINK_WORLD, MAPPO, CURVE_ARGS),
+               ("run_links_seed0", 0, LINK_WORLD, MAPPO, RUN_ARGS)])
+    for name, seed, world, mappo, args in jobs:
         out = work / name
         config = work / f"{name}.cfg"
-        write_config(config, seed, world)
+        write_config(config, seed, world, mappo)
         cli(*args, "--config", str(config), out=out)
         if args[0] == "run":
             for summary in SUMMARY_ARGS:
