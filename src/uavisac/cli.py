@@ -142,18 +142,24 @@ def _progress(label: str, mappo):
     return report
 
 
+def _train_progress(spec):
+    """The _progress callback of each axis value's checkpoint training."""
+    mappo = training_config(spec)
+    return lambda value: _progress(f"train {spec.axis} = {value}", mappo)
+
+
 def cmd_train(args) -> int:
     spec = _spec_from_args(args)
+    progress = _train_progress(spec)
     for value in spec.values:
-        path = train_checkpoint(spec, value, _progress(
-            f"train {spec.axis} = {value}", training_config(spec)))
+        path = train_checkpoint(spec, value, progress(value))
         print(f"checkpoint written: {path}")
     return 0
 
 
 def cmd_run(args) -> int:
     spec = _spec_from_args(args)
-    rows = run_experiment(spec)
+    rows = run_experiment(spec, _train_progress(spec))
     print(f"{len(rows)} result rows written to {spec.out_dir}/results.csv")
     return 0
 

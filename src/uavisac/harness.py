@@ -222,8 +222,10 @@ def _grid_task(args) -> list:
             for res in run_cells(methods, spec, value, seeds)]
 
 
-def run_experiment(spec: ExperimentSpec) -> list:
-    """Run the grid, persist results.csv/aggregates.csv/manifest.json."""
+def run_experiment(spec: ExperimentSpec, progress=None) -> list:
+    """Run the grid, persist results.csv/aggregates.csv/manifest.json.
+    ``progress(value)``, when given, makes the train progress callback of a
+    missing checkpoint that ``spec.train_first`` trains."""
     problems = validate_spec(spec)
     if problems:
         raise ValueError("invalid experiment spec: " + "; ".join(problems))
@@ -238,7 +240,8 @@ def run_experiment(spec: ExperimentSpec) -> list:
                 if not spec.train_first:
                     raise FileNotFoundError(
                         f"missing checkpoint for {needs_policy[0]!r} at {path}")
-                train_checkpoint(spec, value)
+                train_checkpoint(spec, value,
+                                 None if progress is None else progress(value))
             _require_fit(path, spec, value)
 
     groups = [tuple(m for m in spec.methods if m in group)

@@ -29,16 +29,25 @@ dual bound certifies infeasibility, so "feasible" answers are sound by
 construction rather than by solver convergence flags.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .channel import sample_rician_channel, steering_vector
 
 FEAS_TOL = 1e-7          # margin slack accepted as feasible
 VERIFY_TOL = 1e-6        # relative residual floor in verify_design
 PSD_TOL = 1e-8           # eigenvalue tolerance for the PSD checks
+_EPS = np.finfo(float).eps
+
+# the gufuncs behind np.linalg.eigh, eigvalsh and solve (lower triangle for
+# the Hermitian ones), called without the wrappers; see _newton_margin
+_eigh = _umath_linalg.eigh_lo
+_eigvalsh = _umath_linalg.eigvalsh_lo
+_solve = _umath_linalg.solve
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,17 @@ def _hermitian_basis(dim: int) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=None)
+def _basis_products(dim: int):
+    """The per-dimension constants of _newton_margin: basis^H, kept as the
+    conjugate-transpose view that every product with it reads, and the real
+    coordinates e of the identity."""
+    basis_h = _hermitian_basis(dim).conj().T
+    e = (basis_h @ np.eye(dim).ravel()).real
+    e.flags.writeable = False
+    return basis_h, e
+
+
 def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
     """Maximize the worst slack t of <rows[j], X> - dn[j]*t >= cn[j].
 
@@ -152,51 +172,92 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
     for two right-hand sides, -grad and the unit t direction, so that the
     step for any tau is their combination. It then backtracks from 0.99 of
     the distance to the boundary by halving, at most 40 times, to the first
-    step that passes the Armijo test. Three buffers live for the whole
-    solve: the rows flattened to (n_rows, d*d), the (n, 2) right-hand side
-    whose second column stays the unit t direction, and the log-det
-    gradient, whose t entry stays 0. Returns the best iterate, its achieved
-    margin, the best bound and the Newton step count.
+    step that passes the Armijo test. Apart from each step's Y, which may be
+    kept as the best iterate, its dY and G dz, a step writes its results
+    into buffers made once per solve, with the views that read them: among
+    them the (n, 2) right-hand side, whose second column stays the unit t
+    direction, and the log-det gradient, whose t entry stays 0.
+
+    The four LAPACK calls of a step (eigh of Y, eigvalsh for the bound, the
+    solve, eigvalsh for the step) go to the gufuncs that np.linalg.eigh,
+    eigvalsh and solve call (_eigh, _eigvalsh, _solve), which give the same
+    bits without the wrappers' argument handling; the arguments' dtypes
+    pick the wrappers' loops. Where a wrapper raises LinAlgError, its gufunc
+    fills its outputs with NaN, and the solve ends where the error ended
+    it: a NaN w[0] fails the positivity test, a NaN bound eigenvalue is
+    tested for, a NaN solve gives a dz that is not finite, and NaN step
+    eigenvalues fail every Armijo test. The loop runs under the wrappers'
+    errstate with invalid ignored instead of raised, so a failure adds no
+    warning. Returns the best iterate, its achieved margin, the best bound
+    and the Newton step count.
     """
     n_rows, dim, _ = rows.shape
     basis = _hermitian_basis(dim)
-    basis_h = basis.conj().T
+    basis_h, e = _basis_products(dim)
     d2 = dim * dim
+    n = d2 + 1
     flat_rows = rows.reshape(n_rows, d2)
     a = (basis_h @ flat_rows.T).real.T * p_max
-    e = (basis_h @ np.eye(dim).ravel()).real
-    # slacks s = G z - h of z = (y, t): the rows, then the trace bound
-    g_mat = np.vstack([np.column_stack([a, -dn]), np.append(-e, 0.0)])
-    h = np.append(cn, -1.0)
+    # slacks s = G z - h of z = (y, t): the rows, then the trace bound;
+    # column-major, since the BLAS products' bits depend on the layout and
+    # tests/test_newton_reference.py's frozen kernel holds G column-major
+    g_mat = np.empty((n_rows + 1, n), order="F")
+    g_mat[:-1, :-1] = a
+    np.negative(dn, out=g_mat[:-1, -1])
+    np.negative(e, out=g_mat[-1, :-1])
+    g_mat[-1, -1] = 0.0
+    g_mat_t = g_mat.T
     y = e / (2 * dim)
     start = (a @ y - cn) / dn
-    z = np.append(y, start.min() - 1.0)
+    z = np.empty(n)
+    z[:-1] = y
+    z[-1] = start.min() - 1.0
     tau = float(np.sum(1.0 / (start - z[-1])))      # centred in t at the start
-    unit_t = np.eye(len(z))[-1]
-    rhs = np.column_stack([unit_t, unit_t])         # column 0 takes -grad
-    logdet_grad = np.zeros(len(z))
-
-    best_y, best_margin, best_bound = np.eye(dim) / (2 * dim), -np.inf, np.inf
-    steps = 0
     # the slacks are carried along with z: near the optimum the active ones
     # are far smaller than the terms of g_mat @ z, whose rounding would
     # swamp them if they were recomputed, while each step's increment is
     # small too
-    s = g_mat @ z - h
-    try:
+    s = g_mat @ z - np.append(cn, -1.0)
+    rhs_rows = np.zeros((2, n))
+    rhs_rows[1, -1] = 1.0
+    rhs = rhs_rows.T                # column 0 takes -grad, column 1 the unit t
+    neg_grad = rhs_rows[0]
+    logdet_grad = np.zeros(n)
+    sol_rows = np.empty((2, n))     # the solve's two columns, as rows
+    inv_s, mu = np.empty(n_rows + 1), np.empty(n_rows)
+    dual = np.empty((1, d2), dtype=complex)     # sum_j mu_j*rows[j], flattened
+    w, v = np.empty(dim), np.empty((dim, dim), dtype=complex)   # Y = V diag(w) V^H
+    inv = np.empty((dim, dim), dtype=complex)
+    inv_kron = np.empty((dim,) * 4, dtype=complex)
+    hess = np.empty((n, n))
+    dz = np.empty(n)
+    ratios = np.empty(n_rows + 1 + dim)
+    # the views that every step reads and writes
+    z_y, s_rows, dz_y, inv_flat = z[:-1], s[:-1], dz[:-1], inv.ravel()
+    sol, (dz_bar, dz_t) = sol_rows.T, sol_rows
+    inv_rows, mu_row, dual_mat = inv_s[:-1], mu.reshape(1, n_rows), dual.reshape(dim, dim)
+    kron_left, kron_right = inv[:, None, :, None], inv.T[:, None, :]
+    kron_flat, hess_y, logdet_y = inv_kron.reshape(d2, d2), hess[:-1, :-1], logdet_grad[:-1]
+    slack_ratios, eig_ratios = ratios[:n_rows + 1], ratios[n_rows + 1:]
+
+    best_y, best_margin, best_bound = np.eye(dim) / (2 * dim), -np.inf, np.inf
+    steps = 0
+    with np.errstate(all="ignore"):
         while steps < opts.max_iter:
-            y_mat = (basis @ z[:-1]).reshape(dim, dim)
-            w, v = np.linalg.eigh(y_mat)
+            y_mat = (basis @ z_y).reshape(dim, dim)
+            _eigh(y_mat, out=(w, v))
             if not (s.min() > 0.0 and w[0] > 0.0):
                 break           # the slacks have run out of precision
-            margin = (s[:-1] / dn).min() + z[-1]
+            margin = float((s_rows / dn).min() + z[-1])
             if margin > best_margin:
                 best_margin, best_y = margin, y_mat
-            mu = 1.0 / s[:-1]
-            mu /= mu @ dn
-            lam = np.linalg.eigvalsh(np.dot(mu.reshape(1, n_rows), flat_rows)
-                                     .reshape(dim, dim))[-1]
-            best_bound = min(best_bound, p_max * max(lam, 0.0) - mu @ cn)
+            np.divide(1.0, s, out=inv_s)
+            np.divide(inv_rows, inv_rows @ dn, out=mu)
+            np.dot(mu_row, flat_rows, out=dual)
+            lam = float(_eigvalsh(dual_mat)[-1])
+            if lam != lam:
+                break           # LAPACK failed, where eigvalsh raised LinAlgError
+            best_bound = min(best_bound, p_max * max(lam, 0.0) - float(mu @ cn))
             if best_margin >= -FEAS_TOL or best_bound < -FEAS_TOL:
                 # _finish_designs can classify the pair; a full solve also
                 # waits for the margin to converge
@@ -208,44 +269,52 @@ def _newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
             # the Hessian does not depend on tau: solve once for the barrier
             # and the objective parts of the step, then pick tau
             vh = v.conj().T
-            inv = (v / w) @ vh
-            hess = (g_mat.T / s ** 2) @ g_mat
+            np.matmul(v / w, vh, out=inv)
+            np.matmul(g_mat_t / s ** 2, g_mat, out=hess)
             # kron(inv, inv.T), without np.kron's argument handling
-            inv_kron = (inv[:, None, :, None] * inv.T[:, None, :]).reshape(d2, d2)
-            hess[:-1, :-1] += (basis_h @ inv_kron @ basis).real
-            logdet_grad[:-1] = (basis_h @ inv.ravel()).real
-            grad = -(g_mat.T @ (1.0 / s)) - logdet_grad
-            np.negative(grad, out=rhs[:, 0])
-            dz_bar, dz_t = np.linalg.solve(hess, rhs).T
-            dz = dz_bar + tau * dz_t
-            decrement = -(grad - tau * unit_t) @ dz
+            np.multiply(kron_left, kron_right, out=inv_kron)
+            hess_y += (basis_h @ kron_flat @ basis).real
+            logdet_y[:] = (basis_h @ inv_flat).real
+            # -grad = G^T (1/s) + the log-det gradient
+            np.add(g_mat_t @ inv_s, logdet_grad, out=neg_grad)
+            _solve(hess, rhs, out=sol)
+            # the decrement -(grad - tau*unit_t) @ dz reads -grad with tau
+            # added to its t entry
+            neg_grad_t = float(neg_grad[-1])
+            np.multiply(dz_t, tau, out=dz)
+            dz += dz_bar
+            neg_grad[-1] = neg_grad_t + tau
+            decrement = float(neg_grad @ dz)
             if decrement <= 1e-6:
                 tau *= 30.0
-                if len(s) + dim < 1e-12 * tau * (1.0 + abs(best_margin)):
+                if n_rows + 1 + dim < 1e-12 * tau * (1.0 + abs(best_margin)):
                     break       # the central path's gap is below the slacks' precision
-                dz = dz_bar + tau * dz_t
-                decrement = -(grad - tau * unit_t) @ dz
-            if not np.isfinite(dz).all():
+                np.multiply(dz_t, tau, out=dz)
+                dz += dz_bar
+                neg_grad[-1] = neg_grad_t + tau
+                decrement = float(neg_grad @ dz)
+            # a finite decrement has a finite dz: any other entry of dz
+            # would make its dot product inf or NaN
+            if not (math.isfinite(decrement) or np.isfinite(dz).all()):
                 break
             # the barrier along dz in closed form, with the eigenvalues of
             # Y^-1/2 dY Y^-1/2: try alpha_0 * 0.5**k, from 0.99 of the way
             # to the boundary, until a step passes the Armijo test
-            dy = vh @ (basis @ dz[:-1]).reshape(dim, dim) @ v / np.sqrt(w[:, None] * w)
+            dy = vh @ (basis @ dz_y).reshape(dim, dim) @ v / np.sqrt(w[:, None] * w)
             g_dz = g_mat @ dz
-            ratios = np.concatenate((g_dz / s, np.linalg.eigvalsh(dy)))
-            alpha_0 = min(1.0, 0.99 / max(-ratios.min(), 1e-300))
-            slope = -tau * dz[-1]
+            np.divide(g_dz, s, out=slack_ratios)
+            _eigvalsh(dy, out=(eig_ratios,))
+            alpha_0 = min(1.0, 0.99 / max(-float(ratios.min()), 1e-300))
+            slope = -tau * float(dz[-1])
             for k in range(40):
                 alpha = alpha_0 * 0.5 ** k
                 if slope * alpha - np.log1p(alpha * ratios).sum() <= -0.01 * alpha * decrement:
                     break
             else:
                 break
-            z = z + alpha * dz
-            s = s + alpha * g_dz
+            z += alpha * dz
+            s += alpha * g_dz
             steps += 1
-    except np.linalg.LinAlgError:
-        pass                    # a singular Newton system: keep the best pair
     return p_max * best_y, best_margin, best_bound, steps
 
 
@@ -262,18 +331,20 @@ def _solve_margin(angles, tbp_threshold, p_max, dim, link, opts: SdrOptions):
     for X, and X is lifted back to Q X Q^H. Returns the lifted covariance,
     the margin, the dual bound and the Newton step count.
     """
-    vecs = [_steering(phi, dim) for phi in angles]
-    ds = [1.0] * len(vecs)
-    cs = [tbp_threshold] * len(vecs)
+    steering = _steering_block(angles, dim)
+    n_angles = steering.shape[1]
+    ds = [1.0] * n_angles
+    cs = [tbp_threshold] * n_angles
+    u = np.empty((dim, n_angles + (link is not None)), dtype=complex)
+    u[:, :n_angles] = steering
     if link is not None:
-        vecs.append(link[0])
+        u[:, -1] = link[0]
         ds.append(link[1])
         cs.append(link[1])
-    u = np.stack(vecs, axis=1)
     sq_norms = np.sum(np.abs(u) ** 2, axis=0)
     # relative rank cut, so a g inside span{a(phi)} adds no direction
     left, sv, _ = np.linalg.svd(u / np.sqrt(sq_norms), full_matrices=False)
-    q = left[:, sv > sv[0] * max(u.shape) * np.finfo(float).eps]
+    q = left[:, sv > sv[0] * max(u.shape) * _EPS]
     c = q.conj().T @ u
     # ||u u^H||_F = ||u||^2, so rows keep the scaling of the full-space rows
     scales = np.sqrt(sq_norms ** 2 + np.square(ds))
@@ -307,6 +378,15 @@ def _steering(phi: float, n_antennas: int) -> np.ndarray:
     a = steering_vector(phi, n_antennas)
     a.flags.writeable = False
     return a
+
+
+@lru_cache(maxsize=64)
+def _steering_block(angles: tuple, n_antennas: int) -> np.ndarray:
+    """The steering vectors of ``angles`` as the columns of an (L, K) array;
+    read-only."""
+    block = np.stack([_steering(phi, n_antennas) for phi in angles], axis=1)
+    block.flags.writeable = False
+    return block
 
 
 def tbp_quadratic(r, phi):
@@ -397,7 +477,8 @@ def _build_designs(case, bound, r_tbp, g, lead, problem: SdrProblem, opts):
     otherwise, finished by _finish_designs. ``problem.h_eff`` is (N, L, L)."""
     r_total = np.repeat(r_tbp[None], len(g), axis=0)
     deep = case == DEEP
-    r_total[deep] = problem.p_max * _outer(g[deep]) / lead[deep, None, None]
+    if deep.any():
+        r_total[deep] = problem.p_max * _outer(g[deep]) / lead[deep, None, None]
     bound = np.array(bound, dtype=float)
     iterations = np.zeros(len(g), dtype=int)
     for k in np.flatnonzero(case == SOLVE):
@@ -426,7 +507,10 @@ def _finish_designs(r_total, g, problem: SdrProblem, iterations, bound):
 def _psd_clip(r: np.ndarray) -> np.ndarray:
     r = _herm(r)
     w, v = np.linalg.eigh(r)
-    return np.where((w[..., :1] >= 0.0)[..., None], r, _herm(
+    keep = w[..., :1] >= 0.0
+    if keep.all():
+        return r
+    return np.where(keep[..., None], r, _herm(
         (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)))
 
 
@@ -453,26 +537,29 @@ def _measure_design(r_comm, r_sens, problem: SdrProblem):
     SINR traces and the power, read once and turned into both the worst slack
     in the margin program's own units and the signed relative residuals of
     verify_design. Returns (margin, DesignReport) over the leading axes."""
+    pair = np.array((r_comm, r_sens))
     total = r_comm + r_sens
-    slacks = np.stack([tbp_quadratic(total, phi) - problem.tbp_threshold
-                       for phi in problem.angles], axis=-1)
-    tbp_res = slacks / max(abs(problem.tbp_threshold), 1e-300)
-
     gamma_th = problem.gamma_th
+    n_angles = len(problem.angles)
+    # the beampattern slacks, then the SINR slack when there is a floor
+    slacks = np.empty((*total.shape[:-2], n_angles + (gamma_th > 0)))
+    for k, phi in enumerate(problem.angles):
+        slacks[..., k] = tbp_quadratic(total, phi) - problem.tbp_threshold
+    tbp_res = slacks[..., :n_angles] / max(abs(problem.tbp_threshold), 1e-300)
+
     if gamma_th > 0:
-        num = np.real(np.trace(r_comm @ problem.h_eff, axis1=-2, axis2=-1))
-        den = (np.real(np.trace(r_sens @ problem.h_eff, axis1=-2, axis2=-1))
-               + problem.noise_uav)
-        slacks = np.concatenate((slacks, ((num - gamma_th * den) / (
-            gamma_th * problem.noise_uav))[..., None]), axis=-1)
+        # both traces from one stacked product, slice by slice
+        num, den = (pair @ problem.h_eff).trace(axis1=-2, axis2=-1).real
+        den = den + problem.noise_uav
+        slacks[..., -1] = (num - gamma_th * den) / (gamma_th * problem.noise_uav)
         sinr_res = (num / den - gamma_th) / gamma_th
     else:
         sinr_res = np.zeros(total.shape[:-2])
 
-    power = np.real(np.trace(total, axis1=-2, axis2=-1))
+    power = total.trace(axis1=-2, axis2=-1).real
     power_res = (problem.p_max - power) / max(problem.p_max, 1e-300)
 
-    lowest = np.linalg.eigvalsh(_herm(np.stack((r_comm, r_sens))))[..., 0]
+    lowest = np.linalg.eigvalsh(_herm(pair))[..., 0]
     psd_res = np.minimum(lowest[0], lowest[1]) / np.maximum(power, 1.0e-30)
 
     passed = ((tbp_res.min(axis=-1) >= -VERIFY_TOL) & (sinr_res >= -VERIFY_TOL)

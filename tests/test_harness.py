@@ -369,6 +369,39 @@ class TestCli:
                                          for text in err.splitlines()]
         assert (label, done, total) == ("train uav_count = 2", "2", "2")
 
+    def test_run_train_first_prints_training_progress(self, tmp_path, capsys):
+        # the checkpoints that run --train-first trains report as train's
+        # do, on stderr; stdout and the written files are those of a run
+        # whose checkpoints were trained beforehand
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("[scenario]\nnum_mds = 3\narea_width = 600\n"
+                       "area_height = 600\nstart = 0, 600\nend = 600, 0\n"
+                       "horizon_slots = 20\n[mappo]\nhidden = 16\n"
+                       "rollout = 64\nepochs = 1\nsmooth_window = 4\n")
+        grid = ["--config", str(cfg), "--methods", "drl_sdr,greedy_online",
+                "--axis", "uav_count", "--values", "2,3", "--seeds", "0",
+                "--episodes", "2"]
+        first = tmp_path / "first"
+        assert main(["run", "--train-first", *grid, "--out", str(first)]) == 0
+        stdout, err = capsys.readouterr()
+        assert stdout == f"4 result rows written to {first}/results.csv\n"
+        labels = [re.fullmatch(r"(train uav_count = \d): episode 2/2, smoothed "
+                               r"reward -?\d+\.\d{3}, success \d\.\d{2}",
+                               line).group(1) for line in err.splitlines()]
+        assert labels == ["train uav_count = 2", "train uav_count = 3"]
+
+        trained = tmp_path / "trained"
+        assert main(["train", *grid, "--out", str(trained)]) == 0
+        assert main(["run", *grid, "--out", str(trained)]) == 0
+        capsys.readouterr()
+        for name in ("results.csv", "aggregates.csv"):
+            assert (first / name).read_bytes() == (trained / name).read_bytes()
+        for value in (2, 3):
+            for suffix in (".npz", ".curve.csv"):
+                a = checkpoint_path(first, "uav_count", value).with_suffix(suffix)
+                b = checkpoint_path(trained, "uav_count", value).with_suffix(suffix)
+                assert a.read_bytes() == b.read_bytes()
+
     def test_zero_energy_scale_exits_1_before_training(self, tmp_path, capsys):
         # the energy reward divides by the scale
         bad = tmp_path / "bad.cfg"

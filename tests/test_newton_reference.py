@@ -5,16 +5,25 @@ its per-step work was rewritten with fewer numpy calls: ``np.kron``,
 ``np.tensordot``, ``np.append`` and ``np.column_stack`` in every step, and
 all 40 Armijo candidates evaluated at once. The rewrite does the same IEEE
 operations in the same order, so each solve below must give the same
-covariance, margin, dual bound and step count, bit for bit.
+covariance, margin, dual bound and step count, bit for bit. The kernel now
+reaches LAPACK through numpy's gufuncs rather than np.linalg, so a LAPACK
+failure must also end both kernels at the same point, and the gufuncs must
+give np.linalg's bits.
 """
+
+import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from test_isac_sdr import (ANGLES, CERTIFY, GAMMA_LIN, L, LADDER_M, P_MAX,
                            TABLE_M, full_space_rows, make_h_eff, solve)
-from uavisac import isac_sdr
+from uavisac import drl_mappo, isac_sdr
+from uavisac.drl_mappo import MappoConfig, train
 from uavisac.isac_sdr import FEAS_TOL, SdrOptions, _hermitian_basis
+from uavisac.mdp_env import score_links
+from uavisac.scenario import ScenarioConfig, build_scenario, db_to_linear
 
 
 def reference_newton_margin(rows, dn, cn, p_max, opts: SdrOptions):
@@ -178,3 +187,153 @@ def test_beampattern_solve(compared, angles):
     # the link-independent design that _tbp_only_design caches
     isac_sdr._solve_margin(angles, GAMMA_LIN, P_MAX, L, None, isac_sdr._TBP_OPTS)
     assert_identical(compared, min_calls=1)
+
+
+# -- LAPACK failures ------------------------------------------------------------
+
+def band_inputs():
+    """The kernel inputs of a full and a certify-only band solve, without the
+    beampattern solve that the first solve of a process makes."""
+    calls = []
+    kernel = isac_sdr._newton_margin
+
+    def recorded(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isac_sdr, "_newton_margin", recorded)
+        for opts in (SdrOptions(), CERTIFY):
+            solve(make_h_eff(1500.0, seed=0, label="ladder"), opts=opts)
+    links = [(args[:4], args[4]) for args in calls
+             if args[4] is not isac_sdr._TBP_OPTS]
+    assert [opts for _, opts in links] == [SdrOptions(), CERTIFY]
+    return links
+
+
+def failing_gufunc(gufunc, fail_at, hits):
+    """``gufunc`` whose call number ``fail_at`` (from 0) fails as a LAPACK
+    failure does: every output filled with NaN and the invalid flag raised."""
+    count = itertools.count()
+
+    def call(*args, **kwargs):
+        out = gufunc(*args, **kwargs)
+        if next(count) != fail_at:
+            return out
+        hits.append(fail_at)
+        nan = np.multiply(np.inf, 0.0)      # raises the invalid flag
+        for array in out if isinstance(out, tuple) else (out,):
+            array[...] = nan
+        return out
+    return call
+
+
+def raising_linalg(function, fail_at, hits):
+    """np.linalg ``function`` whose call number ``fail_at`` raises LinAlgError."""
+    count = itertools.count()
+
+    def call(*args, **kwargs):
+        if next(count) == fail_at:
+            hits.append(fail_at)
+            raise np.linalg.LinAlgError("injected")
+        return function(*args, **kwargs)
+    return call
+
+
+# the kernel's gufunc handle and the np.linalg call of the frozen reference;
+# eigvalsh is called twice a step, for the dual bound and then for the step
+HANDLES = {"_eigh": "eigh", "_eigvalsh": "eigvalsh", "_solve": "solve"}
+
+
+@pytest.mark.parametrize("handle, fail_at", [
+    ("_eigh", 0), ("_eigh", 6), ("_eigh", 25),
+    ("_eigvalsh", 0), ("_eigvalsh", 1), ("_eigvalsh", 12), ("_eigvalsh", 13),
+    ("_eigvalsh", 40), ("_eigvalsh", 41),
+    ("_solve", 0), ("_solve", 9), ("_solve", 24)])
+def test_lapack_failure_ends_the_solve_where_linalg_error_did(handle, fail_at,
+                                                               monkeypatch):
+    for (rows, dn, cn, p_max), opts in band_inputs():
+        kernel_hits, reference_hits = [], []
+        with monkeypatch.context() as mp:
+            mp.setattr(isac_sdr, handle, failing_gufunc(
+                getattr(isac_sdr, handle), fail_at, kernel_hits))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = isac_sdr._newton_margin(rows, dn, cn, p_max, opts)
+        name = HANDLES[handle]
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, name, raising_linalg(
+                getattr(np.linalg, name), fail_at, reference_hits))
+            ref = reference_newton_margin(rows, dn, cn, p_max, opts)
+        assert kernel_hits == reference_hits
+        assert_identical([((rows.shape, p_max, opts), out, ref)])
+        # the full solve reaches every injected failure; a certify-only
+        # solve may stop before it
+        assert kernel_hits == [fail_at] or opts.certify_only
+
+
+# -- the private gufuncs ------------------------------------------------------------
+
+def hermitian_stack(rng, count, dim):
+    a = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    return a @ a.conj().swapaxes(-1, -2) + np.eye(dim)
+
+
+@pytest.mark.parametrize("dim", [4, 12])
+def test_hermitian_gufuncs_give_the_linalg_bits(dim):
+    # numpy's wrappers call the same gufuncs; a numpy whose private module
+    # changes must fail here rather than in a bit comparison downstream
+    rng = np.random.default_rng(dim)
+    stack = hermitian_stack(rng, 6, dim)
+    for a in (stack, stack[0], stack[1]):
+        w_ref, v_ref = np.linalg.eigh(a)
+        w, v = isac_sdr._eigh(a)
+        assert same_bits(w, w_ref) and same_bits(v, v_ref)
+        # written into buffers, as the kernel calls them
+        w, v = np.empty_like(w_ref), np.empty_like(v_ref)
+        isac_sdr._eigh(a, out=(w, v))
+        assert same_bits(w, w_ref) and same_bits(v, v_ref)
+        w_ref = np.linalg.eigvalsh(a)
+        assert same_bits(isac_sdr._eigvalsh(a), w_ref)
+        w = np.empty_like(w_ref)
+        isac_sdr._eigvalsh(a, out=(w,))
+        assert same_bits(w, w_ref)
+
+
+@pytest.mark.parametrize("dim", [5, 17])
+def test_solve_gufunc_gives_the_linalg_bits(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((6, dim, dim))
+    spd = a @ a.swapaxes(-1, -2) + np.eye(dim)
+    rhs = rng.standard_normal((6, dim, 2))
+    for m, b in ((spd, rhs), (spd[0], rhs[0]), (spd[0], np.ascontiguousarray(rhs[0].T).T)):
+        x_ref = np.linalg.solve(m, b)
+        assert same_bits(isac_sdr._solve(m, b), x_ref)
+        # into the transposed rows the kernel reads its two columns from
+        x = np.empty(x_ref.swapaxes(-1, -2).shape).swapaxes(-1, -2)
+        isac_sdr._solve(m, b, out=x)
+        assert same_bits(np.ascontiguousarray(x), x_ref)
+
+
+# -- the program's own kernel calls -------------------------------------------------
+
+def test_link_scoring_of_a_22_db_flight(compared, monkeypatch):
+    # tools/same_outputs.py's LINK_WORLD: the default world with a 22 dB
+    # inter-UAV SINR floor. The untrained policy keeps its UAVs close enough
+    # that every chain link is beampattern-bound; after the first PPO update
+    # (rollout 256) the second episode's links reach the kernel
+    world = build_scenario(ScenarioConfig(gamma_th_uav=db_to_linear(22.0), seed=0))
+    flights = []
+    scored = drl_mappo.score_links
+
+    def recorded(flight, scenario, seed, **kwargs):
+        flights.append((flight, seed))
+        return scored(flight, scenario, seed, **kwargs)
+
+    monkeypatch.setattr(drl_mappo, "score_links", recorded)
+    train(world, MappoConfig(max_episodes=2, rollout=256))
+    trained = len(compared)
+    flight, seed = flights[-1]          # views of the last episode's rows
+    score_links(flight, world, seed, separated=False, build=True)
+    assert trained >= 10 and len(compared) > trained
+    assert_identical(compared)
