@@ -579,12 +579,11 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
         return action
 
     for episode in range(config.max_episodes):
-        seed = config.seed * 1_000_003 + episode
-        _, success = run_episode(env, seed, act)
-        qos, _ = score_links(env.flown(), scenario, seed, separated=False,
-                             build=False, reward=reward,
-                             sdr_opts=env.sdr_opts)
-        totals = reward_terms(env, qos)["total"]
+        seed = config.seed * 1_000_003 + episode    # its link draws
+        _, success = run_episode(env, act)
+        links, _ = score_links(env.flown(), scenario, seed, separated=False,
+                               build=False, sdr_opts=env.sdr_opts)
+        totals = reward_terms(env, links)["total"]
         rollout.land(totals)
         ep_reward = 0.0
         # in slot order; sum() would round differently
@@ -611,8 +610,7 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
 
 def run_policy_episode(policy: MappoPolicy, env: CorridorEnv, seed: int):
     """Roll one greedy evaluation episode; returns (success, slots, energy,
-    collected)."""
-    end, success = run_episode(
-        env, seed, lambda env: act_in_env(policy, env, None)[0])
+    collected). ``seed`` is not read: a greedy episode draws nothing."""
+    end, success = run_episode(env, lambda env: act_in_env(policy, env, None)[0])
     return (bool(success[0]), int(end.slot[0]),
             float(end.energy_per_uav[0].sum()), int(end.collected[0].sum()))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, planners
 from .config import RunConfig
 from .drl_mappo import MappoConfig, MappoPolicy, act_in_env, train
 from .mdp_env import CorridorEnv
@@ -40,7 +40,8 @@ TASK_GROUPS = (DRL_METHODS, ("greedy_online",), ("greedy_offline", "pso", "ga"))
 LINK_MODES = {"drl_sdr": "isac", "greedy_online": "isac", "greedy_offline": "none",
               "pso": "none", "ga": "none", "drl_sc": "separated"}
 AXES = ("uav_count", "md_count", "sinr_threshold")
-CIRCUIT_POWER_W = 2.0   # extra draw of the split-array variant, per UAV
+# perfbench reads the split array's circuit draw under this module
+CIRCUIT_POWER_W = planners.CIRCUIT_POWER_W
 
 RESULT_FIELDS = [
     "method", "axis", "value", "seed", "energy_j", "time_s", "collected",
@@ -190,15 +191,8 @@ def run_cells(methods, spec: ExperimentSpec, value, seeds) -> list:
     if plans:
         flights.update(zip(plans, fly_plans(list(plans.values()), scenario,
                                             rc.propulsion, record=True)[3]))
-    results = []
-    for m, s in cells:
-        res = mission_result(flights[key(m, s)], scenario, s, m, LINK_MODES[m])
-        if m == "drl_sc":
-            cfg = scenario.config
-            slots = round(res.time_s / cfg.slot_seconds)
-            res.energy_j += CIRCUIT_POWER_W * cfg.num_uavs * slots * cfg.slot_seconds
-        results.append(res)
-    return results
+    return [mission_result(flights[key(m, s)], scenario, s, m, LINK_MODES[m])
+            for m, s in cells]
 
 
 def _result_row(res: MissionResult, axis, value) -> dict:

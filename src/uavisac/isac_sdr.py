@@ -69,7 +69,7 @@ class SdrOptions:
     gap_tol: float = FEAS_TOL
     # stop as soon as the feasible/infeasible decision is certified, even if
     # the margin itself has not converged (gap_tol is then unused); used by
-    # the per-slot reward sweeps
+    # the post-flight link sweeps
     certify_only: bool = False
 
 
@@ -600,12 +600,6 @@ def _chain_gains(uav_positions, scenario, rng):
                               cfg.n_antennas, rng)
     g = h.conj().swapaxes(-1, -2) @ scenario.rx_combiner
     return g, np.vecdot(g, g).real
-
-
-def link_reward(feasible, r_link_pass: float, r_link_fail: float) -> float:
-    """QoS reward of a slot's links: +r_link_pass per feasible link,
-    r_link_fail per infeasible or failed link, summed in chain order."""
-    return sum((r_link_pass if ok else r_link_fail for ok in feasible), 0.0)
 
 
 def _isac_links(g, lead, scenario, opts: SdrOptions, build: bool):

@@ -5,8 +5,8 @@ binary speed; collection succeeds when the scheduled uplink clears the SINR
 threshold under the slot's interference. The env writes each slot into its
 flight arrays and scores no reward. After landing, reward_terms scores the
 shared reward from those arrays: collection progress, an energy penalty, a
-safe-distance penalty, the arrival bonus, potential shaping and the per-link
-ISAC feasibility outcome that score_links scores.
+safe-distance penalty, the arrival bonus, potential shaping and the QoS
+term of the chain-link verdicts that score_links draws.
 
 Safe-distance handling: intended moves that would end a non-exempt pair
 closer than d_min (or shrink an already-close pair) are replaced by hover,
@@ -22,8 +22,7 @@ import numpy as np
 
 from .channel import md_gain_matrix, uplink_sinr
 from .energy import PropulsionParams, REFERENCE_PROPULSION, slot_energy
-from .isac_sdr import (SdrOptions, link_feasibility_sweep, link_reward,
-                       verify_design)
+from .isac_sdr import SdrOptions, link_feasibility_sweep, verify_design
 from .scenario import Scenario, rng_stream
 
 
@@ -62,11 +61,6 @@ class JointAction:
     md_choice: np.ndarray   # (B, M) int, -1 for no MD
     heading: np.ndarray     # (B, M) radians
     speed: np.ndarray       # (B, M) uint8, 0 hover / 1 fly at v_fixed
-
-    @classmethod
-    def hover(cls, m: int, fleets: int = 1) -> "JointAction":
-        return cls(md_choice=np.full((fleets, m), -1), heading=np.zeros((fleets, m)),
-                   speed=np.zeros((fleets, m), dtype=np.uint8))
 
 
 # -- mission rules ---------------------------------------------------------------
@@ -302,7 +296,7 @@ class CorridorEnv:
     ``end_state`` and ``success`` each fleet's end. A step scores no reward
     and draws no chain link; with ``record`` it writes the slot into the
     (B, T) ``flight`` arrays, which reward_terms reads after landing and
-    score_links (given ``sdr_opts``) scores as flown()."""
+    whose chain links score_links (given ``sdr_opts``) decides as flown()."""
 
     def __init__(self, scenario: Scenario, reward: RewardConfig = RewardConfig(),
                  propulsion: PropulsionParams = REFERENCE_PROPULSION,
@@ -331,7 +325,7 @@ class CorridorEnv:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def reset(self, seed: int, fleets: int = 1):
+    def reset(self, *, fleets: int = 1):
         """``fleets`` fleets on the start pad, nothing collected, full batteries,
         and (with ``record``) new flight arrays for horizon_slots slots."""
         m = self.n_agents
@@ -523,12 +517,12 @@ class CorridorEnv:
         return done, success
 
 
-def run_episode(env: CorridorEnv, seed: int, act, fleets: int = 1):
-    """Reset ``env`` with ``seed`` and ``fleets`` fleets and step it with
-    ``act(env)``, the live fleets' joint action, until every fleet has
-    ended; returns the end states and success flags, (B,). The one loop
-    that flies a fleet; it scores no chain link (score_links does)."""
-    env.reset(seed, fleets)
+def run_episode(env: CorridorEnv, act, *, fleets: int = 1):
+    """Reset ``env`` with ``fleets`` fleets and step it with ``act(env)``,
+    the live fleets' joint action, until every fleet has ended; returns the
+    end states and success flags, (B,). The one loop that flies a fleet; it
+    scores no chain link (score_links does)."""
+    env.reset(fleets=fleets)
     while len(env.live):
         env.step(act(env))
     return env.end_state, env.success
@@ -555,12 +549,17 @@ def _potentials(env: CorridorEnv, positions, collected) -> np.ndarray:
     return value - r.shaping_end * d_end.sum(axis=-1)
 
 
-def reward_terms(env: CorridorEnv, qos) -> dict:
+def reward_terms(env: CorridorEnv, links) -> dict:
     """Each slot's reward terms of fleet 0 since reset, (T,) arrays in the
-    order they sum to "total"; ``qos`` is score_links' QoS term. Only
-    training reads them, after landing: the shaping is the difference of each
-    slot's end and start state potentials (Ng, Harada & Russell 1999)."""
+    order they sum to "total"; ``links`` is score_links' (T, E) chain-link
+    verdicts, scored link_pass or link_fail each and summed in chain order.
+    Only training reads them, after landing: the shaping is the difference
+    of each slot's end and start state potentials (Ng, Harada & Russell
+    1999)."""
     f, cfg, r = env.flown(), env.cfg, env.reward_cfg
+    qos = np.zeros(len(links))
+    for link in links.T:
+        qos += np.where(link, r.link_pass, r.link_fail)
     end_collected = f.end_collected()
     # pairs that end close or blocked one another, outside the station zones
     near = too_close(f.final, cfg)
@@ -569,7 +568,7 @@ def reward_terms(env: CorridorEnv, qos) -> dict:
     near &= ~station_exempt(f.final, cfg)
     terms = {
         "collection": r.collect * f.newly.sum(axis=-1),
-        "qos": np.asarray(qos, dtype=float),
+        "qos": qos,
         "energy": -f.energy.sum(axis=-1) / r.energy_scale,
         "distance": r.distance_penalty * near.sum(axis=(-2, -1)),
         "bonus": np.where(arrived(f.final, end_collected, cfg), r.arrival_bonus, 0.0),
@@ -581,27 +580,25 @@ def reward_terms(env: CorridorEnv, qos) -> dict:
 
 
 def score_links(flight: Flight, scenario: Scenario, seed: int, separated: bool,
-                build: bool, reward: RewardConfig = RewardConfig(),
-                sdr_opts: SdrOptions = LINK_OPTIONS):
-    """Score the chain links of a landed episode's ``flight`` (for an env,
-    its flown()), reset with ``seed``: one link_feasibility_sweep per block
-    of slots from the episode's "env-channel" stream, as sweeping each slot
-    in flight would have. Returns each slot's QoS term (link_reward under
-    ``reward``), (T,), and when ``build`` each block's stack of its links'
-    designs, slot by slot in chain order (else []). No link verdict moves a
-    UAV or enters an observation."""
+                build: bool, sdr_opts: SdrOptions = LINK_OPTIONS):
+    """Decide the chain links of a landed episode's ``flight`` (for an env,
+    its flown()) on ``seed``'s link draws: one link_feasibility_sweep per
+    block of slots from the "env-channel" stream, as sweeping each slot in
+    flight would have. Returns each slot's verdicts, (T, E) bool in chain
+    order, and when ``build`` each block's stack of its links' designs, slot
+    by slot in chain order (else []). No link verdict moves a UAV or enters
+    an observation."""
     final = flight.final
     rng = rng_stream(seed, "env-channel")
-    qos, designs = [], []
+    links = np.empty((len(final), final.shape[1] - 1), dtype=bool)
+    designs = []
     for start in range(0, len(final), _BLOCK):
-        feasible, built = link_feasibility_sweep(
+        links[start:start + _BLOCK], built = link_feasibility_sweep(
             final[start:start + _BLOCK], scenario, rng, sdr_opts, separated,
             build)
-        qos += [link_reward(ok, reward.link_pass, reward.link_fail)
-                for ok in feasible]
         if build and built is not None:
             designs.append(built)
-    return np.array(qos), designs
+    return links, designs
 
 
 @dataclass

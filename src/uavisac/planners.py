@@ -168,7 +168,7 @@ def fly_plans(plans, scenario: Scenario, propulsion: PropulsionParams,
                                                env.gain2(), targets, aims, cfg))
 
     env = CorridorEnv(scenario, propulsion=propulsion, record=record)
-    end, _ = run_episode(env, 0, act, len(plans))
+    end, _ = run_episode(env, act, fleets=len(plans))
     flights = [env.flown(p) for p in range(len(plans))] if record else None
     return (end.energy_per_uav.sum(axis=1), end.slot,
             end.collected.sum(axis=1, dtype=int), flights)
@@ -193,20 +193,29 @@ def plan_fitness(plan: Plan, scenario: Scenario,
     return float(fitness[0]), float(energy[0]), int(slots[0]), int(collected[0])
 
 
+CIRCUIT_POWER_W = 2.0   # extra draw of the split-array variant, per UAV
+
+
 def mission_result(flight: Flight, scenario: Scenario, seed: int, method: str,
                    link_mode: str) -> MissionResult:
     """The audited report of one flown mission; every method's row is built
     here. The chain links are scored and designed with ``seed``'s link draws
-    in ``link_mode`` ("isac", "separated" or "none"); no reward is scored."""
+    in ``link_mode`` ("isac", "separated" or "none"); no reward is scored.
+    The "separated" split array draws CIRCUIT_POWER_W more per UAV, which
+    its energy counts."""
     cfg = scenario.config
     designs = ([] if link_mode == "none" else score_links(
         flight, scenario, seed, separated=link_mode == "separated",
         build=True)[1])
     # summed in slot order, as the env sums it; a pairwise sum rounds otherwise
     per_uav = np.add.accumulate(flight.energy)[-1]
+    energy = float(per_uav.sum())
+    if link_mode == "separated":
+        energy += (CIRCUIT_POWER_W * cfg.num_uavs * len(flight.final)
+                   * cfg.slot_seconds)
     end = flight.end_collected()[-1]
     return MissionResult(
-        method=method, energy_j=float(per_uav.sum()),
+        method=method, energy_j=energy,
         time_s=len(flight.final) * cfg.slot_seconds,
         collected=int(end.sum()),
         success=bool(arrived(flight.final[-1], end, cfg)),
@@ -270,10 +279,10 @@ def greedy_offline(scenario: Scenario) -> Plan:
 
 def fly_env(scenario: Scenario, act, propulsion: PropulsionParams) -> Flight:
     """The Flight of one CorridorEnv episode of ``act(env)``, for the methods
-    that act on the live fleet state. A reset draws nothing from its seed,
-    so the flight is the same for every cell seed."""
+    that act on the live fleet state. An episode draws nothing random, so the
+    flight is the same for every cell seed."""
     env = CorridorEnv(scenario, propulsion=propulsion)
-    run_episode(env, 0, act)
+    run_episode(env, act)
     return env.flown()
 
 

@@ -105,7 +105,7 @@ class TestGainMatrixBits:
         assert want.size >= 10 ** 5
         assert uplink_gain2(fleets, sc).tobytes() == want.tobytes()
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         for fleet, gain2 in zip(fleets, want):
             env.state.positions = fleet[None]
             assert env.gain2()[0].tobytes() == gain2.tobytes()

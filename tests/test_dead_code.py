@@ -1,11 +1,14 @@
-"""Every function, class and method of the package is used.
+"""Every function, class and method of the package is used, and so is
+every parameter.
 
 An AST scan over ``src/uavisac``: a definition that no other code of the
 package reads by name, and that the benchmark in ``perfbench/`` does not name
 either, is left over from code that is gone. Names are matched loosely, a
 method by any attribute of its name, so the scan finds definitions that
 nothing could call, not every one that nothing does call. Dunder methods are
-called by Python itself and are not checked.
+called by Python itself and are not checked. A parameter that its function's
+body never reads is left over too, unless UNREAD_ALLOWED names it; a method's
+receiver is not checked.
 """
 
 import ast
@@ -15,6 +18,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "uavisac"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# parameters (module.function.parameter) kept only for a caller outside the
+# package, with the reason
+UNREAD_ALLOWED = {
+    "planners.evaluate_plan.reward": "perfbench/workloads.py passes it",
+    "drl_mappo.run_policy_episode.seed": "perfbench/workloads.py passes it",
+}
 
 
 def definitions(node, prefix):
@@ -77,9 +87,46 @@ def test_scan_finds_an_unused_definition():
         == ["mod.A.recursive", "mod.unused"]
 
 
+def unread_parameters(sources: dict) -> list:
+    """Qualified names (function.parameter) of the parameters of each
+    function in ``sources`` (module name -> source) that its body, nested
+    definitions included, never reads by name. A method's ``self`` or
+    ``cls`` is bound by Python and is not checked."""
+    unread = []
+    for module, source in sources.items():
+        for qualified, node in definitions(ast.parse(source), module):
+            if not isinstance(node, FUNCTIONS):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            body = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)}
+            unread += [f"{qualified}.{p.arg}" for p in params
+                       if p.arg not in body | {"self", "cls"}]
+    return sorted(unread)
+
+
+def package_sources() -> dict:
+    return {".".join(path.relative_to(PACKAGE).with_suffix("").parts):
+            path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
+
+
 def test_every_definition_is_used():
-    sources = {".".join(path.relative_to(PACKAGE).with_suffix("").parts):
-               path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
     benchmark = "\n".join(path.read_text()
                           for path in sorted((ROOT / "perfbench").glob("*.py")))
-    assert unused_definitions(sources, benchmark) == []
+    assert unused_definitions(package_sources(), benchmark) == []
+
+
+def test_scan_finds_an_unread_parameter():
+    source = ("def f(a, b=1, *rest, c, **extra):\n"
+              "    def inner():\n        return a + len(rest)\n"
+              "    return inner() + c\n"
+              "class A:\n"
+              "    def m(self, x):\n        return self\n")
+    assert unread_parameters({"mod": source}) == [
+        "mod.A.m.x", "mod.f.b", "mod.f.extra"]
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(package_sources()) == sorted(UNREAD_ALLOWED)

@@ -26,9 +26,8 @@ from uavisac.isac_sdr import (BEAM, CAP, DEEP, FEAS_TOL, PSD_TOL, SOLVE,
                               VERIFY_TOL, ZERO, SdrOptions, SdrProblem,
                               _chain_gains, _link_ladder, _sinr_cap,
                               _solve_margin, link_feasibility_sweep,
-                              link_reward, solve_feasibility, tbp_quadratic,
-                              verify_design)
-from uavisac.mdp_env import CorridorEnv, score_links
+                              solve_feasibility, tbp_quadratic, verify_design)
+from uavisac.mdp_env import CorridorEnv, reward_terms, score_links
 from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
 
 REL = 1e-12
@@ -293,7 +292,7 @@ def block_flight(n_slots, seed):
 def scoring_env(world, opts, positions):
     """An env that flew one slot per formation of ``positions``."""
     env = CorridorEnv(world, sdr_opts=opts)
-    env.reset(0)
+    env.reset()
     env.flight.final[0, :len(positions)] = positions
     env.state.slot = len(positions)
     return env
@@ -320,13 +319,14 @@ class TestPostFlightScoring:
         positions = block_flight(n_slots, n_slots)
         env = scoring_env(WORLD, opts, positions)
         streams = opened_streams(monkeypatch)
-        qos, stacks = score_links(env.flown(), env.scenario, 7, separated,
-                                 build=True, sdr_opts=opts)
+        links, stacks = score_links(env.flown(), env.scenario, 7, separated,
+                                    build=True, sdr_opts=opts)
+        qos = reward_terms(env, links)["qos"]
         designs = links_of(*stacks)
         (rng,), ref_rng = streams, rng_stream(7, "env-channel")
         r = env.reward_cfg
         statuses = set()
-        assert len(qos) == n_slots and len(designs) == 2 * n_slots
+        assert links.shape == (n_slots, 2) and len(designs) == 2 * n_slots
         for k, formation in enumerate(positions):
             verdict, want = link_feasibility_sweep(formation, WORLD, ref_rng,
                                                    opts, separated)
@@ -334,7 +334,11 @@ class TestPostFlightScoring:
             slot_designs = designs[2 * k:2 * k + 2]
             assert len(want) == 2
             assert [d.feasible for d in slot_designs] == list(verdict)
-            assert qos[k] == link_reward(verdict, r.link_pass, r.link_fail)
+            assert list(links[k]) == list(verdict)
+            total = 0.0
+            for ok in verdict:
+                total += r.link_pass if ok else r.link_fail
+            assert qos[k] == total
             for des, ref in zip(slot_designs, want):
                 assert_same_design(des, ref)
                 statuses.add(des.solver_status)
@@ -347,9 +351,10 @@ class TestPostFlightScoring:
         env = scoring_env(solo, CERTIFY, np.array(
             [[[10.0 * k, 0.0, 80.0]] for k in range(3)]))
         streams = opened_streams(monkeypatch)
-        qos, designs = score_links(env.flown(), env.scenario, 8, False,
-                                  build=True, sdr_opts=CERTIFY)
+        links, designs = score_links(env.flown(), env.scenario, 8, False,
+                                     build=True, sdr_opts=CERTIFY)
         assert designs == []
-        assert qos.tolist() == [0.0, 0.0, 0.0]
+        assert links.shape == (3, 0)
+        assert reward_terms(env, links)["qos"].tolist() == [0.0, 0.0, 0.0]
         (rng,) = streams
         assert rng.random() == rng_stream(8, "env-channel").random()

@@ -19,7 +19,7 @@ from uavisac.drl_mappo import (ActorNet, Adam, CriticNet, MappoConfig,
                                critic_update, gae, ppo_actor_update,
                                run_policy_episode, sample_actions, train)
 from uavisac.energy import REFERENCE_PROPULSION
-from uavisac.isac_sdr import link_feasibility_sweep, link_reward
+from uavisac.isac_sdr import link_feasibility_sweep
 from uavisac.mdp_env import CorridorEnv, slot_costs
 from uavisac.scenario import (ScenarioConfig, build_scenario, db_to_linear,
                               rng_stream)
@@ -278,7 +278,7 @@ class TestActInEnv:
         policy = MappoPolicy(actor, CriticNet(rng, env.state_dim, 8), MappoConfig())
         withheld = 0
         for episode in range(3):
-            env.reset(episode)
+            env.reset()
             for _ in range(15):
                 open_masks = env.open_masks()
                 action, (_, masks, md_head, _, speed, _) = act_in_env(policy, env, rng)
@@ -365,21 +365,22 @@ RECORDED = {"workspace h1", "workspace h2", "workspace gw1", "workspace gh2",
 
 
 def keep_scored_flights(monkeypatch):
-    """(env, the slots it flew, score_links' QoS and, scored again with
-    designs built, its designs) of each episode that train scores, in order;
-    each reset gives the env new flight arrays."""
+    """(env, the slots it flew, score_links' verdicts and, scored again
+    with designs built, its designs) of each episode that train scores, in
+    order; each reset gives the env new flight arrays."""
     scored, envs = [], []
     score, run = drl_mappo.score_links, drl_mappo.run_episode
 
-    def flown(env, seed, act):
+    def flown(env, act, **options):
         envs.append(env)
-        return run(env, seed, act)
+        return run(env, act, **options)
 
     def kept(flight, scenario, seed, separated, build, **options):
-        qos, designs = score(flight, scenario, seed, separated, build, **options)
-        scored.append((envs[-1], flight, qos, score(
+        links, designs = score(flight, scenario, seed, separated, build,
+                               **options)
+        scored.append((envs[-1], flight, links, score(
             flight, scenario, seed, separated, True, **options)[1]))
-        return qos, designs
+        return links, designs
 
     monkeypatch.setattr(drl_mappo, "run_episode", flown)
     monkeypatch.setattr(drl_mappo, "score_links", kept)
@@ -489,7 +490,7 @@ class TestTrainLoop:
             loss, updates, failed = 0.0, 0, 0
             for episode in range(2):
                 seed = 4 * 1_000_003 + episode
-                env.reset(seed)
+                env.reset()
                 link_rng = rng_stream(seed, "env-channel")
                 total, done = 0.0, False
                 while not done:
@@ -501,7 +502,9 @@ class TestTrainLoop:
                         env.state.positions[0], sc, link_rng, env.sdr_opts,
                         build=False)
                     failed += int((~feasible).sum())
-                    rew.qos = link_reward(feasible, r.link_pass, r.link_fail)
+                    rew.qos = 0.0
+                    for ok in feasible:
+                        rew.qos += r.link_pass if ok else r.link_fail
                     rollout.reward[slot] = rew.total
                     rollout.done[slot] = done
                     total += rew.total
@@ -542,8 +545,8 @@ class TestTrainLoop:
                          len(rollout.reward), rollout.done[:rollout.n].copy()))
             return update(policy, opt_actor, opt_critic, rollout, *args)
 
-        def flown(env, seed, act):
-            end, success = run(env, seed, act)
+        def flown(env, act):
+            end, success = run(env, act)
             assert end.slot[0] == horizon
             return end, success
 
@@ -626,12 +629,11 @@ class TestTrainLoop:
                           minibatch=32, epochs=1, seed=4)
         train(sc, cfg)
         assert len(scored) == 3
-        r = scored[0][0].reward_cfg
-        for _, flown, qos, designs in scored:
-            links = links_of(*designs)
-            assert len(links) == len(flown.final)
-            assert qos.tolist() == [link_reward([d.feasible], r.link_pass,
-                                                r.link_fail) for d in links]
+        for _, flown, links, designs in scored:
+            built = links_of(*designs)
+            assert len(built) == len(flown.final)
+            assert links.shape == (len(flown.final), 1)
+            assert links[:, 0].tolist() == [d.feasible for d in built]
         margins = np.array([d.margin for *_, designs in scored
                             for d in links_of(*designs)])
         assert len(margins) == sum(len(flown.final) for _, flown, _, _ in scored)

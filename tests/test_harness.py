@@ -18,6 +18,7 @@ from uavisac.harness import (CIRCUIT_POWER_W, METHODS, SEED_MEANING,
                              scenario_config_for, train_checkpoint,
                              validate_spec)
 from uavisac.mdp_env import CorridorEnv
+from uavisac.planners import mission_result
 from uavisac.scenario import build_scenario
 
 
@@ -206,6 +207,15 @@ class TestRunExperiment:
                 assert res.energy_j == energy + circuit
                 assert (res.collected, res.success) == (collected, success)
                 assert res.per_uav_energy == env.end_state.energy_per_uav[0].tolist()
+        # one flight in each link mode: only the split array's row adds the
+        # circuit draw to the flown energy
+        flight = env.flown()
+        energy = {mode: mission_result(flight, scenario, 0, "drl", mode).energy_j
+                  for mode in ("isac", "separated", "none")}
+        circuit = (CIRCUIT_POWER_W * cfg.num_uavs * len(flight.final)
+                   * cfg.slot_seconds)
+        assert energy["isac"] == energy["none"] < energy["separated"]
+        assert energy["separated"] == energy["isac"] + circuit
 
 
 class TestGitRevision:

@@ -11,8 +11,10 @@ from uavisac.isac_sdr import (FEAS_TOL, PSD_TOL, VERIFY_TOL, SdrOptions,
                               SdrProblem, TransmitDesign, _finish_designs,
                               _herm, _measure_design, _newton_margin,
                               _tbp_only_design, extract_rank_one,
-                              link_feasibility_sweep, link_reward,
-                              solve_feasibility, tbp_quadratic, verify_design)
+                              link_feasibility_sweep, solve_feasibility,
+                              tbp_quadratic, verify_design)
+from uavisac.mdp_env import (CorridorEnv, JointAction, reward_terms,
+                             run_episode, score_links)
 from uavisac.scenario import ScenarioConfig, build_scenario, rng_stream
 
 L = 12
@@ -482,7 +484,7 @@ class TestLinkSweep:
         feasible, designs = link_feasibility_sweep(
             np.array([[0.0, 2500.0, 80.0]]), solo, rng_stream(0, "sweep"))
         assert designs is None
-        assert link_reward(feasible, 0.05, -1.0) == 0.0
+        assert feasible.shape == (0,)
 
     def test_all_links_feasible_aggregation(self):
         pos = np.array([[0.0, 2500.0, 80.0], [150.0, 2400.0, 80.0],
@@ -492,8 +494,6 @@ class TestLinkSweep:
         designs = links_of(stack)
         assert len(designs) == 2
         assert all(d.feasible for d in designs)
-        assert link_reward([d.feasible for d in designs], 0.05, -1.0) == \
-            pytest.approx(2 * 0.05)
 
     def test_margin_no_larger_at_longer_range(self):
         near = np.array([[0.0, 0.0, 80.0], [100.0, 0.0, 80.0]])
@@ -524,8 +524,6 @@ class TestLinkSweep:
             expected = (cfg.p_max * np.linalg.norm(g) ** 2 - scale) / scale
             assert des.margin == pytest.approx(expected, rel=1e-12)
         assert [d.feasible for d in designs] == [True, False]
-        assert link_reward([d.feasible for d in designs], 0.05, -1.0) == \
-            pytest.approx(0.05 - 1.0)
 
     def test_separated_feasible_iff_margin_clears_tolerance(self):
         cfg = self.scenario.config
@@ -694,7 +692,17 @@ class TestChainVerdicts:
         got, _ = link_feasibility_sweep(np.array([[0.0, 0.0, 80.0]]), solo,
                                         rng_stream(0, "solo"), build=False)
         assert got.shape == (0,)
-        assert link_reward(got, 0.05, -1.0) == 0.0
+        # a one-UAV flight has no chain link and a zero QoS term every slot
+        env = CorridorEnv(build_scenario(ScenarioConfig(
+            num_uavs=1, num_mds=2, seed=0, horizon_slots=20)))
+        run_episode(env, lambda env: JointAction(
+            md_choice=np.full((1, 1), -1), heading=np.zeros((1, 1)),
+            speed=np.ones((1, 1), dtype=np.uint8)))
+        links, designs = score_links(env.flown(), env.scenario, 0,
+                                     separated=False, build=True)
+        assert links.shape == (len(env.flown().final), 0) == (20, 0)
+        assert designs == []
+        assert reward_terms(env, links)["qos"].tolist() == [0.0] * 20
 
     @pytest.mark.parametrize("opts", [SdrOptions(), CERTIFY])
     @pytest.mark.parametrize("separated", [False, True])
@@ -708,9 +716,6 @@ class TestChainVerdicts:
             assert list(bare) == list(feasible) == [
                 d.feasible for d in links_of(designs)]
             assert rng.random() == bare_rng.random()
-
-    def test_reward_sums_in_chain_order(self):
-        assert link_reward([True, False, True], 0.05, -1.0) == (0.05 - 1.0) + 0.05
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import itertools
+import math
 from copy import deepcopy
 from dataclasses import replace
 
@@ -8,10 +9,10 @@ import pytest
 from test_isac_sdr import links_of
 from uavisac import isac_sdr, mdp_env
 from uavisac.energy import flight_power, hover_power
-from uavisac.isac_sdr import link_feasibility_sweep, link_reward
-from uavisac.mdp_env import (CorridorEnv, JointAction, check_constraints,
-                             reward_terms, run_episode, score_links,
-                             uplink_gain2, write_trace_csv)
+from uavisac.isac_sdr import link_feasibility_sweep
+from uavisac.mdp_env import (CorridorEnv, JointAction, RewardConfig,
+                             check_constraints, reward_terms, run_episode,
+                             score_links, uplink_gain2, write_trace_csv)
 from uavisac.scenario import (Scenario, ScenarioConfig, build_scenario,
                               db_to_linear, rng_stream)
 
@@ -71,12 +72,19 @@ def critic_state_oracle(env, fleet=0) -> np.ndarray:
 
 def terms(env):
     """The post-flight reward terms of the slots ``env`` flew, QoS at 0."""
-    return reward_terms(env, np.zeros(env.state.slot))
+    return reward_terms(env, np.zeros((env.state.slot, 0), dtype=bool))
+
+
+def hover(m, fleets=1):
+    """The JointAction of ``fleets`` fleets of ``m`` UAVs that all hover."""
+    return JointAction(md_choice=np.full((fleets, m), -1),
+                       heading=np.zeros((fleets, m)),
+                       speed=np.zeros((fleets, m), dtype=np.uint8))
 
 
 def hover_action(env, md=None):
     """Every live fleet hovers; fleet 0's first UAVs serve ``md``."""
-    act = JointAction.hover(env.n_agents, len(env.live))
+    act = hover(env.n_agents, len(env.live))
     if md is not None:
         act.md_choice[0, :len(md)] = md
     return act
@@ -99,7 +107,7 @@ class TestReset:
         sc = build_scenario(ScenarioConfig(num_uavs=3, seed=1))
         env = CorridorEnv(sc)
         for fleets in (1, 4):
-            assert env.reset(0, fleets) is None
+            assert env.reset(fleets=fleets) is None
             state = env.state
             obs = env.observations()
             critic = env.critic_state(obs)
@@ -118,7 +126,7 @@ class TestReset:
         env = CorridorEnv(sc)
 
         def episode():
-            env.reset(7)
+            env.reset()
             out = []
             for k in range(30):
                 act = one_fleet(md_choice=np.array([-1, -1]),
@@ -133,6 +141,15 @@ class TestReset:
             assert np.array_equal(pa, pb)
         assert ra.tobytes() == rb.tobytes()
 
+    def test_takes_no_seed(self):
+        """An episode draws nothing random, so neither reset nor run_episode
+        takes a seed; a leftover one is an error, not a fleet count."""
+        env = CorridorEnv(build_scenario(ScenarioConfig(num_uavs=2, seed=0)))
+        with pytest.raises(TypeError):
+            env.reset(3)
+        with pytest.raises(TypeError):
+            run_episode(env, 0, hover_action)
+
 
 class TestObservations:
     @pytest.mark.parametrize("m_count", [1, 2, 3, 5])
@@ -144,7 +161,7 @@ class TestObservations:
         rng = np.random.default_rng(m_count)
         for trial in range(40):
             fleets = 1 if trial < 20 else 3
-            env.reset(0, fleets)
+            env.reset(fleets=fleets)
             s = env.state
             s.positions = np.stack([
                 rng.uniform(0.0, cfg.area_width, (fleets, m_count)),
@@ -167,7 +184,7 @@ class TestObservations:
     def test_stepped_states_match_oracle(self):
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=6, seed=4))
         env = CorridorEnv(sc)
-        env.reset(2)
+        env.reset()
         rng = np.random.default_rng(5)
         for _ in range(25):
             obs = env.observations()
@@ -183,7 +200,7 @@ class TestObservations:
         sc = make_scenario([[30.0, 2470.0, 0.0], [2000.0, 500.0, 0.0]],
                            num_uavs=2)
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         assert env.action_mask(0)[0, 0] and not env.action_mask(0)[0, 1]
         env.state.collected[:] = 1
         obs = env.observations()
@@ -227,8 +244,8 @@ class TestObservations:
                         speed=np.array([1], dtype=np.uint8))
         for inject in (inject_collected, inject_positions):
             fresh, stepped = CorridorEnv(sc), CorridorEnv(sc)
-            fresh.reset(0)
-            stepped.reset(0)
+            fresh.reset()
+            stepped.reset()
             stepped.step(hover_action(stepped))
             for env in (fresh, stepped):
                 inject(env)
@@ -244,7 +261,7 @@ class TestActionMask:
     def test_all_collected_leaves_noop_only(self):
         sc = make_scenario([[100.0, 2400.0, 0.0]])
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         env.state.collected[:] = 1
         mask = env.action_mask(0, [])[0]
         assert mask[-1] and not mask[:-1].any()
@@ -253,14 +270,14 @@ class TestActionMask:
         # the only MD sits 2 km from the start pad: below the SINR gate
         sc = make_scenario([[2000.0, 500.0, 0.0]])
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         mask = env.action_mask(0, [])[0]
         assert mask[-1] and not mask[:-1].any()
 
     def test_claimed_md_masked_for_later_agent(self):
         sc = make_scenario([[30.0, 2470.0, 0.0]], num_uavs=2)
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         assert env.action_mask(0, [])[0, 0]
         assert env.action_mask(1, [0])[0, 0] == False  # noqa: E712
         assert env.action_mask(1, [-1])[0, 0]
@@ -269,7 +286,7 @@ class TestActionMask:
         # act_in_env stores the no-op index for an agent that claims no MD
         sc = make_scenario([[30.0, 2470.0, 0.0]], num_uavs=2)
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         mask = env.action_mask(1, [env.n_mds])[0]
         assert mask[-1]
         assert np.array_equal(mask, env.open_masks()[0, 1])
@@ -280,8 +297,8 @@ class TestActionMask:
                            num_uavs=2)
         env = CorridorEnv(sc)
         for fleets, md in itertools.product((1, 3), ([0, 0], [-1, 1])):
-            env.reset(0, fleets)
-            act = JointAction.hover(2, fleets)
+            env.reset(fleets=fleets)
+            act = hover(2, fleets)
             act.md_choice[-1] = md
             with pytest.raises(ValueError,
                                match=f"mask violation: fleet {fleets - 1} "):
@@ -302,8 +319,8 @@ class TestActionMask:
         sc = make_scenario([[30.0, 2470.0, 0.0]], num_uavs=2)
         env = CorridorEnv(sc)
         for fleets in (1, 3):
-            env.reset(0, fleets)
-            act = JointAction.hover(2, fleets)
+            env.reset(fleets=fleets)
+            act = hover(2, fleets)
             bad = value
             if np.shape(value) == (2,):
                 bad = getattr(act, field).astype(
@@ -318,7 +335,7 @@ class TestStepKinematics:
     def test_heading_zero_advances_x(self):
         sc = make_scenario([[1200.0, 1200.0, 0.0]])
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         act = one_fleet(md_choice=np.array([-1]), heading=np.array([0.0]),
                         speed=np.array([1], dtype=np.uint8))
         env.step(act)
@@ -328,7 +345,7 @@ class TestStepKinematics:
     def test_altitude_preserved_exactly(self):
         sc = make_scenario([[1200.0, 1200.0, 0.0]])
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         rng = np.random.default_rng(0)
         for _ in range(50):
             act = one_fleet(md_choice=np.array([-1]),
@@ -341,7 +358,7 @@ class TestStepKinematics:
     def test_area_clipping(self):
         sc = make_scenario([[1200.0, 1200.0, 0.0]])
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         act = one_fleet(md_choice=np.array([-1]), heading=np.array([np.pi / 2]),
                         speed=np.array([1], dtype=np.uint8))
         env.step(act)  # pushing past the top edge
@@ -353,7 +370,7 @@ class TestCollection:
     def test_collects_within_range(self):
         sc = make_scenario([[30.0, 2470.0, 0.0]])
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         env.step(hover_action(env, md=[0]))
         state = env.state
         assert state.collected[0, 0] == 1
@@ -366,7 +383,7 @@ class TestCollection:
               [120.0, 30.0, 0.0], [70.0, 0.0, 0.0]]
         sc = make_scenario(md, num_uavs=2, start=(0.0, 0.0), end=(2500.0, 2500.0))
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         env.state.positions = np.array([[[0.0, 0.0, 80.0], [85.0, 0.0, 80.0]]])
         mask0 = env.action_mask(0, [])[0]
         mask1 = env.action_mask(1, [1])[0]
@@ -382,7 +399,7 @@ class TestCollection:
     def test_collection_is_monotone(self):
         sc = build_scenario(ScenarioConfig(num_uavs=2, num_mds=8, seed=2))
         env = CorridorEnv(sc)
-        env.reset(3)
+        env.reset()
         prev = env.state.collected.copy()
         rng = np.random.default_rng(1)
         for _ in range(80):
@@ -409,7 +426,7 @@ class TestSafety:
     def test_close_pair_penalized(self):
         sc = make_scenario([[2000.0, 300.0, 0.0]], num_uavs=2)
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         env.state.positions = np.array([[[1000.0, 1000.0, 80.0],
                                          [1008.0, 1000.0, 80.0]]])
         env.step(hover_action(env))
@@ -420,7 +437,7 @@ class TestSafety:
         # penalized nor counted
         sc = make_scenario([[2000.0, 300.0, 0.0]], num_uavs=2)
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         gap = sc.config.d_min - 5e-10
         env.state.positions = np.array([[[1000.0, 1000.0, 80.0],
                                          [1000.0 + gap, 1000.0, 80.0]]])
@@ -432,7 +449,7 @@ class TestSafety:
     def test_override_prevents_closing_in(self):
         sc = make_scenario([[2000.0, 300.0, 0.0]], num_uavs=2)
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         env.state.positions = np.array([[[1000.0, 1000.0, 80.0],
                                          [1025.0, 1000.0, 80.0]]])
         # head-on at 20 m/s each would end 15 m apart... still legal;
@@ -449,7 +466,7 @@ class TestSafety:
     def test_shared_start_pad_is_exempt(self):
         sc = make_scenario([[2000.0, 300.0, 0.0]], num_uavs=3)
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         env.step(hover_action(env))
         assert terms(env)["distance"][0] == 0.0
 
@@ -458,7 +475,7 @@ class TestEnergyAccounting:
     def test_hover_and_flight_rates(self):
         sc = make_scenario([[1200.0, 1200.0, 0.0]])
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         env.step(hover_action(env))
         state = env.state
         assert state.energy_per_uav[0].sum() == pytest.approx(hover_power())
@@ -471,7 +488,7 @@ class TestEnergyAccounting:
     def test_objective_matches_offline_recomputation(self):
         sc = build_scenario(ScenarioConfig(num_uavs=2, num_mds=4, seed=5))
         env = CorridorEnv(sc)
-        env.reset(1)
+        env.reset()
         rng = np.random.default_rng(2)
         for _ in range(60):
             act = one_fleet(md_choice=np.array([-1, -1]),
@@ -490,7 +507,7 @@ class TestEnergyAccounting:
     def test_battery_exhaustion_terminates(self):
         sc = make_scenario([[1200.0, 1200.0, 0.0]], e_total=400.0)
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         done = False
         steps = 0
         while not done:
@@ -503,7 +520,7 @@ class TestRewardBreakdown:
     def test_components_sum_to_total(self):
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=6, seed=4))
         env = CorridorEnv(sc)
-        env.reset(2)
+        env.reset()
         rng = np.random.default_rng(3)
         for _ in range(30):
             act = one_fleet(md_choice=np.array([-1, -1, -1]),
@@ -512,10 +529,21 @@ class TestRewardBreakdown:
             done, _ = env.step(act)
             if done:
                 break
-        rew = reward_terms(env, rng.uniform(-2.0, 0.0, env.state.slot))
+        rew = reward_terms(env, rng.random((env.state.slot, 2)) < 0.5)
         parts = (rew["collection"] + rew["qos"] + rew["energy"]
                  + rew["distance"] + rew["bonus"] + rew["shaping"])
         assert np.array_equal(rew["total"], parts)
+
+    def test_qos_sums_in_chain_order(self):
+        """Each slot's QoS adds its links' scores left to right from 0.0,
+        whatever the Python version's builtin sum() would round to."""
+        sc = build_scenario(ScenarioConfig(num_uavs=4, num_mds=3, seed=0))
+        env = CorridorEnv(sc, reward=RewardConfig(link_pass=0.05))
+        env.reset()
+        env.step(hover(4))
+        qos = reward_terms(env, np.array([[True, False, True]]))["qos"]
+        assert qos.tolist() == [(0.05 - 1.0) + 0.05]
+        assert qos[0] != math.fsum([0.05, -1.0, 0.05])
 
 
 class TestTermination:
@@ -523,7 +551,7 @@ class TestTermination:
         sc = make_scenario([[30.0, 2470.0, 0.0]], end=(100.0, 2500.0),
                            arrival_radius=40.0)
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         done, success = env.step(hover_action(env, md=[0]))
         state = env.state
         assert state.collected.all() and not done
@@ -541,7 +569,7 @@ class TestTermination:
     def test_horizon_cap(self):
         sc = make_scenario([[2300.0, 200.0, 0.0]], horizon_slots=5)
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         done = False
         n = 0
         while not done:
@@ -557,15 +585,15 @@ class TestTermination:
         sc = make_scenario([[2300.0, 200.0, 0.0]], horizon_slots=3)
         env = CorridorEnv(sc)
         with pytest.raises(RuntimeError, match="reset"):
-            env.step(JointAction.hover(1))
+            env.step(hover(1))
         for fleets in (1, 3):
-            env.reset(0, fleets)
+            env.reset(fleets=fleets)
             while len(env.live):
                 env.step(hover_action(env))
             assert not env.state.positions.size
             state, flight = deepcopy(env.end_state), deepcopy(env.flight)
             with pytest.raises(RuntimeError, match="no live fleet.*horizon"):
-                env.step(JointAction.hover(1, fleets))
+                env.step(hover(1, fleets))
             for name, value in vars(state).items():
                 assert np.array_equal(getattr(env.end_state, name), value)
             for name, rows in vars(flight).items():
@@ -579,12 +607,12 @@ class TestTermination:
         sc = make_scenario([[30.0, 2470.0, 0.0]], end=(100.0, 2500.0),
                            arrival_radius=40.0, horizon_slots=12)
         env = CorridorEnv(sc)
-        env.reset(0, 3)
-        act = JointAction.hover(1, 3)
+        env.reset(fleets=3)
+        act = hover(1, 3)
         act.md_choice[1] = 0
         done, success = env.step(act)
         assert not done.any() and env.state.collected[:, 0].tolist() == [0, 1, 0]
-        act = JointAction.hover(1, 3)
+        act = hover(1, 3)
         act.speed[1] = 1
         slots = 1
         while len(env.live) == 3:
@@ -614,7 +642,7 @@ class TestConstraintAudit:
         sc = build_scenario(ScenarioConfig(num_uavs=1, num_mds=12, seed=0,
                                            horizon_slots=10))
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         done = False
         while not done:
             done, _ = env.step(hover_action(env))
@@ -628,7 +656,7 @@ class TestConstraintAudit:
             num_uavs=2, num_mds=6, seed=1, horizon_slots=1, area_width=300,
             area_height=300, start=(0, 300), end=(300, 0)))
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         done, _ = env.step(hover_action(env, md=[1, 3]))
         assert done and env.end_state.collected.sum() == 0
         sinr = env.flown().served_sinr[0]
@@ -641,7 +669,7 @@ class TestConstraintAudit:
         sc = build_scenario(ScenarioConfig(num_uavs=1, num_mds=3, seed=0,
                                            horizon_slots=20))
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         done = False
         rng = np.random.default_rng(0)
         while not done:
@@ -656,7 +684,7 @@ class TestConstraintAudit:
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
                                            horizon_slots=15))
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         done = False
         rng = np.random.default_rng(5)
         while not done:
@@ -674,7 +702,7 @@ class TestConstraintAudit:
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
                                            horizon_slots=15))
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         done = False
         rng = np.random.default_rng(5)
         while not done:
@@ -697,7 +725,7 @@ class TestConstraintAudit:
         sc = build_scenario(ScenarioConfig(num_uavs=1, num_mds=2, seed=0,
                                            horizon_slots=5))
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         done = False
         while not done:
             done, _ = env.step(hover_action(env))
@@ -705,7 +733,7 @@ class TestConstraintAudit:
         assert rep.inter_uav_sinr is None
 
 
-def fly_link_failing_episode(seed):
+def fly_link_failing_episode():
     """A 40-slot episode of three UAVs spreading out under a 22 dB
     link SINR floor, so some of its chain links fail."""
     sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
@@ -720,7 +748,7 @@ def fly_link_failing_episode(seed):
                          heading=headings + rng.normal(0.0, 0.3, 3),
                          speed=np.ones(3, dtype=np.uint8))
 
-    run_episode(env, seed, act)
+    run_episode(env, act)
     return env
 
 
@@ -740,7 +768,7 @@ class TestLinkMode:
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=4, seed=0,
                                            horizon_slots=6))
         env = CorridorEnv(sc, record=record)
-        env.reset(0)
+        env.reset()
         act = one_fleet(md_choice=np.full(3, -1),
                         heading=np.array([0.0, -0.5 * np.pi, -0.25 * np.pi]),
                         speed=np.ones(3, dtype=np.uint8))
@@ -773,19 +801,21 @@ class TestLinkVerdicts:
 
         monkeypatch.setattr(mdp_env, "rng_stream", counted_stream)
         monkeypatch.setattr(isac_sdr, "_chain_gains", counted_gains)
-        env = fly_link_failing_episode(3)
+        env = fly_link_failing_episode()
         assert (opened, swept) == ([], [])
         assert len(env.flown().final) == 40
-        qos, designs = score_links(env.flown(), env.scenario, 3,
-                                   separated=False, build=False)
+        links, designs = score_links(env.flown(), env.scenario, 3,
+                                     separated=False, build=False)
         assert opened == [(3, "env-channel")]
         assert swept == [16, 16, 8]
-        assert qos.shape == (40,) and min(qos) < 0.0 and max(qos) == 0.0
+        assert links.shape == (40, 2) and links.dtype == bool
+        qos = reward_terms(env, links)["qos"]
+        assert min(qos) < 0.0 and max(qos) == 0.0
         assert designs == []
 
     @pytest.mark.parametrize("separated", [False, True], ids=["isac", "separated"])
     def test_verdicts_do_not_depend_on_the_blocking(self, separated):
-        env = fly_link_failing_episode(3)
+        env = fly_link_failing_episode()
         positions = env.flown().final
         verdicts = []
         for block in (1, mdp_env._BLOCK, len(positions)):
@@ -797,12 +827,16 @@ class TestLinkVerdicts:
         want = verdicts[0]
         assert all(np.array_equal(got, want) for got in verdicts)
         assert want.any() and not want.all()
-        qos, designs = score_links(env.flown(), env.scenario, 3, separated,
-                                   build=True)
-        r = env.reward_cfg
+        links, designs = score_links(env.flown(), env.scenario, 3, separated,
+                                     build=True)
+        assert np.array_equal(links, want)
         assert [d.feasible for d in links_of(*designs)] == list(want.ravel())
-        assert qos.tolist() == [link_reward(verdict, r.link_pass, r.link_fail)
-                                for verdict in want]
+        r = env.reward_cfg
+        for verdict, qos in zip(want, reward_terms(env, links)["qos"]):
+            total = 0.0
+            for ok in verdict:
+                total += r.link_pass if ok else r.link_fail
+            assert qos == total
 
     def test_one_gain_matrix_per_slot(self, monkeypatch):
         sc = build_scenario(ScenarioConfig(num_uavs=3, num_mds=6, seed=1,
@@ -815,7 +849,7 @@ class TestLinkVerdicts:
 
         monkeypatch.setattr(mdp_env, "uplink_gain2", counted)
         env = CorridorEnv(sc)
-        env.reset(0)
+        env.reset()
         done, slots = False, 0
         while not done:
             masks = env.open_masks()
@@ -836,13 +870,13 @@ def test_trace_csv_round_trip(tmp_path):
     sc = build_scenario(ScenarioConfig(num_uavs=2, num_mds=3, seed=0,
                                        horizon_slots=8))
     env = CorridorEnv(sc)
-    env.reset(0)
+    env.reset()
     done = False
     while not done:
-        done, _ = env.step(JointAction.hover(2))
-    qos, designs = score_links(env.flown(), sc, 0, separated=False, build=True)
+        done, _ = env.step(hover(2))
+    links, designs = score_links(env.flown(), sc, 0, separated=False, build=True)
     out = tmp_path / "trace.csv"
-    write_trace_csv(env.flown(), reward_terms(env, qos), designs, sc, out)
+    write_trace_csv(env.flown(), reward_terms(env, links), designs, sc, out)
     lines = out.read_text().strip().split("\n")
     header = lines[0].split(",")
     assert len(lines) == 9

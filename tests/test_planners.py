@@ -192,7 +192,7 @@ def oracle_replay(plan, sc, seed):
         return JointAction(md_choice=md, heading=heading, speed=speed)
 
     env = CorridorEnv(sc)
-    state, success = run_episode(env, seed, act)
+    state, success = run_episode(env, act)
     results = []
     for connected in (False, True):
         designs = (score_links(env.flown(), sc, seed, separated=False,

@@ -522,7 +522,7 @@ class TestBatchedActing:
         a, b = rng_stream(14, "draw"), rng_stream(14, "draw")
         withheld = 0
         for episode in range(3):
-            env.reset(episode)
+            env.reset()
             for _ in range(20):
                 open_masks = env.open_masks()
                 action, (obs, masks, _, u, _, logp) = act_in_env(
@@ -551,7 +551,7 @@ class TestBatchedActing:
         env = CorridorEnv(claim_world())
         policy = claim_policy(env, hidden=16)
         policy.actor.l1.w[0, 0] = np.nan
-        env.reset(0)
+        env.reset()
         with pytest.raises(ValueError):
             act_in_env(policy, env, rng_stream(15, "draw"))
 

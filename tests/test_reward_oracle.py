@@ -139,8 +139,8 @@ def fly_both(scenario, reward, act, slots=None, inject=None):
     states before a slot. Returns the flown env and the oracle's
     (RewardBreakdown, done, success) of each slot."""
     env, twin = CorridorEnv(scenario, reward), CorridorEnv(scenario, reward)
-    env.reset(0)
-    twin.reset(0)
+    env.reset()
+    twin.reset()
     oracle, done = [], False
     while not done and (slots is None or len(oracle) < slots):
         if inject is not None:
@@ -159,14 +159,19 @@ def fly_both(scenario, reward, act, slots=None, inject=None):
     return env, oracle
 
 
-def assert_terms_match(env, oracle, qos=None):
-    """reward_terms of ``env`` equal the oracle's terms bit for bit."""
-    if qos is None:
-        qos = np.zeros(len(oracle))
-    terms = reward_terms(env, qos)
+def assert_terms_match(env, oracle, links=None):
+    """reward_terms of ``env`` with the chain-link verdicts ``links`` (no
+    link by default) equal the oracle's terms bit for bit; the oracle scores
+    each slot's links one by one in chain order."""
+    if links is None:
+        links = np.zeros((len(oracle), 0), dtype=bool)
+    terms = reward_terms(env, links)
     assert list(terms) == [*TERMS, "total"]
-    for k, (rew, _, _) in enumerate(oracle):
-        rew.qos = float(qos[k])
+    r = env.reward_cfg
+    for verdict, (rew, _, _) in zip(links, oracle, strict=True):
+        rew.qos = 0.0
+        for ok in verdict:
+            rew.qos += r.link_pass if ok else r.link_fail
     for name in TERMS:
         want = np.array([getattr(rew, name) for rew, _, _ in oracle])
         assert terms[name].tobytes() == want.tobytes(), name
@@ -226,8 +231,9 @@ class TestPostFlightRewards:
                                            area_width=800.0, area_height=800.0,
                                            start=(0.0, 800.0), end=(800.0, 0.0)))
         env, oracle = fly_both(sc, RewardConfig(), pursue)
-        qos, _ = score_links(env.flown(), sc, 0, separated=False, build=False)
-        terms = assert_terms_match(env, oracle, qos)
+        links, _ = score_links(env.flown(), sc, 0, separated=False, build=False)
+        assert links.shape == (len(oracle), 0)
+        terms = assert_terms_match(env, oracle, links)
         assert oracle[-1][2] and not terms["distance"].any()
         assert not terms["qos"].any()
 
@@ -245,9 +251,10 @@ class TestPostFlightRewards:
                 speed=np.ones((1, 3), dtype=np.uint8))
 
         env, oracle = fly_both(sc, RewardConfig(), spread, slots=40)
-        qos, _ = score_links(env.flown(), sc, 0, separated=False, build=False)
-        assert qos.min() < 0.0
-        assert_terms_match(env, oracle, qos)
+        links, _ = score_links(env.flown(), sc, 0, separated=False, build=False)
+        assert not links.all()
+        terms = assert_terms_match(env, oracle, links)
+        assert terms["qos"].min() < 0.0
 
     def test_missions_score_no_reward(self, monkeypatch):
         # _potentials also catches a reward_terms imported by name
