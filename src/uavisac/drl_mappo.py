@@ -493,23 +493,38 @@ def _update(policy: MappoPolicy, opt_actor: Adam, opt_critic: Adam,
     """PPO epochs over one rollout; returns the mean critic loss and the
     means of the actor diagnostics (ratio_mean, clip_fraction, entropy).
 
-    Reads the ``rollout.n`` filled rows as views, builds their critic states
-    in one joint_states call and empties the rollout (``n`` = 0). The
-    rollout's values come from one critic pass here: the critic changes only
-    inside this function, so they are the values it had while the rollout
-    was collected. That pass and every minibatch reuse one Workspace. The
-    float64 advantages and targets are cast to the nets' dtype."""
+    Reads the ``rollout.n`` filled rows as views and empties the rollout
+    (``n`` = 0). Critic states are built from the rows a pass reads
+    (joint_states), so no pass holds more than ``minibatch`` states or
+    activations: the value pass runs over ``minibatch`` slots at a time, and
+    each critic minibatch builds its own. The values come from the critic as
+    it enters: it changes only inside this function, so they are the values
+    it had while the rollout was collected. Every pass reuses one Workspace.
+    The float64 advantages and targets are cast to the nets' dtype."""
     dtype = policy.actor.vec.dtype
     work = Workspace(dtype)
-    n = rollout.n
+    n, size = rollout.n, config.minibatch
     obs, mask, md, u, speed, logp_old = (
         x[:n].reshape(-1, *x.shape[2:]) for x in (
             rollout.obs, rollout.mask, rollout.md, rollout.u, rollout.speed,
             rollout.logp))
     speed = speed.astype(dtype)
-    states = joint_states(rollout.obs[:n], rollout.md_state,
-                          rollout.collected[:n], dtype)
-    values = critic_forward(policy.critic, states, work)
+
+    def states(slots):
+        return joint_states(rollout.obs[slots], rollout.md_state,
+                            rollout.collected[slots], dtype)
+
+    # Passes of ``size`` rows give one n-row pass's values bit for bit when
+    # ``size`` is a multiple of 4: OpenBLAS rounds the value head's
+    # matrix-vector product in groups of four rows and the last n % 4 rows
+    # apart, and numpy forms a one-row product as a vector product, which
+    # rounds apart too, so a lone last row is passed with the 4 before it.
+    values = np.empty(n, dtype)
+    for lo in range(0, n, size):
+        if lo == n - 1:
+            lo -= min(4, size - 1, lo)
+        hi = min(lo + size, n)
+        values[lo:hi] = critic_forward(policy.critic, states(slice(lo, hi)), work)
     adv_step = gae(rollout.reward[:n], values, rollout.done[:n],
                    config.discount, config.gae_lambda)
     targets = (adv_step + values).astype(dtype)
@@ -524,18 +539,18 @@ def _update(policy: MappoPolicy, opt_actor: Adam, opt_critic: Adam,
     losses, diags = [], []
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(len(obs))
-        for lo in range(0, len(obs), config.minibatch):
-            sel = order[lo:lo + config.minibatch]
+        for lo in range(0, len(obs), size):
+            sel = order[lo:lo + size]
             diags.append(ppo_actor_update(policy.actor, opt_actor, {
                 "obs": rows(obs, sel), "mask": mask[sel], "md": md[sel],
                 "u": u[sel], "speed": speed[sel],
                 "logp_old": logp_old[sel], "adv": adv[sel]},
                 config.clip_ratio, config.entropy_coef, work))
-        order_c = shuffle_rng.permutation(len(states))
-        for lo in range(0, len(states), config.minibatch):
-            sel = order_c[lo:lo + config.minibatch]
+        order_c = shuffle_rng.permutation(n)
+        for lo in range(0, n, size):
+            sel = order_c[lo:lo + size]
             losses.append(critic_update(policy.critic, opt_critic,
-                                        rows(states, sel), targets[sel], work))
+                                        states(sel), targets[sel], work))
     return float(np.mean(losses)), {
         key: float(np.mean([d[key] for d in diags]))
         for key in ("ratio_mean", "clip_fraction", "entropy")}
@@ -581,8 +596,9 @@ def train(scenario: Scenario, config: MappoConfig = MappoConfig(),
     for episode in range(config.max_episodes):
         seed = config.seed * 1_000_003 + episode    # its link draws
         _, success = run_episode(env, act)
-        links, _ = score_links(env.flown(), scenario, seed, separated=False,
-                               build=False, sdr_opts=env.sdr_opts)
+        links = np.concatenate([verdicts for verdicts, _ in score_links(
+            env.flown(), scenario, seed, separated=False, build=False,
+            sdr_opts=env.sdr_opts)])
         totals = reward_terms(env, links)["total"]
         rollout.land(totals)
         ep_reward = 0.0

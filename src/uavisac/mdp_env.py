@@ -17,6 +17,7 @@ unavoidable there.
 
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
+from itertools import islice
 
 import numpy as np
 
@@ -154,23 +155,28 @@ def resolve_collisions(pre, intended, cfg):
     reachable by direct state injection) simply cannot be separated by
     reverting and is left to the distance penalty. Returns (final, overrides,
     blocked): the reverted UAVs and the partner that blocked each (-1 if none).
+
+    A pass reverts nothing in a fleet without an offending pair, so after the
+    first pass only the fleets that the last pass reverted are tested again.
     """
     cand = intended.copy()
     n_fleets, m_count = cand.shape[:2]
     overrides = np.zeros((n_fleets, m_count), dtype=bool)
     blocked = np.full((n_fleets, m_count), -1)
     moved = (cand != pre).any(axis=-1)
+    fleets, rows = np.arange(n_fleets), slice(None)
     for _ in range(m_count * m_count + 1):
-        close = (pairs_above(m_count) & (moved[:, :, None] | moved[:, None, :])
-                 & too_close(cand, cfg))
+        close = (pairs_above(m_count) & (moved[rows, :, None] | moved[rows, None, :])
+                 & too_close(cand[rows], cfg))
         if not np.count_nonzero(close):
             break
-        close &= ~station_exempt(cand, cfg)
-        close = close.reshape(n_fleets, -1)
-        fleets = np.flatnonzero(close.any(axis=1))
+        close &= ~station_exempt(cand[rows], cfg)
+        close = close.reshape(len(fleets), -1)
+        hit = close.any(axis=1)
+        fleets = rows = fleets[hit]
         if not len(fleets):
             break
-        a, b = np.divmod(np.argmax(close[fleets], axis=1), m_count)
+        a, b = np.divmod(np.argmax(close[hit], axis=1), m_count)
         junior = np.where(moved[fleets, b], b, a)
         cand[fleets, junior] = pre[fleets, junior]
         moved[fleets, junior] = False
@@ -530,7 +536,9 @@ def run_episode(env: CorridorEnv, act, *, fleets: int = 1):
 
 # -- post-flight rewards, link scoring and constraint audit ---------------------
 
-_BLOCK = 16  # slots per link sweep or audit pass; whole missions raise peak RSS
+# slots per link sweep; score_links yields one block at a time, so a
+# mission audit holds at most two blocks' designs, never a whole flight's
+_BLOCK = 16
 
 
 def _potentials(env: CorridorEnv, positions, collected) -> np.ndarray:
@@ -582,23 +590,20 @@ def reward_terms(env: CorridorEnv, links) -> dict:
 def score_links(flight: Flight, scenario: Scenario, seed: int, separated: bool,
                 build: bool, sdr_opts: SdrOptions = LINK_OPTIONS):
     """Decide the chain links of a landed episode's ``flight`` (for an env,
-    its flown()) on ``seed``'s link draws: one link_feasibility_sweep per
-    block of slots from the "env-channel" stream, as sweeping each slot in
-    flight would have. Returns each slot's verdicts, (T, E) bool in chain
-    order, and when ``build`` each block's stack of its links' designs, slot
-    by slot in chain order (else []). No link verdict moves a UAV or enters
-    an observation."""
+    its flown()) on ``seed``'s link draws, a block of slots at a time: one
+    link_feasibility_sweep per block from the "env-channel" stream, as
+    sweeping each slot in flight would have. Yields each block's (verdicts,
+    designs) as it sweeps it: the verdicts (S, E) bool in chain order, and
+    when ``build`` the stack of its links' designs, slot by slot in chain
+    order (None when not ``build`` or the block has no link). No link
+    verdict moves a UAV or enters an observation."""
     final = flight.final
     rng = rng_stream(seed, "env-channel")
-    links = np.empty((len(final), final.shape[1] - 1), dtype=bool)
-    designs = []
     for start in range(0, len(final), _BLOCK):
-        links[start:start + _BLOCK], built = link_feasibility_sweep(
+        verdicts, built = link_feasibility_sweep(
             final[start:start + _BLOCK], scenario, rng, sdr_opts, separated,
             build)
-        if build and built is not None:
-            designs.append(built)
-    return links, designs
+        yield verdicts, built if build else None
 
 
 @dataclass
@@ -617,7 +622,9 @@ def check_constraints(flight: Flight, designs, scenario: Scenario,
                       connected: bool = True) -> ConstraintReport:
     """Audit an episode's Flight (CorridorEnv.flown(), or a plan's recorded
     replay) and its link designs (score_links' stacks, one per block of
-    slots) against the mission constraints.
+    slots, None for a block without links) against the mission constraints.
+    ``designs`` may be a stream: it is read once, a block at a time, and no
+    block is kept once measured.
 
     ``connected`` marks methods that solve the inter-UAV transmit design; for
     disconnected baselines the link SINR constraint is reported
@@ -638,6 +645,8 @@ def check_constraints(flight: Flight, designs, scenario: Scenario,
     collected[served[(served >= 0) & (sinr >= cfg.gamma_th_md)]] = True
     # each block's designs re-measured from their matrices
     for block in designs:
+        if block is None:
+            continue
         report = verify_design(block, **vars(block.problem))
         feasible = block.feasible
         tbp_short = report.tbp_residuals.min(axis=-1) < -1e-6
@@ -653,7 +662,8 @@ def check_constraints(flight: Flight, designs, scenario: Scenario,
 
 def write_trace_csv(flight: Flight, rewards, designs, scenario: Scenario, path):
     """Per-slot episode trace: kinematics, scheduling, the reward terms
-    (reward_terms') and the link margins of score_links' design stacks."""
+    (reward_terms') and the link margins of score_links' design stacks,
+    read a block at a time as the rows are written."""
     m_count = scenario.config.num_uavs
     n_links = m_count - 1
     cols = ["slot"]
@@ -661,7 +671,8 @@ def write_trace_csv(flight: Flight, rewards, designs, scenario: Scenario, path):
         cols += [f"x_{m}", f"y_{m}", f"heading_{m}", f"speed_{m}", f"served_md_{m}"]
     cols += [f"r_{name}" for name in rewards]
     cols += [f"link_margin_{k}" for k in range(n_links)]
-    margins = [margin for block in designs for margin in block.margin]
+    margins = (margin for block in designs if block is not None
+               for margin in block.margin)
     lines = [",".join(cols)]
     for t, final in enumerate(flight.final):
         row = [str(t + 1)]
@@ -671,7 +682,7 @@ def write_trace_csv(flight: Flight, rewards, designs, scenario: Scenario, path):
                     str(int(flight.served[t, m]))]
         row += [f"{terms[t]:.6f}" for terms in rewards.values()]
         row += [f"{val:.9g}" for val in
-                margins[t * n_links:(t + 1) * n_links] or [np.nan] * n_links]
+                list(islice(margins, n_links)) or [np.nan] * n_links]
         lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

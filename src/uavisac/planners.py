@@ -202,11 +202,11 @@ def mission_result(flight: Flight, scenario: Scenario, seed: int, method: str,
     here. The chain links are scored and designed with ``seed``'s link draws
     in ``link_mode`` ("isac", "separated" or "none"); no reward is scored.
     The "separated" split array draws CIRCUIT_POWER_W more per UAV, which
-    its energy counts."""
+    its energy counts. The audit reads the designs as score_links sweeps
+    them, a block at a time."""
     cfg = scenario.config
-    designs = ([] if link_mode == "none" else score_links(
-        flight, scenario, seed, separated=link_mode == "separated",
-        build=True)[1])
+    designs = (() if link_mode == "none" else (block for _, block in score_links(
+        flight, scenario, seed, separated=link_mode == "separated", build=True)))
     # summed in slot order, as the env sums it; a pairwise sum rounds otherwise
     per_uav = np.add.accumulate(flight.energy)[-1]
     energy = float(per_uav.sum())

@@ -319,10 +319,14 @@ class TestPostFlightScoring:
         positions = block_flight(n_slots, n_slots)
         env = scoring_env(WORLD, opts, positions)
         streams = opened_streams(monkeypatch)
-        links, stacks = score_links(env.flown(), env.scenario, 7, separated,
-                                    build=True, sdr_opts=opts)
+        blocks = list(score_links(env.flown(), env.scenario, 7, separated,
+                                  build=True, sdr_opts=opts))
+        assert [len(verdicts) for verdicts, _ in blocks] == [
+            min(mdp_env._BLOCK, n_slots - lo)
+            for lo in range(0, n_slots, mdp_env._BLOCK)]
+        links = np.concatenate([verdicts for verdicts, _ in blocks])
         qos = reward_terms(env, links)["qos"]
-        designs = links_of(*stacks)
+        designs = links_of(*(stack for _, stack in blocks))
         (rng,), ref_rng = streams, rng_stream(7, "env-channel")
         r = env.reward_cfg
         statuses = set()
@@ -351,9 +355,9 @@ class TestPostFlightScoring:
         env = scoring_env(solo, CERTIFY, np.array(
             [[[10.0 * k, 0.0, 80.0]] for k in range(3)]))
         streams = opened_streams(monkeypatch)
-        links, designs = score_links(env.flown(), env.scenario, 8, False,
-                                     build=True, sdr_opts=CERTIFY)
-        assert designs == []
+        ((links, designs),) = score_links(env.flown(), env.scenario, 8, False,
+                                          build=True, sdr_opts=CERTIFY)
+        assert designs is None
         assert links.shape == (3, 0)
         assert reward_terms(env, links)["qos"].tolist() == [0.0, 0.0, 0.0]
         (rng,) = streams

@@ -376,11 +376,12 @@ def keep_scored_flights(monkeypatch):
         return run(env, act, **options)
 
     def kept(flight, scenario, seed, separated, build, **options):
-        links, designs = score(flight, scenario, seed, separated, build,
-                               **options)
-        scored.append((envs[-1], flight, links, score(
-            flight, scenario, seed, separated, True, **options)[1]))
-        return links, designs
+        blocks = list(score(flight, scenario, seed, separated, build, **options))
+        scored.append((envs[-1], flight,
+                       np.concatenate([links for links, _ in blocks]),
+                       [designs for _, designs in score(
+                           flight, scenario, seed, separated, True, **options)]))
+        return iter(blocks)
 
     monkeypatch.setattr(drl_mappo, "run_episode", flown)
     monkeypatch.setattr(drl_mappo, "score_links", kept)
@@ -560,28 +561,96 @@ class TestTrainLoop:
                                                  3 * horizon - 1]
 
     def test_update_critic_states_match_oracle(self, monkeypatch):
-        # the states each update builds from the buffer, row for row, are
-        # the critic states of the slots as they were sampled, cast once
-        expected, built = [], []
+        # every state an update builds from the buffer, in its value pass
+        # and in each critic minibatch, is the critic state of its slot as
+        # sampled, cast once; each pass builds each slot's state once
+        expected, entered, built = [], [], []
         act, joint_states = drl_mappo.act_in_env, drl_mappo.joint_states
+        update = drl_mappo._update
 
         def acted(policy, env, rng):
             expected.append(critic_state_oracle(env))
             return act(policy, env, rng)
 
-        def states(*args):
-            built.append(joint_states(*args))
-            return built[-1]
+        def kept(policy, opt_actor, opt_critic, rollout, *args):
+            entered.append(rollout.obs[:rollout.n].copy())
+            return update(policy, opt_actor, opt_critic, rollout, *args)
+
+        def states(obs, *args):
+            built.append((len(entered) - 1, obs.copy(), joint_states(obs, *args)))
+            return built[-1][-1]
 
         monkeypatch.setattr(drl_mappo, "act_in_env", acted)
+        monkeypatch.setattr(drl_mappo, "_update", kept)
         monkeypatch.setattr(drl_mappo, "joint_states", states)
+        epochs = 2
         _, curve = train(self.scenario(), MappoConfig(
-            max_episodes=3, hidden=16, rollout=64, minibatch=32, epochs=1,
+            max_episodes=3, hidden=16, rollout=64, minibatch=32,
+            epochs=epochs, seed=4))
+        assert len(entered) == len(curve.entropy) >= 2
+        first = np.cumsum([0] + [len(obs) for obs in entered])
+        seen = [np.zeros(len(obs), int) for obs in entered]
+        for k, obs, rows in built:
+            assert rows.dtype == np.float32 and len(rows) == len(obs)
+            for slot_obs, row in zip(obs, rows):
+                # slots whose observations are equal have equal states
+                t = np.flatnonzero((entered[k] == slot_obs).all(axis=(1, 2)))[0]
+                assert np.array_equal(row, np.float32(expected[first[k] + t]))
+                seen[k][t] += 1
+        for counts in seen:
+            assert counts.sum() == (epochs + 1) * len(counts)
+
+    def test_update_passes_at_most_a_minibatch_of_states(self, monkeypatch):
+        # neither the value pass nor a critic minibatch builds the states
+        # of, or runs the critic over, more than `minibatch` slots
+        passed = []
+        joint_states, forward = drl_mappo.joint_states, drl_mappo.critic_forward
+
+        def states(obs, *args):
+            passed.append(("joint_states", len(obs)))
+            return joint_states(obs, *args)
+
+        def critic(net, state, *args):
+            passed.append(("critic_forward", len(state)))
+            return forward(net, state, *args)
+
+        monkeypatch.setattr(drl_mappo, "joint_states", states)
+        monkeypatch.setattr(drl_mappo, "critic_forward", critic)
+        _, curve = train(self.scenario(), MappoConfig(
+            max_episodes=3, hidden=16, rollout=64, minibatch=16, epochs=1,
             seed=4))
-        assert len(built) == len(curve.entropy) >= 2
-        rows = np.concatenate(built)
-        assert rows.dtype == np.float32
-        assert np.array_equal(rows, np.array(expected[:len(rows)], np.float32))
+        assert len(curve.entropy) >= 2
+        assert {name for name, _ in passed} == {"joint_states", "critic_forward"}
+        assert max(rows for _, rows in passed) == 16
+
+    @pytest.mark.parametrize("slots", [1, 2, 5, 16, 17, 33, 47, 64])
+    def test_value_passes_give_one_pass_values(self, monkeypatch, slots):
+        # the values the update hands to gae, passed minibatch by minibatch,
+        # are one pass's over every slot, bit for bit: also for a lone last
+        # row and for a critic input deeper than nn.K_BLOCK
+        rng = rng_stream(26, "values")
+        samples, collected, rewards, dones, md_state = random_rollout(
+            rng, slots, 3, 160, 8, 12)
+        critic = CriticNet(rng, 3 * 160 + 3 * 12, 32, np.float32)
+        rollout = filled_rollout(samples, collected, rewards, dones, md_state,
+                                 np.float32)
+        want = critic_forward(critic, drl_mappo.joint_states(
+            rollout.obs[:slots], md_state, rollout.collected[:slots],
+            np.float32))
+        got, gae = [], drl_mappo.gae
+
+        def kept(rewards, values, *args):
+            got.append(np.array(values))
+            return gae(rewards, values, *args)
+
+        monkeypatch.setattr(drl_mappo, "gae", kept)
+        policy = MappoPolicy(ActorNet(rng, 160, 8, 16, np.float32), critic,
+                             MappoConfig(hidden=32))
+        _update(policy, Adam([policy.actor.vec], 1e-4),
+                Adam([critic.vec], 3e-4), rollout,
+                MappoConfig(hidden=32, minibatch=16, epochs=1),
+                rng_stream(27, "shuffle"))
+        assert np.array_equal(got[0], want)
 
     def test_ppo_diagnostics_recorded_per_update(self, monkeypatch):
         updates = []

@@ -698,10 +698,11 @@ class TestChainVerdicts:
         run_episode(env, lambda env: JointAction(
             md_choice=np.full((1, 1), -1), heading=np.zeros((1, 1)),
             speed=np.ones((1, 1), dtype=np.uint8)))
-        links, designs = score_links(env.flown(), env.scenario, 0,
-                                     separated=False, build=True)
+        verdicts, designs = zip(*score_links(env.flown(), env.scenario, 0,
+                                             separated=False, build=True))
+        links = np.concatenate(verdicts)
         assert links.shape == (len(env.flown().final), 0) == (20, 0)
-        assert designs == []
+        assert designs == (None, None)
         assert reward_terms(env, links)["qos"].tolist() == [0.0] * 20
 
     @pytest.mark.parametrize("opts", [SdrOptions(), CERTIFY])

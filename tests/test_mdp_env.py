@@ -471,6 +471,101 @@ class TestSafety:
         assert terms(env)["distance"][0] == 0.0
 
 
+def frozen_resolve_collisions(pre, intended, cfg):
+    """resolve_collisions as it stood when every pass tested every fleet,
+    frozen."""
+    cand = intended.copy()
+    n_fleets, m_count = cand.shape[:2]
+    overrides = np.zeros((n_fleets, m_count), dtype=bool)
+    blocked = np.full((n_fleets, m_count), -1)
+    moved = (cand != pre).any(axis=-1)
+    for _ in range(m_count * m_count + 1):
+        close = (mdp_env.pairs_above(m_count)
+                 & (moved[:, :, None] | moved[:, None, :])
+                 & mdp_env.too_close(cand, cfg))
+        if not np.count_nonzero(close):
+            break
+        close &= ~mdp_env.station_exempt(cand, cfg)
+        close = close.reshape(n_fleets, -1)
+        fleets = np.flatnonzero(close.any(axis=1))
+        if not len(fleets):
+            break
+        a, b = np.divmod(np.argmax(close[fleets], axis=1), m_count)
+        junior = np.where(moved[fleets, b], b, a)
+        cand[fleets, junior] = pre[fleets, junior]
+        moved[fleets, junior] = False
+        overrides[fleets, junior] = True
+        blocked[fleets, junior] = a + b - junior
+    return cand, overrides, blocked
+
+
+def deadlocked_fleet(cfg):
+    """(pre, intended) of three UAVs just over d_min apart that each step 5 m
+    toward their centroid: every UAV gets reverted, one pass each."""
+    gap = cfg.d_min + 1.0
+    pre = np.array([[1000.0, 1000.0, cfg.altitude],
+                    [1000.0 + gap, 1000.0, cfg.altitude],
+                    [1000.0, 1000.0 + gap, cfg.altitude]])
+    toward = pre.mean(axis=0) - pre
+    step = 5.0 * toward / np.linalg.norm(toward, axis=1, keepdims=True)
+    return pre, pre + step
+
+
+class TestCollisionPasses:
+    """resolve_collisions tests again only the fleets its last pass
+    reverted, and reverts what the all-fleet loop reverted."""
+
+    def test_deadlocked_fleet_reverts_every_uav(self):
+        cfg = ScenarioConfig()
+        pre, intended = deadlocked_fleet(cfg)
+        final, overrides, blocked = mdp_env.resolve_collisions(
+            pre[None], intended[None], cfg)
+        assert np.array_equal(final[0], pre) and overrides.all()
+        assert blocked.tolist() == [[1, 0, 0]]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_the_all_fleet_loop(self, m):
+        cfg = ScenarioConfig()
+        rng = rng_stream(m, "collisions")
+        for _ in range(20):
+            n_fleets = int(rng.integers(1, 13))
+            # crowded boxes in the open and on the start pad, steps of up to
+            # one slot at v_fixed, some UAVs hovering
+            centre = np.where(rng.random((n_fleets, 1, 1)) < 0.3,
+                              [*cfg.start, cfg.altitude],
+                              [1200.0, 1200.0, cfg.altitude])
+            pre = centre + rng.uniform(-30.0, 30.0, (n_fleets, m, 3)) * [1, 1, 0]
+            pre[..., :2] = np.clip(pre[..., :2], 0.0, cfg.area_width)
+            heading = rng.uniform(-np.pi, np.pi, (n_fleets, m))
+            speed = (rng.random((n_fleets, m)) < 0.8).astype(np.uint8)
+            intended = mdp_env.advance(pre, heading, speed, cfg)
+            if m == 3:
+                k = int(rng.integers(n_fleets))
+                pre[k], intended[k] = deadlocked_fleet(cfg)
+            got = mdp_env.resolve_collisions(pre, intended, cfg)
+            want = frozen_resolve_collisions(pre, intended, cfg)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_later_passes_test_only_reverted_fleets(self, monkeypatch):
+        cfg = ScenarioConfig()
+        pre, intended = deadlocked_fleet(cfg)
+        far = pre + [500.0, 0.0, 0.0]           # six fleets that move freely
+        pre = np.stack([far] * 3 + [pre] + [far] * 3)
+        intended = np.stack([far + [5.0, 0.0, 0.0]] * 3 + [intended]
+                            + [far + [5.0, 0.0, 0.0]] * 3)
+        tested, too_close = [], mdp_env.too_close
+
+        def counted(positions, cfg):
+            tested.append(len(positions))
+            return too_close(positions, cfg)
+
+        monkeypatch.setattr(mdp_env, "too_close", counted)
+        _, overrides, _ = mdp_env.resolve_collisions(pre, intended, cfg)
+        assert np.flatnonzero(overrides.any(axis=1)).tolist() == [3]
+        assert tested == [7, 1, 1, 1]
+
+
 class TestEnergyAccounting:
     def test_hover_and_flight_rates(self):
         sc = make_scenario([[1200.0, 1200.0, 0.0]])
@@ -692,8 +787,9 @@ class TestConstraintAudit:
                             heading=rng.uniform(-np.pi, np.pi, 3),
                             speed=np.ones(3, dtype=np.uint8))
             done, _ = env.step(act)
-        _, designs = score_links(env.flown(), sc, 0, separated=False, build=True)
-        rep = check_constraints(env.flown(), designs, sc)
+        designs = [stack for _, stack in score_links(
+            env.flown(), sc, 0, separated=False, build=True)]
+        rep = check_constraints(env.flown(), iter(designs), sc)
         assert len(links_of(*designs)) == 2 * env.state.slot
         assert rep.power_budget == 0 and rep.psd == 0 and rep.tbp == 0
         assert rep.md_exclusivity == 0
@@ -710,8 +806,9 @@ class TestConstraintAudit:
                             heading=rng.uniform(-np.pi, np.pi, 3),
                             speed=np.ones(3, dtype=np.uint8))
             done, _ = env.step(act)
-        _, designs = score_links(env.flown(), sc, 0, separated=True, build=True)
-        rep = check_constraints(env.flown(), designs, sc)
+        designs = [stack for _, stack in score_links(
+            env.flown(), sc, 0, separated=True, build=True)]
+        rep = check_constraints(env.flown(), iter(designs), sc)
         assert (rep.md_exclusivity, rep.power_budget, rep.psd, rep.tbp,
                 rep.min_distance) == (0, 0, 0, 0, 0)
         links = links_of(*designs)
@@ -804,14 +901,18 @@ class TestLinkVerdicts:
         env = fly_link_failing_episode()
         assert (opened, swept) == ([], [])
         assert len(env.flown().final) == 40
-        links, designs = score_links(env.flown(), env.scenario, 3,
-                                     separated=False, build=False)
-        assert opened == [(3, "env-channel")]
+        blocks = score_links(env.flown(), env.scenario, 3, separated=False,
+                             build=False)
+        assert (opened, swept) == ([], [])    # the stream sweeps as it is read
+        first = next(blocks)
+        assert opened == [(3, "env-channel")] and swept == [16]
+        verdicts, designs = zip(first, *blocks)
         assert swept == [16, 16, 8]
+        links = np.concatenate(verdicts)
         assert links.shape == (40, 2) and links.dtype == bool
         qos = reward_terms(env, links)["qos"]
         assert min(qos) < 0.0 and max(qos) == 0.0
-        assert designs == []
+        assert designs == (None, None, None)
 
     @pytest.mark.parametrize("separated", [False, True], ids=["isac", "separated"])
     def test_verdicts_do_not_depend_on_the_blocking(self, separated):
@@ -827,8 +928,9 @@ class TestLinkVerdicts:
         want = verdicts[0]
         assert all(np.array_equal(got, want) for got in verdicts)
         assert want.any() and not want.all()
-        links, designs = score_links(env.flown(), env.scenario, 3, separated,
-                                     build=True)
+        verdicts, designs = zip(*score_links(env.flown(), env.scenario, 3,
+                                             separated, build=True))
+        links = np.concatenate(verdicts)
         assert np.array_equal(links, want)
         assert [d.feasible for d in links_of(*designs)] == list(want.ravel())
         r = env.reward_cfg
@@ -874,9 +976,14 @@ def test_trace_csv_round_trip(tmp_path):
     done = False
     while not done:
         done, _ = env.step(hover(2))
-    links, designs = score_links(env.flown(), sc, 0, separated=False, build=True)
+    links = np.concatenate([verdicts for verdicts, _ in score_links(
+        env.flown(), sc, 0, separated=False, build=False)])
     out = tmp_path / "trace.csv"
-    write_trace_csv(env.flown(), reward_terms(env, links), designs, sc, out)
+    # the trace reads the design stream of the same draws as it writes rows
+    write_trace_csv(env.flown(), reward_terms(env, links),
+                    (stack for _, stack in score_links(
+                        env.flown(), sc, 0, separated=False, build=True)),
+                    sc, out)
     lines = out.read_text().strip().split("\n")
     header = lines[0].split(",")
     assert len(lines) == 9

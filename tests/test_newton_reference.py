@@ -334,6 +334,6 @@ def test_link_scoring_of_a_22_db_flight(compared, monkeypatch):
     train(world, MappoConfig(max_episodes=2, rollout=256))
     trained = len(compared)
     flight, seed = flights[-1]          # views of the last episode's rows
-    score_links(flight, world, seed, separated=False, build=True)
+    list(score_links(flight, world, seed, separated=False, build=True))
     assert trained >= 10 and len(compared) > trained
     assert_identical(compared)

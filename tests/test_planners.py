@@ -1,4 +1,5 @@
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -195,8 +196,9 @@ def oracle_replay(plan, sc, seed):
     state, success = run_episode(env, act)
     results = []
     for connected in (False, True):
-        designs = (score_links(env.flown(), sc, seed, separated=False,
-                               build=True)[1] if connected else [])
+        designs = ((stack for _, stack in score_links(
+            env.flown(), sc, seed, separated=False, build=True))
+            if connected else [])
         results.append(MissionResult(
             method="plan", energy_j=float(state.energy_per_uav[0].sum()),
             time_s=state.slot[0] * sc.config.slot_seconds,
@@ -376,7 +378,7 @@ class TestFrozenFlyPlans:
 
 class TestStackedAudit:
     """check_constraints measures each block's design stack as score_links
-    returns it, and reports what the per-link audit reported."""
+    yields it, and reports what the per-link audit reported."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("world", sorted(AUDIT_WORLDS))
@@ -389,14 +391,43 @@ class TestStackedAudit:
         failed = 0
         for flight in flights:
             for mode in ("none", "isac", "separated"):
-                designs = [] if mode == "none" else score_links(
-                    flight, sc, 0, separated=mode == "separated", build=True)[1]
-                got = check_constraints(flight, designs, sc,
+                designs = [] if mode == "none" else [
+                    stack for _, stack in score_links(
+                        flight, sc, 0, separated=mode == "separated",
+                        build=True)]
+                got = check_constraints(flight, iter(designs), sc,
                                         connected=mode != "none")
                 assert got == oracle_check_constraints(
                     flight, links_of(*designs), sc, connected=mode != "none")
                 failed += got.inter_uav_sinr or 0
         assert (failed > 0) == (world == "links" and m > 1)
+
+
+class TestStreamedAudit:
+    """mission_result audits each block's designs as score_links sweeps them
+    and lets them go: at most the block being audited and the one being
+    swept are alive at once."""
+
+    @pytest.mark.parametrize("mode", ["isac", "separated"])
+    def test_holds_at_most_two_design_stacks(self, monkeypatch, mode):
+        sc = build_scenario(replace(load_config().scenario, seed=0, num_uavs=3))
+        flight = planners.online_flight(sc, REFERENCE_PROPULSION)
+        want = planners.mission_result(flight, sc, 0, "greedy_online", mode)
+        stacks, alive = [], []
+        sweep = mdp_env.link_feasibility_sweep
+
+        def swept(*args, **kwargs):
+            verdicts, designs = sweep(*args, **kwargs)
+            stacks.append(weakref.ref(designs))
+            alive.append(sum(ref() is not None for ref in stacks))
+            return verdicts, designs
+
+        monkeypatch.setattr(mdp_env, "link_feasibility_sweep", swept)
+        got = planners.mission_result(flight, sc, 0, "greedy_online", mode)
+        assert got == want
+        assert len(alive) == -(-len(flight.final) // mdp_env._BLOCK) >= 3
+        assert max(alive) == 2
+        assert all(ref() is None for ref in stacks)
 
 
 def same_plan(a: Plan, b: Plan) -> bool:

@@ -231,7 +231,8 @@ class TestPostFlightRewards:
                                            area_width=800.0, area_height=800.0,
                                            start=(0.0, 800.0), end=(800.0, 0.0)))
         env, oracle = fly_both(sc, RewardConfig(), pursue)
-        links, _ = score_links(env.flown(), sc, 0, separated=False, build=False)
+        links = np.concatenate([verdicts for verdicts, _ in score_links(
+            env.flown(), sc, 0, separated=False, build=False)])
         assert links.shape == (len(oracle), 0)
         terms = assert_terms_match(env, oracle, links)
         assert oracle[-1][2] and not terms["distance"].any()
@@ -251,7 +252,8 @@ class TestPostFlightRewards:
                 speed=np.ones((1, 3), dtype=np.uint8))
 
         env, oracle = fly_both(sc, RewardConfig(), spread, slots=40)
-        links, _ = score_links(env.flown(), sc, 0, separated=False, build=False)
+        links = np.concatenate([verdicts for verdicts, _ in score_links(
+            env.flown(), sc, 0, separated=False, build=False)])
         assert not links.all()
         terms = assert_terms_match(env, oracle, links)
         assert terms["qos"].min() < 0.0
