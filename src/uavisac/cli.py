@@ -39,24 +39,27 @@ def _out_root(args) -> str:
     return os.environ.get("UAVISAC_OUT", "results")
 
 
-# the search and training counts that size a loop or an array
+# the search and training counts that size a loop or an array, at least 1,
+# and the search loop counts and the span of the PSO aim offsets, at least 0
 _COUNT_KEYS = (("pso", "swarm"), ("ga", "population"), ("mappo", "hidden"),
                ("mappo", "minibatch"), ("mappo", "epochs"),
                ("mappo", "smooth_window"), ("mappo", "max_episodes"),
                ("mappo", "rollout"))
+_NON_NEGATIVE_KEYS = (("pso", "iterations"), ("ga", "generations"),
+                      ("pso", "waypoint_span"))
 
 
-def _require_counts(named):
-    """Bad input unless every (name, value) count is unset (None) or >= 1."""
-    low = [name for name, value in named if value is not None and value < 1]
+def _require_counts(named, least=1):
+    """Bad input unless every (name, value) is unset (None) or >= ``least``."""
+    low = [name for name, value in named if value is not None and value < least]
     if low:
-        raise ValidationFailure(f"counts must be at least 1: {', '.join(low)}")
+        raise ValidationFailure(f"values must be at least {least}: {', '.join(low)}")
 
 
 def _load_config(path):
     """The run configuration; unreadable or malformed files, propulsion
-    parameters out of range, counts below 1, non-finite reals and an energy
-    scale that is not positive are bad input."""
+    parameters out of range, counts below 1 (search loop counts and spans
+    below 0), non-finite reals and a non-positive energy scale are bad input."""
     try:
         run_config = load_config(path)
     except (OSError, ValueError, configparser.Error) as exc:
@@ -65,8 +68,10 @@ def _load_config(path):
         run_config.propulsion.validate()
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
-    _require_counts((f"[{section}] {key}", getattr(getattr(run_config, section), key))
-                    for section, key in _COUNT_KEYS)
+    for keys, least in ((_COUNT_KEYS, 1), (_NON_NEGATIVE_KEYS, 0)):
+        _require_counts(((f"[{section}] {key}",
+                          getattr(getattr(run_config, section), key))
+                         for section, key in keys), least)
     # the scenario and propulsion checks cover their own reals
     non_finite = [f"[{section}] {key}" for section in ("reward", "pso", "ga", "mappo")
                   for key, value in vars(getattr(run_config, section)).items()

@@ -495,12 +495,12 @@ def _update(policy: MappoPolicy, opt_actor: Adam, opt_critic: Adam,
 
     Reads the ``rollout.n`` filled rows as views and empties the rollout
     (``n`` = 0). Critic states are built from the rows a pass reads
-    (joint_states), so no pass holds more than ``minibatch`` states or
-    activations: the value pass runs over ``minibatch`` slots at a time, and
-    each critic minibatch builds its own. The values come from the critic as
-    it enters: it changes only inside this function, so they are the values
-    it had while the rollout was collected. Every pass reuses one Workspace.
-    The float64 advantages and targets are cast to the nets' dtype."""
+    (joint_states), so no pass holds more than max(8, ``minibatch``) states
+    or activations: the value pass runs over at most that many slots at a
+    time, and each critic minibatch builds its own. The values come from the
+    critic as it enters: it changes only inside this function, so they are
+    the values it had while the rollout was collected. Every pass reuses one
+    Workspace. The float64 advantages and targets are cast to the nets' dtype."""
     dtype = policy.actor.vec.dtype
     work = Workspace(dtype)
     n, size = rollout.n, config.minibatch
@@ -514,16 +514,17 @@ def _update(policy: MappoPolicy, opt_actor: Adam, opt_critic: Adam,
         return joint_states(rollout.obs[slots], rollout.md_state,
                             rollout.collected[slots], dtype)
 
-    # Passes of ``size`` rows give one n-row pass's values bit for bit when
-    # ``size`` is a multiple of 4: OpenBLAS rounds the value head's
-    # matrix-vector product in groups of four rows and the last n % 4 rows
-    # apart, and numpy forms a one-row product as a vector product, which
-    # rounds apart too, so a lone last row is passed with the 4 before it.
+    # Passes that start on multiples of 4 rows give one n-row pass's values
+    # bit for bit: OpenBLAS rounds the value head's matrix-vector product in
+    # groups of four rows and the last n % 4 apart. numpy forms a one-row
+    # product as a vector product, which rounds apart too, so a lone last
+    # row is passed with the 4 before it, in a pass of at least 8 rows.
+    chunk = max(8, size - size % 4)
     values = np.empty(n, dtype)
-    for lo in range(0, n, size):
+    for lo in range(0, n, chunk):
         if lo == n - 1:
-            lo -= min(4, size - 1, lo)
-        hi = min(lo + size, n)
+            lo -= min(4, lo)
+        hi = min(lo + chunk, n)
         values[lo:hi] = critic_forward(policy.critic, states(slice(lo, hi)), work)
     adv_step = gae(rollout.reward[:n], values, rollout.done[:n],
                    config.discount, config.gae_lambda)

@@ -311,7 +311,6 @@ class CorridorEnv:
         self.scenario = scenario
         self.cfg = scenario.config
         self.reward_cfg = reward
-        self.propulsion = propulsion
         self._slot_costs = slot_costs(self.cfg, propulsion)
         self.sdr_opts = sdr_opts
         self.record = record
@@ -416,13 +415,12 @@ class CorridorEnv:
 
     def gain2(self) -> np.ndarray:
         """Squared UAV-MD gains (live, M, I) at the live fleets' positions,
-        read-only. Kept by value, so the masks, the controller and the step of
-        a slot (or of a slot that moved no UAV) share one; the positions are
-        made read-only, so a step or an injected state assigns new ones."""
+        read-only. Kept for the positions array, so the masks, the controller
+        and the step of a slot share one; the positions are made read-only,
+        so a step or an injected state assigns new ones."""
         pos, kept = self.state.positions, self._gains
         if kept is None or kept[0] is not pos:
-            gain2 = (kept[1] if kept is not None and np.array_equal(kept[0], pos)
-                     else uplink_gain2(pos, self.scenario))
+            gain2 = uplink_gain2(pos, self.scenario)
             pos.flags.writeable = gain2.flags.writeable = False
             self._gains = (pos, gain2)
         return self._gains[1]
@@ -478,18 +476,14 @@ class CorridorEnv:
         heading = np.asarray(heading, dtype=float)
         speed = np.asarray(speed, dtype=np.uint8)
 
-        # validate scheduling against the sequential masks: a chosen MD must
-        # be schedulable and chosen by no other UAV of its fleet
+        # a joint action is valid when claim_targets grants every choice: a
+        # chosen MD is schedulable and chosen by no lower-index UAV
         gain2 = self.gain2()
         if top >= 0:
-            chosen = md_choice >= 0
-            allowed = schedulable(gain2, s.collected, cfg)
-            ordered = np.sort(md_choice, axis=1)
-            if (not allowed[(*np.nonzero(chosen), md_choice[chosen])].all()
-                    or ((ordered[:, 1:] == ordered[:, :-1])
-                        & (ordered[:, 1:] >= 0)).any()):
-                granted = claim_targets(md_choice, allowed)
-                b, m = np.argwhere(chosen & (granted != md_choice))[0]
+            ungranted = claim_targets(md_choice, schedulable(
+                gain2, s.collected, cfg)) != md_choice
+            if np.count_nonzero(ungranted):
+                b, m = np.argwhere(ungranted)[0]
                 raise ValueError(f"action mask violation: fleet {live[b]} "
                                  f"UAV {m} chose MD {md_choice[b, m]}")
 

@@ -43,7 +43,6 @@ class MissionResult:
     collected: int
     success: bool
     violations: ConstraintReport
-    per_uav_energy: list
     seed: int = 0
 
 
@@ -208,8 +207,7 @@ def mission_result(flight: Flight, scenario: Scenario, seed: int, method: str,
     designs = (() if link_mode == "none" else (block for _, block in score_links(
         flight, scenario, seed, separated=link_mode == "separated", build=True)))
     # summed in slot order, as the env sums it; a pairwise sum rounds otherwise
-    per_uav = np.add.accumulate(flight.energy)[-1]
-    energy = float(per_uav.sum())
+    energy = float(np.add.accumulate(flight.energy)[-1].sum())
     if link_mode == "separated":
         energy += (CIRCUIT_POWER_W * cfg.num_uavs * len(flight.final)
                    * cfg.slot_seconds)
@@ -221,7 +219,7 @@ def mission_result(flight: Flight, scenario: Scenario, seed: int, method: str,
         success=bool(arrived(flight.final[-1], end, cfg)),
         violations=check_constraints(flight, designs, scenario,
                                      connected=link_mode != "none"),
-        per_uav_energy=per_uav.tolist(), seed=seed)
+        seed=seed)
 
 
 # -- greedy planners ------------------------------------------------------------

@@ -623,11 +623,17 @@ class TestTrainLoop:
         assert {name for name, _ in passed} == {"joint_states", "critic_forward"}
         assert max(rows for _, rows in passed) == 16
 
-    @pytest.mark.parametrize("slots", [1, 2, 5, 16, 17, 33, 47, 64])
-    def test_value_passes_give_one_pass_values(self, monkeypatch, slots):
+    @pytest.mark.parametrize("slots, minibatch", [
+        pytest.param(slots, minibatch,
+                     id=str(slots) if minibatch == 16 else f"{slots}-{minibatch}")
+        for minibatch in (2, 4, 5, 7, 16)
+        for slots in (1, 2, 5, 16, 17, 33, 47, 64)])
+    def test_value_passes_give_one_pass_values(self, monkeypatch, slots,
+                                               minibatch):
         # the values the update hands to gae, passed minibatch by minibatch,
-        # are one pass's over every slot, bit for bit: also for a lone last
-        # row and for a critic input deeper than nn.K_BLOCK
+        # are one pass's over every slot, bit for bit: for any minibatch,
+        # also for a lone last row and for a critic input deeper than
+        # nn.K_BLOCK
         rng = rng_stream(26, "values")
         samples, collected, rewards, dones, md_state = random_rollout(
             rng, slots, 3, 160, 8, 12)
@@ -648,7 +654,7 @@ class TestTrainLoop:
                              MappoConfig(hidden=32))
         _update(policy, Adam([policy.actor.vec], 1e-4),
                 Adam([critic.vec], 3e-4), rollout,
-                MappoConfig(hidden=32, minibatch=16, epochs=1),
+                MappoConfig(hidden=32, minibatch=minibatch, epochs=1),
                 rng_stream(27, "shuffle"))
         assert np.array_equal(got[0], want)
 

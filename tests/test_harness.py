@@ -11,12 +11,12 @@ from uavisac.cli import main
 from uavisac.config import load_config
 from uavisac.drl_mappo import (ActorNet, CriticNet, MappoConfig, MappoPolicy,
                                run_policy_episode)
-from uavisac.harness import (CIRCUIT_POWER_W, METHODS, SEED_MEANING,
-                             ExperimentSpec, _result_row, checkpoint_path,
-                             emit_comparison_table, emit_sweep_data,
-                             git_revision, run_cell, run_experiment,
-                             scenario_config_for, train_checkpoint,
-                             validate_spec)
+from uavisac.harness import (CIRCUIT_POWER_W, LINK_MODES, METHODS,
+                             SEED_MEANING, ExperimentSpec, _result_row,
+                             checkpoint_path, emit_comparison_table,
+                             emit_sweep_data, git_revision, run_cell,
+                             run_experiment, scenario_config_for,
+                             train_checkpoint, validate_spec)
 from uavisac.mdp_env import CorridorEnv
 from uavisac.planners import mission_result
 from uavisac.scenario import build_scenario
@@ -180,8 +180,6 @@ class TestRunExperiment:
         # identical trajectories, but the split-array variant pays 2 W per UAV
         for field in ("time_s", "collected", "success"):
             assert sc[field] == sdr[field]
-        assert (run_cell("drl_sc", spec, 2, 0).per_uav_energy
-                == run_cell("drl_sdr", spec, 2, 0).per_uav_energy)
         extra = 2.0 * 2 * float(sc["time_s"])
         assert float(sc["energy_j"]) == pytest.approx(
             float(sdr["energy_j"]) + extra, rel=1e-9)
@@ -206,7 +204,8 @@ class TestRunExperiment:
                 assert res.time_s == slots * cfg.slot_seconds
                 assert res.energy_j == energy + circuit
                 assert (res.collected, res.success) == (collected, success)
-                assert res.per_uav_energy == env.end_state.energy_per_uav[0].tolist()
+                assert res == mission_result(env.flown(), scenario, seed,
+                                             method, LINK_MODES[method])
         # one flight in each link mode: only the split array's row adds the
         # circuit draw to the flown energy
         flight = env.flown()
@@ -328,7 +327,10 @@ class TestCli:
         ("[reward]\nenergy_scale = 0\n", "energy_scale"),
         ("[reward]\nenergy_scale = -1e4\n", "energy_scale"),
         ("[pso]\ninertia = nan\n", "inertia"),
-        ("[mappo]\nactor_lr = nan\n", "actor_lr")])
+        ("[mappo]\nactor_lr = nan\n", "actor_lr"),
+        ("[pso]\niterations = -3\n", "iterations"),
+        ("[ga]\ngenerations = -2\n", "generations"),
+        ("[pso]\nwaypoint_span = -60\n", "waypoint_span")])
     def test_bad_config_exits_1(self, tmp_path, capsys, verb, text, named):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)

@@ -305,6 +305,55 @@ class TestActionMask:
                 env.step(act)
             assert env.state.slot == 0
 
+    @pytest.mark.parametrize("fleets, m_count", itertools.product((1, 7),
+                                                                   (2, 3, 5)))
+    def test_step_rejects_exactly_the_ungranted_claims(self, fleets, m_count):
+        # random positions, collected sets and choices, duplicate and
+        # unschedulable MDs among them: a step raises exactly when
+        # claim_targets does not grant the joint choice, and names its first
+        # ungranted (fleet, UAV), which is the first choice that is
+        # unschedulable or taken by a lower-index UAV of its fleet
+        sc = build_scenario(ScenarioConfig(
+            num_uavs=m_count, num_mds=6, area_width=300, area_height=300,
+            start=(0, 300), end=(300, 0), seed=fleets + m_count))
+        cfg, rng = sc.config, rng_stream(m_count, "claims")
+        env = CorridorEnv(sc)
+        outcomes = set()
+        for _ in range(60):
+            env.reset(fleets=fleets)
+            xy = rng.uniform(0.0, 300.0, (fleets, m_count, 2))
+            env.state.positions = np.concatenate(
+                [xy, np.full((fleets, m_count, 1), cfg.altitude)], axis=-1)
+            env.state.collected = rng.integers(0, 2, (fleets, 6), dtype=np.uint8)
+            allowed = mdp_env.schedulable(env.gain2(), env.state.collected, cfg)
+            # claims in UAV order through the masks, then up to two UAVs
+            # take a fleet mate's choice or a random one
+            md = np.full((fleets, m_count), -1)
+            for b, m in np.ndindex(fleets, m_count):
+                open_md = np.setdiff1d(np.flatnonzero(allowed[b, m]), md[b])
+                md[b, m] = rng.choice(np.append(open_md, -1))
+            for _ in range(rng.integers(0, 3)):
+                b, m = rng.integers(fleets), rng.integers(m_count)
+                md[b, m] = rng.choice(np.append(md[b], rng.integers(-1, 6)))
+            act = replace(hover(m_count, fleets), md_choice=md)
+            first = next(((b, m) for b in range(fleets) for m in range(m_count)
+                          if md[b, m] >= 0 and (not allowed[b, m, md[b, m]]
+                                                or md[b, m] in md[b, :m])), None)
+            ungranted = np.argwhere(mdp_env.claim_targets(md, allowed) != md)
+            assert first == (tuple(ungranted[0]) if len(ungranted) else None)
+            if first is None:
+                env.step(act)
+                assert env.state.slot == 1
+                outcomes.add("granted")
+                continue
+            b, m = first
+            with pytest.raises(ValueError, match=(
+                    f"mask violation: fleet {b} UAV {m} chose MD {md[b, m]}$")):
+                env.step(act)
+            assert env.state.slot == 0
+            outcomes.add("taken" if md[b, m] in md[b, :m] else "unschedulable")
+        assert outcomes == {"granted", "taken", "unschedulable"}
+
     @pytest.mark.parametrize("field, value", [
         ("heading", 0.5),                           # scalar, not (B, M)
         ("speed", np.ones(1, dtype=np.uint8)),      # length 1, not (B, M)
