@@ -7,19 +7,17 @@ Verbs: validate, train, run, table, sweep, curves. Results land under
 
 import argparse
 import configparser
-import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import load_config
+from .config import config_problems, load_config
 from .drl_mappo import train
 from .harness import (AXES, METHODS, ExperimentSpec, emit_comparison_table,
-                      emit_sweep_data, run_experiment, scenario_config_for,
-                      seed_problems, train_checkpoint, training_config,
-                      validate_spec)
-from .scenario import build_scenario, validate_config
+                      emit_sweep_data, run_experiment, seed_problems,
+                      train_checkpoint, training_config, validate_spec)
+from .scenario import build_scenario
 
 
 class ValidationFailure(Exception):
@@ -39,47 +37,20 @@ def _out_root(args) -> str:
     return os.environ.get("UAVISAC_OUT", "results")
 
 
-# the search and training counts that size a loop or an array, at least 1,
-# and the search loop counts and the span of the PSO aim offsets, at least 0
-_COUNT_KEYS = (("pso", "swarm"), ("ga", "population"), ("mappo", "hidden"),
-               ("mappo", "minibatch"), ("mappo", "epochs"),
-               ("mappo", "smooth_window"), ("mappo", "max_episodes"),
-               ("mappo", "rollout"))
-_NON_NEGATIVE_KEYS = (("pso", "iterations"), ("ga", "generations"),
-                      ("pso", "waypoint_span"))
-
-
-def _require_counts(named, least=1):
-    """Bad input unless every (name, value) is unset (None) or >= ``least``."""
-    low = [name for name, value in named if value is not None and value < least]
-    if low:
-        raise ValidationFailure(f"values must be at least {least}: {', '.join(low)}")
+def _require_counts(named):
+    """Bad input unless every (flag, value) is unset (None) or at least 1."""
+    _require([f"{name} must be at least 1, got {value}" for name, value in named
+              if value is not None and value < 1])
 
 
 def _load_config(path):
-    """The run configuration; unreadable or malformed files, propulsion
-    parameters out of range, counts below 1 (search loop counts and spans
-    below 0), non-finite reals and a non-positive energy scale are bad input."""
+    """The run configuration; a file that fails to load or to pass
+    config_problems is bad input."""
     try:
         run_config = load_config(path)
     except (OSError, ValueError, configparser.Error) as exc:
         raise ValidationFailure(f"cannot load config: {exc}") from exc
-    try:
-        run_config.propulsion.validate()
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
-    for keys, least in ((_COUNT_KEYS, 1), (_NON_NEGATIVE_KEYS, 0)):
-        _require_counts(((f"[{section}] {key}",
-                          getattr(getattr(run_config, section), key))
-                         for section, key in keys), least)
-    # the scenario and propulsion checks cover their own reals
-    non_finite = [f"[{section}] {key}" for section in ("reward", "pso", "ga", "mappo")
-                  for key, value in vars(getattr(run_config, section)).items()
-                  if isinstance(value, float) and not math.isfinite(value)]
-    if non_finite:
-        raise ValidationFailure(f"values must be finite: {', '.join(non_finite)}")
-    if run_config.reward.energy_scale <= 0:
-        raise ValidationFailure("[reward] energy_scale must be positive")
+    _require(config_problems(run_config))
     return run_config
 
 
@@ -99,7 +70,7 @@ def _require(problems):
     for p in problems:
         print(f"violation: {p}")
     if problems:
-        raise ValidationFailure(f"{len(problems)} violation(s)")
+        raise ValidationFailure(f"{len(problems)} violation(s): {'; '.join(problems)}")
 
 
 def _spec_from_args(args) -> ExperimentSpec:
@@ -115,19 +86,12 @@ def _spec_from_args(args) -> ExperimentSpec:
         train_episodes=args.episodes,
         workers=args.workers,
     )
-    problems = validate_spec(spec)
-    if not problems:
-        for value in spec.values:
-            problems += validate_config(
-                scenario_config_for(spec.run_config, spec.axis, value))
-    _require(problems)
+    _require(validate_spec(spec))
     return spec
 
 
 def cmd_validate(args) -> int:
-    run_config = _load_config(args.config)
-    _require(validate_config(run_config.scenario))
-    build_scenario(run_config.scenario)
+    _load_config(args.config)
     print("configuration valid")
     return 0
 
@@ -184,15 +148,13 @@ def cmd_sweep(args) -> int:
 def cmd_curves(args) -> int:
     _require_counts((("--episodes", args.episodes),))
     run_config = _load_config(args.config)
-    _require(validate_config(run_config.scenario))
     seeds = _parse_list(args.seeds, int, "--seeds")
     _require(seed_problems(seeds))
     out = Path(_out_root(args))
     out.mkdir(parents=True, exist_ok=True)
     for seed in seeds:
-        mappo = replace(run_config.mappo, seed=seed)
-        if args.episodes is not None:
-            mappo = replace(mappo, max_episodes=args.episodes)
+        mappo = replace(run_config.mappo, seed=seed, max_episodes=args.episodes
+                        or run_config.mappo.max_episodes)
         scenario = build_scenario(run_config.scenario)
         _, curve = train(scenario, mappo, run_config.reward,
                          _progress(f"curves seed {seed}", mappo),

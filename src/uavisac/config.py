@@ -7,16 +7,19 @@ two human-facing exceptions are ``sensing_angles_deg`` (degrees in the file,
 radians internally) and the ``*_db``/``*_dbm`` convenience keys, which
 override their linear counterparts when present. Any other section or key is
 rejected, so a misspelt one cannot leave its default silently in force.
+``config_problems`` is the one judge of the values a file may hold.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, fields, replace
 
 from .drl_mappo import MappoConfig
 from .energy import PropulsionParams
 from .mdp_env import RewardConfig
 from .planners import GaConfig, PsoConfig
-from .scenario import ScenarioConfig, db_to_linear, dbm_to_watts
+from .scenario import (ScenarioConfig, db_to_linear, dbm_to_watts,
+                       validate_config)
 
 import numpy as np
 
@@ -98,3 +101,35 @@ def load_config(path=None) -> RunConfig:
         apply = _apply_scenario_section if name == "scenario" else _apply_section
         parts[name] = apply(parts[name], parser[name])
     return RunConfig(**parts)
+
+
+# bounds of the non-scenario keys (counts that size a loop or an array are at
+# least 1); every other real of these sections only has to be finite
+_TESTS = {"above 0": lambda v: v > 0, "at least 1": lambda v: v >= 1,
+          "at least 0": lambda v: v >= 0, "in [0, 1]": lambda v: 0 <= v <= 1}
+_BOUNDS = {
+    "propulsion": {f.name: "above 0" for f in fields(PropulsionParams)},
+    "reward": {"energy_scale": "above 0"},    # the energy reward divides by it
+    "pso": {"swarm": "at least 1", "iterations": "at least 0",
+            "waypoint_span": "at least 0"},
+    "ga": {"population": "at least 1", "generations": "at least 0",
+           "crossover": "in [0, 1]", "mutation": "in [0, 1]"},
+    "mappo": {"clip_ratio": "above 0", "actor_lr": "above 0",
+              "critic_lr": "above 0", "discount": "in [0, 1]",
+              "gae_lambda": "in [0, 1]", **dict.fromkeys(
+                  ("hidden", "minibatch", "epochs", "smooth_window",
+                   "max_episodes", "rollout"), "at least 1")},
+}
+
+
+def config_problems(run_config: RunConfig) -> list:
+    """The base world's validate_config problems, then each ``[section] key``
+    of the other sections that is not finite or out of its _BOUNDS."""
+    problems = validate_config(run_config.scenario)
+    for section, bounds in _BOUNDS.items():
+        for key, value in vars(getattr(run_config, section)).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                problems.append(f"[{section}] {key} must be finite, got {value}")
+            elif key in bounds and not _TESTS[bounds[key]](value):
+                problems.append(f"[{section}] {key} must be {bounds[key]}, got {value}")
+    return problems

@@ -23,11 +23,6 @@ class PropulsionParams:
     rotor_disc_area: float = 0.503
     air_density: float = 1.225
 
-    def validate(self):
-        bad = [k for k, val in self.__dict__.items() if not (np.isfinite(val) and val > 0)]
-        if bad:
-            raise ValueError(f"propulsion parameters must be positive: {bad}")
-
 
 REFERENCE_PROPULSION = PropulsionParams()
 

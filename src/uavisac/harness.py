@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, planners
-from .config import RunConfig
+from .config import RunConfig, config_problems
 from .drl_mappo import MappoConfig, MappoPolicy, act_in_env, train
 from .mdp_env import CorridorEnv
 from .planners import (SEARCHES, MissionResult, fly_env, fly_plans,
                        greedy_offline, mission_result, online_flight,
                        plan_searches)
 from .scenario import (ScenarioConfig, build_scenario, db_to_linear,
-                       scenario_fingerprint)
+                       scenario_fingerprint, validate_config)
 
 SOURCE_ROOT = Path(__file__).resolve().parents[2]   # checkout root in a src layout
 SEED_MEANING = ("a cell seed varies the env's channel draws and the PSO and GA "
@@ -64,6 +64,7 @@ class ExperimentSpec:
 
 
 def validate_spec(spec: ExperimentSpec) -> list:
+    """The grid's problems, each once; if it has none, its config's and worlds'."""
     problems = []
     if not spec.methods:
         problems.append("method list must not be empty")
@@ -78,8 +79,14 @@ def validate_spec(spec: ExperimentSpec) -> list:
         bad = [v for v in spec.values if int(v) != v or v < 1]
         if bad:
             problems.append(f"{spec.axis} values must be positive integers, got {bad}")
-    return (problems + _repeated("methods", spec.methods)
-            + _repeated("values", spec.values) + seed_problems(spec.seeds))
+    problems += (_repeated("methods", spec.methods)
+                 + _repeated("values", spec.values) + seed_problems(spec.seeds))
+    if not problems:
+        problems = config_problems(spec.run_config)
+        for value in spec.values:
+            problems += validate_config(
+                scenario_config_for(spec.run_config, spec.axis, value))
+    return list(dict.fromkeys(problems))
 
 
 def _repeated(label, items) -> list:

@@ -1,7 +1,8 @@
-"""tools/ab_bench.py's summaries, fed synthetic run pairs, and its copy of
-the working tree."""
+"""tools/ab_bench.py's summaries, fed synthetic run pairs, its copy of
+the working tree and its history file."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -76,3 +77,16 @@ def test_copy_worktree_takes_the_tree_as_it_stands(tmp_path):
     copied = sorted(str(p.relative_to(into)) for p in into.rglob("*") if p.is_file())
     assert copied == [".gitignore", "edited.py", "pkg/kept.py", "pkg/untracked.py"]
     assert (into / "edited.py").read_text() == "new\n"
+
+
+def test_history_appends_one_line_per_run(tmp_path):
+    ab_bench, path = load_ab_bench(), tmp_path / "BENCH_history.jsonl"
+    reports = [{"workload": name, "pairs": 3, "summary": {"ops_per_s": {}},
+                "runs": [{"pair": 0}]} for name in ("mission_grid", "mappo_train")]
+    ab_bench.append_history(path, reports[0])
+    first = path.read_bytes()
+    ab_bench.append_history(path, reports[1])
+    assert path.read_bytes().startswith(first)
+    lines = path.read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {k: v for k, v in r.items() if k != "runs"} for r in reports]

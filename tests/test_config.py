@@ -1,9 +1,9 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from uavisac.config import RunConfig, load_config
+from uavisac.config import RunConfig, config_problems, load_config
 from uavisac.scenario import (ScenarioConfig, build_scenario,
                               scenario_fingerprint, validate_config)
 
@@ -96,3 +96,33 @@ def test_unknown_section_rejected_by_name(tmp_path):
     cfg.write_text("[scenari]\nnum_uavs = 2\n")
     with pytest.raises(ValueError, match="scenari"):
         load_config(cfg)
+
+
+def test_defaults_and_closed_bounds_are_valid():
+    rc = load_config()
+    assert config_problems(rc) == []
+    edge = replace(rc, pso=replace(rc.pso, iterations=0, waypoint_span=0.0),
+                   ga=replace(rc.ga, generations=0, crossover=1.0, mutation=0.0),
+                   mappo=replace(rc.mappo, discount=1.0, gae_lambda=0.0,
+                                 hidden=1, rollout=1))
+    assert config_problems(edge) == []
+
+
+def test_problems_name_section_key_and_rule():
+    # the base world's problems first, then the sections in file order
+    rc = load_config()
+    bad = replace(rc, scenario=replace(rc.scenario, p_max=0.0),
+                  propulsion=replace(rc.propulsion, rotor_solidity=-0.05),
+                  reward=replace(rc.reward, link_fail=float("-inf")),
+                  pso=replace(rc.pso, swarm=0, waypoint_span=float("nan")),
+                  ga=replace(rc.ga, mutation=1.5),
+                  mappo=replace(rc.mappo, clip_ratio=0.0, discount=-0.1))
+    assert config_problems(bad) == [
+        "p_max must be positive, got 0.0",
+        "[propulsion] rotor_solidity must be above 0, got -0.05",
+        "[reward] link_fail must be finite, got -inf",
+        "[pso] swarm must be at least 1, got 0",
+        "[pso] waypoint_span must be finite, got nan",
+        "[ga] mutation must be in [0, 1], got 1.5",
+        "[mappo] clip_ratio must be above 0, got 0.0",
+        "[mappo] discount must be in [0, 1], got -0.1"]

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from uavisac.config import config_problems, load_config
 from uavisac.energy import (PropulsionParams, REFERENCE_PROPULSION,
                             flight_power, hover_power, slot_energy)
 
@@ -86,5 +89,6 @@ def test_mission_energy_brackets_reported_single_uav_scale():
 
 
 def test_validate_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        PropulsionParams(tip_speed=0.0).validate()
+    rc = load_config()
+    rc = replace(rc, propulsion=PropulsionParams(tip_speed=0.0))
+    assert config_problems(rc) == ["[propulsion] tip_speed must be above 0, got 0.0"]

@@ -43,6 +43,48 @@ def small_spec(out_dir, methods=("greedy_offline", "greedy_online"),
                           out_dir=str(out_dir))
 
 
+# config texts that load but hold a value config_problems rejects, with the
+# key each is named by
+BAD_VALUE_CONFIGS = [
+    ("[propulsion]\nair_density = -1\n", "air_density"),
+    ("[propulsion]\ntip_speed = 0\n", "tip_speed"),
+    ("[pso]\nswarm = 0\n", "swarm"),
+    ("[ga]\npopulation = 0\n", "population"),
+    ("[mappo]\nhidden = 0\n", "hidden"),
+    ("[mappo]\nminibatch = 0\n", "minibatch"),
+    ("[mappo]\nepochs = 0\n", "epochs"),
+    ("[mappo]\nsmooth_window = 0\n", "smooth_window"),
+    ("[mappo]\nmax_episodes = 0\n", "max_episodes"),
+    ("[mappo]\nrollout = 0\n", "rollout"),
+    ("[scenario]\nstart = 0, 2500, 80\n", "start"),
+    ("[scenario]\nend = 7\n", "end"),
+    ("[scenario]\nsensing_angles_deg = nan\n", "sensing_angles"),
+    ("[scenario]\nrician_k = nan\n", "rician_k"),
+    ("[reward]\ncollect = inf\n", "collect"),
+    ("[reward]\nenergy_scale = 0\n", "energy_scale"),
+    ("[reward]\nenergy_scale = -1e4\n", "energy_scale"),
+    ("[pso]\ninertia = nan\n", "inertia"),
+    ("[mappo]\nactor_lr = nan\n", "actor_lr"),
+    ("[pso]\niterations = -3\n", "iterations"),
+    ("[ga]\ngenerations = -2\n", "generations"),
+    ("[pso]\nwaypoint_span = -60\n", "waypoint_span"),
+    ("[mappo]\nclip_ratio = -0.2\n", "clip_ratio"),
+    ("[mappo]\ndiscount = 1.5\n", "discount"),
+    ("[mappo]\ngae_lambda = -0.5\n", "gae_lambda"),
+    ("[mappo]\nactor_lr = -0.001\n", "actor_lr"),
+    ("[mappo]\ncritic_lr = 0\n", "critic_lr"),
+    ("[ga]\ncrossover = 2.0\n", "crossover"),
+    ("[ga]\nmutation = -0.5\n", "mutation"),
+    # the base world, which the manifest describes, whatever the axis values
+    ("[scenario]\nnum_uavs = 0\n", "num_uavs"),
+]
+# config texts that do not load
+UNKNOWN_KEY_CONFIGS = [
+    ("[scenario]\nnum_uav = 5\n", "num_uav"),
+    ("[scenario]\nnum_lines = 20\n", "num_lines"),
+]
+
+
 class TestSpecValidation:
     def test_empty_methods_rejected(self, tmp_path):
         spec = replace(small_spec(tmp_path), methods=())
@@ -64,6 +106,31 @@ class TestSpecValidation:
         assert validate_spec(spec) == ["repeated methods: ['ga']",
                                        "repeated values: [2.0]",
                                        "repeated seeds: [0]"]
+
+    @pytest.mark.parametrize("text, named", BAD_VALUE_CONFIGS)
+    def test_bad_config_raises_before_any_work(self, tmp_path, text, named):
+        # every value the CLI rejects, run_experiment rejects before it
+        # trains or writes anything
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        spec = ExperimentSpec(run_config=load_config(bad),
+                              methods=("greedy_offline",), values=(2, 3),
+                              seeds=(0,), out_dir=str(out))
+        with pytest.raises(ValueError, match=named):
+            run_experiment(spec)
+        assert not out.exists()
+
+    def test_axis_value_worlds_are_checked(self, tmp_path):
+        spec = replace(small_spec(tmp_path), axis="sinr_threshold",
+                       values=(8.0, 1e400))
+        assert validate_spec(spec) == ["gamma_th_uav must be positive, got inf"]
+        # named once, though the base world and both values' worlds have it
+        spec = replace(small_spec(tmp_path), axis="md_count", values=(2, 3))
+        spec = replace(spec, run_config=replace(spec.run_config, scenario=replace(
+            spec.run_config.scenario, area_width=10.0)))
+        assert validate_spec(spec) == [
+            "end must lie inside the area, got (800.0, 0.0)"]
 
 
 class TestRunExperiment:
@@ -306,31 +373,8 @@ class TestCli:
         assert "p_max" in capsys.readouterr().out
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
-    @pytest.mark.parametrize("text, named", [
-        ("[propulsion]\nair_density = -1\n", "air_density"),
-        ("[propulsion]\ntip_speed = 0\n", "tip_speed"),
-        ("[scenario]\nnum_uav = 5\n", "num_uav"),
-        ("[scenario]\nnum_lines = 20\n", "num_lines"),
-        ("[pso]\nswarm = 0\n", "swarm"),
-        ("[ga]\npopulation = 0\n", "population"),
-        ("[mappo]\nhidden = 0\n", "hidden"),
-        ("[mappo]\nminibatch = 0\n", "minibatch"),
-        ("[mappo]\nepochs = 0\n", "epochs"),
-        ("[mappo]\nsmooth_window = 0\n", "smooth_window"),
-        ("[mappo]\nmax_episodes = 0\n", "max_episodes"),
-        ("[mappo]\nrollout = 0\n", "rollout"),
-        ("[scenario]\nstart = 0, 2500, 80\n", "start"),
-        ("[scenario]\nend = 7\n", "end"),
-        ("[scenario]\nsensing_angles_deg = nan\n", "sensing_angles"),
-        ("[scenario]\nrician_k = nan\n", "rician_k"),
-        ("[reward]\ncollect = inf\n", "collect"),
-        ("[reward]\nenergy_scale = 0\n", "energy_scale"),
-        ("[reward]\nenergy_scale = -1e4\n", "energy_scale"),
-        ("[pso]\ninertia = nan\n", "inertia"),
-        ("[mappo]\nactor_lr = nan\n", "actor_lr"),
-        ("[pso]\niterations = -3\n", "iterations"),
-        ("[ga]\ngenerations = -2\n", "generations"),
-        ("[pso]\nwaypoint_span = -60\n", "waypoint_span")])
+    @pytest.mark.parametrize("text, named",
+                             BAD_VALUE_CONFIGS + UNKNOWN_KEY_CONFIGS)
     def test_bad_config_exits_1(self, tmp_path, capsys, verb, text, named):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
@@ -342,6 +386,19 @@ class TestCli:
         out, err = capsys.readouterr()
         # scenario violations are listed on stdout, load errors on stderr
         assert named in (out if "violation(s)" in err else err)
+
+    @pytest.mark.parametrize("verb", ["run", "train"])
+    def test_invalid_base_world_exits_1_before_any_work(self, tmp_path, capsys,
+                                                         verb):
+        # the axis values' worlds are sound, but the manifest's base is not
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[scenario]\nnum_uavs = 0\n")
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(bad), "--methods", "greedy_offline",
+                     "--axis", "uav_count", "--values", "2,3", "--seeds", "0",
+                     "--out", str(out)]) == 1
+        assert "violation: num_uavs must be at least 1" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_training_verbs_print_progress_to_stderr(self, tmp_path, capsys):
         # every 50 episodes and after the last: the episode, the smoothed

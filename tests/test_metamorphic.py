@@ -2,7 +2,10 @@
 hold whatever each run's output is.
 
 - Relabelling the MDs of a world (and of its plans) names the same
-  missions, so the planners' fitness arrays keep their bits.
+  missions, so the planners' fitness arrays and the audited mission rows
+  keep their bits.
+- A cell's row depends on its method, axis value and seed, not on the
+  other seeds run beside it, so reordering a task's seeds keeps every row.
 - A chain link's channel g enters the transmit design only through g g^H,
   so a random phase per link keeps every verdict, status and Newton step
   count, and the margins up to rounding.
@@ -17,12 +20,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uavisac.config import load_config
 from uavisac.energy import REFERENCE_PROPULSION
+from uavisac.harness import ExperimentSpec, run_cells
 from uavisac.isac_sdr import _chain_gains, _isac_links
 from uavisac.mdp_env import LINK_OPTIONS
 from uavisac.planners import (GaConfig, Plan, PsoConfig, _ga_search,
                               _pso_search, fly_plans, greedy_offline,
-                              population_fitness)
+                              mission_result, population_fitness)
 from uavisac.scenario import (ScenarioConfig, build_scenario, db_to_linear,
                               rng_stream)
 
@@ -43,6 +48,45 @@ def test_md_relabelling_keeps_fitness_bits():
     got = population_fitness(moved, relabelled)
     for name, a, b in zip(("fitness", "energy", "slots", "collected"), want, got):
         assert np.array_equal(a, b), name
+
+
+def test_md_relabelling_keeps_mission_rows():
+    # greedy_offline's plan and the first PSO and GA plans of seed 0 on the
+    # 22 dB world, where chain links fail, audited in every link mode
+    sc = build_scenario(ScenarioConfig(gamma_th_uav=db_to_linear(22.0)))
+    plans = [greedy_offline(sc), next(_pso_search(sc, PsoConfig(seed=0)))[0],
+             next(_ga_search(sc, GaConfig(seed=0)))[0]]
+    perm = rng_stream(7, "relabel").permutation(sc.config.num_mds)
+    label = np.argsort(perm)        # MD i of sc is MD label[i] of relabelled
+    relabelled = replace(sc, md_positions=sc.md_positions[perm])
+    moved = [Plan([[int(label[i]) for i in route] for route in plan.md_order],
+                  plan.waypoints) for plan in plans]
+    want = fly_plans(plans, sc, REFERENCE_PROPULSION, record=True)[3]
+    got = fly_plans(moved, relabelled, REFERENCE_PROPULSION, record=True)[3]
+    failed_links = 0
+    for mode in ("isac", "separated", "none"):
+        for a, b in zip(want, got):
+            row = mission_result(a, sc, 0, "m", mode)
+            assert mission_result(b, relabelled, 0, "m", mode) == row, mode
+            failed_links += row.violations.inter_uav_sinr or 0
+    assert failed_links > 1000
+
+
+def test_seed_order_keeps_cell_rows():
+    # the mission_grid benchmark world with its cut search budgets
+    rc = load_config()
+    rc = replace(rc, scenario=replace(
+        rc.scenario, area_width=1000.0, area_height=1000.0, start=(0.0, 1000.0),
+        end=(1000.0, 0.0), num_mds=10, horizon_slots=200),
+        pso=replace(rc.pso, swarm=6, iterations=4),
+        ga=replace(rc.ga, population=6, generations=4))
+    methods = ("greedy_online", "greedy_offline", "pso", "ga")
+    spec = ExperimentSpec(run_config=rc, methods=methods, values=(2,),
+                          seeds=(0, 1))
+    rows = [{(r.method, r.seed): r for r in run_cells(methods, spec, 2, seeds)}
+            for seeds in ((0, 1), (1, 0))]
+    assert rows[0] == rows[1]
+    assert rows[0]["pso", 0] != rows[0]["pso", 1]     # the seeds matter
 
 
 @pytest.fixture(scope="module")

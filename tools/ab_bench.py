@@ -15,7 +15,9 @@ the pairs the working tree won (ties count for neither side), whether a
 gain may be claimed (at least nine tenths of the pairs won, and medians
 apart by more than the parent's interquartile range) and the median
 change/parent ratio over the pairs run parent first and over those run
-change first, so that a run-order effect shows.
+change first, so that a run-order effect shows. ``BENCH_history.jsonl``
+gets the same report, less the per-run records, as one appended line, so
+the runs of earlier revisions stay on record.
 """
 
 import argparse
@@ -120,6 +122,14 @@ def summarize(runs, end_to_end) -> dict:
     return out
 
 
+def append_history(path: Path, report: dict) -> None:
+    """Append ``report`` without its per-run records to ``path`` as one JSON
+    line; the lines already there are left as they are."""
+    line = json.dumps({k: v for k, v in report.items() if k != "runs"})
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -162,6 +172,7 @@ def main(argv=None) -> int:
                  for k, (p, c) in enumerate(runs)],
     }
     out.write_text(json.dumps(report, indent=1) + "\n")
+    append_history(ROOT / "BENCH_history.jsonl", report)
 
     def fmt(ratio):
         return "n/a" if ratio is None else f"{ratio:.4f}"
@@ -173,7 +184,7 @@ def main(argv=None) -> int:
               f"{s['change']['q3']:.4g}], change won {s['change_wins']}/{s['pairs']}; "
               f"change/parent median {fmt(s['ratio_parent_first'])} parent first, "
               f"{fmt(s['ratio_change_first'])} change first")
-    print(f"wrote {out}")
+    print(f"wrote {out}, appended to {ROOT / 'BENCH_history.jsonl'}")
     failed = sum(p["failed"] + c["failed"] for p, c in runs)
     correct = all(p["correct"] and c["correct"] for p, c in runs)
     return 0 if correct and failed == 0 else 1
